@@ -456,28 +456,8 @@ func BenchmarkExploreSynthetic(b *testing.B) {
 	// the semantic stats are identical across all of them — the variants
 	// measure the ordered-commit pipeline's scaling, and the stall /
 	// high-water gauges record how hard the commit stage had to reorder.
-	// "workers=N", not "workers-N": bench.sh strips a trailing -N as the
-	// GOMAXPROCS suffix, which would swallow a hyphenated worker count.
-	// Producer variants: the same run with each possible-allocation
-	// enumerator pinned. The emitted candidate stream — and therefore
-	// the front and every semantic counter — is bit-identical; the
-	// variants isolate the producer's own cost (bitset heap scan vs
-	// cost-ordered BDD walk) inside a full EXPLORE run.
-	for _, en := range []core.Enumerator{core.EnumeratorBitset, core.EnumeratorSymbolic} {
-		b.Run("enumerator="+string(en), func(b *testing.B) {
-			s := models.Synthetic(p)
-			var st core.Stats
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st = core.Explore(s, core.Options{
-					DisableFlexBound: true, Enumerator: en,
-				}).Stats
-			}
-			b.ReportMetric(float64(st.Scanned), "scanned")
-			b.ReportMetric(float64(st.BindingRuns), "binding_runs")
-		})
-	}
+	// "workers=N", not "workers-N": go test appends the GOMAXPROCS value
+	// as a trailing -N, which a hyphenated worker count would mimic.
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			s := models.Synthetic(p)
@@ -496,29 +476,6 @@ func BenchmarkExploreSynthetic(b *testing.B) {
 				b.ReportMetric(float64(st.Pipeline.BatchesCommitted), "batches_committed")
 				b.ReportMetric(float64(st.Pipeline.BoundPublishes), "bound_publishes")
 			}
-		})
-	}
-	// Sharded-producer variants: the exact run the "cached" variant
-	// times, forced through P producer shards and the k-way merge on the
-	// sequential explorer. The merged stream is bit-identical to the
-	// direct scan, so ns/op isolates the sharding machinery's own cost;
-	// bench.sh divides each variant by the cached baseline into
-	// overhead_vs_direct, which benchdiff gates for producers=1 — the
-	// pure merge-layer tax with zero parallelism to pay for it.
-	for _, prod := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("producers=%d", prod), func(b *testing.B) {
-			s := models.Synthetic(p)
-			var st core.Stats
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st = core.Explore(s, core.Options{
-					DisableFlexBound: true, MaxScan: 50000, Producers: prod,
-				}).Stats
-			}
-			b.ReportMetric(float64(st.BindingRuns), "binding_runs")
-			b.ReportMetric(float64(st.Pipeline.Producers), "producers")
-			b.ReportMetric(float64(st.Pipeline.MergeStalls), "merge_stalls")
 		})
 	}
 }
@@ -617,8 +574,7 @@ func BenchmarkE16_TriObjective(b *testing.B) {
 // core.Explore call and as a full loopback HTTP job lifecycle
 // (submit → poll → result fetch) against internal/server. The delta
 // between the two variants is the admission + scheduling + JSON +
-// polling overhead per job; bench.sh records both into
-// BENCH_explore.json so the service tax is tracked from day one.
+// polling overhead per job.
 func BenchmarkServerOverhead(b *testing.B) {
 	body := `{"model": "synthetic", "seed": 1, "workers": 1}`
 	b.Run("direct", func(b *testing.B) {

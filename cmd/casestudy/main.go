@@ -101,8 +101,6 @@ type cliFlags struct {
 	cache           string
 	workers         int
 	batch           int
-	producers       int
-	enumerator      string
 	prof            profiling.Flags
 	explicit        map[string]bool
 }
@@ -147,18 +145,6 @@ func (f *cliFlags) problems() []string {
 	if f.batch != 0 && f.workers == 1 {
 		out = append(out, "-batch only applies to parallel exploration (-workers != 1)")
 	}
-	if f.producers < 0 {
-		out = append(out, "-producers must be >= 0 (0 selects the automatic producer count)")
-	}
-	if f.explicit["producers"] && f.modeSelected() {
-		out = append(out, "-producers only applies to the default Pareto run")
-	}
-	if !core.ValidEnumerator(f.enumerator) {
-		out = append(out, "-enumerator must be auto, bitset or symbolic")
-	}
-	if f.explicit["enumerator"] && f.modeSelected() {
-		out = append(out, "-enumerator only applies to the default Pareto run")
-	}
 	out = append(out, f.prof.Problems()...)
 	return out
 }
@@ -186,8 +172,6 @@ func run() int {
 	cache := flag.String("cache", "on", "cross-candidate evaluation caches: on | off (off is the uncached differential/ablation baseline)")
 	workers := flag.Int("workers", 1, "parallel exploration workers for the default run (0 = GOMAXPROCS); the front is identical to sequential")
 	batch := flag.Int("batch", 0, "candidates per parallel range job (0 = adaptive); the front is identical for every batch size")
-	producers := flag.Int("producers", 0, "candidate-producer shards merged back into cost order (0 = auto); the stream is identical for every count (see docs/performance.md)")
-	enumerator := flag.String("enumerator", "auto", "possible-allocation producer: auto | bitset | symbolic; the front is identical either way (see docs/symbolic.md)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	tracePath := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -196,7 +180,7 @@ func run() int {
 	fl := &cliFlags{
 		table1: *table1, tradeoff: *tradeoff, compare: *compare, verify: *verify,
 		family: *family, timeout: *timeout, checkpoint: *ckPath, checkpointEvery: *ckEvery,
-		resume: *resume, cache: *cache, workers: *workers, batch: *batch, producers: *producers, enumerator: *enumerator,
+		resume: *resume, cache: *cache, workers: *workers, batch: *batch,
 		prof:     profiling.Flags{CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *tracePath},
 		explicit: map[string]bool{},
 	}
@@ -233,7 +217,7 @@ func run() int {
 			return 1
 		}
 	}
-	opts := core.Options{Timing: timingPolicy(*timing), Weighted: *weighted, DisableCache: *cache == "off", Batch: *batch, Producers: *producers, Enumerator: core.Enumerator(*enumerator)}
+	opts := core.Options{Timing: timingPolicy(*timing), Weighted: *weighted, DisableCache: *cache == "off", Batch: *batch}
 
 	switch {
 	case *table1:
@@ -314,7 +298,7 @@ func run() int {
 		fmt.Println()
 		st := r.Stats
 		fmt.Printf("design space        : 2^25 = %.0f design points\n", st.DesignSpace)
-		fmt.Printf("allocation subsets  : 2^14 = %.0f (scanned %d in cost order)\n", st.AllocSpace, st.Scanned)
+		fmt.Printf("allocation subsets  : 2^14 = %.0f (%d BDD nodes visited in cost order)\n", st.AllocSpace, st.Scanned)
 		fmt.Printf("possible allocations: %d (flexibility estimated for each)\n", st.PossibleAllocations)
 		fmt.Printf("implementations     : %d attempted, %d feasible\n", st.Attempted, st.Feasible)
 		fmt.Printf("binding solver      : %d runs over %d behaviours (%d search nodes)\n",
@@ -329,10 +313,6 @@ func run() int {
 				time.Duration(p.BusyNanos).Round(time.Millisecond))
 			fmt.Printf("range jobs          : %d committed (batch size %d), %d bound publishes\n",
 				p.BatchesCommitted, p.BatchSize, p.BoundPublishes)
-		}
-		if p := st.Pipeline; p.Producers > 0 {
-			fmt.Printf("sharded producers   : %d shards, %s busy, %d merge stalls\n",
-				p.Producers, time.Duration(p.ProducerBusyNanos).Round(time.Millisecond), p.MergeStalls)
 		}
 		fmt.Printf("maximum flexibility : %g\n", r.MaxFlexibility)
 	}

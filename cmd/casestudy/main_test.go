@@ -80,9 +80,6 @@ func TestFlagValidationAccepts(t *testing.T) {
 		func(f *cliFlags) { f.workers = 4; f.batch = 32 },
 		func(f *cliFlags) { f.timeout = 1 },
 		func(f *cliFlags) { f.cache = "off" },
-		func(f *cliFlags) { f.enumerator = "symbolic"; f.explicit["enumerator"] = true },
-		func(f *cliFlags) { f.enumerator = "auto" },
-		func(f *cliFlags) { f.producers = 2; f.explicit["producers"] = true },
 	}
 	for i, mutate := range cases {
 		f := baseFlags()
@@ -109,10 +106,6 @@ func TestFlagValidationRejects(t *testing.T) {
 		{func(f *cliFlags) { f.workers = 4; f.family = true }, "-workers only applies"},
 		{func(f *cliFlags) { f.batch = -1; f.workers = 4 }, "-batch must be >= 0"},
 		{func(f *cliFlags) { f.batch = 8 }, "-batch only applies"},
-		{func(f *cliFlags) { f.enumerator = "bdd" }, "-enumerator must be"},
-		{func(f *cliFlags) { f.producers = -1 }, "-producers must be"},
-		{func(f *cliFlags) { f.producers = 2; f.verify = true; f.explicit["producers"] = true }, "-producers only applies"},
-		{func(f *cliFlags) { f.enumerator = "symbolic"; f.table1 = true; f.explicit["enumerator"] = true }, "-enumerator only applies"},
 		{func(f *cliFlags) { f.prof.CPUProfile = "p.out"; f.prof.Trace = "p.out" }, "same file"},
 	}
 	for i, tc := range cases {

@@ -49,8 +49,6 @@ type cliFlags struct {
 	upgradeFrom     string
 	workers         int
 	batch           int
-	producers       int
-	enumerator      string
 	iters           int
 	checkpointEvery int
 	timeout         time.Duration
@@ -73,18 +71,6 @@ func (f *cliFlags) problems() []string {
 	}
 	if f.explicit["batch"] && f.workers == 1 {
 		out = append(out, "-batch only applies to parallel exploration (-workers != 1)")
-	}
-	if f.producers < 0 {
-		out = append(out, "-producers must be >= 0 (0 selects the automatic producer count)")
-	}
-	if f.explicit["producers"] && f.algo != "explore" && f.algo != "exhaustive" {
-		out = append(out, "-producers requires a cost-ordered scan (-algo explore or exhaustive)")
-	}
-	if !core.ValidEnumerator(f.enumerator) {
-		out = append(out, "-enumerator must be auto, bitset or symbolic")
-	}
-	if f.explicit["enumerator"] && f.algo != "explore" && f.algo != "exhaustive" {
-		out = append(out, "-enumerator requires a cost-ordered scan (-algo explore or exhaustive)")
 	}
 	if f.iters <= 0 {
 		out = append(out, "-iters must be > 0")
@@ -148,8 +134,6 @@ func run() int {
 	upgradeFrom := flag.String("upgrade-from", "", "comma-separated deployed units; explore cost-ordered upgrades (supersets only)")
 	workers := flag.Int("workers", 1, "parallel exploration workers (0 = GOMAXPROCS); front is identical to sequential")
 	batch := flag.Int("batch", 0, "candidates per parallel range job (0 = adaptive); the front is identical for every batch size")
-	producers := flag.Int("producers", 0, "candidate-producer shards merged back into cost order (0 = auto); the stream is identical for every count (see docs/performance.md)")
-	enumerator := flag.String("enumerator", "auto", "possible-allocation producer: auto | bitset | symbolic; the front is identical either way (see docs/symbolic.md)")
 	lintMode := flag.String("lint", "on", "preflight static analysis: on | off (see docs/lint-codes.md)")
 	timeout := flag.Duration("timeout", 0, "stop the scan after this duration and print the best-so-far front (0 = no limit)")
 	ckPath := flag.String("checkpoint", "", "periodically write an atomic resume snapshot to this file")
@@ -163,7 +147,7 @@ func run() int {
 
 	fl := &cliFlags{
 		algo: *algo, model: *model, objectives: *objectives, upgradeFrom: *upgradeFrom,
-		workers: *workers, batch: *batch, producers: *producers, enumerator: *enumerator, iters: *iters, checkpointEvery: *ckEvery,
+		workers: *workers, batch: *batch, iters: *iters, checkpointEvery: *ckEvery,
 		timeout: *timeout, checkpoint: *ckPath, resume: *resume, cache: *cache,
 		prof:     profiling.Flags{CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *tracePath},
 		explicit: map[string]bool{},
@@ -199,7 +183,7 @@ func run() int {
 		}
 	}
 
-	opts := core.Options{Weighted: *weighted, StopAtMaxFlex: *stopMax, DisableCache: *cache == "off", Batch: *batch, Producers: *producers, Enumerator: core.Enumerator(*enumerator)}
+	opts := core.Options{Weighted: *weighted, StopAtMaxFlex: *stopMax, DisableCache: *cache == "off", Batch: *batch}
 	switch *timing {
 	case "paper":
 		opts.Timing = bind.TimingPaper
@@ -365,10 +349,6 @@ func run() int {
 				time.Duration(p.BusyNanos).Round(time.Millisecond))
 			fmt.Printf("range jobs           : %d committed (batch size %d), %d bound publishes\n",
 				p.BatchesCommitted, p.BatchSize, p.BoundPublishes)
-		}
-		if p := st.Pipeline; p.Producers > 0 {
-			fmt.Printf("sharded producers    : %d shards, %s busy, %d merge stalls\n",
-				p.Producers, time.Duration(p.ProducerBusyNanos).Round(time.Millisecond), p.MergeStalls)
 		}
 		fmt.Printf("termination          : %s (cursor %d)\n", r.Reason, r.Cursor)
 		if len(st.Diags) > 0 {

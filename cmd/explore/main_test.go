@@ -51,20 +51,6 @@ func TestFlagValidationAccepts(t *testing.T) {
 		func(f *cliFlags) { f.algo = "exhaustive"; f.checkpoint = "ck.json"; f.resume = true },
 		func(f *cliFlags) { f.timeout = 1 },
 		func(f *cliFlags) { f.cache = "off" },
-		func(f *cliFlags) { f.enumerator = "symbolic"; f.explicit["enumerator"] = true },
-		func(f *cliFlags) { f.enumerator = "bitset"; f.explicit["enumerator"] = true },
-		func(f *cliFlags) { f.producers = 4; f.explicit["producers"] = true },
-		func(f *cliFlags) {
-			f.algo = "exhaustive"
-			f.producers = 1
-			f.explicit["producers"] = true
-		},
-		func(f *cliFlags) { f.enumerator = "auto" },
-		func(f *cliFlags) {
-			f.algo = "exhaustive"
-			f.enumerator = "symbolic"
-			f.explicit["enumerator"] = true
-		},
 		func(f *cliFlags) {
 			f.prof.CPUProfile = "cpu.out"
 			f.prof.MemProfile = "mem.out"
@@ -102,10 +88,6 @@ func TestFlagValidationRejects(t *testing.T) {
 		{func(f *cliFlags) { f.checkpoint = "ck.json"; f.objectives = "latency" }, "not supported"},
 		{func(f *cliFlags) { f.checkpoint = "ck.json"; f.upgradeFrom = "CPU1" }, "not supported"},
 		{func(f *cliFlags) { f.cache = "maybe" }, "-cache"},
-		{func(f *cliFlags) { f.enumerator = "bdd" }, "-enumerator must be"},
-		{func(f *cliFlags) { f.producers = -1 }, "-producers must be"},
-		{func(f *cliFlags) { f.algo = "random"; f.producers = 2; f.explicit["producers"] = true }, "-producers requires"},
-		{func(f *cliFlags) { f.algo = "random"; f.enumerator = "symbolic"; f.explicit["enumerator"] = true }, "-enumerator requires"},
 		{func(f *cliFlags) { f.prof.CPUProfile = "p.out"; f.prof.Trace = "p.out" }, "same file"},
 	}
 	for i, tc := range cases {

@@ -47,16 +47,4 @@ func TestWorkersSmoke(t *testing.T) {
 			t.Errorf("-batch %s front differs from sequential:\nsequential:\n%s\nbatched:\n%s", batch, seq, par)
 		}
 	}
-	// -producers shards candidate production; the merged stream — and so
-	// the front — must be byte-identical for every shard count, with and
-	// without a worker pool on top.
-	for _, producers := range []string{"1", "2", "4"} {
-		sh := run("-model", "settop", "-tsv", "-producers", producers)
-		if sh != seq {
-			t.Errorf("-producers %s front differs from sequential:\nsequential:\n%s\nsharded:\n%s", producers, seq, sh)
-		}
-	}
-	if sh := run("-model", "settop", "-tsv", "-workers", "4", "-producers", "3"); sh != seq {
-		t.Errorf("-workers 4 -producers 3 front differs from sequential:\nsequential:\n%s\nsharded:\n%s", seq, sh)
-	}
 }

@@ -14,7 +14,10 @@
 // Enumeration is lazy: subsets of the allocatable units are generated
 // in nondecreasing total cost through a binary heap (extend/replace
 // children, each subset generated exactly once), so the exploration can
-// stop early without touching the full 2^n space.
+// stop early without touching the full 2^n space. The explorers'
+// producer, EnumerateSymbolicRange, walks that subset tree over the
+// BDD of the possible allocations and skips every subtree without one;
+// EnumerateRange scans every subset and is kept as its test oracle.
 package alloc
 
 import (
@@ -152,18 +155,17 @@ type Options struct {
 	// Fig. 2 example lists such supersets (μP C1, ...); the case study
 	// leaves them out as obviously non-Pareto-optimal.
 	IncludeUselessComm bool
-	// MaxScan bounds the enumeration effort: subsets scanned for the
-	// bitset scan, BDD search nodes visited for the symbolic producer
-	// (0 = unbounded). The unit is enumerator-specific — a budget, not
-	// a stream position.
+	// MaxScan bounds the enumeration effort in BDD search nodes visited
+	// (0 = unbounded). The bitset oracle EnumerateRange counts subsets
+	// scanned instead.
 	MaxScan int
 }
 
 // Stats reports enumeration effort.
 type Stats struct {
-	// Scanned counts enumeration effort in the producer's own unit:
-	// subsets generated in cost order (bitset scan) or BDD search nodes
-	// visited (symbolic producer).
+	// Scanned counts enumeration effort: BDD search nodes visited by the
+	// symbolic producers, subsets generated in cost order by the bitset
+	// scans.
 	Scanned int
 	// Possible counts subsets that passed the possibility test and were
 	// yielded to the callback.
@@ -173,10 +175,17 @@ type Stats struct {
 	// SearchSpace is 2^(number of units), the size of the unreduced
 	// allocation space.
 	SearchSpace float64
+	// BudgetCut reports that MaxScan stopped the enumeration before the
+	// stream was exhausted. Set by EnumerateRange, EnumerateSymbolicRange
+	// and EnumerateExtensions; an enumeration that ends exactly at its
+	// budget is not cut.
+	BudgetCut bool
 	// Producers is the number of producer goroutines the candidates
 	// flowed through: 0 for the direct single-goroutine scans, >= 1 for
 	// the sharded enumerators (a sharded run with one producer still
-	// pays the merge). Telemetry, not semantics.
+	// pays the merge). Telemetry, not semantics. This field and the two
+	// below describe the sharded enumerators, which the explorers no
+	// longer use.
 	Producers int
 	// ProducerBusyNanos sums, over producer goroutines, the time spent
 	// walking the subset tree (wall time minus blocked-send time).
@@ -247,6 +256,7 @@ func EnumerateRange(s *spec.Spec, opts Options, start int, fn func(Candidate) bo
 	}
 	for h.Len() > 0 {
 		if opts.MaxScan > 0 && stats.Scanned >= opts.MaxScan {
+			stats.BudgetCut = true
 			break
 		}
 		cur := heap.Pop(h).(*subset)
@@ -405,8 +415,7 @@ func SearchSpace(n int) float64 {
 }
 
 // subset is a heap node: unit indices (sorted ascending), the same
-// subset as a dense bitset over the unit universe (nil on the extension
-// enumerator's nodes, which never consult it), and total cost.
+// subset as a dense bitset over the unit universe, and total cost.
 type subset struct {
 	cost float64
 	idx  []int
@@ -489,25 +498,4 @@ func commAdjacency(s *spec.Spec, units []Unit) map[hgraph.ID]map[hgraph.ID]bool 
 		}
 	}
 	return adj
-}
-
-// hasUselessComm reports whether the allocation contains a bus unit
-// that connects fewer than two allocated functional units.
-func hasUselessComm(units []Unit, idx []int, a spec.Allocation, adj map[hgraph.ID]map[hgraph.ID]bool) bool {
-	for _, k := range idx {
-		u := units[k]
-		if !u.Comm {
-			continue
-		}
-		n := 0
-		for other := range adj[u.ID] {
-			if a[other] {
-				n++
-			}
-		}
-		if n < 2 {
-			return true
-		}
-	}
-	return false
 }

@@ -398,3 +398,24 @@ func TestEnumerateRangeEarlyStop(t *testing.T) {
 		t.Fatalf("callback ran %d times after stop, want 1", n)
 	}
 }
+
+// hasUselessComm reports whether the allocation contains a bus unit
+// that connects fewer than two allocated functional units.
+func hasUselessComm(units []Unit, idx []int, a spec.Allocation, adj map[hgraph.ID]map[hgraph.ID]bool) bool {
+	for _, k := range idx {
+		u := units[k]
+		if !u.Comm {
+			continue
+		}
+		n := 0
+		for other := range adj[u.ID] {
+			if a[other] {
+				n++
+			}
+		}
+		if n < 2 {
+			return true
+		}
+	}
+	return false
+}

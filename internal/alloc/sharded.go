@@ -386,21 +386,12 @@ func (w *shardWalker) run(env *scanEnv, opts Options, shard, p, budget int, out 
 	}
 }
 
-// EnumerateSharded is Enumerate with candidate production split across
-// producers goroutines. The emitted stream — candidates, costs, their
-// order, and the possible-candidate cursor — is bit-identical to
-// Enumerate's; only the Scanned accounting of early-stopped runs may
-// overshoot (buffered walkers run slightly ahead of the merge).
-func EnumerateSharded(s *spec.Spec, opts Options, producers int, fn func(Candidate) bool) Stats {
-	return EnumerateShardedRange(s, opts, producers, 0, fn)
-}
-
 // EnumerateShardedRange is EnumerateRange across producers sharded
 // walker goroutines with the same range-cursor contract: start indexes
 // possible candidates, and the stream past it is bit-identical to the
 // single producer's. producers is clamped to [1, number of units]; one
-// producer still runs the full walker/merge machinery (that overhead
-// staying within noise of the direct path is benchmarked and gated).
+// producer still runs the full walker/merge machinery. The explorers no
+// longer use it; it stays only while the benchmark harness measures it.
 func EnumerateShardedRange(s *spec.Spec, opts Options, producers, start int, fn func(Candidate) bool) Stats {
 	env := newScanEnv(s)
 	n := env.n

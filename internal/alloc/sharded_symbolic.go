@@ -8,14 +8,6 @@ import (
 	"repro/internal/spec"
 )
 
-// EnumerateSymbolicSharded is EnumerateSymbolic with candidate
-// production split across producers goroutines, merged back into the
-// bit-identical single-producer stream (see sharded.go for the shard
-// addressing and the merge-determinism argument).
-func EnumerateSymbolicSharded(s *spec.Spec, opts Options, producers int, fn func(Candidate) bool) Stats {
-	return EnumerateSymbolicShardedRange(s, opts, producers, 0, fn)
-}
-
 // EnumerateSymbolicShardedRange is EnumerateSymbolicRange across
 // producers sharded BDD walkers. The characteristic function is built
 // once; the walk only reads the Manager (cofactor and memoized
@@ -27,7 +19,9 @@ func EnumerateSymbolicSharded(s *spec.Spec, opts Options, producers int, fn func
 // included, is bit-identical to the single symbolic producer (and
 // hence to the bitset scan). Scanned sums the per-shard visit counts
 // plus the central empty-allocation check; MaxScan splits into
-// per-shard visit budgets like the bitset scan's pop budgets.
+// per-shard visit budgets like the bitset scan's pop budgets. The
+// explorers no longer use it; it stays only while the benchmark harness
+// measures it.
 func EnumerateSymbolicShardedRange(s *spec.Spec, opts Options, producers, start int, fn func(Candidate) bool) Stats {
 	m, f, units := Symbolic(s)
 	n := len(units)

@@ -34,18 +34,26 @@ func sameCandidates(t *testing.T, label string, bit, sym []Candidate) {
 }
 
 // TestSymbolicStreamMatchesBitset is the producer-level differential
-// test: on every spec the scan can still reach, the symbolic producer
-// emits the bit-identical candidate stream, with both useless-bus
-// settings, while visiting no more nodes than the scan scans.
+// test against the bitset oracle: on every spec the scan can still
+// reach, the symbolic producer emits the bit-identical candidate
+// stream, with both useless-bus settings, while visiting no more nodes
+// than the scan scans.
 func TestSymbolicStreamMatchesBitset(t *testing.T) {
-	specs := map[string]*spec.Spec{
-		"fig2":   buildFig2(t),
-		"settop": models.SetTopBox(),
-		"synth": models.Synthetic(models.SyntheticParams{
-			Seed: 5, Apps: 2, Depth: 1, Branch: 2, Vertices: 2,
+	synth := func(seed int64) *spec.Spec {
+		return models.Synthetic(models.SyntheticParams{
+			Seed: seed, Apps: 2, Depth: 1, Branch: 2, Vertices: 2,
 			Processors: 2, ASICs: 2, Designs: 2, Buses: 3,
 			TimedFraction: 0.3, AccelOnlyFraction: 0.3,
-		}),
+		})
+	}
+	specs := map[string]*spec.Spec{
+		"fig2":    buildFig2(t),
+		"settop":  models.SetTopBox(),
+		"decoder": models.Decoder(),
+		"sdr":     models.SDR(),
+		"synth3":  synth(3),
+		"synth5":  synth(5),
+		"synth7":  synth(7),
 	}
 	for name, s := range specs {
 		for _, include := range []bool{false, true} {
@@ -122,6 +130,12 @@ func TestSymbolicMaxScanBudget(t *testing.T) {
 	}
 	if len(got) == 0 || len(got) >= unbounded.Possible {
 		t.Errorf("budgeted run emitted %d of %d candidates, want a proper prefix", len(got), unbounded.Possible)
+	}
+	if !stats.BudgetCut || unbounded.BudgetCut {
+		t.Errorf("BudgetCut = %v bounded, %v unbounded; want true, false", stats.BudgetCut, unbounded.BudgetCut)
+	}
+	if _, exact := collect(EnumerateSymbolicRange, s, Options{MaxScan: unbounded.Scanned}, 0); exact.BudgetCut {
+		t.Error("a budget the walk exactly exhausts reported a cut")
 	}
 	// The budgeted emission is a prefix of the unbounded stream.
 	full, _ := collect(EnumerateSymbolicRange, s, Options{}, 0)

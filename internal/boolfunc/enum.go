@@ -51,6 +51,7 @@ type CostEnum struct {
 	started bool
 	visited int
 	emitted int
+	cut     bool
 	// The memo tables are dense slices indexed by BDD node id (0
 	// unknown, 1 true, 2 false): the walk calls only read-only Manager
 	// operations, so the id space is frozen at construction time and a
@@ -225,6 +226,7 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 	}
 	for len(e.h) > 0 {
 		if e.MaxVisits > 0 && e.visited >= e.MaxVisits {
+			e.cut = true
 			return nil, 0, false
 		}
 		cur := heap.Pop(&e.h).(*enumNode)
@@ -293,6 +295,13 @@ func (e *CostEnum) TakeDrained() []int {
 // check): the enumeration's total effort, comparable to a subset scan's
 // scanned count.
 func (e *CostEnum) Visited() int { return e.visited }
+
+// BudgetCut reports that Next stopped at the MaxVisits budget while the
+// walk still held unvisited nodes. Every queued node's subtree holds a
+// satisfying assignment, so for a NewCostEnum walk this means the
+// budget cut the stream short; a walk that ends exactly at its budget
+// is not cut.
+func (e *CostEnum) BudgetCut() bool { return e.cut }
 
 // Emitted counts assignments returned so far — the resumable cursor
 // into the deterministic stream.

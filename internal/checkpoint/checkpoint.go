@@ -92,20 +92,6 @@ var digestExcluded = map[string]bool{
 	// differential grid test). Excluding it lets a checkpoint written
 	// under one batch size resume under any other.
 	"Batch": true,
-	// Enumerator selects how the possible-allocation stream is produced
-	// (bitset scan vs symbolic BDD search), not what it contains: both
-	// producers emit the bit-identical cost-ordered candidate sequence,
-	// cursor for cursor (pinned by the enumerator differential grid
-	// test). Excluding it lets a checkpoint written under one enumerator
-	// resume under the other.
-	"Enumerator": true,
-	// Producers shards candidate production across goroutines and
-	// merges the shards back into the bit-identical single-producer
-	// stream (pinned by the producers dimension of the differential
-	// grid test), so like Enumerator it never changes what a scan
-	// returns. Excluding it lets a checkpoint written under one
-	// producer count resume under any other.
-	"Producers": true,
 	// Fault is the fault-injection hook used by robustness tests.
 	"Fault": true,
 	// Progress and ProgressEvery only control reporting cadence.

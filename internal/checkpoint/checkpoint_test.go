@@ -499,96 +499,3 @@ func TestResumeAcrossBatchSizes(t *testing.T) {
 		t.Errorf("sequential resume of a batched checkpoint diverges from the full run")
 	}
 }
-
-// TestOptionsDigestIgnoresEnumerator (acceptance): the enumerator is a
-// performance knob — both producers emit the bit-identical candidate
-// stream — so choosing it must not invalidate an existing checkpoint.
-func TestOptionsDigestIgnoresEnumerator(t *testing.T) {
-	base := OptionsDigest(core.Options{})
-	for _, e := range []core.Enumerator{core.EnumeratorBitset, core.EnumeratorSymbolic, "auto"} {
-		if OptionsDigest(core.Options{Enumerator: e}) != base {
-			t.Fatalf("Enumerator=%q leaked into the options digest", e)
-		}
-	}
-}
-
-// TestResumeAcrossEnumerators: a checkpoint written by a bitset-scan run
-// resumes under the symbolic enumerator (and vice versa) and converges
-// to the uninterrupted front at the uninterrupted cursor — the shared
-// candidate stream makes the cursor transferable between producers.
-func TestResumeAcrossEnumerators(t *testing.T) {
-	s := models.SetTopBox()
-	full := core.Explore(s, core.Options{})
-	part := interruptedResult(t, 800)
-	writeOpts := core.Options{Enumerator: core.EnumeratorBitset}
-	snap, err := FromResult(s, writeOpts, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range []core.Enumerator{core.EnumeratorSymbolic, core.EnumeratorBitset} {
-		opts := core.Options{Enumerator: e}
-		res, err := snap.Resume(s, opts)
-		if err != nil {
-			t.Fatalf("Enumerator=%q refused the bitset snapshot: %v", e, err)
-		}
-		opts.Resume = res
-		resumed := core.Explore(s, opts)
-		if !frontsEqual(resumed.Front, full.Front) {
-			t.Errorf("Enumerator=%q: resumed front differs from uninterrupted run", e)
-		}
-		if resumed.Cursor != full.Cursor {
-			t.Errorf("Enumerator=%q: resumed cursor %d, want %d", e, resumed.Cursor, full.Cursor)
-		}
-	}
-}
-
-// TestOptionsDigestIgnoresProducers: the producer count shards the
-// candidate enumeration but the k-way merge restores the bit-identical
-// stream, so flipping it must not invalidate an existing checkpoint.
-func TestOptionsDigestIgnoresProducers(t *testing.T) {
-	base := OptionsDigest(core.Options{})
-	for _, p := range []int{1, 2, 8} {
-		if OptionsDigest(core.Options{Producers: p}) != base {
-			t.Fatalf("Producers=%d leaked into the options digest", p)
-		}
-	}
-}
-
-// TestResumeAcrossProducerCounts: a checkpoint written by a sharded run
-// resumes under any other producer count — direct scan included — and
-// converges to the uninterrupted front at the uninterrupted cursor: the
-// merged stream is bit-identical for every shard count, so the cursor
-// is transferable.
-func TestResumeAcrossProducerCounts(t *testing.T) {
-	s := models.SetTopBox()
-	full := core.Explore(s, core.Options{})
-	part := interruptedResult(t, 800)
-	writeOpts := core.Options{Producers: 2}
-	snap, err := FromResult(s, writeOpts, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{0, 1, 3} {
-		opts := core.Options{Producers: p}
-		res, err := snap.Resume(s, opts)
-		if err != nil {
-			t.Fatalf("Producers=%d refused the sharded snapshot: %v", p, err)
-		}
-		opts.Resume = res
-		resumed := core.Explore(s, opts)
-		if !frontsEqual(resumed.Front, full.Front) {
-			t.Errorf("Producers=%d: resumed front differs from uninterrupted run", p)
-		}
-		if resumed.Cursor != full.Cursor {
-			t.Errorf("Producers=%d: resumed cursor %d, want %d", p, resumed.Cursor, full.Cursor)
-		}
-	}
-	// And across the parallel explorer, which auto-shards.
-	res, err := snap.Resume(s, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par := core.ExploreParallel(s, core.Options{Resume: res}, 4, 8); !frontsEqual(par.Front, full.Front) {
-		t.Errorf("parallel resume of a sharded checkpoint diverges from the full run")
-	}
-}

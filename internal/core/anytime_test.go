@@ -460,3 +460,43 @@ func TestExhaustiveDeadlineAnytime(t *testing.T) {
 		t.Errorf("exhaustive partial front is not the prefix Pareto set")
 	}
 }
+
+// TestScanBoundOnlyWhenCut: a MaxScan budget that the enumeration
+// exactly exhausts leaves the run completed; one visit less cuts the
+// stream and the run ends scan-bound, for every cost-ordered explorer.
+func TestScanBoundOnlyWhenCut(t *testing.T) {
+	s := models.SetTopBox()
+	base := spec.NewAllocation("uP2")
+	runs := map[string]func(Options) (Reason, int, Stats){
+		"explore": func(o Options) (Reason, int, Stats) {
+			r := Explore(s, o)
+			return r.Reason, r.Cursor, r.Stats
+		},
+		"parallel": func(o Options) (Reason, int, Stats) {
+			r := ExploreParallel(s, o, 2, 0)
+			return r.Reason, r.Cursor, r.Stats
+		},
+		"multi": func(o Options) (Reason, int, Stats) {
+			r := ExploreMulti(s, o, nil)
+			return r.Reason, r.Cursor, r.Stats
+		},
+		"upgrade": func(o Options) (Reason, int, Stats) {
+			r := Upgrade(s, base, o)
+			return r.Reason, r.Cursor, r.Stats
+		},
+	}
+	for name, run := range runs {
+		reason, cursor, full := run(Options{})
+		if reason != ReasonCompleted {
+			t.Fatalf("%s: unbounded run ended %q", name, reason)
+		}
+		exact, exactCursor, st := run(Options{MaxScan: full.Scanned})
+		if exact != ReasonCompleted || exactCursor != cursor || st.PossibleAllocations != full.PossibleAllocations {
+			t.Errorf("%s: MaxScan = visits needed (%d): reason %q cursor %d possible %d, want completed, %d, %d",
+				name, full.Scanned, exact, exactCursor, st.PossibleAllocations, cursor, full.PossibleAllocations)
+		}
+		if cut, _, _ := run(Options{MaxScan: full.Scanned - 1}); cut != ReasonScanBound {
+			t.Errorf("%s: MaxScan one below the visits needed: reason %q, want %q", name, cut, ReasonScanBound)
+		}
+	}
+}

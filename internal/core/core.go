@@ -87,7 +87,9 @@ type Options struct {
 	// MaxECS bounds the number of elementary cluster activations tested
 	// per candidate (0 = 10000).
 	MaxECS int
-	// MaxScan bounds the allocation subsets scanned (0 = unbounded).
+	// MaxScan bounds the enumeration effort in BDD search nodes visited
+	// (0 = unbounded). A bounded run explores a deterministic prefix of
+	// the candidate stream and ends with ReasonScanBound.
 	MaxScan int
 	// MaxBindNodes bounds each binding search (0 = unbounded).
 	MaxBindNodes int
@@ -110,34 +112,6 @@ type Options struct {
 	// taken under one batch size resumes under any other. Sequential
 	// exploration ignores it.
 	Batch int
-	// Enumerator selects the possible-allocation producer: the
-	// exhaustive cost-ordered subset scan (EnumeratorBitset), the
-	// symbolic BDD-pruned search (EnumeratorSymbolic), or automatic
-	// selection (EnumeratorAuto, the zero value), which switches to
-	// symbolic above autoSymbolicUnits allocatable units. Both
-	// producers emit the bit-identical candidate stream — order, costs,
-	// allocations, range addressing — so the choice never changes
-	// fronts, cursors or semantic counters; only the Scanned effort
-	// counter is producer-specific. Like Batch it is excluded from
-	// checkpoint option digests: a snapshot taken under one enumerator
-	// resumes under any other.
-	Enumerator Enumerator
-	// Producers sets the candidate-producer goroutine count: the
-	// enumeration is sharded across that many walkers and re-serialized
-	// by a deterministic k-way merge into the bit-identical
-	// single-producer stream (see internal/alloc's sharded enumerators).
-	// 0 = auto: the direct in-process scan for sequential exploration,
-	// min(workers, 4) sharded producers for parallel exploration (the
-	// producer side rarely profits beyond that, and never beyond the
-	// unit count, to which the value is clamped). An explicit 1 runs
-	// the full shard/merge machinery with one walker — the merged
-	// stream is the same, and keeping that path's overhead within noise
-	// of the direct scan is benchmarked and gated. Because the stream
-	// is bit-identical for every value, Producers is runtime
-	// configuration like Batch and Enumerator: excluded from checkpoint
-	// option digests, so a snapshot taken under one producer count
-	// resumes under any other.
-	Producers int
 
 	// The fields below configure the anytime runtime, not the
 	// exploration semantics: they never change which front a completed
@@ -176,95 +150,6 @@ func (o Options) progressEvery() int {
 		return 64
 	}
 	return o.ProgressEvery
-}
-
-// Enumerator names a possible-allocation producer (Options.Enumerator).
-type Enumerator string
-
-const (
-	// EnumeratorAuto — the zero value; the spelling "auto" is also
-	// accepted — picks the bitset scan up to autoSymbolicUnits
-	// allocatable units and the symbolic enumeration above.
-	EnumeratorAuto Enumerator = ""
-	// EnumeratorBitset forces the exhaustive cost-ordered subset scan
-	// (alloc.EnumerateRange): every one of the 2^n subsets is generated
-	// and tested.
-	EnumeratorBitset Enumerator = "bitset"
-	// EnumeratorSymbolic forces the BDD-pruned cost-ordered search
-	// (alloc.EnumerateSymbolicRange): only subset-tree nodes whose
-	// subtree still contains a possible allocation are visited.
-	EnumeratorSymbolic Enumerator = "symbolic"
-)
-
-// autoSymbolicUnits is EnumeratorAuto's switchover point. Above 20
-// allocatable units the bitset scan's 2^n subsets pass a million while
-// the symbolic search still visits only the trie of the possible set,
-// so auto switches to symbolic there; at or below it the scan's lower
-// constant factor wins. Every specification of the paper's case study
-// (14 units) stays on the bitset scan, so auto preserves the seed's
-// behaviour exactly.
-const autoSymbolicUnits = 20
-
-// ValidEnumerator reports whether s names a selectable enumerator.
-// "auto" and the empty string both select automatic choice. Flag and
-// request validation use it so a misspelled name fails fast instead of
-// silently falling back to a default.
-func ValidEnumerator(s string) bool {
-	switch Enumerator(s) {
-	case EnumeratorAuto, "auto", EnumeratorBitset, EnumeratorSymbolic:
-		return true
-	}
-	return false
-}
-
-// enumeratorFor resolves the configured producer for a specification
-// with n allocatable units. Unknown values panic: the CLI and server
-// layers validate with ValidEnumerator before options reach the engine.
-func (o Options) enumeratorFor(n int) Enumerator {
-	switch o.Enumerator {
-	case EnumeratorBitset, EnumeratorSymbolic:
-		return o.Enumerator
-	case EnumeratorAuto, "auto":
-		if n > autoSymbolicUnits {
-			return EnumeratorSymbolic
-		}
-		return EnumeratorBitset
-	default:
-		panic(fmt.Sprintf("core: unknown enumerator %q", o.Enumerator))
-	}
-}
-
-// autoMaxProducers caps the auto-resolved producer count for parallel
-// exploration. Candidate production is a small fraction of the total
-// work (ROADMAP's profiling put it near 18%), so a handful of walkers
-// removes the serial spine; beyond that the merge's coordination buys
-// nothing.
-const autoMaxProducers = 4
-
-// producersFor resolves Options.Producers for an explorer with the
-// given worker count over a specification with n allocatable units.
-// It returns 0 for the direct single-goroutine scan (the auto default
-// for sequential exploration) and otherwise the sharded producer
-// count, clamped to [1, n]. An explicit Producers value — including 1
-// — always selects the sharded machinery.
-func (o Options) producersFor(workers, n int) int {
-	p := o.Producers
-	if p <= 0 {
-		if workers <= 1 {
-			return 0
-		}
-		p = workers
-		if p > autoMaxProducers {
-			p = autoMaxProducers
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	if p > n {
-		p = n
-	}
-	return p
 }
 
 // Failpoint sites of the exploration engine (see Options.Fault). Both
@@ -356,10 +241,9 @@ type Stats struct {
 	DesignSpace float64 `json:"designSpace"`
 	// AllocSpace is 2^(allocatable units).
 	AllocSpace float64 `json:"allocSpace"`
-	// Scanned counts enumeration effort in the producer's own unit:
-	// allocation subsets generated in cost order (bitset scan) or BDD
-	// search nodes visited (symbolic enumeration). Enumerator-specific
-	// telemetry, zeroed by Semantic().
+	// Scanned counts enumeration effort: BDD search nodes visited by the
+	// cost-ordered explorers (allocations sampled by RandomSearch and
+	// Evolutionary). Telemetry, zeroed by Semantic().
 	Scanned int `json:"scanned"`
 	// PossibleAllocations counts subsets passing the possibility test
 	// (the paper's "set of possible resource allocations").
@@ -425,13 +309,10 @@ type PipelineStats struct {
 	// candidates; BusyNanos / (elapsed × Workers) approximates pool
 	// utilization.
 	BusyNanos int64 `json:"busyNanos,omitempty"`
-	// Producers is the resolved candidate-producer goroutine count when
-	// the run used the sharded enumeration (0 for the direct
-	// single-goroutine scan). ProducerBusyNanos sums the walkers'
-	// tree-walking time (wall time minus blocked-send time), and
-	// MergeStalls counts merge reads that found the needed producer
-	// stream empty — together they tell whether candidate production or
-	// evaluation was the bottleneck.
+	// Producers, ProducerBusyNanos and MergeStalls described the sharded
+	// candidate producers. The explorers no longer use those producers,
+	// so the fields are always zero; they remain only until the
+	// benchmark harness stops reading them.
 	Producers         int   `json:"producers,omitempty"`
 	ProducerBusyNanos int64 `json:"producerBusyNanos,omitempty"`
 	MergeStalls       int   `json:"mergeStalls,omitempty"`
@@ -477,13 +358,13 @@ func (c CacheStats) BindHits() int {
 }
 
 // Semantic returns the counters that are invariant across cache
-// configuration, enumerator choice and resume splitting: what was
-// found possible, estimated, attempted and found feasible.
+// configuration, worker count and resume splitting: what was found
+// possible, estimated, attempted and found feasible.
 // BindingRuns/BindingNodes measure actual solver effort — exactly what
 // caching removes and what a resumed run (cold cache) redoes — the
-// cache counters measure the caching itself, and Scanned counts effort
-// in the enumerator's own unit (subsets scanned vs BDD nodes visited),
-// so all are zeroed. Differential tests compare runs through this
+// cache counters measure the caching itself, and Scanned counts
+// producer effort, which a resumed run partly replays, so all are
+// zeroed. Differential tests compare runs through this
 // view.
 func (s Stats) Semantic() Stats {
 	s.Scanned = 0

@@ -43,9 +43,7 @@ func ExploreContext(ctx context.Context, s *spec.Spec, opts Options) *Result {
 	res.Stats.PossibleAllocations = startCursor
 
 	ev := newEvaluator(s, opts)
-	_, _, pc, _ := s.Problem.ElementCount()
-	producers := opts.producersFor(1, len(alloc.Units(s)))
-	aStats := enumerateRange(s, opts, producers, startCursor, func(c alloc.Candidate) bool {
+	aStats := candidates(s, opts, startCursor, func(c alloc.Candidate) bool {
 		res.Stats.PossibleAllocations++
 		if ctx.Err() != nil {
 			res.Interrupted, res.Reason = true, reasonFor(ctx)
@@ -112,7 +110,7 @@ func ExploreContext(ctx context.Context, s *spec.Spec, opts Options) *Result {
 		return true
 	})
 	ev.fold(&res.Stats)
-	finishResult(res, aStats, pc, opts)
+	res.Reason = finishStats(s, &res.Stats, res.Reason, aStats)
 	res.Front = frontToImplementations(front)
 	return res
 }
@@ -143,44 +141,28 @@ func seedResume(res *Result, front *pareto.Front, r *Resume) (fcur float64, star
 	return fcur, r.Cursor
 }
 
-// enumerateRange drives the cost-ordered candidate stream through the
-// producer Options.Enumerator selects, sharded across producers
-// walker goroutines when producers >= 1 (as resolved by producersFor;
-// 0 selects the direct in-process scan). Every producer choice and
-// count emits the bit-identical stream with the same range addressing,
-// so everything downstream — fronts, cursors, resume, checkpoints —
-// is oblivious to the configuration; only the Scanned effort counter
-// (and what MaxScan bounds) is producer-specific.
-func enumerateRange(s *spec.Spec, opts Options, producers, start int, fn func(alloc.Candidate) bool) alloc.Stats {
-	ao := alloc.Options{
+// candidates streams the cost-ordered possible allocations from the
+// candidate index start on: the one producer every explorer runs, the
+// symbolic walk over the possible-allocation BDD.
+func candidates(s *spec.Spec, opts Options, start int, fn func(alloc.Candidate) bool) alloc.Stats {
+	return alloc.EnumerateSymbolicRange(s, alloc.Options{
 		IncludeUselessComm: opts.IncludeUselessComm,
 		MaxScan:            opts.MaxScan,
-	}
-	symbolic := opts.enumeratorFor(len(alloc.Units(s))) == EnumeratorSymbolic
-	switch {
-	case producers >= 1 && symbolic:
-		return alloc.EnumerateSymbolicShardedRange(s, ao, producers, start, fn)
-	case producers >= 1:
-		return alloc.EnumerateShardedRange(s, ao, producers, start, fn)
-	case symbolic:
-		return alloc.EnumerateSymbolicRange(s, ao, start, fn)
-	default:
-		return alloc.EnumerateRange(s, ao, start, fn)
-	}
+	}, start, fn)
 }
 
-// finishResult folds the enumeration statistics into the result and
-// classifies a MaxScan-bounded termination.
-func finishResult(res *Result, aStats alloc.Stats, pc int, opts Options) {
-	res.Stats.Scanned = aStats.Scanned
-	res.Stats.AllocSpace = aStats.SearchSpace
-	res.Stats.DesignSpace = aStats.SearchSpace * alloc.SearchSpace(pc)
-	res.Stats.Pipeline.Producers = aStats.Producers
-	res.Stats.Pipeline.ProducerBusyNanos = aStats.ProducerBusyNanos
-	res.Stats.Pipeline.MergeStalls = aStats.MergeStalls
-	if res.Reason == ReasonCompleted && opts.MaxScan > 0 && aStats.Scanned >= opts.MaxScan {
-		res.Reason = ReasonScanBound
+// finishStats folds the producer's statistics into st and returns the
+// termination reason: a run that would otherwise have completed is
+// scan-bound when the MaxScan budget cut the candidate stream short.
+func finishStats(s *spec.Spec, st *Stats, reason Reason, aStats alloc.Stats) Reason {
+	_, _, pc, _ := s.Problem.ElementCount()
+	st.Scanned = aStats.Scanned
+	st.AllocSpace = aStats.SearchSpace
+	st.DesignSpace = aStats.SearchSpace * alloc.SearchSpace(pc)
+	if reason == ReasonCompleted && aStats.BudgetCut {
+		return ReasonScanBound
 	}
+	return reason
 }
 
 func frontToImplementations(front *pareto.Front) []*Implementation {

@@ -151,8 +151,7 @@ func ExploreMultiContext(ctx context.Context, s *spec.Spec, opts Options, object
 	}
 	front := &pareto.Front{}
 	ev := newEvaluator(s, opts)
-	_, _, pc, _ := s.Problem.ElementCount()
-	aStats := enumerateRange(s, opts, opts.producersFor(1, len(alloc.Units(s))), 0, func(c alloc.Candidate) bool {
+	aStats := candidates(s, opts, 0, func(c alloc.Candidate) bool {
 		if ctx.Err() != nil {
 			res.Interrupted, res.Reason = true, reasonFor(ctx)
 			return false
@@ -185,15 +184,7 @@ func ExploreMultiContext(ctx context.Context, s *spec.Spec, opts Options, object
 		return true
 	})
 	ev.fold(&res.Stats)
-	res.Stats.Scanned = aStats.Scanned
-	res.Stats.AllocSpace = aStats.SearchSpace
-	res.Stats.DesignSpace = aStats.SearchSpace * alloc.SearchSpace(pc)
-	res.Stats.Pipeline.Producers = aStats.Producers
-	res.Stats.Pipeline.ProducerBusyNanos = aStats.ProducerBusyNanos
-	res.Stats.Pipeline.MergeStalls = aStats.MergeStalls
-	if res.Reason == ReasonCompleted && opts.MaxScan > 0 && aStats.Scanned >= opts.MaxScan {
-		res.Reason = ReasonScanBound
-	}
+	res.Reason = finishStats(s, &res.Stats, res.Reason, aStats)
 	for _, e := range front.Entries() {
 		res.Front = append(res.Front, e.Value.(*Implementation))
 		res.Objectives = append(res.Objectives, e.Objectives)

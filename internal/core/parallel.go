@@ -151,11 +151,11 @@ func ExploreParallelContext(ctx context.Context, s *spec.Spec, opts Options, wor
 			}
 			// Yield once, after the first dispatch, so the scan's first
 			// range job starts before the producer saturates the queue.
-			// With sharded producers the stream arrives pre-buffered and
-			// sends become back-to-back; on a single-P runtime the
-			// scheduler's LIFO wakeup would then run the *latest*-readied
-			// worker first, letting a late batch evaluate (and e.g. trip
-			// a cancellation) before the first batch is even started —
+			// When the stream arrives faster than workers drain it, sends
+			// become back-to-back; on a single-P runtime the scheduler's
+			// LIFO wakeup would then run the *latest*-readied worker
+			// first, letting a late batch evaluate (and e.g. trip a
+			// cancellation) before the first batch is even started —
 			// collapsing the anytime cursor to 0. Yielding only here (not
 			// per send) keeps the queue free to fill behind busy workers.
 			if emitted == 1 {
@@ -168,9 +168,7 @@ func ExploreParallelContext(ctx context.Context, s *spec.Spec, opts Options, wor
 			return false
 		}
 	}
-	_, _, pc, _ := s.Problem.ElementCount()
-	producers := opts.producersFor(workers, len(alloc.Units(s)))
-	aStats := enumerateRange(s, opts, producers, startCursor, func(cd alloc.Candidate) bool {
+	aStats := candidates(s, opts, startCursor, func(cd alloc.Candidate) bool {
 		p.possible.Add(1)
 		if ctx.Err() != nil {
 			producerCancelled = true
@@ -226,7 +224,7 @@ func ExploreParallelContext(ctx context.Context, s *spec.Spec, opts Options, wor
 			Stats:          res.Stats,
 		})
 	}
-	finishResult(res, aStats, pc, opts)
+	res.Reason = finishStats(s, &res.Stats, res.Reason, aStats)
 	res.Front = frontToImplementations(front)
 	return res
 }

@@ -13,8 +13,8 @@ import (
 // f=2) without discarding hardware. The fresh-design front jumps to μP1
 // at $120 for f=3, but an upgrade cannot drop uP2; the cheapest f=3
 // upgrades instead add one FPGA design plus its bus (+$70) — the
-// deterministic enumeration surfaces the D3 variant among the three
-// equal-cost options.
+// cost-ordered stream's tie-break surfaces the U2 variant among the
+// three equal-cost options.
 func TestUpgradeFromCheapestBox(t *testing.T) {
 	s := models.SetTopBox()
 	r := Upgrade(s, spec.NewAllocation("uP2"), Options{})
@@ -32,8 +32,8 @@ func TestUpgradeFromCheapestBox(t *testing.T) {
 		}
 	}
 	// First upgrade adds exactly one design and the bus C1.
-	if !r.Front[0].Allocation.Equal(spec.NewAllocation("uP2", "C1", "dD3")) {
-		t.Errorf("first upgrade = %v, want {C1 dD3 uP2}", r.Front[0].Allocation)
+	if !r.Front[0].Allocation.Equal(spec.NewAllocation("uP2", "C1", "dU2")) {
+		t.Errorf("first upgrade = %v, want {C1 dU2 uP2}", r.Front[0].Allocation)
 	}
 }
 
@@ -79,7 +79,8 @@ func TestUpgradeFromMaxedOut(t *testing.T) {
 }
 
 // TestUpgradeFromEmptyEqualsExplore: with an empty base, Upgrade
-// degenerates to a full exploration (same front values).
+// degenerates to a full exploration: the same front, allocation for
+// allocation.
 func TestUpgradeFromEmptyEqualsExplore(t *testing.T) {
 	s := models.SetTopBox()
 	up := Upgrade(s, spec.Allocation{}, Options{})
@@ -88,8 +89,9 @@ func TestUpgradeFromEmptyEqualsExplore(t *testing.T) {
 		t.Fatalf("front sizes differ: %d vs %d", len(up.Front), len(ex.Front))
 	}
 	for i := range ex.Front {
-		if up.Front[i].Cost != ex.Front[i].Cost || up.Front[i].Flexibility != ex.Front[i].Flexibility {
-			t.Errorf("row %d differs", i)
+		u, e := up.Front[i], ex.Front[i]
+		if u.Cost != e.Cost || u.Flexibility != e.Flexibility || !u.Allocation.Equal(e.Allocation) {
+			t.Errorf("row %d = %v, want %v", i, u, e)
 		}
 	}
 }

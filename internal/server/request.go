@@ -40,16 +40,10 @@ type Request struct {
 	// implemented.
 	StopAtMaxFlex bool `json:"stopAtMaxFlex,omitempty"`
 
-	// MaxScan bounds the enumeration effort (0 = unbounded) — the
-	// per-job candidate-scan budget, counted in the enumerator's own
-	// unit: subsets scanned (bitset) or BDD search nodes visited
-	// (symbolic).
+	// MaxScan bounds the enumeration effort in BDD search nodes visited
+	// (0 = unbounded). A bounded job returns a deterministic prefix of
+	// the candidate stream.
 	MaxScan int `json:"maxScan,omitempty"`
-	// Enumerator selects the possible-allocation producer: "bitset",
-	// "symbolic", or "auto"/"" (bitset at small unit counts, symbolic
-	// above). The choice never changes the result — both producers emit
-	// the bit-identical candidate stream — only the scan effort.
-	Enumerator string `json:"enumerator,omitempty"`
 	// MaxECS bounds the behaviours tested per candidate.
 	MaxECS int `json:"maxEcs,omitempty"`
 	// MaxBindNodes bounds each binding search.
@@ -60,10 +54,6 @@ type Request struct {
 	Workers int `json:"workers,omitempty"`
 	// Batch sets the parallel explorer's range-job size (0 = adaptive).
 	Batch int `json:"batch,omitempty"`
-	// Producers shards candidate production across goroutines, merged
-	// back into the bit-identical cost-ordered stream (0 = auto: direct
-	// scan for sequential jobs, min(workers, 4) for parallel ones).
-	Producers int `json:"producers,omitempty"`
 	// DeadlineMs is the job's wall-clock budget in milliseconds,
 	// counted from admission and spanning suspensions; on expiry the
 	// job completes with its prefix-exact partial front. 0 selects the
@@ -75,6 +65,14 @@ type Request struct {
 	// PeriodicCheckpoint persists a crash snapshot at every progress
 	// interval, not only on suspension.
 	PeriodicCheckpoint bool `json:"periodicCheckpoint,omitempty"`
+
+	// Enumerator and Producers are accepted with any value and ignored.
+	// They once selected among candidate producers that all emitted the
+	// same stream; every job now runs the one symbolic producer. They
+	// stay in the schema so the unknown-field check keeps admitting
+	// clients that still send them.
+	Enumerator json.RawMessage `json:"enumerator,omitempty"`
+	Producers  json.RawMessage `json:"producers,omitempty"`
 }
 
 // apiError is a structured admission or lookup failure, rendered as
@@ -199,9 +197,6 @@ func (s *Server) jobFromRequest(req *Request, sp *spec.Spec) (*job, *apiError) {
 	if req.Batch < 0 {
 		return nil, errBudget(`"batch" must be >= 0 (0 selects adaptive sizing)`)
 	}
-	if req.Producers < 0 {
-		return nil, errBudget(`"producers" must be >= 0 (0 selects the automatic producer count)`)
-	}
 	if req.MaxScan < 0 || req.MaxECS < 0 || req.MaxBindNodes < 0 {
 		return nil, errBudget(`"maxScan", "maxEcs" and "maxBindNodes" must be >= 0`)
 	}
@@ -210,9 +205,6 @@ func (s *Server) jobFromRequest(req *Request, sp *spec.Spec) (*job, *apiError) {
 	}
 	if req.CheckpointEvery < 0 {
 		return nil, errBudget(`"checkpointEvery" must be >= 0 (0 selects 64)`)
-	}
-	if !core.ValidEnumerator(req.Enumerator) {
-		return nil, errBudget(fmt.Sprintf(`unknown "enumerator" %q (auto | bitset | symbolic)`, req.Enumerator))
 	}
 	deadline := time.Duration(req.DeadlineMs) * time.Millisecond
 	if deadline == 0 {
@@ -260,8 +252,6 @@ func (s *Server) jobFromRequest(req *Request, sp *spec.Spec) (*job, *apiError) {
 			MaxECS:             req.MaxECS,
 			MaxBindNodes:       req.MaxBindNodes,
 			Batch:              req.Batch,
-			Producers:          req.Producers,
-			Enumerator:         core.Enumerator(req.Enumerator),
 		},
 	}
 	if deadline > 0 {

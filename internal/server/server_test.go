@@ -231,38 +231,60 @@ func TestSubmitToResult(t *testing.T) {
 	}
 }
 
-// TestSubmitSymbolicEnumerator: a job may pick the symbolic producer;
-// the served result matches the symbolic baseline (front, cursor, and
-// the producer's own scanned count).
-func TestSubmitSymbolicEnumerator(t *testing.T) {
-	_, ts := newTestServer(t, Config{Lint: true})
-	id := submit(t, ts, `{"model": "settop", "workers": 1, "enumerator": "symbolic"}`)
-	got := fetchResult(t, ts, id)
-	requireSameFront(t, got, core.Explore(models.SetTopBox(), core.Options{Enumerator: core.EnumeratorSymbolic}))
-	if got["reason"] != "completed" {
-		t.Errorf("reason = %v, want completed", got["reason"])
+// requireLegacyFieldsIgnored submits each body, which carries the
+// documented no-op fields "enumerator" and/or "producers", and checks
+// that it is admitted, completes, and returns the same front as a
+// request without them.
+func requireLegacyFieldsIgnored(t *testing.T, ts *httptest.Server, bodies ...string) {
+	t.Helper()
+	plain := fetchResult(t, ts, submit(t, ts, `{"model": "settop", "workers": 1}`))
+	want := core.Explore(models.SetTopBox(), core.Options{})
+	for _, body := range bodies {
+		got := fetchResult(t, ts, submit(t, ts, body))
+		if g, w := frontJSON(t, got), frontJSON(t, plain); g != w {
+			t.Errorf("%s: front differs from the plain request:\n got %s\nwant %s", body, g, w)
+		}
+		requireSameFront(t, got, want)
+		if got["reason"] != "completed" {
+			t.Errorf("%s: reason = %v, want completed", body, got["reason"])
+		}
 	}
 }
 
-// TestSubmitShardedProducers: a job may shard candidate production;
-// the served result matches the single-producer baseline (the merge is
-// bit-identical) and the result's pipeline stats report the shard
-// count actually used.
+// TestSubmitSymbolicEnumerator: "enumerator" is a documented no-op. A
+// request naming any enumerator, even an unknown or mistyped one, is
+// admitted and returns the default front.
+func TestSubmitSymbolicEnumerator(t *testing.T) {
+	_, ts := newTestServer(t, Config{Lint: true})
+	requireLegacyFieldsIgnored(t, ts,
+		`{"model": "settop", "workers": 1, "enumerator": "symbolic"}`,
+		`{"model": "settop", "workers": 1, "enumerator": "bitset"}`,
+		`{"model": "settop", "workers": 1, "enumerator": "bdd"}`,
+		`{"model": "settop", "workers": 1, "enumerator": 7}`,
+	)
+}
+
+// TestSubmitShardedProducers: "producers" is a documented no-op. A
+// request asking for any shard count is admitted, returns the default
+// front, and its pipeline stats report no sharded producers.
 func TestSubmitShardedProducers(t *testing.T) {
 	_, ts := newTestServer(t, Config{Lint: true})
-	id := submit(t, ts, `{"model": "settop", "workers": 1, "producers": 2}`)
-	got := fetchResult(t, ts, id)
-	requireSameFront(t, got, core.Explore(models.SetTopBox(), core.Options{}))
-	if got["reason"] != "completed" {
-		t.Errorf("reason = %v, want completed", got["reason"])
-	}
+	requireLegacyFieldsIgnored(t, ts,
+		`{"model": "settop", "workers": 1, "producers": 2}`,
+		`{"model": "settop", "workers": 1, "producers": -2}`,
+		`{"model": "settop", "workers": 1, "producers": "four"}`,
+		`{"model": "settop", "workers": 1, "enumerator": "symbolic", "producers": 2}`,
+	)
+	got := fetchResult(t, ts, submit(t, ts, `{"model": "settop", "workers": 1, "producers": 2}`))
 	stats, _ := got["stats"].(map[string]any)
-	pipe, _ := stats["pipeline"].(map[string]any)
-	if pipe == nil {
-		t.Fatalf("result stats carry no pipeline block: %v", stats)
+	if stats == nil {
+		t.Fatalf("result carries no stats: %v", got)
 	}
-	if p, _ := pipe["producers"].(float64); p != 2 {
-		t.Errorf("pipeline.producers = %v, want 2", pipe["producers"])
+	// A single-worker run reports no pipeline block at all; when one is
+	// present it must not claim sharded producers.
+	pipe, _ := stats["pipeline"].(map[string]any)
+	if p, ok := pipe["producers"]; ok {
+		t.Errorf("pipeline.producers = %v, want it absent", p)
 	}
 }
 
@@ -327,9 +349,7 @@ func TestAdmissionRejections(t *testing.T) {
 		{"deadline above cap", `{"model": "settop", "deadlineMs": 6000000}`, http.StatusBadRequest, CodeBadBudget},
 		{"negative cadence", `{"model": "settop", "checkpointEvery": -2}`, http.StatusBadRequest, CodeBadBudget},
 		{"negative batch", `{"model": "settop", "batch": -1}`, http.StatusBadRequest, CodeBadBudget},
-		{"negative producers", `{"model": "settop", "producers": -2}`, http.StatusBadRequest, CodeBadBudget},
 		{"unknown timing", `{"model": "settop", "timing": "edf"}`, http.StatusBadRequest, CodeBadBudget},
-		{"unknown enumerator", `{"model": "settop", "enumerator": "bdd"}`, http.StatusBadRequest, CodeBadBudget},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -415,7 +435,8 @@ func TestDeadlineCompletesWithPartialFront(t *testing.T) {
 	// The partial front must be the exact front of the prefix
 	// [0, cursor): reproduce it with a direct scan interrupted at the
 	// same possible-candidate index. (MaxScan would not do — it counts
-	// raw scanned subsets, a coarser unit than the candidate cursor.)
+	// BDD search nodes visited, a different unit than the candidate
+	// cursor.)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	base := core.ExploreContext(ctx, models.SetTopBox(), core.Options{

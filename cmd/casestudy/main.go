@@ -100,7 +100,6 @@ type cliFlags struct {
 	resume          bool
 	cache           string
 	workers         int
-	batch           int
 	prof            profiling.Flags
 	explicit        map[string]bool
 }
@@ -139,12 +138,6 @@ func (f *cliFlags) problems() []string {
 	if f.workers != 1 && f.modeSelected() {
 		out = append(out, "-workers only applies to the default Pareto run")
 	}
-	if f.batch < 0 {
-		out = append(out, "-batch must be >= 0 (0 selects adaptive sizing)")
-	}
-	if f.batch != 0 && f.workers == 1 {
-		out = append(out, "-batch only applies to parallel exploration (-workers != 1)")
-	}
 	out = append(out, f.prof.Problems()...)
 	return out
 }
@@ -171,7 +164,6 @@ func run() int {
 	resume := flag.Bool("resume", false, "continue from the -checkpoint snapshot (default run only)")
 	cache := flag.String("cache", "on", "cross-candidate evaluation caches: on | off (off is the uncached differential/ablation baseline)")
 	workers := flag.Int("workers", 1, "parallel exploration workers for the default run (0 = GOMAXPROCS); the front is identical to sequential")
-	batch := flag.Int("batch", 0, "candidates per parallel range job (0 = adaptive); the front is identical for every batch size")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	tracePath := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -180,7 +172,7 @@ func run() int {
 	fl := &cliFlags{
 		table1: *table1, tradeoff: *tradeoff, compare: *compare, verify: *verify,
 		family: *family, timeout: *timeout, checkpoint: *ckPath, checkpointEvery: *ckEvery,
-		resume: *resume, cache: *cache, workers: *workers, batch: *batch,
+		resume: *resume, cache: *cache, workers: *workers,
 		prof:     profiling.Flags{CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *tracePath},
 		explicit: map[string]bool{},
 	}
@@ -217,7 +209,7 @@ func run() int {
 			return 1
 		}
 	}
-	opts := core.Options{Timing: timingPolicy(*timing), Weighted: *weighted, DisableCache: *cache == "off", Batch: *batch}
+	opts := core.Options{Timing: timingPolicy(*timing), Weighted: *weighted, DisableCache: *cache == "off"}
 
 	switch {
 	case *table1:

@@ -77,7 +77,7 @@ func TestFlagValidationAccepts(t *testing.T) {
 			f.explicit["checkpoint-every"] = true
 		},
 		func(f *cliFlags) { f.workers = 0 },
-		func(f *cliFlags) { f.workers = 4; f.batch = 32 },
+		func(f *cliFlags) { f.workers = 4 },
 		func(f *cliFlags) { f.timeout = 1 },
 		func(f *cliFlags) { f.cache = "off" },
 	}
@@ -104,8 +104,6 @@ func TestFlagValidationRejects(t *testing.T) {
 		{func(f *cliFlags) { f.cache = "maybe" }, "-cache"},
 		{func(f *cliFlags) { f.workers = -1 }, "-workers must be >= 0"},
 		{func(f *cliFlags) { f.workers = 4; f.family = true }, "-workers only applies"},
-		{func(f *cliFlags) { f.batch = -1; f.workers = 4 }, "-batch must be >= 0"},
-		{func(f *cliFlags) { f.batch = 8 }, "-batch only applies"},
 		{func(f *cliFlags) { f.prof.CPUProfile = "p.out"; f.prof.Trace = "p.out" }, "same file"},
 	}
 	for i, tc := range cases {

@@ -48,7 +48,6 @@ type cliFlags struct {
 	objectives      string
 	upgradeFrom     string
 	workers         int
-	batch           int
 	iters           int
 	checkpointEvery int
 	timeout         time.Duration
@@ -65,12 +64,6 @@ func (f *cliFlags) problems() []string {
 	var out []string
 	if f.workers < 0 {
 		out = append(out, "-workers must be >= 0 (0 selects GOMAXPROCS)")
-	}
-	if f.batch < 0 {
-		out = append(out, "-batch must be >= 0 (0 selects adaptive sizing)")
-	}
-	if f.explicit["batch"] && f.workers == 1 {
-		out = append(out, "-batch only applies to parallel exploration (-workers != 1)")
 	}
 	if f.iters <= 0 {
 		out = append(out, "-iters must be > 0")
@@ -133,7 +126,6 @@ func run() int {
 	objectives := flag.String("objectives", "", "comma-separated extra objectives beyond cost+1/flexibility: latency, or any resource attribute (e.g. power)")
 	upgradeFrom := flag.String("upgrade-from", "", "comma-separated deployed units; explore cost-ordered upgrades (supersets only)")
 	workers := flag.Int("workers", 1, "parallel exploration workers (0 = GOMAXPROCS); front is identical to sequential")
-	batch := flag.Int("batch", 0, "candidates per parallel range job (0 = adaptive); the front is identical for every batch size")
 	lintMode := flag.String("lint", "on", "preflight static analysis: on | off (see docs/lint-codes.md)")
 	timeout := flag.Duration("timeout", 0, "stop the scan after this duration and print the best-so-far front (0 = no limit)")
 	ckPath := flag.String("checkpoint", "", "periodically write an atomic resume snapshot to this file")
@@ -147,7 +139,7 @@ func run() int {
 
 	fl := &cliFlags{
 		algo: *algo, model: *model, objectives: *objectives, upgradeFrom: *upgradeFrom,
-		workers: *workers, batch: *batch, iters: *iters, checkpointEvery: *ckEvery,
+		workers: *workers, iters: *iters, checkpointEvery: *ckEvery,
 		timeout: *timeout, checkpoint: *ckPath, resume: *resume, cache: *cache,
 		prof:     profiling.Flags{CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *tracePath},
 		explicit: map[string]bool{},
@@ -183,7 +175,7 @@ func run() int {
 		}
 	}
 
-	opts := core.Options{Weighted: *weighted, StopAtMaxFlex: *stopMax, DisableCache: *cache == "off", Batch: *batch}
+	opts := core.Options{Weighted: *weighted, StopAtMaxFlex: *stopMax, DisableCache: *cache == "off"}
 	switch *timing {
 	case "paper":
 		opts.Timing = bind.TimingPaper

@@ -22,18 +22,6 @@ func TestFlagValidationAccepts(t *testing.T) {
 		func(f *cliFlags) { f.workers = 0; f.explicit["workers"] = true },
 		func(f *cliFlags) { f.workers = 8; f.explicit["workers"] = true },
 		func(f *cliFlags) {
-			f.workers = 4
-			f.batch = 64
-			f.explicit["workers"] = true
-			f.explicit["batch"] = true
-		},
-		func(f *cliFlags) {
-			f.workers = 0
-			f.batch = 0
-			f.explicit["workers"] = true
-			f.explicit["batch"] = true
-		},
-		func(f *cliFlags) {
 			f.algo = "random"
 			f.iters = 5
 			f.explicit["iters"] = true
@@ -72,8 +60,6 @@ func TestFlagValidationRejects(t *testing.T) {
 		want   string
 	}{
 		{func(f *cliFlags) { f.workers = -1 }, "-workers"},
-		{func(f *cliFlags) { f.workers = 4; f.batch = -1; f.explicit["workers"] = true }, "-batch must be >= 0"},
-		{func(f *cliFlags) { f.batch = 8; f.explicit["batch"] = true }, "-batch only applies"},
 		{func(f *cliFlags) { f.iters = 0 }, "-iters"},
 		{func(f *cliFlags) { f.iters = -3 }, "-iters"},
 		{func(f *cliFlags) { f.explicit["iters"] = true }, "-iters only applies"},

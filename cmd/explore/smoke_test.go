@@ -38,13 +38,4 @@ func TestWorkersSmoke(t *testing.T) {
 			t.Errorf("-workers %s front differs from sequential:\nsequential:\n%s\nparallel:\n%s", workers, seq, par)
 		}
 	}
-	// -batch sizes the parallel range jobs; the committed front must be
-	// byte-identical for every size (1 = per-candidate, 64 = the
-	// adaptive ceiling).
-	for _, batch := range []string{"1", "4", "64"} {
-		par := run("-model", "settop", "-tsv", "-workers", "4", "-batch", batch)
-		if par != seq {
-			t.Errorf("-batch %s front differs from sequential:\nsequential:\n%s\nbatched:\n%s", batch, seq, par)
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/models"
@@ -10,7 +11,8 @@ import (
 // TestEnumerateExtensionsMatchesFilteredRange pins the extension
 // stream to the bitset oracle: EnumerateExtensions(s, base) is exactly
 // EnumerateRange's stream filtered to supersets of base, with and
-// without useless buses, and stops where the callback stops it.
+// without useless buses, a range from start on is that stream's suffix,
+// and it stops where the callback stops it.
 func TestEnumerateExtensionsMatchesFilteredRange(t *testing.T) {
 	synth := models.Synthetic(models.SyntheticParams{
 		Seed: 5, Apps: 2, Depth: 1, Branch: 2, Vertices: 2,
@@ -42,7 +44,7 @@ func TestEnumerateExtensionsMatchesFilteredRange(t *testing.T) {
 				}
 			}
 			var got []Candidate
-			EnumerateExtensions(tc.s, tc.base, opts, func(c Candidate) bool {
+			EnumerateExtensions(tc.s, tc.base, opts, 0, func(c Candidate) bool {
 				got = append(got, c)
 				return true
 			})
@@ -51,9 +53,18 @@ func TestEnumerateExtensionsMatchesFilteredRange(t *testing.T) {
 			}
 			sameCandidates(t, label, want, got)
 
+			// A range from start on is the stream's suffix.
+			start := len(want) / 3
+			var suffix []Candidate
+			EnumerateExtensions(tc.s, tc.base, opts, start, func(c Candidate) bool {
+				suffix = append(suffix, c)
+				return true
+			})
+			sameCandidates(t, label+" from "+strconv.Itoa(start), want[start:], suffix)
+
 			stop := len(want)/2 + 1
 			n := 0
-			EnumerateExtensions(tc.s, tc.base, opts, func(Candidate) bool {
+			EnumerateExtensions(tc.s, tc.base, opts, 0, func(Candidate) bool {
 				n++
 				return n < stop
 			})
@@ -69,7 +80,7 @@ func TestEnumerateExtensionsBaseFirst(t *testing.T) {
 	base := spec.NewAllocation("uP")
 	var first *Candidate
 	n := 0
-	EnumerateExtensions(s, base, Options{}, func(c Candidate) bool {
+	EnumerateExtensions(s, base, Options{}, 0, func(c Candidate) bool {
 		if first == nil {
 			cl := Candidate{Allocation: c.Allocation.Clone(), Cost: c.Cost}
 			first = &cl
@@ -93,7 +104,7 @@ func TestEnumerateExtensionsCostOrderAndPruning(t *testing.T) {
 	base := spec.NewAllocation("uP")
 	prev := -1.0
 	seen := map[string]bool{}
-	stats := EnumerateExtensions(s, base, Options{}, func(c Candidate) bool {
+	stats := EnumerateExtensions(s, base, Options{}, 0, func(c Candidate) bool {
 		if c.Cost < prev {
 			t.Errorf("cost order violated: %v after %v", c.Cost, prev)
 		}
@@ -121,7 +132,7 @@ func TestEnumerateExtensionsImpossibleBase(t *testing.T) {
 	// extensions adding uP become possible.
 	base := spec.NewAllocation("A", "C2")
 	var cands []string
-	EnumerateExtensions(s, base, Options{}, func(c Candidate) bool {
+	EnumerateExtensions(s, base, Options{}, 0, func(c Candidate) bool {
 		cands = append(cands, c.Allocation.String())
 		return true
 	})
@@ -135,12 +146,12 @@ func TestEnumerateExtensionsImpossibleBase(t *testing.T) {
 
 func TestEnumerateExtensionsMaxScanAndEarlyStop(t *testing.T) {
 	s := buildFig2(t)
-	stats := EnumerateExtensions(s, spec.NewAllocation("uP"), Options{MaxScan: 3}, func(Candidate) bool { return true })
+	stats := EnumerateExtensions(s, spec.NewAllocation("uP"), Options{MaxScan: 3}, 0, func(Candidate) bool { return true })
 	if stats.Scanned > 3 {
 		t.Errorf("MaxScan exceeded: %d", stats.Scanned)
 	}
 	n := 0
-	EnumerateExtensions(s, spec.NewAllocation("uP"), Options{}, func(Candidate) bool {
+	EnumerateExtensions(s, spec.NewAllocation("uP"), Options{}, 0, func(Candidate) bool {
 		n++
 		return false
 	})
@@ -153,7 +164,7 @@ func TestEnumerateExtensionsFullBase(t *testing.T) {
 	s := buildFig2(t)
 	full := spec.NewAllocation("uP", "A", "C1", "C2", "dD3", "dU2")
 	n := 0
-	EnumerateExtensions(s, full, Options{IncludeUselessComm: true}, func(c Candidate) bool {
+	EnumerateExtensions(s, full, Options{IncludeUselessComm: true}, 0, func(c Candidate) bool {
 		if !c.Allocation.Equal(full) {
 			t.Errorf("unexpected extension %v of the full base", c.Allocation)
 		}

@@ -45,8 +45,10 @@ func EnumerateSymbolicRange(s *spec.Spec, opts Options, start int, fn func(Candi
 // stream is exactly EnumerateRange's stream filtered to supersets of
 // base, so base itself comes first when it is possible (unless
 // zero-cost units tie with it). SearchSpace is 2^(units outside base).
-func EnumerateExtensions(s *spec.Spec, base spec.Allocation, opts Options, fn func(Candidate) bool) Stats {
-	return enumerateSymbolic(s, base, opts, 0, fn)
+// As in EnumerateSymbolicRange, the first start extensions are skipped
+// without materializing their allocation maps.
+func EnumerateExtensions(s *spec.Spec, base spec.Allocation, opts Options, start int, fn func(Candidate) bool) Stats {
+	return enumerateSymbolic(s, base, opts, start, fn)
 }
 
 // enumerateSymbolic walks the possible-allocation function, restricted

@@ -286,11 +286,18 @@ func Check(s *spec.Spec, fp *hgraph.FlatGraph, av *spec.ArchView, b Binding, opt
 }
 
 // TotalLatency sums the mapped execution latencies of a binding — a
-// simple secondary metric used by examples and benchmarks.
+// simple secondary metric used by examples and benchmarks. The sum runs
+// in process order, so the floating-point result does not depend on
+// map iteration order.
 func TotalLatency(s *spec.Spec, b Binding) float64 {
+	procs := make([]hgraph.ID, 0, len(b))
+	for p := range b {
+		procs = append(procs, p)
+	}
+	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
 	total := 0.0
-	for p, r := range b {
-		if m := s.Mapping(p, r); m != nil {
+	for _, p := range procs {
+		if m := s.Mapping(p, b[p]); m != nil {
 			total += m.Latency
 		}
 	}

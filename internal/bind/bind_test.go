@@ -241,6 +241,19 @@ func TestTotalLatency(t *testing.T) {
 	if got := TotalLatency(s, b); got != 55+10+25+15 {
 		t.Errorf("TotalLatency = %v, want 105", got)
 	}
+	// Floating-point addition is not associative: 1e16 absorbs a small
+	// addend differently depending on when it comes, so only a fixed
+	// summation order gives the same total on every call.
+	s.Mapping("PD1", "A").Latency = 1e16
+	want := 55.0
+	want += 10
+	want += 1e16
+	want += 15
+	for i := 0; i < 50; i++ {
+		if got := TotalLatency(s, b); got != want {
+			t.Fatalf("TotalLatency = %v, want %v (the sum in process order)", got, want)
+		}
+	}
 }
 
 func TestBindingCloneAndString(t *testing.T) {

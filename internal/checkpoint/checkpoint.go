@@ -86,12 +86,6 @@ var digestExcluded = map[string]bool{
 	// DisableCache only trades CPU for memory; differential tests
 	// assert cache on/off runs are semantically identical.
 	"DisableCache": true,
-	// Batch only sizes the parallel explorer's range jobs; the ordered
-	// commit replays every batch against the exact bound, so fronts and
-	// semantic counters are batch-size-invariant (pinned by the
-	// differential grid test). Excluding it lets a checkpoint written
-	// under one batch size resume under any other.
-	"Batch": true,
 	// Fault is the fault-injection hook used by robustness tests.
 	"Fault": true,
 	// Progress and ProgressEvery only control reporting cadence.

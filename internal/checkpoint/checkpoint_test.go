@@ -431,34 +431,20 @@ func TestPipelineCheckpointCrossModeResume(t *testing.T) {
 	}
 }
 
-// TestOptionsDigestIgnoresBatch: -batch only sizes the parallel
-// explorer's range jobs; the ordered commit makes results
-// batch-size-invariant, so flipping it must not invalidate an existing
-// checkpoint.
-func TestOptionsDigestIgnoresBatch(t *testing.T) {
-	base := OptionsDigest(core.Options{})
-	for _, b := range []int{1, 4, 64} {
-		if OptionsDigest(core.Options{Batch: b}) != base {
-			t.Fatalf("Batch=%d leaked into the options digest", b)
-		}
-	}
-}
-
 // TestResumeAcrossBatchSizes: a checkpoint written mid-scan — at a
-// cursor that is deliberately NOT a multiple of the resuming batch
-// size, so the resumed run re-chunks the candidate stream on different
-// boundaries — resumes under any batch size (and sequentially) and
+// cursor that is deliberately NOT a multiple of the resuming run's
+// range size, so the resumed run chunks the candidate stream on
+// different boundaries — resumes in parallel and sequentially and
 // still converges to the uninterrupted front.
 func TestResumeAcrossBatchSizes(t *testing.T) {
 	s := models.SetTopBox()
 	full := core.Explore(s, core.Options{})
 
-	// Snapshot from a parallel run under Batch=4 at the first progress
-	// emission past cursor 100: with ProgressEvery=1 the parallel
-	// explorer emits at every batch commit, so a cursor of the form
-	// 4k+2 (mod 64 != 0) exists in the emission stream.
+	// Snapshot from a parallel run at the first progress emission past
+	// cursor 100: with ProgressEvery=1 the parallel explorer runs
+	// one-candidate ranges and reports every committed candidate.
 	var snap *Snapshot
-	opts := core.Options{ProgressEvery: 1, Batch: 4}
+	opts := core.Options{ProgressEvery: 1}
 	opts.Progress = func(p core.Progress) {
 		if snap != nil || p.Cursor < 100 || p.Cursor >= full.Cursor {
 			return
@@ -478,24 +464,17 @@ func TestResumeAcrossBatchSizes(t *testing.T) {
 		t.Fatalf("cursor %d is a batch-64 boundary; the test wants a mid-batch resume point", snap.Cursor)
 	}
 
-	for _, batch := range []int{0, 1, 64} {
-		res, err := snap.Resume(s, core.Options{Batch: batch})
+	for _, workers := range []int{1, 4} {
+		res, err := snap.Resume(s, core.Options{})
 		if err != nil {
-			t.Fatalf("Batch=%d refused the snapshot: %v", batch, err)
+			t.Fatalf("workers=%d refused the snapshot: %v", workers, err)
 		}
-		par := core.ExploreParallel(s, core.Options{Resume: res, Batch: batch}, 4, 8)
-		if !frontsEqual(par.Front, full.Front) {
-			t.Errorf("Batch=%d: resumed front diverges from the uninterrupted run", batch)
+		r := core.ExploreParallel(s, core.Options{Resume: res}, workers, 8)
+		if !frontsEqual(r.Front, full.Front) {
+			t.Errorf("workers=%d: resumed front diverges from the uninterrupted run", workers)
 		}
-		if par.Cursor != full.Cursor {
-			t.Errorf("Batch=%d: resumed cursor %d, want %d", batch, par.Cursor, full.Cursor)
+		if r.Cursor != full.Cursor {
+			t.Errorf("workers=%d: resumed cursor %d, want %d", workers, r.Cursor, full.Cursor)
 		}
-	}
-	res, err := snap.Resume(s, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq := core.Explore(s, core.Options{Resume: res}); !frontsEqual(seq.Front, full.Front) {
-		t.Errorf("sequential resume of a batched checkpoint diverges from the full run")
 	}
 }

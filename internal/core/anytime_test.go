@@ -20,21 +20,32 @@ import (
 // an exploration interrupted with Cursor == k must return exactly this
 // front.
 func prefixFront(s *spec.Spec, opts Options, k int) []*Implementation {
+	enumerate := func(fn func(alloc.Candidate) bool) {
+		alloc.Enumerate(s, alloc.Options{
+			IncludeUselessComm: opts.IncludeUselessComm,
+			MaxScan:            opts.MaxScan,
+		}, fn)
+	}
+	return prefixArchive(s, opts, k, enumerate, func(im *Implementation) []float64 {
+		return pareto.CostFlexObjectives(im.Cost, im.Flexibility)
+	})
+}
+
+// prefixArchive implements the first k candidates of stream
+// unconditionally and archives every implementation under the
+// objective vector vec gives it (nil: not admitted).
+func prefixArchive(s *spec.Spec, opts Options, k int, stream func(func(alloc.Candidate) bool), vec func(*Implementation) []float64) []*Implementation {
 	front := &pareto.Front{}
 	idx := 0
-	alloc.Enumerate(s, alloc.Options{
-		IncludeUselessComm: opts.IncludeUselessComm,
-		MaxScan:            opts.MaxScan,
-	}, func(c alloc.Candidate) bool {
+	stream(func(c alloc.Candidate) bool {
 		if idx >= k {
 			return false
 		}
 		idx++
 		if im := Implement(s, c.Allocation, opts, nil); im != nil {
-			front.Add(&pareto.Entry{
-				Objectives: pareto.CostFlexObjectives(im.Cost, im.Flexibility),
-				Value:      im,
-			})
+			if v := vec(im); v != nil {
+				front.Add(&pareto.Entry{Objectives: v, Value: im})
+			}
 		}
 		return true
 	})
@@ -498,5 +509,156 @@ func TestScanBoundOnlyWhenCut(t *testing.T) {
 		if cut, _, _ := run(Options{MaxScan: full.Scanned - 1}); cut != ReasonScanBound {
 			t.Errorf("%s: MaxScan one below the visits needed: reason %q, want %q", name, cut, ReasonScanBound)
 		}
+	}
+}
+
+// anytimeRun is the anytime-relevant outcome of any cost-ordered
+// explorer.
+type anytimeRun struct {
+	front       []*Implementation
+	objectives  [][]float64
+	interrupted bool
+	reason      Reason
+	cursor      int
+	stats       Stats
+}
+
+func anytimeOf(r *Result) anytimeRun {
+	return anytimeRun{front: r.Front, interrupted: r.Interrupted, reason: r.Reason, cursor: r.Cursor, stats: r.Stats}
+}
+
+func anytimeOfMulti(r *MultiResult) anytimeRun {
+	return anytimeRun{front: r.Front, objectives: r.Objectives, interrupted: r.Interrupted, reason: r.Reason, cursor: r.Cursor, stats: r.Stats}
+}
+
+// TestAnytimeContractEveryExplorer: every cost-ordered explorer keeps
+// the anytime contract. A cancellation at candidate k stops at Cursor
+// k with exactly the prefix's front; resuming from that result matches
+// the uninterrupted run in front, cursor, reason and semantic counters;
+// an injected implementation error at candidate j leaves exactly one
+// diagnostic, at j; and progress cursors strictly increase up to the
+// final cursor.
+func TestAnytimeContractEveryExplorer(t *testing.T) {
+	s := models.SetTopBox()
+	base := spec.NewAllocation("uP2")
+	baseFlex := Implement(s, base, Options{}, nil).Flexibility
+	tri := []Objective{CostObjective(), InvFlexibilityObjective(), MeanLatencyObjective()}
+	costFlex := func(im *Implementation) []float64 {
+		return pareto.CostFlexObjectives(im.Cost, im.Flexibility)
+	}
+	vectorOf := func(objs []Objective) func(*Implementation) []float64 {
+		return func(im *Implementation) []float64 {
+			v := make([]float64, len(objs))
+			for i, o := range objs {
+				v[i] = o.Eval(s, im)
+			}
+			return v
+		}
+	}
+	symbolic := func(fn func(alloc.Candidate) bool) { alloc.EnumerateSymbolic(s, alloc.Options{}, fn) }
+	extensions := func(fn func(alloc.Candidate) bool) { alloc.EnumerateExtensions(s, base, alloc.Options{}, 0, fn) }
+	allBehaviours := Options{AllBehaviours: true}
+
+	explorers := []struct {
+		name string
+		run  func(context.Context, Options) anytimeRun
+		// prefix is the front of the first k candidates of the
+		// explorer's stream, each implemented unconditionally.
+		prefix func(k int) []*Implementation
+		// pool marks a worker pool. Its workers race a cancellation, so
+		// the cancelled candidate lies in the first range job (4
+		// candidates), which one worker evaluates in order.
+		pool bool
+	}{
+		{"explore", func(ctx context.Context, o Options) anytimeRun {
+			return anytimeOf(ExploreContext(ctx, s, o))
+		}, func(k int) []*Implementation { return prefixFront(s, Options{}, k) }, false},
+		{"parallel2", func(ctx context.Context, o Options) anytimeRun {
+			return anytimeOf(ExploreParallelContext(ctx, s, o, 2, 0))
+		}, func(k int) []*Implementation { return prefixFront(s, Options{}, k) }, true},
+		{"parallel4", func(ctx context.Context, o Options) anytimeRun {
+			return anytimeOf(ExploreParallelContext(ctx, s, o, 4, 0))
+		}, func(k int) []*Implementation { return prefixFront(s, Options{}, k) }, true},
+		{"exhaustive", func(ctx context.Context, o Options) anytimeRun {
+			return anytimeOf(ExhaustiveContext(ctx, s, o))
+		}, func(k int) []*Implementation {
+			return prefixFront(s, Options{DisableFlexBound: true, IncludeUselessComm: true}, k)
+		}, false},
+		{"multi", func(ctx context.Context, o Options) anytimeRun {
+			return anytimeOfMulti(ExploreMultiContext(ctx, s, o, nil))
+		}, func(k int) []*Implementation {
+			return prefixArchive(s, Options{}, k, symbolic, costFlex)
+		}, false},
+		{"multi-tri", func(ctx context.Context, o Options) anytimeRun {
+			o.AllBehaviours = true
+			return anytimeOfMulti(ExploreMultiContext(ctx, s, o, tri))
+		}, func(k int) []*Implementation {
+			return prefixArchive(s, allBehaviours, k, symbolic, vectorOf(tri))
+		}, false},
+		{"upgrade", func(ctx context.Context, o Options) anytimeRun {
+			return anytimeOf(UpgradeContext(ctx, s, base, o))
+		}, func(k int) []*Implementation {
+			return prefixArchive(s, Options{}, k, extensions, func(im *Implementation) []float64 {
+				if im.Flexibility <= baseFlex {
+					return nil
+				}
+				return costFlex(im)
+			})
+		}, false},
+	}
+	for _, ex := range explorers {
+		t.Run(ex.name, func(t *testing.T) {
+			var cursors []int
+			full := ex.run(context.Background(), Options{ProgressEvery: 5, Progress: func(p Progress) {
+				cursors = append(cursors, p.Cursor)
+			}})
+			if len(cursors) == 0 || cursors[len(cursors)-1] != full.cursor {
+				t.Errorf("%d progress reports do not end at the final cursor %d", len(cursors), full.cursor)
+			}
+			for i := 1; i < len(cursors); i++ {
+				if cursors[i] <= cursors[i-1] {
+					t.Fatalf("progress cursor %d follows %d", cursors[i], cursors[i-1])
+				}
+			}
+			if full.interrupted || full.reason != ReasonCompleted || full.cursor < 8 {
+				t.Fatalf("uninterrupted run: interrupted=%v reason=%q cursor=%d", full.interrupted, full.reason, full.cursor)
+			}
+
+			k := full.cursor / 2
+			if ex.pool {
+				k = 3
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			part := ex.run(ctx, Options{Fault: faultinject.New().CancelAt(SiteEstimate, k).Bind(cancel)})
+			if !part.interrupted || part.reason != ReasonCancelled || part.cursor != k {
+				t.Fatalf("cancelled at %d: interrupted=%v reason=%q cursor=%d", k, part.interrupted, part.reason, part.cursor)
+			}
+			if want := ex.prefix(k); !frontsEqual(part.front, want) {
+				t.Errorf("cancelled at %d: front %v is not the prefix's %v", k, part.front, want)
+			}
+
+			resumed := ex.run(context.Background(), Options{Resume: &Resume{Cursor: part.cursor, Front: part.front, Stats: part.stats}})
+			if !frontsEqual(resumed.front, full.front) || !reflect.DeepEqual(resumed.objectives, full.objectives) {
+				t.Errorf("resumed front %v differs from the uninterrupted %v", resumed.front, full.front)
+			}
+			if resumed.cursor != full.cursor || resumed.reason != full.reason {
+				t.Errorf("resumed cursor %d reason %q, want %d %q", resumed.cursor, resumed.reason, full.cursor, full.reason)
+			}
+			if !reflect.DeepEqual(resumed.stats.Semantic(), full.stats.Semantic()) {
+				t.Errorf("resumed semantic stats diverge:\n%+v\n%+v", resumed.stats.Semantic(), full.stats.Semantic())
+			}
+
+			// j: the first candidate the explorer implements.
+			everyFails := ex.run(context.Background(), Options{Fault: faultinject.New().ErrorAt(SiteImplement, -1, nil)})
+			if len(everyFails.stats.Diags) == 0 {
+				t.Fatal("no candidate reached the implement failpoint")
+			}
+			j := everyFails.stats.Diags[0].Cursor
+			faulted := ex.run(context.Background(), Options{Fault: faultinject.New().ErrorAt(SiteImplement, j, nil)})
+			if d := faulted.stats.Diags; len(d) != 1 || d[0].Site != SiteImplement || d[0].Cursor != j || d[0].Kind != DiagError {
+				t.Errorf("implement error at %d: diags %+v, want one error diag there", j, d)
+			}
+		})
 	}
 }

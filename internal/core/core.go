@@ -101,17 +101,6 @@ type Options struct {
 	// work — so this is an ablation/verification switch, excluded from
 	// checkpoint option digests like the other runtime fields.
 	DisableCache bool
-	// Batch sets the candidate-range size of the parallel explorer's
-	// jobs (0 = adaptive: small first batches for low commit latency,
-	// ramping up to amortize channel and commit overhead, capped at
-	// the progress interval so batching never coarsens the
-	// checkpoint cadence). Like DisableCache it never changes what a
-	// run returns — the differential grid test proves fronts, cursors
-	// and semantic counters are bit-identical across batch sizes — so
-	// it is excluded from checkpoint option digests and a snapshot
-	// taken under one batch size resumes under any other. Sequential
-	// exploration ignores it.
-	Batch int
 
 	// The fields below configure the anytime runtime, not the
 	// exploration semantics: they never change which front a completed
@@ -122,10 +111,10 @@ type Options struct {
 	// (SiteEstimate, SiteImplement); see internal/faultinject. A nil
 	// plan is inert. Test harness only.
 	Fault *faultinject.Plan
-	// Progress, if non-nil, is called from the scan goroutine every
-	// ProgressEvery processed candidates with a consistent snapshot of
-	// the run, suitable for checkpointing. The snapshot's front shares
-	// the run's implementations; treat them as read-only.
+	// Progress, if non-nil, is called every ProgressEvery committed
+	// candidates, and once more at the final cursor, with a consistent
+	// snapshot of the run, suitable for checkpointing. The snapshot's
+	// front shares the run's implementations; treat them as read-only.
 	Progress func(Progress)
 	// ProgressEvery is the candidate interval between Progress calls
 	// (0 = 64).

@@ -4,9 +4,7 @@ import (
 	"context"
 	"math"
 
-	"repro/internal/alloc"
 	"repro/internal/bind"
-	"repro/internal/bitset"
 	"repro/internal/pareto"
 	"repro/internal/spec"
 )
@@ -21,8 +19,10 @@ type Objective struct {
 	Eval func(s *spec.Spec, im *Implementation) float64
 	// LowerBound, if non-nil, bounds the best achievable value for any
 	// implementation of the given allocation; used for dominance
-	// pruning. A nil LowerBound contributes 0 (no pruning power).
-	LowerBound func(s *spec.Spec, a spec.Allocation) float64
+	// pruning. est is the allocation's flexibility estimate under the
+	// run's options (an upper bound on its implemented flexibility). A
+	// nil LowerBound contributes 0 (no pruning power).
+	LowerBound func(s *spec.Spec, a spec.Allocation, est float64) float64
 }
 
 // CostObjective minimizes the allocation cost.
@@ -30,7 +30,7 @@ func CostObjective() Objective {
 	return Objective{
 		Name: "cost",
 		Eval: func(s *spec.Spec, im *Implementation) float64 { return im.Cost },
-		LowerBound: func(s *spec.Spec, a spec.Allocation) float64 {
+		LowerBound: func(s *spec.Spec, a spec.Allocation, _ float64) float64 {
 			return a.Cost(s)
 		},
 	}
@@ -47,8 +47,7 @@ func InvFlexibilityObjective() Objective {
 			}
 			return 1 / im.Flexibility
 		},
-		LowerBound: func(s *spec.Spec, a spec.Allocation) float64 {
-			est := Estimate(s, a, Options{})
+		LowerBound: func(_ *spec.Spec, _ spec.Allocation, est float64) float64 {
 			if est <= 0 {
 				return math.Inf(1)
 			}
@@ -91,7 +90,7 @@ func MeanLatencyObjective() Objective {
 // ResourceSumObjective minimizes the sum of a numeric attribute (e.g. a
 // "power" annotation) over the allocated resources.
 func ResourceSumObjective(attr string) Objective {
-	sum := func(s *spec.Spec, a spec.Allocation) float64 {
+	sum := func(s *spec.Spec, a spec.Allocation, _ float64) float64 {
 		total := 0.0
 		for _, r := range a.Resources(s) {
 			if v := s.Arch.VertexByID(r); v != nil {
@@ -103,7 +102,7 @@ func ResourceSumObjective(attr string) Objective {
 	return Objective{
 		Name: attr,
 		Eval: func(s *spec.Spec, im *Implementation) float64 {
-			return sum(s, im.Allocation)
+			return sum(s, im.Allocation, 0)
 		},
 		LowerBound: sum,
 	}
@@ -137,57 +136,64 @@ func ExploreMulti(s *spec.Spec, opts Options, objectives []Objective) *MultiResu
 	return ExploreMultiContext(context.Background(), s, opts, objectives)
 }
 
-// ExploreMultiContext is ExploreMulti under a context: cancellation or
-// deadline expiry stops the cost-ordered scan cleanly and returns the
-// best-so-far front with Interrupted set and Cursor at the first
-// unevaluated candidate.
+// ExploreMultiContext is ExploreMulti under a context, with the same
+// anytime semantics as ExploreContext: cancellation or deadline expiry
+// stops the cost-ordered scan cleanly and returns the best-so-far front
+// with Interrupted set and Cursor at the first unevaluated candidate,
+// and Options.Resume continues it (the resumed front's objective
+// vectors are re-evaluated from its implementations).
 func ExploreMultiContext(ctx context.Context, s *spec.Spec, opts Options, objectives []Objective) *MultiResult {
 	if len(objectives) == 0 {
 		objectives = []Objective{CostObjective(), InvFlexibilityObjective()}
 	}
-	res := &MultiResult{Reason: ReasonCompleted}
+	sc := newScan(ctx, s, opts)
+	f := &multiFold{s: s, objectives: objectives, front: sc.front, lb: make([]float64, len(objectives))}
+	r := sc.run(f, sc.candidates, 1, 0)
+	res := &MultiResult{Front: r.Front, Interrupted: r.Interrupted, Reason: r.Reason, Cursor: r.Cursor, Stats: r.Stats}
 	for _, o := range objectives {
 		res.Names = append(res.Names, o.Name)
 	}
-	front := &pareto.Front{}
-	ev := newEvaluator(s, opts)
-	aStats := candidates(s, opts, 0, func(c alloc.Candidate) bool {
-		if ctx.Err() != nil {
-			res.Interrupted, res.Reason = true, reasonFor(ctx)
-			return false
-		}
-		res.Stats.PossibleAllocations++
-		res.Cursor++
-		res.Stats.Estimated++
-		if !opts.DisableFlexBound {
-			best := make([]float64, len(objectives))
-			for i, o := range objectives {
-				if o.LowerBound != nil {
-					best[i] = o.LowerBound(s, c.Allocation)
-				}
-			}
-			if front.DominatesPoint(best) {
-				return true
-			}
-		}
-		res.Stats.Attempted++
-		im := ev.implement(c.Allocation, bitset.Set{}, false, &res.Stats)
-		if im == nil {
-			return true
-		}
-		res.Stats.Feasible++
-		vec := make([]float64, len(objectives))
-		for i, o := range objectives {
-			vec[i] = o.Eval(s, im)
-		}
-		front.Add(&pareto.Entry{Objectives: vec, Value: im})
-		return true
-	})
-	ev.fold(&res.Stats)
-	res.Reason = finishStats(s, &res.Stats, res.Reason, aStats)
-	for _, e := range front.Entries() {
-		res.Front = append(res.Front, e.Value.(*Implementation))
+	for _, e := range sc.front.Entries() {
 		res.Objectives = append(res.Objectives, e.Objectives)
 	}
 	return res
 }
+
+// multiFold is the multi-objective fold: a candidate is pruned when the
+// vector of its objectives' lower bounds is dominated or matched by an
+// archived point, and every feasible implementation enters the archive
+// under its objective vector.
+type multiFold struct {
+	s          *spec.Spec
+	objectives []Objective
+	front      *pareto.Front
+	lb         []float64 // prune's scratch vector
+	fmax       float64
+}
+
+func (f *multiFold) prune(a spec.Allocation, est float64) bool {
+	for i, o := range f.objectives {
+		f.lb[i] = 0
+		if o.LowerBound != nil {
+			f.lb[i] = o.LowerBound(f.s, a, est)
+		}
+	}
+	return f.front.DominatesPoint(f.lb)
+}
+
+func (f *multiFold) take(im *Implementation) (feasible, stop bool) {
+	if im == nil {
+		return false, false
+	}
+	vec := make([]float64, len(f.objectives))
+	for i, o := range f.objectives {
+		vec[i] = o.Eval(f.s, im)
+	}
+	f.front.Add(&pareto.Entry{Objectives: vec, Value: im})
+	if im.Flexibility > f.fmax {
+		f.fmax = im.Flexibility
+	}
+	return true, false
+}
+
+func (f *multiFold) best() float64 { return f.fmax }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/hgraph"
@@ -140,6 +141,30 @@ func TestExploreMultiPruningSound(t *testing.T) {
 	}
 	if with.Stats.Attempted >= without.Stats.Attempted {
 		t.Error("pruning should reduce attempts")
+	}
+}
+
+// TestExploreMultiWeightedPruningSound: the 1/flexibility lower bound
+// comes from the run's own estimate, which follows Options.Weighted, so
+// weighted pruning drops no Pareto point: the pruned front equals the
+// unpruned one and, as (cost, 1/f) vectors, weighted Explore's front.
+func TestExploreMultiWeightedPruningSound(t *testing.T) {
+	s := models.SetTopBox()
+	s.Problem.ClusterByID("gI").Attrs = hgraph.Attrs{spec.AttrWeight: 2}
+	opts := Options{Weighted: true}
+	with := ExploreMulti(s, opts, nil)
+	unpruned := opts
+	unpruned.DisableFlexBound = true
+	without := ExploreMulti(s, unpruned, nil)
+	if !reflect.DeepEqual(with.Objectives, without.Objectives) {
+		t.Errorf("pruned front %v differs from the unpruned %v", with.Objectives, without.Objectives)
+	}
+	var want [][]float64
+	for _, im := range Explore(s, opts).Front {
+		want = append(want, pareto.CostFlexObjectives(im.Cost, im.Flexibility))
+	}
+	if !reflect.DeepEqual(with.Objectives, want) {
+		t.Errorf("weighted multi front %v differs from weighted Explore's %v", with.Objectives, want)
 	}
 }
 

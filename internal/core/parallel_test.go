@@ -26,14 +26,14 @@ func sameFronts(t *testing.T, a, b *Result) {
 }
 
 // TestExploreParallelMatchesSequential: identical fronts (including the
-// representatives at equal-cost ties) for several worker/batch shapes.
+// representatives at equal-cost ties) for several worker/queue shapes.
 func TestExploreParallelMatchesSequential(t *testing.T) {
 	s := models.SetTopBox()
 	seq := Explore(s, Options{})
-	for _, cfg := range []struct{ workers, queue, batch int }{
-		{2, 1, 1}, {2, 8, 0}, {4, 16, 7}, {8, 64, 64}, {0, 0, 0},
+	for _, cfg := range []struct{ workers, queue int }{
+		{2, 1}, {2, 8}, {4, 16}, {8, 64}, {0, 0},
 	} {
-		par := ExploreParallel(s, Options{Batch: cfg.batch}, cfg.workers, cfg.queue)
+		par := ExploreParallel(s, Options{}, cfg.workers, cfg.queue)
 		sameFronts(t, seq, par)
 		if par.Stats.PossibleAllocations != seq.Stats.PossibleAllocations {
 			t.Errorf("possible allocations differ: %d vs %d",
@@ -87,15 +87,13 @@ func TestPropParallelAgrees(t *testing.T) {
 }
 
 // TestPipelineDifferentialGrid: across a grid of specs × worker counts
-// × batch sizes (fixed 1/4/64 and adaptive, with queue depths cycled
-// through the grid), the pipelined explorer produces bit-identical
-// fronts, cursors, termination reasons and Semantic() stats to the
-// sequential explorer. The strict ordered commit plus the second-chance
-// bound check make even Estimated/Attempted/ECSTested/Feasible exactly
-// equal (the stale bound a worker caches per batch is never above the
-// commit-time bound, so the commit replay removes precisely the extra
-// attempts), and the wholesale per-batch archive merge is exact for the
-// same reason. CI runs this under -race.
+// × queue depths, the pipelined explorer produces bit-identical fronts,
+// cursors, termination reasons and Semantic() stats to the sequential
+// explorer. The strict ordered per-candidate commit plus the
+// second-chance bound check make even Estimated/Attempted/ECSTested/
+// Feasible exactly equal (the stale bound a worker caches per batch is
+// never above the commit-time bound, so the commit's re-check removes
+// precisely the extra attempts). CI runs this under -race.
 func TestPipelineDifferentialGrid(t *testing.T) {
 	synth := func(seed int64) *spec.Spec {
 		return models.Synthetic(models.SyntheticParams{
@@ -123,38 +121,32 @@ func TestPipelineDifferentialGrid(t *testing.T) {
 		{"synth7-nobound", synth(7), Options{DisableFlexBound: true}, false},
 		{"settop-stopmax", models.SetTopBox(), Options{StopAtMaxFlex: true}, true},
 	}
-	queues := []int{1, 4, 32}
 	for _, tc := range specs {
 		seq := Explore(tc.s, tc.opts)
-		run := 0
 		for _, w := range []int{2, 4, 8} {
-			for _, b := range []int{1, 4, 64, 0} { // 0 = adaptive ramp
-				q := queues[run%len(queues)]
-				run++
-				opts := tc.opts
-				opts.Batch = b
-				par := ExploreParallel(tc.s, opts, w, q)
+			for _, q := range []int{1, 4, 32} {
+				par := ExploreParallel(tc.s, tc.opts, w, q)
 				sameFronts(t, seq, par)
 				if par.Cursor != seq.Cursor {
-					t.Errorf("%s w=%d b=%d q=%d: cursor %d != sequential %d",
-						tc.name, w, b, q, par.Cursor, seq.Cursor)
+					t.Errorf("%s w=%d q=%d: cursor %d != sequential %d",
+						tc.name, w, q, par.Cursor, seq.Cursor)
 				}
 				if par.Reason != seq.Reason {
-					t.Errorf("%s w=%d b=%d q=%d: reason %q != sequential %q",
-						tc.name, w, b, q, par.Reason, seq.Reason)
+					t.Errorf("%s w=%d q=%d: reason %q != sequential %q",
+						tc.name, w, q, par.Reason, seq.Reason)
 				}
 				ps, ss := par.Stats.Semantic(), seq.Stats.Semantic()
 				if tc.stopEarly {
 					// Scanned is telemetry (zeroed by Semantic), so the
 					// overshoot bound is checked on the raw counters.
 					if par.Stats.Scanned < seq.Stats.Scanned || ps.PossibleAllocations < ss.PossibleAllocations {
-						t.Errorf("%s w=%d b=%d q=%d: pipeline scanned less than sequential", tc.name, w, b, q)
+						t.Errorf("%s w=%d q=%d: pipeline scanned less than sequential", tc.name, w, q)
 					}
 					ps.PossibleAllocations, ss.PossibleAllocations = 0, 0
 				}
 				if !reflect.DeepEqual(ps, ss) {
-					t.Errorf("%s w=%d b=%d q=%d: semantic stats diverge:\npar: %+v\nseq: %+v",
-						tc.name, w, b, q, ps, ss)
+					t.Errorf("%s w=%d q=%d: semantic stats diverge:\npar: %+v\nseq: %+v",
+						tc.name, w, q, ps, ss)
 				}
 			}
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/bitset"
-	"repro/internal/pareto"
 	"repro/internal/spec"
 )
 
@@ -26,54 +25,19 @@ func Upgrade(s *spec.Spec, base spec.Allocation, opts Options) *Result {
 
 // UpgradeContext is Upgrade under a context, with the same anytime
 // semantics as ExploreContext: an interrupted run returns the
-// Pareto-optimal upgrades over the explored cost-ordered prefix.
+// Pareto-optimal upgrades over the explored cost-ordered prefix, and
+// Options.Resume continues it.
 func UpgradeContext(ctx context.Context, s *spec.Spec, base spec.Allocation, opts Options) *Result {
-	res := &Result{MaxFlexibility: MaxFlexibility(s, opts), Reason: ReasonCompleted}
-	front := &pareto.Front{}
-	ev := newEvaluator(s, opts)
-
-	baseImpl := ev.implement(base, bitset.Set{}, false, &res.Stats)
-	fcur := 0.0
-	if baseImpl != nil {
-		fcur = baseImpl.Flexibility
+	sc := newScan(ctx, s, opts)
+	// The base implementation's effort is counted into the run's stats;
+	// a resumed run replaces them with the snapshot's, which already
+	// hold it.
+	floor := 0.0
+	if im := sc.ev.implement(base, bitset.Set{}, false, &sc.res.Stats); im != nil {
+		floor = im.Flexibility
 	}
-	baseFlex := fcur
-
-	aStats := alloc.EnumerateExtensions(s, base, alloc.Options{
-		IncludeUselessComm: opts.IncludeUselessComm,
-		MaxScan:            opts.MaxScan,
-	}, func(c alloc.Candidate) bool {
-		if ctx.Err() != nil {
-			res.Interrupted, res.Reason = true, reasonFor(ctx)
-			return false
-		}
-		res.Stats.PossibleAllocations++
-		res.Cursor++
-		res.Stats.Estimated++
-		est, sup, haveSup := ev.estimate(c.Allocation)
-		if !opts.DisableFlexBound && est <= fcur {
-			return true
-		}
-		res.Stats.Attempted++
-		im := ev.implement(c.Allocation, sup, haveSup, &res.Stats)
-		if im == nil || im.Flexibility <= baseFlex {
-			return true
-		}
-		res.Stats.Feasible++
-		if front.Add(&pareto.Entry{
-			Objectives: pareto.CostFlexObjectives(im.Cost, im.Flexibility),
-			Value:      im,
-		}) && im.Flexibility > fcur {
-			fcur = im.Flexibility
-		}
-		if opts.StopAtMaxFlex && fcur >= res.MaxFlexibility {
-			res.Reason = ReasonMaxFlex
-			return false
-		}
-		return true
-	})
-	ev.fold(&res.Stats)
-	res.Reason = finishStats(s, &res.Stats, res.Reason, aStats)
-	res.Front = frontToImplementations(front)
-	return res
+	extensions := func(start int, fn func(alloc.Candidate) bool) alloc.Stats {
+		return alloc.EnumerateExtensions(s, base, sc.allocOptions(), start, fn)
+	}
+	return sc.run(sc.boundFold(floor), extensions, 1, 0)
 }

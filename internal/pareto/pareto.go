@@ -89,37 +89,6 @@ func equal(a, b []float64) bool {
 	return true
 }
 
-// Merge folds every entry of other into f — in other's archive order,
-// i.e. the insertion order of its surviving entries — and reports how
-// many were inserted. Entry pointers are shared, not copied.
-//
-// Merge is the archive-level fold of a partitioned insertion sequence,
-// with two algebraic guarantees the batched parallel explorer builds
-// on (both pinned by property tests):
-//
-//   - Partition exactness: splitting any Add sequence into contiguous
-//     chunks, archiving each chunk separately and merging the chunk
-//     archives in chunk order yields exactly the front of the unsplit
-//     sequence — same objective vectors AND same representative
-//     entries at equal-objective ties, because Add keeps the first of
-//     equals and the archive preserves insertion order.
-//   - Order independence: the final set of objective vectors is the
-//     non-dominated subset of the union, so merging archives in any
-//     order (associatively or commuted) yields the same vectors; only
-//     the representatives at exact ties follow the merge order.
-func (f *Front) Merge(other *Front) int {
-	if other == nil {
-		return 0
-	}
-	inserted := 0
-	for _, e := range other.entries {
-		if f.Add(e) {
-			inserted++
-		}
-	}
-	return inserted
-}
-
 // Size returns the number of archived entries.
 func (f *Front) Size() int { return len(f.entries) }
 

@@ -52,8 +52,6 @@ type Request struct {
 	// Workers is the job's worker budget (0 = server default, 1 =
 	// sequential, N = parallel pipeline).
 	Workers int `json:"workers,omitempty"`
-	// Batch sets the parallel explorer's range-job size (0 = adaptive).
-	Batch int `json:"batch,omitempty"`
 	// DeadlineMs is the job's wall-clock budget in milliseconds,
 	// counted from admission and spanning suspensions; on expiry the
 	// job completes with its prefix-exact partial front. 0 selects the
@@ -66,13 +64,16 @@ type Request struct {
 	// interval, not only on suspension.
 	PeriodicCheckpoint bool `json:"periodicCheckpoint,omitempty"`
 
-	// Enumerator and Producers are accepted with any value and ignored.
-	// They once selected among candidate producers that all emitted the
-	// same stream; every job now runs the one symbolic producer. They
-	// stay in the schema so the unknown-field check keeps admitting
-	// clients that still send them.
+	// Enumerator, Producers and Batch are accepted with any value and
+	// ignored. The first two once selected among candidate producers
+	// that all emitted the same stream, and Batch pinned the parallel
+	// explorer's range-job size, which never changed a result; every job
+	// now runs the one symbolic producer with adaptive ranges. They stay
+	// in the schema so the unknown-field check keeps admitting clients
+	// that still send them.
 	Enumerator json.RawMessage `json:"enumerator,omitempty"`
 	Producers  json.RawMessage `json:"producers,omitempty"`
+	Batch      json.RawMessage `json:"batch,omitempty"`
 }
 
 // apiError is a structured admission or lookup failure, rendered as
@@ -194,9 +195,6 @@ func (s *Server) jobFromRequest(req *Request, sp *spec.Spec) (*job, *apiError) {
 	if req.Workers < 0 {
 		return nil, errBudget(`"workers" must be >= 0 (0 selects the server default)`)
 	}
-	if req.Batch < 0 {
-		return nil, errBudget(`"batch" must be >= 0 (0 selects adaptive sizing)`)
-	}
 	if req.MaxScan < 0 || req.MaxECS < 0 || req.MaxBindNodes < 0 {
 		return nil, errBudget(`"maxScan", "maxEcs" and "maxBindNodes" must be >= 0`)
 	}
@@ -251,7 +249,6 @@ func (s *Server) jobFromRequest(req *Request, sp *spec.Spec) (*job, *apiError) {
 			MaxScan:            req.MaxScan,
 			MaxECS:             req.MaxECS,
 			MaxBindNodes:       req.MaxBindNodes,
-			Batch:              req.Batch,
 		},
 	}
 	if deadline > 0 {

@@ -231,10 +231,10 @@ func TestSubmitToResult(t *testing.T) {
 	}
 }
 
-// requireLegacyFieldsIgnored submits each body, which carries the
-// documented no-op fields "enumerator" and/or "producers", and checks
-// that it is admitted, completes, and returns the same front as a
-// request without them.
+// requireLegacyFieldsIgnored submits each body, which carries some of
+// the documented no-op fields "enumerator", "producers" and "batch",
+// and checks that it is admitted, completes, and returns the same
+// front as a request without them.
 func requireLegacyFieldsIgnored(t *testing.T, ts *httptest.Server, bodies ...string) {
 	t.Helper()
 	plain := fetchResult(t, ts, submit(t, ts, `{"model": "settop", "workers": 1}`))
@@ -286,6 +286,20 @@ func TestSubmitShardedProducers(t *testing.T) {
 	if p, ok := pipe["producers"]; ok {
 		t.Errorf("pipeline.producers = %v, want it absent", p)
 	}
+}
+
+// TestSubmitBatchIgnored: "batch" is a documented no-op. A request
+// pinning any range size, even a negative or mistyped one, is admitted
+// and returns the default front, sequentially and in parallel.
+func TestSubmitBatchIgnored(t *testing.T) {
+	_, ts := newTestServer(t, Config{Lint: true})
+	requireLegacyFieldsIgnored(t, ts,
+		`{"model": "settop", "workers": 1, "batch": 4}`,
+		`{"model": "settop", "workers": 2, "batch": 1}`,
+		`{"model": "settop", "workers": 2, "batch": -1}`,
+		`{"model": "settop", "workers": 2, "batch": "large"}`,
+		`{"model": "settop", "workers": 1, "producers": 2, "batch": 64}`,
+	)
 }
 
 // TestLintAdmission: a structurally valid but defective specification
@@ -348,7 +362,6 @@ func TestAdmissionRejections(t *testing.T) {
 		{"negative deadline", `{"model": "settop", "deadlineMs": -1}`, http.StatusBadRequest, CodeBadBudget},
 		{"deadline above cap", `{"model": "settop", "deadlineMs": 6000000}`, http.StatusBadRequest, CodeBadBudget},
 		{"negative cadence", `{"model": "settop", "checkpointEvery": -2}`, http.StatusBadRequest, CodeBadBudget},
-		{"negative batch", `{"model": "settop", "batch": -1}`, http.StatusBadRequest, CodeBadBudget},
 		{"unknown timing", `{"model": "settop", "timing": "edf"}`, http.StatusBadRequest, CodeBadBudget},
 	}
 	for _, tc := range cases {

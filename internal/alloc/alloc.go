@@ -233,7 +233,7 @@ func EnumerateRange(s *spec.Spec, opts Options, start int, fn func(Candidate) bo
 	n := env.n
 	stats := Stats{SearchSpace: SearchSpace(n)}
 
-	sc := env.newScratch()
+	sc := env.sup.NewScratch()
 	pool := sync.Pool{New: func() any { return &subset{bits: bitset.New(n)} }}
 
 	h := &subsetHeap{}
@@ -248,7 +248,7 @@ func EnumerateRange(s *spec.Spec, opts Options, start int, fn func(Candidate) bo
 	// The empty allocation is scanned first (never possible for a
 	// problem graph with vertices, but counted for fidelity).
 	stats.Scanned++
-	if sc.rootSupportable(nil) {
+	if env.sup.possibleUnits(nil, sc) {
 		stats.Possible++
 		if stats.Possible > start && !fn(Candidate{Allocation: spec.Allocation{}, Cost: 0}) {
 			return stats
@@ -266,20 +266,16 @@ func EnumerateRange(s *spec.Spec, opts Options, start int, fn func(Candidate) bo
 			heap.Push(h, env.child(&pool, cur, true))
 		}
 		switch {
-		case !opts.IncludeUselessComm && sc.uselessComm(cur):
+		case !opts.IncludeUselessComm && env.uselessComm(cur):
 			stats.PrunedComm++
-		case !sc.rootSupportable(cur.idx):
+		case !env.sup.possibleUnits(cur.idx, sc):
 		default:
 			stats.Possible++
 			if stats.Possible <= start {
 				// Before the range: counted, never materialized.
 				break
 			}
-			a := make(spec.Allocation, len(cur.idx))
-			for _, k := range cur.idx {
-				a[env.units[k].ID] = true
-			}
-			if !fn(Candidate{Allocation: a, Cost: cur.cost}) {
+			if !fn(Candidate{Allocation: AllocationOf(env.units, cur.idx), Cost: cur.cost}) {
 				pool.Put(cur)
 				return stats
 			}
@@ -290,26 +286,25 @@ func EnumerateRange(s *spec.Spec, opts Options, start int, fn func(Candidate) bo
 }
 
 // scanEnv is the read-only state shared by every walker of a bitset
-// scan: the cost-ordered unit universe, each unit's leaf-resource set,
-// the bus-adjacency bitsets for the useless-bus rule, and the
-// Supporter. It is built once per enumeration and is safe for any
-// number of concurrent readers; all mutable scan state lives in
-// per-goroutine scanScratch values.
+// scan: the cost-ordered unit universe, the bus-adjacency bitsets for
+// the useless-bus rule, and the Supporter, whose per-unit resource sets
+// drive the possibility test. It is built once per enumeration and is
+// safe for any number of concurrent readers; all mutable scan state
+// lives in per-goroutine SupportScratch values.
 type scanEnv struct {
 	units []Unit
 	n     int
 	sup   *Supporter
-	// unitRes[k]: leaf resources unit k provides. commAdjBits[k]: for a
-	// bus unit, the unit indices it touches (nil for functional units).
-	unitRes     []bitset.Set
+	// commAdjBits[k]: for a bus unit, the unit indices it touches (nil
+	// for functional units).
 	commAdjBits []bitset.Set
 }
 
 func newScanEnv(s *spec.Spec) *scanEnv {
-	units := Units(s)
+	sup := NewSupporter(s)
+	units := sup.Units
 	n := len(units)
-	env := &scanEnv{units: units, n: n, sup: NewSupporter(s)}
-	env.unitRes = make([]bitset.Set, n)
+	env := &scanEnv{units: units, n: n, sup: sup}
 	env.commAdjBits = make([]bitset.Set, n)
 	pos := make(map[hgraph.ID]int, n)
 	for k, u := range units {
@@ -317,7 +312,6 @@ func newScanEnv(s *spec.Spec) *scanEnv {
 	}
 	adj := commAdjacency(s, units)
 	for k, u := range units {
-		env.unitRes[k] = env.sup.provides[u.ID]
 		if u.Comm {
 			bs := bitset.New(n)
 			for other := range adj[u.ID] {
@@ -329,41 +323,11 @@ func newScanEnv(s *spec.Spec) *scanEnv {
 	return env
 }
 
-// scanScratch is the per-goroutine mutable side of the possibility
-// test, reused across candidates so no allocation happens per scanned
-// subset.
-type scanScratch struct {
-	env   *scanEnv
-	memo  []int8
-	avail bitset.Set
-}
-
-func (e *scanEnv) newScratch() *scanScratch {
-	return &scanScratch{
-		env:   e,
-		memo:  make([]int8, e.sup.Clusters.Len()),
-		avail: bitset.New(e.sup.Resources.Len()),
-	}
-}
-
-// rootSupportable is the possibility test (rule 4: root
-// supportability) for the subset with the given unit indices.
-func (sc *scanScratch) rootSupportable(idx []int) bool {
-	sc.avail.Clear()
-	for _, k := range idx {
-		sc.avail.UnionWith(sc.env.unitRes[k])
-	}
-	for i := range sc.memo {
-		sc.memo[i] = 0
-	}
-	return sc.env.sup.supportableFrom(sc.env.sup.root, sc.avail, sc.memo)
-}
-
 // uselessComm applies the useless-bus rule: true when the subset
 // contains a bus connecting fewer than two allocated units.
-func (sc *scanScratch) uselessComm(cur *subset) bool {
+func (e *scanEnv) uselessComm(cur *subset) bool {
 	for _, k := range cur.idx {
-		if sc.env.units[k].Comm && sc.env.commAdjBits[k].IntersectionCount(cur.bits) < 2 {
+		if e.units[k].Comm && e.commAdjBits[k].IntersectionCount(cur.bits) < 2 {
 			return true
 		}
 	}

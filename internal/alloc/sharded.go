@@ -323,7 +323,7 @@ func (w *shardWalker) run(env *scanEnv, opts Options, shard, p, budget int, out 
 		}
 	}
 
-	sc := env.newScratch()
+	sc := env.sup.NewScratch()
 	pool := sync.Pool{New: func() any { return &subset{bits: bitset.New(n)} }}
 	h := &subsetHeap{}
 	pending := make([]int, n)
@@ -356,9 +356,9 @@ func (w *shardWalker) run(env *scanEnv, opts Options, shard, p, budget int, out 
 		}
 		possible := false
 		switch {
-		case !opts.IncludeUselessComm && sc.uselessComm(cur):
+		case !opts.IncludeUselessComm && env.uselessComm(cur):
 			w.pruned++
-		case !sc.rootSupportable(cur.idx):
+		case !env.sup.possibleUnits(cur.idx, sc):
 		default:
 			possible = true
 		}
@@ -422,10 +422,9 @@ func EnumerateShardedRange(s *spec.Spec, opts Options, producers, start int, fn 
 
 	// The empty allocation precedes every lane in the cost order and is
 	// scanned centrally, exactly as in the direct scan.
-	sc := env.newScratch()
 	stats.Scanned++
 	stop := false
-	if sc.rootSupportable(nil) {
+	if env.sup.possibleUnits(nil, env.sup.NewScratch()) {
 		stats.Possible++
 		if stats.Possible > start && !fn(Candidate{Allocation: spec.Allocation{}, Cost: 0}) {
 			stop = true
@@ -463,11 +462,7 @@ func mergeLanes(units []Unit, p int, stats *Stats, start int, fn func(Candidate)
 		if stats.Possible <= start {
 			continue
 		}
-		a := make(spec.Allocation, len(rec.idx))
-		for _, k := range rec.idx {
-			a[units[k].ID] = true
-		}
-		if !fn(Candidate{Allocation: a, Cost: rec.cost}) {
+		if !fn(Candidate{Allocation: AllocationOf(units, rec.idx), Cost: rec.cost}) {
 			return false
 		}
 	}

@@ -10,12 +10,14 @@ import (
 // precomputes, once per specification, the per-cluster reachability
 // structure that the map-based SupportableClusters rebuilds on every
 // candidate: for each problem cluster the resource sets its vertices
-// can map onto, and the cluster tree in index space. A candidate
-// evaluation then costs two bitset allocations and word-parallel
-// intersection tests instead of several maps — the dominant
-// per-candidate allocation cost of the EXPLORE estimation step.
+// can map onto, the cluster tree in index space, and for each
+// allocatable unit the resources it provides. A query on a candidate
+// given as unit indices then costs word-parallel unions and
+// intersection tests in caller-owned scratch, and allocates nothing.
 //
-// A Supporter is immutable after New and safe for concurrent use.
+// A Supporter is immutable after New and safe for concurrent use; the
+// mutable side of a query lives in a SupportScratch that each goroutine
+// owns.
 type Supporter struct {
 	s *spec.Spec
 	// Clusters indexes the problem-graph clusters; Supportable results
@@ -24,10 +26,15 @@ type Supporter struct {
 	// Resources indexes the architecture-graph leaves; AvailOf results
 	// are bitsets over it.
 	Resources *bitset.Indexer[hgraph.ID]
+	// Units are the allocatable units in Units(s) order: the space the
+	// unit indices of SupportableUnits and the enumerations refer to.
+	Units []Unit
 
 	// provides maps every architecture leaf and cluster ID to the leaf
-	// resources it contributes when allocated.
+	// resources it contributes when allocated; unitRes is the same per
+	// unit index.
 	provides map[hgraph.ID]bitset.Set
+	unitRes  []bitset.Set
 	// nodes holds per problem cluster (by index) the vertex needs and
 	// child clusters.
 	nodes []supportNode
@@ -59,6 +66,7 @@ func NewSupporter(s *spec.Spec) *Supporter {
 		s:         s,
 		Clusters:  bitset.NewIndexer(clusterIDs),
 		Resources: bitset.NewIndexer(resIDs),
+		Units:     Units(s),
 		provides:  map[hgraph.ID]bitset.Set{},
 		nodes:     make([]supportNode, len(clusterIDs)),
 	}
@@ -73,6 +81,10 @@ func NewSupporter(s *spec.Spec) *Supporter {
 			}
 		}
 		sp.provides[c.ID] = set
+	}
+	sp.unitRes = make([]bitset.Set, len(sp.Units))
+	for k, u := range sp.Units {
+		sp.unitRes[k] = sp.provides[u.ID]
 	}
 	for _, c := range s.Problem.Clusters() {
 		i, _ := sp.Clusters.Index(c.ID)
@@ -101,6 +113,52 @@ func NewSupporter(s *spec.Spec) *Supporter {
 	return sp
 }
 
+// SupportScratch is the reusable state of a Supporter query: the
+// resource closure, the per-cluster memo and the result set. A query
+// overwrites it, so each goroutine owns its own.
+type SupportScratch struct {
+	avail bitset.Set
+	memo  []int8
+	out   bitset.Set
+}
+
+// NewScratch returns query scratch sized for this Supporter.
+func (sp *Supporter) NewScratch() *SupportScratch {
+	return &SupportScratch{
+		avail: bitset.New(sp.Resources.Len()),
+		memo:  make([]int8, len(sp.nodes)),
+		out:   bitset.New(len(sp.nodes)),
+	}
+}
+
+// load sets sc's resource closure to the resources of the unit-index
+// set and forgets its memo.
+func (sp *Supporter) load(units []int, sc *SupportScratch) {
+	sc.avail.Clear()
+	for _, k := range units {
+		sc.avail.UnionWith(sp.unitRes[k])
+	}
+	clear(sc.memo)
+}
+
+// SupportableUnits returns the supportable clusters of the allocation
+// given by ascending indices into Units: SupportableClusters in index
+// space. The result is sc's own set, valid until sc's next query.
+func (sp *Supporter) SupportableUnits(units []int, sc *SupportScratch) bitset.Set {
+	sp.load(units, sc)
+	sc.out.Clear()
+	sp.mark(sp.root, sc)
+	return sc.out
+}
+
+// possibleUnits is the possibility test (rule 4: root supportability)
+// for the unit-index set. Testing only the root skips the marking pass
+// SupportableUnits adds on top.
+func (sp *Supporter) possibleUnits(units []int, sc *SupportScratch) bool {
+	sp.load(units, sc)
+	return sp.supportableFrom(sp.root, sc.avail, sc.memo)
+}
+
 // AvailOf returns the allocation's resource closure as a bitset over
 // Resources — Allocation.ResourceSet without the maps.
 func (sp *Supporter) AvailOf(a spec.Allocation) bitset.Set {
@@ -121,31 +179,28 @@ func (sp *Supporter) AvailOf(a spec.Allocation) bitset.Set {
 // least one supportable cluster; the result marks only clusters whose
 // whole ancestor chain is supportable.
 func (sp *Supporter) Supportable(avail bitset.Set) bitset.Set {
-	memo := make([]int8, len(sp.nodes))
-	out := bitset.New(len(sp.nodes))
-	var mark func(i int)
-	mark = func(i int) {
-		if !sp.supportableFrom(i, avail, memo) {
-			return
-		}
-		out.Add(i)
-		for _, subs := range sp.nodes[i].ifaces {
-			for _, si := range subs {
-				mark(si)
-			}
+	sc := &SupportScratch{avail: avail, memo: make([]int8, len(sp.nodes)), out: bitset.New(len(sp.nodes))}
+	sp.mark(sp.root, sc)
+	return sc.out
+}
+
+// mark adds the cluster at index i to sc.out when it is supportable,
+// and then every supportable cluster below it.
+func (sp *Supporter) mark(i int, sc *SupportScratch) {
+	if !sp.supportableFrom(i, sc.avail, sc.memo) {
+		return
+	}
+	sc.out.Add(i)
+	for _, subs := range sp.nodes[i].ifaces {
+		for _, si := range subs {
+			sp.mark(si, sc)
 		}
 	}
-	mark(sp.root)
-	return out
 }
 
 // supportableFrom reports whether the cluster at index i is supportable
 // under the resource closure avail. memo holds one entry per cluster
-// (0 unknown, 1 yes, 2 no) and must be zeroed between closures; callers
-// that test many closures (the enumeration's possibility check) reuse
-// one slice instead of allocating per candidate. Testing only the root
-// — rule 4's possibility criterion — skips the marking pass that
-// Supportable adds on top.
+// (0 unknown, 1 yes, 2 no) and must be zeroed between closures.
 func (sp *Supporter) supportableFrom(i int, avail bitset.Set, memo []int8) bool {
 	if memo[i] != 0 {
 		return memo[i] == 1
@@ -178,9 +233,4 @@ func (sp *Supporter) supportableFrom(i int, avail bitset.Set, memo []int8) bool 
 		memo[i] = 2
 	}
 	return res
-}
-
-// SupportableOf is AvailOf followed by Supportable.
-func (sp *Supporter) SupportableOf(a spec.Allocation) bitset.Set {
-	return sp.Supportable(sp.AvailOf(a))
 }

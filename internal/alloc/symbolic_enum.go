@@ -16,8 +16,7 @@ import (
 // subset-tree nodes whose subtree still contains a possible allocation.
 // The emitted Candidate stream — order, costs, allocations — is
 // bit-identical to Enumerate's; only the effort statistics differ (see
-// EnumerateSymbolicRange). It is the explorers' candidate producer;
-// Enumerate is kept as its test oracle.
+// EnumerateSymbolicRange). Enumerate is kept as its test oracle.
 func EnumerateSymbolic(s *spec.Spec, opts Options, fn func(Candidate) bool) Stats {
 	return EnumerateSymbolicRange(s, opts, 0, fn)
 }
@@ -26,6 +25,8 @@ func EnumerateSymbolic(s *spec.Spec, opts Options, fn func(Candidate) bool) Stat
 // possible-candidate stream and range addressing (the first start
 // possible candidates are skipped without materializing their
 // allocation maps), produced by pruned search instead of a 2^n scan.
+// It is EnumerateSymbolicUnits with every emitted candidate
+// materialized as an allocation map the callback owns.
 //
 // Statistics differ from the bitset scan where they measure effort
 // rather than the stream: Scanned counts BDD search nodes visited
@@ -51,11 +52,25 @@ func EnumerateExtensions(s *spec.Spec, base spec.Allocation, opts Options, start
 	return enumerateSymbolic(s, base, opts, start, fn)
 }
 
-// enumerateSymbolic walks the possible-allocation function, restricted
-// to supersets of base (nil: no restriction) by conjoining each base
-// unit's variable, in cost order. A base element that is not an
-// allocatable unit admits no candidate at all.
+// enumerateSymbolic is EnumerateSymbolicUnits with each emitted
+// candidate built into an allocation map.
 func enumerateSymbolic(s *spec.Spec, base spec.Allocation, opts Options, start int, fn func(Candidate) bool) Stats {
+	units := Units(s)
+	return EnumerateSymbolicUnits(s, base, opts, start, func(idx []int, cost float64) bool {
+		return fn(Candidate{Allocation: AllocationOf(units, idx), Cost: cost})
+	})
+}
+
+// EnumerateSymbolicUnits is the one walk behind EnumerateSymbolicRange
+// and EnumerateExtensions: the possible-allocation function, restricted
+// to supersets of base (nil: no restriction) by conjoining each base
+// unit's variable, walked in cost order. A base element that is not an
+// allocatable unit admits no candidate at all. fn receives each
+// candidate past the first start as its ascending indices into
+// Units(s) and its cost; the slice is borrowed until fn returns, so a
+// caller that keeps it must copy it. Building no map per candidate is
+// what lets the explorers bound a candidate without allocating.
+func EnumerateSymbolicUnits(s *spec.Spec, base spec.Allocation, opts Options, start int, fn func(units []int, cost float64) bool) Stats {
 	m, f, units := Symbolic(s)
 	n := len(units)
 	if !opts.IncludeUselessComm {
@@ -91,14 +106,10 @@ func enumerateSymbolic(s *spec.Spec, base spec.Allocation, opts Options, start i
 		}
 		stats.Possible++
 		if stats.Possible <= start {
-			// Before the range: counted, never materialized.
+			// Before the range: counted, never handed out.
 			continue
 		}
-		a := make(spec.Allocation, len(idx))
-		for _, k := range idx {
-			a[units[k].ID] = true
-		}
-		if !fn(Candidate{Allocation: a, Cost: cost}) {
+		if !fn(idx, cost) {
 			break
 		}
 	}
@@ -107,10 +118,20 @@ func enumerateSymbolic(s *spec.Spec, base spec.Allocation, opts Options, start i
 	return stats
 }
 
+// AllocationOf builds the allocation map of the unit-index set idx
+// over units.
+func AllocationOf(units []Unit, idx []int) spec.Allocation {
+	a := make(spec.Allocation, len(idx))
+	for _, k := range idx {
+		a[units[k].ID] = true
+	}
+	return a
+}
+
 // commConstraint encodes the useless-bus rule as a BDD: every allocated
 // bus unit must connect at least two allocated functional units — the
 // same adjacency and threshold the bitset scan tests per subset with
-// scanScratch.uselessComm, here conjoined once into the characteristic
+// scanEnv.uselessComm, here conjoined once into the characteristic
 // function.
 func commConstraint(s *spec.Spec, m *boolfunc.Manager, units []Unit) *boolfunc.Node {
 	pos := make(map[hgraph.ID]int, len(units))

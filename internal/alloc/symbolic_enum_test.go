@@ -190,3 +190,44 @@ func TestCountPossibleBig(t *testing.T) {
 		}
 	}
 }
+
+// TestEnumerateSymbolicUnitsMatchesMaps: the unit-index walk hands out
+// exactly the candidates, costs and Stats of the map-building
+// EnumerateSymbolicRange and EnumerateExtensions, from the start, from
+// mid-stream, and restricted to supersets of a non-empty base.
+func TestEnumerateSymbolicUnitsMatchesMaps(t *testing.T) {
+	s := models.SetTopBox()
+	units := Units(s)
+	viaUnits := func(base spec.Allocation, opts Options, start int) ([]Candidate, Stats) {
+		var out []Candidate
+		stats := EnumerateSymbolicUnits(s, base, opts, start, func(idx []int, cost float64) bool {
+			out = append(out, Candidate{Allocation: AllocationOf(units, idx), Cost: cost})
+			return true
+		})
+		return out, stats
+	}
+	full, _ := collect(EnumerateSymbolicRange, s, Options{}, 0)
+	for _, opts := range []Options{{}, {IncludeUselessComm: true}, {MaxScan: 1000}} {
+		for _, start := range []int{0, len(full) / 2} {
+			want, wantStats := collect(EnumerateSymbolicRange, s, opts, start)
+			got, gotStats := viaUnits(nil, opts, start)
+			sameCandidates(t, "range", want, got)
+			if gotStats != wantStats {
+				t.Errorf("opts %+v start %d: Stats %+v, want %+v", opts, start, gotStats, wantStats)
+			}
+			base := spec.NewAllocation("uP2")
+			ext := func(s *spec.Spec, opts Options, start int, fn func(Candidate) bool) Stats {
+				return EnumerateExtensions(s, base, opts, start, fn)
+			}
+			want, wantStats = collect(ext, s, opts, start)
+			got, gotStats = viaUnits(base, opts, start)
+			if len(want) == 0 && start == 0 {
+				t.Fatalf("opts %+v: no extensions of %v", opts, base)
+			}
+			sameCandidates(t, "extensions", want, got)
+			if gotStats != wantStats {
+				t.Errorf("extensions opts %+v start %d: Stats %+v, want %+v", opts, start, gotStats, wantStats)
+			}
+		}
+	}
+}

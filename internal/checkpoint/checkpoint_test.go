@@ -12,7 +12,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/hgraph"
 	"repro/internal/models"
+	"repro/internal/spec"
 )
 
 func frontsEqual(a, b []*core.Implementation) bool {
@@ -475,6 +477,36 @@ func TestResumeAcrossBatchSizes(t *testing.T) {
 		}
 		if r.Cursor != full.Cursor {
 			t.Errorf("workers=%d: resumed cursor %d, want %d", workers, r.Cursor, full.Cursor)
+		}
+	}
+}
+
+// TestCheckpointResumeFractionalCosts: a front whose allocation needs
+// three units with fractional costs resumes every time. Resume
+// re-implements each front allocation and refuses any cost that
+// differs from the recorded one, so the cost must not depend on the
+// order a map happens to iterate in.
+func TestCheckpointResumeFractionalCosts(t *testing.T) {
+	pb := hgraph.NewBuilder("problem", "GP")
+	pb.Root().Vertex("A").Vertex("B").Vertex("C")
+	ab := hgraph.NewBuilder("arch", "GA")
+	ab.Root().Vertex("R1", spec.AttrCost, 0.1).Vertex("R2", spec.AttrCost, 0.2).Vertex("R3", spec.AttrCost, 0.3)
+	s := spec.MustNew("fractional", pb.MustBuild(), ab.MustBuild(), []*spec.Mapping{
+		{Process: "A", Resource: "R1", Latency: 1},
+		{Process: "B", Resource: "R2", Latency: 1},
+		{Process: "C", Resource: "R3", Latency: 1},
+	})
+	full := core.Explore(s, core.Options{})
+	if len(full.Front) != 1 || len(full.Front[0].Allocation) != 3 {
+		t.Fatalf("front = %v, want the one three-unit allocation", full.Front)
+	}
+	snap, err := FromResult(s, core.Options{}, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := snap.Resume(s, core.Options{}); err != nil {
+			t.Fatalf("resume %d: %v", i, err)
 		}
 	}
 }

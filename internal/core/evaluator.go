@@ -56,7 +56,12 @@ type evaluator struct {
 	opts   Options
 	legacy bool
 
-	sup *alloc.Supporter
+	// units is the unit table the scan's candidate indices refer to.
+	units []alloc.Unit
+	sup   *alloc.Supporter
+	// tree is the problem's cluster hierarchy over sup.Clusters, on
+	// which the estimate evaluates Definition 4.
+	tree *flex.Indexed
 
 	flats *shardMap // ECS selection string -> *flatSlot
 	archs *shardMap // arch selection string -> *flatSlot
@@ -81,9 +86,12 @@ type evaluator struct {
 func newEvaluator(s *spec.Spec, opts Options) *evaluator {
 	ev := &evaluator{s: s, opts: opts, legacy: opts.DisableCache}
 	if ev.legacy {
+		ev.units = alloc.Units(s)
 		return ev
 	}
 	ev.sup = alloc.NewSupporter(s)
+	ev.units = ev.sup.Units
+	ev.tree = flex.NewIndexed(s.Problem, ev.sup.Clusters)
 	ev.flats = newShardMap()
 	ev.archs = newShardMap()
 	ev.binds = newShardMap()
@@ -120,29 +128,51 @@ func (ev *evaluator) fold(st *Stats) {
 	st.Cache = ev.base.plus(ev.snapshot())
 }
 
-// estimate computes the flexibility estimation for an allocation and
+// newScratch returns the estimate scratch of one evaluating goroutine
+// (nil on the legacy path, which estimates from the allocation map).
+func (ev *evaluator) newScratch() *alloc.SupportScratch {
+	if ev.legacy {
+		return nil
+	}
+	return ev.sup.NewScratch()
+}
+
+// allocation returns candidate r's allocation map, building it from
+// r's unit indices on first use.
+func (ev *evaluator) allocation(r *candRec) spec.Allocation {
+	if r.a == nil {
+		r.a = alloc.AllocationOf(ev.units, r.units)
+	}
+	return r.a
+}
+
+// estimate computes the flexibility estimation of candidate r and
 // returns the supportable-cluster set alongside, so the caller can hand
 // it to implement and avoid the historical double computation. The
-// boolean reports whether the set is valid (false on the legacy path).
-func (ev *evaluator) estimate(a spec.Allocation) (float64, bitset.Set, bool) {
+// cached path works on r's unit indices in sc and allocates nothing:
+// the set is sc's own, valid until sc's next query. The boolean reports
+// whether the set is valid; it is false on the legacy path, which
+// builds r's allocation map and runs the uncached Estimate.
+func (ev *evaluator) estimate(r *candRec, sc *alloc.SupportScratch) (float64, bitset.Set, bool) {
 	if ev.legacy {
-		return Estimate(ev.s, a, ev.opts), bitset.Set{}, false
+		return Estimate(ev.s, ev.allocation(r), ev.opts), bitset.Set{}, false
 	}
-	sup := ev.sup.SupportableOf(a)
+	sup := ev.sup.SupportableUnits(r.units, sc)
 	return ev.flexOfBits(sup), sup, true
 }
 
 func (ev *evaluator) flexOfBits(set bitset.Set) float64 {
-	act := flex.FromBits(set, ev.sup.Clusters)
 	if ev.opts.Weighted {
-		return flex.WeightedFlexibility(ev.s.Problem, act)
+		return ev.tree.WeightedFlexibility(set)
 	}
-	return flex.Flexibility(ev.s.Problem, act)
+	return ev.tree.Flexibility(set)
 }
 
 // implement is Implement through the caches. sup is the supportable set
 // computed by estimate (haveSup false when the caller has none, e.g.
-// the sampling explorers, which skip estimation). Search effort is
+// the sampling explorers, which skip estimation); implement only reads
+// it during the call. The returned implementation keeps a itself, so
+// the caller hands over a map it no longer changes. Search effort is
 // added to stats, which must not be nil.
 func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, stats *Stats) *Implementation {
 	if ev.legacy {
@@ -151,7 +181,7 @@ func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, 
 	if haveSup {
 		ev.supportReused.Add(1)
 	} else {
-		sup = ev.sup.SupportableOf(a)
+		sup = ev.sup.Supportable(ev.sup.AvailOf(a))
 	}
 	avail := ev.sup.AvailOf(a)
 	cix := ev.sup.Clusters
@@ -246,7 +276,7 @@ func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, 
 		}
 	}
 	return &Implementation{
-		Allocation:  a.Clone(),
+		Allocation:  a,
 		Cost:        a.Cost(ev.s),
 		Flexibility: f,
 		Clusters:    clusters,

@@ -147,7 +147,7 @@ func ExploreMultiContext(ctx context.Context, s *spec.Spec, opts Options, object
 		objectives = []Objective{CostObjective(), InvFlexibilityObjective()}
 	}
 	sc := newScan(ctx, s, opts)
-	f := &multiFold{s: s, objectives: objectives, front: sc.front, lb: make([]float64, len(objectives))}
+	f := &multiFold{s: s, ev: sc.ev, objectives: objectives, front: sc.front, lb: make([]float64, len(objectives))}
 	r := sc.run(f, sc.candidates, 1, 0)
 	res := &MultiResult{Front: r.Front, Interrupted: r.Interrupted, Reason: r.Reason, Cursor: r.Cursor, Stats: r.Stats}
 	for _, o := range objectives {
@@ -162,20 +162,22 @@ func ExploreMultiContext(ctx context.Context, s *spec.Spec, opts Options, object
 // multiFold is the multi-objective fold: a candidate is pruned when the
 // vector of its objectives' lower bounds is dominated or matched by an
 // archived point, and every feasible implementation enters the archive
-// under its objective vector.
+// under its objective vector. The lower bounds take the candidate's
+// allocation map, so prune builds it for every candidate it bounds.
 type multiFold struct {
 	s          *spec.Spec
+	ev         *evaluator
 	objectives []Objective
 	front      *pareto.Front
 	lb         []float64 // prune's scratch vector
 	fmax       float64
 }
 
-func (f *multiFold) prune(a spec.Allocation, est float64) bool {
+func (f *multiFold) prune(r *candRec, est float64) bool {
 	for i, o := range f.objectives {
 		f.lb[i] = 0
 		if o.LowerBound != nil {
-			f.lb[i] = o.LowerBound(f.s, a, est)
+			f.lb[i] = o.LowerBound(f.s, f.ev.allocation(r), est)
 		}
 	}
 	return f.front.DominatesPoint(f.lb)

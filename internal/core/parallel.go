@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,12 +76,12 @@ func (o Options) batchSizeFor(k int) int {
 }
 
 // pipeBatch is one contiguous candidate range travelling through the
-// pipeline: the allocations to evaluate (indices start..start+len-1 of
-// the cost-ordered enumeration) and one evaluation record per
-// candidate.
+// pipeline: one evaluation record per candidate (indices
+// start..start+len-1 of the cost-ordered enumeration), whose unit
+// indices are windows into units, the batch's one copy of them.
 type pipeBatch struct {
 	start int
-	cands []spec.Allocation
+	units []int
 	recs  []candRec
 }
 
@@ -98,8 +99,13 @@ type pipeline struct {
 	done       chan struct{}
 	commitDone chan struct{}
 
-	// Producer state.
-	cur       *pipeBatch
+	// Producer state: the open range job's start and size, and its
+	// candidates' unit indices, staged in buffers reused across jobs
+	// (candidate i's indices end at offset ends[i] of stage).
+	curStart  int
+	curSize   int
+	stage     []int
+	ends      []int
 	emitted   int
 	cancelled bool
 
@@ -149,7 +155,7 @@ func (sc *scan) startPool(workers, queue int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var w worker
+			w := worker{scratch: scratch{sup: sc.ev.newScratch()}}
 			for b := range p.jobs {
 				p.evaluate(b, &w)
 				p.results <- b
@@ -166,32 +172,46 @@ func (sc *scan) startPool(workers, queue int) {
 	}()
 }
 
-// push appends a candidate to the open range job and dispatches the
-// job when full. It reports whether the scan goes on.
-func (p *pipeline) push(a spec.Allocation) bool {
+// push appends a candidate's unit indices, borrowed from the source, to
+// the open range job and dispatches the job when full. It reports
+// whether the scan goes on.
+func (p *pipeline) push(units []int) bool {
 	if p.ctx.Err() != nil {
 		p.cancelled = true
 		return false
 	}
-	if p.cur == nil {
-		// The source has counted a, so a's index is one less.
-		start := int(p.sc.possible.Load()) - 1
-		p.cur = &pipeBatch{start: start, cands: make([]spec.Allocation, 0, p.sc.opts.batchSizeFor(p.emitted))}
+	if len(p.ends) == 0 {
+		// The source has counted this candidate, so its index is one
+		// less.
+		p.curStart = int(p.sc.possible.Load()) - 1
+		p.curSize = p.sc.opts.batchSizeFor(p.emitted)
 	}
-	p.cur.cands = append(p.cur.cands, a)
-	if len(p.cur.cands) < cap(p.cur.cands) {
+	p.stage = append(p.stage, units...)
+	p.ends = append(p.ends, len(p.stage))
+	if len(p.ends) < p.curSize {
 		return true
 	}
-	b := p.cur
-	p.cur = nil
 	p.emitted++
-	return p.send(b)
+	return p.send(p.close())
+}
+
+// close turns the open range job into a batch: one copy of the staged
+// unit indices, and a record per candidate windowing it.
+func (p *pipeline) close() *pipeBatch {
+	b := &pipeBatch{start: p.curStart, units: slices.Clone(p.stage), recs: make([]candRec, len(p.ends))}
+	lo := 0
+	for i, hi := range p.ends {
+		b.recs[i].units = b.units[lo:hi:hi]
+		lo = hi
+	}
+	p.stage, p.ends = p.stage[:0], p.ends[:0]
+	return b
 }
 
 func (p *pipeline) send(b *pipeBatch) bool {
 	select {
 	case p.jobs <- b:
-		if l := int64(len(b.cands)); l > p.maxBatch.Load() {
+		if l := int64(len(b.recs)); l > p.maxBatch.Load() {
 			p.maxBatch.Store(l)
 		}
 		if l := int64(len(p.jobs)); l > p.highWater.Load() {
@@ -220,10 +240,10 @@ func (p *pipeline) send(b *pipeBatch) bool {
 // finish dispatches the scan tail, waits for the commit stage, and
 // settles a cancellation only the producer observed.
 func (p *pipeline) finish() {
-	if p.cur != nil && !p.cancelled {
+	if len(p.ends) > 0 && !p.cancelled {
 		// A partial final range. If send fails the scan already stopped
 		// and the tail is irrelevant.
-		p.send(p.cur)
+		p.send(p.close())
 	}
 	close(p.jobs)
 	<-p.commitDone
@@ -264,13 +284,13 @@ func (p *pipeline) storeBound(f float64) {
 }
 
 // worker is a pool worker's private state: its scalar flexibility
-// bound and its scratch for the solver effort.
+// bound and its evaluation scratch.
 type worker struct {
 	bound float64
-	st    Stats
+	scratch
 }
 
-func (w *worker) prune(_ spec.Allocation, est float64) bool { return est <= w.bound }
+func (w *worker) prune(_ *candRec, est float64) bool { return est <= w.bound }
 
 // evaluate runs one range job on a worker goroutine. The published
 // bound is read once per batch into the worker-local bound, which the
@@ -285,9 +305,8 @@ func (w *worker) prune(_ spec.Allocation, est float64) bool { return est <= w.bo
 func (p *pipeline) evaluate(b *pipeBatch, w *worker) {
 	start := time.Now() //flexvet:ignore FX006 busy gauge: elapsed time is telemetry, never part of results
 	defer func() { p.busy.Add(time.Since(start).Nanoseconds()) }()
-	b.recs = make([]candRec, len(b.cands))
 	w.bound = p.loadBound()
-	for i := range b.cands {
+	for i := range b.recs {
 		select {
 		case <-p.done:
 			// The scan already ended at an earlier candidate; the
@@ -300,7 +319,7 @@ func (p *pipeline) evaluate(b *pipeBatch, w *worker) {
 			return
 		}
 		r := &b.recs[i]
-		p.evalIsolated(r, b.start+i, b.cands[i], w)
+		p.evalIsolated(r, b.start+i, w)
 		if !r.evaluated() {
 			return
 		}
@@ -316,18 +335,18 @@ func (p *pipeline) evaluate(b *pipeBatch, w *worker) {
 // goroutine would kill the process — while an inline evaluation lets
 // it propagate to the caller, whose own recovery (resuming from a
 // checkpoint, the server's job-level isolation) depends on seeing it.
-func (p *pipeline) evalIsolated(r *candRec, idx int, a spec.Allocation, w *worker) {
+func (p *pipeline) evalIsolated(r *candRec, idx int, w *worker) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.diag = &Diag{
 				Kind: DiagPanic, Site: r.site, Cursor: idx,
-				Allocation: a.String(),
+				Allocation: p.sc.ev.allocation(r).String(),
 				Message:    fmt.Sprint(rec),
 				Stack:      trimStack(debug.Stack()),
 			}
 		}
 	}()
-	p.sc.evalOne(r, idx, a, w, &w.st)
+	p.sc.evalOne(r, idx, w, &w.scratch)
 }
 
 // commitStage folds the range jobs strictly in candidate order through
@@ -354,7 +373,7 @@ func (p *pipeline) commitStage() {
 func (p *pipeline) commitBatch(b *pipeBatch) {
 	entry := p.sc.f.best()
 	for i := range b.recs {
-		if !p.sc.commit(b.start+i, b.cands[i], &b.recs[i]) {
+		if !p.sc.commit(b.start+i, &b.recs[i]) {
 			p.stopped = true
 			close(p.done)
 			return

@@ -32,8 +32,20 @@ type scan struct {
 	// counts.
 	possible atomic.Int64
 	lastEmit int
-	// scratch collects an inline implementation's solver effort.
-	scratch Stats
+	// rec and scratch are the inline evaluation's candidate record and
+	// scratch, reused for every candidate. The record lives here because
+	// bounder.prune takes it through an interface: a record local to the
+	// loop would escape to the heap once per candidate.
+	rec     candRec
+	scratch scratch
+}
+
+// scratch is what one evaluating goroutine reuses across candidates:
+// the solver effort of its last implementation and the estimate's
+// supportable-set scratch.
+type scratch struct {
+	st  Stats
+	sup *alloc.SupportScratch
 }
 
 // fold is what differs between the cost-ordered explorers: the bound
@@ -49,16 +61,22 @@ type fold interface {
 	best() float64
 }
 
-// bounder decides whether a candidate with flexibility estimate est
+// bounder decides whether candidate r, with flexibility estimate est,
 // cannot improve the front and is skipped unimplemented.
 type bounder interface {
-	prune(a spec.Allocation, est float64) bool
+	prune(r *candRec, est float64) bool
 }
 
 // candRec is one candidate's evaluation: what evalOne found and commit
 // folds. A record neither estimated nor diagnosed is a candidate the
 // scan's cancellation reached first.
 type candRec struct {
+	// units are the candidate's ascending indices into alloc.Units(s),
+	// borrowed from the walk (inline) or the batch (pool). a is its
+	// allocation map, built only when an attempt, a Diag or a fold asks
+	// for it (evaluator.allocation).
+	units        []int
+	a            spec.Allocation
 	site         string
 	est          float64
 	estimated    bool
@@ -77,7 +95,7 @@ func (r *candRec) evaluated() bool { return r.estimated || r.diag != nil }
 // specification's lazy indexes before a worker pool reads them
 // concurrently.
 func newScan(ctx context.Context, s *spec.Spec, opts Options) *scan {
-	return &scan{
+	sc := &scan{
 		ctx:   ctx,
 		s:     s,
 		opts:  opts,
@@ -85,6 +103,8 @@ func newScan(ctx context.Context, s *spec.Spec, opts Options) *scan {
 		res:   &Result{MaxFlexibility: MaxFlexibility(s, opts), Reason: ReasonCompleted},
 		front: &pareto.Front{},
 	}
+	sc.scratch.sup = sc.ev.newScratch()
+	return sc
 }
 
 // boundFold is EXPLORE's fold. Because candidates arrive in
@@ -108,7 +128,7 @@ func (sc *scan) boundFold(floor float64) *boundFold {
 	}
 }
 
-func (f *boundFold) prune(_ spec.Allocation, est float64) bool { return est <= f.fcur }
+func (f *boundFold) prune(_ *candRec, est float64) bool { return est <= f.fcur }
 
 func (f *boundFold) take(im *Implementation) (feasible, stop bool) {
 	if im != nil && im.Flexibility > f.floor {
@@ -125,22 +145,26 @@ func (f *boundFold) take(im *Implementation) (feasible, stop bool) {
 
 func (f *boundFold) best() float64 { return f.fcur }
 
-// candidates streams the cost-ordered possible allocations from the
-// candidate index start on: the symbolic walk over the
+// source streams the cost-ordered possible allocations from the
+// candidate index start on, each as its unit indices into
+// alloc.Units(s), borrowed until fn returns, and its cost.
+type source func(start int, fn func(units []int, cost float64) bool) alloc.Stats
+
+// candidates is the explorers' source: the symbolic walk over the
 // possible-allocation BDD.
-func (sc *scan) candidates(start int, fn func(alloc.Candidate) bool) alloc.Stats {
-	return alloc.EnumerateSymbolicRange(sc.s, sc.allocOptions(), start, fn)
+func (sc *scan) candidates(start int, fn func(units []int, cost float64) bool) alloc.Stats {
+	return alloc.EnumerateSymbolicUnits(sc.s, nil, sc.allocOptions(), start, fn)
 }
 
 func (sc *scan) allocOptions() alloc.Options {
 	return alloc.Options{IncludeUselessComm: sc.opts.IncludeUselessComm, MaxScan: sc.opts.MaxScan}
 }
 
-// run drives the scan: source streams the candidates from an index on,
-// and f folds them. With workers > 1 the per-candidate work runs on a
+// run drives the scan: src streams the candidates from an index on, and
+// f folds them. With workers > 1 the per-candidate work runs on a
 // worker pool (see parallel.go); otherwise each candidate is evaluated
 // and folded inline, with no goroutine and no channel.
-func (sc *scan) run(f fold, source func(start int, fn func(alloc.Candidate) bool) alloc.Stats, workers, queue int) *Result {
+func (sc *scan) run(f fold, src source, workers, queue int) *Result {
 	sc.f = f
 	res := sc.res
 	start := 0
@@ -162,19 +186,20 @@ func (sc *scan) run(f fold, source func(start int, fn func(alloc.Candidate) bool
 	if workers > 1 {
 		sc.startPool(workers, queue)
 	}
-	aStats := source(start, func(c alloc.Candidate) bool {
+	aStats := src(start, func(units []int, _ float64) bool {
 		sc.possible.Add(1)
 		if sc.pool != nil {
-			return sc.pool.push(c.Allocation)
+			return sc.pool.push(units)
 		}
 		// Inline, every earlier candidate is committed: the cursor is
 		// this candidate's index.
 		idx := res.Cursor
-		var r candRec
+		r := &sc.rec
+		*r = candRec{units: units}
 		if sc.ctx.Err() == nil {
-			sc.evalOne(&r, idx, c.Allocation, f, &sc.scratch)
+			sc.evalOne(r, idx, f, &sc.scratch)
 		}
-		return sc.commit(idx, c.Allocation, &r)
+		return sc.commit(idx, r)
 	})
 	if sc.pool != nil {
 		sc.pool.finish()
@@ -202,11 +227,13 @@ func (sc *scan) run(f fold, source func(start int, fn func(alloc.Candidate) bool
 // estimate failpoint, cancellation re-check, estimation, bound,
 // implement failpoint, implementation construction. b decides the
 // bound: the exact fold inline, a worker's scalar bound in the pool.
-// st is the evaluating goroutine's scratch for the solver effort.
-func (sc *scan) evalOne(r *candRec, idx int, a spec.Allocation, b bounder, st *Stats) {
+// w is the evaluating goroutine's scratch. A pruned candidate allocates
+// nothing on the cached path; only an attempt or a Diag builds the
+// candidate's allocation map.
+func (sc *scan) evalOne(r *candRec, idx int, b bounder, w *scratch) {
 	r.site = SiteEstimate
 	if err := sc.opts.Fault.Fire(SiteEstimate, idx); err != nil {
-		r.fail(idx, a, err)
+		sc.fail(r, idx, err)
 		return
 	}
 	if sc.ctx.Err() != nil {
@@ -214,38 +241,38 @@ func (sc *scan) evalOne(r *candRec, idx int, a spec.Allocation, b bounder, st *S
 		return
 	}
 	r.estimated = true
-	est, sup, haveSup := sc.ev.estimate(a)
+	est, sup, haveSup := sc.ev.estimate(r, w.sup)
 	r.est = est
-	if sc.pruned(b, a, est) {
+	if sc.pruned(b, r) {
 		return
 	}
 	r.site = SiteImplement
 	if err := sc.opts.Fault.Fire(SiteImplement, idx); err != nil {
-		r.fail(idx, a, err)
+		sc.fail(r, idx, err)
 		return
 	}
 	r.attempted = true
-	*st = Stats{}
-	r.impl = sc.ev.implement(a, sup, haveSup, st)
-	r.ecsTested, r.bindingRuns, r.bindingNodes = st.ECSTested, st.BindingRuns, st.BindingNodes
+	w.st = Stats{}
+	r.impl = sc.ev.implement(sc.ev.allocation(r), sup, haveSup, &w.st)
+	r.ecsTested, r.bindingRuns, r.bindingNodes = w.st.ECSTested, w.st.BindingRuns, w.st.BindingNodes
 }
 
-func (r *candRec) fail(idx int, a spec.Allocation, err error) {
+func (sc *scan) fail(r *candRec, idx int, err error) {
 	r.diag = &Diag{
 		Kind: DiagError, Site: r.site, Cursor: idx,
-		Allocation: a.String(), Message: err.Error(),
+		Allocation: sc.ev.allocation(r).String(), Message: err.Error(),
 	}
 }
 
-func (sc *scan) pruned(b bounder, a spec.Allocation, est float64) bool {
-	return !sc.opts.DisableFlexBound && b.prune(a, est)
+func (sc *scan) pruned(b bounder, r *candRec) bool {
+	return !sc.opts.DisableFlexBound && b.prune(r, r.est)
 }
 
 // commit folds candidate idx's evaluation into the result, strictly in
 // candidate order, and reports whether the scan goes on. It is the one
 // ordered fold of every explorer: called inline right after evalOne, or
 // by the pool's commit stage behind its reorder buffer.
-func (sc *scan) commit(idx int, a spec.Allocation, r *candRec) bool {
+func (sc *scan) commit(idx int, r *candRec) bool {
 	res := sc.res
 	if !r.evaluated() {
 		// The first candidate the cancellation reached: the scan ends
@@ -258,7 +285,7 @@ func (sc *scan) commit(idx int, a spec.Allocation, r *candRec) bool {
 	}
 	stop := false
 	switch {
-	case r.site == SiteImplement && sc.pool != nil && sc.pruned(sc.f, a, r.est):
+	case r.site == SiteImplement && sc.pool != nil && sc.pruned(sc.f, r):
 		// A pool worker passed the candidate on a stale bound; the
 		// exact fold prunes it, so its attempt (or the attempt's fault)
 		// never happened.

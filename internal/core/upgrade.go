@@ -36,8 +36,8 @@ func UpgradeContext(ctx context.Context, s *spec.Spec, base spec.Allocation, opt
 	if im := sc.ev.implement(base, bitset.Set{}, false, &sc.res.Stats); im != nil {
 		floor = im.Flexibility
 	}
-	extensions := func(start int, fn func(alloc.Candidate) bool) alloc.Stats {
-		return alloc.EnumerateExtensions(s, base, sc.allocOptions(), start, fn)
+	extensions := func(start int, fn func(units []int, cost float64) bool) alloc.Stats {
+		return alloc.EnumerateSymbolicUnits(s, base, sc.allocOptions(), start, fn)
 	}
 	return sc.run(sc.boundFold(floor), extensions, 1, 0)
 }

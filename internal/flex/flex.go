@@ -36,16 +36,6 @@ func FromSet(active map[hgraph.ID]bool) Activation {
 	return func(id hgraph.ID) bool { return active[id] }
 }
 
-// FromBits adapts a dense cluster set (indexed by ix) to an
-// Activation. It is the allocation-free counterpart of FromSet used on
-// the exploration hot path.
-func FromBits(set bitset.Set, ix *bitset.Indexer[hgraph.ID]) Activation {
-	return func(id hgraph.ID) bool {
-		i, ok := ix.Index(id)
-		return ok && set.Has(i)
-	}
-}
-
 // Except returns an activation that is act minus the listed clusters.
 func Except(act Activation, excluded ...hgraph.ID) Activation {
 	ex := map[hgraph.ID]bool{}
@@ -63,7 +53,7 @@ func Except(act Activation, excluded ...hgraph.ID) Activation {
 // activatable can itself never be activated (rule 1 would be violated),
 // so its flexibility is 0 regardless of a⁺.
 func Flexibility(g *hgraph.Graph, act Activation) float64 {
-	return clusterFlex(g.Root, act, nil)
+	return clusterFlex(graphTree{act: act}, g.Root)
 }
 
 // MaxFlexibility is Flexibility under AllActive: the flexibility
@@ -76,29 +66,36 @@ func MaxFlexibility(g *hgraph.Graph) float64 {
 // contribution is scaled by its "weight" attribute (default 1). With
 // all weights 1 it coincides with Flexibility.
 func WeightedFlexibility(g *hgraph.Graph, act Activation) float64 {
-	return clusterFlex(g.Root, act, func(c *hgraph.Cluster) float64 {
-		return c.Attrs.GetDefault(spec.AttrWeight, 1)
-	})
+	return clusterFlex(graphTree{act: act, weighted: true}, g.Root)
 }
 
-// clusterFlex evaluates Definition 4 on one cluster. weight is nil for
-// the unweighted metric.
-func clusterFlex(c *hgraph.Cluster, act Activation, weight func(*hgraph.Cluster) float64) float64 {
-	if !act(c.ID) {
+// tree is what Definition 4 reads of a cluster hierarchy whose clusters
+// are named by N: whether a cluster is activated, its weight, and the
+// clusters of each of its interfaces, in the graph's order. graphTree
+// walks the hierarchy itself and Indexed its dense index layout, so
+// clusterFlex is the metric's one implementation for both.
+type tree[N any] interface {
+	active(c N) bool
+	weight(c N) float64
+	interfaces(c N) int
+	clusters(c N, i int) []N
+}
+
+// clusterFlex evaluates Definition 4 on cluster c of t.
+func clusterFlex[N any, T tree[N]](t T, c N) float64 {
+	if !t.active(c) {
 		return 0
 	}
-	w := 1.0
-	if weight != nil {
-		w = weight(c)
-	}
-	if len(c.Interfaces) == 0 {
+	w := t.weight(c)
+	k := t.interfaces(c)
+	if k == 0 {
 		return w
 	}
 	total := 0.0
-	for _, i := range c.Interfaces {
+	for i := 0; i < k; i++ {
 		sum := 0.0
-		for _, sub := range i.Clusters {
-			sum += clusterFlex(sub, act, weight)
+		for _, sub := range t.clusters(c, i) {
+			sum += clusterFlex(t, sub)
 		}
 		if sum == 0 {
 			// No activatable refinement for this interface: the cluster
@@ -107,22 +104,107 @@ func clusterFlex(c *hgraph.Cluster, act Activation, weight func(*hgraph.Cluster)
 		}
 		total += sum
 	}
-	return w * (total - float64(len(c.Interfaces)-1))
+	return w * (total - float64(k-1))
 }
+
+// graphTree is a hierarchy read through its cluster pointers, with the
+// activation asked by cluster ID. Unweighted, every cluster weighs 1.
+type graphTree struct {
+	act      Activation
+	weighted bool
+}
+
+func (t graphTree) active(c *hgraph.Cluster) bool { return t.act(c.ID) }
+
+func (t graphTree) weight(c *hgraph.Cluster) float64 {
+	if !t.weighted {
+		return 1
+	}
+	return c.Attrs.GetDefault(spec.AttrWeight, 1)
+}
+
+func (graphTree) interfaces(c *hgraph.Cluster) int { return len(c.Interfaces) }
+
+func (graphTree) clusters(c *hgraph.Cluster, i int) []*hgraph.Cluster {
+	return c.Interfaces[i].Clusters
+}
+
+// Indexed is a graph's cluster hierarchy laid out in the dense index
+// space of a cluster indexer, so Definition 4 can be evaluated on a
+// bitset activation without an ID lookup or a closure: every cluster
+// lists its interfaces' cluster indices in the graph's order, and the
+// footnote-2 weights are read once, at construction. An Indexed is
+// immutable and safe for concurrent use.
+type Indexed struct {
+	root    int
+	ifaces  [][][]int // per cluster, per interface: cluster indices
+	weights []float64
+}
+
+// NewIndexed lays out the hierarchy of g over ix, which must index
+// every cluster of g.
+func NewIndexed(g *hgraph.Graph, ix *bitset.Indexer[hgraph.ID]) *Indexed {
+	x := &Indexed{ifaces: make([][][]int, ix.Len()), weights: make([]float64, ix.Len())}
+	for _, c := range g.Clusters() {
+		i, _ := ix.Index(c.ID)
+		x.weights[i] = c.Attrs.GetDefault(spec.AttrWeight, 1)
+		for _, iface := range c.Interfaces {
+			subs := make([]int, len(iface.Clusters))
+			for k, sub := range iface.Clusters {
+				subs[k], _ = ix.Index(sub.ID)
+			}
+			x.ifaces[i] = append(x.ifaces[i], subs)
+		}
+	}
+	x.root, _ = ix.Index(g.Root.ID)
+	return x
+}
+
+// Flexibility is the package's Flexibility with the activation a⁺
+// given as the set act over the indexer's clusters.
+func (x *Indexed) Flexibility(act bitset.Set) float64 {
+	return clusterFlex(indexedTree{x: x, act: act}, x.root)
+}
+
+// WeightedFlexibility is the package's WeightedFlexibility with the
+// activation given as the set act over the indexer's clusters.
+func (x *Indexed) WeightedFlexibility(act bitset.Set) float64 {
+	return clusterFlex(indexedTree{x: x, act: act, weighted: true}, x.root)
+}
+
+// indexedTree reads an Indexed layout under one activation set.
+type indexedTree struct {
+	x        *Indexed
+	act      bitset.Set
+	weighted bool
+}
+
+func (t indexedTree) active(c int) bool { return t.act.Has(c) }
+
+func (t indexedTree) weight(c int) float64 {
+	if !t.weighted {
+		return 1
+	}
+	return t.x.weights[c]
+}
+
+func (t indexedTree) interfaces(c int) int { return len(t.x.ifaces[c]) }
+
+func (t indexedTree) clusters(c, i int) []int { return t.x.ifaces[c][i] }
 
 // InterfaceFlexibility computes the flexibility of a single interface:
 // the sum of the flexibilities of its clusters.
 func InterfaceFlexibility(i *hgraph.Interface, act Activation) float64 {
 	sum := 0.0
 	for _, sub := range i.Clusters {
-		sum += clusterFlex(sub, act, nil)
+		sum += clusterFlex(graphTree{act: act}, sub)
 	}
 	return sum
 }
 
 // ClusterFlexibility computes Definition 4 on one cluster of the graph.
 func ClusterFlexibility(c *hgraph.Cluster, act Activation) float64 {
-	return clusterFlex(c, act, nil)
+	return clusterFlex(graphTree{act: act}, c)
 }
 
 // ActivatableClusters returns, given an activation, the set of cluster

@@ -1,9 +1,11 @@
 package flex
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitset"
 	"repro/internal/hgraph"
 	"repro/internal/hgraph/hgraphtest"
 	"repro/internal/spec"
@@ -230,6 +232,37 @@ func TestPropWeightedDefaultsToUnweighted(t *testing.T) {
 		return WeightedFlexibility(g, act) == Flexibility(g, act)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: the dense Indexed layout evaluates Definition 4 to the same
+// bits as the graph walk, weighted (with fractional weights) and
+// unweighted.
+func TestPropIndexedMatchesGraph(t *testing.T) {
+	prop := func(seed int64) bool {
+		g := hgraphtest.Random(seed%500, hgraphtest.Options{})
+		var ids []hgraph.ID
+		for i, c := range g.Clusters() {
+			ids = append(ids, c.ID)
+			if (seed+int64(i))%3 == 0 {
+				c.Attrs = hgraph.Attrs{spec.AttrWeight: 0.1 * float64(i%7+1)}
+			}
+		}
+		ix := bitset.NewIndexer(ids)
+		x := NewIndexed(g, ix)
+		raw := hgraphtest.RandomActivation(g, seed, 0.7)
+		set := bitset.New(ix.Len())
+		for id, on := range raw {
+			if i, _ := ix.Index(id); on {
+				set.Add(i)
+			}
+		}
+		act := FromSet(raw)
+		return math.Float64bits(x.Flexibility(set)) == math.Float64bits(Flexibility(g, act)) &&
+			math.Float64bits(x.WeightedFlexibility(set)) == math.Float64bits(WeightedFlexibility(g, act))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"time"
 
 	"repro/internal/bind"
@@ -50,7 +51,7 @@ type Request struct {
 	MaxBindNodes int `json:"maxBindNodes,omitempty"`
 
 	// Workers is the job's worker budget (0 = server default, 1 =
-	// sequential, N = parallel pipeline).
+	// sequential, N = parallel pipeline), capped at GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
 	// DeadlineMs is the job's wall-clock budget in milliseconds,
 	// counted from admission and spanning suspensions; on expiry the
@@ -231,6 +232,10 @@ func (s *Server) jobFromRequest(req *Request, sp *spec.Spec) (*job, *apiError) {
 	if workers == 0 {
 		workers = s.cfg.defaultWorkers()
 	}
+	// Results are identical for every worker count, so a budget above
+	// the CPUs only costs memory: the pool sizes its channels and
+	// goroutines by it.
+	workers = min(workers, runtime.GOMAXPROCS(0))
 	ckEvery := req.CheckpointEvery
 	if ckEvery == 0 {
 		ckEvery = 64

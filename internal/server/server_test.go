@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -381,6 +382,29 @@ func TestAdmissionRejections(t *testing.T) {
 	}
 	if st.Counters.Admitted != 0 {
 		t.Errorf("admitted = %d, want 0", st.Counters.Admitted)
+	}
+}
+
+// TestWorkersCappedAtAdmission: a job's worker budget is capped at
+// GOMAXPROCS, so an absurd request cannot make the pool allocate
+// channel slots and goroutines by the billion.
+func TestWorkersCappedAtAdmission(t *testing.T) {
+	s, _ := newTestServer(t, Config{DefaultWorkers: 1 << 20})
+	procs := runtime.GOMAXPROCS(0)
+	for _, body := range []string{
+		`{"model": "settop", "workers": 1000000000}`,
+		`{"model": "settop"}`,
+	} {
+		_, j, aerr := s.parseRequest(strings.NewReader(body))
+		if aerr != nil {
+			t.Fatalf("%s: refused: %+v", body, aerr)
+		}
+		if j.workers != procs {
+			t.Errorf("%s: job.workers = %d, want GOMAXPROCS = %d", body, j.workers, procs)
+		}
+	}
+	if _, j, aerr := s.parseRequest(strings.NewReader(`{"model": "settop", "workers": 1}`)); aerr != nil || j.workers != 1 {
+		t.Errorf("workers 1: job = %+v, err %+v; want 1 worker", j, aerr)
 	}
 }
 

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -85,10 +86,17 @@ func (a Allocation) Subset(b Allocation) bool {
 // Cost returns the allocation cost c_impl: the sum of the realization
 // costs of all allocated elements. For an allocated cluster this is the
 // cluster's own cost attribute plus the costs of all leaf resources it
-// contains.
+// contains. The elements are summed in sorted-ID order, so fractional
+// costs round the same way on every call.
 func (a Allocation) Cost(s *Spec) float64 {
-	total := 0.0
+	var buf [16]hgraph.ID
+	ids := buf[:0]
 	for id := range a {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	total := 0.0
+	for _, id := range ids {
 		if v := s.Arch.VertexByID(id); v != nil {
 			total += v.Attrs.GetDefault(AttrCost, 0)
 			continue

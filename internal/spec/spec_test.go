@@ -2,6 +2,7 @@ package spec
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -183,6 +184,25 @@ func TestAllocationClusterCost(t *testing.T) {
 	s := MustNew("c", prob, arch, []*Mapping{{Process: "x", Resource: "r1"}})
 	if got := NewAllocation("d1").Cost(s); got != 10 {
 		t.Errorf("cluster cost = %v, want 10", got)
+	}
+}
+
+// TestAllocationCostDeterministic: fractional costs sum to one bit
+// pattern on every call, whatever order the map iterates in.
+func TestAllocationCostDeterministic(t *testing.T) {
+	ab := hgraph.NewBuilder("arch", "t")
+	ab.Root().Vertex("r1", AttrCost, 0.1).Vertex("r2", AttrCost, 0.2).Vertex("r3", AttrCost, 0.3)
+	arch := ab.MustBuild()
+	pb := hgraph.NewBuilder("problem", "pt")
+	pb.Root().Vertex("x")
+	prob := pb.MustBuild()
+	s := MustNew("frac", prob, arch, []*Mapping{{Process: "x", Resource: "r1"}})
+	a := NewAllocation("r1", "r2", "r3")
+	want := math.Float64bits(a.Cost(s))
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(a.Cost(s)); got != want {
+			t.Fatalf("call %d: Cost = %v, first call %v", i, math.Float64frombits(got), math.Float64frombits(want))
+		}
 	}
 }
 

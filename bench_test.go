@@ -513,9 +513,10 @@ func BenchmarkEnumerateSynthetic(b *testing.B) {
 // position; the custom metrics record the BDD search nodes visited
 // (the symbolic analogue of "scanned", measured ~675k — three orders
 // of magnitude under 2^30) and the candidates emitted. allocs/op is
-// the churn gauge: pooling the walk's frontier nodes and reusing its
-// memo slices (internal/boolfunc) cut units=30 from ~175 MB / 2.07M
-// allocs per op to ~57.7 MB / 560k — same visits, same stream. The count
+// the churn gauge: the walk's flat frontier (value heap entries over
+// bitmask rows in a recycled arena, internal/boolfunc) cut units=30
+// from ~175 MB / 2.07M allocs per op, and ~57.7 MB / 560k with pooled
+// nodes, to ~19.0 MB / 12k — same visits, same stream. The count
 // variants exercise the pure-symbolic path on 50- and 100-unit
 // architectures, where cost-ordered *enumeration* effort is dominated
 // by the cheap-bus cost plateau (docs/symbolic.md) but counting the

@@ -76,20 +76,27 @@ func EnumerateSymbolicUnits(s *spec.Spec, base spec.Allocation, opts Options, st
 	if !opts.IncludeUselessComm {
 		f = m.Apply(boolfunc.And, f, commConstraint(s, m, units))
 	}
+	// SearchSpace counts the units outside base, so a base element that
+	// is not an allocatable unit empties the stream without changing
+	// the count.
 	free := n
 	if len(base) > 0 {
 		pos := make(map[hgraph.ID]int, n)
 		for k, u := range units {
 			pos[u.ID] = k
 		}
+		unknown := false
 		for id := range base {
 			k, ok := pos[id]
 			if !ok {
-				f = m.False()
-				break
+				unknown = true
+				continue
 			}
 			f = m.Apply(boolfunc.And, f, m.Var(k))
 			free--
+		}
+		if unknown {
+			f = m.False()
 		}
 	}
 	stats := Stats{SearchSpace: SearchSpace(free)}

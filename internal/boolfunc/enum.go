@@ -1,10 +1,9 @@
 package boolfunc
 
 import (
-	"container/heap"
 	"fmt"
 	"math/big"
-	"sync"
+	"math/bits"
 )
 
 // CostEnum enumerates the satisfying assignments of a boolean function
@@ -47,20 +46,30 @@ type CostEnum struct {
 	m       *Manager
 	f       *Node
 	costs   []float64
-	h       enumHeap
 	started bool
 	visited int
 	emitted int
 	cut     bool
 	// The memo tables are dense slices indexed by BDD node id (0
 	// unknown, 1 true, 2 false): the walk calls only read-only Manager
-	// operations, so the id space is frozen at construction time and a
-	// slice replaces the former map — the walk's dominant allocation
-	// source along with the heap nodes, which a sync.Pool recycles.
+	// operations, so the id space is frozen at construction time.
 	oneMemo  []int8
 	zeroMemo []int8
-	pool     sync.Pool
-	buf      []int
+
+	// The frontier is flat. h holds value entries; each entry's index
+	// set is a row of `words` words in arena, bit i standing for
+	// variable i. A popped node hands its row to one of its children
+	// and a childless node frees it; free rows form a list threaded
+	// through their first word, headed by free (-1 when empty), and
+	// rows counts the rows ever handed out. The heap and the arena
+	// grow by doubling, so a walk allocates O(log live nodes) times
+	// rather than per visited node. buf is the reused Next result.
+	h     enumHeap
+	arena []uint64
+	words int
+	rows  int32
+	free  int32
+	buf   []int
 
 	// Shard state, set only by NewCostEnumShard: the lanes (root
 	// variables) this enumeration walks, the per-lane count of live
@@ -72,47 +81,27 @@ type CostEnum struct {
 	drained []int
 }
 
-// enumNode is one live subset-tree node: the unit indices (ascending),
-// their total cost, and the function restricted by the node's bits on
-// every variable below the last index (the last variable itself is
-// resolved lazily, because the replace child needs its false branch).
-type enumNode struct {
+// enumEntry is one live subset-tree node: its total cost, the function
+// restricted by the node's bits on every variable below its last index
+// (the last variable itself is resolved lazily, because the replace
+// child needs its false branch), the arena row holding its index set,
+// and that set's largest index.
+type enumEntry struct {
 	cost float64
-	idx  []int
 	pre  *Node
+	row  int32
+	last int32
 }
 
-// enumHeap orders by total cost with the equal-cost tie broken by
-// descending lexicographic index sequence — a copy of
-// alloc.subsetHeap.Less, which the package comment on CostEnum relies
-// on for stream identity. The comparator is a strict total order on
-// distinct subsets, so the pop sequence is independent of push order
-// and heap layout.
-type enumHeap []*enumNode
+// enumHeap is a binary min-heap of frontier entries under
+// CostEnum.less, sifted by hand (CostEnum.up and down) so entries stay
+// unboxed values. less is a strict total order on distinct subsets, so
+// the pop sequence is independent of push order and heap layout.
+type enumHeap []enumEntry
 
-func (h enumHeap) Len() int { return len(h) }
-func (h enumHeap) Less(i, j int) bool {
-	if h[i].cost != h[j].cost {
-		return h[i].cost < h[j].cost
-	}
-	a, b := h[i].idx, h[j].idx
-	for k := 0; k < len(a) && k < len(b); k++ {
-		if a[k] != b[k] {
-			return a[k] > b[k]
-		}
-	}
-	return len(a) > len(b)
-}
-func (h enumHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *enumHeap) Push(x any)   { *h = append(*h, x.(*enumNode)) }
-func (h *enumHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
-}
+// minFrontier is the initial capacity, in entries and in rows, of a
+// walk's heap and arena.
+const minFrontier = 64
 
 // NewCostEnum prepares a cost-ordered enumeration of the satisfying
 // assignments of f. costs must have one non-negative entry per manager
@@ -125,7 +114,8 @@ func (m *Manager) NewCostEnum(f *Node, costs []float64) *CostEnum {
 		costs:    costs,
 		oneMemo:  make([]int8, m.nextID),
 		zeroMemo: make([]int8, m.nextID),
-		pool:     sync.Pool{New: func() any { return new(enumNode) }},
+		words:    (m.numVars + 63) / 64,
+		free:     -1,
 	}
 }
 
@@ -140,21 +130,13 @@ func (m *Manager) NewCostEnum(f *Node, costs []float64) *CostEnum {
 // shard's own visits. The enumeration only reads the Manager, so any
 // number of shards may walk one shared BDD concurrently.
 func (m *Manager) NewCostEnumShard(f *Node, costs []float64, roots []int) *CostEnum {
-	m.checkCosts(costs)
 	if len(roots) == 0 {
 		panic("boolfunc: shard enumeration needs at least one lane root")
 	}
-	e := &CostEnum{
-		m:        m,
-		f:        f,
-		costs:    costs,
-		oneMemo:  make([]int8, m.nextID),
-		zeroMemo: make([]int8, m.nextID),
-		pool:     sync.Pool{New: func() any { return new(enumNode) }},
-		lanes:    roots,
-		lanePos:  make([]int, m.numVars),
-		pending:  make([]int, len(roots)),
-	}
+	e := m.NewCostEnum(f, costs)
+	e.lanes = roots
+	e.lanePos = make([]int, m.numVars)
+	e.pending = make([]int, len(roots))
 	for i := range e.lanePos {
 		e.lanePos[i] = -1
 	}
@@ -172,11 +154,7 @@ func (m *Manager) NewCostEnumShard(f *Node, costs []float64, roots []int) *CostE
 		}
 		prev = k
 		e.lanePos[k] = i
-		c := e.pool.Get().(*enumNode)
-		c.cost = costs[k]
-		c.idx = append(c.idx[:0], k)
-		c.pre = pre
-		heap.Push(&e.h, c)
+		e.push(enumEntry{cost: costs[k], pre: pre, row: e.singleton(k), last: int32(k)})
 		e.pending[i] = 1
 	}
 	// Roots are pushed unconditionally (an unsatisfiable lane costs one
@@ -213,11 +191,7 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 		// visited first, outside the heap.
 		e.visited++
 		if e.m.numVars > 0 && e.subtreeSat(e.f, 0) {
-			c := e.pool.Get().(*enumNode)
-			c.cost = e.costs[0]
-			c.idx = append(c.idx[:0], 0)
-			c.pre = e.f
-			heap.Push(&e.h, c)
+			e.push(enumEntry{cost: e.costs[0], pre: e.f, row: e.singleton(0), last: 0})
 		}
 		if e.zeroSat(e.f) {
 			e.emitted++
@@ -229,56 +203,225 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 			e.cut = true
 			return nil, 0, false
 		}
-		cur := heap.Pop(&e.h).(*enumNode)
+		// The top stays in place until a child overwrites it, which
+		// saves the sift of a separate pop; the children may take over
+		// its row, so read everything it still needs first.
+		cur := e.h[0]
 		e.visited++
-		last := cur.idx[len(cur.idx)-1]
+		last := int(cur.last)
 		n0, n1 := e.m.cofactors(cur.pre, last)
+		sat := e.zeroSat(n1)
+		if sat {
+			e.emitted++
+			e.buf = e.appendIndices(e.buf[:0], cur.row)
+		}
+		// first is the node's lane, read by shard walks only.
+		first := -1
+		if e.lanes != nil {
+			first = e.lowest(cur.row)
+		}
+		// The children's subtrees share the child's bits below its last
+		// index and contain exactly the subsets whose first further
+		// element is >= that index, so each is pushed iff a satisfying
+		// assignment with at least one true variable from last+1 on
+		// extends the restriction. A shard walk never replaces a lane
+		// root's only element: that subset is another lane's root.
+		next := last + 1
+		ext := next < e.m.numVars && e.subtreeSat(n1, next)
+		rep := next < e.m.numVars && first != last && e.subtreeSat(n0, next)
 		pushed := 0
-		if last+1 < e.m.numVars {
-			// The children's subtrees share the child's bits below its
-			// last index and contain exactly the subsets whose first
-			// further element is >= that index, so each is pushed iff a
-			// satisfying assignment with at least one true variable
-			// from last+1 on extends the restriction.
-			if e.subtreeSat(n1, last+1) {
-				c := e.pool.Get().(*enumNode)
-				c.cost = cur.cost + e.costs[last+1]
-				c.pre = n1
-				c.idx = append(append(c.idx[:0], cur.idx...), last+1)
-				heap.Push(&e.h, c)
-				pushed++
+		if ext {
+			r := cur.row
+			if rep {
+				r = e.newRow()
+				copy(e.row(r), e.row(cur.row))
 			}
-			// A shard walk never replaces a lane root's only element:
-			// that subset is another lane's root.
-			if (e.lanes == nil || len(cur.idx) > 1) && e.subtreeSat(n0, last+1) {
-				c := e.pool.Get().(*enumNode)
-				c.cost = cur.cost - e.costs[last] + e.costs[last+1]
-				c.pre = n0
-				c.idx = append(c.idx[:0], cur.idx...)
-				c.idx[len(c.idx)-1] = last + 1
-				heap.Push(&e.h, c)
-				pushed++
-			}
+			e.row(r)[next>>6] |= 1 << (next & 63)
+			e.place(enumEntry{cost: cur.cost + e.costs[next], pre: n1, row: r, last: int32(next)}, pushed == 0)
+			pushed++
+		}
+		if rep {
+			row := e.row(cur.row)
+			row[last>>6] &^= 1 << (last & 63)
+			row[next>>6] |= 1 << (next & 63)
+			e.place(enumEntry{cost: cur.cost - e.costs[last] + e.costs[next], pre: n0, row: cur.row, last: int32(next)}, pushed == 0)
+			pushed++
+		}
+		if pushed == 0 {
+			e.freeRow(cur.row)
+			e.popTop()
 		}
 		if e.lanes != nil {
-			slot := e.lanePos[cur.idx[0]]
+			slot := e.lanePos[first]
 			e.pending[slot] += pushed - 1
 			if e.pending[slot] == 0 {
 				e.drained = append(e.drained, e.lanes[slot])
 			}
 		}
-		sat := e.zeroSat(n1)
 		if sat {
-			e.emitted++
-			e.buf = append(e.buf[:0], cur.idx...)
-			cost = cur.cost
-		}
-		e.pool.Put(cur)
-		if sat {
-			return e.buf, cost, true
+			return e.buf, cur.cost, true
 		}
 	}
 	return nil, 0, false
+}
+
+// less orders frontier entries by total cost, the equal-cost tie
+// broken by descending lexicographic index sequence — the order of
+// alloc.subsetHeap.Less, which the type comment relies on for stream
+// identity.
+func (e *CostEnum) less(a, b *enumEntry) bool {
+	if a.cost != b.cost {
+		return a.cost < b.cost
+	}
+	return tieBefore(e.row(a.row), e.row(b.row), a.last, b.last)
+}
+
+// tieBefore reports whether the index set a precedes b in descending
+// lexicographic order of their ascending sequences, a prefix following
+// its extensions. a and b are distinct bitmask rows and lastA, lastB
+// their largest elements. Let p be the lowest element of a⊕b: the sets
+// agree below p, so the sequences first differ at the position where
+// one of them holds p. If p ∈ a, the other sequence holds there its
+// next element above p, which is larger, or has ended, so a comes
+// first iff b has no element above p. If p ∈ b, symmetrically, a comes
+// first iff a has one. Comparing with the largest elements makes that
+// test O(1) once p is found.
+func tieBefore(a, b []uint64, lastA, lastB int32) bool {
+	for w := range a {
+		if x := a[w] ^ b[w]; x != 0 {
+			p := int32(w<<6 + bits.TrailingZeros64(x))
+			if a[w]&x&-x != 0 {
+				return lastB < p
+			}
+			return lastA > p
+		}
+	}
+	return false
+}
+
+// push adds x to the frontier, doubling the heap when full.
+func (e *CostEnum) push(x enumEntry) {
+	if len(e.h) == cap(e.h) {
+		e.h = append(make(enumHeap, 0, max(2*cap(e.h), minFrontier)), e.h...)
+	}
+	e.h = append(e.h, x)
+	e.up(len(e.h) - 1)
+}
+
+// place adds x to the frontier, into the popped top's slot when
+// intoTop is set.
+func (e *CostEnum) place(x enumEntry, intoTop bool) {
+	if !intoTop {
+		e.push(x)
+		return
+	}
+	e.h[0] = x
+	e.down(0)
+}
+
+// popTop removes the heap's top entry.
+func (e *CostEnum) popTop() {
+	n := len(e.h) - 1
+	e.h[0] = e.h[n]
+	e.h = e.h[:n]
+	if n > 0 {
+		e.down(0)
+	}
+}
+
+func (e *CostEnum) up(j int) {
+	h := e.h
+	x := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !e.less(&x, &h[i]) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = x
+}
+
+func (e *CostEnum) down(i int) {
+	h := e.h
+	n := len(h)
+	x := h[i]
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && e.less(&h[r], &h[j]) {
+			j = r
+		}
+		if !e.less(&h[j], &x) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = x
+}
+
+// row returns arena row r.
+func (e *CostEnum) row(r int32) []uint64 {
+	off := int(r) * e.words
+	return e.arena[off : off+e.words]
+}
+
+// newRow takes a row off the free list, or hands out a fresh one,
+// doubling the arena when it is full. The row's contents are
+// unspecified.
+func (e *CostEnum) newRow() int32 {
+	if r := e.free; r >= 0 {
+		e.free = int32(uint32(e.arena[int(r)*e.words]))
+		return r
+	}
+	if need := int(e.rows+1) * e.words; need > len(e.arena) {
+		grown := make([]uint64, max(2*len(e.arena), minFrontier*e.words))
+		copy(grown, e.arena)
+		e.arena = grown
+	}
+	e.rows++
+	return e.rows - 1
+}
+
+// freeRow puts row r on the free list.
+func (e *CostEnum) freeRow(r int32) {
+	e.arena[int(r)*e.words] = uint64(uint32(e.free))
+	e.free = r
+}
+
+// singleton returns a new row holding the index set {k}.
+func (e *CostEnum) singleton(k int) int32 {
+	r := e.newRow()
+	row := e.row(r)
+	clear(row)
+	row[k>>6] = 1 << (k & 63)
+	return r
+}
+
+// appendIndices appends the elements of row r to dst in ascending
+// order.
+func (e *CostEnum) appendIndices(dst []int, r int32) []int {
+	for w, word := range e.row(r) {
+		for word != 0 {
+			dst = append(dst, w<<6+bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
+	return dst
+}
+
+// lowest returns the smallest element of the nonempty row r.
+func (e *CostEnum) lowest(r int32) int {
+	for w, word := range e.row(r) {
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	panic("boolfunc: empty index row")
 }
 
 // TakeDrained returns the lane roots whose subtrees have been fully

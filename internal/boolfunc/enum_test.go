@@ -63,12 +63,19 @@ func (h refHeap) Less(i, j int) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost
 	}
-	for k := 0; k < len(a.idx) && k < len(b.idx); k++ {
-		if a.idx[k] != b.idx[k] {
-			return a.idx[k] > b.idx[k]
+	return refBefore(a.idx, b.idx)
+}
+
+// refBefore is the reference equal-cost tie-break on ascending index
+// sequences: descending lexicographic, the longer of a prefix pair
+// first.
+func refBefore(a, b []int) bool {
+	for k := 0; k < len(a) && k < len(b); k++ {
+		if a[k] != b[k] {
+			return a[k] > b[k]
 		}
 	}
-	return len(a.idx) > len(b.idx)
+	return len(a) > len(b)
 }
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x any)   { *h = append(*h, x.(refNode)) }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/alloc"
 	"repro/internal/hgraph"
 	"repro/internal/models"
 	"repro/internal/spec"
@@ -75,6 +76,30 @@ func TestUpgradeFromMaxedOut(t *testing.T) {
 	r := Upgrade(s, spec.NewAllocation("uP2", "A1", "dD3", "C1", "C2"), Options{})
 	if len(r.Front) != 0 {
 		t.Errorf("no upgrade should exist beyond f=8, got %v", r.Front)
+	}
+}
+
+// TestUpgradeSearchSpaceWithUnknownBaseElement: a base element that is
+// not an allocatable unit empties the extension stream but leaves the
+// search space at 2^(units outside base), the same on every call
+// whatever the order the base map is ranged in.
+func TestUpgradeSearchSpaceWithUnknownBaseElement(t *testing.T) {
+	s := models.SetTopBox()
+	base := spec.NewAllocation("uP2", "C1", "dU2", "A1", "no-such-unit")
+	want := alloc.SearchSpace(len(alloc.Units(s)) - 4)
+	for i := 0; i < 50; i++ {
+		if got := Upgrade(s, base, Options{}).Stats.AllocSpace; got != want {
+			t.Fatalf("call %d: Upgrade AllocSpace = %v, want %v", i, got, want)
+		}
+		n := 0
+		st := alloc.EnumerateExtensions(s, base, alloc.Options{}, 0, func(alloc.Candidate) bool {
+			n++
+			return true
+		})
+		if st.SearchSpace != want || n != 0 {
+			t.Fatalf("call %d: EnumerateExtensions SearchSpace = %v with %d candidates, want %v with none",
+				i, st.SearchSpace, n, want)
+		}
 	}
 }
 

@@ -24,7 +24,8 @@ type Supporter struct {
 	// are bitsets over it.
 	Clusters *bitset.Indexer[hgraph.ID]
 	// Resources indexes the architecture-graph leaves; AvailOf results
-	// are bitsets over it.
+	// are bitsets over it. It is the spec's own index (spec.Resources),
+	// so the closures are directly usable as spec.ArchView avail sets.
 	Resources *bitset.Indexer[hgraph.ID]
 	// Units are the allocatable units in Units(s) order: the space the
 	// unit indices of SupportableUnits and the enumerations refer to.
@@ -58,14 +59,10 @@ func NewSupporter(s *spec.Spec) *Supporter {
 	for _, c := range s.Problem.Clusters() {
 		clusterIDs = append(clusterIDs, c.ID)
 	}
-	var resIDs []hgraph.ID
-	for _, v := range s.Arch.Leaves() {
-		resIDs = append(resIDs, v.ID)
-	}
 	sp := &Supporter{
 		s:         s,
 		Clusters:  bitset.NewIndexer(clusterIDs),
-		Resources: bitset.NewIndexer(resIDs),
+		Resources: s.Resources(),
 		Units:     Units(s),
 		provides:  map[hgraph.ID]bitset.Set{},
 		nodes:     make([]supportNode, len(clusterIDs)),

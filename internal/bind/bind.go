@@ -276,11 +276,19 @@ func Check(s *spec.Spec, fp *hgraph.FlatGraph, av *spec.ArchView, b Binding, opt
 		m := s.Mapping(v.ID, r)
 		tasksOn[r] = append(tasksOn[r], sched.Task{ID: string(v.ID), WCET: m.Latency, Period: period})
 	}
-	for r, tasks := range tasksOn {
+	// Test the resources in first-bound order, following fp.Vertices,
+	// so the violation reported does not depend on map order.
+	for _, v := range fp.Vertices {
+		r := b[v.ID]
+		tasks, ok := tasksOn[r]
+		if !ok {
+			continue
+		}
 		if !opts.Timing.test(tasks) {
 			return fmt.Errorf("bind: resource %q fails timing policy %v (utilization %.3f)",
 				r, opts.Timing, sched.Utilization(tasks))
 		}
+		delete(tasksOn, r)
 	}
 	return nil
 }

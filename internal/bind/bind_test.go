@@ -430,3 +430,41 @@ func TestTimingHyperbolicPolicy(t *testing.T) {
 		t.Error("String")
 	}
 }
+
+// TestCheckReportsFirstBoundOverload: with two resources over the 69%
+// bound, Check names the one bound first in fp.Vertices order, on
+// every call.
+func TestCheckReportsFirstBoundOverload(t *testing.T) {
+	pb := hgraph.NewBuilder("p", "pov")
+	pb.Root().
+		Vertex("A", spec.AttrPeriod, 100).
+		Vertex("B", spec.AttrPeriod, 100).
+		Vertex("C", spec.AttrPeriod, 100).
+		Vertex("D", spec.AttrPeriod, 100)
+	prob := pb.MustBuild()
+	ab := hgraph.NewBuilder("a", "aov")
+	ab.Root().Vertex("R1", spec.AttrCost, 1).Vertex("R2", spec.AttrCost, 1)
+	arch := ab.MustBuild()
+	s := spec.MustNew("overload", prob, arch, []*spec.Mapping{
+		{Process: "A", Resource: "R2", Latency: 40},
+		{Process: "B", Resource: "R1", Latency: 40},
+		{Process: "C", Resource: "R1", Latency: 40},
+		{Process: "D", Resource: "R2", Latency: 40},
+	})
+	fp, err := s.Problem.Flatten(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	av, err := s.ArchViewFor(spec.NewAllocation("R1", "R2"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := Binding{"A": "R2", "B": "R1", "C": "R1", "D": "R2"}
+	const want = `bind: resource "R2" fails timing policy paper-69% (utilization 0.800)`
+	for i := 0; i < 50; i++ {
+		err := Check(s, fp, av, b, Options{})
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: Check = %v, want %s", i, err, want)
+		}
+	}
+}

@@ -13,7 +13,7 @@ package bitset
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 	"unsafe"
 )
@@ -134,11 +134,33 @@ func (s Set) Intersects(t Set) bool {
 	return false
 }
 
+// IntersectsBoth reports whether s ∩ t ∩ u is non-empty.
+func (s Set) IntersectsBoth(t, u Set) bool {
+	n := min(len(s.w), len(t.w), len(u.w))
+	for i := 0; i < n; i++ {
+		if s.w[i]&t.w[i]&u.w[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // UnionWith adds every element of t to s. The receiver must be sized to
 // hold t's largest element.
 func (s Set) UnionWith(t Set) {
 	for i, w := range t.w {
 		s.w[i] |= w
+	}
+}
+
+// IntersectWith removes from s every element not in t.
+func (s Set) IntersectWith(t Set) {
+	for i := range s.w {
+		if i < len(t.w) {
+			s.w[i] &= t.w[i]
+		} else {
+			s.w[i] = 0
+		}
 	}
 }
 
@@ -207,14 +229,14 @@ func itoa(i int) string {
 
 // Indexer assigns dense indices to a fixed universe of identifiers, in
 // the sorted order of the identifiers, so iterating a Set in index
-// order visits IDs in their natural order. It is immutable after New
+// order visits IDs in their natural order. It holds only the sorted
+// identifiers (a lookup is a binary search), is immutable after New
 // and safe for concurrent use.
 type Indexer[K interface {
 	comparable
 	~string
 }] struct {
 	ids []K
-	pos map[K]int
 }
 
 // NewIndexer builds an indexer over the given identifiers (duplicates
@@ -223,20 +245,9 @@ func NewIndexer[K interface {
 	comparable
 	~string
 }](ids []K) *Indexer[K] {
-	uniq := make([]K, 0, len(ids))
-	seen := make(map[K]bool, len(ids))
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			uniq = append(uniq, id)
-		}
-	}
-	sort.Slice(uniq, func(a, b int) bool { return uniq[a] < uniq[b] })
-	ix := &Indexer[K]{ids: uniq, pos: make(map[K]int, len(uniq))}
-	for i, id := range uniq {
-		ix.pos[id] = i
-	}
-	return ix
+	uniq := slices.Clone(ids)
+	slices.Sort(uniq)
+	return &Indexer[K]{ids: slices.Clip(slices.Compact(uniq))}
 }
 
 // Len returns the universe size.
@@ -245,8 +256,7 @@ func (ix *Indexer[K]) Len() int { return len(ix.ids) }
 // Index returns the dense index of id and whether id is in the
 // universe.
 func (ix *Indexer[K]) Index(id K) (int, bool) {
-	i, ok := ix.pos[id]
-	return i, ok
+	return slices.BinarySearch(ix.ids, id)
 }
 
 // At returns the identifier at index i.
@@ -257,7 +267,7 @@ func (ix *Indexer[K]) At(i int) K { return ix.ids[i] }
 func (ix *Indexer[K]) SetOf(ids ...K) Set {
 	s := New(len(ix.ids))
 	for _, id := range ids {
-		if i, ok := ix.pos[id]; ok {
+		if i, ok := ix.Index(id); ok {
 			s.Add(i)
 		}
 	}

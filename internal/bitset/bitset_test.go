@@ -189,3 +189,31 @@ func TestIntersectionCount(t *testing.T) {
 		t.Errorf("zero-value IntersectionCount = %d, want 0", got)
 	}
 }
+
+func TestIntersectWith(t *testing.T) {
+	a := New(130)
+	for _, i := range []int{0, 5, 63, 64, 100, 129} {
+		a.Add(i)
+	}
+	b := New(70)
+	for _, i := range []int{5, 64, 69} {
+		b.Add(i)
+	}
+	a.IntersectWith(b)
+	if a.String() != "{5 64}" {
+		t.Fatalf("a ∩ b = %s, want {5 64}", a)
+	}
+	if b.String() != "{5 64 69}" {
+		t.Fatalf("argument changed: %s", b)
+	}
+	c := New(200)
+	c.Add(64)
+	if !a.IntersectsBoth(b, c) {
+		t.Fatal("a ∩ b ∩ c holds 64")
+	}
+	c.Remove(64)
+	c.Add(5 + 128)
+	if a.IntersectsBoth(b, c) {
+		t.Fatal("a ∩ b ∩ c is empty")
+	}
+}

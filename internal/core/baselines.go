@@ -74,10 +74,7 @@ func RandomSearchContext(ctx context.Context, s *spec.Spec, opts Options, iters 
 		res.Stats.Attempted++
 		if im := ev.implement(a, bitset.Set{}, false, &res.Stats); im != nil {
 			res.Stats.Feasible++
-			front.Add(&pareto.Entry{
-				Objectives: pareto.CostFlexObjectives(im.Cost, im.Flexibility),
-				Value:      im,
-			})
+			admit(front, pareto.CostFlexObjectives(im.Cost, im.Flexibility), im)
 		}
 	}
 	ev.fold(&res.Stats)
@@ -168,10 +165,7 @@ func EvolutionaryContext(ctx context.Context, s *spec.Spec, opts Options, cfg EA
 			if im := ev.implement(a, bitset.Set{}, false, &res.Stats); im != nil {
 				res.Stats.Feasible++
 				f = im.Flexibility
-				front.Add(&pareto.Entry{
-					Objectives: pareto.CostFlexObjectives(im.Cost, im.Flexibility),
-					Value:      im,
-				})
+				admit(front, pareto.CostFlexObjectives(im.Cost, im.Flexibility), im)
 			}
 		}
 		cache[key] = [2]float64{cost, f}

@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -19,6 +20,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/flex"
 	"repro/internal/hgraph"
+	"repro/internal/pareto"
 	"repro/internal/spec"
 )
 
@@ -41,6 +43,43 @@ type Implementation struct {
 	Flexibility float64
 	Clusters    []hgraph.ID
 	Behaviours  []Behaviour
+}
+
+// owned returns a copy of im whose behaviours hold private Binding and
+// ArchSelection maps; behaviours with equal architecture selections
+// share one copy. The cached evaluator's implementations share both
+// maps with its caches until a front admits them (admit), and Progress
+// reports hand out owned copies too, so nothing a caller is handed
+// aliases the caches, another implementation, or the run's result.
+func owned(im *Implementation) *Implementation {
+	c := *im
+	c.Behaviours = make([]Behaviour, len(im.Behaviours))
+	for i, b := range im.Behaviours {
+		b.Binding = b.Binding.Clone()
+		shared := false
+		for _, prev := range c.Behaviours[:i] {
+			if maps.Equal(prev.ArchSelection, b.ArchSelection) {
+				b.ArchSelection, shared = prev.ArchSelection, true
+				break
+			}
+		}
+		if !shared {
+			b.ArchSelection = b.ArchSelection.Clone()
+		}
+		c.Behaviours[i] = b
+	}
+	return &c
+}
+
+// admit adds im to front under the objective vector and reports whether
+// the front kept it; a kept implementation is stored as an owned copy.
+func admit(front *pareto.Front, objectives []float64, im *Implementation) bool {
+	e := &pareto.Entry{Objectives: objectives, Value: im}
+	if !front.Add(e) {
+		return false
+	}
+	e.Value = owned(im)
+	return true
 }
 
 // ClusterString renders the implemented clusters (root omitted), e.g.
@@ -114,7 +153,9 @@ type Options struct {
 	// Progress, if non-nil, is called every ProgressEvery committed
 	// candidates, and once more at the final cursor, with a consistent
 	// snapshot of the run, suitable for checkpointing. The snapshot's
-	// front shares the run's implementations; treat them as read-only.
+	// front holds copies of the run's implementations, made once per
+	// implementation and handed out again by later reports: changing
+	// them cannot reach the run's result, but treat them as read-only.
 	Progress func(Progress)
 	// ProgressEvery is the candidate interval between Progress calls
 	// (0 = 64).

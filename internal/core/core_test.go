@@ -154,11 +154,13 @@ func TestImplementBehavioursValid(t *testing.T) {
 
 // TestCaseStudyPruningStats is experiment E7: the search-space
 // reduction numbers. The paper reports 2^25 design points, a reduction
-// to 2^14 allocation candidates, ~7000 possible allocations
-// investigated and ~1050 implementation attempts; our deterministic
-// counters give the same orders of magnitude (the difference in the
-// last two is the strictly cost-sorted candidate order, which tightens
-// the flexibility bound — see EXPERIMENTS.md).
+// to 2^14 allocation candidates and ~7000 possible allocations
+// investigated; our deterministic counters give 2^25, 2^14 and 2,371
+// (useless-bus rule on) / 12,288 (off). EXPLORE attempts 25 of the
+// 2,371 implementations. The paper's "≈1050 (0.0032 %)" with estimated
+// flexibility above the implemented one is not an attempt count: it is
+// the number of possible allocations whose estimate overshoots, which
+// TestCaseStudyEstimateGap pins at 1,051 (see EXPERIMENTS.md).
 func TestCaseStudyPruningStats(t *testing.T) {
 	s := models.SetTopBox()
 
@@ -188,6 +190,37 @@ func TestCaseStudyPruningStats(t *testing.T) {
 	// The flexibility bound must prune the vast majority of candidates.
 	if r2.Stats.Attempted >= r2.Stats.PossibleAllocations/10 {
 		t.Errorf("bound too weak: %d of %d attempted", r2.Stats.Attempted, r2.Stats.PossibleAllocations)
+	}
+}
+
+// TestCaseStudyEstimateGap re-reads E7's "estimated flexibility >
+// implemented" row: every possible allocation of the Set-Top box
+// (useless-bus rule on, paper timing, unweighted) is estimated and
+// implemented through the exported Estimate and Implement. For 1,051
+// of the 2,371 the estimate is above the implemented flexibility — the
+// paper's ≈1050 — and for the other 1,320 it is exact.
+func TestCaseStudyEstimateGap(t *testing.T) {
+	s := models.SetTopBox()
+	possible, over, exact := 0, 0, 0
+	alloc.EnumerateSymbolicRange(s, alloc.Options{}, 0, func(c alloc.Candidate) bool {
+		possible++
+		est := Estimate(s, c.Allocation, Options{})
+		implemented := 0.0
+		if im := Implement(s, c.Allocation, Options{}, nil); im != nil {
+			implemented = im.Flexibility
+		}
+		switch {
+		case est > implemented:
+			over++
+		case est == implemented:
+			exact++
+		default:
+			t.Errorf("%s: estimate %g below implemented flexibility %g", c.Allocation, est, implemented)
+		}
+		return true
+	})
+	if possible != 2371 || over != 1051 || exact != 1320 {
+		t.Errorf("possible %d, estimate > implemented %d, exact %d; want 2371, 1051, 1320", possible, over, exact)
 	}
 }
 

@@ -15,23 +15,26 @@ import (
 )
 
 // evaluator is the per-run candidate-evaluation engine behind the
-// explorers. It carries the three caches the cost-ordered scan can
-// exploit across candidates:
+// explorers. It carries the caches the cost-ordered scan can exploit
+// across candidates:
 //
 //   - interned problem flattenings keyed by the canonical ECS
 //     selection, so each elementary cluster activation is flattened
 //     once per run instead of once per (candidate × ECS);
-//   - interned architecture flattenings keyed by the canonical
-//     architecture selection, for the same reason;
-//   - a binding memo keyed by (ECS selection, architecture selection)
-//     holding, per present-resource set, the solver outcome, with a
-//     monotone-dominance rule: a binding found feasible under a
-//     resource set stays feasible under any superset (extra resources
-//     only add present vertices and links, and the timing tests depend
-//     only on the binding itself), so it is replayed — and verified
-//     with bind.Check — instead of rerun; an ECS proven infeasible on
-//     a resource superset (by an untruncated search) is skipped on any
-//     subset.
+//   - interned architecture configurations: per set of allocated
+//     architecture clusters (a bitset key) the list of configurations
+//     EnumerateArchSelections yields, each with its selection and its
+//     partial flattening's spec.ArchLinks, so a candidate's view of a
+//     configuration is one bitset (its present set, mask ∧ avail);
+//   - a binding memo keyed by the run-wide IDs of the (ECS,
+//     configuration) pair holding, per present-resource set, the
+//     solver outcome, with a monotone-dominance rule: a binding found
+//     feasible under a resource set stays feasible under any superset
+//     (extra resources only add present vertices and links, and the
+//     timing tests depend only on the binding itself), so it is
+//     replayed — and verified with bind.Check — instead of rerun; an
+//     ECS proven infeasible on a resource superset (by an untruncated
+//     search) is skipped on any subset.
 //
 // The feasible-superset replay is gated on Options.MaxBindNodes == 0:
 // a truncated search is not monotone (a larger search space can
@@ -40,9 +43,12 @@ import (
 // same inputs — are reused, and infeasible-by-truncation outcomes are
 // never used as dominance proofs.
 //
-// On top of the caches, the evaluator keeps cluster/activation/resource
-// sets as dense bitsets (internal/bitset) over per-run indexers instead
-// of map[hgraph.ID]bool, cutting the per-candidate allocation count.
+// An attempted candidate stays in index space: cluster, activation and
+// resource sets are dense bitsets (internal/bitset) over the run's
+// cluster indexers and the spec's resource index, and the bindings and architecture selections its
+// behaviours carry are the caches' own, shared read-only. Only a front
+// admitting the implementation copies them (owned), so the many
+// implementations no front keeps cost no map copies.
 //
 // All caches are sharded and mutex-striped, so one evaluator is shared
 // by the parallel explorer's workers; counters are atomics, folded into
@@ -62,12 +68,18 @@ type evaluator struct {
 	// tree is the problem's cluster hierarchy over sup.Clusters, on
 	// which the estimate evaluates Definition 4.
 	tree *flex.Indexed
+	// archClusters indexes the architecture clusters; configs keys its
+	// lists by bitsets over it.
+	archClusters *bitset.Indexer[hgraph.ID]
 
-	flats *shardMap // ECS selection string -> *flatSlot
-	archs *shardMap // arch selection string -> *flatSlot
-	binds *shardMap // ECS key + "\x00" + arch key -> *bindMemo
-	ecss  *shardMap // supportable-set key -> *ecsSlot
-	views *shardMap // arch key + "\x00" + present key -> *viewSlot
+	flats    *shardMap[string, *flatSlot]   // ECS selection string
+	archs    *shardMap[string, *archConfig] // arch selection string
+	cfgLists *shardMap[string, *configList] // allocated-cluster set key
+	binds    *shardMap[uint64, *bindMemo]   // ECS ID << 32 | configuration ID
+	ecss     *shardMap[string, *ecsSlot]    // supportable-set key
+
+	nextECS    atomic.Uint32
+	nextConfig atomic.Uint32
 
 	base CacheStats // counters carried over from Options.Resume
 
@@ -92,11 +104,16 @@ func newEvaluator(s *spec.Spec, opts Options) *evaluator {
 	ev.sup = alloc.NewSupporter(s)
 	ev.units = ev.sup.Units
 	ev.tree = flex.NewIndexed(s.Problem, ev.sup.Clusters)
-	ev.flats = newShardMap()
-	ev.archs = newShardMap()
-	ev.binds = newShardMap()
-	ev.ecss = newShardMap()
-	ev.views = newShardMap()
+	var clusters []hgraph.ID
+	for _, c := range s.Arch.Clusters() {
+		clusters = append(clusters, c.ID)
+	}
+	ev.archClusters = bitset.NewIndexer(clusters)
+	ev.flats = newStringMap[*flatSlot]()
+	ev.archs = newStringMap[*archConfig]()
+	ev.cfgLists = newStringMap[*configList]()
+	ev.binds = newPairMap[*bindMemo]()
+	ev.ecss = newStringMap[*ecsSlot]()
 	if opts.Resume != nil {
 		ev.base = opts.Resume.Stats.Cache
 	}
@@ -172,53 +189,33 @@ func (ev *evaluator) flexOfBits(set bitset.Set) float64 {
 // computed by estimate (haveSup false when the caller has none, e.g.
 // the sampling explorers, which skip estimation); implement only reads
 // it during the call. The returned implementation keeps a itself, so
-// the caller hands over a map it no longer changes. Search effort is
-// added to stats, which must not be nil.
+// the caller hands over a map it no longer changes. Its behaviours
+// share their Binding and ArchSelection maps with the caches: they are
+// read-only until a front admits the implementation through owned.
+// Search effort is added to stats, which must not be nil.
 func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, stats *Stats) *Implementation {
 	if ev.legacy {
 		return Implement(ev.s, a, ev.opts, stats)
 	}
+	avail := ev.sup.AvailOf(a)
 	if haveSup {
 		ev.supportReused.Add(1)
 	} else {
-		sup = ev.sup.Supportable(ev.sup.AvailOf(a))
+		sup = ev.sup.Supportable(avail)
 	}
-	avail := ev.sup.AvailOf(a)
 	cix := ev.sup.Clusters
-	rix := ev.sup.Resources
 
 	feasible := bitset.New(cix.Len())
 	var behaviours []Behaviour
 
-	// Architecture configurations, through the interned flattenings.
-	type viewEntry struct {
-		av         *spec.ArchView
-		key        string
-		present    bitset.Set
-		presentKey string
+	// The architecture configurations of a's allocated clusters, and
+	// each one's view of a, built when a binding first needs it.
+	cfgs := ev.configs(a)
+	type view struct {
+		av  *spec.ArchView
+		key string
 	}
-	var views []viewEntry
-	a.EnumerateArchSelections(ev.s, func(sel hgraph.Selection) bool {
-		key := sel.String()
-		fg, ok := ev.archFlat(key, sel)
-		if !ok {
-			return true
-		}
-		present := bitset.New(rix.Len())
-		for _, v := range fg.Vertices {
-			if i, ok := rix.Index(v.ID); ok && avail.Has(i) {
-				present.Add(i)
-			}
-		}
-		presentKey := present.Key()
-		views = append(views, viewEntry{
-			av:         ev.viewFor(key+"\x00"+presentKey, fg, present, sel),
-			key:        key,
-			present:    present,
-			presentKey: presentKey,
-		})
-		return true
-	})
+	views := make([]view, len(cfgs))
 
 	tested := 0
 	maxECS := ev.opts.maxECS()
@@ -235,18 +232,23 @@ func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, 
 			continue
 		}
 		stats.ECSTested++
-		if !en.fpok {
+		if en.fp == nil {
 			if tested >= maxECS {
 				break
 			}
 			continue
 		}
-		for _, ve := range views {
-			b, ok := ev.bindFor(en.key, ve.key, ve.present, ve.presentKey, en.fp, ve.av, stats)
+		for j, c := range cfgs {
+			v := &views[j]
+			if v.av == nil {
+				v.av = c.links.View(c.sel, avail)
+				v.key = v.av.PresentSet().Key()
+			}
+			b, ok := ev.bindFor(en, c, v.av, v.key, stats)
 			if ok {
 				feasible.UnionWith(en.bits)
 				behaviours = append(behaviours, Behaviour{
-					ECS: en.e, ArchSelection: ve.av.Selection, Binding: b,
+					ECS: en.e, ArchSelection: c.sel, Binding: b,
 				})
 				break
 			}
@@ -286,14 +288,14 @@ func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, 
 
 // ecsEntry is one elementary cluster activation of a supportable set,
 // with everything the per-candidate loop needs precomputed: the
-// canonical selection key, the activated-cluster bitset, and the
-// interned problem flattening.
+// activated-cluster bitset, the interned problem flattening (nil when
+// the selection does not flatten) and its run-wide ID, which keys the
+// binding memo.
 type ecsEntry struct {
 	e    cover.ECS
-	key  string
+	id   uint32
 	bits bitset.Set
 	fp   *hgraph.FlatGraph
-	fpok bool
 }
 
 // ecsSlot interns the ECS enumeration of one supportable-cluster set.
@@ -309,21 +311,21 @@ type ecsSlot struct {
 // set instead of once per candidate. The entries are shared and must be
 // treated as read-only.
 func (ev *evaluator) ecsList(sup bitset.Set) []ecsEntry {
-	v, _ := ev.ecss.getOrCreate(sup.Key(), func() any { return &ecsSlot{} })
-	slot := v.(*ecsSlot)
+	slot, _ := ev.ecss.getOrCreate(sup.Key(), func() *ecsSlot { return &ecsSlot{} })
 	slot.once.Do(func() {
 		cix := ev.sup.Clusters
 		cover.EnumerateFunc(ev.s.Problem, func(id hgraph.ID) bool {
 			i, ok := cix.Index(id)
 			return ok && sup.Has(i)
 		}, func(e cover.ECS) bool {
-			en := ecsEntry{e: e, key: e.Selection.String(), bits: bitset.New(cix.Len())}
+			en := ecsEntry{e: e, bits: bitset.New(cix.Len())}
 			for _, c := range e.Clusters {
 				if i, ok := cix.Index(c); ok {
 					en.bits.Add(i)
 				}
 			}
-			en.fp, en.fpok = ev.flatProblem(en.key, e.Selection)
+			fs := ev.flatProblem(e.Selection)
+			en.id, en.fp = fs.id, fs.fg
 			slot.list = append(slot.list, en)
 			return true
 		})
@@ -331,89 +333,121 @@ func (ev *evaluator) ecsList(sup bitset.Set) []ecsEntry {
 	return slot.list
 }
 
-// viewSlot interns one architecture view.
-type viewSlot struct {
-	once sync.Once
-	av   *spec.ArchView
-}
-
-// viewFor returns the interned architecture view for an (architecture
-// selection, present-resource set) pair. Distinct allocations frequently
-// induce the same present set on a given flattening — resources outside
-// the selected design do not change the view — so the adjacency build
-// is shared across them.
-func (ev *evaluator) viewFor(key string, fg *hgraph.FlatGraph, present bitset.Set, sel hgraph.Selection) *spec.ArchView {
-	v, _ := ev.views.getOrCreate(key, func() any { return &viewSlot{} })
-	slot := v.(*viewSlot)
-	slot.once.Do(func() {
-		rix := ev.sup.Resources
-		slot.av = ev.s.ArchViewFromFlat(fg, func(id hgraph.ID) bool {
-			i, ok := rix.Index(id)
-			return ok && present.Has(i)
-		}, sel)
-	})
-	return slot.av
-}
-
-// flatSlot interns one flattening; the Once gives single-flight
-// construction under concurrent lookups.
+// flatSlot interns one problem flattening under a run-wide ID; the
+// Once gives single-flight construction under concurrent lookups. fg
+// is nil when the selection does not flatten.
 type flatSlot struct {
 	once sync.Once
+	id   uint32
 	fg   *hgraph.FlatGraph
-	ok   bool
 }
 
 // flatProblem returns the interned problem flattening for an ECS
 // selection, flattening (and precomputing adjacency, for concurrent
 // readers) on first use.
-func (ev *evaluator) flatProblem(key string, sel hgraph.Selection) (*hgraph.FlatGraph, bool) {
-	v, created := ev.flats.getOrCreate(key, func() any { return &flatSlot{} })
+func (ev *evaluator) flatProblem(sel hgraph.Selection) *flatSlot {
+	slot, created := ev.flats.getOrCreate(sel.String(), func() *flatSlot {
+		return &flatSlot{id: ev.nextECS.Add(1)}
+	})
 	if created {
 		ev.flattenMisses.Add(1)
 	} else {
 		ev.flattenHits.Add(1)
 	}
-	slot := v.(*flatSlot)
 	slot.once.Do(func() {
 		if fg, err := ev.s.Problem.Flatten(sel); err == nil {
 			fg.Precompute()
-			slot.fg, slot.ok = fg, true
+			slot.fg = fg
 		}
 	})
-	return slot.fg, slot.ok
+	return slot
 }
 
-// archFlat returns the interned partial architecture flattening for an
-// architecture selection.
-func (ev *evaluator) archFlat(key string, sel hgraph.Selection) (*hgraph.FlatGraph, bool) {
-	v, created := ev.archs.getOrCreate(key, func() any { return &flatSlot{} })
+// archConfig is one interned architecture configuration: its cluster
+// selection, shared by every behaviour bound under it until a front
+// admits the behaviour, and its partial flattening's links, on which a
+// candidate's view costs one bitset. links is nil when the selection
+// does not flatten. id is run-wide and keys the binding memo.
+type archConfig struct {
+	once  sync.Once
+	id    uint32
+	sel   hgraph.Selection
+	links *spec.ArchLinks
+}
+
+// configList interns the architecture configurations of one set of
+// allocated architecture clusters, in EnumerateArchSelections order.
+// n counts the selections enumerated, flattenable or not.
+type configList struct {
+	once sync.Once
+	list []*archConfig
+	n    int
+}
+
+// configs returns the interned architecture configurations of a. They
+// depend only on a's allocated clusters, so they are looked up by that
+// set as a bitset key and enumerated once per distinct set.
+func (ev *evaluator) configs(a spec.Allocation) []*archConfig {
+	set := bitset.New(ev.archClusters.Len())
+	for id := range a {
+		if i, ok := ev.archClusters.Index(id); ok {
+			set.Add(i)
+		}
+	}
+	l, _ := ev.cfgLists.getOrCreate(set.Key(), func() *configList { return &configList{} })
+	built := false
+	l.once.Do(func() {
+		built = true
+		a.EnumerateArchSelections(ev.s, func(sel hgraph.Selection) bool {
+			l.n++
+			if c := ev.archConfig(sel); c.links != nil {
+				l.list = append(l.list, c)
+			}
+			return true
+		})
+	})
+	if !built {
+		// Every configuration of the list is an architecture
+		// flattening not recomputed.
+		ev.archHits.Add(int64(l.n))
+	}
+	return l.list
+}
+
+// archConfig returns the interned configuration of an architecture
+// selection (which the caller may reuse: it is cloned on first use).
+func (ev *evaluator) archConfig(sel hgraph.Selection) *archConfig {
+	c, created := ev.archs.getOrCreate(sel.String(), func() *archConfig {
+		return &archConfig{id: ev.nextConfig.Add(1)}
+	})
 	if created {
 		ev.archMisses.Add(1)
 	} else {
 		ev.archHits.Add(1)
 	}
-	slot := v.(*flatSlot)
-	slot.once.Do(func() {
-		if fg, err := ev.s.Arch.FlattenPartial(sel); err == nil {
-			fg.Precompute()
-			slot.fg, slot.ok = fg, true
+	c.once.Do(func() {
+		c.sel = sel.Clone()
+		if fg, err := ev.s.Arch.FlattenPartial(c.sel); err == nil {
+			c.links = ev.s.LinksOf(fg)
 		}
 	})
-	return slot.fg, slot.ok
+	return c
 }
 
 // bindOutcome is one memoized solver verdict for a present-resource
-// set under a fixed (ECS, arch selection) pair.
+// set under a fixed (ECS, arch configuration) pair.
 type bindOutcome struct {
 	present bitset.Set
 	ok      bool
+	// binding is the solver's own map, shared read-only by every
+	// behaviour that replays it.
 	binding bind.Binding
 	// proof reports the infeasibility was established by an untruncated
 	// search and may therefore be used as a subset-dominance proof.
 	proof bool
 }
 
-// bindMemo collects the outcomes of one (ECS, arch selection) pair.
+// bindMemo collects the outcomes of one (ECS, arch configuration) pair.
 type bindMemo struct {
 	mu         sync.Mutex
 	exact      map[string]*bindOutcome
@@ -421,26 +455,25 @@ type bindMemo struct {
 	infeasible []*bindOutcome
 }
 
-// bindFor decides binding feasibility of the flattened ECS fp on the
-// view av through the memo: exact present-set recurrence replays the
-// stored verdict; a feasible binding under a subset is replayed and
-// verified under the present superset (unbounded solver only); an
-// infeasibility proven on a superset dominates the present subset.
-// Only on a miss does the solver run, and its outcome is stored.
-func (ev *evaluator) bindFor(ecsKey, archKey string, present bitset.Set, presentKey string, fp *hgraph.FlatGraph, av *spec.ArchView, stats *Stats) (bind.Binding, bool) {
-	v, _ := ev.binds.getOrCreate(ecsKey+"\x00"+archKey, func() any {
+// bindFor decides binding feasibility of the ECS en under configuration
+// c on the view av (whose present set has the key presentKey) through
+// the memo: exact present-set recurrence replays the stored verdict; a
+// feasible binding under a subset is replayed and verified under the
+// present superset (unbounded solver only); an infeasibility proven on
+// a superset dominates the present subset. Only on a miss does the
+// solver run, and its outcome is stored. The returned binding is the
+// memo's: read-only.
+func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, av *spec.ArchView, presentKey string, stats *Stats) (bind.Binding, bool) {
+	m, _ := ev.binds.getOrCreate(uint64(en.id)<<32|uint64(c.id), func() *bindMemo {
 		return &bindMemo{exact: map[string]*bindOutcome{}}
 	})
-	m := v.(*bindMemo)
+	present := av.PresentSet()
 
 	m.mu.Lock()
 	if o, ok := m.exact[presentKey]; ok {
 		m.mu.Unlock()
 		ev.bindExactHits.Add(1)
-		if o.ok {
-			return o.binding.Clone(), true
-		}
-		return nil, false
+		return o.binding, o.ok
 	}
 	for _, o := range m.infeasible {
 		if o.proof && present.SubsetOf(o.present) {
@@ -465,26 +498,22 @@ func (ev *evaluator) bindFor(ecsKey, archKey string, present bitset.Set, present
 		// Monotone dominance: the binding stays feasible when resources
 		// are only added. Verify anyway — Check is far cheaper than the
 		// solver — and fall back to a full solve if it ever disagrees.
-		if bind.Check(ev.s, fp, av, replay.binding, bopts) == nil {
+		if bind.Check(ev.s, en.fp, av, replay.binding, bopts) == nil {
 			ev.bindReplayHits.Add(1)
 			out := &bindOutcome{present: present, ok: true, binding: replay.binding}
 			m.mu.Lock()
 			m.exact[presentKey] = out
 			m.mu.Unlock()
-			return replay.binding.Clone(), true
+			return replay.binding, true
 		}
 	}
 
 	ev.bindMisses.Add(1)
 	stats.BindingRuns++
-	res, ok := bind.Find(ev.s, fp, av, bopts)
+	res, ok := bind.Find(ev.s, en.fp, av, bopts)
 	stats.BindingNodes += res.Nodes
-	out := &bindOutcome{present: present, ok: ok}
-	if ok {
-		// Store a private copy: the solver's map goes to the caller's
-		// Behaviour, the memo keeps its own.
-		out.binding = res.Binding.Clone()
-	} else {
+	out := &bindOutcome{present: present, ok: ok, binding: res.Binding}
+	if !ok {
 		out.proof = !res.Truncated
 	}
 	m.mu.Lock()
@@ -495,38 +524,46 @@ func (ev *evaluator) bindFor(ecsKey, archKey string, present bitset.Set, present
 		m.infeasible = append(m.infeasible, out)
 	}
 	m.mu.Unlock()
-	if ok {
-		return res.Binding, true
-	}
-	return nil, false
+	return res.Binding, ok
 }
 
-// shardMap is a mutex-striped string-keyed map shared by the parallel
-// explorer's workers; striping keeps contention off the hot path.
-type shardMap struct {
-	seed   maphash.Seed
-	shards [32]shard
+// shardMap is a mutex-striped map shared by the parallel explorer's
+// workers; striping keeps contention off the hot path.
+type shardMap[K comparable, V any] struct {
+	hash   func(K) uint64
+	shards [32]shard[K, V]
 }
 
-type shard struct {
+type shard[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[string]any
+	m  map[K]V
 }
 
-func newShardMap() *shardMap {
-	sm := &shardMap{seed: maphash.MakeSeed()}
+func newShardMap[K comparable, V any](hash func(K) uint64) *shardMap[K, V] {
+	sm := &shardMap[K, V]{hash: hash}
 	for i := range sm.shards {
-		sm.shards[i].m = map[string]any{}
+		sm.shards[i].m = map[K]V{}
 	}
 	return sm
+}
+
+// newStringMap returns a shardMap over string keys.
+func newStringMap[V any]() *shardMap[string, V] {
+	seed := maphash.MakeSeed()
+	return newShardMap[string, V](func(k string) uint64 { return maphash.String(seed, k) })
+}
+
+// newPairMap returns a shardMap over packed pairs of run-wide IDs.
+func newPairMap[V any]() *shardMap[uint64, V] {
+	return newShardMap[uint64, V](func(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 >> 32 })
 }
 
 // getOrCreate returns the value under key, creating it with mk while
 // holding only the shard's lock. The boolean reports creation (a cache
 // miss). mk must be cheap; expensive construction belongs behind a
 // sync.Once in the stored value.
-func (sm *shardMap) getOrCreate(key string, mk func() any) (any, bool) {
-	sh := &sm.shards[maphash.String(sm.seed, key)%uint64(len(sm.shards))]
+func (sm *shardMap[K, V]) getOrCreate(key K, mk func() V) (V, bool) {
+	sh := &sm.shards[sm.hash(key)%uint64(len(sm.shards))]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if v, ok := sh.m[key]; ok {

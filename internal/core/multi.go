@@ -191,7 +191,7 @@ func (f *multiFold) take(im *Implementation) (feasible, stop bool) {
 	for i, o := range f.objectives {
 		vec[i] = o.Eval(f.s, im)
 	}
-	f.front.Add(&pareto.Entry{Objectives: vec, Value: im})
+	admit(f.front, vec, im)
 	if im.Flexibility > f.fmax {
 		f.fmax = im.Flexibility
 	}

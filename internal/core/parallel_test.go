@@ -245,3 +245,27 @@ func BenchmarkExploreParallel(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkExploreExhaustiveSynthetic is the implement path's per-layer
+// number: the benchmark's exhaustive workload (synthetic model 1 with
+// four buses, every possible allocation implemented, useless buses
+// included) through ExploreParallel with 2 workers. Besides B/op and
+// allocs/op it reports the solver runs and the binding-memo replays of
+// one run.
+func BenchmarkExploreExhaustiveSynthetic(b *testing.B) {
+	p := models.DefaultSynthetic(1)
+	p.Buses = 4
+	s := models.Synthetic(p)
+	opts := Options{DisableFlexBound: true, IncludeUselessComm: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var r *Result
+	for i := 0; i < b.N; i++ {
+		r = ExploreParallel(s, opts, 2, 0)
+		if r.Reason != ReasonCompleted || len(r.Front) != 4 {
+			b.Fatalf("front of %d points (%s), want the 4-point front", len(r.Front), r.Reason)
+		}
+	}
+	b.ReportMetric(float64(r.Stats.BindingRuns), "bindruns/op")
+	b.ReportMetric(float64(r.Stats.Cache.BindReplayHits), "replays/op")
+}

@@ -32,6 +32,9 @@ type scan struct {
 	// counts.
 	possible atomic.Int64
 	lastEmit int
+	// snaps maps each implementation the front admitted to the copy
+	// Progress reports hand out, made at its first report.
+	snaps map[*Implementation]*Implementation
 	// rec and scratch are the inline evaluation's candidate record and
 	// scratch, reused for every candidate. The record lives here because
 	// bounder.prune takes it through an interface: a record local to the
@@ -133,10 +136,7 @@ func (f *boundFold) prune(_ *candRec, est float64) bool { return est <= f.fcur }
 func (f *boundFold) take(im *Implementation) (feasible, stop bool) {
 	if im != nil && im.Flexibility > f.floor {
 		feasible = true
-		if f.front.Add(&pareto.Entry{
-			Objectives: pareto.CostFlexObjectives(im.Cost, im.Flexibility),
-			Value:      im,
-		}) && im.Flexibility > f.fcur {
+		if admit(f.front, pareto.CostFlexObjectives(im.Cost, im.Flexibility), im) && im.Flexibility > f.fcur {
 			f.fcur = im.Flexibility
 		}
 	}
@@ -329,10 +329,30 @@ func (sc *scan) emit() {
 		Cursor:         sc.res.Cursor,
 		BestFlex:       sc.f.best(),
 		MaxFlexibility: sc.res.MaxFlexibility,
-		Front:          frontToImplementations(sc.front),
+		Front:          sc.snapshotFront(),
 		Stats:          sc.res.Stats,
 	})
 	sc.lastEmit = sc.res.Cursor
+}
+
+// snapshotFront returns the front for a Progress report: each
+// implementation's report copy, made once, so a consumer that changes
+// what it is handed cannot reach the run's result.
+func (sc *scan) snapshotFront() []*Implementation {
+	if sc.snaps == nil {
+		sc.snaps = map[*Implementation]*Implementation{}
+	}
+	var out []*Implementation
+	for _, e := range sc.front.Entries() {
+		im := e.Value.(*Implementation)
+		c := sc.snaps[im]
+		if c == nil {
+			c = owned(im)
+			sc.snaps[im] = c
+		}
+		out = append(out, c)
+	}
+	return out
 }
 
 func frontToImplementations(front *pareto.Front) []*Implementation {

@@ -19,6 +19,9 @@ package hgraph
 import (
 	"fmt"
 	"sort"
+	"sync"
+
+	"repro/internal/bitset"
 )
 
 // ID identifies a vertex, edge, interface or cluster. IDs must be unique
@@ -234,6 +237,9 @@ type index struct {
 	parentCluster map[ID]*Cluster
 	// owner maps a cluster ID to the interface it refines (nil for Root).
 	owner map[ID]*Interface
+	// leaves indexes Leaves(), built on first use.
+	leavesOnce sync.Once
+	leaves     *bitset.Indexer[ID]
 }
 
 func (g *Graph) buildIndex() {
@@ -318,6 +324,24 @@ func (g *Graph) Has(id ID) bool {
 	}
 	_, ok := ix.edges[id]
 	return ok
+}
+
+// LeafIndexer returns the dense index of the graph's leaves, in sorted
+// ID order. It is built once per graph state: a mutation (AddCluster,
+// RemoveCluster) discards it together with the rest of the lookup
+// index. Bitsets over it are how the exploration engine holds resource
+// sets of an architecture graph.
+func (g *Graph) LeafIndexer() *bitset.Indexer[ID] {
+	ix := g.ensureIndex()
+	ix.leavesOnce.Do(func() {
+		leaves := g.Leaves()
+		ids := make([]ID, len(leaves))
+		for i, v := range leaves {
+			ids[i] = v.ID
+		}
+		ix.leaves = bitset.NewIndexer(ids)
+	})
+	return ix.leaves
 }
 
 // Leaves returns the set of leaves V_l(G) of the hierarchical graph per

@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -206,101 +205,4 @@ func (a Allocation) EnumerateArchSelections(s *Spec, fn func(hgraph.Selection) b
 		return true
 	}
 	enumCluster(s.Arch.Root, func() bool { return fn(sel) })
-}
-
-// ArchView is the instantaneous architecture implied by an allocation
-// and one architecture configuration (cluster selection): the set of
-// present resources and their interconnection, used to decide
-// communication feasibility of bindings.
-type ArchView struct {
-	spec      *Spec
-	Selection hgraph.Selection
-	present   map[hgraph.ID]bool
-	adj       map[hgraph.ID]map[hgraph.ID]bool
-}
-
-// ArchViewFor constructs the architecture view for an allocation under
-// a given architecture configuration. Resources not covered by the
-// allocation are removed together with their links.
-func (s *Spec) ArchViewFor(a Allocation, archSel hgraph.Selection) (*ArchView, error) {
-	fg, err := s.Arch.FlattenPartial(archSel)
-	if err != nil {
-		return nil, fmt.Errorf("spec %q: flatten architecture: %w", s.Name, err)
-	}
-	avail := a.ResourceSet(s)
-	return s.ArchViewFromFlat(fg, func(id hgraph.ID) bool { return avail[id] }, archSel), nil
-}
-
-// ArchViewFromFlat builds the architecture view from an already
-// flattened architecture configuration, restricting it to the resources
-// for which avail holds. It lets callers that evaluate many allocations
-// under the same configuration (the exploration hot path) intern the
-// FlattenPartial result instead of recomputing it per candidate.
-func (s *Spec) ArchViewFromFlat(fg *hgraph.FlatGraph, avail func(hgraph.ID) bool, archSel hgraph.Selection) *ArchView {
-	present := map[hgraph.ID]bool{}
-	for _, v := range fg.Vertices {
-		if avail(v.ID) {
-			present[v.ID] = true
-		}
-	}
-	av := &ArchView{spec: s, Selection: archSel.Clone(), present: present,
-		adj: map[hgraph.ID]map[hgraph.ID]bool{}}
-	link := func(x, y hgraph.ID) {
-		if av.adj[x] == nil {
-			av.adj[x] = map[hgraph.ID]bool{}
-		}
-		av.adj[x][y] = true
-	}
-	for _, e := range fg.Edges {
-		if !present[e.From] || !present[e.To] {
-			continue
-		}
-		// Buses are bidirectional at this level of abstraction: the
-		// paper's feasibility rule only asks for an activated
-		// architecture link handling the communication.
-		link(e.From, e.To)
-		link(e.To, e.From)
-	}
-	return av
-}
-
-// Present reports whether a resource exists in this view.
-func (av *ArchView) Present(r hgraph.ID) bool { return av.present[r] }
-
-// PresentResources returns the resources of the view, sorted.
-func (av *ArchView) PresentResources() []hgraph.ID {
-	out := make([]hgraph.ID, 0, len(av.present))
-	for id := range av.present {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Adjacent reports whether two present resources are directly linked.
-func (av *ArchView) Adjacent(r1, r2 hgraph.ID) bool { return av.adj[r1][r2] }
-
-// CanCommunicate implements the paper's binding feasibility rule 3 for
-// an edge of the problem graph whose endpoints are bound to r1 and r2:
-// either both operations share a resource, or an activated architecture
-// link handles the communication — a direct link, or a one-hop route
-// through an activated communication resource (bus vertex) connected to
-// both. (The Fig. 2 example — no bus between ASIC and FPGA — requires
-// exactly this notion.)
-func (av *ArchView) CanCommunicate(r1, r2 hgraph.ID) bool {
-	if r1 == r2 {
-		return av.present[r1]
-	}
-	if !av.present[r1] || !av.present[r2] {
-		return false
-	}
-	if av.adj[r1][r2] {
-		return true
-	}
-	for b := range av.adj[r1] {
-		if av.spec.IsComm(b) && av.adj[b][r2] {
-			return true
-		}
-	}
-	return false
 }

@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -226,7 +227,7 @@ func run() int {
 	case *compare:
 		return compareExplorers(ctx, s, opts)
 	case *verify:
-		return verifyFront(ctx, s, opts)
+		return verifyFront(ctx, os.Stdout, s, opts)
 	case *family:
 		r := core.ExploreContext(ctx, s, opts)
 		fmt.Print(core.AnalyzeFamily(s, r.Front))
@@ -356,9 +357,11 @@ func compareExplorers(ctx context.Context, s *spec.Spec, opts core.Options) int 
 // its behaviours with the independent validators: binding feasibility
 // rules, a constructed static schedule, and the hierarchical activation
 // rules over a round-robin schedule of all behaviours. It also reports
-// the latency head-room an optimizing re-binding recovers.
-func verifyFront(ctx context.Context, s *spec.Spec, opts core.Options) int {
+// the latency head-room an optimizing re-binding recovers. Every check
+// applies the run's timing policy. The report goes to w.
+func verifyFront(ctx context.Context, w io.Writer, s *spec.Spec, opts core.Options) int {
 	opts.AllBehaviours = true
+	bopts := bind.Options{Timing: opts.Timing}
 	r := core.ExploreContext(ctx, s, opts)
 	failures := 0
 	for _, im := range r.Front {
@@ -367,29 +370,29 @@ func verifyFront(ctx context.Context, s *spec.Spec, opts core.Options) int {
 		for i, beh := range im.Behaviours {
 			fp, err := s.Problem.Flatten(beh.ECS.Selection)
 			if err != nil {
-				fmt.Println("FAIL flatten:", err)
+				fmt.Fprintln(w, "FAIL flatten:", err)
 				failures++
 				continue
 			}
 			av, err := s.ArchViewFor(im.Allocation, beh.ArchSelection)
 			if err != nil {
-				fmt.Println("FAIL arch view:", err)
+				fmt.Fprintln(w, "FAIL arch view:", err)
 				failures++
 				continue
 			}
-			if err := bind.Check(s, fp, av, beh.Binding, bind.Options{Timing: bind.TimingPaper}); err != nil {
-				fmt.Println("FAIL binding rules:", err)
+			if err := bind.Check(s, fp, av, beh.Binding, bopts); err != nil {
+				fmt.Fprintln(w, "FAIL binding rules:", err)
 				failures++
 			}
 			sch, err := listsched.Build(s, fp, beh.Binding)
 			if err != nil {
-				fmt.Println("FAIL schedule:", err)
+				fmt.Fprintln(w, "FAIL schedule:", err)
 				failures++
 			} else if err := listsched.Validate(s, fp, beh.Binding, sch); err != nil {
-				fmt.Println("FAIL schedule validation:", err)
+				fmt.Fprintln(w, "FAIL schedule validation:", err)
 				failures++
 			}
-			if best, ok := bind.FindMinLatency(s, fp, av, bind.Options{Timing: bind.TimingPaper}); ok {
+			if best, ok := bind.FindMinLatency(s, fp, av, bopts); ok {
 				saved += bind.TotalLatency(s, beh.Binding) - bind.TotalLatency(s, best.Binding)
 				optimal += bind.TotalLatency(s, best.Binding)
 			}
@@ -401,17 +404,17 @@ func verifyFront(ctx context.Context, s *spec.Spec, opts core.Options) int {
 			})
 		}
 		sched := &activation.Schedule{Phases: phases}
-		if err := activation.CheckSchedule(s, im.Allocation, sched, bind.Options{Timing: bind.TimingPaper}); err != nil {
-			fmt.Println("FAIL activation rules:", err)
+		if err := activation.CheckSchedule(s, im.Allocation, sched, bopts); err != nil {
+			fmt.Fprintln(w, "FAIL activation rules:", err)
 			failures++
 		}
-		fmt.Printf("$%4.0f f=%-2g: %d behaviours verified; re-binding saves %4.0f ns total latency (optimum %4.0f)\n",
+		fmt.Fprintf(w, "$%4.0f f=%-2g: %d behaviours verified; re-binding saves %4.0f ns total latency (optimum %4.0f)\n",
 			im.Cost, im.Flexibility, len(im.Behaviours), saved, optimal)
 	}
 	if failures > 0 {
-		fmt.Printf("%d verification failures\n", failures)
+		fmt.Fprintf(w, "%d verification failures\n", failures)
 		return 1
 	}
-	fmt.Println("all implementations verified end to end")
+	fmt.Fprintln(w, "all implementations verified end to end")
 	return 0
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -38,6 +40,20 @@ func TestAllocAndClusterStrings(t *testing.T) {
 	}
 	if strings.Contains(cs, "yD,") || strings.Contains(cs, "yG,") {
 		t.Error("parent clusters must be omitted")
+	}
+}
+
+// TestVerifyFrontUsesRunTiming: -verify checks every front under the
+// run's timing policy. A front explored without timing holds bindings
+// the paper's 69% test rejects, so checking them under that test
+// reported false failures.
+func TestVerifyFrontUsesRunTiming(t *testing.T) {
+	for _, name := range []string{"paper", "none", "ll", "rta"} {
+		var out bytes.Buffer
+		code := verifyFront(context.Background(), &out, models.SetTopBox(), core.Options{Timing: timingPolicy(name)})
+		if code != 0 || strings.Contains(out.String(), "FAIL") {
+			t.Errorf("-timing %s: verifyFront = %d:\n%s", name, code, out.String())
+		}
 	}
 }
 

@@ -148,6 +148,10 @@ func (sp *Supporter) SupportableUnits(units []int, sc *SupportScratch) bitset.Se
 	return sc.out
 }
 
+// Avail returns the resource closure of sc's last unit-index query (a
+// set over Resources). It is sc's own, valid until sc's next query.
+func (sc *SupportScratch) Avail() bitset.Set { return sc.avail }
+
 // possibleUnits is the possibility test (rule 4: root supportability)
 // for the unit-index set. Testing only the root skips the marking pass
 // SupportableUnits adds on top.

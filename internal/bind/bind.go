@@ -13,6 +13,7 @@ package bind
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/hgraph"
@@ -133,164 +134,54 @@ type Result struct {
 // Find searches for a feasible timed binding of the flattened problem
 // graph fp onto the architecture view av. It returns the result and
 // whether a feasible binding exists. Processes without any mapping edge
-// to a present resource make the instance trivially infeasible.
+// to a present resource make the instance trivially infeasible. It is
+// Problem.Solve behind the map form; callers binding one flattening
+// repeatedly should Prepare it once.
 func Find(s *spec.Spec, fp *hgraph.FlatGraph, av *spec.ArchView, opts Options) (*Result, bool) {
-	res := &Result{}
-	n := len(fp.Vertices)
-	procs := make([]hgraph.ID, n)
-	cands := make([][]hgraph.ID, n)
-	pos := map[hgraph.ID]int{}
-	for i, v := range fp.Vertices {
-		procs[i] = v.ID
-		pos[v.ID] = i
-		for _, m := range s.MappingsFor(v.ID) {
-			if av.Present(m.Resource) {
-				cands[i] = append(cands[i], m.Resource)
-			}
-		}
-		if len(cands[i]) == 0 {
-			return res, false
-		}
+	p := Prepare(s, fp)
+	var sc Scratch
+	r, ok := p.Solve(av, opts, &sc)
+	res := &Result{Nodes: r.Nodes, Truncated: r.Truncated}
+	if ok {
+		res.Binding = p.Binding(r.Binding)
 	}
-	// MRV: bind the most constrained processes first (stable order for
-	// determinism).
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if len(cands[order[a]]) != len(cands[order[b]]) {
-			return len(cands[order[a]]) < len(cands[order[b]])
-		}
-		return procs[order[a]] < procs[order[b]]
-	})
-
-	// adjacency of the flat problem graph in index space
-	adj := make([][]int, n)
-	for _, e := range fp.Edges {
-		i, j := pos[e.From], pos[e.To]
-		adj[i] = append(adj[i], j)
-		adj[j] = append(adj[j], i)
-	}
-
-	assigned := make([]hgraph.ID, n) // "" = unassigned
-	// tasksOn accumulates the timed load per resource.
-	tasksOn := map[hgraph.ID][]sched.Task{}
-
-	var solve func(k int) bool
-	solve = func(k int) bool {
-		if k == n {
-			return true
-		}
-		idx := order[k]
-		p := procs[idx]
-		period := s.Period(p)
-		for _, r := range cands[idx] {
-			if opts.MaxNodes > 0 && res.Nodes >= opts.MaxNodes {
-				res.Truncated = true
-				return false
-			}
-			res.Nodes++
-			// Communication feasibility against already-bound neighbours.
-			ok := true
-			for _, nb := range adj[idx] {
-				if assigned[nb] != "" && !av.CanCommunicate(r, assigned[nb]) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			// Timing feasibility of the partial load on r. All policies
-			// are monotone in the task set, so pruning is sound.
-			var saved []sched.Task
-			if period > 0 {
-				m := s.Mapping(p, r)
-				saved = tasksOn[r]
-				tasksOn[r] = append(saved, sched.Task{ID: string(p), WCET: m.Latency, Period: period})
-				if !opts.Timing.test(tasksOn[r]) {
-					tasksOn[r] = saved
-					continue
-				}
-			}
-			assigned[idx] = r
-			if solve(k + 1) {
-				return true
-			}
-			assigned[idx] = ""
-			if period > 0 {
-				tasksOn[r] = saved
-			}
-		}
-		return false
-	}
-	if !solve(0) {
-		return res, false
-	}
-	res.Binding = Binding{}
-	for i, r := range assigned {
-		res.Binding[procs[i]] = r
-	}
-	return res, true
+	return res, ok
 }
 
 // Check verifies a complete binding against the paper's feasibility
 // rules and the timing policy; it reports the first violation found.
 // It is the library's independent validator (the solver constructs only
-// bindings that pass it).
+// bindings that pass it), and Problem.Verify behind the map form.
 func Check(s *spec.Spec, fp *hgraph.FlatGraph, av *spec.ArchView, b Binding, opts Options) error {
+	p := Prepare(s, fp)
+	bi := make([]int32, len(p.leaves))
 	// Rule 2: each activated leaf has exactly one activated mapping edge.
-	for _, v := range fp.Vertices {
-		r, ok := b[v.ID]
+	for i, l := range p.leaves {
+		r, ok := b[l.id]
 		if !ok {
-			return fmt.Errorf("bind: process %q unbound", v.ID)
+			bi[i] = -1
+		} else if ri, ok := p.res.Index(r); ok {
+			bi[i] = int32(ri)
+		} else {
+			return fmt.Errorf("bind: no mapping edge %q=>%q", l.id, r)
 		}
-		if s.Mapping(v.ID, r) == nil {
-			return fmt.Errorf("bind: no mapping edge %q=>%q", v.ID, r)
-		}
-		if !av.Present(r) {
-			return fmt.Errorf("bind: resource %q not activated", r)
-		}
-	}
-	for p := range b {
-		if fp.VertexByID(p) == nil {
-			return fmt.Errorf("bind: binding for inactive process %q", p)
+		if err := p.leafErr(av, i, bi[i]); err != nil {
+			return err
 		}
 	}
-	// Rule 3: every dependence is handled.
-	for _, e := range fp.Edges {
-		if !av.CanCommunicate(b[e.From], b[e.To]) {
-			return fmt.Errorf("bind: dependence %s->%s unroutable between %q and %q",
-				e.From, e.To, b[e.From], b[e.To])
+	if len(b) > len(p.leaves) {
+		// Every leaf is bound, so some key is no leaf; name the smallest,
+		// so the message does not depend on map order.
+		var extra []hgraph.ID
+		for id := range b {
+			if _, ok := p.pos[id]; !ok {
+				extra = append(extra, id)
+			}
 		}
+		return fmt.Errorf("bind: binding for inactive process %q", slices.Min(extra))
 	}
-	// Timing.
-	tasksOn := map[hgraph.ID][]sched.Task{}
-	for _, v := range fp.Vertices {
-		period := s.Period(v.ID)
-		if period <= 0 {
-			continue
-		}
-		r := b[v.ID]
-		m := s.Mapping(v.ID, r)
-		tasksOn[r] = append(tasksOn[r], sched.Task{ID: string(v.ID), WCET: m.Latency, Period: period})
-	}
-	// Test the resources in first-bound order, following fp.Vertices,
-	// so the violation reported does not depend on map order.
-	for _, v := range fp.Vertices {
-		r := b[v.ID]
-		tasks, ok := tasksOn[r]
-		if !ok {
-			continue
-		}
-		if !opts.Timing.test(tasks) {
-			return fmt.Errorf("bind: resource %q fails timing policy %v (utilization %.3f)",
-				r, opts.Timing, sched.Utilization(tasks))
-		}
-		delete(tasksOn, r)
-	}
-	return nil
+	var sc Scratch
+	return p.verifyLinks(av, bi, opts, &sc)
 }
 
 // TotalLatency sums the mapped execution latencies of a binding — a

@@ -2,7 +2,6 @@ package bind
 
 import (
 	"repro/internal/hgraph"
-	"repro/internal/sched"
 	"repro/internal/spec"
 )
 
@@ -16,125 +15,14 @@ import (
 // The search is branch-and-bound over the same constraint model as
 // Find; the lower bound adds each unassigned process's cheapest
 // candidate latency. It returns the optimum (nil Binding if
-// infeasible).
+// infeasible). It is Problem.MinLatency behind the map form.
 func FindMinLatency(s *spec.Spec, fp *hgraph.FlatGraph, av *spec.ArchView, opts Options) (*Result, bool) {
-	res := &Result{}
-	n := len(fp.Vertices)
-	procs := make([]hgraph.ID, n)
-	cands := make([][]hgraph.ID, n)
-	lats := make([][]float64, n)
-	minLat := make([]float64, n)
-	pos := map[hgraph.ID]int{}
-	for i, v := range fp.Vertices {
-		procs[i] = v.ID
-		pos[v.ID] = i
-		for _, m := range s.MappingsFor(v.ID) {
-			if av.Present(m.Resource) {
-				cands[i] = append(cands[i], m.Resource)
-				lats[i] = append(lats[i], m.Latency)
-			}
-		}
-		if len(cands[i]) == 0 {
-			return res, false
-		}
-		minLat[i] = lats[i][0]
-		for _, l := range lats[i] {
-			if l < minLat[i] {
-				minLat[i] = l
-			}
-		}
+	p := Prepare(s, fp)
+	var sc Scratch
+	r, ok := p.MinLatency(av, opts, &sc)
+	res := &Result{Nodes: r.Nodes, Truncated: r.Truncated}
+	if ok {
+		res.Binding = p.Binding(r.Binding)
 	}
-	order := mrvOrder(procs, cands)
-	// Suffix sums of minimal latencies along the search order.
-	suffix := make([]float64, n+1)
-	for k := n - 1; k >= 0; k-- {
-		suffix[k] = suffix[k+1] + minLat[order[k]]
-	}
-	adj := make([][]int, n)
-	for _, e := range fp.Edges {
-		i, j := pos[e.From], pos[e.To]
-		adj[i] = append(adj[i], j)
-		adj[j] = append(adj[j], i)
-	}
-
-	assigned := make([]hgraph.ID, n)
-	tasksOn := map[hgraph.ID][]sched.Task{}
-	bestCost := -1.0
-	var best Binding
-
-	var solve func(k int, acc float64)
-	solve = func(k int, acc float64) {
-		if bestCost >= 0 && acc+suffix[k] >= bestCost {
-			return // bound
-		}
-		if k == n {
-			bestCost = acc
-			best = Binding{}
-			for i, r := range assigned {
-				best[procs[i]] = r
-			}
-			return
-		}
-		idx := order[k]
-		p := procs[idx]
-		period := s.Period(p)
-		for ci, r := range cands[idx] {
-			if opts.MaxNodes > 0 && res.Nodes >= opts.MaxNodes {
-				res.Truncated = true
-				return
-			}
-			res.Nodes++
-			ok := true
-			for _, nb := range adj[idx] {
-				if assigned[nb] != "" && !av.CanCommunicate(r, assigned[nb]) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			var saved []sched.Task
-			if period > 0 {
-				saved = tasksOn[r]
-				tasksOn[r] = append(saved, sched.Task{ID: string(p), WCET: lats[idx][ci], Period: period})
-				if !opts.Timing.test(tasksOn[r]) {
-					tasksOn[r] = saved
-					continue
-				}
-			}
-			assigned[idx] = r
-			solve(k+1, acc+lats[idx][ci])
-			assigned[idx] = ""
-			if period > 0 {
-				tasksOn[r] = saved
-			}
-		}
-	}
-	solve(0, 0)
-	if best == nil {
-		return res, false
-	}
-	res.Binding = best
-	return res, true
-}
-
-func mrvOrder(procs []hgraph.ID, cands [][]hgraph.ID) []int {
-	order := make([]int, len(procs))
-	for i := range order {
-		order[i] = i
-	}
-	// Most-constrained first, stable on IDs for determinism.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if len(cands[a]) > len(cands[b]) ||
-				(len(cands[a]) == len(cands[b]) && procs[a] > procs[b]) {
-				order[j-1], order[j] = order[j], order[j-1]
-			} else {
-				break
-			}
-		}
-	}
-	return order
+	return res, ok
 }

@@ -178,6 +178,16 @@ func (s Set) Clone() Set {
 	return c
 }
 
+// CopyFrom makes s an independent copy of t, reusing s's words when
+// they are enough.
+func (s *Set) CopyFrom(t Set) {
+	if cap(s.w) < len(t.w) {
+		s.w = make([]uint64, len(t.w))
+	}
+	s.w = s.w[:len(t.w)]
+	copy(s.w, t.w)
+}
+
 // ForEach calls fn for every element in ascending index order until fn
 // returns false.
 func (s Set) ForEach(fn func(i int) bool) {
@@ -195,12 +205,16 @@ func (s Set) ForEach(fn func(i int) bool) {
 // Key returns the set's content as a compact string usable as a map
 // key: sets that Equal (over the same sized range) share the key. The
 // string is raw words, not printable; use String for debugging.
-func (s Set) Key() string {
+func (s Set) Key() string { return string(s.KeyBytes()) }
+
+// KeyBytes returns Key's bytes without copying them: they alias the
+// set's words and change with the set. Looking a map up with
+// m[string(s.KeyBytes())] allocates nothing.
+func (s Set) KeyBytes() []byte {
 	if len(s.w) == 0 {
-		return ""
+		return nil
 	}
-	b := unsafe.Slice((*byte)(unsafe.Pointer(&s.w[0])), len(s.w)*8)
-	return string(b)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s.w[0])), len(s.w)*8)
 }
 
 // String renders the member indices, e.g. "{1 5 9}".

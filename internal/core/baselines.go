@@ -49,6 +49,8 @@ func RandomSearchContext(ctx context.Context, s *spec.Spec, opts Options, iters 
 	res.Stats.DesignSpace = res.Stats.AllocSpace * alloc.SearchSpace(pc)
 	front := &pareto.Front{}
 	seen := map[string]bool{}
+	w := ev.evalScratch()
+	var idx []int
 	for i := 0; i < iters; i++ {
 		if ctx.Err() != nil {
 			res.Interrupted, res.Reason = true, reasonFor(ctx)
@@ -56,9 +58,11 @@ func RandomSearchContext(ctx context.Context, s *spec.Spec, opts Options, iters 
 		}
 		res.Cursor = i + 1
 		a := spec.Allocation{}
-		for _, u := range units {
+		idx = idx[:0]
+		for k, u := range units {
 			if rng.Intn(2) == 0 {
 				a[u.ID] = true
+				idx = append(idx, k)
 			}
 		}
 		res.Stats.Scanned++
@@ -72,9 +76,10 @@ func RandomSearchContext(ctx context.Context, s *spec.Spec, opts Options, iters 
 		}
 		res.Stats.PossibleAllocations++
 		res.Stats.Attempted++
-		if im := ev.implement(a, bitset.Set{}, false, &res.Stats); im != nil {
+		r := candRec{units: idx, a: a}
+		if r.att = ev.implement(idx, bitset.Set{}, false, &w, &res.Stats); r.att.ok {
 			res.Stats.Feasible++
-			admit(front, pareto.CostFlexObjectives(im.Cost, im.Flexibility), im)
+			ev.admit(front, pareto.CostFlexObjectives(r.att.cost, r.att.flex), &r)
 		}
 	}
 	ev.fold(&res.Stats)
@@ -141,17 +146,17 @@ func EvolutionaryContext(ctx context.Context, s *spec.Spec, opts Options, cfg EA
 	type genome []bool
 	cache := map[string][2]float64{} // allocation -> (cost, flex); flex<0 = infeasible
 
-	toAlloc := func(g genome) spec.Allocation {
+	w := ev.evalScratch()
+	var idx []int
+	evaluate := func(g genome) (cost, f float64) {
 		a := spec.Allocation{}
+		idx = idx[:0]
 		for i, on := range g {
 			if on {
 				a[units[i].ID] = true
+				idx = append(idx, i)
 			}
 		}
-		return a
-	}
-	evaluate := func(g genome) (cost, f float64) {
-		a := toAlloc(g)
 		key := a.String()
 		if v, ok := cache[key]; ok {
 			return v[0], v[1]
@@ -162,10 +167,11 @@ func EvolutionaryContext(ctx context.Context, s *spec.Spec, opts Options, cfg EA
 		if alloc.Possible(s, a) {
 			res.Stats.PossibleAllocations++
 			res.Stats.Attempted++
-			if im := ev.implement(a, bitset.Set{}, false, &res.Stats); im != nil {
+			r := candRec{units: idx, a: a}
+			if r.att = ev.implement(idx, bitset.Set{}, false, &w, &res.Stats); r.att.ok {
 				res.Stats.Feasible++
-				f = im.Flexibility
-				admit(front, pareto.CostFlexObjectives(im.Cost, im.Flexibility), im)
+				f = r.att.flex
+				ev.admit(front, pareto.CostFlexObjectives(r.att.cost, r.att.flex), &r)
 			}
 		}
 		cache[key] = [2]float64{cost, f}

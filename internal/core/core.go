@@ -20,7 +20,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/flex"
 	"repro/internal/hgraph"
-	"repro/internal/pareto"
 	"repro/internal/spec"
 )
 
@@ -47,10 +46,10 @@ type Implementation struct {
 
 // owned returns a copy of im whose behaviours hold private Binding and
 // ArchSelection maps; behaviours with equal architecture selections
-// share one copy. The cached evaluator's implementations share both
-// maps with its caches until a front admits them (admit), and Progress
+// share one copy. A front admitting a ready implementation (the
+// uncached path, a Resume front) stores an owned copy, and Progress
 // reports hand out owned copies too, so nothing a caller is handed
-// aliases the caches, another implementation, or the run's result.
+// aliases another implementation or the run's result.
 func owned(im *Implementation) *Implementation {
 	c := *im
 	c.Behaviours = make([]Behaviour, len(im.Behaviours))
@@ -69,17 +68,6 @@ func owned(im *Implementation) *Implementation {
 		c.Behaviours[i] = b
 	}
 	return &c
-}
-
-// admit adds im to front under the objective vector and reports whether
-// the front kept it; a kept implementation is stored as an owned copy.
-func admit(front *pareto.Front, objectives []float64, im *Implementation) bool {
-	e := &pareto.Entry{Objectives: objectives, Value: im}
-	if !front.Add(e) {
-		return false
-	}
-	e.Value = owned(im)
-	return true
 }
 
 // ClusterString renders the implemented clusters (root omitted), e.g.

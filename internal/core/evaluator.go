@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/cover"
 	"repro/internal/flex"
 	"repro/internal/hgraph"
+	"repro/internal/pareto"
 	"repro/internal/spec"
 )
 
@@ -45,10 +48,14 @@ import (
 //
 // An attempted candidate stays in index space: cluster, activation and
 // resource sets are dense bitsets (internal/bitset) over the run's
-// cluster indexers and the spec's resource index, and the bindings and architecture selections its
-// behaviours carry are the caches' own, shared read-only. Only a front
-// admitting the implementation copies them (owned), so the many
-// implementations no front keeps cost no map copies.
+// cluster indexers and the spec's resource index, each interned
+// flattening is a prepared bind.Problem whose bindings are []int32
+// resource indices, and the attempt records only its cost, its
+// flexibility, its implemented cluster set and the (ECS, configuration,
+// memo outcome) picks behind it. Only a front admitting the attempt
+// builds the Implementation (materialise): the allocation map, the
+// cluster list and behaviours with private Binding and ArchSelection
+// maps. The many attempts no front keeps build no map at all.
 //
 // All caches are sharded and mutex-striped, so one evaluator is shared
 // by the parallel explorer's workers; counters are atomics, folded into
@@ -69,8 +76,15 @@ type evaluator struct {
 	// which the estimate evaluates Definition 4.
 	tree *flex.Indexed
 	// archClusters indexes the architecture clusters; configs keys its
-	// lists by bitsets over it.
+	// lists by bitsets over it. unitCluster holds per unit its index in
+	// archClusters (-1 for a leaf unit).
 	archClusters *bitset.Indexer[hgraph.ID]
+	unitCluster  []int
+	// unitTerms holds per unit the cost terms spec.Allocation.Cost adds
+	// for its ID, and unitRank the unit's position in ID order, so an
+	// attempt's cost is the same sum in the same order.
+	unitTerms [][]float64
+	unitRank  []int
 
 	flats    *shardMap[string, *flatSlot]   // ECS selection string
 	archs    *shardMap[string, *archConfig] // arch selection string
@@ -109,6 +123,22 @@ func newEvaluator(s *spec.Spec, opts Options) *evaluator {
 		clusters = append(clusters, c.ID)
 	}
 	ev.archClusters = bitset.NewIndexer(clusters)
+	ev.unitCluster = make([]int, len(ev.units))
+	ev.unitTerms = make([][]float64, len(ev.units))
+	ev.unitRank = make([]int, len(ev.units))
+	byID := make([]int, len(ev.units))
+	for k, u := range ev.units {
+		ev.unitCluster[k] = -1
+		if i, ok := ev.archClusters.Index(u.ID); ok {
+			ev.unitCluster[k] = i
+		}
+		ev.unitTerms[k] = costTerms(s, u.ID)
+		byID[k] = k
+	}
+	slices.SortFunc(byID, func(a, b int) int { return cmp.Compare(ev.units[a].ID, ev.units[b].ID) })
+	for rank, k := range byID {
+		ev.unitRank[k] = rank
+	}
 	ev.flats = newStringMap[*flatSlot]()
 	ev.archs = newStringMap[*archConfig]()
 	ev.cfgLists = newStringMap[*configList]()
@@ -154,6 +184,22 @@ func (ev *evaluator) newScratch() *alloc.SupportScratch {
 	return ev.sup.NewScratch()
 }
 
+// evalScratch returns the whole scratch of one evaluating goroutine:
+// the estimate's and the implementation's.
+func (ev *evaluator) evalScratch() scratch {
+	if ev.legacy {
+		return scratch{}
+	}
+	n := ev.sup.Clusters.Len()
+	return scratch{
+		sup:         ev.newScratch(),
+		feasible:    bitset.New(n),
+		implemented: bitset.New(n),
+		memo:        make([]int8, n),
+		archSet:     bitset.New(ev.archClusters.Len()),
+	}
+}
+
 // allocation returns candidate r's allocation map, building it from
 // r's unit indices on first use.
 func (ev *evaluator) allocation(r *candRec) spec.Allocation {
@@ -185,37 +231,104 @@ func (ev *evaluator) flexOfBits(set bitset.Set) float64 {
 	return ev.tree.Flexibility(set)
 }
 
-// implement is Implement through the caches. sup is the supportable set
-// computed by estimate (haveSup false when the caller has none, e.g.
-// the sampling explorers, which skip estimation); implement only reads
-// it during the call. The returned implementation keeps a itself, so
-// the caller hands over a map it no longer changes. Its behaviours
-// share their Binding and ArchSelection maps with the caches: they are
-// read-only until a front admits the implementation through owned.
-// Search effort is added to stats, which must not be nil.
-func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, stats *Stats) *Implementation {
-	if ev.legacy {
-		return Implement(ev.s, a, ev.opts, stats)
+// attempt is an attempted candidate's implementation. On the cached
+// path it stays in index space: the fold compares cost and flexibility,
+// and only admission builds the Implementation from the candidate's
+// record, the implemented cluster set and the kept picks (materialise).
+// A ready Implementation (the legacy path, a Resume front) rides in im
+// instead.
+type attempt struct {
+	// ok reports a positive flexibility: the candidate is feasible.
+	ok          bool
+	cost        float64
+	flex        float64
+	implemented bitset.Set
+	picks       []pick
+	im          *Implementation
+}
+
+// pick is one kept behaviour of an attempt: an ECS, the configuration
+// it was bound under, and the memo outcome holding the binding.
+type pick struct {
+	en  *ecsEntry
+	cfg *archConfig
+	out *bindOutcome
+}
+
+// readyAttempt wraps an implementation built elsewhere (nil when
+// infeasible).
+func readyAttempt(im *Implementation) attempt {
+	if im == nil {
+		return attempt{}
 	}
-	avail := ev.sup.AvailOf(a)
+	return attempt{ok: true, cost: im.Cost, flex: im.Flexibility, im: im}
+}
+
+// implement is Implement through the caches, for the candidate given
+// by its unit indices. sup is the supportable set computed by estimate
+// in w (haveSup false when the caller has none, e.g. the sampling
+// explorers, which skip estimation); implement only reads it during the
+// call, and reads the candidate's resource closure from the same
+// estimate scratch. Search effort is added to stats, which must not be
+// nil.
+func (ev *evaluator) implement(units []int, sup bitset.Set, haveSup bool, w *scratch, stats *Stats) attempt {
+	if ev.legacy {
+		return readyAttempt(Implement(ev.s, alloc.AllocationOf(ev.units, units), ev.opts, stats))
+	}
 	if haveSup {
 		ev.supportReused.Add(1)
 	} else {
-		sup = ev.sup.Supportable(avail)
+		sup = ev.sup.SupportableUnits(units, w.sup)
 	}
-	cix := ev.sup.Clusters
-
-	feasible := bitset.New(cix.Len())
-	var behaviours []Behaviour
-
-	// The architecture configurations of a's allocated clusters, and
-	// each one's view of a, built when a binding first needs it.
-	cfgs := ev.configs(a)
-	type view struct {
-		av  *spec.ArchView
-		key string
+	w.archSet.Clear()
+	for _, k := range units {
+		if i := ev.unitCluster[k]; i >= 0 {
+			w.archSet.Add(i)
+		}
 	}
-	views := make([]view, len(cfgs))
+	cfgs := ev.configList(w.archSet, func() spec.Allocation {
+		a := spec.Allocation{}
+		w.archSet.ForEach(func(i int) bool {
+			a[ev.archClusters.At(i)] = true
+			return true
+		})
+		return a
+	})
+	at := ev.bindAll(w.sup.Avail(), sup, cfgs, w, stats)
+	if at.ok {
+		at.cost = ev.unitsCost(units, w)
+	}
+	return at
+}
+
+// implementAllocation is implement for a candidate given as an
+// allocation map that need not consist of units (Upgrade's base). The
+// attempt is never admitted, so it carries no cost.
+func (ev *evaluator) implementAllocation(a spec.Allocation, w *scratch, stats *Stats) attempt {
+	if ev.legacy {
+		return readyAttempt(Implement(ev.s, a, ev.opts, stats))
+	}
+	avail := ev.sup.AvailOf(a)
+	return ev.bindAll(avail, ev.sup.Supportable(avail), ev.configs(a), w, stats)
+}
+
+// bindAll is the cached implementation construction: it tests the ECSs
+// of the supportable set sup on the configurations cfgs, viewed under
+// the resource closure avail, through the binding memo, and evaluates
+// the flexibility of the clusters feasible behaviours implement.
+func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scratch, stats *Stats) attempt {
+	feasible := w.feasible
+	feasible.Clear()
+	picks := w.picks[:0]
+	// Each configuration's view of the candidate, built when a binding
+	// first needs it.
+	if len(w.views) < len(cfgs) {
+		w.views = append(w.views, make([]viewSlot, len(cfgs)-len(w.views))...)
+	}
+	views := w.views[:len(cfgs)]
+	for j := range views {
+		views[j].built = false
+	}
 
 	tested := 0
 	maxECS := ev.opts.maxECS()
@@ -232,7 +345,7 @@ func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, 
 			continue
 		}
 		stats.ECSTested++
-		if en.fp == nil {
+		if en.prob == nil {
 			if tested >= maxECS {
 				break
 			}
@@ -240,16 +353,13 @@ func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, 
 		}
 		for j, c := range cfgs {
 			v := &views[j]
-			if v.av == nil {
-				v.av = c.links.View(c.sel, avail)
-				v.key = v.av.PresentSet().Key()
+			if !v.built {
+				c.links.ViewInto(&v.av, c.sel, avail)
+				v.built, v.keyed = true, false
 			}
-			b, ok := ev.bindFor(en, c, v.av, v.key, stats)
-			if ok {
+			if o, ok := ev.bindFor(en, c, v, w, stats); ok {
 				feasible.UnionWith(en.bits)
-				behaviours = append(behaviours, Behaviour{
-					ECS: en.e, ArchSelection: c.sel, Binding: b,
-				})
+				picks = append(picks, pick{en: en, cfg: c, out: o})
 				break
 			}
 		}
@@ -257,45 +367,117 @@ func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, 
 			break
 		}
 	}
+	w.picks = picks
 
-	implemented := flex.ActivatableSet(ev.s.Problem, feasible, cix)
+	implemented := w.implemented
+	ev.tree.Activatable(feasible, implemented, w.memo)
 	f := ev.flexOfBits(implemented)
 	if f <= 0 {
-		return nil
+		return attempt{}
 	}
-	clusters := cix.IDs(implemented)
-	kept := behaviours[:0]
-	for _, b := range behaviours {
-		all := true
-		for _, c := range b.ECS.Clusters {
-			if i, ok := cix.Index(c); !ok || !implemented.Has(i) {
-				all = false
+	// Keep only behaviours whose clusters survived normalization.
+	n := 0
+	for _, p := range picks {
+		if p.en.bits.SubsetOf(implemented) {
+			n++
+		}
+	}
+	kept := make([]pick, 0, n)
+	for _, p := range picks {
+		if p.en.bits.SubsetOf(implemented) {
+			kept = append(kept, p)
+		}
+	}
+	return attempt{ok: true, flex: f, implemented: implemented.Clone(), picks: kept}
+}
+
+// unitsCost is spec.Allocation.Cost of the candidate's allocation: the
+// same terms, summed in the same sorted-ID order, so the two agree to
+// the bit.
+func (ev *evaluator) unitsCost(units []int, w *scratch) float64 {
+	ids := append(w.ids[:0], units...)
+	slices.SortFunc(ids, func(a, b int) int { return ev.unitRank[a] - ev.unitRank[b] })
+	w.ids = ids
+	total := 0.0
+	for _, k := range ids {
+		for _, t := range ev.unitTerms[k] {
+			total += t
+		}
+	}
+	return total
+}
+
+// costTerms lists the terms spec.Allocation.Cost adds for element id:
+// a vertex's cost, or a cluster's own cost followed by its leaves'.
+func costTerms(s *spec.Spec, id hgraph.ID) []float64 {
+	if v := s.Arch.VertexByID(id); v != nil {
+		return []float64{v.Attrs.GetDefault(spec.AttrCost, 0)}
+	}
+	var terms []float64
+	if c := s.Arch.ClusterByID(id); c != nil {
+		terms = append(terms, c.Attrs.GetDefault(spec.AttrCost, 0))
+		for _, lv := range s.Arch.LeavesOf(c) {
+			terms = append(terms, lv.Attrs.GetDefault(spec.AttrCost, 0))
+		}
+	}
+	return terms
+}
+
+// materialise builds the Implementation of candidate r's attempt: the
+// allocation map (r's, when it has one), the cluster list, and
+// behaviours with fresh Binding maps and each configuration's
+// ArchSelection cloned once. A ready implementation is handed out as an
+// owned copy.
+func (ev *evaluator) materialise(r *candRec) *Implementation {
+	at := &r.att
+	if at.im != nil {
+		return owned(at.im)
+	}
+	im := &Implementation{
+		Allocation:  ev.allocation(r),
+		Cost:        at.cost,
+		Flexibility: at.flex,
+		Clusters:    ev.sup.Clusters.IDs(at.implemented),
+		Behaviours:  make([]Behaviour, len(at.picks)),
+	}
+	for i, p := range at.picks {
+		sel := hgraph.Selection(nil)
+		for j, prev := range at.picks[:i] {
+			if prev.cfg == p.cfg {
+				sel = im.Behaviours[j].ArchSelection
 				break
 			}
 		}
-		if all {
-			kept = append(kept, b)
+		if sel == nil {
+			sel = p.cfg.sel.Clone()
 		}
+		im.Behaviours[i] = Behaviour{ECS: p.en.e, ArchSelection: sel, Binding: p.en.prob.Binding(p.out.binding)}
 	}
-	return &Implementation{
-		Allocation:  a,
-		Cost:        a.Cost(ev.s),
-		Flexibility: f,
-		Clusters:    clusters,
-		Behaviours:  kept,
+	return im
+}
+
+// admit adds candidate r's attempt to front under the objective vector
+// and reports whether the front kept it; only a kept attempt is
+// materialised.
+func (ev *evaluator) admit(front *pareto.Front, objectives []float64, r *candRec) bool {
+	e := &pareto.Entry{Objectives: objectives}
+	if !front.Add(e) {
+		return false
 	}
+	e.Value = ev.materialise(r)
+	return true
 }
 
 // ecsEntry is one elementary cluster activation of a supportable set,
 // with everything the per-candidate loop needs precomputed: the
-// activated-cluster bitset, the interned problem flattening (nil when
-// the selection does not flatten) and its run-wide ID, which keys the
-// binding memo.
+// activated-cluster bitset, the interned problem flattening's prepared
+// binding problem (nil when the selection does not flatten) and its
+// run-wide ID, which keys the binding memo.
 type ecsEntry struct {
 	e    cover.ECS
 	id   uint32
 	bits bitset.Set
-	fp   *hgraph.FlatGraph
+	prob *bind.Problem
 }
 
 // ecsSlot interns the ECS enumeration of one supportable-cluster set.
@@ -311,7 +493,7 @@ type ecsSlot struct {
 // set instead of once per candidate. The entries are shared and must be
 // treated as read-only.
 func (ev *evaluator) ecsList(sup bitset.Set) []ecsEntry {
-	slot, _ := ev.ecss.getOrCreate(sup.Key(), func() *ecsSlot { return &ecsSlot{} })
+	slot, _ := getOrCreateBytes(ev.ecss, sup.KeyBytes(), func() *ecsSlot { return &ecsSlot{} })
 	slot.once.Do(func() {
 		cix := ev.sup.Clusters
 		cover.EnumerateFunc(ev.s.Problem, func(id hgraph.ID) bool {
@@ -325,7 +507,7 @@ func (ev *evaluator) ecsList(sup bitset.Set) []ecsEntry {
 				}
 			}
 			fs := ev.flatProblem(e.Selection)
-			en.id, en.fp = fs.id, fs.fg
+			en.id, en.prob = fs.id, fs.prob
 			slot.list = append(slot.list, en)
 			return true
 		})
@@ -333,18 +515,19 @@ func (ev *evaluator) ecsList(sup bitset.Set) []ecsEntry {
 	return slot.list
 }
 
-// flatSlot interns one problem flattening under a run-wide ID; the
-// Once gives single-flight construction under concurrent lookups. fg
-// is nil when the selection does not flatten.
+// flatSlot interns one problem flattening under a run-wide ID as its
+// prepared binding problem; the Once gives single-flight construction
+// under concurrent lookups. prob is nil when the selection does not
+// flatten. The slot lives on the evaluator, so a finished run retains
+// nothing on the spec.
 type flatSlot struct {
 	once sync.Once
 	id   uint32
-	fg   *hgraph.FlatGraph
+	prob *bind.Problem
 }
 
 // flatProblem returns the interned problem flattening for an ECS
-// selection, flattening (and precomputing adjacency, for concurrent
-// readers) on first use.
+// selection, flattening and preparing it on first use.
 func (ev *evaluator) flatProblem(sel hgraph.Selection) *flatSlot {
 	slot, created := ev.flats.getOrCreate(sel.String(), func() *flatSlot {
 		return &flatSlot{id: ev.nextECS.Add(1)}
@@ -356,8 +539,7 @@ func (ev *evaluator) flatProblem(sel hgraph.Selection) *flatSlot {
 	}
 	slot.once.Do(func() {
 		if fg, err := ev.s.Problem.Flatten(sel); err == nil {
-			fg.Precompute()
-			slot.fg = fg
+			slot.prob = bind.Prepare(ev.s, fg)
 		}
 	})
 	return slot
@@ -394,11 +576,19 @@ func (ev *evaluator) configs(a spec.Allocation) []*archConfig {
 			set.Add(i)
 		}
 	}
-	l, _ := ev.cfgLists.getOrCreate(set.Key(), func() *configList { return &configList{} })
+	return ev.configList(set, func() spec.Allocation { return a })
+}
+
+// configList returns the interned configurations of the allocated
+// architecture-cluster set, enumerating them on first use over the
+// allocation allocated returns (which must allocate exactly those
+// clusters).
+func (ev *evaluator) configList(set bitset.Set, allocated func() spec.Allocation) []*archConfig {
+	l, _ := getOrCreateBytes(ev.cfgLists, set.KeyBytes(), func() *configList { return &configList{} })
 	built := false
 	l.once.Do(func() {
 		built = true
-		a.EnumerateArchSelections(ev.s, func(sel hgraph.Selection) bool {
+		allocated().EnumerateArchSelections(ev.s, func(sel hgraph.Selection) bool {
 			l.n++
 			if c := ev.archConfig(sel); c.links != nil {
 				l.list = append(l.list, c)
@@ -439,9 +629,9 @@ func (ev *evaluator) archConfig(sel hgraph.Selection) *archConfig {
 type bindOutcome struct {
 	present bitset.Set
 	ok      bool
-	// binding is the solver's own map, shared read-only by every
-	// behaviour that replays it.
-	binding bind.Binding
+	// binding is the solver's, one resource index per leaf of the ECS's
+	// bind.Problem, shared read-only by every attempt that replays it.
+	binding []int32
 	// proof reports the infeasibility was established by an untruncated
 	// search and may therefore be used as a subset-dominance proof.
 	proof bool
@@ -455,25 +645,44 @@ type bindMemo struct {
 	infeasible []*bindOutcome
 }
 
+// viewSlot is one configuration's view of the candidate being
+// implemented, in per-goroutine scratch: the view (its present set
+// reused across candidates) and, once the memo stores under it, its
+// present set's key.
+type viewSlot struct {
+	av    spec.ArchView
+	built bool
+	keyed bool
+	key   string
+}
+
+// presentKey returns the key of the view's present set, made once.
+func (v *viewSlot) presentKey() string {
+	if !v.keyed {
+		v.key, v.keyed = v.av.PresentSet().Key(), true
+	}
+	return v.key
+}
+
 // bindFor decides binding feasibility of the ECS en under configuration
-// c on the view av (whose present set has the key presentKey) through
-// the memo: exact present-set recurrence replays the stored verdict; a
-// feasible binding under a subset is replayed and verified under the
-// present superset (unbounded solver only); an infeasibility proven on
-// a superset dominates the present subset. Only on a miss does the
-// solver run, and its outcome is stored. The returned binding is the
-// memo's: read-only.
-func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, av *spec.ArchView, presentKey string, stats *Stats) (bind.Binding, bool) {
+// c on the view v through the memo: exact present-set recurrence
+// replays the stored verdict; a feasible binding under a subset is
+// replayed and verified under the present superset (unbounded solver
+// only) and stored under the superset's key as is; an infeasibility
+// proven on a superset dominates the present subset. Only on a miss
+// does the solver run, in w's scratch, and its outcome is stored. The
+// returned outcome is the memo's: read-only. It is nil when infeasible.
+func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratch, stats *Stats) (*bindOutcome, bool) {
 	m, _ := ev.binds.getOrCreate(uint64(en.id)<<32|uint64(c.id), func() *bindMemo {
 		return &bindMemo{exact: map[string]*bindOutcome{}}
 	})
-	present := av.PresentSet()
+	present := v.av.PresentSet()
 
 	m.mu.Lock()
-	if o, ok := m.exact[presentKey]; ok {
+	if o, ok := m.exact[string(present.KeyBytes())]; ok {
 		m.mu.Unlock()
 		ev.bindExactHits.Add(1)
-		return o.binding, o.ok
+		return o, o.ok
 	}
 	for _, o := range m.infeasible {
 		if o.proof && present.SubsetOf(o.present) {
@@ -496,42 +705,49 @@ func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, av *spec.ArchView, pre
 	bopts := bind.Options{Timing: ev.opts.Timing, MaxNodes: ev.opts.MaxBindNodes}
 	if replay != nil {
 		// Monotone dominance: the binding stays feasible when resources
-		// are only added. Verify anyway — Check is far cheaper than the
+		// are only added. Verify anyway — Verify is far cheaper than the
 		// solver — and fall back to a full solve if it ever disagrees.
-		if bind.Check(ev.s, en.fp, av, replay.binding, bopts) == nil {
+		if en.prob.Verify(&v.av, replay.binding, bopts, &w.bind) == nil {
 			ev.bindReplayHits.Add(1)
-			out := &bindOutcome{present: present, ok: true, binding: replay.binding}
 			m.mu.Lock()
-			m.exact[presentKey] = out
+			m.exact[v.presentKey()] = replay
 			m.mu.Unlock()
-			return replay.binding, true
+			return replay, true
 		}
 	}
 
 	ev.bindMisses.Add(1)
 	stats.BindingRuns++
-	res, ok := bind.Find(ev.s, en.fp, av, bopts)
+	res, ok := en.prob.Solve(&v.av, bopts, &w.bind)
 	stats.BindingNodes += res.Nodes
-	out := &bindOutcome{present: present, ok: ok, binding: res.Binding}
-	if !ok {
+	out := &bindOutcome{present: present.Clone(), ok: ok}
+	if ok {
+		out.binding = slices.Clone(res.Binding)
+	} else {
 		out.proof = !res.Truncated
 	}
 	m.mu.Lock()
-	m.exact[presentKey] = out
+	m.exact[v.presentKey()] = out
 	if ok {
 		m.feasible = append(m.feasible, out)
 	} else if out.proof {
 		m.infeasible = append(m.infeasible, out)
 	}
 	m.mu.Unlock()
-	return res.Binding, ok
+	if !ok {
+		return nil, false
+	}
+	return out, true
 }
 
 // shardMap is a mutex-striped map shared by the parallel explorer's
 // workers; striping keeps contention off the hot path.
 type shardMap[K comparable, V any] struct {
-	hash   func(K) uint64
-	shards [32]shard[K, V]
+	hash func(K) uint64
+	// hashBytes hashes a string key given as bytes, like hash (string
+	// maps only; see getOrCreateBytes).
+	hashBytes func([]byte) uint64
+	shards    [32]shard[K, V]
 }
 
 type shard[K comparable, V any] struct {
@@ -550,7 +766,9 @@ func newShardMap[K comparable, V any](hash func(K) uint64) *shardMap[K, V] {
 // newStringMap returns a shardMap over string keys.
 func newStringMap[V any]() *shardMap[string, V] {
 	seed := maphash.MakeSeed()
-	return newShardMap[string, V](func(k string) uint64 { return maphash.String(seed, k) })
+	sm := newShardMap[string, V](func(k string) uint64 { return maphash.String(seed, k) })
+	sm.hashBytes = func(b []byte) uint64 { return maphash.Bytes(seed, b) }
+	return sm
 }
 
 // newPairMap returns a shardMap over packed pairs of run-wide IDs.
@@ -571,5 +789,20 @@ func (sm *shardMap[K, V]) getOrCreate(key K, mk func() V) (V, bool) {
 	}
 	v := mk()
 	sh.m[key] = v
+	return v, true
+}
+
+// getOrCreateBytes is getOrCreate on a string map with the key given as
+// bytes: a lookup that finds the key copies nothing, and only a created
+// entry copies the key into a string.
+func getOrCreateBytes[V any](sm *shardMap[string, V], key []byte, mk func() V) (V, bool) {
+	sh := &sm.shards[sm.hashBytes(key)%uint64(len(sm.shards))]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if v, ok := sh.m[string(key)]; ok {
+		return v, false
+	}
+	v := mk()
+	sh.m[string(key)] = v
 	return v, true
 }

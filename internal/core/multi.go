@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 
 	"repro/internal/bind"
 	"repro/internal/pareto"
@@ -23,6 +24,9 @@ type Objective struct {
 	// run's options (an upper bound on its implemented flexibility). A
 	// nil LowerBound contributes 0 (no pruning power).
 	LowerBound func(s *spec.Spec, a spec.Allocation, est float64) float64
+	// timed, if non-nil, returns the objective under a run's timing
+	// policy; ExploreMulti applies it to Options.Timing.
+	timed func(bind.TimingPolicy) Objective
 }
 
 // CostObjective minimizes the allocation cost.
@@ -58,8 +62,14 @@ func InvFlexibilityObjective() Objective {
 
 // MeanLatencyObjective minimizes the mean, over implemented behaviours,
 // of the latency-optimal total execution time — the refinement
-// criterion: a platform that is flexible *and* fast.
+// criterion: a platform that is flexible *and* fast. The latency-optimal
+// bindings obey the exploring run's timing policy (ExploreMulti applies
+// Options.Timing); a direct Eval call uses bind.TimingPaper.
 func MeanLatencyObjective() Objective {
+	return meanLatencyObjective(bind.TimingPaper)
+}
+
+func meanLatencyObjective(timing bind.TimingPolicy) Objective {
 	return Objective{
 		Name: "mean-latency",
 		Eval: func(s *spec.Spec, im *Implementation) float64 {
@@ -76,7 +86,7 @@ func MeanLatencyObjective() Objective {
 				if err != nil {
 					return math.Inf(1)
 				}
-				best, ok := bind.FindMinLatency(s, fp, av, bind.Options{Timing: bind.TimingPaper})
+				best, ok := bind.FindMinLatency(s, fp, av, bind.Options{Timing: timing})
 				if !ok {
 					return math.Inf(1)
 				}
@@ -84,6 +94,7 @@ func MeanLatencyObjective() Objective {
 			}
 			return total / float64(len(im.Behaviours))
 		},
+		timed: meanLatencyObjective,
 	}
 }
 
@@ -146,6 +157,12 @@ func ExploreMultiContext(ctx context.Context, s *spec.Spec, opts Options, object
 	if len(objectives) == 0 {
 		objectives = []Objective{CostObjective(), InvFlexibilityObjective()}
 	}
+	objectives = slices.Clone(objectives)
+	for i, o := range objectives {
+		if o.timed != nil {
+			objectives[i] = o.timed(opts.Timing)
+		}
+	}
 	sc := newScan(ctx, s, opts)
 	f := &multiFold{s: s, ev: sc.ev, objectives: objectives, front: sc.front, lb: make([]float64, len(objectives))}
 	r := sc.run(f, sc.candidates, 1, 0)
@@ -183,15 +200,18 @@ func (f *multiFold) prune(r *candRec, est float64) bool {
 	return f.front.DominatesPoint(f.lb)
 }
 
-func (f *multiFold) take(im *Implementation) (feasible, stop bool) {
-	if im == nil {
+func (f *multiFold) take(r *candRec) (feasible, stop bool) {
+	if !r.att.ok {
 		return false, false
 	}
+	// The objectives read the implementation, behaviours included, so
+	// every feasible attempt is materialised before the front sees it.
+	im := f.ev.materialise(r)
 	vec := make([]float64, len(f.objectives))
 	for i, o := range f.objectives {
 		vec[i] = o.Eval(f.s, im)
 	}
-	admit(f.front, vec, im)
+	f.front.Add(&pareto.Entry{Objectives: vec, Value: im})
 	if im.Flexibility > f.fmax {
 		f.fmax = im.Flexibility
 	}

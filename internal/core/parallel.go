@@ -155,7 +155,7 @@ func (sc *scan) startPool(workers, queue int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := worker{scratch: scratch{sup: sc.ev.newScratch()}}
+			w := worker{scratch: sc.ev.evalScratch()}
 			for b := range p.jobs {
 				p.evaluate(b, &w)
 				p.results <- b
@@ -323,8 +323,8 @@ func (p *pipeline) evaluate(b *pipeBatch, w *worker) {
 		if !r.evaluated() {
 			return
 		}
-		if r.impl != nil && r.impl.Flexibility > w.bound {
-			w.bound = r.impl.Flexibility
+		if r.att.ok && r.att.flex > w.bound {
+			w.bound = r.att.flex
 		}
 	}
 }

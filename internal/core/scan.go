@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/alloc"
+	"repro/internal/bind"
+	"repro/internal/bitset"
 	"repro/internal/pareto"
 	"repro/internal/spec"
 )
@@ -44,11 +46,22 @@ type scan struct {
 }
 
 // scratch is what one evaluating goroutine reuses across candidates:
-// the solver effort of its last implementation and the estimate's
-// supportable-set scratch.
+// the solver effort of its last implementation, the estimate's
+// supportable-set scratch, and the implementation's feasible and
+// implemented cluster sets (with the activation memo), allocated
+// architecture-cluster set, configuration views, picks, cost order and
+// binding-solver scratch (evaluator.evalScratch).
 type scratch struct {
-	st  Stats
-	sup *alloc.SupportScratch
+	st          Stats
+	sup         *alloc.SupportScratch
+	feasible    bitset.Set
+	implemented bitset.Set
+	memo        []int8
+	archSet     bitset.Set
+	views       []viewSlot
+	picks       []pick
+	ids         []int
+	bind        bind.Scratch
 }
 
 // fold is what differs between the cost-ordered explorers: the bound
@@ -56,10 +69,10 @@ type scratch struct {
 // implemented candidate enters the front.
 type fold interface {
 	bounder
-	// take folds an attempted candidate's implementation (nil when
-	// infeasible) into the front. It reports whether the candidate
-	// counts as feasible and whether the scan stops after it.
-	take(im *Implementation) (feasible, stop bool)
+	// take folds an attempted candidate (its record's att) into the
+	// front. It reports whether the candidate counts as feasible and
+	// whether the scan stops after it.
+	take(r *candRec) (feasible, stop bool)
 	// best is the best flexibility folded so far.
 	best() float64
 }
@@ -76,15 +89,15 @@ type bounder interface {
 type candRec struct {
 	// units are the candidate's ascending indices into alloc.Units(s),
 	// borrowed from the walk (inline) or the batch (pool). a is its
-	// allocation map, built only when an attempt, a Diag or a fold asks
-	// for it (evaluator.allocation).
+	// allocation map, built only when a Diag, a fold's bound or
+	// admission asks for it (evaluator.allocation).
 	units        []int
 	a            spec.Allocation
 	site         string
 	est          float64
 	estimated    bool
 	attempted    bool
-	impl         *Implementation
+	att          attempt
 	ecsTested    int
 	bindingRuns  int
 	bindingNodes int
@@ -106,7 +119,7 @@ func newScan(ctx context.Context, s *spec.Spec, opts Options) *scan {
 		res:   &Result{MaxFlexibility: MaxFlexibility(s, opts), Reason: ReasonCompleted},
 		front: &pareto.Front{},
 	}
-	sc.scratch.sup = sc.ev.newScratch()
+	sc.scratch = sc.ev.evalScratch()
 	return sc
 }
 
@@ -117,6 +130,7 @@ func newScan(ctx context.Context, s *spec.Spec, opts Options) *scan {
 // implementations above floor are admitted: 0 for Explore, the base
 // implementation's flexibility for Upgrade.
 type boundFold struct {
+	ev        *evaluator
 	front     *pareto.Front
 	fcur      float64
 	floor     float64
@@ -126,18 +140,18 @@ type boundFold struct {
 
 func (sc *scan) boundFold(floor float64) *boundFold {
 	return &boundFold{
-		front: sc.front, fcur: floor, floor: floor,
+		ev: sc.ev, front: sc.front, fcur: floor, floor: floor,
 		maxFlex: sc.res.MaxFlexibility, stopAtMax: sc.opts.StopAtMaxFlex,
 	}
 }
 
 func (f *boundFold) prune(_ *candRec, est float64) bool { return est <= f.fcur }
 
-func (f *boundFold) take(im *Implementation) (feasible, stop bool) {
-	if im != nil && im.Flexibility > f.floor {
+func (f *boundFold) take(r *candRec) (feasible, stop bool) {
+	if at := &r.att; at.ok && at.flex > f.floor {
 		feasible = true
-		if admit(f.front, pareto.CostFlexObjectives(im.Cost, im.Flexibility), im) && im.Flexibility > f.fcur {
-			f.fcur = im.Flexibility
+		if f.ev.admit(f.front, pareto.CostFlexObjectives(at.cost, at.flex), r) && at.flex > f.fcur {
+			f.fcur = at.flex
 		}
 	}
 	return feasible, f.stopAtMax && f.fcur >= f.maxFlex
@@ -177,7 +191,7 @@ func (sc *scan) run(f fold, src source, workers, queue int) *Result {
 		res.Stats.Scanned = 0
 		res.Stats.Pipeline = PipelineStats{}
 		for _, im := range r.Front {
-			f.take(im)
+			f.take(&candRec{att: readyAttempt(im)})
 		}
 		start = r.Cursor
 	}
@@ -227,9 +241,9 @@ func (sc *scan) run(f fold, src source, workers, queue int) *Result {
 // estimate failpoint, cancellation re-check, estimation, bound,
 // implement failpoint, implementation construction. b decides the
 // bound: the exact fold inline, a worker's scalar bound in the pool.
-// w is the evaluating goroutine's scratch. A pruned candidate allocates
-// nothing on the cached path; only an attempt or a Diag builds the
-// candidate's allocation map.
+// w is the evaluating goroutine's scratch. On the cached path neither a
+// pruned nor an attempted candidate builds its allocation map; a Diag
+// and admission (materialise) do.
 func (sc *scan) evalOne(r *candRec, idx int, b bounder, w *scratch) {
 	r.site = SiteEstimate
 	if err := sc.opts.Fault.Fire(SiteEstimate, idx); err != nil {
@@ -253,7 +267,7 @@ func (sc *scan) evalOne(r *candRec, idx int, b bounder, w *scratch) {
 	}
 	r.attempted = true
 	w.st = Stats{}
-	r.impl = sc.ev.implement(sc.ev.allocation(r), sup, haveSup, &w.st)
+	r.att = sc.ev.implement(r.units, sup, haveSup, w, &w.st)
 	r.ecsTested, r.bindingRuns, r.bindingNodes = w.st.ECSTested, w.st.BindingRuns, w.st.BindingNodes
 }
 
@@ -298,7 +312,7 @@ func (sc *scan) commit(idx int, r *candRec) bool {
 		res.Stats.BindingRuns += r.bindingRuns
 		res.Stats.BindingNodes += r.bindingNodes
 		var feasible bool
-		if feasible, stop = sc.f.take(r.impl); feasible {
+		if feasible, stop = sc.f.take(r); feasible {
 			res.Stats.Feasible++
 		}
 	}

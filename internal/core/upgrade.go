@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/alloc"
-	"repro/internal/bitset"
 	"repro/internal/spec"
 )
 
@@ -33,8 +32,8 @@ func UpgradeContext(ctx context.Context, s *spec.Spec, base spec.Allocation, opt
 	// a resumed run replaces them with the snapshot's, which already
 	// hold it.
 	floor := 0.0
-	if im := sc.ev.implement(base, bitset.Set{}, false, &sc.res.Stats); im != nil {
-		floor = im.Flexibility
+	if at := sc.ev.implementAllocation(base, &sc.scratch, &sc.res.Stats); at.ok {
+		floor = at.flex
 	}
 	extensions := func(start int, fn func(units []int, cost float64) bool) alloc.Stats {
 		return alloc.EnumerateSymbolicUnits(s, base, sc.allocOptions(), start, fn)

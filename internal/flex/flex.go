@@ -260,56 +260,58 @@ func ActivatableClusters(g *hgraph.Graph, act Activation) map[hgraph.ID]bool {
 	return out
 }
 
-// ActivatableSet is ActivatableClusters over dense bitsets: the
-// activation a⁺ is the cluster set act (indexed by ix, which must index
-// every cluster of g) and the result is the effectively activatable
-// set under the hierarchical activation rules, in the same index space.
-// A slice memo replaces the map memo, so one exploration candidate
-// costs two small allocations instead of two maps.
-func ActivatableSet(g *hgraph.Graph, act bitset.Set, ix *bitset.Indexer[hgraph.ID]) bitset.Set {
-	out := bitset.New(ix.Len())
-	memo := make([]int8, ix.Len()) // 0 unknown, 1 activatable, 2 not
-	var ok func(c *hgraph.Cluster) bool
-	ok = func(c *hgraph.Cluster) bool {
-		i, _ := ix.Index(c.ID)
-		if memo[i] != 0 {
-			return memo[i] == 1
+// Activatable is ActivatableClusters over the Indexed layout: the
+// activation a⁺ is the cluster set act, and out receives the
+// effectively activatable set under the hierarchical activation rules,
+// in the same index space. out (sized to the indexer) and memo (one
+// entry per cluster) are caller-owned scratch, so a query allocates
+// nothing.
+func (x *Indexed) Activatable(act, out bitset.Set, memo []int8) {
+	out.Clear()
+	clear(memo)
+	x.mark(x.root, act, out, memo)
+}
+
+// mark adds cluster c to out when it is activatable, and then every
+// activatable cluster below it.
+func (x *Indexed) mark(c int, act, out bitset.Set, memo []int8) {
+	if !x.activatable(c, act, memo) {
+		return
+	}
+	out.Add(c)
+	for _, subs := range x.ifaces[c] {
+		for _, sub := range subs {
+			x.mark(sub, act, out, memo)
 		}
-		res := act.Has(i)
-		if res {
-			for _, iface := range c.Interfaces {
-				any := false
-				for _, sub := range iface.Clusters {
-					if ok(sub) {
-						any = true
-					}
-				}
-				if !any {
-					res = false
-					break
+	}
+}
+
+// activatable reports whether cluster c is in act and each of its
+// interfaces has an activatable cluster. memo holds one entry per
+// cluster: 0 unknown, 1 activatable, 2 not.
+func (x *Indexed) activatable(c int, act bitset.Set, memo []int8) bool {
+	if memo[c] != 0 {
+		return memo[c] == 1
+	}
+	res := act.Has(c)
+	if res {
+		for _, subs := range x.ifaces[c] {
+			any := false
+			for _, sub := range subs {
+				if x.activatable(sub, act, memo) {
+					any = true
 				}
 			}
-		}
-		if res {
-			memo[i] = 1
-		} else {
-			memo[i] = 2
-		}
-		return res
-	}
-	var mark func(c *hgraph.Cluster)
-	mark = func(c *hgraph.Cluster) {
-		if !ok(c) {
-			return
-		}
-		i, _ := ix.Index(c.ID)
-		out.Add(i)
-		for _, iface := range c.Interfaces {
-			for _, sub := range iface.Clusters {
-				mark(sub)
+			if !any {
+				res = false
+				break
 			}
 		}
 	}
-	mark(g.Root)
-	return out
+	if res {
+		memo[c] = 1
+	} else {
+		memo[c] = 2
+	}
+	return res
 }

@@ -267,6 +267,44 @@ func TestPropIndexedMatchesGraph(t *testing.T) {
 	}
 }
 
+// Property: the Indexed layout's Activatable marks exactly the clusters
+// ActivatableClusters returns, on scratch reused across queries.
+func TestPropIndexedActivatableMatchesGraph(t *testing.T) {
+	prop := func(seed int64) bool {
+		g := hgraphtest.Random(seed%500, hgraphtest.Options{})
+		var ids []hgraph.ID
+		for _, c := range g.Clusters() {
+			ids = append(ids, c.ID)
+		}
+		ix := bitset.NewIndexer(ids)
+		x := NewIndexed(g, ix)
+		out, memo := bitset.New(ix.Len()), make([]int8, ix.Len())
+		for k := int64(0); k < 3; k++ {
+			raw := hgraphtest.RandomActivation(g, seed+k, 0.7)
+			set := bitset.New(ix.Len())
+			for id, on := range raw {
+				if i, _ := ix.Index(id); on {
+					set.Add(i)
+				}
+			}
+			x.Activatable(set, out, memo)
+			want := ActivatableClusters(g, FromSet(raw))
+			if out.Count() != len(want) {
+				return false
+			}
+			for id := range want {
+				if i, _ := ix.Index(id); !out.Has(i) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 func BenchmarkFlexibilityFig3(b *testing.B) {
 	g := buildFig3(b)
 	b.ReportAllocs()

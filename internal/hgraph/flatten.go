@@ -256,15 +256,6 @@ func (fg *FlatGraph) VertexByID(id ID) *Vertex {
 	return nil
 }
 
-// Precompute eagerly builds the adjacency indices that Successors,
-// Predecessors and TopoSort otherwise build lazily on first use. The
-// lazy build mutates the graph, so a FlatGraph shared between
-// goroutines (e.g. an interned flattening reused across parallel
-// exploration workers) must be Precomputed before it is published.
-func (fg *FlatGraph) Precompute() {
-	fg.buildAdjacency()
-}
-
 func (fg *FlatGraph) buildAdjacency() {
 	if fg.succ != nil {
 		return

@@ -72,9 +72,17 @@ func (s *Spec) LinksOf(fg *hgraph.FlatGraph) *ArchLinks {
 // as its Selection without copying it. Building a view costs one
 // bitset: the present set mask ∧ avail.
 func (l *ArchLinks) View(sel hgraph.Selection, avail bitset.Set) *ArchView {
-	present := l.mask.Clone()
-	present.IntersectWith(avail)
-	return &ArchView{Selection: sel, links: l, present: present}
+	av := &ArchView{}
+	l.ViewInto(av, sel, avail)
+	return av
+}
+
+// ViewInto is View into caller-owned storage: it overwrites av, reusing
+// av's present set, so a view rebuilt per candidate allocates nothing.
+func (l *ArchLinks) ViewInto(av *ArchView, sel hgraph.Selection, avail bitset.Set) {
+	av.Selection, av.links = sel, l
+	av.present.CopyFrom(l.mask)
+	av.present.IntersectWith(avail)
 }
 
 // ArchView is the instantaneous architecture implied by an allocation
@@ -121,6 +129,10 @@ func (av *ArchView) Present(r hgraph.ID) bool {
 	return ok
 }
 
+// PresentIndex reports whether the resource at index i of the spec's
+// Resources exists in this view.
+func (av *ArchView) PresentIndex(i int) bool { return av.present.Has(i) }
+
 // PresentResources returns the resources of the view, sorted.
 func (av *ArchView) PresentResources() []hgraph.ID { return av.links.ix.IDs(av.present) }
 
@@ -139,12 +151,21 @@ func (av *ArchView) Adjacent(r1, r2 hgraph.ID) bool {
 // both. (The Fig. 2 example — no bus between ASIC and FPGA — requires
 // exactly this notion.)
 func (av *ArchView) CanCommunicate(r1, r2 hgraph.ID) bool {
-	i, ok := av.index(r1)
-	if r1 == r2 || !ok {
-		return ok
+	i, ok1 := av.links.ix.Index(r1)
+	j, ok2 := av.links.ix.Index(r2)
+	return ok1 && ok2 && av.CanCommunicateIndex(i, j)
+}
+
+// CanCommunicateIndex is CanCommunicate on the resources at indices i
+// and j of the spec's Resources.
+func (av *ArchView) CanCommunicateIndex(i, j int) bool {
+	if !av.present.Has(i) {
+		return false
 	}
-	j, ok := av.index(r2)
-	if !ok {
+	if i == j {
+		return true
+	}
+	if !av.present.Has(j) {
 		return false
 	}
 	l := av.links

@@ -281,7 +281,7 @@ func BenchmarkE11_ExplorerComparison(b *testing.B) {
 	b.Run("evolutionary", func(b *testing.B) {
 		var r *core.Result
 		for i := 0; i < b.N; i++ {
-			r = core.Evolutionary(s, core.Options{}, core.EAConfig{Seed: 1})
+			r = core.Evolutionary(s, core.Options{}, 1)
 		}
 		b.ReportMetric(coverage(r), "hv_ratio")
 		b.ReportMetric(float64(r.Stats.BindingRuns), "binding_runs")

@@ -73,19 +73,6 @@ func clusterString(im *core.Implementation) string {
 	return strings.Join(parts, ", ")
 }
 
-func timingPolicy(name string) bind.TimingPolicy {
-	switch name {
-	case "none":
-		return bind.TimingNone
-	case "ll", "liu-layland":
-		return bind.TimingLiuLayland
-	case "rta":
-		return bind.TimingRTA
-	default:
-		return bind.TimingPaper
-	}
-}
-
 // cliFlags carries the parsed command line for validation; explicit
 // indicates which flags the user actually set (flag.Visit), so
 // incompatible-combination checks do not misfire on defaults.
@@ -100,6 +87,7 @@ type cliFlags struct {
 	checkpointEvery int
 	resume          bool
 	cache           string
+	timing          string
 	workers         int
 	prof            profiling.Flags
 	explicit        map[string]bool
@@ -133,6 +121,9 @@ func (f *cliFlags) problems() []string {
 	if f.cache != "on" && f.cache != "off" {
 		out = append(out, "-cache must be on or off")
 	}
+	if _, err := bind.ParseTiming(f.timing); err != nil {
+		out = append(out, "-timing: "+err.Error())
+	}
 	if f.workers < 0 {
 		out = append(out, "-workers must be >= 0 (0 selects GOMAXPROCS)")
 	}
@@ -156,7 +147,7 @@ func run() int {
 	compare := flag.Bool("compare", false, "compare EXPLORE against exhaustive, random and EA baselines")
 	verify := flag.Bool("verify", false, "re-verify every front implementation end to end (binding rules, schedules, activation rules)")
 	family := flag.Bool("family", false, "product-family analysis of the front (entry costs, commonality, marginal costs)")
-	timing := flag.String("timing", "paper", "timing policy: paper|rta|ll|none")
+	timing := flag.String("timing", "paper", "timing policy: paper | none | ll | rta | edf | hyperbolic")
 	weighted := flag.Bool("weighted", false, "use the weighted flexibility metric (footnote 2)")
 	lintMode := flag.String("lint", "on", "preflight static analysis: on | off (see docs/lint-codes.md)")
 	timeout := flag.Duration("timeout", 0, "stop after this duration and print the best-so-far result (0 = no limit)")
@@ -173,7 +164,7 @@ func run() int {
 	fl := &cliFlags{
 		table1: *table1, tradeoff: *tradeoff, compare: *compare, verify: *verify,
 		family: *family, timeout: *timeout, checkpoint: *ckPath, checkpointEvery: *ckEvery,
-		resume: *resume, cache: *cache, workers: *workers,
+		resume: *resume, cache: *cache, timing: *timing, workers: *workers,
 		prof:     profiling.Flags{CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *tracePath},
 		explicit: map[string]bool{},
 	}
@@ -210,7 +201,8 @@ func run() int {
 			return 1
 		}
 	}
-	opts := core.Options{Timing: timingPolicy(*timing), Weighted: *weighted, DisableCache: *cache == "off"}
+	policy, _ := bind.ParseTiming(*timing) // validated by problems
+	opts := core.Options{Timing: policy, Weighted: *weighted, DisableCache: *cache == "off"}
 
 	switch {
 	case *table1:
@@ -261,12 +253,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "casestudy: resuming at candidate %d (%d front entries)\n",
 				snap.Cursor, len(snap.Front))
 		}
-		var r *core.Result
-		if *workers != 1 {
-			r = core.ExploreParallelContext(ctx, s, opts, *workers, 0)
-		} else {
-			r = core.ExploreContext(ctx, s, opts)
-		}
+		r := core.ExploreParallelContext(ctx, s, opts, *workers, 0)
 		if writer != nil {
 			snap, err := checkpoint.FromResult(s, opts, r)
 			if err == nil {
@@ -342,7 +329,7 @@ func compareExplorers(ctx context.Context, s *spec.Spec, opts core.Options) int 
 		{"EXPLORE (paper)", core.ExploreContext(ctx, s, opts)},
 		{"exhaustive", core.ExhaustiveContext(ctx, s, opts)},
 		{"random (1000)", core.RandomSearchContext(ctx, s, opts, 1000, 1)},
-		{"evolutionary", core.EvolutionaryContext(ctx, s, opts, core.EAConfig{Seed: 1})},
+		{"evolutionary", core.EvolutionaryContext(ctx, s, opts, 1)},
 	}
 	fmt.Printf("%-16s | %6s | %9s | %8s | %9s\n", "explorer", "front", "attempted", "bindings", "nodes")
 	fmt.Println(strings.Repeat("-", 62))

@@ -49,23 +49,34 @@ func TestAllocAndClusterStrings(t *testing.T) {
 // reported false failures.
 func TestVerifyFrontUsesRunTiming(t *testing.T) {
 	for _, name := range []string{"paper", "none", "ll", "rta"} {
+		timing, err := bind.ParseTiming(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var out bytes.Buffer
-		code := verifyFront(context.Background(), &out, models.SetTopBox(), core.Options{Timing: timingPolicy(name)})
+		code := verifyFront(context.Background(), &out, models.SetTopBox(), core.Options{Timing: timing})
 		if code != 0 || strings.Contains(out.String(), "FAIL") {
 			t.Errorf("-timing %s: verifyFront = %d:\n%s", name, code, out.String())
 		}
 	}
 }
 
+// TestTimingPolicyFlag: -timing takes every name bind.ParseTiming
+// accepts; any other name is a flag problem, so casestudy exits 2
+// before exploring.
 func TestTimingPolicyFlag(t *testing.T) {
-	cases := map[string]bind.TimingPolicy{
-		"paper": bind.TimingPaper, "none": bind.TimingNone,
-		"ll": bind.TimingLiuLayland, "liu-layland": bind.TimingLiuLayland,
-		"rta": bind.TimingRTA, "anything-else": bind.TimingPaper,
+	for _, name := range []string{"paper", "none", "ll", "liu-layland", "rta", "edf", "hyperbolic", "paper-69%"} {
+		f := baseFlags()
+		f.timing = name
+		if probs := f.problems(); len(probs) != 0 {
+			t.Errorf("-timing %s rejected: %v", name, probs)
+		}
 	}
-	for in, want := range cases {
-		if got := timingPolicy(in); got != want {
-			t.Errorf("timingPolicy(%s) = %v, want %v", in, got, want)
+	for _, name := range []string{"bogus", ""} {
+		f := baseFlags()
+		f.timing = name
+		if probs := f.problems(); len(probs) != 1 || !strings.Contains(probs[0], "-timing") {
+			t.Errorf("-timing %q: problems %v, want one -timing problem", name, probs)
 		}
 	}
 }
@@ -74,7 +85,7 @@ func TestTimingPolicyFlag(t *testing.T) {
 // and assert on problems().
 func baseFlags() *cliFlags {
 	return &cliFlags{
-		checkpointEvery: 64, cache: "on", workers: 1,
+		checkpointEvery: 64, cache: "on", timing: "paper", workers: 1,
 		explicit: map[string]bool{},
 	}
 }

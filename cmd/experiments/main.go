@@ -231,7 +231,7 @@ func e11() {
 		{"EXPLORE", exact},
 		{"exhaustive", core.Exhaustive(s, core.Options{})},
 		{"random-1000", core.RandomSearch(s, core.Options{}, 1000, 1)},
-		{"EA (ref [2])", core.Evolutionary(s, core.Options{}, core.EAConfig{Seed: 1})},
+		{"EA (ref [2])", core.Evolutionary(s, core.Options{}, 1)},
 	}
 	fmt.Printf("%-13s %6s %9s %10s %9s\n", "explorer", "front", "HV-ratio", "attempts", "bindings")
 	for _, row := range rows {

@@ -54,6 +54,7 @@ type cliFlags struct {
 	checkpoint      string
 	resume          bool
 	cache           string
+	timing          string
 	prof            profiling.Flags
 	explicit        map[string]bool
 }
@@ -100,6 +101,9 @@ func (f *cliFlags) problems() []string {
 	if f.cache != "on" && f.cache != "off" {
 		out = append(out, "-cache must be on or off")
 	}
+	if _, err := bind.ParseTiming(f.timing); err != nil {
+		out = append(out, "-timing: "+err.Error())
+	}
 	out = append(out, f.prof.Problems()...)
 	return out
 }
@@ -115,7 +119,7 @@ func run() int {
 	specPath := flag.String("spec", "", "path to a specification graph JSON file (- for stdin)")
 	model := flag.String("model", "", "built-in model: settop | decoder | sdr | synthetic")
 	algo := flag.String("algo", "explore", "explorer: explore | exhaustive | random | ea")
-	timing := flag.String("timing", "paper", "timing policy: paper | rta | ll | none")
+	timing := flag.String("timing", "paper", "timing policy: paper | none | ll | rta | edf | hyperbolic")
 	weighted := flag.Bool("weighted", false, "weighted flexibility metric")
 	stats := flag.Bool("stats", false, "print exploration statistics")
 	tsv := flag.Bool("tsv", false, "emit the front as TSV instead of a table")
@@ -140,7 +144,7 @@ func run() int {
 	fl := &cliFlags{
 		algo: *algo, model: *model, objectives: *objectives, upgradeFrom: *upgradeFrom,
 		workers: *workers, iters: *iters, checkpointEvery: *ckEvery,
-		timeout: *timeout, checkpoint: *ckPath, resume: *resume, cache: *cache,
+		timeout: *timeout, checkpoint: *ckPath, resume: *resume, cache: *cache, timing: *timing,
 		prof:     profiling.Flags{CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *tracePath},
 		explicit: map[string]bool{},
 	}
@@ -175,20 +179,8 @@ func run() int {
 		}
 	}
 
-	opts := core.Options{Weighted: *weighted, StopAtMaxFlex: *stopMax, DisableCache: *cache == "off"}
-	switch *timing {
-	case "paper":
-		opts.Timing = bind.TimingPaper
-	case "rta":
-		opts.Timing = bind.TimingRTA
-	case "ll":
-		opts.Timing = bind.TimingLiuLayland
-	case "none":
-		opts.Timing = bind.TimingNone
-	default:
-		fmt.Fprintf(os.Stderr, "explore: unknown timing policy %q\n", *timing)
-		return 2
-	}
+	policy, _ := bind.ParseTiming(*timing) // validated by problems
+	opts := core.Options{Timing: policy, Weighted: *weighted, StopAtMaxFlex: *stopMax, DisableCache: *cache == "off"}
 
 	// A SIGINT cancels the scan instead of killing the process: the
 	// explorers return their prefix-exact partial front, a final
@@ -261,17 +253,13 @@ func run() int {
 	var r *core.Result
 	switch *algo {
 	case "explore":
-		if *workers != 1 {
-			r = core.ExploreParallelContext(ctx, s, opts, *workers, 0)
-		} else {
-			r = core.ExploreContext(ctx, s, opts)
-		}
+		r = core.ExploreParallelContext(ctx, s, opts, *workers, 0)
 	case "exhaustive":
 		r = core.ExhaustiveContext(ctx, s, opts)
 	case "random":
 		r = core.RandomSearchContext(ctx, s, opts, *iters, *seed)
 	case "ea":
-		r = core.EvolutionaryContext(ctx, s, opts, core.EAConfig{Seed: *seed})
+		r = core.EvolutionaryContext(ctx, s, opts, *seed)
 	default:
 		fmt.Fprintf(os.Stderr, "explore: unknown algorithm %q\n", *algo)
 		return 2

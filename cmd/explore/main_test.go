@@ -12,7 +12,7 @@ import (
 func baseFlags() *cliFlags {
 	return &cliFlags{
 		algo: "explore", workers: 1, iters: 1000, checkpointEvery: 64,
-		cache: "on", explicit: map[string]bool{},
+		cache: "on", timing: "paper", explicit: map[string]bool{},
 	}
 }
 
@@ -39,6 +39,8 @@ func TestFlagValidationAccepts(t *testing.T) {
 		func(f *cliFlags) { f.algo = "exhaustive"; f.checkpoint = "ck.json"; f.resume = true },
 		func(f *cliFlags) { f.timeout = 1 },
 		func(f *cliFlags) { f.cache = "off" },
+		func(f *cliFlags) { f.timing = "edf" },
+		func(f *cliFlags) { f.timing = "hyperbolic" },
 		func(f *cliFlags) {
 			f.prof.CPUProfile = "cpu.out"
 			f.prof.MemProfile = "mem.out"
@@ -74,6 +76,7 @@ func TestFlagValidationRejects(t *testing.T) {
 		{func(f *cliFlags) { f.checkpoint = "ck.json"; f.objectives = "latency" }, "not supported"},
 		{func(f *cliFlags) { f.checkpoint = "ck.json"; f.upgradeFrom = "CPU1" }, "not supported"},
 		{func(f *cliFlags) { f.cache = "maybe" }, "-cache"},
+		{func(f *cliFlags) { f.timing = "bogus" }, "-timing"},
 		{func(f *cliFlags) { f.prof.CPUProfile = "p.out"; f.prof.Trace = "p.out" }, "same file"},
 	}
 	for i, tc := range cases {

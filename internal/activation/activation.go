@@ -14,6 +14,7 @@ package activation
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/bind"
@@ -67,23 +68,11 @@ func (s *Schedule) At(t float64) *Phase {
 func (s *Schedule) Switches() (behaviour, reconfig int) {
 	for i := 1; i < len(s.Phases); i++ {
 		behaviour++
-		if !sameSelection(s.Phases[i].ArchSelection, s.Phases[i-1].ArchSelection) {
+		if !maps.Equal(s.Phases[i].ArchSelection, s.Phases[i-1].ArchSelection) {
 			reconfig++
 		}
 	}
 	return
-}
-
-func sameSelection(a, b hgraph.Selection) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // TimedAllocation computes Def. 2's α as the union over all phases of

@@ -1,6 +1,7 @@
 package activation
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/bind"
@@ -110,7 +111,7 @@ func TestCheckPhaseAndSchedule(t *testing.T) {
 	// behaviours: TV (D1,U1), then the game, then TV with D3.
 	find := func(sel hgraph.Selection) Phase {
 		for _, b := range im.Behaviours {
-			if sameSelection(b.ECS.Selection, sel) {
+			if maps.Equal(b.ECS.Selection, sel) {
 				return Phase{Selection: b.ECS.Selection, ArchSelection: b.ArchSelection, Binding: b.Binding}
 			}
 		}

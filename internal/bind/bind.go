@@ -96,6 +96,29 @@ func (p TimingPolicy) String() string {
 	}
 }
 
+// timingNames maps every name a front-end accepts for a timing policy,
+// its String form included, to the policy.
+var timingNames = map[string]TimingPolicy{
+	"paper":       TimingPaper,
+	"paper-69%":   TimingPaper,
+	"none":        TimingNone,
+	"ll":          TimingLiuLayland,
+	"liu-layland": TimingLiuLayland,
+	"rta":         TimingRTA,
+	"edf":         TimingEDF,
+	"hyperbolic":  TimingHyperbolic,
+}
+
+// ParseTiming returns the timing policy a front-end names: paper, none,
+// ll or liu-layland, rta, edf or hyperbolic, or the policy's String
+// form.
+func ParseTiming(name string) (TimingPolicy, error) {
+	if p, ok := timingNames[name]; ok {
+		return p, nil
+	}
+	return 0, fmt.Errorf("unknown timing policy %q (paper | none | ll | rta | edf | hyperbolic)", name)
+}
+
 func (p TimingPolicy) test(tasks []sched.Task) bool {
 	switch p {
 	case TimingNone:

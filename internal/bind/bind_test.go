@@ -431,6 +431,31 @@ func TestTimingHyperbolicPolicy(t *testing.T) {
 	}
 }
 
+// TestParseTiming: every policy round-trips through its String form,
+// each front-end name selects its policy, and anything else is refused.
+func TestParseTiming(t *testing.T) {
+	for p := TimingPaper; p <= TimingHyperbolic; p++ {
+		if got, err := ParseTiming(p.String()); err != nil || got != p {
+			t.Errorf("ParseTiming(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	names := map[string]TimingPolicy{
+		"paper": TimingPaper, "none": TimingNone, "ll": TimingLiuLayland,
+		"liu-layland": TimingLiuLayland, "rta": TimingRTA, "edf": TimingEDF,
+		"hyperbolic": TimingHyperbolic,
+	}
+	for name, want := range names {
+		if got, err := ParseTiming(name); err != nil || got != want {
+			t.Errorf("ParseTiming(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "bogus", "Paper", "TimingPolicy(6)"} {
+		if _, err := ParseTiming(name); err == nil {
+			t.Errorf("ParseTiming(%q) accepted", name)
+		}
+	}
+}
+
 // TestCheckReportsFirstBoundOverload: with two resources over the 69%
 // bound, Check names the one bound first in fp.Vertices order, on
 // every call.

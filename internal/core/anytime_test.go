@@ -424,7 +424,7 @@ func TestRandomSearchCancel(t *testing.T) {
 func TestEvolutionaryCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := EvolutionaryContext(ctx, models.Decoder(), Options{}, EAConfig{Seed: 1})
+	r := EvolutionaryContext(ctx, models.Decoder(), Options{}, 1)
 	if !r.Interrupted || r.Reason != ReasonCancelled {
 		t.Fatalf("interrupted=%v reason=%q", r.Interrupted, r.Reason)
 	}

@@ -28,6 +28,60 @@ func ExhaustiveContext(ctx context.Context, s *spec.Spec, opts Options) *Result 
 	return ExploreContext(ctx, s, opts)
 }
 
+// sampled is a sample's memoised outcome: its cost, and its
+// flexibility (-1 when impossible or infeasible).
+type sampled struct{ cost, flex float64 }
+
+// newSampling prepares a sampling explorer's run: a scan with no
+// candidate source, fed random unit-index sets through sample instead.
+func newSampling(ctx context.Context, s *spec.Spec, opts Options) *scan {
+	sc := newScan(ctx, s, opts)
+	sc.samples, sc.key = map[string]sampled{}, bitset.New(len(sc.ev.units))
+	sc.setSpace(alloc.SearchSpace(len(sc.ev.units)))
+	return sc
+}
+
+// sample evaluates the allocation given by ascending indices into
+// alloc.Units(s), once per distinct set, and reports whether this call
+// evaluated it (a memo miss). A possible sample is implemented with the
+// supportable set of its possibility test and admitted to the front;
+// only an admitted one builds its allocation map. A repeated sample
+// allocates nothing.
+func (sc *scan) sample(units []int) (sampled, bool) {
+	sc.key.Clear()
+	for _, k := range units {
+		sc.key.Add(k)
+	}
+	if v, ok := sc.samples[string(sc.key.KeyBytes())]; ok {
+		return v, false
+	}
+	w, st := &sc.scratch, &sc.res.Stats
+	v := sampled{cost: sc.ev.unitsCost(units, w), flex: -1}
+	r := &sc.rec
+	*r = candRec{units: units}
+	if sup := sc.ev.sup.SupportableUnits(units, w.sup); sup.Has(sc.ev.root) {
+		sc.possible.Add(1)
+		st.Attempted++
+		if r.att = sc.ev.implement(units, sup, w, st); r.att.ok {
+			st.Feasible++
+			v.flex = r.att.flex
+			sc.ev.admit(sc.front, pareto.CostFlexObjectives(r.att.cost, r.att.flex), r)
+		}
+	}
+	sc.samples[string(sc.key.KeyBytes())] = v
+	return v, true
+}
+
+// stopped reports whether the run's context is done, and if so marks
+// the result interrupted.
+func (sc *scan) stopped() bool {
+	if sc.ctx.Err() == nil {
+		return false
+	}
+	sc.res.Interrupted, sc.res.Reason = true, reasonFor(sc.ctx)
+	return true
+}
+
 // RandomSearch samples iters random allocations (uniform over unit
 // subsets) and implements each, keeping the Pareto archive. It is the
 // naive baseline for explorer comparisons.
@@ -38,79 +92,34 @@ func RandomSearch(s *spec.Spec, opts Options, iters int, seed int64) *Result {
 // RandomSearchContext is RandomSearch under a context: cancellation or
 // deadline expiry stops the sampling loop cleanly and returns the
 // best-so-far archive with Interrupted set; Cursor counts the
-// iterations performed.
+// iterations performed. Scanned counts every draw, repeats included.
 func RandomSearchContext(ctx context.Context, s *spec.Spec, opts Options, iters int, seed int64) *Result {
 	rng := rand.New(rand.NewSource(seed))
-	units := alloc.Units(s)
-	ev := newEvaluator(s, opts)
-	res := &Result{MaxFlexibility: MaxFlexibility(s, opts), Reason: ReasonCompleted}
-	res.Stats.AllocSpace = alloc.SearchSpace(len(units))
-	_, _, pc, _ := s.Problem.ElementCount()
-	res.Stats.DesignSpace = res.Stats.AllocSpace * alloc.SearchSpace(pc)
-	front := &pareto.Front{}
-	seen := map[string]bool{}
-	w := ev.evalScratch()
+	sc := newSampling(ctx, s, opts)
 	var idx []int
-	for i := 0; i < iters; i++ {
-		if ctx.Err() != nil {
-			res.Interrupted, res.Reason = true, reasonFor(ctx)
-			break
-		}
-		res.Cursor = i + 1
-		a := spec.Allocation{}
+	for i := 0; i < iters && !sc.stopped(); i++ {
+		sc.res.Cursor = i + 1
 		idx = idx[:0]
-		for k, u := range units {
+		for k := range sc.ev.units {
 			if rng.Intn(2) == 0 {
-				a[u.ID] = true
 				idx = append(idx, k)
 			}
 		}
-		res.Stats.Scanned++
-		key := a.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if !alloc.Possible(s, a) {
-			continue
-		}
-		res.Stats.PossibleAllocations++
-		res.Stats.Attempted++
-		r := candRec{units: idx, a: a}
-		if r.att = ev.implement(idx, bitset.Set{}, false, &w, &res.Stats); r.att.ok {
-			res.Stats.Feasible++
-			ev.admit(front, pareto.CostFlexObjectives(r.att.cost, r.att.flex), &r)
-		}
+		sc.res.Stats.Scanned++
+		sc.sample(idx)
 	}
-	ev.fold(&res.Stats)
-	res.Front = frontToImplementations(front)
-	return res
+	return sc.finish()
 }
 
-// EAConfig parameterizes the evolutionary baseline.
-type EAConfig struct {
-	Seed        int64
-	Population  int     // default 24
-	Generations int     // default 40
-	CrossoverP  float64 // default 0.9
-	MutationP   float64 // per-bit; default 1/#units
-}
-
-func (c EAConfig) withDefaults(nUnits int) EAConfig {
-	if c.Population <= 0 {
-		c.Population = 24
-	}
-	if c.Generations <= 0 {
-		c.Generations = 40
-	}
-	if c.CrossoverP <= 0 {
-		c.CrossoverP = 0.9
-	}
-	if c.MutationP <= 0 && nUnits > 0 {
-		c.MutationP = 1.0 / float64(nUnits)
-	}
-	return c
-}
+// The evolutionary baseline's budget and operators: eaPopulation
+// individuals bred for eaGenerations generations, uniform crossover
+// with probability eaCrossoverP, and per-bit mutation with probability
+// 1/#units.
+const (
+	eaPopulation  = 24
+	eaGenerations = 40
+	eaCrossoverP  = 0.9
+)
 
 // Evolutionary runs a multi-objective evolutionary exploration in the
 // spirit of the paper's reference [2] (Blickle, Teich, Thiele:
@@ -120,75 +129,48 @@ func (c EAConfig) withDefaults(nUnits int) EAConfig {
 // archive kept externally. It trades the exactness of EXPLORE for
 // metaheuristic scalability; the comparison benchmark (experiment E11)
 // measures what that trade costs on the case study.
-func Evolutionary(s *spec.Spec, opts Options, cfg EAConfig) *Result {
-	return EvolutionaryContext(context.Background(), s, opts, cfg)
+func Evolutionary(s *spec.Spec, opts Options, seed int64) *Result {
+	return EvolutionaryContext(context.Background(), s, opts, seed)
 }
 
 // EvolutionaryContext is Evolutionary under a context: cancellation or
 // deadline expiry stops the evolution at a generation boundary and
 // returns the archive accumulated so far with Interrupted set; Cursor
-// counts the generations completed.
-func EvolutionaryContext(ctx context.Context, s *spec.Spec, opts Options, cfg EAConfig) *Result {
-	units := alloc.Units(s)
-	cfg = cfg.withDefaults(len(units))
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// The EA revisits allocations across generations (beyond what its
-	// own genome cache dedups), so the evaluation caches pay off even in
-	// a sampling explorer.
-	ev := newEvaluator(s, opts)
-
-	res := &Result{MaxFlexibility: MaxFlexibility(s, opts), Reason: ReasonCompleted}
-	res.Stats.AllocSpace = alloc.SearchSpace(len(units))
-	_, _, pc, _ := s.Problem.ElementCount()
-	res.Stats.DesignSpace = res.Stats.AllocSpace * alloc.SearchSpace(pc)
-	front := &pareto.Front{}
+// counts the generations completed. Scanned counts the distinct
+// allocations evaluated.
+func EvolutionaryContext(ctx context.Context, s *spec.Spec, opts Options, seed int64) *Result {
+	rng := rand.New(rand.NewSource(seed))
+	sc := newSampling(ctx, s, opts)
+	n := len(sc.ev.units)
+	mutationP := 1 / float64(n)
 
 	type genome []bool
-	cache := map[string][2]float64{} // allocation -> (cost, flex); flex<0 = infeasible
-
-	w := ev.evalScratch()
 	var idx []int
-	evaluate := func(g genome) (cost, f float64) {
-		a := spec.Allocation{}
+	evaluate := func(g genome) sampled {
 		idx = idx[:0]
 		for i, on := range g {
 			if on {
-				a[units[i].ID] = true
 				idx = append(idx, i)
 			}
 		}
-		key := a.String()
-		if v, ok := cache[key]; ok {
-			return v[0], v[1]
+		v, miss := sc.sample(idx)
+		if miss {
+			sc.res.Stats.Scanned++
 		}
-		res.Stats.Scanned++
-		cost = a.Cost(s)
-		f = -1
-		if alloc.Possible(s, a) {
-			res.Stats.PossibleAllocations++
-			res.Stats.Attempted++
-			r := candRec{units: idx, a: a}
-			if r.att = ev.implement(idx, bitset.Set{}, false, &w, &res.Stats); r.att.ok {
-				res.Stats.Feasible++
-				f = r.att.flex
-				ev.admit(front, pareto.CostFlexObjectives(r.att.cost, r.att.flex), &r)
-			}
-		}
-		cache[key] = [2]float64{cost, f}
-		return cost, f
+		return v
 	}
 	objectives := func(g genome) []float64 {
-		cost, f := evaluate(g)
-		if f < 0 {
+		v := evaluate(g)
+		if v.flex < 0 {
 			// Infeasible: strictly dominated by everything feasible.
-			return []float64{cost + 1e9, 1e9}
+			return []float64{v.cost + 1e9, 1e9}
 		}
-		return pareto.CostFlexObjectives(cost, f)
+		return pareto.CostFlexObjectives(v.cost, v.flex)
 	}
 
-	pop := make([]genome, cfg.Population)
+	pop := make([]genome, eaPopulation)
 	for i := range pop {
-		g := make(genome, len(units))
+		g := make(genome, n)
 		for j := range g {
 			g[j] = rng.Intn(2) == 0
 		}
@@ -208,19 +190,16 @@ func EvolutionaryContext(ctx context.Context, s *spec.Spec, opts Options, cfg EA
 			return b
 		}
 	}
-	for gen := 0; gen < cfg.Generations; gen++ {
-		if ctx.Err() != nil {
-			res.Interrupted, res.Reason = true, reasonFor(ctx)
-			ev.fold(&res.Stats)
-			res.Front = frontToImplementations(front)
-			return res
+	for gen := 0; gen < eaGenerations; gen++ {
+		if sc.stopped() {
+			return sc.finish()
 		}
-		res.Cursor = gen + 1
-		next := make([]genome, 0, cfg.Population)
-		for len(next) < cfg.Population {
+		sc.res.Cursor = gen + 1
+		next := make([]genome, 0, eaPopulation)
+		for len(next) < eaPopulation {
 			p1, p2 := tournament(), tournament()
-			child := make(genome, len(units))
-			if rng.Float64() < cfg.CrossoverP {
+			child := make(genome, n)
+			if rng.Float64() < eaCrossoverP {
 				for j := range child {
 					if rng.Intn(2) == 0 {
 						child[j] = p1[j]
@@ -232,7 +211,7 @@ func EvolutionaryContext(ctx context.Context, s *spec.Spec, opts Options, cfg EA
 				copy(child, p1)
 			}
 			for j := range child {
-				if rng.Float64() < cfg.MutationP {
+				if rng.Float64() < mutationP {
 					child[j] = !child[j]
 				}
 			}
@@ -242,13 +221,10 @@ func EvolutionaryContext(ctx context.Context, s *spec.Spec, opts Options, cfg EA
 	}
 	// Final evaluation of the last generation.
 	for _, g := range pop {
-		if ctx.Err() != nil {
-			res.Interrupted, res.Reason = true, reasonFor(ctx)
+		if sc.stopped() {
 			break
 		}
 		evaluate(g)
 	}
-	ev.fold(&res.Stats)
-	res.Front = frontToImplementations(front)
-	return res
+	return sc.finish()
 }

@@ -34,15 +34,15 @@ func TestEstimateUnitsMatchesEstimate(t *testing.T) {
 		for _, weighted := range []bool{false, true} {
 			opts := Options{Weighted: weighted}
 			ev := newEvaluator(tc.s, opts)
-			sc := ev.newScratch()
+			sc := ev.sup.NewScratch()
 			n := 0
 			alloc.EnumerateSymbolicUnits(tc.s, nil, alloc.Options{IncludeUselessComm: true}, 0, func(units []int, _ float64) bool {
 				n++
 				r := candRec{units: units}
-				est, sup, ok := ev.estimate(&r, sc)
+				est, sup := ev.estimate(&r, sc)
 				a := alloc.AllocationOf(ev.units, units)
-				if want := Estimate(tc.s, a, opts); !ok || math.Float64bits(est) != math.Float64bits(want) {
-					t.Fatalf("%s weighted=%v %v: estimate %v (set %v), Estimate %v", tc.name, weighted, a, est, ok, want)
+				if want := Estimate(tc.s, a, opts); math.Float64bits(est) != math.Float64bits(want) {
+					t.Fatalf("%s weighted=%v %v: estimate %v, Estimate %v", tc.name, weighted, a, est, want)
 				}
 				want := alloc.SupportableClusters(tc.s, a)
 				got := ev.sup.Clusters.IDs(sup)

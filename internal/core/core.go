@@ -260,8 +260,9 @@ type Stats struct {
 	// AllocSpace is 2^(allocatable units).
 	AllocSpace float64 `json:"allocSpace"`
 	// Scanned counts enumeration effort: BDD search nodes visited by the
-	// cost-ordered explorers (allocations sampled by RandomSearch and
-	// Evolutionary). Telemetry, zeroed by Semantic().
+	// cost-ordered explorers (draws by RandomSearch, distinct
+	// allocations evaluated by Evolutionary). Telemetry, zeroed by
+	// Semantic().
 	Scanned int `json:"scanned"`
 	// PossibleAllocations counts subsets passing the possibility test
 	// (the paper's "set of possible resource allocations").
@@ -342,8 +343,9 @@ type PipelineStats struct {
 // solver invocation not run (exact = same inputs seen before, replay =
 // feasible binding replayed under a resource superset, infeasible =
 // skipped by subset dominance), and SupportableReused counts
-// Implement calls that reused the supportable-cluster set computed by
-// the preceding Estimate.
+// implementations that reused the supportable-cluster set computed by
+// the candidate's estimate (or, in the sampling explorers, its
+// possibility test): every attempt on the cached path.
 type CacheStats struct {
 	FlattenHits        int `json:"flattenHits,omitempty"`
 	FlattenMisses      int `json:"flattenMisses,omitempty"`

@@ -310,7 +310,7 @@ func TestRandomSearchBaseline(t *testing.T) {
 func TestEvolutionaryBaseline(t *testing.T) {
 	s := models.SetTopBox()
 	exact := Explore(s, Options{})
-	ea := Evolutionary(s, Options{}, EAConfig{Seed: 1})
+	ea := Evolutionary(s, Options{}, 1)
 	exactFront := &pareto.Front{}
 	for _, im := range exact.Front {
 		exactFront.Add(&pareto.Entry{Objectives: pareto.CostFlexObjectives(im.Cost, im.Flexibility)})

@@ -63,7 +63,8 @@ import (
 //
 // With Options.DisableCache the evaluator degrades to the exported
 // Implement/Estimate functions — the uncached reference the
-// differential tests compare against.
+// differential tests compare against. Only the sampling explorers'
+// possibility test still queries the Supporter.
 type evaluator struct {
 	s      *spec.Spec
 	opts   Options
@@ -72,6 +73,9 @@ type evaluator struct {
 	// units is the unit table the scan's candidate indices refer to.
 	units []alloc.Unit
 	sup   *alloc.Supporter
+	// root is the problem root's index in sup.Clusters: a candidate is
+	// possible iff its supportable set holds it.
+	root int
 	// tree is the problem's cluster hierarchy over sup.Clusters, on
 	// which the estimate evaluates Definition 4.
 	tree *flex.Indexed
@@ -81,8 +85,9 @@ type evaluator struct {
 	archClusters *bitset.Indexer[hgraph.ID]
 	unitCluster  []int
 	// unitTerms holds per unit the cost terms spec.Allocation.Cost adds
-	// for its ID, and unitRank the unit's position in ID order, so an
-	// attempt's cost is the same sum in the same order.
+	// for its ID, and unitRank the unit's position in ID order, so a
+	// candidate's cost is the same sum in the same order (on the legacy
+	// path too).
 	unitTerms [][]float64
 	unitRank  []int
 
@@ -110,13 +115,23 @@ type evaluator struct {
 
 // newEvaluator builds the evaluation engine for one exploration run.
 func newEvaluator(s *spec.Spec, opts Options) *evaluator {
-	ev := &evaluator{s: s, opts: opts, legacy: opts.DisableCache}
+	ev := &evaluator{s: s, opts: opts, legacy: opts.DisableCache, sup: alloc.NewSupporter(s)}
+	ev.units = ev.sup.Units
+	ev.root, _ = ev.sup.Clusters.Index(s.Problem.Root.ID)
+	ev.unitTerms = make([][]float64, len(ev.units))
+	ev.unitRank = make([]int, len(ev.units))
+	byID := make([]int, len(ev.units))
+	for k, u := range ev.units {
+		ev.unitTerms[k] = costTerms(s, u.ID)
+		byID[k] = k
+	}
+	slices.SortFunc(byID, func(a, b int) int { return cmp.Compare(ev.units[a].ID, ev.units[b].ID) })
+	for rank, k := range byID {
+		ev.unitRank[k] = rank
+	}
 	if ev.legacy {
-		ev.units = alloc.Units(s)
 		return ev
 	}
-	ev.sup = alloc.NewSupporter(s)
-	ev.units = ev.sup.Units
 	ev.tree = flex.NewIndexed(s.Problem, ev.sup.Clusters)
 	var clusters []hgraph.ID
 	for _, c := range s.Arch.Clusters() {
@@ -124,20 +139,11 @@ func newEvaluator(s *spec.Spec, opts Options) *evaluator {
 	}
 	ev.archClusters = bitset.NewIndexer(clusters)
 	ev.unitCluster = make([]int, len(ev.units))
-	ev.unitTerms = make([][]float64, len(ev.units))
-	ev.unitRank = make([]int, len(ev.units))
-	byID := make([]int, len(ev.units))
 	for k, u := range ev.units {
 		ev.unitCluster[k] = -1
 		if i, ok := ev.archClusters.Index(u.ID); ok {
 			ev.unitCluster[k] = i
 		}
-		ev.unitTerms[k] = costTerms(s, u.ID)
-		byID[k] = k
-	}
-	slices.SortFunc(byID, func(a, b int) int { return cmp.Compare(ev.units[a].ID, ev.units[b].ID) })
-	for rank, k := range byID {
-		ev.unitRank[k] = rank
 	}
 	ev.flats = newStringMap[*flatSlot]()
 	ev.archs = newStringMap[*archConfig]()
@@ -175,24 +181,16 @@ func (ev *evaluator) fold(st *Stats) {
 	st.Cache = ev.base.plus(ev.snapshot())
 }
 
-// newScratch returns the estimate scratch of one evaluating goroutine
-// (nil on the legacy path, which estimates from the allocation map).
-func (ev *evaluator) newScratch() *alloc.SupportScratch {
-	if ev.legacy {
-		return nil
-	}
-	return ev.sup.NewScratch()
-}
-
 // evalScratch returns the whole scratch of one evaluating goroutine:
-// the estimate's and the implementation's.
+// the estimate's and the implementation's (only the supportable-set
+// query's on the legacy path, which implements allocation maps).
 func (ev *evaluator) evalScratch() scratch {
 	if ev.legacy {
-		return scratch{}
+		return scratch{sup: ev.sup.NewScratch()}
 	}
 	n := ev.sup.Clusters.Len()
 	return scratch{
-		sup:         ev.newScratch(),
+		sup:         ev.sup.NewScratch(),
 		feasible:    bitset.New(n),
 		implemented: bitset.New(n),
 		memo:        make([]int8, n),
@@ -213,15 +211,15 @@ func (ev *evaluator) allocation(r *candRec) spec.Allocation {
 // returns the supportable-cluster set alongside, so the caller can hand
 // it to implement and avoid the historical double computation. The
 // cached path works on r's unit indices in sc and allocates nothing:
-// the set is sc's own, valid until sc's next query. The boolean reports
-// whether the set is valid; it is false on the legacy path, which
-// builds r's allocation map and runs the uncached Estimate.
-func (ev *evaluator) estimate(r *candRec, sc *alloc.SupportScratch) (float64, bitset.Set, bool) {
+// the set is sc's own, valid until sc's next query. The legacy path
+// builds r's allocation map, runs the uncached Estimate and returns an
+// empty set, which its implement ignores.
+func (ev *evaluator) estimate(r *candRec, sc *alloc.SupportScratch) (float64, bitset.Set) {
 	if ev.legacy {
-		return Estimate(ev.s, ev.allocation(r), ev.opts), bitset.Set{}, false
+		return Estimate(ev.s, ev.allocation(r), ev.opts), bitset.Set{}
 	}
 	sup := ev.sup.SupportableUnits(r.units, sc)
-	return ev.flexOfBits(sup), sup, true
+	return ev.flexOfBits(sup), sup
 }
 
 func (ev *evaluator) flexOfBits(set bitset.Set) float64 {
@@ -265,21 +263,15 @@ func readyAttempt(im *Implementation) attempt {
 }
 
 // implement is Implement through the caches, for the candidate given
-// by its unit indices. sup is the supportable set computed by estimate
-// in w (haveSup false when the caller has none, e.g. the sampling
-// explorers, which skip estimation); implement only reads it during the
-// call, and reads the candidate's resource closure from the same
-// estimate scratch. Search effort is added to stats, which must not be
-// nil.
-func (ev *evaluator) implement(units []int, sup bitset.Set, haveSup bool, w *scratch, stats *Stats) attempt {
+// by its unit indices. sup is the supportable set of the candidate's
+// estimate or possibility test, computed in w; implement only reads it during the call, and reads the
+// candidate's resource closure from the same scratch. Search effort is
+// added to stats, which must not be nil.
+func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *Stats) attempt {
 	if ev.legacy {
 		return readyAttempt(Implement(ev.s, alloc.AllocationOf(ev.units, units), ev.opts, stats))
 	}
-	if haveSup {
-		ev.supportReused.Add(1)
-	} else {
-		sup = ev.sup.SupportableUnits(units, w.sup)
-	}
+	ev.supportReused.Add(1)
 	w.archSet.Clear()
 	for _, k := range units {
 		if i := ev.unitCluster[k]; i >= 0 {

@@ -36,6 +36,7 @@ type jsonStats struct {
 	AllocSpace          float64    `json:"allocSpace"`
 	Scanned             int        `json:"scanned"`
 	PossibleAllocations int        `json:"possibleAllocations"`
+	Estimated           int        `json:"estimated"`
 	Attempted           int        `json:"attempted"`
 	Feasible            int        `json:"feasible"`
 	ECSTested           int        `json:"ecsTested"`
@@ -61,6 +62,7 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 			AllocSpace:          r.Stats.AllocSpace,
 			Scanned:             r.Stats.Scanned,
 			PossibleAllocations: r.Stats.PossibleAllocations,
+			Estimated:           r.Stats.Estimated,
 			Attempted:           r.Stats.Attempted,
 			Feasible:            r.Stats.Feasible,
 			ECSTested:           r.Stats.ECSTested,

@@ -102,6 +102,6 @@ func TestFrontOwnsItsMaps(t *testing.T) {
 			}
 		}
 		assertNoSharedMaps(t, sub.name+"/RandomSearch", RandomSearch(sub.s, Options{}, 400, 1).Front)
-		assertNoSharedMaps(t, sub.name+"/Evolutionary", Evolutionary(sub.s, Options{}, EAConfig{Seed: 1}).Front)
+		assertNoSharedMaps(t, sub.name+"/Evolutionary", Evolutionary(sub.s, Options{}, 1).Front)
 	}
 }

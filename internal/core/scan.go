@@ -43,6 +43,10 @@ type scan struct {
 	// loop would escape to the heap once per candidate.
 	rec     candRec
 	scratch scratch
+	// samples memoises the sampling explorers' evaluations by unit-index
+	// set (sample); key is the scratch set they are looked up by.
+	samples map[string]sampled
+	key     bitset.Set
 }
 
 // scratch is what one evaluating goroutine reuses across candidates:
@@ -218,23 +222,34 @@ func (sc *scan) run(f fold, src source, workers, queue int) *Result {
 	if sc.pool != nil {
 		sc.pool.finish()
 	}
-	sc.sync()
 	// A closing report covers the scan tail past the last periodic one,
 	// so a checkpoint writer hooked on Progress captures the whole
 	// explored prefix.
 	if sc.opts.Progress != nil && res.Cursor > sc.lastEmit {
 		sc.emit()
 	}
-	_, _, pc, _ := sc.s.Problem.ElementCount()
 	res.Stats.Scanned = aStats.Scanned
-	res.Stats.AllocSpace = aStats.SearchSpace
-	res.Stats.DesignSpace = aStats.SearchSpace * alloc.SearchSpace(pc)
+	sc.setSpace(aStats.SearchSpace)
 	if res.Reason == ReasonCompleted && aStats.BudgetCut {
 		// The MaxScan budget cut the candidate stream short.
 		res.Reason = ReasonScanBound
 	}
-	res.Front = frontToImplementations(sc.front)
-	return res
+	return sc.finish()
+}
+
+// finish publishes the final counters and the front.
+func (sc *scan) finish() *Result {
+	sc.sync()
+	sc.res.Front = frontToImplementations(sc.front)
+	return sc.res
+}
+
+// setSpace records the size of the allocation space searched and of
+// the design space over it.
+func (sc *scan) setSpace(allocSpace float64) {
+	_, _, pc, _ := sc.s.Problem.ElementCount()
+	sc.res.Stats.AllocSpace = allocSpace
+	sc.res.Stats.DesignSpace = allocSpace * alloc.SearchSpace(pc)
 }
 
 // evalOne runs one candidate's work in the engine's fixed order:
@@ -255,7 +270,7 @@ func (sc *scan) evalOne(r *candRec, idx int, b bounder, w *scratch) {
 		return
 	}
 	r.estimated = true
-	est, sup, haveSup := sc.ev.estimate(r, w.sup)
+	est, sup := sc.ev.estimate(r, w.sup)
 	r.est = est
 	if sc.pruned(b, r) {
 		return
@@ -267,7 +282,7 @@ func (sc *scan) evalOne(r *candRec, idx int, b bounder, w *scratch) {
 	}
 	r.attempted = true
 	w.st = Stats{}
-	r.att = sc.ev.implement(r.units, sup, haveSup, w, &w.st)
+	r.att = sc.ev.implement(r.units, sup, w, &w.st)
 	r.ecsTested, r.bindingRuns, r.bindingNodes = w.st.ECSTested, w.st.BindingRuns, w.st.BindingNodes
 }
 

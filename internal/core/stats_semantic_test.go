@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -80,6 +82,32 @@ func TestSemanticZeroesTelemetry(t *testing.T) {
 	for name := range statsSemanticFields {
 		if _, ok := st.FieldByName(name); !ok {
 			t.Errorf("statsSemanticFields names %q, which is not a Stats field", name)
+		}
+	}
+}
+
+// TestResultJSONCarriesSemanticStats: every field Semantic() preserves
+// appears, under its Stats json name, in the marshalled result, so a
+// new counter cannot be left out of MarshalJSON's hand copy.
+func TestResultJSONCarriesSemanticStats(t *testing.T) {
+	r := &Result{}
+	fillNonZero(reflect.ValueOf(&r.Stats).Elem())
+	data, err := r.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire struct {
+		Stats map[string]json.RawMessage `json:"stats"`
+	}
+	if err := json.Unmarshal(data, &wire); err != nil {
+		t.Fatal(err)
+	}
+	st := reflect.TypeOf(Stats{})
+	for name := range statsSemanticFields {
+		f, _ := st.FieldByName(name)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if _, ok := wire.Stats[key]; !ok {
+			t.Errorf("Stats.%s (%q) is missing from the result JSON", name, key)
 		}
 	}
 }

@@ -30,7 +30,8 @@ type Request struct {
 	// Seed parameterizes the synthetic model.
 	Seed int64 `json:"seed,omitempty"`
 
-	// Timing is the timing policy: paper (default) | rta | ll | none.
+	// Timing is the timing policy: paper (default) | none | ll | rta |
+	// edf | hyperbolic (see bind.ParseTiming).
 	Timing string `json:"timing,omitempty"`
 	// Weighted selects the weighted flexibility metric.
 	Weighted bool `json:"weighted,omitempty"`
@@ -214,18 +215,12 @@ func (s *Server) jobFromRequest(req *Request, sp *spec.Spec) (*job, *apiError) {
 			req.DeadlineMs, s.cfg.MaxDeadline.Milliseconds()))
 	}
 
-	var timing bind.TimingPolicy
-	switch req.Timing {
-	case "", "paper":
-		timing = bind.TimingPaper
-	case "rta":
-		timing = bind.TimingRTA
-	case "ll":
-		timing = bind.TimingLiuLayland
-	case "none":
-		timing = bind.TimingNone
-	default:
-		return nil, errBudget(fmt.Sprintf(`unknown "timing" policy %q (paper | rta | ll | none)`, req.Timing))
+	timing := bind.TimingPaper
+	if req.Timing != "" {
+		var err error
+		if timing, err = bind.ParseTiming(req.Timing); err != nil {
+			return nil, errBudget(`"timing": ` + err.Error())
+		}
 	}
 
 	workers := req.Workers

@@ -222,12 +222,7 @@ func (s *Server) runSegment(ctx context.Context, j *job, resume *core.Resume) (r
 		}
 	}
 
-	if j.workers != 1 {
-		res = core.ExploreParallelContext(ctx, j.spec, opts, j.workers, 0)
-	} else {
-		res = core.ExploreContext(ctx, j.spec, opts)
-	}
-	return res, nil, false
+	return core.ExploreParallelContext(ctx, j.spec, opts, j.workers, 0), nil, false
 }
 
 // publishProgress converts a core progress snapshot into the job's

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bind"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/models"
@@ -363,7 +364,7 @@ func TestAdmissionRejections(t *testing.T) {
 		{"negative deadline", `{"model": "settop", "deadlineMs": -1}`, http.StatusBadRequest, CodeBadBudget},
 		{"deadline above cap", `{"model": "settop", "deadlineMs": 6000000}`, http.StatusBadRequest, CodeBadBudget},
 		{"negative cadence", `{"model": "settop", "checkpointEvery": -2}`, http.StatusBadRequest, CodeBadBudget},
-		{"unknown timing", `{"model": "settop", "timing": "edf"}`, http.StatusBadRequest, CodeBadBudget},
+		{"unknown timing", `{"model": "settop", "timing": "bogus"}`, http.StatusBadRequest, CodeBadBudget},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -405,6 +406,24 @@ func TestWorkersCappedAtAdmission(t *testing.T) {
 	}
 	if _, j, aerr := s.parseRequest(strings.NewReader(`{"model": "settop", "workers": 1}`)); aerr != nil || j.workers != 1 {
 		t.Errorf("workers 1: job = %+v, err %+v; want 1 worker", j, aerr)
+	}
+}
+
+// TestRequestTiming: "timing" takes every bind.ParseTiming name, and
+// an absent one selects the paper's test.
+func TestRequestTiming(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	for body, want := range map[string]bind.TimingPolicy{
+		`{"model": "settop"}`:                         bind.TimingPaper,
+		`{"model": "settop", "timing": "none"}`:       bind.TimingNone,
+		`{"model": "settop", "timing": "ll"}`:         bind.TimingLiuLayland,
+		`{"model": "settop", "timing": "rta"}`:        bind.TimingRTA,
+		`{"model": "settop", "timing": "edf"}`:        bind.TimingEDF,
+		`{"model": "settop", "timing": "hyperbolic"}`: bind.TimingHyperbolic,
+	} {
+		if _, j, aerr := s.parseRequest(strings.NewReader(body)); aerr != nil || j.opts.Timing != want {
+			t.Errorf("%s: job %+v, err %+v; want timing %v", body, j, aerr, want)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 
@@ -116,7 +117,7 @@ func Run(s *spec.Spec, im *core.Implementation, trace []Request, cfg Config) (*R
 		if rq.Behaviour == nil {
 			return nil, fmt.Errorf("sim: request at %v has no behaviour", rq.At)
 		}
-		if current != nil && selectionsEqual(current.ECS.Selection, rq.Behaviour) {
+		if current != nil && maps.Equal(current.ECS.Selection, rq.Behaviour) {
 			rep.Served++
 			rep.Events = append(rep.Events, Event{At: rq.At, Kind: Serve,
 				Detail: "already executing " + rq.Behaviour.String()})
@@ -133,7 +134,7 @@ func Run(s *spec.Spec, im *core.Implementation, trace []Request, cfg Config) (*R
 		if current != nil {
 			start += cfg.SwitchDelay
 			rep.SwitchOverhead += cfg.SwitchDelay
-			if !selectionsEqual(current.ArchSelection, beh.ArchSelection) {
+			if !maps.Equal(current.ArchSelection, beh.ArchSelection) {
 				rep.Reconfigurations++
 				rep.SwitchOverhead += cfg.ReconfigDelay
 				start += cfg.ReconfigDelay
@@ -157,23 +158,11 @@ func Run(s *spec.Spec, im *core.Implementation, trace []Request, cfg Config) (*R
 
 func findBehaviour(im *core.Implementation, sel hgraph.Selection) *core.Behaviour {
 	for i := range im.Behaviours {
-		if selectionsEqual(im.Behaviours[i].ECS.Selection, sel) {
+		if maps.Equal(im.Behaviours[i].ECS.Selection, sel) {
 			return &im.Behaviours[i]
 		}
 	}
 	return nil
-}
-
-func selectionsEqual(a, b hgraph.Selection) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // RandomTrace samples n requests uniformly from the specification's

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/activation"
@@ -160,7 +161,7 @@ func TestRandomTraceAndServiceLevel(t *testing.T) {
 	// Deterministic in seed.
 	again := RandomTrace(s, 7, 200)
 	for i := range trace {
-		if !selectionsEqual(trace[i].Behaviour, again[i].Behaviour) {
+		if !maps.Equal(trace[i].Behaviour, again[i].Behaviour) {
 			t.Fatal("RandomTrace not deterministic")
 		}
 	}

@@ -14,6 +14,7 @@ package trace
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 
@@ -194,23 +195,11 @@ func ExpectedServiceLevel(c *Chain, im *core.Implementation) (float64, error) {
 
 func implemented(im *core.Implementation, sel hgraph.Selection) bool {
 	for i := range im.Behaviours {
-		if selectionsEqual(im.Behaviours[i].ECS.Selection, sel) {
+		if maps.Equal(im.Behaviours[i].ECS.Selection, sel) {
 			return true
 		}
 	}
 	return false
-}
-
-func selectionsEqual(a, b hgraph.Selection) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // ModesOf enumerates every behaviour of a problem graph as a mode

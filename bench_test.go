@@ -507,37 +507,38 @@ func BenchmarkEnumerateSynthetic(b *testing.B) {
 }
 
 // BenchmarkEnumerateSymbolic — the escape from the 2^n allocation
-// scan. The enumeration variant emits a 4096-candidate cost-ordered
-// prefix over a 30-unit synthetic architecture, where the bitset heap
-// scan would have to pop up to 2^30 subsets to reach the same stream
-// position; the custom metrics record the BDD search nodes visited
-// (the symbolic analogue of "scanned", measured ~675k — three orders
-// of magnitude under 2^30) and the candidates emitted. allocs/op is
-// the churn gauge: the walk's flat frontier (value heap entries over
-// bitmask rows in a recycled arena, internal/boolfunc) cut units=30
-// from ~175 MB / 2.07M allocs per op, and ~57.7 MB / 560k with pooled
-// nodes, to ~19.0 MB / 12k — same visits, same stream. The count
+// scan. The enumeration variants emit a 4096-candidate cost-ordered
+// prefix over a 30- and a 50-unit synthetic architecture, where the
+// bitset heap scan would have to pop up to 2^30 or 2^50 subsets to
+// reach the same stream position; the custom metrics record the BDD
+// search nodes visited (the symbolic analogue of "scanned") and the
+// candidates emitted. Keying each frontier node by its cheapest
+// satisfying completion (internal/boolfunc) cut units=30 from 675105
+// visits / ~19.0 MB per op to 13973 / ~3.3 MB, same stream, and lets
+// units=50 finish in 9769 visits where the walk keyed by own cost
+// spent 3M visits on the cheap-bus plateau for 4 candidates. The count
 // variants exercise the pure-symbolic path on 50- and 100-unit
-// architectures, where cost-ordered *enumeration* effort is dominated
-// by the cheap-bus cost plateau (docs/symbolic.md) but counting the
-// whole possible-allocation set stays polynomial in the BDD size.
+// architectures: counting the whole possible-allocation set stays
+// polynomial in the BDD size.
 func BenchmarkEnumerateSymbolic(b *testing.B) {
-	b.Run("units=30", func(b *testing.B) {
-		s := models.Synthetic(models.ScaledSynthetic(1, 30))
-		var st alloc.Stats
-		emitted := 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			emitted = 0
-			st = alloc.EnumerateSymbolic(s, alloc.Options{}, func(alloc.Candidate) bool {
-				emitted++
-				return emitted < 4096
-			})
-		}
-		b.ReportMetric(float64(st.Scanned), "visited")
-		b.ReportMetric(float64(emitted), "emitted")
-	})
+	for _, units := range []int{30, 50} {
+		b.Run(fmt.Sprintf("units=%d", units), func(b *testing.B) {
+			s := models.Synthetic(models.ScaledSynthetic(1, units))
+			var st alloc.Stats
+			emitted := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				emitted = 0
+				st = alloc.EnumerateSymbolic(s, alloc.Options{}, func(alloc.Candidate) bool {
+					emitted++
+					return emitted < 4096
+				})
+			}
+			b.ReportMetric(float64(st.Scanned), "visited")
+			b.ReportMetric(float64(emitted), "emitted")
+		})
+	}
 	for _, units := range []int{50, 100} {
 		b.Run(fmt.Sprintf("count/units=%d", units), func(b *testing.B) {
 			s := models.Synthetic(models.ScaledSynthetic(1, units))

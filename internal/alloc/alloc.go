@@ -156,7 +156,10 @@ type Options struct {
 	// leaves them out as obviously non-Pareto-optimal.
 	IncludeUselessComm bool
 	// MaxScan bounds the enumeration effort in BDD search nodes visited
-	// (0 = unbounded). The bitset oracle EnumerateRange counts subsets
+	// (0 = unbounded). The walk keyed by cheapest completion reaches any
+	// stream position in no more visits than the walk keyed by each
+	// node's own cost did, so a budget reaches at least as far into the
+	// same stream. The bitset oracle EnumerateRange counts subsets
 	// scanned instead.
 	MaxScan int
 }

@@ -142,17 +142,20 @@ func TestSymbolicMaxScanBudget(t *testing.T) {
 	sameCandidates(t, "budget-prefix", full[:len(got)], got)
 }
 
-// TestSymbolicVisitBounds pins the tentpole's acceptance numbers: the
-// symbolic producer's visit counter stays far below the 2^n subsets
-// the bitset scan would pop to reach the same stream position.
+// TestSymbolicVisitBounds pins the symbolic producer's visit counter
+// far below the 2^n subsets the bitset scan would pop to reach the same
+// stream position.
 //
 //   - Case study (14 units): the full enumeration — all possible
 //     allocations, not a prefix — visits no more than the 2^14 = 16384
 //     subsets the scan is pinned to (measured: 4702 with useless buses
 //     pruned, 12800 with them included).
 //   - Scaled synthetic (30 units): a 4096-candidate cost-ordered prefix
-//     visits at least 10x fewer nodes than the 2^30 subsets the scan
-//     would have to pop before it could emit anything past the prefix.
+//     takes at most 135021 visits, 5x under the 675105 of the walk
+//     keyed by each node's own cost (measured: 13973).
+//   - Scaled synthetic (50 units): a 4096-candidate prefix completes
+//     within a 100000-visit budget; the walk keyed by own cost ran out
+//     of a 3M-visit budget after 4 candidates on the cheap-bus plateau.
 func TestSymbolicVisitBounds(t *testing.T) {
 	settop := models.SetTopBox()
 	for _, include := range []bool{false, true} {
@@ -162,22 +165,29 @@ func TestSymbolicVisitBounds(t *testing.T) {
 		}
 	}
 
-	scaled := models.Synthetic(models.ScaledSynthetic(1, 30))
-	if n := len(Units(scaled)); n != 30 {
-		t.Fatalf("scaled spec has %d units, want 30", n)
+	for _, c := range []struct {
+		units, maxScan, limit int
+	}{
+		{units: 30, limit: 135021},
+		{units: 50, maxScan: 100000, limit: 100000},
+	} {
+		scaled := models.Synthetic(models.ScaledSynthetic(1, c.units))
+		if n := len(Units(scaled)); n != c.units {
+			t.Fatalf("scaled spec has %d units, want %d", n, c.units)
+		}
+		emitted := 0
+		st := EnumerateSymbolic(scaled, Options{MaxScan: c.maxScan}, func(Candidate) bool {
+			emitted++
+			return emitted < 4096
+		})
+		if emitted != 4096 || st.BudgetCut {
+			t.Fatalf("%d units: emitted %d candidates (budget cut %v), want 4096", c.units, emitted, st.BudgetCut)
+		}
+		if st.Scanned > c.limit {
+			t.Errorf("%d-unit prefix visited %d nodes, want <= %d", c.units, st.Scanned, c.limit)
+		}
+		t.Logf("%d-unit 4096-candidate prefix: visited %d BDD nodes", c.units, st.Scanned)
 	}
-	emitted := 0
-	st := EnumerateSymbolic(scaled, Options{}, func(Candidate) bool {
-		emitted++
-		return emitted < 4096
-	})
-	if emitted != 4096 {
-		t.Fatalf("emitted %d candidates, want 4096 (the spec must admit at least that many)", emitted)
-	}
-	if limit := (1 << 30) / 10; st.Scanned >= limit {
-		t.Errorf("30-unit prefix visited %d nodes, want < %d (10x below 2^30)", st.Scanned, limit)
-	}
-	t.Logf("30-unit 4096-candidate prefix: visited %d BDD nodes (2^30 = %d)", st.Scanned, 1<<30)
 }
 
 // TestCountPossibleBig: the big count matches the float64 one on small

@@ -2,6 +2,7 @@ package boolfunc
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/bits"
 )
@@ -16,15 +17,38 @@ import (
 // BDD proves free of satisfying assignments, so only O(trie of the
 // satisfying set) nodes are visited instead of all 2^n.
 //
-// Determinism and tie order. The heap orders by (cost, descending
-// lexicographic index sequence) — the exact comparator of the bitset
-// scan in internal/alloc (subsetHeap.Less) — and pruning removes only
-// whole subtrees that contain no satisfying assignment. Removing a
+// Determinism and tie order. The stream is the satisfying subsequence
+// of the unpruned scan under the (cost, descending lexicographic index
+// sequence) heap order — the exact comparator of the bitset scan in
+// internal/alloc (subsetHeap.Less) — so the two producers are
+// interchangeable mid-stream, cursor for cursor. Pruning removes only
+// whole subtrees that contain no satisfying assignment, and removing a
 // subtree never changes when the surviving nodes become available
-// (their parents all survive), so the sequence of satisfying
-// assignments is bit-identical to the subsequence of satisfying subsets
-// in the unpruned scan: the two producers are interchangeable
-// mid-stream, cursor for cursor.
+// (their parents all survive).
+//
+// The key. A frontier node is keyed not by its own cost but by the
+// cheapest satisfying assignment in its subtree: the cost of its
+// elements below its last one plus minNE, the cheapest completion of
+// its restriction with a true variable at or above its last index.
+// Children never key below their parent, so keys pop in nondecreasing
+// order, and a satisfying node's key is its own cost. Entries order by
+// key, then those whose cost is below their key (they do not satisfy)
+// first, then by the tie-break above. Within one cost
+// tier T the scan's emissions come, in its greedy heap order, from the
+// cost-T nodes whose subtree holds a satisfying assignment of cost T;
+// every other cost-T node roots a subtree with nothing to emit in T,
+// which the argument above lets us remove. Under the key order every
+// cheaper ancestor of those nodes keys at most T and is expanded before
+// the first cost-T pop, so the tier's relevant nodes are all queued
+// when it starts and pop in the scan's order. The stream is
+// unchanged; the walk just no longer expands a cheap node whose
+// cheapest satisfying descendant lies in a later tier.
+//
+// Exactness guard. That argument compares sums for equality, so the
+// key is used only when every cost is an integer and their total is
+// below 2^53, where every subset sum is exact in float64. Otherwise a
+// node is keyed by its own cost — the plain scan order — and minNE,
+// computed over zero costs, serves only as the pruning test.
 //
 // Costs must be non-negative and nondecreasing in variable order (the
 // natural variable order for a cost-ordered enumeration — both child
@@ -40,20 +64,26 @@ type CostEnum struct {
 	// MaxVisits bounds the search effort: Next reports ok=false once
 	// Visited() reaches it (0 = unbounded). This is the symbolic
 	// analogue of a scan bound — the unit is BDD search nodes visited,
-	// not subsets scanned.
+	// not subsets scanned. The keyed walk reaches any stream position
+	// in no more visits than a walk keyed by each node's own cost.
 	MaxVisits int
 
-	m       *Manager
-	f       *Node
-	costs   []float64
+	m     *Manager
+	f     *Node
+	costs []float64
+	// hcosts are the costs the completion tables sum: costs when the
+	// exactness guard holds, zeros otherwise.
+	hcosts  []float64
 	started bool
 	visited int
 	emitted int
 	cut     bool
-	// The memo tables are dense slices indexed by BDD node id (0
-	// unknown, 1 true, 2 false): the walk calls only read-only Manager
-	// operations, so the id space is frozen at construction time.
-	oneMemo  []int8
+	// The memo tables are dense slices indexed by BDD node id: the walk
+	// calls only read-only Manager operations, so the id space is
+	// frozen at construction time. minMemo holds each node's minSat at
+	// 2·id and its minNE at its own level at 2·id+1, -1 when unknown;
+	// zeroMemo is 0 unknown, 1 true, 2 false.
+	minMemo  []float64
 	zeroMemo []int8
 
 	// The frontier is flat. h holds value entries; each entry's index
@@ -81,17 +111,26 @@ type CostEnum struct {
 	drained []int
 }
 
-// enumEntry is one live subset-tree node: its total cost, the function
-// restricted by the node's bits on every variable below its last index
-// (the last variable itself is resolved lazily, because the replace
-// child needs its false branch), the arena row holding its index set,
-// and that set's largest index.
+// enumEntry is one live subset-tree node: its key (see CostEnum), the
+// function restricted by the node's bits on every variable below its
+// last index (the last variable itself is resolved lazily, because the
+// replace child needs its false branch), the arena row holding its
+// index set, and that set's largest index, with atKey set when the
+// node's own cost equals its key. A node's cost is not stored: it is
+// the key under atKey, and key − minNE(pre, last) + costs[last]
+// otherwise, exact under the guard.
 type enumEntry struct {
-	cost float64
+	key  float64
 	pre  *Node
 	row  int32
-	last int32
+	last uint32
 }
+
+// atKey is the enumEntry.last bit marking a node whose cost is its key.
+const atKey = 1 << 31
+
+// index returns the entry's largest index.
+func (x *enumEntry) index() int { return int(x.last &^ atKey) }
 
 // enumHeap is a binary min-heap of frontier entries under
 // CostEnum.less, sifted by hand (CostEnum.up and down) so entries stay
@@ -108,15 +147,36 @@ const minFrontier = 64
 // variable, nondecreasing in variable order (see the type comment).
 func (m *Manager) NewCostEnum(f *Node, costs []float64) *CostEnum {
 	m.checkCosts(costs)
-	return &CostEnum{
+	e := &CostEnum{
 		m:        m,
 		f:        f,
 		costs:    costs,
-		oneMemo:  make([]int8, m.nextID),
+		hcosts:   costs,
+		minMemo:  make([]float64, 2*m.nextID),
 		zeroMemo: make([]int8, m.nextID),
 		words:    (m.numVars + 63) / 64,
 		free:     -1,
 	}
+	if !exactSums(costs) {
+		e.hcosts = make([]float64, m.numVars)
+	}
+	for i := range e.minMemo {
+		e.minMemo[i] = -1
+	}
+	return e
+}
+
+// exactSums reports whether every cost is an integer and their total is
+// below 2^53, so every sum and difference of subset costs is exact.
+func exactSums(costs []float64) bool {
+	total := 0.0
+	for _, c := range costs {
+		if c != math.Trunc(c) {
+			return false
+		}
+		total += c
+	}
+	return total < 1<<53
 }
 
 // NewCostEnumShard prepares a cost-ordered enumeration restricted to
@@ -154,12 +214,20 @@ func (m *Manager) NewCostEnumShard(f *Node, costs []float64, roots []int) *CostE
 		}
 		prev = k
 		e.lanePos[k] = i
-		e.push(enumEntry{cost: costs[k], pre: pre, row: e.singleton(k), last: int32(k)})
+		// A root's key covers the replace chain a shard never walks, so
+		// it may undercut the lane's cheapest assignment; children are
+		// keyed exactly, so the order stays consistent.
+		h := e.minNE(pre, k)
+		if math.IsInf(h, 1) {
+			h = e.hcosts[k]
+		}
+		e.push(e.entry(0, h, pre, e.singleton(k), k))
 		e.pending[i] = 1
 	}
 	// Roots are pushed unconditionally (an unsatisfiable lane costs one
-	// visit and drains immediately); the spine gating that decides when
-	// a lane's output may be consumed lives in the caller's merge.
+	// visit and drains immediately, keyed by its own cost); the spine
+	// gating that decides when a lane's output may be consumed lives in
+	// the caller's merge.
 	e.started = true
 	return e
 }
@@ -190,8 +258,10 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 		// Mirror of the subset scan: the all-false assignment is
 		// visited first, outside the heap.
 		e.visited++
-		if e.m.numVars > 0 && e.subtreeSat(e.f, 0) {
-			e.push(enumEntry{cost: e.costs[0], pre: e.f, row: e.singleton(0), last: 0})
+		if e.m.numVars > 0 {
+			if h := e.minNE(e.f, 0); !math.IsInf(h, 1) {
+				e.push(e.entry(0, h, e.f, e.singleton(0), 0))
+			}
 		}
 		if e.zeroSat(e.f) {
 			e.emitted++
@@ -208,7 +278,11 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 		// its row, so read everything it still needs first.
 		cur := e.h[0]
 		e.visited++
-		last := int(cur.last)
+		last := cur.index()
+		cost := cur.key
+		if cur.last&atKey == 0 {
+			cost = cur.key - e.minNE(cur.pre, last) + e.costs[last]
+		}
 		n0, n1 := e.m.cofactors(cur.pre, last)
 		sat := e.zeroSat(n1)
 		if sat {
@@ -224,11 +298,18 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 		// index and contain exactly the subsets whose first further
 		// element is >= that index, so each is pushed iff a satisfying
 		// assignment with at least one true variable from last+1 on
-		// extends the restriction. A shard walk never replaces a lane
-		// root's only element: that subset is another lane's root.
+		// extends the restriction — iff its minNE is finite. A shard
+		// walk never replaces a lane root's only element: that subset
+		// is another lane's root.
 		next := last + 1
-		ext := next < e.m.numVars && e.subtreeSat(n1, next)
-		rep := next < e.m.numVars && first != last && e.subtreeSat(n0, next)
+		hExt, hRep := math.Inf(1), math.Inf(1)
+		if next < e.m.numVars {
+			hExt = e.minNE(n1, next)
+			if first != last {
+				hRep = e.minNE(n0, next)
+			}
+		}
+		ext, rep := !math.IsInf(hExt, 1), !math.IsInf(hRep, 1)
 		pushed := 0
 		if ext {
 			r := cur.row
@@ -237,14 +318,14 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 				copy(e.row(r), e.row(cur.row))
 			}
 			e.row(r)[next>>6] |= 1 << (next & 63)
-			e.place(enumEntry{cost: cur.cost + e.costs[next], pre: n1, row: r, last: int32(next)}, pushed == 0)
+			e.place(e.entry(cost, hExt, n1, r, next), pushed == 0)
 			pushed++
 		}
 		if rep {
 			row := e.row(cur.row)
 			row[last>>6] &^= 1 << (last & 63)
 			row[next>>6] |= 1 << (next & 63)
-			e.place(enumEntry{cost: cur.cost - e.costs[last] + e.costs[next], pre: n0, row: cur.row, last: int32(next)}, pushed == 0)
+			e.place(e.entry(cost-e.costs[last], hRep, n0, cur.row, next), pushed == 0)
 			pushed++
 		}
 		if pushed == 0 {
@@ -259,21 +340,36 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 			}
 		}
 		if sat {
-			return e.buf, cur.cost, true
+			return e.buf, cost, true
 		}
 	}
 	return nil, 0, false
 }
 
-// less orders frontier entries by total cost, the equal-cost tie
-// broken by descending lexicographic index sequence — the order of
-// alloc.subsetHeap.Less, which the type comment relies on for stream
-// identity.
-func (e *CostEnum) less(a, b *enumEntry) bool {
-	if a.cost != b.cost {
-		return a.cost < b.cost
+// entry builds the frontier entry of the subset-tree node with largest
+// index k, restriction p and index-set row r, from the cost pc of its
+// elements below k and h = minNE(p, k), which must be finite. Without
+// the guard h is 0, and the key is the node's cost, summed as the plain
+// scan sums it.
+func (e *CostEnum) entry(pc, h float64, p *Node, r int32, k int) enumEntry {
+	if h != e.hcosts[k] {
+		return enumEntry{key: pc + h, pre: p, row: r, last: uint32(k)}
 	}
-	return tieBefore(e.row(a.row), e.row(b.row), a.last, b.last)
+	return enumEntry{key: pc + e.costs[k], pre: p, row: r, last: uint32(k) | atKey}
+}
+
+// less orders frontier entries by key, then nodes below their key
+// before nodes at it, then by descending lexicographic index sequence —
+// the equal-cost tie-break of alloc.subsetHeap.Less, which the type
+// comment relies on for stream identity.
+func (e *CostEnum) less(a, b *enumEntry) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if ka, kb := a.last&atKey, b.last&atKey; ka != kb {
+		return kb != 0
+	}
+	return tieBefore(e.row(a.row), e.row(b.row), int32(a.index()), int32(b.index()))
 }
 
 // tieBefore reports whether the index set a precedes b in descending
@@ -450,31 +546,44 @@ func (e *CostEnum) BudgetCut() bool { return e.cut }
 // into the deterministic stream.
 func (e *CostEnum) Emitted() int { return e.emitted }
 
-// subtreeSat reports whether some satisfying assignment extends the
-// restriction n (all variables below level decided) with at least one
-// true variable at or above level. It prunes the subset-tree: a node's
-// subtree contains a satisfying subset iff this holds for the node's
-// restriction.
-func (e *CostEnum) subtreeSat(n *Node, level int) bool {
-	if n == e.m.zero {
-		return false
+// minSat returns the cheapest completion of the restriction n under
+// hcosts: 0 for the one-terminal, +Inf for the zero-terminal.
+func (e *CostEnum) minSat(n *Node) float64 {
+	if n.IsTerminal() {
+		if n == e.m.one {
+			return 0
+		}
+		return math.Inf(1)
 	}
-	if n == e.m.one {
-		return level < e.m.numVars
+	if v := e.minMemo[2*n.id]; v >= 0 {
+		return v
+	}
+	v := min(e.minSat(n.Low), e.hcosts[n.Var]+e.minSat(n.High))
+	e.minMemo[2*n.id] = v
+	return v
+}
+
+// minNE returns the cheapest completion under hcosts of the restriction
+// n (all variables below level decided, so n.Var >= level) with at
+// least one true variable at or above level, +Inf if there is none. It
+// prunes the subset tree: a node's subtree holds a satisfying subset
+// iff this is finite for the node's restriction and last index.
+func (e *CostEnum) minNE(n *Node, level int) float64 {
+	if level >= e.m.numVars {
+		return math.Inf(1)
 	}
 	if n.Var > level {
-		// n is internal, hence satisfiable, and does not test `level`:
-		// set that unconstrained variable true in any satisfying
-		// completion.
-		return true
+		// level is unconstrained in n, and the cheapest of the free
+		// variables below n.Var: set it true, or leave them all false.
+		return min(e.hcosts[level]+e.minSat(n), e.minNE(n, n.Var))
 	}
 	// n.Var == level, so the memo key needs no level component.
-	if v := e.oneMemo[n.id]; v != 0 {
-		return v == 1
+	if v := e.minMemo[2*n.id+1]; v >= 0 {
+		return v
 	}
-	r := n.High != e.m.zero || e.subtreeSat(n.Low, level+1)
-	e.oneMemo[n.id] = memoBool(r)
-	return r
+	v := min(e.hcosts[level]+e.minSat(n.High), e.minNE(n.Low, level+1))
+	e.minMemo[2*n.id+1] = v
+	return v
 }
 
 // memoBool encodes a cached boolean for the dense memo slices: 0 is

@@ -192,54 +192,149 @@ func TestCostEnumResume(t *testing.T) {
 	}
 }
 
-// Property: on random functions the cost-ordered enumeration emits
-// exactly the brute-force satisfying set, in exactly the reference
-// order, visiting no more nodes than the full subset scan would.
+// randomCase draws from seed a random function of 2 to 16 variables,
+// its brute-force evaluator and its sorted cost vector, one cost per
+// variable from draw.
+func randomCase(seed int64, draw func(*rand.Rand) float64) (m *Manager, f *Node, costs []float64, eval func([]bool) bool) {
+	rng := rand.New(rand.NewSource(seed))
+	nVars := 2 + rng.Intn(15) // up to 16 variables
+	m = NewManager(nVars)
+	f, eval = randomExpr(m, rng, 4)
+	costs = make([]float64, nVars)
+	for i := range costs {
+		costs[i] = draw(rng)
+	}
+	sort.Float64s(costs)
+	return m, f, costs, eval
+}
+
+// satOf turns an evaluator on assignments into one on index sets.
+func satOf(nVars int, eval func([]bool) bool) func(idx []int) bool {
+	asg := make([]bool, nVars)
+	return func(idx []int) bool {
+		for v := range asg {
+			asg[v] = false
+		}
+		for _, v := range idx {
+			asg[v] = true
+		}
+		return eval(asg)
+	}
+}
+
+// matchesRefScan walks f under costs to exhaustion and reports whether
+// it emits exactly the brute-force satisfying set, in exactly refScan's
+// order with bit-identical, nondecreasing costs, visiting no more nodes
+// than the full subset scan would.
+func matchesRefScan(m *Manager, f *Node, costs []float64, eval func([]bool) bool) (*CostEnum, bool) {
+	nVars := m.NumVars()
+	wantIdx, wantCosts := refScan(nVars, costs, satOf(nVars, eval))
+	e := m.NewCostEnum(f, costs)
+	idxs, emCosts := enumAll(e)
+	if len(idxs) != len(wantIdx) {
+		return e, false
+	}
+	last := -1.0
+	for i := range wantIdx {
+		if !equalInts(idxs[i], wantIdx[i]) || emCosts[i] != wantCosts[i] {
+			return e, false
+		}
+		if emCosts[i] < last {
+			return e, false // cost order violated
+		}
+		last = emCosts[i]
+	}
+	// Effort bound: never worse than the exhaustive subset scan.
+	return e, e.Visited() <= 1<<nVars
+}
+
+// Property: on random functions with integer costs the cost-ordered
+// enumeration emits exactly the brute-force satisfying set, in exactly
+// the reference order. The walk keyed by cheapest completion visits no
+// more nodes than the walk keyed by each node's own cost
+// (refPrunedWalk), and under the same MaxVisits budget emits a prefix
+// of the stream at least as long as that walk's.
 func TestPropCostEnumMatchesBruteForce(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nVars := 2 + rng.Intn(15) // up to 16 variables
-		m := NewManager(nVars)
-		n, eval := randomExpr(m, rng, 4)
-		costs := make([]float64, nVars)
-		for i := range costs {
-			costs[i] = float64(rng.Intn(6))
-		}
-		sort.Float64s(costs)
-
-		asg := make([]bool, nVars)
-		sat := func(idx []int) bool {
-			for v := range asg {
-				asg[v] = false
-			}
-			for _, v := range idx {
-				asg[v] = true
-			}
-			return eval(asg)
-		}
-		wantIdx, wantCosts := refScan(nVars, costs, sat)
-
-		e := m.NewCostEnum(n, costs)
-		idxs, emCosts := enumAll(e)
-		if len(idxs) != len(wantIdx) {
+	prop := func(seed int64, cut uint16) bool {
+		m, f, costs, eval := randomCase(seed, func(rng *rand.Rand) float64 { return float64(rng.Intn(6)) })
+		e, ok := matchesRefScan(m, f, costs, eval)
+		if !ok {
 			return false
 		}
-		last := -1.0
-		for i := range wantIdx {
-			if !equalInts(idxs[i], wantIdx[i]) || emCosts[i] != wantCosts[i] {
+		nVars := m.NumVars()
+		all := make([]int, nVars)
+		for v := range all {
+			all[v] = v
+		}
+		sat := bruteForceSat(nVars, all, eval)
+		want, refVisits := refPrunedWalk(nVars, costs, sat, 0)
+		if e.Visited() > refVisits {
+			t.Logf("seed %d: visited %d nodes, reference walk %d", seed, e.Visited(), refVisits)
+			return false
+		}
+		budget := 1 + int(cut)%refVisits
+		b := m.NewCostEnum(f, costs)
+		b.MaxVisits = budget
+		got, _ := enumAll(b)
+		refPrefix, _ := refPrunedWalk(nVars, costs, sat, budget)
+		if len(got) < len(refPrefix) || len(got) > len(want) {
+			t.Logf("seed %d MaxVisits=%d: emitted %d models, reference walk %d of %d", seed, budget, len(got), len(refPrefix), len(want))
+			return false
+		}
+		for i := range got {
+			if !equalInts(got[i], want[i]) {
 				return false
 			}
-			if emCosts[i] < last {
-				return false // cost order violated
-			}
-			last = emCosts[i]
 		}
-		// Effort bound: never worse than the exhaustive subset scan.
-		return e.Visited() <= 1<<nVars
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Property: with fractional costs, whose subset sums round, the stream
+// is still refScan's. The completion key compares sums for equality, so
+// the walk must fall back to keying nodes by their own cost here.
+func TestPropCostEnumFractionalCosts(t *testing.T) {
+	prop := func(seed int64) bool {
+		m, f, costs, eval := randomCase(seed, func(rng *rand.Rand) float64 { return float64(rng.Intn(30)) / 10 })
+		_, ok := matchesRefScan(m, f, costs, eval)
+		return ok
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzCostEnumStream checks whole streams against the unpruned scan:
+// seed draws a random function over one variable per cost byte (at most
+// 12), and each byte is a cost of byte%16 units, or of tenths of a unit
+// when frac is set.
+func FuzzCostEnumStream(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 1, 2, 3, 5}, false)
+	f.Add(int64(2), []byte{1, 1, 1, 1, 1, 1, 1, 1}, false)
+	f.Add(int64(6), []byte{1, 2, 3, 4, 5, 6, 7, 8}, true)
+	f.Add(int64(1), []byte{0, 0, 3, 3, 3, 9, 9, 12, 15, 15}, true)
+	f.Fuzz(func(t *testing.T, seed int64, cb []byte, frac bool) {
+		if len(cb) == 0 {
+			return
+		}
+		cb = cb[:min(len(cb), 12)]
+		costs := make([]float64, len(cb))
+		for i, c := range cb {
+			costs[i] = float64(c % 16)
+			if frac {
+				costs[i] /= 10
+			}
+		}
+		sort.Float64s(costs)
+		m := NewManager(len(costs))
+		fn, eval := randomExpr(m, rand.New(rand.NewSource(seed)), 4)
+		if _, ok := matchesRefScan(m, fn, costs, eval); !ok {
+			t.Fatalf("costs %v: stream departs from the unpruned scan", costs)
+		}
+	})
 }
 
 func TestCostEnumRejectsBadCosts(t *testing.T) {

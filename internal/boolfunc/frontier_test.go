@@ -10,7 +10,8 @@ import (
 )
 
 // entryOf stores the nonempty ascending index set idx in a fresh row
-// of e's arena and returns its frontier entry, costed by e's costs.
+// of e's arena and returns its frontier entry keyed by its own cost
+// under e's costs, as a node whose cost is its key.
 func entryOf(e *CostEnum, idx []int) enumEntry {
 	r := e.newRow()
 	row := e.row(r)
@@ -20,7 +21,7 @@ func entryOf(e *CostEnum, idx []int) enumEntry {
 		row[k>>6] |= 1 << (k & 63)
 		cost += e.costs[k]
 	}
-	return enumEntry{cost: cost, row: r, last: int32(idx[len(idx)-1])}
+	return enumEntry{key: cost, row: r, last: uint32(idx[len(idx)-1]) | atKey}
 }
 
 // randomSet draws a nonempty ascending subset of [0, n) of a random
@@ -127,7 +128,7 @@ func TestPropFrontierLessMatchesReference(t *testing.T) {
 					continue
 				}
 				ea, eb := entryOf(e, a), entryOf(e, b)
-				want := ea.cost < eb.cost || ea.cost == eb.cost && refBefore(a, b)
+				want := ea.key < eb.key || ea.key == eb.key && refBefore(a, b)
 				if e.less(&ea, &eb) != want || e.less(&eb, &ea) == want {
 					t.Logf("n=%d kind=%d: less(%v, %v) = %v, want %v", n, kind, a, b, e.less(&ea, &eb), want)
 					return false
@@ -230,7 +231,7 @@ func TestCostEnumMultiWordStream(t *testing.T) {
 		}
 
 		sat := bruteForceSat(n, free, eval)
-		want, wantVisits := refPrunedWalk(n, costs, sat)
+		want, wantVisits := refPrunedWalk(n, costs, sat, 0)
 		if len(want) != len(sat) || len(want) < 10 {
 			t.Fatalf("n=%d: reference walk emitted %d of %d models", n, len(want), len(sat))
 		}
@@ -325,8 +326,9 @@ func bruteForceSat(n int, free []int, eval func([]bool) bool) [][]int {
 // elements below its last one and have an element at or above it —
 // holds a satisfying set. It returns the satisfying subsequence of the
 // pop order, the empty set first, and the visit count as CostEnum
-// counts it.
-func refPrunedWalk(n int, costs []float64, sat [][]int) (stream [][]int, visits int) {
+// counts it. A positive maxVisits stops the walk there, as MaxVisits
+// stops CostEnum.
+func refPrunedWalk(n int, costs []float64, sat [][]int, maxVisits int) (stream [][]int, visits int) {
 	key := func(s []int) string {
 		b := make([]byte, len(s))
 		for i, v := range s {
@@ -358,7 +360,7 @@ func refPrunedWalk(n int, costs []float64, sat [][]int) (stream [][]int, visits 
 	if n > 0 && live([]int{0}) {
 		heap.Push(h, refNode{costs[0], []int{0}})
 	}
-	for h.Len() > 0 {
+	for h.Len() > 0 && (maxVisits <= 0 || visits < maxVisits) {
 		cur := heap.Pop(h).(refNode)
 		visits++
 		if m := cur.idx[len(cur.idx)-1]; m+1 < n {

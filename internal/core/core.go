@@ -116,7 +116,11 @@ type Options struct {
 	MaxECS int
 	// MaxScan bounds the enumeration effort in BDD search nodes visited
 	// (0 = unbounded). A bounded run explores a deterministic prefix of
-	// the candidate stream and ends with ReasonScanBound.
+	// the candidate stream and ends with ReasonScanBound. Per visit the
+	// walk reaches at least as far into the stream as the walk keyed by
+	// each node's own cost did, and a snapshot that walk took under a
+	// budget resumes to the current walk's prefix for that budget: the
+	// budget replays from visit 0.
 	MaxScan int
 	// MaxBindNodes bounds each binding search (0 = unbounded).
 	MaxBindNodes int

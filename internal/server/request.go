@@ -44,7 +44,9 @@ type Request struct {
 
 	// MaxScan bounds the enumeration effort in BDD search nodes visited
 	// (0 = unbounded). A bounded job returns a deterministic prefix of
-	// the candidate stream.
+	// the candidate stream, at least as long per visit as before the
+	// walk was keyed by cheapest completion; a job checkpointed before
+	// that resumes to the current walk's prefix for the same budget.
 	MaxScan int `json:"maxScan,omitempty"`
 	// MaxECS bounds the behaviours tested per candidate.
 	MaxECS int `json:"maxEcs,omitempty"`

@@ -58,14 +58,14 @@ func (sc *scan) sample(units []int) (sampled, bool) {
 	w, st := &sc.scratch, &sc.res.Stats
 	v := sampled{cost: sc.ev.unitsCost(units, w), flex: -1}
 	r := &sc.rec
-	*r = candRec{units: units}
+	r.reset(units)
 	if sup := sc.ev.sup.SupportableUnits(units, w.sup); sup.Has(sc.ev.root) {
 		sc.possible.Add(1)
 		st.Attempted++
-		if r.att = sc.ev.implement(units, sup, w, st); r.att.ok {
+		if r.att = sc.ev.implement(units, sup, w, st, r.att); r.att.ok {
 			st.Feasible++
 			v.flex = r.att.flex
-			sc.ev.admit(sc.front, pareto.CostFlexObjectives(r.att.cost, r.att.flex), r)
+			sc.ev.admit(sc.front, r.att.cost, r.att.flex, r)
 		}
 	}
 	sc.samples[string(sc.key.KeyBytes())] = v

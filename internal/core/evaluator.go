@@ -35,9 +35,10 @@ import (
 //     feasible under a resource set stays feasible under any superset
 //     (extra resources only add present vertices and links, and the
 //     timing tests depend only on the binding itself), so it is
-//     replayed — and verified with bind.Check — instead of rerun; an
+//     replayed — and verified with Problem.Verify — instead of rerun; an
 //     ECS proven infeasible on a resource superset (by an untruncated
-//     search) is skipped on any subset.
+//     search) is skipped on any subset. Only solver outcomes are
+//     stored under their present set's key; a replay stores nothing.
 //
 // The feasible-superset replay is gated on Options.MaxBindNodes == 0:
 // a truncated search is not monotone (a larger search space can
@@ -55,7 +56,11 @@ import (
 // memo outcome) picks behind it. Only a front admitting the attempt
 // builds the Implementation (materialise): the allocation map, the
 // cluster list and behaviours with private Binding and ArchSelection
-// maps. The many attempts no front keeps build no map at all.
+// maps. The many attempts no front keeps allocate nothing on a warm
+// memo: the implemented set and the picks are written into the
+// candidate record's buffers, which the record keeps across candidates
+// (candRec.reset), and admit tests the objective vector against the
+// front before it builds an entry.
 //
 // All caches are sharded and mutex-striped, so one evaluator is shared
 // by the parallel explorer's workers; counters are atomics, folded into
@@ -266,8 +271,10 @@ func readyAttempt(im *Implementation) attempt {
 // by its unit indices. sup is the supportable set of the candidate's
 // estimate or possibility test, computed in w; implement only reads it during the call, and reads the
 // candidate's resource closure from the same scratch. Search effort is
-// added to stats, which must not be nil.
-func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *Stats) attempt {
+// added to stats, which must not be nil. buf is the record's previous
+// attempt, whose implemented set and picks the new attempt overwrites
+// (see bindAll).
+func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *Stats, buf attempt) attempt {
 	if ev.legacy {
 		return readyAttempt(Implement(ev.s, alloc.AllocationOf(ev.units, units), ev.opts, stats))
 	}
@@ -286,7 +293,7 @@ func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *S
 		})
 		return a
 	})
-	at := ev.bindAll(w.sup.Avail(), sup, cfgs, w, stats)
+	at := ev.bindAll(w.sup.Avail(), sup, cfgs, w, stats, buf)
 	if at.ok {
 		at.cost = ev.unitsCost(units, w)
 	}
@@ -301,14 +308,17 @@ func (ev *evaluator) implementAllocation(a spec.Allocation, w *scratch, stats *S
 		return readyAttempt(Implement(ev.s, a, ev.opts, stats))
 	}
 	avail := ev.sup.AvailOf(a)
-	return ev.bindAll(avail, ev.sup.Supportable(avail), ev.configs(a), w, stats)
+	return ev.bindAll(avail, ev.sup.Supportable(avail), ev.configs(a), w, stats, attempt{})
 }
 
 // bindAll is the cached implementation construction: it tests the ECSs
 // of the supportable set sup on the configurations cfgs, viewed under
 // the resource closure avail, through the binding memo, and evaluates
-// the flexibility of the clusters feasible behaviours implement.
-func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scratch, stats *Stats) attempt {
+// the flexibility of the clusters feasible behaviours implement. The
+// attempt's implemented set and kept picks are written into buf's
+// storage, so a record reused across candidates allocates them once;
+// an infeasible attempt hands the storage back unused.
+func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scratch, stats *Stats, buf attempt) attempt {
 	feasible := w.feasible
 	feasible.Clear()
 	picks := w.picks[:0]
@@ -364,23 +374,21 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 	implemented := w.implemented
 	ev.tree.Activatable(feasible, implemented, w.memo)
 	f := ev.flexOfBits(implemented)
+	at := attempt{implemented: buf.implemented, picks: buf.picks[:0]}
 	if f <= 0 {
-		return attempt{}
+		return at
 	}
-	// Keep only behaviours whose clusters survived normalization.
-	n := 0
+	// Keep only behaviours whose clusters survived normalization. A
+	// fresh record sizes its picks once, for every pick found.
+	at.picks = slices.Grow(at.picks, len(picks))
 	for _, p := range picks {
 		if p.en.bits.SubsetOf(implemented) {
-			n++
+			at.picks = append(at.picks, p)
 		}
 	}
-	kept := make([]pick, 0, n)
-	for _, p := range picks {
-		if p.en.bits.SubsetOf(implemented) {
-			kept = append(kept, p)
-		}
-	}
-	return attempt{ok: true, flex: f, implemented: implemented.Clone(), picks: kept}
+	at.implemented.CopyFrom(implemented)
+	at.ok, at.flex = true, f
+	return at
 }
 
 // unitsCost is spec.Allocation.Cost of the candidate's allocation: the
@@ -449,15 +457,15 @@ func (ev *evaluator) materialise(r *candRec) *Implementation {
 }
 
 // admit adds candidate r's attempt to front under the objective vector
-// and reports whether the front kept it; only a kept attempt is
-// materialised.
-func (ev *evaluator) admit(front *pareto.Front, objectives []float64, r *candRec) bool {
-	e := &pareto.Entry{Objectives: objectives}
-	if !front.Add(e) {
+// (cost, 1/flex) and reports whether the front kept it. The vector is
+// tested on the stack first, so a dominated attempt allocates nothing;
+// only a kept attempt gets its entry and is materialised.
+func (ev *evaluator) admit(front *pareto.Front, cost, flex float64, r *candRec) bool {
+	p := pareto.CostFlexPoint(cost, flex)
+	if front.DominatesPoint(p[:]) {
 		return false
 	}
-	e.Value = ev.materialise(r)
-	return true
+	return front.Add(&pareto.Entry{Objectives: []float64{p[0], p[1]}, Value: ev.materialise(r)})
 }
 
 // ecsEntry is one elementary cluster activation of a supportable set,
@@ -657,13 +665,14 @@ func (v *viewSlot) presentKey() string {
 }
 
 // bindFor decides binding feasibility of the ECS en under configuration
-// c on the view v through the memo: exact present-set recurrence
-// replays the stored verdict; a feasible binding under a subset is
-// replayed and verified under the present superset (unbounded solver
-// only) and stored under the superset's key as is; an infeasibility
-// proven on a superset dominates the present subset. Only on a miss
-// does the solver run, in w's scratch, and its outcome is stored. The
-// returned outcome is the memo's: read-only. It is nil when infeasible.
+// c on the view v through the memo: exact present-set recurrence of a
+// solved set replays the stored verdict; a feasible binding under a
+// subset is replayed and verified under the present superset
+// (unbounded solver only), storing nothing; an infeasibility proven on
+// a superset dominates the present subset. Only on a miss does the
+// solver run, in w's scratch, and its outcome is stored under the
+// present set's key. The returned outcome is the memo's: read-only. It
+// is nil when infeasible.
 func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratch, stats *Stats) (*bindOutcome, bool) {
 	m, _ := ev.binds.getOrCreate(uint64(en.id)<<32|uint64(c.id), func() *bindMemo {
 		return &bindMemo{exact: map[string]*bindOutcome{}}
@@ -699,11 +708,12 @@ func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratc
 		// Monotone dominance: the binding stays feasible when resources
 		// are only added. Verify anyway — Verify is far cheaper than the
 		// solver — and fall back to a full solve if it ever disagrees.
+		// The replay is not stored under the present set's key: the
+		// feasible list is append-only and scanned in order, so the
+		// same present set finds the same witness again, and a store
+		// would cost a key string and map growth per replay.
 		if en.prob.Verify(&v.av, replay.binding, bopts, &w.bind) == nil {
 			ev.bindReplayHits.Add(1)
-			m.mu.Lock()
-			m.exact[v.presentKey()] = replay
-			m.mu.Unlock()
 			return replay, true
 		}
 	}

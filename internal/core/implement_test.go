@@ -13,8 +13,9 @@ import (
 )
 
 // TestMemoReplayAllocatesNothing: replaying a memoized binding under a
-// present superset — the index verifier plus storing the replayed
-// outcome under the superset's exact key — allocates nothing.
+// present superset — the memo lookups and the index verifier —
+// allocates nothing, and stores nothing: the superset's exact key stays
+// unset, so every repeat is a replay again.
 func TestMemoReplayAllocatesNothing(t *testing.T) {
 	s := models.SetTopBox()
 	ev := newEvaluator(s, Options{})
@@ -62,15 +63,20 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 		t.Fatal("no replayable binding found")
 	}
 	m, _ := ev.binds.getOrCreate(uint64(en.id)<<32|uint64(cfg.id), nil)
-	replays := ev.bindReplayHits.Load()
+	if _, ok := m.exact[string(superset.av.PresentSet().KeyBytes())]; ok {
+		t.Fatal("the superset's present set was solved before its replay")
+	}
+	replays, exact := ev.bindReplayHits.Load(), len(m.exact)
 	n := testing.AllocsPerRun(100, func() {
-		delete(m.exact, string(superset.av.PresentSet().KeyBytes()))
 		if _, ok := ev.bindFor(en, cfg, &superset, &w, &st); !ok {
 			t.Fatal("the superset replay failed")
 		}
 	})
 	if got := ev.bindReplayHits.Load() - replays; got != 101 {
 		t.Fatalf("%d replays, want 101 (every call a replay)", got)
+	}
+	if got := len(m.exact); got != exact {
+		t.Errorf("the replays stored %d exact keys, want none", got-exact)
 	}
 	if n != 0 {
 		t.Errorf("a memo replay allocates %v times, want 0", n)
@@ -79,11 +85,11 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 
 // TestUnadmittedAttemptBuildsNoMap: an attempted candidate the front
 // does not admit builds no map — no spec.Allocation, no Binding, no
-// Clusters. On a warm memo its allocations are the attempt's own
-// implemented set and picks, and the rejected front entry with its
-// objective vector.
+// Clusters — and on a warm memo allocates nothing at all: its
+// implemented set and picks reuse the record's buffers, and the front
+// rejects its objective vector before any entry is built.
 func TestUnadmittedAttemptBuildsNoMap(t *testing.T) {
-	const want = 4
+	const want = 0
 	for _, sub := range []struct {
 		name string
 		s    *spec.Spec
@@ -101,7 +107,7 @@ func TestUnadmittedAttemptBuildsNoMap(t *testing.T) {
 			r := &sc.rec
 			var feasible bool
 			n := testing.AllocsPerRun(20, func() {
-				*r = candRec{units: units}
+				r.reset(units)
 				sc.evalOne(r, 0, f, &sc.scratch)
 				feasible, _ = f.take(r)
 			})

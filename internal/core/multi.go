@@ -154,6 +154,22 @@ func ExploreMulti(s *spec.Spec, opts Options, objectives []Objective) *MultiResu
 // and Options.Resume continues it (the resumed front's objective
 // vectors are re-evaluated from its implementations).
 func ExploreMultiContext(ctx context.Context, s *spec.Spec, opts Options, objectives []Objective) *MultiResult {
+	sc, f := newMultiScan(ctx, s, opts, objectives)
+	r := sc.run(f, sc.candidates, 1, 0)
+	res := &MultiResult{Front: r.Front, Interrupted: r.Interrupted, Reason: r.Reason, Cursor: r.Cursor, Stats: r.Stats}
+	for _, o := range f.objectives {
+		res.Names = append(res.Names, o.Name)
+	}
+	for _, e := range sc.front.Entries() {
+		res.Objectives = append(res.Objectives, e.Objectives)
+	}
+	return res
+}
+
+// newMultiScan prepares an ExploreMulti run: the scan and its fold
+// over the objectives (the default pair when there are none), each
+// under the run's timing policy.
+func newMultiScan(ctx context.Context, s *spec.Spec, opts Options, objectives []Objective) (*scan, *multiFold) {
 	if len(objectives) == 0 {
 		objectives = []Objective{CostObjective(), InvFlexibilityObjective()}
 	}
@@ -164,16 +180,7 @@ func ExploreMultiContext(ctx context.Context, s *spec.Spec, opts Options, object
 		}
 	}
 	sc := newScan(ctx, s, opts)
-	f := &multiFold{s: s, ev: sc.ev, objectives: objectives, front: sc.front, lb: make([]float64, len(objectives))}
-	r := sc.run(f, sc.candidates, 1, 0)
-	res := &MultiResult{Front: r.Front, Interrupted: r.Interrupted, Reason: r.Reason, Cursor: r.Cursor, Stats: r.Stats}
-	for _, o := range objectives {
-		res.Names = append(res.Names, o.Name)
-	}
-	for _, e := range sc.front.Entries() {
-		res.Objectives = append(res.Objectives, e.Objectives)
-	}
-	return res
+	return sc, &multiFold{s: s, ev: sc.ev, objectives: objectives, front: sc.front, lb: make([]float64, len(objectives))}
 }
 
 // multiFold is the multi-objective fold: a candidate is pruned when the

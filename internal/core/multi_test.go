@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -239,5 +240,47 @@ func BenchmarkExploreMultiTri(b *testing.B) {
 		if len(r.Front) == 0 {
 			b.Fatal("empty front")
 		}
+	}
+}
+
+// TestProgressDropsEvictedSnapshots: the report copies Progress hands
+// out are kept only for implementations the front still holds. A
+// tri-objective Set-Top run reporting after every candidate admits
+// points the front later evicts; after every report the scan keeps at
+// most one copy per front point, and the final front is unchanged.
+func TestProgressDropsEvictedSnapshots(t *testing.T) {
+	s := models.SetTopBox()
+	objs := []Objective{CostObjective(), InvFlexibilityObjective(), MeanLatencyObjective()}
+	want := ExploreMulti(s, Options{AllBehaviours: true}, objs)
+
+	var sc *scan
+	reported := map[*Implementation]bool{}
+	emits := 0
+	opts := Options{AllBehaviours: true, ProgressEvery: 1, Progress: func(p Progress) {
+		emits++
+		if got := len(sc.snaps); got > sc.front.Size() || got > len(p.Front) {
+			t.Fatalf("cursor %d: %d report copies kept for a front of %d", p.Cursor, got, sc.front.Size())
+		}
+		for _, im := range p.Front {
+			reported[im] = true
+		}
+	}}
+	sc, f := newMultiScan(context.Background(), s, opts, objs)
+	r := sc.run(f, sc.candidates, 1, 0)
+	if emits < r.Cursor {
+		t.Fatalf("%d reports for %d candidates, want one per candidate", emits, r.Cursor)
+	}
+	if len(reported) <= len(r.Front) {
+		t.Fatalf("%d points reported, %d in the final front: no report saw an evicted point", len(reported), len(r.Front))
+	}
+	if !frontsEqual(r.Front, want.Front) {
+		t.Errorf("front with Progress %v differs from %v", r.Front, want.Front)
+	}
+	var objectives [][]float64
+	for _, e := range sc.front.Entries() {
+		objectives = append(objectives, e.Objectives)
+	}
+	if !reflect.DeepEqual(objectives, want.Objectives) {
+		t.Errorf("objectives with Progress %v differ from %v", objectives, want.Objectives)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,7 +77,9 @@ func (o Options) batchSizeFor(k int) int {
 // pipeBatch is one contiguous candidate range travelling through the
 // pipeline: one evaluation record per candidate (indices
 // start..start+len-1 of the cost-ordered enumeration), whose unit
-// indices are windows into units, the batch's one copy of them.
+// indices are windows into units, the batch's one copy of them. A
+// fully committed batch goes back to its run's free list, and the
+// producer refills it, records and their attempt buffers included.
 type pipeBatch struct {
 	start int
 	units []int
@@ -94,6 +95,12 @@ type pipeline struct {
 	ctx     context.Context
 	jobs    chan *pipeBatch
 	results chan *pipeBatch
+	// free holds the batches the commit stage has fully committed, for
+	// the producer to refill. It is per run, not a process-wide pool: a
+	// record's picks point into this run's memo. The channel handoffs
+	// (worker to commit stage on results, commit stage to producer on
+	// free) order every reuse after the batch's last read.
+	free chan *pipeBatch
 	// done is closed by the commit stage when the scan must stop;
 	// producer and workers treat it as a fast-path skip.
 	done       chan struct{}
@@ -140,7 +147,10 @@ func (sc *scan) startPool(workers, queue int) {
 		// Sized so a worker can always deposit a result without
 		// blocking the commit stage's drain: at most queue+workers
 		// range jobs are in flight between producer and committer.
-		results:    make(chan *pipeBatch, queue+workers),
+		results: make(chan *pipeBatch, queue+workers),
+		// Room for every batch in flight twice over, so the commit
+		// stage rarely drops one it hands back.
+		free:       make(chan *pipeBatch, 2*(queue+workers)+2),
 		done:       make(chan struct{}),
 		commitDone: make(chan struct{}),
 		next:       sc.res.Cursor,
@@ -195,13 +205,24 @@ func (p *pipeline) push(units []int) bool {
 	return p.send(p.close())
 }
 
-// close turns the open range job into a batch: one copy of the staged
-// unit indices, and a record per candidate windowing it.
+// close turns the open range job into a batch — a recycled one when
+// the free list has one: one copy of the staged unit indices, and a
+// reset record per candidate windowing it.
 func (p *pipeline) close() *pipeBatch {
-	b := &pipeBatch{start: p.curStart, units: slices.Clone(p.stage), recs: make([]candRec, len(p.ends))}
+	var b *pipeBatch
+	select {
+	case b = <-p.free:
+	default:
+		// Records for the largest range job, so a recycled batch never
+		// grows (and never drops the buffers of the records it has).
+		b = &pipeBatch{recs: make([]candRec, 0, p.sc.opts.batchSizeFor(math.MaxInt))}
+	}
+	b.start = p.curStart
+	b.units = append(b.units[:0], p.stage...)
+	b.recs = b.recs[:len(p.ends)]
 	lo := 0
 	for i, hi := range p.ends {
-		b.recs[i].units = b.units[lo:hi:hi]
+		b.recs[i].reset(b.units[lo:hi:hi])
 		lo = hi
 	}
 	p.stage, p.ends = p.stage[:0], p.ends[:0]
@@ -363,20 +384,26 @@ func (p *pipeline) commitStage() {
 		p.pending[b.start] = b
 		for nb, ok := p.pending[p.next]; ok && !p.stopped; nb, ok = p.pending[p.next] {
 			delete(p.pending, p.next)
-			p.commitBatch(nb)
+			if p.commitBatch(nb) {
+				select {
+				case p.free <- nb:
+				default:
+				}
+			}
 		}
 	}
 }
 
 // commitBatch folds one in-order range job, candidate by candidate,
-// through the scan's commit, then republishes the bound if it rose.
-func (p *pipeline) commitBatch(b *pipeBatch) {
+// through the scan's commit, then republishes the bound if it rose. It
+// reports whether the whole batch was committed.
+func (p *pipeline) commitBatch(b *pipeBatch) bool {
 	entry := p.sc.f.best()
 	for i := range b.recs {
 		if !p.sc.commit(b.start+i, &b.recs[i]) {
 			p.stopped = true
 			close(p.done)
-			return
+			return false
 		}
 	}
 	if f := p.sc.f.best(); f > entry {
@@ -384,6 +411,7 @@ func (p *pipeline) commitBatch(b *pipeBatch) {
 	}
 	p.batches++
 	p.next = b.start + len(b.recs)
+	return true
 }
 
 // trimStack bounds a recovered panic's stack trace so Stats diags stay

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/alloc"
+	"repro/internal/bitset"
+	"repro/internal/faultinject"
 	"repro/internal/models"
 	"repro/internal/spec"
 )
@@ -250,8 +255,8 @@ func BenchmarkExploreParallel(b *testing.B) {
 // number: the benchmark's exhaustive workload (synthetic model 1 with
 // four buses, every possible allocation implemented, useless buses
 // included) through ExploreParallel with 2 workers. Besides B/op and
-// allocs/op it reports the solver runs and the binding-memo replays of
-// one run.
+// allocs/op it reports the solver runs, the binding-memo replays and
+// the memo's exact-key hits of one run.
 func BenchmarkExploreExhaustiveSynthetic(b *testing.B) {
 	p := models.DefaultSynthetic(1)
 	p.Buses = 4
@@ -268,4 +273,181 @@ func BenchmarkExploreExhaustiveSynthetic(b *testing.B) {
 	}
 	b.ReportMetric(float64(r.Stats.BindingRuns), "bindruns/op")
 	b.ReportMetric(float64(r.Stats.Cache.BindReplayHits), "replays/op")
+	b.ReportMetric(float64(r.Stats.Cache.BindExactHits), "exacthits/op")
+}
+
+// TestRecycledBatchesMatchInline: batches the commit stage hands back
+// are refilled, records and attempt buffers included, so a record left
+// dirty by its last candidate would show in the next. Two-worker runs
+// of the exhaustive workload's spec and of synthetic 7 — with errors
+// and panics injected at both sites over far more batches than the
+// free list holds, and a Progress report every 16 candidates — must
+// report what the inline scan reports: front, cursor, reason,
+// diagnostics and semantic counters, at every report and at the end.
+// A panic is recovered only in a pool worker, so the inline run gets
+// an error with the panic's message where the pool run panics. With a
+// node bound every witness comes from a deterministic solve, so the
+// fronts' JSON, bindings included, must match too.
+func TestRecycledBatchesMatchInline(t *testing.T) {
+	p := models.DefaultSynthetic(1)
+	p.Buses = 4
+	cases := []struct {
+		name string
+		s    *spec.Spec
+		opts Options
+	}{
+		{"exhaustive", models.Synthetic(p), Options{DisableFlexBound: true, IncludeUselessComm: true}},
+		{"synthetic7", models.Synthetic(models.DefaultSynthetic(7)), Options{}},
+	}
+	type report struct {
+		cursor int
+		front  []*Implementation
+		stats  Stats
+	}
+	for _, tc := range cases {
+		n := Explore(tc.s, tc.opts).Stats.PossibleAllocations
+		const faults = 12
+		// More batches than the free list holds: 16-candidate batches
+		// once the ramp ends, and 2×(queue+workers)+2 = 14 slots.
+		if n/16 <= 2*14 {
+			t.Fatalf("%s: %d candidates are too few batches", tc.name, n)
+		}
+		for _, maxNodes := range []int{0, 1 << 20} {
+			run := func(pool bool) (*Result, []report) {
+				plan := faultinject.New()
+				for k := range faults {
+					idx := (2*k + 1) * n / (2 * faults)
+					site := []string{SiteEstimate, SiteImplement}[k%2]
+					msg := fmt.Sprintf("poisoned %d", k)
+					switch {
+					case k%4 < 2:
+						plan.ErrorAt(site, idx, nil)
+					case pool:
+						plan.PanicAt(site, idx, msg)
+					default:
+						plan.ErrorAt(site, idx, fmt.Errorf("faultinject: %s[%d]: %s", site, idx, msg))
+					}
+				}
+				var reports []report
+				opts := tc.opts
+				opts.MaxBindNodes = maxNodes
+				opts.Fault = plan
+				opts.ProgressEvery = 16
+				opts.Progress = func(p Progress) {
+					reports = append(reports, report{p.Cursor, p.Front, p.Stats})
+				}
+				if pool {
+					return ExploreParallel(tc.s, opts, 2, 0), reports
+				}
+				return ExploreContext(context.Background(), tc.s, opts), reports
+			}
+			// semantic is Stats.Semantic with every recovered panic
+			// turned into the error the inline run records instead.
+			semantic := func(st Stats) Stats {
+				st = st.Semantic()
+				st.Diags = slices.Clone(st.Diags)
+				for i := range st.Diags {
+					if d := &st.Diags[i]; d.Kind == DiagPanic {
+						if d.Stack == "" {
+							t.Errorf("%s: panic diag %+v has no stack", tc.name, *d)
+						}
+						d.Kind, d.Stack = DiagError, ""
+					}
+				}
+				return st
+			}
+			frontJSON := func(front []*Implementation) string {
+				b, err := (&Result{Front: front}).MarshalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(b)
+			}
+			same := func(what string, gotFront, wantFront []*Implementation, got, want Stats) {
+				t.Helper()
+				if !frontsEqual(gotFront, wantFront) {
+					t.Errorf("%s nodes=%d %s: front %v, inline %v", tc.name, maxNodes, what, gotFront, wantFront)
+				}
+				if maxNodes > 0 && frontJSON(gotFront) != frontJSON(wantFront) {
+					t.Errorf("%s nodes=%d %s: front JSON differs from the inline run's", tc.name, maxNodes, what)
+				}
+				if g, w := semantic(got), semantic(want); !reflect.DeepEqual(g, w) {
+					t.Errorf("%s nodes=%d %s: semantic stats\npool:   %+v\ninline: %+v", tc.name, maxNodes, what, g, w)
+				}
+			}
+
+			inline, inlineReports := run(false)
+			pool, poolReports := run(true)
+			// Every estimate fault fires; an implement fault fires
+			// where the candidate is attempted, which is everywhere
+			// without the bound.
+			if want := faults / 2; len(inline.Stats.Diags) < want || tc.opts.DisableFlexBound && len(inline.Stats.Diags) != faults {
+				t.Fatalf("%s nodes=%d: %d diags of %d faults", tc.name, maxNodes, len(inline.Stats.Diags), faults)
+			}
+			if pool.Cursor != inline.Cursor || pool.Reason != inline.Reason {
+				t.Errorf("%s nodes=%d: cursor %d reason %q, inline %d %q", tc.name, maxNodes, pool.Cursor, pool.Reason, inline.Cursor, inline.Reason)
+			}
+			same("result", pool.Front, inline.Front, pool.Stats, inline.Stats)
+			if len(poolReports) != len(inlineReports) {
+				t.Fatalf("%s nodes=%d: %d reports, inline %d", tc.name, maxNodes, len(poolReports), len(inlineReports))
+			}
+			for i, want := range inlineReports {
+				got := poolReports[i]
+				if got.cursor != want.cursor {
+					t.Fatalf("%s nodes=%d: report %d at cursor %d, inline %d", tc.name, maxNodes, i, got.cursor, want.cursor)
+				}
+				// The producer enumerates ahead of the commit stage, so
+				// a pool report counts more possible candidates; the
+				// final counts agree.
+				got.stats.PossibleAllocations = want.stats.PossibleAllocations
+				same(fmt.Sprintf("report at %d", want.cursor), got.front, want.front, got.stats, want.stats)
+			}
+			if pool.Stats.Pipeline.BatchesCommitted <= 2*14 {
+				t.Errorf("%s nodes=%d: %d batches committed, want more than the free list holds", tc.name, maxNodes, pool.Stats.Pipeline.BatchesCommitted)
+			}
+		}
+	}
+}
+
+// TestRecycledRecordStartsClean: reset zeroes every field of a record
+// except the storage of its attempt's implemented set and picks, which
+// it keeps (empty picks, same backing arrays) for the next attempt.
+func TestRecycledRecordStartsClean(t *testing.T) {
+	words := bitset.New(130)
+	words.Add(3)
+	picks := make([]pick, 2, 5)
+	r := candRec{
+		units: []int{1}, a: spec.Allocation{"x": true}, site: SiteImplement,
+		est: 2, estimated: true, attempted: true,
+		att: attempt{
+			ok: true, cost: 1, flex: 2, implemented: words, picks: picks,
+			im: &Implementation{},
+		},
+		ecsTested: 1, bindingRuns: 2, bindingNodes: 3, diag: &Diag{},
+	}
+	// Every field is set, so a field reset forgets fails below.
+	for _, v := range []reflect.Value{reflect.ValueOf(r), reflect.ValueOf(r.att)} {
+		for i := range v.NumField() {
+			if v.Field(i).IsZero() {
+				t.Fatalf("%s.%s is unset in the dirty record", v.Type().Name(), v.Type().Field(i).Name)
+			}
+		}
+	}
+	units := []int{4, 7}
+	r.reset(units)
+	if len(r.units) != 2 || &r.units[0] != &units[0] {
+		t.Errorf("units %v, want the given slice", r.units)
+	}
+	if len(r.att.picks) != 0 || cap(r.att.picks) != 5 || &r.att.picks[:1][0] != &picks[0] {
+		t.Errorf("picks len %d cap %d: want the old storage, empty", len(r.att.picks), cap(r.att.picks))
+	}
+	r.att.implemented.Add(5)
+	if !words.Has(5) {
+		t.Error("the implemented set no longer shares the old words")
+	}
+	rest := r
+	rest.units, rest.att.implemented, rest.att.picks = nil, bitset.Set{}, nil
+	if !reflect.DeepEqual(rest, candRec{}) {
+		t.Errorf("reset left %+v", rest)
+	}
 }

@@ -34,8 +34,8 @@ type scan struct {
 	// counts.
 	possible atomic.Int64
 	lastEmit int
-	// snaps maps each implementation the front admitted to the copy
-	// Progress reports hand out, made at its first report.
+	// snaps maps each implementation in the front at the last report
+	// to the copy Progress reports hand out, made at its first report.
 	snaps map[*Implementation]*Implementation
 	// rec and scratch are the inline evaluation's candidate record and
 	// scratch, reused for every candidate. The record lives here because
@@ -110,6 +110,15 @@ type candRec struct {
 
 func (r *candRec) evaluated() bool { return r.estimated || r.diag != nil }
 
+// reset readies the record for the candidate with the given unit
+// indices: every field is zeroed except the storage of the attempt's
+// implemented set and picks, which the next attempt overwrites (see
+// evaluator.bindAll). An admitted attempt's Implementation copies what
+// it keeps, so nothing a front holds aliases that storage.
+func (r *candRec) reset(units []int) {
+	*r = candRec{units: units, att: attempt{implemented: r.att.implemented, picks: r.att.picks[:0]}}
+}
+
 // newScan prepares a run; the caller builds its fold over sc.front and
 // starts it with run. Computing MaxFlexibility also builds the
 // specification's lazy indexes before a worker pool reads them
@@ -154,7 +163,7 @@ func (f *boundFold) prune(_ *candRec, est float64) bool { return est <= f.fcur }
 func (f *boundFold) take(r *candRec) (feasible, stop bool) {
 	if at := &r.att; at.ok && at.flex > f.floor {
 		feasible = true
-		if f.ev.admit(f.front, pareto.CostFlexObjectives(at.cost, at.flex), r) && at.flex > f.fcur {
+		if f.ev.admit(f.front, at.cost, at.flex, r) && at.flex > f.fcur {
 			f.fcur = at.flex
 		}
 	}
@@ -213,7 +222,7 @@ func (sc *scan) run(f fold, src source, workers, queue int) *Result {
 		// this candidate's index.
 		idx := res.Cursor
 		r := &sc.rec
-		*r = candRec{units: units}
+		r.reset(units)
 		if sc.ctx.Err() == nil {
 			sc.evalOne(r, idx, f, &sc.scratch)
 		}
@@ -282,7 +291,7 @@ func (sc *scan) evalOne(r *candRec, idx int, b bounder, w *scratch) {
 	}
 	r.attempted = true
 	w.st = Stats{}
-	r.att = sc.ev.implement(r.units, sup, w, &w.st)
+	r.att = sc.ev.implement(r.units, sup, w, &w.st, r.att)
 	r.ecsTested, r.bindingRuns, r.bindingNodes = w.st.ECSTested, w.st.BindingRuns, w.st.BindingNodes
 }
 
@@ -366,21 +375,23 @@ func (sc *scan) emit() {
 
 // snapshotFront returns the front for a Progress report: each
 // implementation's report copy, made once, so a consumer that changes
-// what it is handed cannot reach the run's result.
+// what it is handed cannot reach the run's result. Only the front's
+// current points keep their copies, so the run holds no report copy
+// (and no original) of a point the front has evicted.
 func (sc *scan) snapshotFront() []*Implementation {
-	if sc.snaps == nil {
-		sc.snaps = map[*Implementation]*Implementation{}
-	}
+	entries := sc.front.Entries()
+	snaps := make(map[*Implementation]*Implementation, len(entries))
 	var out []*Implementation
-	for _, e := range sc.front.Entries() {
+	for _, e := range entries {
 		im := e.Value.(*Implementation)
 		c := sc.snaps[im]
 		if c == nil {
 			c = owned(im)
-			sc.snaps[im] = c
 		}
+		snaps[im] = c
 		out = append(out, c)
 	}
+	sc.snaps = snaps
 	return out
 }
 

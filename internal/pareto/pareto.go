@@ -38,11 +38,19 @@ func Dominates(a, b []float64) bool {
 // matching the intuition that an implementation realizing no behaviour
 // is infinitely bad on the flexibility axis.
 func CostFlexObjectives(cost, flexibility float64) []float64 {
+	p := CostFlexPoint(cost, flexibility)
+	return p[:]
+}
+
+// CostFlexPoint is CostFlexObjectives as an array, which a caller can
+// keep on the stack (e.g. to test it with DominatesPoint before
+// archiving anything).
+func CostFlexPoint(cost, flexibility float64) [2]float64 {
 	inv := math.Inf(1)
 	if flexibility > 0 {
 		inv = 1 / flexibility
 	}
-	return []float64{cost, inv}
+	return [2]float64{cost, inv}
 }
 
 // Entry couples an objective vector with an arbitrary payload (an

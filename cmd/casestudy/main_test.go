@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 
@@ -54,7 +53,7 @@ func TestVerifyFrontUsesRunTiming(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out bytes.Buffer
-		code := verifyFront(context.Background(), &out, models.SetTopBox(), core.Options{Timing: timing})
+		code := verifyFront(&out, models.SetTopBox(), core.Options{Timing: timing})
 		if code != 0 || strings.Contains(out.String(), "FAIL") {
 			t.Errorf("-timing %s: verifyFront = %d:\n%s", name, code, out.String())
 		}
@@ -66,77 +65,47 @@ func TestVerifyFrontUsesRunTiming(t *testing.T) {
 // before exploring.
 func TestTimingPolicyFlag(t *testing.T) {
 	for _, name := range []string{"paper", "none", "ll", "liu-layland", "rta", "edf", "hyperbolic", "paper-69%"} {
-		f := baseFlags()
-		f.timing = name
-		if probs := f.problems(); len(probs) != 0 {
+		if probs := problems(name); len(probs) != 0 {
 			t.Errorf("-timing %s rejected: %v", name, probs)
 		}
 	}
 	for _, name := range []string{"bogus", ""} {
-		f := baseFlags()
-		f.timing = name
-		if probs := f.problems(); len(probs) != 1 || !strings.Contains(probs[0], "-timing") {
+		if probs := problems(name); len(probs) != 1 || !strings.Contains(probs[0], "-timing") {
 			t.Errorf("-timing %q: problems %v, want one -timing problem", name, probs)
 		}
 	}
 }
 
-// baseFlags returns a valid default flag set; tests mutate one aspect
-// and assert on problems().
-func baseFlags() *cliFlags {
-	return &cliFlags{
-		checkpointEvery: 64, cache: "on", timing: "paper", workers: 1,
-		explicit: map[string]bool{},
-	}
-}
-
+// TestFlagValidationAccepts: no report switch, or any one of them, under
+// any valid timing policy.
 func TestFlagValidationAccepts(t *testing.T) {
-	cases := []func(*cliFlags){
-		func(f *cliFlags) {},
-		func(f *cliFlags) { f.table1 = true },
-		func(f *cliFlags) { f.compare = true },
-		func(f *cliFlags) { f.checkpoint = "ck.json" },
-		func(f *cliFlags) { f.checkpoint = "ck.json"; f.resume = true },
-		func(f *cliFlags) {
-			f.checkpoint = "ck.json"
-			f.checkpointEvery = 8
-			f.explicit["checkpoint"] = true
-			f.explicit["checkpoint-every"] = true
-		},
-		func(f *cliFlags) { f.workers = 0 },
-		func(f *cliFlags) { f.workers = 4 },
-		func(f *cliFlags) { f.timeout = 1 },
-		func(f *cliFlags) { f.cache = "off" },
-	}
-	for i, mutate := range cases {
-		f := baseFlags()
-		mutate(f)
-		if probs := f.problems(); len(probs) != 0 {
-			t.Errorf("case %d: valid flags rejected: %v", i, probs)
+	for _, timing := range []string{"paper", "rta"} {
+		if probs := problems(timing, false, false, false, false, false); len(probs) != 0 {
+			t.Errorf("default run, -timing %s rejected: %v", timing, probs)
+		}
+		for i := 0; i < 5; i++ {
+			modes := make([]bool, 5)
+			modes[i] = true
+			if probs := problems(timing, modes...); len(probs) != 0 {
+				t.Errorf("report switch %d, -timing %s rejected: %v", i, timing, probs)
+			}
 		}
 	}
 }
 
 func TestFlagValidationRejects(t *testing.T) {
 	cases := []struct {
-		mutate func(*cliFlags)
+		timing string
+		modes  []bool
 		want   string
 	}{
-		{func(f *cliFlags) { f.checkpoint = "ck.json"; f.table1 = true }, "only apply to the default"},
-		{func(f *cliFlags) { f.resume = true; f.verify = true }, "only apply to the default"},
-		{func(f *cliFlags) { f.resume = true }, "-resume requires"},
-		{func(f *cliFlags) { f.checkpointEvery = 0 }, "-checkpoint-every must be > 0"},
-		{func(f *cliFlags) { f.explicit["checkpoint-every"] = true }, "-checkpoint-every requires -checkpoint"},
-		{func(f *cliFlags) { f.timeout = -1 }, "-timeout"},
-		{func(f *cliFlags) { f.cache = "maybe" }, "-cache"},
-		{func(f *cliFlags) { f.workers = -1 }, "-workers must be >= 0"},
-		{func(f *cliFlags) { f.workers = 4; f.family = true }, "-workers only applies"},
-		{func(f *cliFlags) { f.prof.CPUProfile = "p.out"; f.prof.Trace = "p.out" }, "same file"},
+		{"bogus", nil, "-timing"},
+		{"paper", []bool{true, false, true, false, false}, "mutually exclusive"},
+		{"paper", []bool{false, false, false, true, true}, "mutually exclusive"},
+		{"paper", []bool{true, true, true, true, true}, "mutually exclusive"},
 	}
 	for i, tc := range cases {
-		f := baseFlags()
-		tc.mutate(f)
-		probs := f.problems()
+		probs := problems(tc.timing, tc.modes...)
 		found := false
 		for _, p := range probs {
 			if strings.Contains(p, tc.want) {
@@ -151,11 +120,7 @@ func TestFlagValidationRejects(t *testing.T) {
 
 // Every rejection must surface all problems at once, not just the first.
 func TestFlagValidationReportsAll(t *testing.T) {
-	f := baseFlags()
-	f.resume = true
-	f.timeout = -1
-	f.workers = -2
-	if probs := f.problems(); len(probs) < 3 {
-		t.Errorf("want >= 3 problems, got %v", probs)
+	if probs := problems("bogus", true, true); len(probs) < 2 {
+		t.Errorf("want >= 2 problems, got %v", probs)
 	}
 }

@@ -32,10 +32,22 @@ type experiment struct {
 }
 
 func main() {
-	only := flag.String("only", "", "run a single experiment (E1..E12)")
+	only := flag.String("only", "", "run a single experiment (E1..E18)")
 	flag.Parse()
 
-	exps := []experiment{
+	for _, e := range experiments() {
+		if *only != "" && !strings.EqualFold(*only, e.id) {
+			continue
+		}
+		fmt.Printf("==== %s: %s ====\n", e.id, e.title)
+		e.run()
+		fmt.Println()
+	}
+}
+
+// experiments lists every experiment in the order main runs them.
+func experiments() []experiment {
+	return []experiment{
 		{"E1", "Fig. 1 — decoder hierarchy & leaves", e1},
 		{"E2", "Fig. 2 — possible allocations of the decoder", e2},
 		{"E3", "Fig. 3 — flexibility worked example", e3},
@@ -55,14 +67,6 @@ func main() {
 		{"E17", "beyond the paper — specification evolution", e17},
 		{"E18", "beyond the paper — product-family analysis", e18},
 	}
-	for _, e := range exps {
-		if *only != "" && !strings.EqualFold(*only, e.id) {
-			continue
-		}
-		fmt.Printf("==== %s: %s ====\n", e.id, e.title)
-		e.run()
-		fmt.Println()
-	}
 }
 
 func e1() {
@@ -79,7 +83,7 @@ func e2() {
 	s := models.Decoder()
 	n := 0
 	var first string
-	alloc.Enumerate(s, alloc.Options{IncludeUselessComm: true}, func(c alloc.Candidate) bool {
+	alloc.EnumerateSymbolic(s, alloc.Options{IncludeUselessComm: true}, func(c alloc.Candidate) bool {
 		if n == 0 {
 			first = c.Allocation.String()
 		}

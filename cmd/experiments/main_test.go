@@ -9,20 +9,14 @@ func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment regeneration skipped in -short mode")
 	}
-	funcs := map[string]func(){
-		"E1": e1, "E2": e2, "E3": e3, "E4": e4, "E5": e5, "E6": e6,
-		"E7": e7, "E8": e8, "E9": e9, "E10": e10, "E11": e11,
-		"E12": e12, "E13": e13, "E14": e14, "E15": e15, "E16": e16, "E17": e17,
-	}
-	for name, fn := range funcs {
-		name, fn := name, fn
-		t.Run(name, func(t *testing.T) {
+	for _, e := range experiments() {
+		t.Run(e.id, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("experiment %s panicked: %v", name, r)
+					t.Fatalf("experiment %s panicked: %v", e.id, r)
 				}
 			}()
-			fn()
+			e.run()
 		})
 	}
 }

@@ -47,6 +47,9 @@ type cliFlags struct {
 	model           string
 	objectives      string
 	upgradeFrom     string
+	asJSON          bool
+	tsv             bool
+	stats           bool
 	workers         int
 	iters           int
 	checkpointEvery int
@@ -98,6 +101,17 @@ func (f *cliFlags) problems() []string {
 			out = append(out, "-checkpoint is not supported with -objectives or -upgrade-from")
 		}
 	}
+	// Each of these runs its own EXPLORE variant and prints its own table.
+	variant := f.objectives != "" || f.upgradeFrom != ""
+	if f.objectives != "" && f.upgradeFrom != "" {
+		out = append(out, "-objectives and -upgrade-from are mutually exclusive")
+	}
+	if variant && f.algo != "explore" {
+		out = append(out, "-objectives and -upgrade-from only apply to -algo explore")
+	}
+	if variant && (f.asJSON || f.tsv || f.stats) {
+		out = append(out, "-json, -tsv and -stats do not apply to -objectives or -upgrade-from")
+	}
 	if f.cache != "on" && f.cache != "off" {
 		out = append(out, "-cache must be on or off")
 	}
@@ -143,6 +157,7 @@ func run() int {
 
 	fl := &cliFlags{
 		algo: *algo, model: *model, objectives: *objectives, upgradeFrom: *upgradeFrom,
+		asJSON: *asJSON, tsv: *tsv, stats: *stats,
 		workers: *workers, iters: *iters, checkpointEvery: *ckEvery,
 		timeout: *timeout, checkpoint: *ckPath, resume: *resume, cache: *cache, timing: *timing,
 		prof:     profiling.Flags{CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *tracePath},
@@ -367,18 +382,7 @@ func loadSpec(path, model string, seed int64) (*spec.Spec, error) {
 		defer f.Close()
 		return spec.Read(f)
 	}
-	switch model {
-	case "settop":
-		return models.SetTopBox(), nil
-	case "decoder":
-		return models.Decoder(), nil
-	case "sdr":
-		return models.SDR(), nil
-	case "synthetic":
-		return models.Synthetic(models.DefaultSynthetic(seed)), nil
-	default:
-		return nil, fmt.Errorf("unknown model %q (settop | decoder | sdr | synthetic)", model)
-	}
+	return models.ByName(model, seed)
 }
 
 // runMulti runs the generalized multi-objective exploration.

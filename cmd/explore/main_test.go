@@ -39,6 +39,8 @@ func TestFlagValidationAccepts(t *testing.T) {
 		func(f *cliFlags) { f.algo = "exhaustive"; f.checkpoint = "ck.json"; f.resume = true },
 		func(f *cliFlags) { f.timeout = 1 },
 		func(f *cliFlags) { f.cache = "off" },
+		func(f *cliFlags) { f.objectives = "latency,power" },
+		func(f *cliFlags) { f.upgradeFrom = "uP2" },
 		func(f *cliFlags) { f.timing = "edf" },
 		func(f *cliFlags) { f.timing = "hyperbolic" },
 		func(f *cliFlags) {
@@ -75,6 +77,15 @@ func TestFlagValidationRejects(t *testing.T) {
 		{func(f *cliFlags) { f.algo = "ea"; f.checkpoint = "ck.json" }, "cost-ordered"},
 		{func(f *cliFlags) { f.checkpoint = "ck.json"; f.objectives = "latency" }, "not supported"},
 		{func(f *cliFlags) { f.checkpoint = "ck.json"; f.upgradeFrom = "CPU1" }, "not supported"},
+		{func(f *cliFlags) { f.objectives = "power"; f.upgradeFrom = "uP2" }, "mutually exclusive"},
+		{func(f *cliFlags) { f.algo = "ea"; f.upgradeFrom = "uP2" }, "only apply to -algo explore"},
+		{func(f *cliFlags) { f.algo = "exhaustive"; f.objectives = "power" }, "only apply to -algo explore"},
+		{func(f *cliFlags) { f.upgradeFrom = "uP2"; f.asJSON = true }, "do not apply"},
+		{func(f *cliFlags) { f.upgradeFrom = "uP2"; f.tsv = true }, "do not apply"},
+		{func(f *cliFlags) { f.upgradeFrom = "uP2"; f.stats = true }, "do not apply"},
+		{func(f *cliFlags) { f.objectives = "power"; f.asJSON = true }, "do not apply"},
+		{func(f *cliFlags) { f.objectives = "power"; f.tsv = true }, "do not apply"},
+		{func(f *cliFlags) { f.objectives = "power"; f.stats = true }, "do not apply"},
 		{func(f *cliFlags) { f.cache = "maybe" }, "-cache"},
 		{func(f *cliFlags) { f.timing = "bogus" }, "-timing"},
 		{func(f *cliFlags) { f.prof.CPUProfile = "p.out"; f.prof.Trace = "p.out" }, "same file"},

@@ -225,15 +225,6 @@ func (m *Manager) AndAll(ns ...*Node) *Node {
 	return out
 }
 
-// OrAll disjoins a list of functions (False for an empty list).
-func (m *Manager) OrAll(ns ...*Node) *Node {
-	out := m.zero
-	for _, n := range ns {
-		out = m.Apply(Or, out, n)
-	}
-	return out
-}
-
 // Restrict fixes variable v to the given value.
 func (m *Manager) Restrict(n *Node, v int, value bool) *Node {
 	if n.IsTerminal() || n.Var > v {

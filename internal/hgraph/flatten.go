@@ -39,28 +39,6 @@ func (s Selection) String() string {
 	return out + "}"
 }
 
-// ActiveInterfaces returns the interfaces that are active under the
-// given (possibly partial) selection: interfaces of the root cluster
-// and, recursively, of every selected cluster. Interfaces whose
-// selection is missing are included (they are active but unresolved).
-func (g *Graph) ActiveInterfaces(sel Selection) []*Interface {
-	var out []*Interface
-	var walk func(c *Cluster)
-	walk = func(c *Cluster) {
-		for _, i := range c.Interfaces {
-			out = append(out, i)
-			if cid, ok := sel[i.ID]; ok {
-				if sub := i.Cluster(cid); sub != nil {
-					walk(sub)
-				}
-			}
-		}
-	}
-	walk(g.Root)
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
-
 // ActiveClusters returns the IDs of all clusters activated by the
 // selection, always including the root (rule 2 of hierarchical
 // activation: activating a cluster activates its content; the root is

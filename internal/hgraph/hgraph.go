@@ -296,10 +296,6 @@ func (g *Graph) InterfaceByID(id ID) *Interface { return g.ensureIndex().interfa
 // hierarchy, or nil. The root cluster is included.
 func (g *Graph) ClusterByID(id ID) *Cluster { return g.ensureIndex().clusters[id] }
 
-// EdgeByID returns the edge with the given ID anywhere in the hierarchy,
-// or nil.
-func (g *Graph) EdgeByID(id ID) *Edge { return g.ensureIndex().edges[id] }
-
 // ParentCluster returns the cluster that directly contains the element
 // with the given ID (vertex, interface or edge), or nil for unknown IDs
 // and for the root cluster itself.

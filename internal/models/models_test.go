@@ -345,3 +345,45 @@ func TestSDRModel(t *testing.T) {
 		t.Error("no processor: impossible")
 	}
 }
+
+// TestByName: every built-in name builds the same specification as its
+// constructor (synthetic under the given seed), and any other name is
+// rejected with the list of valid ones.
+func TestByName(t *testing.T) {
+	cases := []struct {
+		name string
+		seed int64
+		want *spec.Spec
+	}{
+		{"settop", 0, SetTopBox()},
+		{"decoder", 0, Decoder()},
+		{"sdr", 0, SDR()},
+		{"synthetic", 1, Synthetic(DefaultSynthetic(1))},
+		{"synthetic", 7, Synthetic(DefaultSynthetic(7))},
+	}
+	for _, tc := range cases {
+		got, err := ByName(tc.name, tc.seed)
+		if err != nil {
+			t.Errorf("ByName(%q, %d): %v", tc.name, tc.seed, err)
+			continue
+		}
+		a, err := got.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := tc.want.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(a) != string(b) {
+			t.Errorf("ByName(%q, %d) differs from its constructor", tc.name, tc.seed)
+		}
+	}
+	for _, name := range []string{"", "nope", "SetTop"} {
+		_, err := ByName(name, 1)
+		want := `unknown model "` + name + `" (settop | decoder | sdr | synthetic)`
+		if err == nil || err.Error() != want {
+			t.Errorf("ByName(%q) error = %v, want %q", name, err, want)
+		}
+	}
+}

@@ -20,11 +20,6 @@ type Flags struct {
 	Trace      string
 }
 
-// Enabled reports whether any profile was requested.
-func (f Flags) Enabled() bool {
-	return f.CPUProfile != "" || f.MemProfile != "" || f.Trace != ""
-}
-
 // Problems returns every reason the flag combination is rejected (the
 // command exits with status 2 on a non-empty result, like its other
 // flag validations): two profiles writing to the same file would

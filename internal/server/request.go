@@ -179,18 +179,11 @@ func (s *Server) loadSpec(req *Request) (*spec.Spec, *apiError) {
 		}
 		return sp, nil
 	}
-	switch req.Model {
-	case "settop":
-		return models.SetTopBox(), nil
-	case "decoder":
-		return models.Decoder(), nil
-	case "sdr":
-		return models.SDR(), nil
-	case "synthetic":
-		return models.Synthetic(models.DefaultSynthetic(req.Seed)), nil
-	default:
-		return nil, errMalformed(fmt.Sprintf("unknown model %q (settop | decoder | sdr | synthetic)", req.Model))
+	sp, err := models.ByName(req.Model, req.Seed)
+	if err != nil {
+		return nil, errMalformed(err.Error())
 	}
+	return sp, nil
 }
 
 // jobFromRequest validates the budgets and builds the job template

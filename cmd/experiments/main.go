@@ -34,9 +34,15 @@ type experiment struct {
 func main() {
 	only := flag.String("only", "", "run a single experiment (E1..E18)")
 	flag.Parse()
+	runAll(*only)
+}
 
+// runAll prints every experiment, or only the one whose id matches
+// only when it is set, each under a header and followed by a blank
+// line.
+func runAll(only string) {
 	for _, e := range experiments() {
-		if *only != "" && !strings.EqualFold(*only, e.id) {
+		if only != "" && !strings.EqualFold(only, e.id) {
 			continue
 		}
 		fmt.Printf("==== %s: %s ====\n", e.id, e.title)

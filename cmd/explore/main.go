@@ -112,6 +112,13 @@ func (f *cliFlags) problems() []string {
 	if variant && (f.asJSON || f.tsv || f.stats) {
 		out = append(out, "-json, -tsv and -stats do not apply to -objectives or -upgrade-from")
 	}
+	if variant && f.explicit["workers"] && f.workers != 1 {
+		out = append(out, "-workers does not apply to -objectives or -upgrade-from (they run one worker)")
+	}
+	// Only the EXPLORE scan and Upgrade's bound fold stop at the maximum.
+	if f.explicit["stop-at-max"] && (f.algo != "explore" || f.objectives != "") {
+		out = append(out, "-stop-at-max only applies to -algo explore without -objectives")
+	}
 	if f.cache != "on" && f.cache != "off" {
 		out = append(out, "-cache must be on or off")
 	}

@@ -41,6 +41,9 @@ func TestFlagValidationAccepts(t *testing.T) {
 		func(f *cliFlags) { f.cache = "off" },
 		func(f *cliFlags) { f.objectives = "latency,power" },
 		func(f *cliFlags) { f.upgradeFrom = "uP2" },
+		func(f *cliFlags) { f.upgradeFrom = "uP2"; f.explicit["stop-at-max"] = true },
+		func(f *cliFlags) { f.explicit["stop-at-max"] = true },
+		func(f *cliFlags) { f.objectives = "power"; f.workers = 1; f.explicit["workers"] = true },
 		func(f *cliFlags) { f.timing = "edf" },
 		func(f *cliFlags) { f.timing = "hyperbolic" },
 		func(f *cliFlags) {
@@ -86,6 +89,12 @@ func TestFlagValidationRejects(t *testing.T) {
 		{func(f *cliFlags) { f.objectives = "power"; f.asJSON = true }, "do not apply"},
 		{func(f *cliFlags) { f.objectives = "power"; f.tsv = true }, "do not apply"},
 		{func(f *cliFlags) { f.objectives = "power"; f.stats = true }, "do not apply"},
+		{func(f *cliFlags) { f.objectives = "power"; f.workers = 2; f.explicit["workers"] = true }, "-workers does not apply"},
+		{func(f *cliFlags) { f.upgradeFrom = "uP2"; f.workers = 2; f.explicit["workers"] = true }, "-workers does not apply"},
+		{func(f *cliFlags) { f.algo = "exhaustive"; f.explicit["stop-at-max"] = true }, "-stop-at-max only applies"},
+		{func(f *cliFlags) { f.algo = "random"; f.explicit["stop-at-max"] = true }, "-stop-at-max only applies"},
+		{func(f *cliFlags) { f.algo = "ea"; f.explicit["stop-at-max"] = true }, "-stop-at-max only applies"},
+		{func(f *cliFlags) { f.objectives = "power"; f.explicit["stop-at-max"] = true }, "-stop-at-max only applies"},
 		{func(f *cliFlags) { f.cache = "maybe" }, "-cache"},
 		{func(f *cliFlags) { f.timing = "bogus" }, "-timing"},
 		{func(f *cliFlags) { f.prof.CPUProfile = "p.out"; f.prof.Trace = "p.out" }, "same file"},

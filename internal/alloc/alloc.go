@@ -167,8 +167,7 @@ type Options struct {
 // Stats reports enumeration effort.
 type Stats struct {
 	// Scanned counts enumeration effort: BDD search nodes visited by the
-	// symbolic producers, subsets generated in cost order by the bitset
-	// scans.
+	// symbolic walk, subsets generated in cost order by the bitset scan.
 	Scanned int
 	// Possible counts subsets that passed the possibility test and were
 	// yielded to the callback.
@@ -183,21 +182,9 @@ type Stats struct {
 	// and EnumerateExtensions; an enumeration that ends exactly at its
 	// budget is not cut.
 	BudgetCut bool
-	// Producers is the number of producer goroutines the candidates
-	// flowed through: 0 for the direct single-goroutine scans, >= 1 for
-	// the sharded enumerators (a sharded run with one producer still
-	// pays the merge). Telemetry, not semantics. This field and the two
-	// below describe the sharded enumerators, which the explorers no
-	// longer use.
+	// Producers is always 0. It remains only until the benchmark
+	// harness stops reading it.
 	Producers int
-	// ProducerBusyNanos sums, over producer goroutines, the time spent
-	// walking the subset tree (wall time minus blocked-send time).
-	// Telemetry, not semantics.
-	ProducerBusyNanos int64
-	// MergeStalls counts merge-side reads that found the needed
-	// producer stream empty and had to block — the back-pressure signal
-	// of the k-way merge. Telemetry, not semantics.
-	MergeStalls int
 }
 
 // Candidate is one possible resource allocation with its cost.
@@ -288,12 +275,25 @@ func EnumerateRange(s *spec.Spec, opts Options, start int, fn func(Candidate) bo
 	return stats
 }
 
-// scanEnv is the read-only state shared by every walker of a bitset
-// scan: the cost-ordered unit universe, the bus-adjacency bitsets for
-// the useless-bus rule, and the Supporter, whose per-unit resource sets
-// drive the possibility test. It is built once per enumeration and is
-// safe for any number of concurrent readers; all mutable scan state
-// lives in per-goroutine SupportScratch values.
+// EnumerateShardedRange forwards to EnumerateRange and ignores
+// producers. It remains only until the benchmark harness stops calling
+// it.
+func EnumerateShardedRange(s *spec.Spec, opts Options, producers, start int, fn func(Candidate) bool) Stats {
+	return EnumerateRange(s, opts, start, fn)
+}
+
+// EnumerateSymbolicShardedRange forwards to EnumerateSymbolicRange and
+// ignores producers. It remains only until the benchmark harness stops
+// calling it.
+func EnumerateSymbolicShardedRange(s *spec.Spec, opts Options, producers, start int, fn func(Candidate) bool) Stats {
+	return EnumerateSymbolicRange(s, opts, start, fn)
+}
+
+// scanEnv is the read-only state of a bitset scan: the cost-ordered
+// unit universe, the bus-adjacency bitsets for the useless-bus rule,
+// and the Supporter, whose per-unit resource sets drive the possibility
+// test. It is built once per enumeration; the scan's mutable state
+// lives in a SupportScratch.
 type scanEnv struct {
 	units []Unit
 	n     int
@@ -339,7 +339,7 @@ func (e *scanEnv) uselessComm(cur *subset) bool {
 
 // child derives a heap node from cur: extend appends unit m+1, replace
 // swaps the last unit m for m+1 (each subset generated exactly once).
-// The node comes from pool, so walkers recycle nodes without sharing.
+// The node comes from pool, which recycles the nodes the scan pops.
 func (e *scanEnv) child(pool *sync.Pool, cur *subset, replace bool) *subset {
 	m := cur.idx[len(cur.idx)-1]
 	c := pool.Get().(*subset)

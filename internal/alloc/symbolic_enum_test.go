@@ -37,7 +37,9 @@ func sameCandidates(t *testing.T, label string, bit, sym []Candidate) {
 // test against the bitset oracle: on every spec the scan can still
 // reach, the symbolic producer emits the bit-identical candidate
 // stream, with both useless-bus settings, while visiting no more nodes
-// than the scan scans.
+// than the scan scans. The two sharded-producer names, which now
+// forward to the direct producers, must do the same with a Producers
+// gauge of 0.
 func TestSymbolicStreamMatchesBitset(t *testing.T) {
 	synth := func(seed int64) *spec.Spec {
 		return models.Synthetic(models.SyntheticParams{
@@ -55,28 +57,49 @@ func TestSymbolicStreamMatchesBitset(t *testing.T) {
 		"synth5":  synth(5),
 		"synth7":  synth(7),
 	}
+	producers := []struct {
+		name     string
+		symbolic bool
+		enum     func(*spec.Spec, Options, int, func(Candidate) bool) Stats
+	}{
+		{"symbolic", true, EnumerateSymbolicRange},
+		{"sharded", false, func(s *spec.Spec, opts Options, start int, fn func(Candidate) bool) Stats {
+			return EnumerateShardedRange(s, opts, 2, start, fn)
+		}},
+		{"symbolic-sharded", true, func(s *spec.Spec, opts Options, start int, fn func(Candidate) bool) Stats {
+			return EnumerateSymbolicShardedRange(s, opts, 2, start, fn)
+		}},
+	}
 	for name, s := range specs {
 		for _, include := range []bool{false, true} {
-			label := name
-			if include {
-				label += "+uselesscomm"
-			}
 			opts := Options{IncludeUselessComm: include}
 			bit, bitStats := collect(EnumerateRange, s, opts, 0)
-			sym, symStats := collect(EnumerateSymbolicRange, s, opts, 0)
-			sameCandidates(t, label, bit, sym)
-			if bitStats.Possible != symStats.Possible {
-				t.Errorf("%s: Possible = %d (bitset) vs %d (symbolic)", label, bitStats.Possible, symStats.Possible)
-			}
-			if bitStats.SearchSpace != symStats.SearchSpace {
-				t.Errorf("%s: SearchSpace differs", label)
-			}
-			if symStats.Scanned > bitStats.Scanned {
-				t.Errorf("%s: symbolic visited %d nodes, more than the %d subsets the scan needed",
-					label, symStats.Scanned, bitStats.Scanned)
-			}
-			if symStats.PrunedComm != 0 {
-				t.Errorf("%s: symbolic PrunedComm = %d, want 0 (rule is in the BDD)", label, symStats.PrunedComm)
+			for _, p := range producers {
+				label := name + "/" + p.name
+				if include {
+					label += "+uselesscomm"
+				}
+				got, stats := collect(p.enum, s, opts, 0)
+				sameCandidates(t, label, bit, got)
+				if stats.Possible != bitStats.Possible {
+					t.Errorf("%s: Possible = %d, bitset %d", label, stats.Possible, bitStats.Possible)
+				}
+				if stats.SearchSpace != bitStats.SearchSpace {
+					t.Errorf("%s: SearchSpace differs", label)
+				}
+				if stats.Producers != 0 {
+					t.Errorf("%s: Producers = %d, want 0", label, stats.Producers)
+				}
+				if !p.symbolic {
+					continue
+				}
+				if stats.Scanned > bitStats.Scanned {
+					t.Errorf("%s: visited %d nodes, more than the %d subsets the scan needed",
+						label, stats.Scanned, bitStats.Scanned)
+				}
+				if stats.PrunedComm != 0 {
+					t.Errorf("%s: PrunedComm = %d, want 0 (rule is in the BDD)", label, stats.PrunedComm)
+				}
 			}
 		}
 	}

@@ -100,15 +100,6 @@ type CostEnum struct {
 	rows  int32
 	free  int32
 	buf   []int
-
-	// Shard state, set only by NewCostEnumShard: the lanes (root
-	// variables) this enumeration walks, the per-lane count of live
-	// heap nodes, and the lanes fully walked since the last
-	// TakeDrained call. lanePos maps a root variable to its slot.
-	lanes   []int
-	lanePos []int
-	pending []int
-	drained []int
 }
 
 // enumEntry is one live subset-tree node: its key (see CostEnum), the
@@ -179,59 +170,6 @@ func exactSums(costs []float64) bool {
 	return total < 1<<53
 }
 
-// NewCostEnumShard prepares a cost-ordered enumeration restricted to
-// the subset-tree lanes rooted at the given variables: lane k holds
-// exactly the satisfying assignments whose minimum true variable is k.
-// roots must be strictly ascending, in range, and nonempty. The walk
-// is identical to NewCostEnum's restricted to those lanes — same
-// comparator, same pruning, same per-lane emission order — so P
-// shard enumerations over a partition of the roots jointly cover the
-// nonempty satisfying assignments exactly once. MaxVisits bounds this
-// shard's own visits. The enumeration only reads the Manager, so any
-// number of shards may walk one shared BDD concurrently.
-func (m *Manager) NewCostEnumShard(f *Node, costs []float64, roots []int) *CostEnum {
-	if len(roots) == 0 {
-		panic("boolfunc: shard enumeration needs at least one lane root")
-	}
-	e := m.NewCostEnum(f, costs)
-	e.lanes = roots
-	e.lanePos = make([]int, m.numVars)
-	e.pending = make([]int, len(roots))
-	for i := range e.lanePos {
-		e.lanePos[i] = -1
-	}
-	// The lane root {k} is the replace-chain descendant of the spine:
-	// its restriction sets every variable below k false, which is a
-	// pure Low-edge descent — no node construction, Manager untouched.
-	pre := f
-	prev := -1
-	for i, k := range roots {
-		if k < 0 || k >= m.numVars || k <= prev {
-			panic("boolfunc: shard lane roots must be strictly ascending and in range")
-		}
-		for !pre.IsTerminal() && pre.Var < k {
-			pre = pre.Low
-		}
-		prev = k
-		e.lanePos[k] = i
-		// A root's key covers the replace chain a shard never walks, so
-		// it may undercut the lane's cheapest assignment; children are
-		// keyed exactly, so the order stays consistent.
-		h := e.minNE(pre, k)
-		if math.IsInf(h, 1) {
-			h = e.hcosts[k]
-		}
-		e.push(e.entry(0, h, pre, e.singleton(k), k))
-		e.pending[i] = 1
-	}
-	// Roots are pushed unconditionally (an unsatisfiable lane costs one
-	// visit and drains immediately, keyed by its own cost); the spine
-	// gating that decides when a lane's output may be consumed lives in
-	// the caller's merge.
-	e.started = true
-	return e
-}
-
 // checkCosts validates a cost vector for cost-ordered enumeration.
 func (m *Manager) checkCosts(costs []float64) {
 	if len(costs) != m.numVars {
@@ -289,28 +227,18 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 			e.emitted++
 			e.buf = e.appendIndices(e.buf[:0], cur.row)
 		}
-		// first is the node's lane, read by shard walks only.
-		first := -1
-		if e.lanes != nil {
-			first = e.lowest(cur.row)
-		}
 		// The children's subtrees share the child's bits below its last
 		// index and contain exactly the subsets whose first further
 		// element is >= that index, so each is pushed iff a satisfying
 		// assignment with at least one true variable from last+1 on
-		// extends the restriction — iff its minNE is finite. A shard
-		// walk never replaces a lane root's only element: that subset
-		// is another lane's root.
+		// extends the restriction — iff its minNE is finite.
 		next := last + 1
 		hExt, hRep := math.Inf(1), math.Inf(1)
 		if next < e.m.numVars {
 			hExt = e.minNE(n1, next)
-			if first != last {
-				hRep = e.minNE(n0, next)
-			}
+			hRep = e.minNE(n0, next)
 		}
 		ext, rep := !math.IsInf(hExt, 1), !math.IsInf(hRep, 1)
-		pushed := 0
 		if ext {
 			r := cur.row
 			if rep {
@@ -318,26 +246,17 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 				copy(e.row(r), e.row(cur.row))
 			}
 			e.row(r)[next>>6] |= 1 << (next & 63)
-			e.place(e.entry(cost, hExt, n1, r, next), pushed == 0)
-			pushed++
+			e.place(e.entry(cost, hExt, n1, r, next), true)
 		}
 		if rep {
 			row := e.row(cur.row)
 			row[last>>6] &^= 1 << (last & 63)
 			row[next>>6] |= 1 << (next & 63)
-			e.place(e.entry(cost-e.costs[last], hRep, n0, cur.row, next), pushed == 0)
-			pushed++
+			e.place(e.entry(cost-e.costs[last], hRep, n0, cur.row, next), !ext)
 		}
-		if pushed == 0 {
+		if !ext && !rep {
 			e.freeRow(cur.row)
 			e.popTop()
-		}
-		if e.lanes != nil {
-			slot := e.lanePos[first]
-			e.pending[slot] += pushed - 1
-			if e.pending[slot] == 0 {
-				e.drained = append(e.drained, e.lanes[slot])
-			}
 		}
 		if sat {
 			return e.buf, cost, true
@@ -510,26 +429,6 @@ func (e *CostEnum) appendIndices(dst []int, r int32) []int {
 	return dst
 }
 
-// lowest returns the smallest element of the nonempty row r.
-func (e *CostEnum) lowest(r int32) int {
-	for w, word := range e.row(r) {
-		if word != 0 {
-			return w<<6 + bits.TrailingZeros64(word)
-		}
-	}
-	panic("boolfunc: empty index row")
-}
-
-// TakeDrained returns the lane roots whose subtrees have been fully
-// walked since the last call, in drain order, and resets the list.
-// Only meaningful for shard enumerations; a lane may drain during a
-// Next call that emits for a different lane.
-func (e *CostEnum) TakeDrained() []int {
-	d := e.drained
-	e.drained = nil
-	return d
-}
-
 // Visited counts search nodes popped (plus the initial all-false
 // check): the enumeration's total effort, comparable to a subset scan's
 // scanned count.
@@ -537,8 +436,8 @@ func (e *CostEnum) Visited() int { return e.visited }
 
 // BudgetCut reports that Next stopped at the MaxVisits budget while the
 // walk still held unvisited nodes. Every queued node's subtree holds a
-// satisfying assignment, so for a NewCostEnum walk this means the
-// budget cut the stream short; a walk that ends exactly at its budget
+// satisfying assignment, so this means the budget cut the stream
+// short; a walk that ends exactly at its budget
 // is not cut.
 func (e *CostEnum) BudgetCut() bool { return e.cut }
 

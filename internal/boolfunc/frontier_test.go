@@ -2,7 +2,6 @@ package boolfunc
 
 import (
 	"container/heap"
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -195,9 +194,8 @@ func bytesToSet(bs []byte, n int) []int {
 // false except a dozen free ones straddling bits 63/64 and 127/128,
 // with tied costs, under a random constraint. The stream and the visit
 // count must match a reference walk over the brute-force satisfying
-// set with the slice comparator; a MaxVisits walk must emit a prefix
-// of that stream; and shard walks over a partition of the lane roots
-// must emit each lane's subsequence of it.
+// set with the slice comparator, and a MaxVisits walk must emit a
+// prefix of that stream.
 func TestCostEnumMultiWordStream(t *testing.T) {
 	candidates := []int{0, 1, 40, 61, 62, 63, 64, 65, 66, 126, 127, 128, 129}
 	for _, n := range []int{64, 65, 70, 130} {
@@ -253,35 +251,6 @@ func TestCostEnumMultiWordStream(t *testing.T) {
 			sameStream(t, n, "prefix", prefix, prefixCosts, want[:len(prefix)], costs)
 		}
 
-		// Lane k holds the models whose least element is k; each lane's
-		// order is the full walk's, while lanes of one shard interleave
-		// differently because their roots enter the heap together.
-		var shards [2][]int
-		for k := 0; k < n; k++ {
-			shards[k%2] = append(shards[k%2], k)
-		}
-		for s, roots := range shards {
-			e := m.NewCostEnumShard(f, costs, roots)
-			got, gotCosts := enumAll(e)
-			for _, k := range roots {
-				var lane, wantLane [][]int
-				var laneCosts []float64
-				for i, idx := range got {
-					if idx[0] == k {
-						lane, laneCosts = append(lane, idx), append(laneCosts, gotCosts[i])
-					}
-				}
-				for _, idx := range want {
-					if len(idx) > 0 && idx[0] == k {
-						wantLane = append(wantLane, idx)
-					}
-				}
-				sameStream(t, n, fmt.Sprintf("shard %d lane %d", s, k), lane, laneCosts, wantLane, costs)
-			}
-			if drained := e.TakeDrained(); !equalInts(sortedCopy(drained), roots) {
-				t.Errorf("n=%d shard %d drained %v, want every root once", n, s, drained)
-			}
-		}
 	}
 }
 
@@ -398,12 +367,6 @@ func sameStream(t *testing.T, n int, label string, got [][]int, gotCosts []float
 			return
 		}
 	}
-}
-
-func sortedCopy(s []int) []int {
-	out := append([]int(nil), s...)
-	sort.Ints(out)
-	return out
 }
 
 // atMost builds "at most k of the manager's variables are true".

@@ -36,10 +36,11 @@ type Request struct {
 	// Weighted selects the weighted flexibility metric.
 	Weighted bool `json:"weighted,omitempty"`
 	// Exhaustive disables the flexibility bound and the useless-bus
-	// pruning (the exhaustive baseline scan).
+	// pruning (the exhaustive baseline scan, which implements every
+	// possible allocation).
 	Exhaustive bool `json:"exhaustive,omitempty"`
 	// StopAtMaxFlex terminates the scan once maximum flexibility is
-	// implemented.
+	// implemented. It is rejected together with Exhaustive.
 	StopAtMaxFlex bool `json:"stopAtMaxFlex,omitempty"`
 
 	// MaxScan bounds the enumeration effort in BDD search nodes visited
@@ -200,6 +201,9 @@ func (s *Server) jobFromRequest(req *Request, sp *spec.Spec) (*job, *apiError) {
 	}
 	if req.CheckpointEvery < 0 {
 		return nil, errBudget(`"checkpointEvery" must be >= 0 (0 selects 64)`)
+	}
+	if req.Exhaustive && req.StopAtMaxFlex {
+		return nil, errBudget(`"exhaustive" and "stopAtMaxFlex" are mutually exclusive: an exhaustive scan implements every possible allocation`)
 	}
 	deadline := time.Duration(req.DeadlineMs) * time.Millisecond
 	if deadline == 0 {

@@ -365,6 +365,7 @@ func TestAdmissionRejections(t *testing.T) {
 		{"deadline above cap", `{"model": "settop", "deadlineMs": 6000000}`, http.StatusBadRequest, CodeBadBudget},
 		{"negative cadence", `{"model": "settop", "checkpointEvery": -2}`, http.StatusBadRequest, CodeBadBudget},
 		{"unknown timing", `{"model": "settop", "timing": "bogus"}`, http.StatusBadRequest, CodeBadBudget},
+		{"exhaustive stopping at max flexibility", `{"model": "settop", "exhaustive": true, "stopAtMaxFlex": true}`, http.StatusBadRequest, CodeBadBudget},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 // The returned function characterizes the whole possible-allocation set
 // without enumerating the 2^n subsets; combine with SatCount for its
 // exact size and with MinCostSat for the cheapest possible allocation.
-func Symbolic(s *spec.Spec) (*boolfunc.Manager, *boolfunc.Node, []Unit) {
+func Symbolic(s *spec.Spec) (*boolfunc.Manager, boolfunc.Node, []Unit) {
 	units := Units(s)
 	m := boolfunc.NewManager(len(units))
 
@@ -30,9 +30,9 @@ func Symbolic(s *spec.Spec) (*boolfunc.Manager, *boolfunc.Node, []Unit) {
 		}
 	}
 
-	memo := map[hgraph.ID]*boolfunc.Node{}
-	var supportable func(c *hgraph.Cluster) *boolfunc.Node
-	supportable = func(c *hgraph.Cluster) *boolfunc.Node {
+	memo := map[hgraph.ID]boolfunc.Node{}
+	var supportable func(c *hgraph.Cluster) boolfunc.Node
+	supportable = func(c *hgraph.Cluster) boolfunc.Node {
 		if n, ok := memo[c.ID]; ok {
 			return n
 		}

@@ -140,7 +140,7 @@ func AllocationOf(units []Unit, idx []int) spec.Allocation {
 // same adjacency and threshold the bitset scan tests per subset with
 // scanEnv.uselessComm, here conjoined once into the characteristic
 // function.
-func commConstraint(s *spec.Spec, m *boolfunc.Manager, units []Unit) *boolfunc.Node {
+func commConstraint(s *spec.Spec, m *boolfunc.Manager, units []Unit) boolfunc.Node {
 	pos := make(map[hgraph.ID]int, len(units))
 	for k, u := range units {
 		pos[u.ID] = k
@@ -151,21 +151,35 @@ func commConstraint(s *spec.Spec, m *boolfunc.Manager, units []Unit) *boolfunc.N
 		if !u.Comm {
 			continue
 		}
-		var neigh []int
+		vars := []int{k}
 		for other := range adj[u.ID] {
-			neigh = append(neigh, pos[other])
+			vars = append(vars, pos[other])
 		}
-		sort.Ints(neigh)
-		// at-least-two as the usual one/two accumulation chain.
-		one, two := m.False(), m.False()
-		for _, j := range neigh {
-			x := m.Var(j)
-			two = m.Apply(boolfunc.Or, two, m.Apply(boolfunc.And, one, x))
-			one = m.Apply(boolfunc.Or, one, x)
-		}
-		out = m.Apply(boolfunc.And, out, m.Apply(boolfunc.Or, m.NotVar(k), two))
+		sort.Ints(vars)
+		out = m.Apply(boolfunc.And, out, busRule(m, k, vars))
 	}
 	return out
+}
+
+// busRule builds "¬x_k ∨ at least two neighbours" bottom-up over vars,
+// k and its neighbours in ascending order (a bus is adjacent only to
+// functional units, so k appears once), with one MakeNode per node.
+// Visiting vars from the last, need[c] is the rule over the variables
+// visited so far, given c allocated neighbours among those not yet
+// visited and, while k is not yet visited, x_k true.
+func busRule(m *boolfunc.Manager, k int, vars []int) boolfunc.Node {
+	need := [3]boolfunc.Node{m.False(), m.False(), m.True()}
+	for i := len(vars) - 1; i >= 0; i-- {
+		j := vars[i]
+		for c := 0; c < 2; c++ {
+			if j == k {
+				need[c] = m.MakeNode(j, m.True(), need[c])
+			} else {
+				need[c] = m.MakeNode(j, need[c], need[c+1])
+			}
+		}
+	}
+	return need[0]
 }
 
 // CountPossibleBig returns the exact number of possible resource

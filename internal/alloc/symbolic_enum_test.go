@@ -2,8 +2,11 @@ package alloc
 
 import (
 	"math/big"
+	"math/bits"
+	"sort"
 	"testing"
 
+	"repro/internal/boolfunc"
 	"repro/internal/models"
 	"repro/internal/spec"
 )
@@ -260,6 +263,37 @@ func TestEnumerateSymbolicUnitsMatchesMaps(t *testing.T) {
 			sameCandidates(t, "extensions", want, got)
 			if gotStats != wantStats {
 				t.Errorf("extensions opts %+v start %d: Stats %+v, want %+v", opts, start, gotStats, wantStats)
+			}
+		}
+	}
+}
+
+// TestBusRuleMatchesApplyChain checks busRule's bottom-up construction
+// against "¬x_k ∨ at least two neighbours" composed with Apply as the
+// usual one/two accumulation chain, for every bus position among up to
+// six neighbours of eight variables: both must be the same node.
+func TestBusRuleMatchesApplyChain(t *testing.T) {
+	const n = 8
+	m := boolfunc.NewManager(n)
+	for mask := 0; mask < 1<<n; mask++ {
+		for k := 0; k < n; k++ {
+			if mask&(1<<k) != 0 || bits.OnesCount(uint(mask)) > 6 {
+				continue
+			}
+			vars := []int{k}
+			one, two := m.False(), m.False()
+			for j := 0; j < n; j++ {
+				if mask&(1<<j) != 0 {
+					vars = append(vars, j)
+					x := m.Var(j)
+					two = m.Apply(boolfunc.Or, two, m.Apply(boolfunc.And, one, x))
+					one = m.Apply(boolfunc.Or, one, x)
+				}
+			}
+			sort.Ints(vars)
+			want := m.Apply(boolfunc.Or, m.NotVar(k), two)
+			if got := busRule(m, k, vars); got != want {
+				t.Fatalf("bus %d, neighbours %08b: busRule built node %d, Apply chain %d", k, mask, got, want)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package boolfunc
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -25,12 +26,20 @@ func TestConstantsAndVars(t *testing.T) {
 	if m.NumVars() != 3 {
 		t.Error("NumVars")
 	}
+	if m.Level(x) != 1 || m.Low(x) != m.False() || m.High(x) != m.True() {
+		t.Errorf("Var(1) = (%d, %d, %d), want (1, false, true)", m.Level(x), m.Low(x), m.High(x))
+	}
+	for _, c := range []Node{m.False(), m.True()} {
+		if m.Level(c) != 3 || m.Low(c) != c || m.High(c) != c {
+			t.Errorf("terminal %d = (%d, %d, %d), want level 3 branching to itself", c, m.Level(c), m.Low(c), m.High(c))
+		}
+	}
 }
 
 func TestCanonicity(t *testing.T) {
 	m := NewManager(2)
 	x, y := m.Var(0), m.Var(1)
-	// De Morgan: x ∨ y == ¬(¬x ∧ ¬y), as pointer equality.
+	// De Morgan: x ∨ y == ¬(¬x ∧ ¬y), as node equality.
 	a := m.Apply(Or, x, y)
 	b := m.Not(m.Apply(And, m.Not(x), m.Not(y)))
 	if a != b {
@@ -56,7 +65,7 @@ func TestSatCountSimple(t *testing.T) {
 	m := NewManager(3)
 	x, y := m.Var(0), m.Var(1)
 	cases := []struct {
-		n    *Node
+		n    Node
 		want float64
 	}{
 		{m.True(), 8},
@@ -130,7 +139,7 @@ func TestMinCostSat(t *testing.T) {
 
 // randomExpr builds a random expression tree and returns both its BDD
 // and a brute-force evaluator.
-func randomExpr(m *Manager, rng *rand.Rand, depth int) (*Node, func([]bool) bool) {
+func randomExpr(m *Manager, rng *rand.Rand, depth int) (Node, func([]bool) bool) {
 	if depth == 0 || rng.Intn(3) == 0 {
 		v := rng.Intn(m.NumVars())
 		if rng.Intn(2) == 0 {
@@ -301,4 +310,183 @@ func containsSub(h, n string) bool {
 		}
 	}
 	return false
+}
+
+// TestManagerAllocsLogarithmic builds a function of thousands of nodes
+// and requires the build to allocate a small constant number of times
+// rather than once per node: the node, unique and computed tables grow
+// only by doubling. The pairs are joined from the last variable up, so
+// each disjunction adds two nodes and the build stays linear.
+func TestManagerAllocsLogarithmic(t *testing.T) {
+	const n = 2000
+	size := 0
+	allocs := testing.AllocsPerRun(3, func() {
+		m := NewManager(n)
+		f := m.False()
+		for v := n - 2; v >= 0; v -= 2 {
+			f = m.Apply(Or, m.Apply(And, m.Var(v), m.Var(v+1)), f)
+		}
+		size = m.Size()
+	})
+	if size < 2000 {
+		t.Fatalf("build created %d nodes, want at least 2000", size)
+	}
+	if allocs > 64 {
+		t.Errorf("build of %d nodes allocated %v times, want at most 64", size, allocs)
+	}
+}
+
+// singleSlot cuts m's computed table to one slot for good, so nearly
+// every Apply and Restrict result is evicted before it is reused.
+func singleSlot(m *Manager) *Manager {
+	m.cacheMax = 1
+	m.cache = m.cache[:1]
+	return m
+}
+
+// truthTable holds a function of at most 8 variables by assignment:
+// bit v of the index is variable v.
+type truthTable [256]bool
+
+// exprBytes encodes the expression randomExpr draws from rng over
+// nVars variables, as FuzzBDDMatchesTruthTable decodes it: a
+// variable-count byte, then postfix instructions.
+func exprBytes(rng *rand.Rand, nVars, depth int) []byte {
+	var enc func(depth int) []byte
+	enc = func(depth int) []byte {
+		if depth == 0 || rng.Intn(3) == 0 {
+			v := byte(rng.Intn(nVars))
+			return []byte{byte(rng.Intn(2)) | v<<4}
+		}
+		out := enc(depth - 1)
+		out = append(out, enc(depth-1)...)
+		return append(out, 2+byte(rng.Intn(4)))
+	}
+	return append([]byte{byte(nVars - 1)}, enc(depth)...)
+}
+
+// FuzzBDDMatchesTruthTable decodes an expression over at most 8
+// variables and builds it in a manager and in one whose computed table
+// holds a single slot. Both must agree with the expression's truth
+// table on every assignment and in model count, equal the node built
+// from the table's Shannon expansion, and create the same nodes: a
+// lost computed-table entry costs recomputation, never a result.
+//
+// The first byte gives the variable count (1 + b%8); each further byte
+// is a postfix instruction on its low 3 bits, v = (b>>4)%n: 0 pushes
+// Var(v), 1 NotVar(v), 2–5 pop two and push Apply(And|Or|Xor|Diff), 6
+// pops one and pushes Not, 7 pops one and pushes Restrict(v, b>>3&1).
+// Instructions that find too few operands are skipped.
+func FuzzBDDMatchesTruthTable(f *testing.F) {
+	// TestPropBDDMatchesBruteForce's draws.
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		f.Add(exprBytes(rng, 2+rng.Intn(5), 4))
+	}
+	f.Add([]byte{7, 0x70, 0x61, 3, 6, 0x17, 0x05, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(data[0])%8
+		ms := [2]*Manager{NewManager(n), singleSlot(NewManager(n))}
+		type entry struct {
+			nodes [2]Node
+			tt    truthTable
+		}
+		var stack []entry
+		for _, b := range data[1:min(len(data), 65)] {
+			v := int(b>>4) % n
+			var x entry
+			switch op := b & 7; {
+			case op <= 1:
+				for a := range 1 << n {
+					x.tt[a] = a>>v&1 == 1 != (op == 1)
+				}
+				for i, m := range ms {
+					if op == 0 {
+						x.nodes[i] = m.Var(v)
+					} else {
+						x.nodes[i] = m.NotVar(v)
+					}
+				}
+			case op <= 5:
+				if len(stack) < 2 {
+					continue
+				}
+				l, r := stack[len(stack)-2], stack[len(stack)-1]
+				stack = stack[:len(stack)-2]
+				o := Op(op - 2)
+				for a := range 1 << n {
+					x.tt[a] = o.eval(l.tt[a], r.tt[a])
+				}
+				for i, m := range ms {
+					x.nodes[i] = m.Apply(o, l.nodes[i], r.nodes[i])
+				}
+			default:
+				if len(stack) < 1 {
+					continue
+				}
+				y := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				val := b>>3&1 == 1
+				for a := range 1 << n {
+					if op == 6 {
+						x.tt[a] = !y.tt[a]
+					} else if val {
+						x.tt[a] = y.tt[a|1<<v]
+					} else {
+						x.tt[a] = y.tt[a&^(1<<v)]
+					}
+				}
+				for i, m := range ms {
+					if op == 6 {
+						x.nodes[i] = m.Not(y.nodes[i])
+					} else {
+						x.nodes[i] = m.Restrict(y.nodes[i], v, val)
+					}
+				}
+			}
+			stack = append(stack, x)
+		}
+		if len(stack) == 0 {
+			return
+		}
+		top := stack[len(stack)-1]
+		want := 0
+		asg := make([]bool, n)
+		for a := range 1 << n {
+			for v := range asg {
+				asg[v] = a>>v&1 == 1
+			}
+			for i, m := range ms {
+				if m.Eval(top.nodes[i], asg) != top.tt[a] {
+					t.Fatalf("manager %d: Eval(%v) = %v, truth table says %v", i, asg, !top.tt[a], top.tt[a])
+				}
+			}
+			if top.tt[a] {
+				want++
+			}
+		}
+		if ms[0].Size() != ms[1].Size() {
+			t.Fatalf("managers created %d and %d nodes, want equal", ms[0].Size(), ms[1].Size())
+		}
+		for i, m := range ms {
+			if got := m.SatCountBig(top.nodes[i]); got.Cmp(big.NewInt(int64(want))) != 0 {
+				t.Fatalf("manager %d: SatCountBig = %v, brute force %d", i, got, want)
+			}
+			if sh := shannon(m, &top.tt, 0, 0); sh != top.nodes[i] {
+				t.Fatalf("manager %d: node %d, Shannon expansion builds %d", i, top.nodes[i], sh)
+			}
+		}
+	})
+}
+
+// shannon builds, with mk alone, the function tt restricted by the
+// assignment prefix of the variables below v.
+func shannon(m *Manager, tt *truthTable, v, prefix int) Node {
+	if v == m.NumVars() {
+		return constant(tt[prefix])
+	}
+	return m.mk(int32(v), shannon(m, tt, v+1, prefix), shannon(m, tt, v+1, prefix|1<<v))
 }

@@ -69,7 +69,7 @@ type CostEnum struct {
 	MaxVisits int
 
 	m     *Manager
-	f     *Node
+	f     Node
 	costs []float64
 	// hcosts are the costs the completion tables sum: costs when the
 	// exactness guard holds, zeros otherwise.
@@ -112,7 +112,7 @@ type CostEnum struct {
 // otherwise, exact under the guard.
 type enumEntry struct {
 	key  float64
-	pre  *Node
+	pre  Node
 	row  int32
 	last uint32
 }
@@ -136,15 +136,15 @@ const minFrontier = 64
 // NewCostEnum prepares a cost-ordered enumeration of the satisfying
 // assignments of f. costs must have one non-negative entry per manager
 // variable, nondecreasing in variable order (see the type comment).
-func (m *Manager) NewCostEnum(f *Node, costs []float64) *CostEnum {
+func (m *Manager) NewCostEnum(f Node, costs []float64) *CostEnum {
 	m.checkCosts(costs)
 	e := &CostEnum{
 		m:        m,
 		f:        f,
 		costs:    costs,
 		hcosts:   costs,
-		minMemo:  make([]float64, 2*m.nextID),
-		zeroMemo: make([]int8, m.nextID),
+		minMemo:  make([]float64, 2*len(m.level)),
+		zeroMemo: make([]int8, len(m.level)),
 		words:    (m.numVars + 63) / 64,
 		free:     -1,
 	}
@@ -221,7 +221,7 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 		if cur.last&atKey == 0 {
 			cost = cur.key - e.minNE(cur.pre, last) + e.costs[last]
 		}
-		n0, n1 := e.m.cofactors(cur.pre, last)
+		n0, n1 := e.m.cofactors(cur.pre, int32(last))
 		sat := e.zeroSat(n1)
 		if sat {
 			e.emitted++
@@ -270,7 +270,7 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 // elements below k and h = minNE(p, k), which must be finite. Without
 // the guard h is 0, and the key is the node's cost, summed as the plain
 // scan sums it.
-func (e *CostEnum) entry(pc, h float64, p *Node, r int32, k int) enumEntry {
+func (e *CostEnum) entry(pc, h float64, p Node, r int32, k int) enumEntry {
 	if h != e.hcosts[k] {
 		return enumEntry{key: pc + h, pre: p, row: r, last: uint32(k)}
 	}
@@ -447,41 +447,43 @@ func (e *CostEnum) Emitted() int { return e.emitted }
 
 // minSat returns the cheapest completion of the restriction n under
 // hcosts: 0 for the one-terminal, +Inf for the zero-terminal.
-func (e *CostEnum) minSat(n *Node) float64 {
+func (e *CostEnum) minSat(n Node) float64 {
 	if n.IsTerminal() {
-		if n == e.m.one {
+		if n == one {
 			return 0
 		}
 		return math.Inf(1)
 	}
-	if v := e.minMemo[2*n.id]; v >= 0 {
+	if v := e.minMemo[2*n]; v >= 0 {
 		return v
 	}
-	v := min(e.minSat(n.Low), e.hcosts[n.Var]+e.minSat(n.High))
-	e.minMemo[2*n.id] = v
+	m := e.m
+	v := min(e.minSat(m.low[n]), e.hcosts[m.level[n]]+e.minSat(m.high[n]))
+	e.minMemo[2*n] = v
 	return v
 }
 
 // minNE returns the cheapest completion under hcosts of the restriction
-// n (all variables below level decided, so n.Var >= level) with at
-// least one true variable at or above level, +Inf if there is none. It
-// prunes the subset tree: a node's subtree holds a satisfying subset
+// n (all variables below level decided, so n's level is >= level) with
+// at least one true variable at or above level, +Inf if there is none.
+// It prunes the subset tree: a node's subtree holds a satisfying subset
 // iff this is finite for the node's restriction and last index.
-func (e *CostEnum) minNE(n *Node, level int) float64 {
-	if level >= e.m.numVars {
+func (e *CostEnum) minNE(n Node, level int) float64 {
+	m := e.m
+	if level >= m.numVars {
 		return math.Inf(1)
 	}
-	if n.Var > level {
+	if nv := int(m.level[n]); nv > level {
 		// level is unconstrained in n, and the cheapest of the free
-		// variables below n.Var: set it true, or leave them all false.
-		return min(e.hcosts[level]+e.minSat(n), e.minNE(n, n.Var))
+		// variables below nv: set it true, or leave them all false.
+		return min(e.hcosts[level]+e.minSat(n), e.minNE(n, nv))
 	}
-	// n.Var == level, so the memo key needs no level component.
-	if v := e.minMemo[2*n.id+1]; v >= 0 {
+	// n tests level itself, so the memo key needs no level component.
+	if v := e.minMemo[2*n+1]; v >= 0 {
 		return v
 	}
-	v := min(e.hcosts[level]+e.minSat(n.High), e.minNE(n.Low, level+1))
-	e.minMemo[2*n.id+1] = v
+	v := min(e.hcosts[level]+e.minSat(m.high[n]), e.minNE(m.low[n], level+1))
+	e.minMemo[2*n+1] = v
 	return v
 }
 
@@ -497,15 +499,15 @@ func memoBool(v bool) int8 {
 // zeroSat reports whether the all-false completion of the restriction n
 // satisfies the function (the subset-tree node's own assignment sets
 // exactly its indices).
-func (e *CostEnum) zeroSat(n *Node) bool {
+func (e *CostEnum) zeroSat(n Node) bool {
 	if n.IsTerminal() {
-		return n == e.m.one
+		return n == one
 	}
-	if v := e.zeroMemo[n.id]; v != 0 {
+	if v := e.zeroMemo[n]; v != 0 {
 		return v == 1
 	}
-	r := e.zeroSat(n.Low)
-	e.zeroMemo[n.id] = memoBool(r)
+	r := e.zeroSat(e.m.low[n])
+	e.zeroMemo[n] = memoBool(r)
 	return r
 }
 
@@ -513,26 +515,21 @@ func (e *CostEnum) zeroSat(n *Node) bool {
 // the full variable universe as a big integer. Use it instead of
 // SatCount whenever the count may reach 2^53, where float64 loses
 // exactness.
-func (m *Manager) SatCountBig(n *Node) *big.Int {
-	memo := map[int]*big.Int{}
-	var count func(n *Node) *big.Int
-	count = func(n *Node) *big.Int {
-		if n == m.zero {
-			return big.NewInt(0)
-		}
-		if n == m.one {
-			return big.NewInt(1)
-		}
-		if c, ok := memo[n.id]; ok {
+func (m *Manager) SatCountBig(n Node) *big.Int {
+	memo := make([]*big.Int, len(m.level))
+	memo[zero], memo[one] = big.NewInt(0), big.NewInt(1)
+	var count func(n Node) *big.Int
+	count = func(n Node) *big.Int {
+		if c := memo[n]; c != nil {
 			return c
 		}
-		// Each branch skips (child.Var - n.Var - 1) unconstrained
+		// Each branch skips (child level - level - 1) unconstrained
 		// variables.
-		lo := new(big.Int).Lsh(count(n.Low), uint(n.Low.Var-n.Var-1))
-		hi := new(big.Int).Lsh(count(n.High), uint(n.High.Var-n.Var-1))
-		c := lo.Add(lo, hi)
-		memo[n.id] = c
+		lv, lo, hi := m.level[n], m.low[n], m.high[n]
+		c := new(big.Int).Lsh(count(lo), uint(m.level[lo]-lv-1))
+		c.Add(c, new(big.Int).Lsh(count(hi), uint(m.level[hi]-lv-1)))
+		memo[n] = c
 		return c
 	}
-	return new(big.Int).Lsh(count(n), uint(n.Var))
+	return new(big.Int).Lsh(count(n), uint(m.level[n]))
 }

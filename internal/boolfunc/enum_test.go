@@ -195,7 +195,7 @@ func TestCostEnumResume(t *testing.T) {
 // randomCase draws from seed a random function of 2 to 16 variables,
 // its brute-force evaluator and its sorted cost vector, one cost per
 // variable from draw.
-func randomCase(seed int64, draw func(*rand.Rand) float64) (m *Manager, f *Node, costs []float64, eval func([]bool) bool) {
+func randomCase(seed int64, draw func(*rand.Rand) float64) (m *Manager, f Node, costs []float64, eval func([]bool) bool) {
 	rng := rand.New(rand.NewSource(seed))
 	nVars := 2 + rng.Intn(15) // up to 16 variables
 	m = NewManager(nVars)
@@ -226,7 +226,7 @@ func satOf(nVars int, eval func([]bool) bool) func(idx []int) bool {
 // it emits exactly the brute-force satisfying set, in exactly refScan's
 // order with bit-identical, nondecreasing costs, visiting no more nodes
 // than the full subset scan would.
-func matchesRefScan(m *Manager, f *Node, costs []float64, eval func([]bool) bool) (*CostEnum, bool) {
+func matchesRefScan(m *Manager, f Node, costs []float64, eval func([]bool) bool) (*CostEnum, bool) {
 	nVars := m.NumVars()
 	wantIdx, wantCosts := refScan(nVars, costs, satOf(nVars, eval))
 	e := m.NewCostEnum(f, costs)
@@ -359,7 +359,7 @@ func TestSatCountBig(t *testing.T) {
 	m := NewManager(3)
 	x, y := m.Var(0), m.Var(1)
 	for i, c := range []struct {
-		n    *Node
+		n    Node
 		want int64
 	}{
 		{m.True(), 8}, {m.False(), 0}, {x, 4},

@@ -255,7 +255,7 @@ func TestCostEnumMultiWordStream(t *testing.T) {
 }
 
 // freeExpr is randomExpr over the given variables only.
-func freeExpr(m *Manager, rng *rand.Rand, vars []int, depth int) (*Node, func([]bool) bool) {
+func freeExpr(m *Manager, rng *rand.Rand, vars []int, depth int) (Node, func([]bool) bool) {
 	if depth == 0 || rng.Intn(3) == 0 {
 		v := vars[rng.Intn(len(vars))]
 		if rng.Intn(2) == 0 {
@@ -370,9 +370,9 @@ func sameStream(t *testing.T, n int, label string, got [][]int, gotCosts []float
 }
 
 // atMost builds "at most k of the manager's variables are true".
-func atMost(m *Manager, k int) *Node {
+func atMost(m *Manager, k int) Node {
 	// le[j]: at most j of the variables folded in so far are true.
-	le := make([]*Node, k+1)
+	le := make([]Node, k+1)
 	for j := range le {
 		le[j] = m.True()
 	}

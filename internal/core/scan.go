@@ -124,12 +124,13 @@ func (r *candRec) reset(units []int) {
 // specification's lazy indexes before a worker pool reads them
 // concurrently.
 func newScan(ctx context.Context, s *spec.Spec, opts Options) *scan {
+	ev := newEvaluator(s, opts)
 	sc := &scan{
 		ctx:   ctx,
 		s:     s,
 		opts:  opts,
-		ev:    newEvaluator(s, opts),
-		res:   &Result{MaxFlexibility: MaxFlexibility(s, opts), Reason: ReasonCompleted},
+		ev:    ev,
+		res:   &Result{MaxFlexibility: maxFlexibility(s, ev.sup.Units, opts), Reason: ReasonCompleted},
 		front: &pareto.Front{},
 	}
 	sc.scratch = sc.ev.evalScratch()

@@ -141,35 +141,39 @@ func main() {
 		r := core.Explore(s, opts)
 		fmt.Print(core.AnalyzeFamily(s, r.Front))
 	default:
-		printParetoTable(s, opts)
+		printParetoTable(os.Stdout, s, opts)
 	}
 }
 
 // printParetoTable prints the paper's Section 5 Pareto table and the
 // search-space reduction statistics of the EXPLORE run behind it.
-func printParetoTable(s *spec.Spec, opts core.Options) {
+func printParetoTable(w io.Writer, s *spec.Spec, opts core.Options) {
 	r := core.Explore(s, opts)
-	fmt.Println("Set-Top box case study (Section 5) — Pareto-optimal set:")
-	fmt.Println()
-	fmt.Printf("%-26s | %-40s | %6s | %2s\n", "Resources", "Clusters", "c", "f")
-	fmt.Println(strings.Repeat("-", 84))
+	fmt.Fprintln(w, "Set-Top box case study (Section 5) — Pareto-optimal set:")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-26s | %-40s | %6s | %2s\n", "Resources", "Clusters", "c", "f")
+	fmt.Fprintln(w, strings.Repeat("-", 84))
 	for _, im := range r.Front {
-		fmt.Printf("%-26s | %-40s | $%5.0f | %2.0f\n",
+		fmt.Fprintf(w, "%-26s | %-40s | $%5.0f | %2.0f\n",
 			allocString(im), clusterString(im), im.Cost, im.Flexibility)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	st := r.Stats
-	fmt.Printf("design space        : 2^25 = %.0f design points\n", st.DesignSpace)
-	fmt.Printf("allocation subsets  : 2^14 = %.0f (%d BDD nodes visited in cost order)\n", st.AllocSpace, st.Scanned)
-	fmt.Printf("possible allocations: %d (flexibility estimated for each)\n", st.PossibleAllocations)
-	fmt.Printf("implementations     : %d attempted, %d feasible\n", st.Attempted, st.Feasible)
-	fmt.Printf("binding solver      : %d runs over %d behaviours (%d search nodes)\n",
+	fmt.Fprintf(w, "design space        : 2^25 = %.0f design points\n", st.DesignSpace)
+	fmt.Fprintf(w, "allocation subsets  : 2^14 = %.0f (%d BDD nodes visited in cost order)\n", st.AllocSpace, st.Scanned)
+	if st.Estimated < st.PossibleAllocations {
+		fmt.Fprintf(w, "possible allocations: %d (flexibility estimated for %d; the bound settles the rest)\n", st.PossibleAllocations, st.Estimated)
+	} else {
+		fmt.Fprintf(w, "possible allocations: %d (flexibility estimated for each)\n", st.PossibleAllocations)
+	}
+	fmt.Fprintf(w, "implementations     : %d attempted, %d feasible\n", st.Attempted, st.Feasible)
+	fmt.Fprintf(w, "binding solver      : %d runs over %d behaviours (%d search nodes)\n",
 		st.BindingRuns, st.ECSTested, st.BindingNodes)
 	if c := st.Cache; c != (core.CacheStats{}) {
-		fmt.Printf("evaluation caches   : %d bindings reused / %d solved, flatten %d/%d hits (problem/arch)\n",
+		fmt.Fprintf(w, "evaluation caches   : %d bindings reused / %d solved, flatten %d/%d hits (problem/arch)\n",
 			c.BindHits(), c.BindMisses, c.FlattenHits, c.ArchFlattenHits)
 	}
-	fmt.Printf("maximum flexibility : %g\n", r.MaxFlexibility)
+	fmt.Fprintf(w, "maximum flexibility : %g\n", r.MaxFlexibility)
 }
 
 func printTable1() {

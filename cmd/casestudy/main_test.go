@@ -60,6 +60,19 @@ func TestVerifyFrontUsesRunTiming(t *testing.T) {
 	}
 }
 
+// TestParetoTableCountsEstimates: the default report says how many of
+// the possible allocations had their flexibility estimated. The run
+// settles once its front reaches the maximum flexibility, so the bound
+// settles the rest without estimating them.
+func TestParetoTableCountsEstimates(t *testing.T) {
+	var out bytes.Buffer
+	printParetoTable(&out, models.SetTopBox(), core.Options{})
+	const want = "possible allocations: 2371 (flexibility estimated for 124; the bound settles the rest)\n"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, out.String())
+	}
+}
+
 // TestTimingPolicyFlag: -timing takes every name bind.ParseTiming
 // accepts; any other name is a flag problem, so casestudy exits 2
 // before exploring.

@@ -147,7 +147,7 @@ func run() int {
 	asJSON := flag.Bool("json", false, "emit the full result (front, behaviours, stats) as JSON")
 	iters := flag.Int("iters", 1000, "iterations for -algo random")
 	seed := flag.Int64("seed", 1, "seed for random/ea explorers and synthetic models")
-	stopMax := flag.Bool("stop-at-max", false, "terminate when maximum flexibility is implemented")
+	stopMax := flag.Bool("stop-at-max", false, "report a run that reaches maximum flexibility as max-flex at its stop cursor (default: completed at the stream's length)")
 	objectives := flag.String("objectives", "", "comma-separated extra objectives beyond cost+1/flexibility: latency, or any resource attribute (e.g. power)")
 	upgradeFrom := flag.String("upgrade-from", "", "comma-separated deployed units; explore cost-ordered upgrades (supersets only)")
 	workers := flag.Int("workers", 1, "parallel exploration workers (0 = GOMAXPROCS); front is identical to sequential")

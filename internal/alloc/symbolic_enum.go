@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"math"
 	"math/big"
 	"sort"
 
@@ -56,21 +57,28 @@ func EnumerateExtensions(s *spec.Spec, base spec.Allocation, opts Options, start
 // candidate built into an allocation map.
 func enumerateSymbolic(s *spec.Spec, base spec.Allocation, opts Options, start int, fn func(Candidate) bool) Stats {
 	units := Units(s)
-	return EnumerateSymbolicUnits(s, base, opts, start, func(idx []int, cost float64) bool {
+	stats, _ := EnumerateSymbolicUnits(s, base, opts, start, func(idx []int, cost float64) bool {
 		return fn(Candidate{Allocation: AllocationOf(units, idx), Cost: cost})
 	})
+	return stats
 }
 
-// EnumerateSymbolicUnits is the one walk behind EnumerateSymbolicRange
-// and EnumerateExtensions: the possible-allocation function, restricted
-// to supersets of base (nil: no restriction) by conjoining each base
-// unit's variable, walked in cost order. A base element that is not an
+// EnumerateSymbolicUnits is the one walk behind EnumerateSymbolicRange,
+// EnumerateExtensions and the explorers: the possible-allocation
+// function, restricted to supersets of base (nil: no restriction) by
+// conjoining each base unit's variable, walked in cost order. A base element that is not an
 // allocatable unit admits no candidate at all. fn receives each
 // candidate past the first start as its ascending indices into
 // Units(s) and its cost; the slice is borrowed until fn returns, so a
 // caller that keeps it must copy it. Building no map per candidate is
 // what lets the explorers bound a candidate without allocating.
-func EnumerateSymbolicUnits(s *spec.Spec, base spec.Allocation, opts Options, start int, fn func(units []int, cost float64) bool) Stats {
+//
+// length counts the rest of the stream on request, after the walk
+// stopped early: it returns the number of candidates in the whole
+// stream, emitted or not, whatever fn or MaxScan cut off, and false
+// when that number does not fit in an int. It is the model count of
+// the function the walk held, computed only when length is called.
+func EnumerateSymbolicUnits(s *spec.Spec, base spec.Allocation, opts Options, start int, fn func(units []int, cost float64) bool) (stats Stats, length func() (int, bool)) {
 	m, f, units := Symbolic(s)
 	n := len(units)
 	if !opts.IncludeUselessComm {
@@ -99,7 +107,7 @@ func EnumerateSymbolicUnits(s *spec.Spec, base spec.Allocation, opts Options, st
 			f = m.False()
 		}
 	}
-	stats := Stats{SearchSpace: SearchSpace(free)}
+	stats = Stats{SearchSpace: SearchSpace(free)}
 	costs := make([]float64, n)
 	for i, u := range units {
 		costs[i] = u.Cost
@@ -122,7 +130,21 @@ func EnumerateSymbolicUnits(s *spec.Spec, base spec.Allocation, opts Options, st
 	}
 	stats.Scanned = e.Visited()
 	stats.BudgetCut = e.BudgetCut()
-	return stats
+	return stats, func() (int, bool) { return modelCount(m, f) }
+}
+
+// modelCount returns the number of satisfying assignments of f, and
+// false when it does not fit in an int. The float count is exact below
+// 2^53, and a count at or above it is counted again exactly.
+func modelCount(m *boolfunc.Manager, f boolfunc.Node) (int, bool) {
+	if c := m.SatCount(f); c < 1<<53 {
+		return int(c), true
+	}
+	c := m.SatCountBig(f)
+	if !c.IsInt64() || c.Int64() > math.MaxInt {
+		return 0, false
+	}
+	return int(c.Int64()), true
 }
 
 // AllocationOf builds the allocation map of the unit-index set idx

@@ -236,7 +236,7 @@ func TestEnumerateSymbolicUnitsMatchesMaps(t *testing.T) {
 	units := Units(s)
 	viaUnits := func(base spec.Allocation, opts Options, start int) ([]Candidate, Stats) {
 		var out []Candidate
-		stats := EnumerateSymbolicUnits(s, base, opts, start, func(idx []int, cost float64) bool {
+		stats, _ := EnumerateSymbolicUnits(s, base, opts, start, func(idx []int, cost float64) bool {
 			out = append(out, Candidate{Allocation: AllocationOf(units, idx), Cost: cost})
 			return true
 		})
@@ -295,6 +295,71 @@ func TestBusRuleMatchesApplyChain(t *testing.T) {
 			if got := busRule(m, k, vars); got != want {
 				t.Fatalf("bus %d, neighbours %08b: busRule built node %d, Apply chain %d", k, mask, got, want)
 			}
+		}
+	}
+}
+
+// TestWalkLengthCountsWholeStream: a walk stopped by its callback or
+// cut by MaxScan still counts its whole stream on request — the
+// length an unstopped walk emits — with or without a base and the
+// useless-bus rule.
+func TestWalkLengthCountsWholeStream(t *testing.T) {
+	s := models.SetTopBox()
+	for _, base := range []spec.Allocation{nil, spec.NewAllocation("uP2")} {
+		for _, opts := range []Options{{}, {IncludeUselessComm: true}} {
+			all, _ := EnumerateSymbolicUnits(s, base, opts, 0, func([]int, float64) bool { return true })
+			want := all.Possible
+			emitted := 0
+			stopped := func([]int, float64) bool { emitted++; return emitted < 5 }
+			cut := opts
+			cut.MaxScan = 10
+			for name, walk := range map[string]func() (Stats, func() (int, bool)){
+				"stopped": func() (Stats, func() (int, bool)) { return EnumerateSymbolicUnits(s, base, opts, 3, stopped) },
+				"cut": func() (Stats, func() (int, bool)) {
+					return EnumerateSymbolicUnits(s, base, cut, 0, func([]int, float64) bool { return true })
+				},
+			} {
+				st, length := walk()
+				n, ok := length()
+				if !ok || n != want || st.Possible >= want {
+					t.Errorf("base %v %+v %s: walked %d, length %d (%v), want %d", base, opts, name, st.Possible, n, ok, want)
+				}
+			}
+		}
+	}
+}
+
+// TestModelCount: the count is exact on both sides of 2^53, where the
+// float count stops being exact, and refused when it does not fit in
+// an int.
+func TestModelCount(t *testing.T) {
+	m := boolfunc.NewManager(70)
+	// all is the conjunction of variables lo..hi-1.
+	all := func(lo, hi int) boolfunc.Node {
+		f := m.True()
+		for v := lo; v < hi; v++ {
+			f = m.Apply(boolfunc.And, f, m.Var(v))
+		}
+		return f
+	}
+	for _, c := range []struct {
+		name string
+		f    boolfunc.Node
+		want uint64
+		ok   bool
+	}{
+		{"false", m.False(), 0, true},
+		{"2^52", all(0, 18), 1 << 52, true},
+		{"2^53-1", m.Apply(boolfunc.And, all(0, 17), m.Not(all(17, 70))), 1<<53 - 1, true},
+		{"2^53", all(0, 17), 1 << 53, true},
+		{"2^53+2^17-1", m.Apply(boolfunc.Or, all(0, 17), all(17, 70)), 1<<53 + 1<<17 - 1, true},
+		{"2^63-1", m.Apply(boolfunc.And, all(0, 7), m.Not(all(7, 70))), 1<<63 - 1, true},
+		{"2^63", all(0, 7), 0, false},
+		{"2^70", m.True(), 0, false},
+	} {
+		n, ok := modelCount(m, c.f)
+		if ok != c.ok || ok && uint64(n) != c.want {
+			t.Errorf("%s: count %d (%v), want %d (%v)", c.name, n, ok, c.want, c.ok)
 		}
 	}
 }

@@ -30,6 +30,14 @@ func frontsEqual(a, b []*core.Implementation) bool {
 	return true
 }
 
+// settleCursor is the cursor at which a default Set-Top box run
+// settles, where a StopAtMaxFlex run stops: the bound prunes every
+// later candidate, so a cancellation or failpoint aimed at or past it
+// never fires.
+func settleCursor(s *spec.Spec) int {
+	return core.Explore(s, core.Options{StopAtMaxFlex: true}).Cursor
+}
+
 // interruptedResult runs Explore with an injected cancellation at
 // candidate k and returns the partial result.
 func interruptedResult(t *testing.T, k int) *core.Result {
@@ -48,7 +56,7 @@ func interruptedResult(t *testing.T, k int) *core.Result {
 func TestSaveLoadResumeRoundtrip(t *testing.T) {
 	s := models.SetTopBox()
 	full := core.Explore(s, core.Options{})
-	part := interruptedResult(t, full.Stats.PossibleAllocations/2)
+	part := interruptedResult(t, settleCursor(s)/2)
 
 	snap, err := FromResult(s, core.Options{}, part)
 	if err != nil {
@@ -143,7 +151,7 @@ func TestOptionsDigestIgnoresCacheSwitch(t *testing.T) {
 func TestResumeAcrossCacheModes(t *testing.T) {
 	s := models.SetTopBox()
 	full := core.Explore(s, core.Options{})
-	part := interruptedResult(t, 800)
+	part := interruptedResult(t, settleCursor(s)-1)
 	snap, err := FromResult(s, core.Options{}, part)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +192,7 @@ func TestLoadRejectsCorruptFile(t *testing.T) {
 
 func TestResumeRefusesTamperedFront(t *testing.T) {
 	s := models.SetTopBox()
-	part := interruptedResult(t, 200)
+	part := interruptedResult(t, settleCursor(s)*3/4)
 	if len(part.Front) == 0 {
 		t.Fatal("need a non-empty partial front")
 	}
@@ -270,9 +278,10 @@ func TestCrashResumeMatchesUninterrupted(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "ck.json")
 	w := &Writer{Path: path}
+	crash := settleCursor(s) - 1
 	opts := core.Options{
 		ProgressEvery: 50,
-		Fault:         faultinject.New().PanicAt(core.SiteEstimate, 500, "simulated crash"),
+		Fault:         faultinject.New().PanicAt(core.SiteEstimate, crash, "simulated crash"),
 	}
 	opts.Progress = func(p core.Progress) {
 		snap, err := Capture(s, opts, p)
@@ -297,7 +306,7 @@ func TestCrashResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Cursor <= 0 || snap.Cursor > 500 {
+	if snap.Cursor <= 0 || snap.Cursor > crash {
 		t.Fatalf("snapshot cursor %d outside the pre-crash window", snap.Cursor)
 	}
 	res, err := snap.Resume(s, core.Options{})

@@ -65,6 +65,19 @@ func frontsEqual(a, b []*Implementation) bool {
 	return true
 }
 
+// settleCursor is the cursor at which a run under opts settles: just
+// past the candidate whose implementation brings the front to
+// MaxFlexibility, where a StopAtMaxFlex run stops. The bound prunes
+// every later candidate, so the run ends there and no cancellation or
+// failpoint aimed at or past it fires. Without the bound, or when the
+// front never reaches the maximum, it is the stream's length.
+func settleCursor(s *spec.Spec, opts Options) int {
+	if !opts.DisableFlexBound {
+		opts.StopAtMaxFlex = true
+	}
+	return Explore(s, opts).Cursor
+}
+
 // cancelAt runs ExploreContext with a fault-injected cancellation at
 // candidate index k — the deterministic stand-in for SIGINT/deadline.
 func cancelAt(s *spec.Spec, opts Options, k int) *Result {
@@ -98,9 +111,10 @@ func TestExploreDeadlineReason(t *testing.T) {
 // TestAnytimePrefixInvariant: a scan cancelled at candidate k returns
 // Cursor == k and exactly the Pareto front of the first k candidates —
 // the paper's cost-ordering argument, now load-bearing for anytime use.
+// The last k is the candidate just before the run settles.
 func TestAnytimePrefixInvariant(t *testing.T) {
 	s := models.SetTopBox()
-	for _, k := range []int{1, 7, 50, 200} {
+	for _, k := range []int{1, 7, 50, settleCursor(s, Options{}) - 1} {
 		r := cancelAt(s, Options{}, k)
 		if !r.Interrupted || r.Reason != ReasonCancelled {
 			t.Fatalf("k=%d: interrupted=%v reason=%q", k, r.Interrupted, r.Reason)
@@ -156,7 +170,7 @@ func TestResumeEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			full := Explore(tc.s, Options{})
-			k := full.Stats.PossibleAllocations / 2
+			k := settleCursor(tc.s, Options{}) / 2
 			if k == 0 {
 				k = 1
 			}
@@ -475,6 +489,11 @@ func TestExhaustiveDeadlineAnytime(t *testing.T) {
 // TestScanBoundOnlyWhenCut: a MaxScan budget that the enumeration
 // exactly exhausts leaves the run completed; one visit less cuts the
 // stream and the run ends scan-bound, for every cost-ordered explorer.
+// For Explore and Upgrade the walk ends where the run settles, so a
+// budget below the settle point's visits cuts the run and a budget
+// above them completes it, at the full stream's cursor. The visit
+// counts come from the sequential run: a parallel run's Scanned is
+// telemetry that depends on how far its producer ran ahead.
 func TestScanBoundOnlyWhenCut(t *testing.T) {
 	s := models.SetTopBox()
 	base := spec.NewAllocation("uP2")
@@ -496,19 +515,37 @@ func TestScanBoundOnlyWhenCut(t *testing.T) {
 			return r.Reason, r.Cursor, r.Stats
 		},
 	}
+	sequential := map[string]string{"parallel": "explore"}
 	for name, run := range runs {
 		reason, cursor, full := run(Options{})
 		if reason != ReasonCompleted {
 			t.Fatalf("%s: unbounded run ended %q", name, reason)
 		}
-		exact, exactCursor, st := run(Options{MaxScan: full.Scanned})
-		if exact != ReasonCompleted || exactCursor != cursor || st.PossibleAllocations != full.PossibleAllocations {
-			t.Errorf("%s: MaxScan = visits needed (%d): reason %q cursor %d possible %d, want completed, %d, %d",
-				name, full.Scanned, exact, exactCursor, st.PossibleAllocations, cursor, full.PossibleAllocations)
+		visits := full.Scanned
+		if seq, ok := sequential[name]; ok {
+			_, _, st := runs[seq](Options{})
+			visits = st.Scanned
 		}
-		if cut, _, _ := run(Options{MaxScan: full.Scanned - 1}); cut != ReasonScanBound {
-			t.Errorf("%s: MaxScan one below the visits needed: reason %q, want %q", name, cut, ReasonScanBound)
+		for _, c := range []struct {
+			budget int
+			want   Reason
+		}{{visits, ReasonCompleted}, {visits + 1, ReasonCompleted}, {visits - 1, ReasonScanBound}} {
+			got, gotCursor, st := run(Options{MaxScan: c.budget})
+			if got != c.want {
+				t.Errorf("%s: MaxScan %d (visits needed %d): reason %q, want %q", name, c.budget, visits, got, c.want)
+				continue
+			}
+			if got == ReasonCompleted && (gotCursor != cursor || st.PossibleAllocations != full.PossibleAllocations) {
+				t.Errorf("%s: MaxScan %d: cursor %d possible %d, want %d, %d",
+					name, c.budget, gotCursor, st.PossibleAllocations, cursor, full.PossibleAllocations)
+			}
 		}
+	}
+	// The default run settles, so its budgets above are below the
+	// full walk's visits.
+	_, _, all := runs["multi"](Options{})
+	if _, _, st := runs["explore"](Options{}); st.Scanned >= all.Scanned {
+		t.Fatalf("explore walked %d nodes, the full walk %d: the run did not settle", st.Scanned, all.Scanned)
 	}
 }
 
@@ -624,7 +661,10 @@ func TestAnytimeContractEveryExplorer(t *testing.T) {
 				t.Fatalf("uninterrupted run: interrupted=%v reason=%q cursor=%d", full.interrupted, full.reason, full.cursor)
 			}
 
-			k := full.cursor / 2
+			// A cancellation at or past the settle point never fires,
+			// so k halves the StopAtMaxFlex run's cursor (the full
+			// cursor for the explorers that do not stop there).
+			k := ex.run(context.Background(), Options{StopAtMaxFlex: true}).cursor / 2
 			if ex.pool {
 				k = 3
 			}

@@ -101,9 +101,13 @@ type Options struct {
 	// DisableFlexBound disables the paper's flexibility-estimation
 	// bound (every possible allocation is then implemented) — ablation.
 	DisableFlexBound bool
-	// StopAtMaxFlex terminates the exploration as soon as the maximum
-	// flexibility of the specification has been implemented. The full
-	// cost-ordered scan (paper behaviour) is the default.
+	// StopAtMaxFlex changes how a run that reaches the specification's
+	// maximum flexibility is reported. Every run with the flexibility
+	// bound stops walking there, because the bound prunes every later
+	// candidate. By default the run reports what the full scan reports
+	// (ReasonCompleted at the stream's length); with StopAtMaxFlex it
+	// ends ReasonMaxFlex at the stop cursor. Without the bound
+	// (DisableFlexBound) only StopAtMaxFlex stops the scan there.
 	StopAtMaxFlex bool
 	// AllBehaviours records every feasible elementary cluster
 	// activation in the implementation instead of only those that
@@ -140,7 +144,9 @@ type Options struct {
 
 	// Fault injects deterministic failures at the engine's failpoints
 	// (SiteEstimate, SiteImplement); see internal/faultinject. A nil
-	// plan is inert. Test harness only.
+	// plan is inert. Test harness only. A failpoint or cancellation
+	// aimed at a candidate past the point where a run settles (see
+	// StopAtMaxFlex) never fires: that candidate is not evaluated.
 	Fault *faultinject.Plan
 	// Progress, if non-nil, is called every ProgressEvery committed
 	// candidates, and once more at the final cursor, with a consistent
@@ -208,7 +214,9 @@ type Reason string
 
 const (
 	// ReasonCompleted: the scan exhausted the possible-allocation
-	// space.
+	// space, or its front reached the maximum flexibility, after which
+	// the bound prunes every remaining candidate unevaluated. Either
+	// way Cursor is the length of the candidate stream.
 	ReasonCompleted Reason = "completed"
 	// ReasonMaxFlex: Options.StopAtMaxFlex terminated the scan after
 	// the specification's maximum flexibility was implemented.
@@ -233,7 +241,9 @@ func reasonFor(ctx context.Context) Reason {
 // Progress is a consistent snapshot of a running scan, delivered to
 // Options.Progress. Cursor counts the possible candidates already
 // folded into the front, so the front is exactly the Pareto set of the
-// explored prefix [0, Cursor).
+// explored prefix [0, Cursor). The closing report of a run that
+// settled may jump to the stream's length: the bound prunes every
+// candidate past the settle point.
 type Progress struct {
 	Cursor         int
 	BestFlex       float64
@@ -272,7 +282,9 @@ type Stats struct {
 	// (the paper's "set of possible resource allocations").
 	PossibleAllocations int `json:"possibleAllocations"`
 	// Estimated counts flexibility estimations performed (one boolean
-	// equation per candidate, in the paper's terms).
+	// equation per candidate, in the paper's terms). A run that settles
+	// estimates only the candidates before its settle point, so it can
+	// be less than PossibleAllocations.
 	Estimated int `json:"estimated"`
 	// Attempted counts candidates whose estimate beat the implemented
 	// flexibility and therefore went to implementation construction.
@@ -433,7 +445,8 @@ type Result struct {
 	Reason Reason
 	// Cursor is the scan cursor: the index of the next possible
 	// candidate the scan would have evaluated (== the number of
-	// candidates whose evaluation is reflected in Front). For the
+	// candidates whose evaluation is reflected in Front; a settled run
+	// reflects the pruned tail, see ReasonCompleted). For the
 	// sampling baselines it counts iterations (RandomSearch) or
 	// generations (Evolutionary) instead.
 	Cursor int

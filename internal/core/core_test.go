@@ -246,8 +246,11 @@ func TestExhaustiveAgrees(t *testing.T) {
 	}
 }
 
-// TestStopAtMaxFlex: early termination at maximum flexibility returns
-// the same front while scanning fewer subsets.
+// TestStopAtMaxFlex: a default run and a StopAtMaxFlex run share one
+// stop rule. Both end where the front reaches maximum flexibility, with
+// the same front and the same walk and estimates; they differ only in
+// the report: the default run is completed at the stream's length, the
+// StopAtMaxFlex run is max-flex at the stop cursor.
 func TestStopAtMaxFlex(t *testing.T) {
 	s := models.SetTopBox()
 	full := Explore(s, Options{})
@@ -260,8 +263,15 @@ func TestStopAtMaxFlex(t *testing.T) {
 			t.Errorf("row %d differs", i)
 		}
 	}
-	if early.Stats.Scanned >= full.Stats.Scanned {
-		t.Errorf("early stop scanned %d >= full %d", early.Stats.Scanned, full.Stats.Scanned)
+	if early.Stats.Scanned != full.Stats.Scanned || early.Stats.Estimated != full.Stats.Estimated {
+		t.Errorf("StopAtMaxFlex scanned %d, estimated %d; default %d, %d",
+			early.Stats.Scanned, early.Stats.Estimated, full.Stats.Scanned, full.Stats.Estimated)
+	}
+	if full.Reason != ReasonCompleted || full.Cursor != full.Stats.PossibleAllocations {
+		t.Errorf("default run: reason %q cursor %d of %d possible, want completed at the end", full.Reason, full.Cursor, full.Stats.PossibleAllocations)
+	}
+	if early.Reason != ReasonMaxFlex || early.Cursor != early.Stats.Estimated || early.Cursor >= full.Cursor {
+		t.Errorf("StopAtMaxFlex run: reason %q cursor %d, want max-flex at the stop cursor %d", early.Reason, early.Cursor, early.Stats.Estimated)
 	}
 }
 

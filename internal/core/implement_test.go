@@ -109,7 +109,7 @@ func TestUnadmittedAttemptBuildsNoMap(t *testing.T) {
 			n := testing.AllocsPerRun(20, func() {
 				r.reset(units)
 				sc.evalOne(r, 0, f, &sc.scratch)
-				feasible, _ = f.take(r)
+				feasible = f.take(r)
 			})
 			if !r.attempted || !r.att.ok {
 				return true

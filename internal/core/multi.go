@@ -207,9 +207,9 @@ func (f *multiFold) prune(r *candRec, est float64) bool {
 	return f.front.DominatesPoint(f.lb)
 }
 
-func (f *multiFold) take(r *candRec) (feasible, stop bool) {
+func (f *multiFold) take(r *candRec) (feasible bool) {
 	if !r.att.ok {
-		return false, false
+		return false
 	}
 	// The objectives read the implementation, behaviours included, so
 	// every feasible attempt is materialised before the front sees it.
@@ -222,7 +222,11 @@ func (f *multiFold) take(r *candRec) (feasible, stop bool) {
 	if im.Flexibility > f.fmax {
 		f.fmax = im.Flexibility
 	}
-	return true, false
+	return true
 }
+
+// done is always false: a multi-objective front has no flexibility
+// ceiling that ends the scan.
+func (f *multiFold) done() bool { return false }
 
 func (f *multiFold) best() float64 { return f.fmax }

@@ -61,8 +61,8 @@ func ExploreParallelContext(ctx context.Context, s *spec.Spec, opts Options, wor
 
 // batchSizeFor returns the size of the k-th range job of a run. The
 // ramp 4, 8, 16, ... lands the first commits quickly (low latency for
-// Progress consumers and StopAtMaxFlex), then settles at 64 candidates
-// per job — large enough to amortize the channel handoff, small enough
+// Progress consumers and the settle stop), then levels off at 64
+// candidates per job — large enough to amortize the channel handoff, small enough
 // to keep the reorder buffer and the cancellation overshoot bounded.
 // When progress reporting is on, the ramp is additionally capped at the
 // progress interval.
@@ -253,7 +253,7 @@ func (p *pipeline) send(b *pipeBatch) bool {
 		return true
 	case <-p.done:
 		// The commit stage ended the scan (cancellation committed in
-		// order, or StopAtMaxFlex); b is dropped.
+		// order, or the run settled); b is dropped.
 		return false
 	}
 }

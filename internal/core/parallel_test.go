@@ -305,7 +305,8 @@ func TestRecycledBatchesMatchInline(t *testing.T) {
 		stats  Stats
 	}
 	for _, tc := range cases {
-		n := Explore(tc.s, tc.opts).Stats.PossibleAllocations
+		// Faults aimed past the settle point never fire.
+		n := settleCursor(tc.s, tc.opts)
 		const faults = 12
 		// More batches than the free list holds: 16-candidate batches
 		// once the ramp ends, and 2×(queue+workers)+2 = 14 slots.

@@ -33,6 +33,11 @@ type scan struct {
 	// because the pool's commit stage reports it while the producer
 	// counts.
 	possible atomic.Int64
+	// settled marks a run whose front reached MaxFlexibility under the
+	// bound (fold.done): no later candidate can change the front, so
+	// the walk ends. The pool's commit stage sets it before it closes
+	// done, so the producer sees it once push fails.
+	settled  atomic.Bool
 	lastEmit int
 	// snaps maps each implementation in the front at the last report
 	// to the copy Progress reports hand out, made at its first report.
@@ -74,9 +79,11 @@ type scratch struct {
 type fold interface {
 	bounder
 	// take folds an attempted candidate (its record's att) into the
-	// front. It reports whether the candidate counts as feasible and
-	// whether the scan stops after it.
-	take(r *candRec) (feasible, stop bool)
+	// front and reports whether the candidate counts as feasible.
+	take(r *candRec) (feasible bool)
+	// done reports whether no later candidate can change the front,
+	// so the scan stops.
+	done() bool
 	// best is the best flexibility folded so far.
 	best() float64
 }
@@ -143,44 +150,55 @@ func newScan(ctx context.Context, s *spec.Spec, opts Options) *scan {
 // candidate whose estimate does not exceed fcur is pruned. Only
 // implementations above floor are admitted: 0 for Explore, the base
 // implementation's flexibility for Upgrade.
+//
+// The estimate is monotone in the allocation, so no candidate's
+// estimate exceeds maxFlex, the full allocation's. Once fcur reaches
+// maxFlex the bound prunes every later candidate, and the fold is done.
+// Without the bound (Exhaustive) it is done there only under
+// StopAtMaxFlex.
 type boundFold struct {
-	ev        *evaluator
-	front     *pareto.Front
-	fcur      float64
-	floor     float64
-	maxFlex   float64
-	stopAtMax bool
+	ev      *evaluator
+	front   *pareto.Front
+	fcur    float64
+	floor   float64
+	maxFlex float64
+	settles bool
 }
 
 func (sc *scan) boundFold(floor float64) *boundFold {
 	return &boundFold{
 		ev: sc.ev, front: sc.front, fcur: floor, floor: floor,
-		maxFlex: sc.res.MaxFlexibility, stopAtMax: sc.opts.StopAtMaxFlex,
+		maxFlex: sc.res.MaxFlexibility,
+		settles: !sc.opts.DisableFlexBound || sc.opts.StopAtMaxFlex,
 	}
 }
 
 func (f *boundFold) prune(_ *candRec, est float64) bool { return est <= f.fcur }
 
-func (f *boundFold) take(r *candRec) (feasible, stop bool) {
-	if at := &r.att; at.ok && at.flex > f.floor {
-		feasible = true
-		if f.ev.admit(f.front, at.cost, at.flex, r) && at.flex > f.fcur {
-			f.fcur = at.flex
-		}
+func (f *boundFold) take(r *candRec) (feasible bool) {
+	at := &r.att
+	if !at.ok || at.flex <= f.floor {
+		return false
 	}
-	return feasible, f.stopAtMax && f.fcur >= f.maxFlex
+	if f.ev.admit(f.front, at.cost, at.flex, r) && at.flex > f.fcur {
+		f.fcur = at.flex
+	}
+	return true
 }
+
+func (f *boundFold) done() bool { return f.settles && f.fcur >= f.maxFlex }
 
 func (f *boundFold) best() float64 { return f.fcur }
 
 // source streams the cost-ordered possible allocations from the
 // candidate index start on, each as its unit indices into
-// alloc.Units(s), borrowed until fn returns, and its cost.
-type source func(start int, fn func(units []int, cost float64) bool) alloc.Stats
+// alloc.Units(s), borrowed until fn returns, and its cost. length
+// counts the whole stream on request (alloc.EnumerateSymbolicUnits).
+type source func(start int, fn func(units []int, cost float64) bool) (st alloc.Stats, length func() (int, bool))
 
 // candidates is the explorers' source: the symbolic walk over the
 // possible-allocation BDD.
-func (sc *scan) candidates(start int, fn func(units []int, cost float64) bool) alloc.Stats {
+func (sc *scan) candidates(start int, fn func(units []int, cost float64) bool) (alloc.Stats, func() (int, bool)) {
 	return alloc.EnumerateSymbolicUnits(sc.s, nil, sc.allocOptions(), start, fn)
 }
 
@@ -211,10 +229,17 @@ func (sc *scan) run(f fold, src source, workers, queue int) *Result {
 	}
 	res.Cursor, sc.lastEmit = start, start
 	sc.possible.Store(int64(start))
-	if workers > 1 {
+	// A front that already reaches the maximum (a resumed snapshot, an
+	// Upgrade base) settles the run before any candidate is evaluated:
+	// the walk stops at its first one.
+	sc.settled.Store(f.done())
+	if workers > 1 && !sc.settled.Load() {
 		sc.startPool(workers, queue)
 	}
-	aStats := src(start, func(units []int, _ float64) bool {
+	aStats, length := src(start, func(units []int, _ float64) bool {
+		if sc.settled.Load() {
+			return false
+		}
 		sc.possible.Add(1)
 		if sc.pool != nil {
 			return sc.pool.push(units)
@@ -232,6 +257,10 @@ func (sc *scan) run(f fold, src source, workers, queue int) *Result {
 	if sc.pool != nil {
 		sc.pool.finish()
 	}
+	settled := sc.settled.Load()
+	if settled {
+		sc.settle(length)
+	}
 	// A closing report covers the scan tail past the last periodic one,
 	// so a checkpoint writer hooked on Progress captures the whole
 	// explored prefix.
@@ -240,11 +269,29 @@ func (sc *scan) run(f fold, src source, workers, queue int) *Result {
 	}
 	res.Stats.Scanned = aStats.Scanned
 	sc.setSpace(aStats.SearchSpace)
-	if res.Reason == ReasonCompleted && aStats.BudgetCut {
-		// The MaxScan budget cut the candidate stream short.
+	if res.Reason == ReasonCompleted && aStats.BudgetCut && !settled {
+		// The MaxScan budget cut the candidate stream short. A settled
+		// run is complete even when a parallel producer ran ahead into
+		// the budget.
 		res.Reason = ReasonScanBound
 	}
 	return sc.finish()
+}
+
+// settle reports a run whose front reached MaxFlexibility. The bound
+// prunes every later candidate, so the run reports what the full scan
+// reports: completed, with the cursor and PossibleAllocations at the
+// length of the candidate stream. StopAtMaxFlex, or a stream too long
+// for an int, reports ReasonMaxFlex at the stop cursor instead.
+func (sc *scan) settle(length func() (int, bool)) {
+	if !sc.opts.StopAtMaxFlex {
+		if n, ok := length(); ok {
+			sc.res.Cursor = n
+			sc.possible.Store(int64(n))
+			return
+		}
+	}
+	sc.res.Reason = ReasonMaxFlex
 }
 
 // finish publishes the final counters and the front.
@@ -336,14 +383,14 @@ func (sc *scan) commit(idx int, r *candRec) bool {
 		res.Stats.ECSTested += r.ecsTested
 		res.Stats.BindingRuns += r.bindingRuns
 		res.Stats.BindingNodes += r.bindingNodes
-		var feasible bool
-		if feasible, stop = sc.f.take(r); feasible {
+		if sc.f.take(r) {
 			res.Stats.Feasible++
 		}
+		stop = sc.f.done()
 	}
 	res.Cursor = idx + 1
 	if stop {
-		res.Reason = ReasonMaxFlex
+		sc.settled.Store(true)
 		return false
 	}
 	if sc.opts.Progress != nil && res.Cursor-sc.lastEmit >= sc.opts.progressEvery() {

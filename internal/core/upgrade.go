@@ -35,7 +35,7 @@ func UpgradeContext(ctx context.Context, s *spec.Spec, base spec.Allocation, opt
 	if at := sc.ev.implementAllocation(base, &sc.scratch, &sc.res.Stats); at.ok {
 		floor = at.flex
 	}
-	extensions := func(start int, fn func(units []int, cost float64) bool) alloc.Stats {
+	extensions := func(start int, fn func(units []int, cost float64) bool) (alloc.Stats, func() (int, bool)) {
 		return alloc.EnumerateSymbolicUnits(s, base, sc.allocOptions(), start, fn)
 	}
 	return sc.run(sc.boundFold(floor), extensions, 1, 0)

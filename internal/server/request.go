@@ -39,8 +39,10 @@ type Request struct {
 	// pruning (the exhaustive baseline scan, which implements every
 	// possible allocation).
 	Exhaustive bool `json:"exhaustive,omitempty"`
-	// StopAtMaxFlex terminates the scan once maximum flexibility is
-	// implemented. It is rejected together with Exhaustive.
+	// StopAtMaxFlex reports a scan that reached maximum flexibility as
+	// max-flex at its stop cursor instead of completed at the stream's
+	// length (core.Options.StopAtMaxFlex). It is rejected together with
+	// Exhaustive.
 	StopAtMaxFlex bool `json:"stopAtMaxFlex,omitempty"`
 
 	// MaxScan bounds the enumeration effort in BDD search nodes visited

@@ -191,9 +191,11 @@ func requireSameFront(t *testing.T, got map[string]any, want *core.Result) {
 	if g, w := got["cursor"], wd["cursor"]; g != w {
 		t.Errorf("cursor = %v, want %v", g, w)
 	}
+	// The counters core.Stats.Semantic keeps. Scanned is telemetry: a
+	// parallel run's producer walks ahead of its commit stage.
 	gs, _ := got["stats"].(map[string]any)
 	ws, _ := wd["stats"].(map[string]any)
-	for _, k := range []string{"scanned", "possibleAllocations", "attempted", "feasible", "ecsTested"} {
+	for _, k := range []string{"designSpace", "allocSpace", "possibleAllocations", "estimated", "attempted", "feasible", "ecsTested"} {
 		if gs[k] != ws[k] {
 			t.Errorf("stats.%s = %v, want %v", k, gs[k], ws[k])
 		}

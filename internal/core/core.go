@@ -144,9 +144,16 @@ type Options struct {
 
 	// Fault injects deterministic failures at the engine's failpoints
 	// (SiteEstimate, SiteImplement); see internal/faultinject. A nil
-	// plan is inert. Test harness only. A failpoint or cancellation
-	// aimed at a candidate past the point where a run settles (see
-	// StopAtMaxFlex) never fires: that candidate is not evaluated.
+	// plan is inert. Test harness only. A failpoint aimed at a
+	// candidate past the point where a run settles (see StopAtMaxFlex)
+	// does not fire in an inline run: that candidate is not evaluated.
+	// In a parallel run a pool worker running ahead of the commit stage
+	// may still fire it. An error or panic there is dropped with the
+	// worker's evaluation, which the commit stage never folds. A Cancel
+	// cancels the run's context: if the commit stage settled first it
+	// has no effect, and otherwise the run ends interrupted, exact at
+	// the first candidate the cancellation reached, like any other
+	// cancellation.
 	Fault *faultinject.Plan
 	// Progress, if non-nil, is called every ProgressEvery committed
 	// candidates, and once more at the final cursor, with a consistent

@@ -455,7 +455,7 @@ func BenchmarkExploreSynthetic(b *testing.B) {
 	// explorer (workers-1 routes to the sequential path). The front and
 	// the semantic stats are identical across all of them — the variants
 	// measure the ordered-commit pipeline's scaling, and the stall /
-	// high-water gauges record how hard the commit stage had to reorder.
+	// high-water gauges record how hard the ordered commit had to reorder.
 	// "workers=N", not "workers-N": go test appends the GOMAXPROCS value
 	// as a trailing -N, which a hyphenated worker count would mimic.
 	for _, w := range []int{1, 2, 4, 8} {

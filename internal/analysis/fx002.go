@@ -10,8 +10,9 @@ import (
 // math.Float64bits, and only the designated helpers — function
 // declarations annotated //flexvet:bound-helper — may perform the raw
 // bit conversion or touch the bound field. Everything else must call
-// the helpers, so the publication protocol (commit stage writes,
-// workers read, second-chance re-check at commit) stays in one place.
+// the helpers, so the publication protocol (the scan's goroutine writes
+// as it commits, workers read, second-chance re-check at commit) stays
+// in one place.
 //
 // Concretely, inside packages named "core" the analyzer flags, outside
 // annotated helpers:

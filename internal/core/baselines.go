@@ -60,7 +60,7 @@ func (sc *scan) sample(units []int) (sampled, bool) {
 	r := &sc.rec
 	r.reset(units)
 	if sup := sc.ev.sup.SupportableUnits(units, w.sup); sup.Has(sc.ev.root) {
-		sc.possible.Add(1)
+		sc.possible++
 		st.Attempted++
 		if r.att = sc.ev.implement(units, sup, w, st, r.att); r.att.ok {
 			st.Feasible++

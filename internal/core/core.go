@@ -147,18 +147,20 @@ type Options struct {
 	// plan is inert. Test harness only. A failpoint aimed at a
 	// candidate past the point where a run settles (see StopAtMaxFlex)
 	// does not fire in an inline run: that candidate is not evaluated.
-	// In a parallel run a pool worker running ahead of the commit stage
-	// may still fire it. An error or panic there is dropped with the
-	// worker's evaluation, which the commit stage never folds. A Cancel
-	// cancels the run's context: if the commit stage settled first it
-	// has no effect, and otherwise the run ends interrupted, exact at
-	// the first candidate the cancellation reached, like any other
+	// In a parallel run a pool worker running ahead of the commit may
+	// still fire it, on the worker's goroutine. An error or panic there
+	// is dropped with the worker's evaluation, which is never folded. A
+	// Cancel cancels the run's context: if the run settled first it has
+	// no effect, and otherwise the run ends interrupted, exact at the
+	// first candidate the cancellation reached, like any other
 	// cancellation.
 	Fault *faultinject.Plan
 	// Progress, if non-nil, is called every ProgressEvery committed
 	// candidates, and once more at the final cursor, with a consistent
-	// snapshot of the run, suitable for checkpointing. The snapshot's
-	// front holds copies of the run's implementations, made once per
+	// snapshot of the run, suitable for checkpointing. Every call is
+	// made on the caller's goroutine, parallel runs included, and a
+	// panic in Progress propagates to the caller. The snapshot's front
+	// holds copies of the run's implementations, made once per
 	// implementation and handed out again by later reports: changing
 	// them cannot reach the run's result, but treat them as read-only.
 	Progress func(Progress)
@@ -334,13 +336,12 @@ type PipelineStats struct {
 	// starves it.
 	QueueDepth     int `json:"queueDepth,omitempty"`
 	QueueHighWater int `json:"queueHighWater,omitempty"`
-	// CommitStalls counts range jobs that reached the ordered-commit
-	// stage before an earlier range had finished and waited in the
-	// reorder buffer.
+	// CommitStalls counts range jobs that came back before an earlier
+	// range had finished and waited in the reorder buffer.
 	CommitStalls int `json:"commitStalls,omitempty"`
 	// BatchSize is the largest candidate-range size the run used (an
 	// adaptive run ramps up to it); BatchesCommitted counts the range
-	// archives folded into the front by the ordered-commit stage; and
+	// jobs folded into the front by the ordered commit; and
 	// BoundPublishes counts publications of the shared flexibility
 	// bound to the workers — at most one per committed batch plus the
 	// initial seed, which is the relaxed cadence's observable form.

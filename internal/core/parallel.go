@@ -18,11 +18,12 @@ import (
 // out over a pool of worker goroutines while keeping the resulting
 // front bit-for-bit identical to the sequential explorer.
 //
-// It is the sequential scan with a worker pool in front of the fold:
-// the cost-ordered enumeration is chunked into contiguous candidate
-// ranges (adaptive size), the workers evaluate each range against a
-// locally cached scalar flexibility bound, and a commit stage
-// reassembles the ranges in candidate order and folds every candidate
+// It is the sequential scan with a worker pool beside it: the caller's
+// goroutine chunks the cost-ordered enumeration into contiguous
+// candidate ranges (adaptive size) and hands them to the workers, which
+// evaluate each range against a locally cached scalar flexibility
+// bound. Between hand-offs the same goroutine takes finished ranges
+// back, reassembles them in candidate order and folds every candidate
 // through the same per-candidate commit the sequential scan runs.
 // Ranges pay the channel handoff once per range instead of once per
 // candidate, and the shared bound is republished once per committed
@@ -35,21 +36,24 @@ import (
 // pipeline.evaluate for the argument).
 //
 // workers <= 0 selects GOMAXPROCS; queue <= 0 selects 2 x workers
-// range jobs of look-ahead.
+// range jobs of look-ahead. The run starts its workers and no other
+// goroutine, and every worker has exited when it returns.
 func ExploreParallel(s *spec.Spec, opts Options, workers, queue int) *Result {
 	return ExploreParallelContext(context.Background(), s, opts, workers, queue)
 }
 
 // ExploreParallelContext is ExploreParallel under a context, with the
 // same anytime semantics as ExploreContext: on cancellation the commit
-// stage stops at the first unevaluated candidate (in candidate order),
-// so the partial front is exactly the Pareto set of the explored prefix
-// and Cursor marks where a resumed run continues.
+// stops at the first unevaluated candidate (in candidate order), so the
+// partial front is exactly the Pareto set of the explored prefix and
+// Cursor marks where a resumed run continues.
 //
 // Candidate evaluations are additionally isolated against panics: a
 // panicking estimation or implementation construction is recovered in
 // its worker, recorded as a structured Diag in Stats, and the candidate
 // is skipped — one poisoned design point cannot take down a long scan.
+// A panic on the caller's goroutine (in Options.Progress, say) stops
+// the workers and propagates to the caller, as in an inline run.
 // With one worker it is ExploreContext: the scan runs inline.
 func ExploreParallelContext(ctx context.Context, s *spec.Spec, opts Options, workers, queue int) *Result {
 	if workers <= 0 {
@@ -86,85 +90,70 @@ type pipeBatch struct {
 	recs  []candRec
 }
 
-// pipeline is the worker pool of a parallel scan: the producer's open
-// range job (owned by the scan's goroutine), the channels, the
-// atomically published flexibility bound, the commit stage's reorder
-// buffer (owned by the commit goroutine), and the contention gauges.
+// pipeline is the worker pool of a parallel scan. The workers share
+// only the channels, done, bound and busy; every other field belongs to
+// the scan's goroutine, which produces the range jobs and commits them.
 type pipeline struct {
 	sc      *scan
-	ctx     context.Context
 	jobs    chan *pipeBatch
 	results chan *pipeBatch
-	// free holds the batches the commit stage has fully committed, for
-	// the producer to refill. It is per run, not a process-wide pool: a
-	// record's picks point into this run's memo. The channel handoffs
-	// (worker to commit stage on results, commit stage to producer on
-	// free) order every reuse after the batch's last read.
-	free chan *pipeBatch
-	// done is closed by the commit stage when the scan must stop;
-	// producer and workers treat it as a fast-path skip.
-	done       chan struct{}
-	commitDone chan struct{}
+	// done is closed when the scan stops early or the pool is torn
+	// down; workers treat it as a fast-path skip.
+	done chan struct{}
+	wg   sync.WaitGroup
 
 	// Producer state: the open range job's start and size, and its
 	// candidates' unit indices, staged in buffers reused across jobs
-	// (candidate i's indices end at offset ends[i] of stage).
+	// (candidate i's indices end at offset ends[i] of stage); the jobs
+	// not yet taken back; and the committed batches for close to refill
+	// (per run: a record's picks point into this run's memo).
 	curStart  int
 	curSize   int
 	stage     []int
 	ends      []int
 	emitted   int
 	cancelled bool
+	inflight  int
+	free      []*pipeBatch
 
-	// Commit-stage state.
+	// Reorder buffer: finished ranges wait in pending for next.
 	next    int
 	pending map[int]*pipeBatch
-	stalls  int
-	batches int
 	stopped bool
 
+	// Gauges (see PipelineStats).
+	stalls, batches, publishes, highWater, maxBatch int
+
 	// bound is the best implemented flexibility (math.Float64bits),
-	// written by the commit stage once per committed batch, read by
-	// workers once per batch. A stale read only admits extra
-	// implementation attempts; the commit stage re-checks against the
-	// exact bound.
-	bound     atomic.Uint64
-	publishes atomic.Int64
-	highWater atomic.Int64
-	busy      atomic.Int64
-	maxBatch  atomic.Int64
+	// written once per committed batch, read by workers once per
+	// batch. A stale read only admits extra implementation attempts;
+	// the commit re-checks against the exact bound.
+	bound atomic.Uint64
+	busy  atomic.Int64
 }
 
-// startPool starts the workers and the commit stage of a parallel scan.
-func (sc *scan) startPool(workers, queue int) {
+// startPool starts the workers of a parallel scan. The caller must
+// stop the pool on every way out of the scan.
+func (sc *scan) startPool(workers, queue int) *pipeline {
 	if queue <= 0 {
 		queue = 2 * workers
 	}
 	p := &pipeline{
-		sc:   sc,
-		ctx:  sc.ctx,
-		jobs: make(chan *pipeBatch, queue),
-		// Sized so a worker can always deposit a result without
-		// blocking the commit stage's drain: at most queue+workers
-		// range jobs are in flight between producer and committer.
+		sc:      sc,
+		jobs:    make(chan *pipeBatch, queue),
 		results: make(chan *pipeBatch, queue+workers),
-		// Room for every batch in flight twice over, so the commit
-		// stage rarely drops one it hands back.
-		free:       make(chan *pipeBatch, 2*(queue+workers)+2),
-		done:       make(chan struct{}),
-		commitDone: make(chan struct{}),
-		next:       sc.res.Cursor,
-		pending:    map[int]*pipeBatch{},
+		done:    make(chan struct{}),
+		next:    sc.res.Cursor,
+		pending: map[int]*pipeBatch{},
 	}
 	sc.pool = p
 	sc.res.Stats.Pipeline = PipelineStats{Workers: workers, QueueDepth: queue}
 	p.storeBound(sc.f.best())
 
-	var wg sync.WaitGroup
+	p.wg.Add(workers)
 	for range workers {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer p.wg.Done()
 			w := worker{scratch: sc.ev.evalScratch()}
 			for b := range p.jobs {
 				p.evaluate(b, &w)
@@ -172,28 +161,21 @@ func (sc *scan) startPool(workers, queue int) {
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(p.results)
-	}()
-	go func() {
-		defer close(p.commitDone)
-		p.commitStage()
-	}()
+	return p
 }
 
 // push appends a candidate's unit indices, borrowed from the source, to
 // the open range job and dispatches the job when full. It reports
 // whether the scan goes on.
 func (p *pipeline) push(units []int) bool {
-	if p.ctx.Err() != nil {
+	if p.sc.ctx.Err() != nil {
 		p.cancelled = true
 		return false
 	}
 	if len(p.ends) == 0 {
 		// The source has counted this candidate, so its index is one
 		// less.
-		p.curStart = int(p.sc.possible.Load()) - 1
+		p.curStart = p.sc.possible - 1
 		p.curSize = p.sc.opts.batchSizeFor(p.emitted)
 	}
 	p.stage = append(p.stage, units...)
@@ -210,9 +192,9 @@ func (p *pipeline) push(units []int) bool {
 // reset record per candidate windowing it.
 func (p *pipeline) close() *pipeBatch {
 	var b *pipeBatch
-	select {
-	case b = <-p.free:
-	default:
+	if n := len(p.free); n > 0 {
+		b, p.free = p.free[n-1], p.free[:n-1]
+	} else {
 		// Records for the largest range job, so a recycled batch never
 		// grows (and never drops the buffers of the records it has).
 		b = &pipeBatch{recs: make([]candRec, 0, p.sc.opts.batchSizeFor(math.MaxInt))}
@@ -229,60 +211,122 @@ func (p *pipeline) close() *pipeBatch {
 	return b
 }
 
+// send hands b to the workers. While it waits for room it commits the
+// ranges the workers hand back, so the scan's goroutine is the only
+// one that folds. It reports whether the scan goes on; when a commit
+// ends the scan, b is dropped.
 func (p *pipeline) send(b *pipeBatch) bool {
-	select {
-	case p.jobs <- b:
-		if l := int64(len(b.recs)); l > p.maxBatch.Load() {
-			p.maxBatch.Store(l)
+	for {
+		jobs := p.jobs
+		if p.inflight == cap(p.results) {
+			// Take a range back first: with results holding every job
+			// in flight, no worker blocks on it, even once the scan
+			// has stopped taking results.
+			jobs = nil
 		}
-		if l := int64(len(p.jobs)); l > p.highWater.Load() {
-			p.highWater.Store(l)
+		select {
+		case jobs <- b:
+			p.inflight++
+			p.maxBatch = max(p.maxBatch, len(b.recs))
+			p.highWater = max(p.highWater, len(p.jobs))
+			// Yield once, after the first dispatch, so the first range
+			// job starts before the producer fills the queue: on a
+			// single-P runtime the scheduler's LIFO wakeup would run the
+			// latest-readied worker first, and a late batch could trip
+			// a cancellation before the first starts, collapsing the
+			// anytime cursor to 0. Later sends fill the queue freely.
+			if p.emitted == 1 {
+				runtime.Gosched()
+			}
+			return true
+		case r := <-p.results:
+			if !p.receive(r) {
+				return false
+			}
 		}
-		// Yield once, after the first dispatch, so the scan's first
-		// range job starts before the producer saturates the queue.
-		// When the stream arrives faster than workers drain it, sends
-		// become back-to-back; on a single-P runtime the scheduler's
-		// LIFO wakeup would then run the *latest*-readied worker first,
-		// letting a late batch evaluate (and e.g. trip a cancellation)
-		// before the first batch is even started — collapsing the
-		// anytime cursor to 0. Yielding only here (not per send) keeps
-		// the queue free to fill behind busy workers.
-		if p.emitted == 1 {
-			runtime.Gosched()
-		}
-		return true
-	case <-p.done:
-		// The commit stage ended the scan (cancellation committed in
-		// order, or the run settled); b is dropped.
-		return false
 	}
 }
 
-// finish dispatches the scan tail, waits for the commit stage, and
-// settles a cancellation only the producer observed.
+// receive takes back a range job a worker finished and commits, in
+// candidate order through the reorder buffer, every range that is now
+// next. It reports whether the scan goes on.
+func (p *pipeline) receive(b *pipeBatch) bool {
+	p.inflight--
+	if p.stopped {
+		// The scan already ended at an earlier candidate.
+		return false
+	}
+	if b.start != p.next {
+		p.stalls++
+	}
+	p.pending[b.start] = b
+	for nb, ok := p.pending[p.next]; ok; nb, ok = p.pending[p.next] {
+		delete(p.pending, p.next)
+		if !p.commitBatch(nb) {
+			return false
+		}
+		p.free = append(p.free, nb)
+	}
+	return true
+}
+
+// commitBatch folds one in-order range job, candidate by candidate,
+// through the scan's commit, then republishes the bound if it rose. It
+// reports whether the scan goes on.
+func (p *pipeline) commitBatch(b *pipeBatch) bool {
+	entry := p.sc.f.best()
+	for i := range b.recs {
+		if !p.sc.commit(b.start+i, &b.recs[i]) {
+			p.stopped = true
+			close(p.done)
+			return false
+		}
+	}
+	if f := p.sc.f.best(); f > entry {
+		p.storeBound(f)
+	}
+	p.batches++
+	p.next = b.start + len(b.recs)
+	return true
+}
+
+// finish dispatches the scan tail and commits until no range job is in
+// flight, then settles a cancellation only the producer observed.
 func (p *pipeline) finish() {
 	if len(p.ends) > 0 && !p.cancelled {
 		// A partial final range. If send fails the scan already stopped
 		// and the tail is irrelevant.
 		p.send(p.close())
 	}
-	close(p.jobs)
-	<-p.commitDone
+	for p.inflight > 0 {
+		p.receive(<-p.results)
+	}
 	if p.cancelled && !p.stopped {
 		// Every in-flight range had completed: the scan still ends
 		// interrupted, prefix-exact at the last committed candidate.
-		p.sc.res.Interrupted, p.sc.res.Reason = true, reasonFor(p.ctx)
+		p.sc.res.Interrupted, p.sc.res.Reason = true, reasonFor(p.sc.ctx)
 	}
+}
+
+// stop ends the pool on every way out of the scan, a panic on the
+// scan's goroutine included: the workers skip the ranges they still
+// hold, and stop returns once each has exited.
+func (p *pipeline) stop() {
+	if !p.stopped {
+		close(p.done)
+	}
+	close(p.jobs)
+	p.wg.Wait()
 }
 
 // gauges reports the pool's contention gauges.
 func (p *pipeline) gauges(ps *PipelineStats) {
-	ps.QueueHighWater = int(p.highWater.Load())
+	ps.QueueHighWater = p.highWater
 	ps.CommitStalls = p.stalls
 	ps.BusyNanos = p.busy.Load()
-	ps.BatchSize = int(p.maxBatch.Load())
+	ps.BatchSize = p.maxBatch
 	ps.BatchesCommitted = p.batches
-	ps.BoundPublishes = int(p.publishes.Load())
+	ps.BoundPublishes = p.publishes
 }
 
 // loadBound reads the published flexibility bound. It and storeBound
@@ -301,7 +345,7 @@ func (p *pipeline) loadBound() float64 {
 //flexvet:bound-helper
 func (p *pipeline) storeBound(f float64) {
 	p.bound.Store(math.Float64bits(f))
-	p.publishes.Add(1)
+	p.publishes++
 }
 
 // worker is a pool worker's private state: its scalar flexibility
@@ -330,12 +374,12 @@ func (p *pipeline) evaluate(b *pipeBatch, w *worker) {
 	for i := range b.recs {
 		select {
 		case <-p.done:
-			// The scan already ended at an earlier candidate; the
-			// commit stage discards this range unexamined.
+			// The scan ended at an earlier candidate, or the pool is
+			// torn down: the range goes back unexamined.
 			return
 		default:
 		}
-		if p.ctx.Err() != nil {
+		if p.sc.ctx.Err() != nil {
 			// The record stays unevaluated: the commit stops there.
 			return
 		}
@@ -368,50 +412,6 @@ func (p *pipeline) evalIsolated(r *candRec, idx int, w *worker) {
 		}
 	}()
 	p.sc.evalOne(r, idx, w, &w.scratch)
-}
-
-// commitStage folds the range jobs strictly in candidate order through
-// a reorder buffer keyed by range start.
-func (p *pipeline) commitStage() {
-	for b := range p.results {
-		if p.stopped {
-			// Drain: the scan already ended at an earlier candidate.
-			continue
-		}
-		if b.start != p.next {
-			p.stalls++
-		}
-		p.pending[b.start] = b
-		for nb, ok := p.pending[p.next]; ok && !p.stopped; nb, ok = p.pending[p.next] {
-			delete(p.pending, p.next)
-			if p.commitBatch(nb) {
-				select {
-				case p.free <- nb:
-				default:
-				}
-			}
-		}
-	}
-}
-
-// commitBatch folds one in-order range job, candidate by candidate,
-// through the scan's commit, then republishes the bound if it rose. It
-// reports whether the whole batch was committed.
-func (p *pipeline) commitBatch(b *pipeBatch) bool {
-	entry := p.sc.f.best()
-	for i := range b.recs {
-		if !p.sc.commit(b.start+i, &b.recs[i]) {
-			p.stopped = true
-			close(p.done)
-			return false
-		}
-	}
-	if f := p.sc.f.best(); f > entry {
-		p.storeBound(f)
-	}
-	p.batches++
-	p.next = b.start + len(b.recs)
-	return true
 }
 
 // trimStack bounds a recovered panic's stack trace so Stats diags stay

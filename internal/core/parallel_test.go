@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/bitset"
@@ -115,7 +117,7 @@ func TestPipelineDifferentialGrid(t *testing.T) {
 		// There the producer legitimately enumerates ahead of the stop
 		// decision still in flight (bounded by the pipeline capacity),
 		// so the scan-effort counters Scanned/PossibleAllocations may
-		// overshoot the sequential run's; everything the commit stage
+		// overshoot the sequential run's; everything the commit
 		// folded — fronts, cursor, reason, evaluation counters — must
 		// still be identical.
 		stopEarly bool
@@ -276,12 +278,13 @@ func BenchmarkExploreExhaustiveSynthetic(b *testing.B) {
 	b.ReportMetric(float64(r.Stats.Cache.BindExactHits), "exacthits/op")
 }
 
-// TestRecycledBatchesMatchInline: batches the commit stage hands back
-// are refilled, records and attempt buffers included, so a record left
-// dirty by its last candidate would show in the next. Two-worker runs
-// of the exhaustive workload's spec and of synthetic 7 — with errors
-// and panics injected at both sites over far more batches than the
-// free list holds, and a Progress report every 16 candidates — must
+// TestRecycledBatchesMatchInline: fully committed batches go on the
+// run's free list and are refilled, records and attempt buffers
+// included, so a record left dirty by its last candidate would show in
+// the next. Two-worker runs of the exhaustive workload's spec and of
+// synthetic 7 — with errors and panics injected at both sites over far
+// more batches than a run has out at once, and a Progress report every
+// 16 candidates — must
 // report what the inline scan reports: front, cursor, reason,
 // diagnostics and semantic counters, at every report and at the end.
 // A panic is recovered only in a pool worker, so the inline run gets
@@ -308,8 +311,9 @@ func TestRecycledBatchesMatchInline(t *testing.T) {
 		// Faults aimed past the settle point never fire.
 		n := settleCursor(tc.s, tc.opts)
 		const faults = 12
-		// More batches than the free list holds: 16-candidate batches
-		// once the ramp ends, and 2×(queue+workers)+2 = 14 slots.
+		// Each batch is recycled many times over: 16-candidate batches
+		// once the ramp ends, more than 2×14 of them, and at most
+		// queue+workers = 6 out at once.
 		if n/16 <= 2*14 {
 			t.Fatalf("%s: %d candidates are too few batches", tc.name, n)
 		}
@@ -397,14 +401,14 @@ func TestRecycledBatchesMatchInline(t *testing.T) {
 				if got.cursor != want.cursor {
 					t.Fatalf("%s nodes=%d: report %d at cursor %d, inline %d", tc.name, maxNodes, i, got.cursor, want.cursor)
 				}
-				// The producer enumerates ahead of the commit stage, so
+				// The producer enumerates ahead of the commit, so
 				// a pool report counts more possible candidates; the
 				// final counts agree.
 				got.stats.PossibleAllocations = want.stats.PossibleAllocations
 				same(fmt.Sprintf("report at %d", want.cursor), got.front, want.front, got.stats, want.stats)
 			}
 			if pool.Stats.Pipeline.BatchesCommitted <= 2*14 {
-				t.Errorf("%s nodes=%d: %d batches committed, want more than the free list holds", tc.name, maxNodes, pool.Stats.Pipeline.BatchesCommitted)
+				t.Errorf("%s nodes=%d: %d batches committed, want more than 2×14", tc.name, maxNodes, pool.Stats.Pipeline.BatchesCommitted)
 			}
 		}
 	}
@@ -450,5 +454,108 @@ func TestRecycledRecordStartsClean(t *testing.T) {
 	rest.units, rest.att.implemented, rest.att.picks = nil, bitset.Set{}, nil
 	if !reflect.DeepEqual(rest, candRec{}) {
 		t.Errorf("reset left %+v", rest)
+	}
+}
+
+// exhaustiveSpec is the benchmark's exhaustive workload: synthetic
+// model 1 with four buses, every possible allocation implemented.
+func exhaustiveSpec() (*spec.Spec, Options) {
+	p := models.DefaultSynthetic(1)
+	p.Buses = 4
+	return models.Synthetic(p), Options{DisableFlexBound: true, IncludeUselessComm: true}
+}
+
+// quietGoroutines returns runtime.NumGoroutine once it holds still for
+// a millisecond: a goroutine that has signalled its exit takes a moment
+// to leave the count.
+func quietGoroutines() int {
+	n := runtime.NumGoroutine()
+	for range 1000 {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
+// requireGoroutines waits up to five seconds for the goroutine count to
+// fall to want.
+func requireGoroutines(t *testing.T, what string, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n != want {
+		t.Errorf("%s: %d goroutines after the run, want the baseline %d", what, n, want)
+	}
+}
+
+// TestProgressPanicReachesCaller: a panic in Progress during a pooled
+// run propagates to the caller, as it does inline, and the pool is torn
+// down on the way out: no worker outlives the call.
+func TestProgressPanicReachesCaller(t *testing.T) {
+	s, opts := exhaustiveSpec()
+	opts.ProgressEvery = 4
+	opts.Progress = func(p Progress) {
+		if p.Cursor >= 8 {
+			panic("progress boom")
+		}
+	}
+	base := quietGoroutines()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		ExploreParallel(s, opts, 2, 0)
+	}()
+	if got != "progress boom" {
+		t.Fatalf("recovered %v, want the Progress panic", got)
+	}
+	requireGoroutines(t, "panicked run", base)
+}
+
+// TestPoolSpawnsOnlyWorkers: a 2-worker run starts its two workers and
+// no other goroutine, and all of them have exited when it returns —
+// whether it completes, is cancelled by a failpoint, or settles.
+func TestPoolSpawnsOnlyWorkers(t *testing.T) {
+	exhaustive, exOpts := exhaustiveSpec()
+	cases := []struct {
+		name   string
+		s      *spec.Spec
+		opts   Options
+		cancel int // candidate index of a Cancel failpoint, or -1
+		reason Reason
+	}{
+		{"completed", exhaustive, exOpts, -1, ReasonCompleted},
+		{"cancelled", exhaustive, exOpts, 600, ReasonCancelled},
+		{"settled", models.Synthetic(models.DefaultSynthetic(7)), Options{}, -1, ReasonCompleted},
+	}
+	for _, tc := range cases {
+		ctx, cancel := context.WithCancel(context.Background())
+		opts := tc.opts
+		if tc.cancel >= 0 {
+			opts.Fault = faultinject.New().CancelAt(SiteEstimate, tc.cancel).Bind(cancel)
+		}
+		base := quietGoroutines()
+		reports := 0
+		opts.ProgressEvery = 16
+		opts.Progress = func(Progress) {
+			reports++
+			if n := runtime.NumGoroutine(); n != base+2 {
+				t.Errorf("%s: %d goroutines in Progress, want the baseline %d + 2 workers", tc.name, n, base)
+			}
+		}
+		r := ExploreParallelContext(ctx, tc.s, opts, 2, 0)
+		requireGoroutines(t, tc.name, base)
+		cancel()
+		if r.Reason != tc.reason || reports == 0 {
+			t.Errorf("%s: reason %q after %d reports, want %q", tc.name, r.Reason, reports, tc.reason)
+		}
+		if tc.name == "settled" && r.Stats.Estimated >= r.Cursor {
+			t.Errorf("settled: %d estimates of %d candidates, want a settled run", r.Stats.Estimated, r.Cursor)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 
 	"repro/internal/alloc"
 	"repro/internal/bind"
@@ -17,7 +16,9 @@ import (
 // estimate, and only the promising ones are implemented. The explorers
 // differ only in their candidate source and their fold; resume seeding,
 // the cursor, cancellation, the failpoints, progress reports and the
-// final statistics live here, once.
+// final statistics live here, once. Every field belongs to the caller's
+// goroutine, which also makes every Progress call: a pooled run's
+// workers only evaluate (see parallel.go).
 type scan struct {
 	ctx   context.Context
 	s     *spec.Spec
@@ -29,15 +30,12 @@ type scan struct {
 	// pool is the worker pool of a parallel run (nil: every candidate
 	// is evaluated inline, on the caller's goroutine).
 	pool *pipeline
-	// possible counts the candidates the source produced. It is atomic
-	// because the pool's commit stage reports it while the producer
-	// counts.
-	possible atomic.Int64
+	// possible counts the candidates the source produced.
+	possible int
 	// settled marks a run whose front reached MaxFlexibility under the
 	// bound (fold.done): no later candidate can change the front, so
-	// the walk ends. The pool's commit stage sets it before it closes
-	// done, so the producer sees it once push fails.
-	settled  atomic.Bool
+	// the walk ends.
+	settled  bool
 	lastEmit int
 	// snaps maps each implementation in the front at the last report
 	// to the copy Progress reports hand out, made at its first report.
@@ -227,20 +225,20 @@ func (sc *scan) run(f fold, src source, workers, queue int) *Result {
 		}
 		start = r.Cursor
 	}
-	res.Cursor, sc.lastEmit = start, start
-	sc.possible.Store(int64(start))
+	res.Cursor, sc.lastEmit, sc.possible = start, start, start
 	// A front that already reaches the maximum (a resumed snapshot, an
 	// Upgrade base) settles the run before any candidate is evaluated:
 	// the walk stops at its first one.
-	sc.settled.Store(f.done())
-	if workers > 1 && !sc.settled.Load() {
-		sc.startPool(workers, queue)
+	sc.settled = f.done()
+	if workers > 1 && !sc.settled {
+		// Deferred, so a panic on this goroutine stops the workers too.
+		defer sc.startPool(workers, queue).stop()
 	}
 	aStats, length := src(start, func(units []int, _ float64) bool {
-		if sc.settled.Load() {
+		if sc.settled {
 			return false
 		}
-		sc.possible.Add(1)
+		sc.possible++
 		if sc.pool != nil {
 			return sc.pool.push(units)
 		}
@@ -257,8 +255,7 @@ func (sc *scan) run(f fold, src source, workers, queue int) *Result {
 	if sc.pool != nil {
 		sc.pool.finish()
 	}
-	settled := sc.settled.Load()
-	if settled {
+	if sc.settled {
 		sc.settle(length)
 	}
 	// A closing report covers the scan tail past the last periodic one,
@@ -269,7 +266,7 @@ func (sc *scan) run(f fold, src source, workers, queue int) *Result {
 	}
 	res.Stats.Scanned = aStats.Scanned
 	sc.setSpace(aStats.SearchSpace)
-	if res.Reason == ReasonCompleted && aStats.BudgetCut && !settled {
+	if res.Reason == ReasonCompleted && aStats.BudgetCut && !sc.settled {
 		// The MaxScan budget cut the candidate stream short. A settled
 		// run is complete even when a parallel producer ran ahead into
 		// the budget.
@@ -286,8 +283,7 @@ func (sc *scan) run(f fold, src source, workers, queue int) *Result {
 func (sc *scan) settle(length func() (int, bool)) {
 	if !sc.opts.StopAtMaxFlex {
 		if n, ok := length(); ok {
-			sc.res.Cursor = n
-			sc.possible.Store(int64(n))
+			sc.res.Cursor, sc.possible = n, n
 			return
 		}
 	}
@@ -356,8 +352,9 @@ func (sc *scan) pruned(b bounder, r *candRec) bool {
 
 // commit folds candidate idx's evaluation into the result, strictly in
 // candidate order, and reports whether the scan goes on. It is the one
-// ordered fold of every explorer: called inline right after evalOne, or
-// by the pool's commit stage behind its reorder buffer.
+// ordered fold of every explorer, always on the caller's goroutine:
+// called inline right after evalOne, or, in a pooled run, as the
+// producer takes finished ranges back through the reorder buffer.
 func (sc *scan) commit(idx int, r *candRec) bool {
 	res := sc.res
 	if !r.evaluated() {
@@ -390,7 +387,7 @@ func (sc *scan) commit(idx int, r *candRec) bool {
 	}
 	res.Cursor = idx + 1
 	if stop {
-		sc.settled.Store(true)
+		sc.settled = true
 		return false
 	}
 	if sc.opts.Progress != nil && res.Cursor-sc.lastEmit >= sc.opts.progressEvery() {
@@ -402,7 +399,7 @@ func (sc *scan) commit(idx int, r *candRec) bool {
 // sync publishes the counters kept outside res.Stats during the scan.
 func (sc *scan) sync() {
 	sc.ev.fold(&sc.res.Stats)
-	sc.res.Stats.PossibleAllocations = int(sc.possible.Load())
+	sc.res.Stats.PossibleAllocations = sc.possible
 	if sc.pool != nil {
 		sc.pool.gauges(&sc.res.Stats.Pipeline)
 	}

@@ -141,33 +141,23 @@ type JobView struct {
 
 // viewLocked renders the job; caller holds Server.mu.
 func (j *job) viewLocked() JobView {
-	v := JobView{
+	ev := j.eventLocked()
+	return JobView{
 		ID:             j.id,
-		State:          j.state,
+		State:          ev.State,
 		Spec:           j.spec.Name,
-		Cursor:         j.latest.Cursor,
-		FrontSize:      j.latest.FrontSize,
-		BestFlex:       j.latest.BestFlex,
-		MaxFlexibility: j.latest.MaxFlexibility,
-		Error:          j.errMsg,
+		Cursor:         ev.Cursor,
+		FrontSize:      ev.FrontSize,
+		BestFlex:       ev.BestFlex,
+		MaxFlexibility: ev.MaxFlexibility,
+		Reason:         ev.Reason,
+		Error:          ev.Error,
 		RunSegments:    j.runSegments,
 		Suspends:       j.suspends,
 		Sheds:          j.sheds,
 		Retries:        j.retries,
 		Checkpointed:   j.onDisk,
 	}
-	if j.result != nil {
-		v.Cursor = j.result.Cursor
-		v.FrontSize = len(j.result.Front)
-		v.MaxFlexibility = j.result.MaxFlexibility
-		v.Reason = string(j.result.Reason)
-		// The last progress event lags by up to the checkpoint cadence;
-		// the final front is authoritative.
-		if bf := bestFlexOf(j.result.Front); bf > v.BestFlex {
-			v.BestFlex = bf
-		}
-	}
-	return v
 }
 
 // eventLocked renders the job's current progress as an SSE event;
@@ -182,6 +172,8 @@ func (j *job) eventLocked() ProgressEvent {
 		ev.FrontSize = len(j.result.Front)
 		ev.MaxFlexibility = j.result.MaxFlexibility
 		ev.Reason = string(j.result.Reason)
+		// The last progress event lags by up to the checkpoint cadence;
+		// the final front is authoritative.
 		if bf := bestFlexOf(j.result.Front); bf > ev.BestFlex {
 			ev.BestFlex = bf
 		}

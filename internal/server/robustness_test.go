@@ -205,6 +205,25 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestPooledCheckpointPanicFailsOnlyItsJob: a periodic checkpoint save
+// that panics inside a 2-worker job's Progress fails that job alone,
+// like any other panic in a run segment: the daemon survives and runs
+// the next job.
+func TestPooledCheckpointPanicFailsOnlyItsJob(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		Fault: faultinject.New().PanicAt(checkpoint.SiteRename, 0, "checkpoint boom"),
+	})
+	bad := submit(t, ts, `{"model":"settop","workers":2,"exhaustive":true,"periodicCheckpoint":true,"checkpointEvery":16}`)
+	waitState(t, ts, bad, StateFailed)
+	ok := submit(t, ts, `{"model":"settop","workers":1}`)
+	requireSameFront(t, fetchResult(t, ts, ok), core.Explore(models.SetTopBox(), core.Options{}))
+
+	c := s.Snapshot().Counters
+	if c.PanicsRecovered != 1 || c.Failed != 1 || c.Completed != 1 {
+		t.Errorf("counters = %+v, want 1 panic, 1 failed, 1 completed", c)
+	}
+}
+
 // TestResumeFallback: when the on-disk checkpoint cannot be used (an
 // injected server/resume fault), the job still resumes from its
 // in-memory state and completes exactly.

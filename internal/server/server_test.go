@@ -192,7 +192,7 @@ func requireSameFront(t *testing.T, got map[string]any, want *core.Result) {
 		t.Errorf("cursor = %v, want %v", g, w)
 	}
 	// The counters core.Stats.Semantic keeps. Scanned is telemetry: a
-	// parallel run's producer walks ahead of its commit stage.
+	// parallel run's producer walks ahead of its commit.
 	gs, _ := got["stats"].(map[string]any)
 	ws, _ := wd["stats"].(map[string]any)
 	for _, k := range []string{"designSpace", "allocSpace", "possibleAllocations", "estimated", "attempted", "feasible", "ecsTested"} {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 
 	"repro/internal/alloc"
@@ -62,7 +63,9 @@ func (sc *scan) sample(units []int) (sampled, bool) {
 	if sup := sc.ev.sup.SupportableUnits(units, w.sup); sup.Has(sc.ev.root) {
 		sc.possible++
 		st.Attempted++
-		if r.att = sc.ev.implement(units, sup, w, st, r.att); r.att.ok {
+		// Samples arrive in no cost order, so every feasible attempt
+		// keeps its picks for admit.
+		if r.att = sc.ev.implement(units, sup, w, st, r.att, math.Inf(-1)); r.att.ok {
 			st.Feasible++
 			v.flex = r.att.flex
 			sc.ev.admit(sc.front, r.att.cost, r.att.flex, r)

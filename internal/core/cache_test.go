@@ -68,7 +68,7 @@ func TestCacheDifferentialExhaustive(t *testing.T) {
 
 // TestCacheDifferentialBoundedSolver: with MaxBindNodes the solver is
 // truncation-bounded and feasibility is no longer monotone, so the memo
-// must fall back to exact-key hits only — and still agree with the
+// must fall back to exact hits only — and still agree with the
 // uncached run bit for bit.
 func TestCacheDifferentialBoundedSolver(t *testing.T) {
 	s := models.SetTopBox()

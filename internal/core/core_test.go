@@ -128,25 +128,57 @@ func TestWorkedFeasibility(t *testing.T) {
 }
 
 // TestImplementBehavioursValid re-checks every behaviour of every front
-// implementation against the independent binding validator.
+// implementation against the independent binding validator, for every
+// explorer over the case study, the SDR and the exhaustive workload's
+// spec. An explorer keeps an attempt's picks only when the attempt can
+// enter its front, so an admitted attempt whose picks were dropped
+// shows here as an implementation without behaviours.
 func TestImplementBehavioursValid(t *testing.T) {
-	s := models.SetTopBox()
-	r := Explore(s, Options{})
-	for _, im := range r.Front {
-		if len(im.Behaviours) == 0 {
-			t.Errorf("%v has no behaviours", im)
-		}
-		for _, b := range im.Behaviours {
-			fp, err := s.Problem.Flatten(b.ECS.Selection)
-			if err != nil {
-				t.Fatalf("%v: flatten: %v", im, err)
+	exhaustive, exhaustiveOpts := exhaustiveSpec()
+	for _, sub := range []struct {
+		name string
+		s    *spec.Spec
+	}{
+		{"settop", models.SetTopBox()},
+		{"sdr", models.SDR()},
+		{"exhaustive", exhaustive},
+	} {
+		s := sub.s
+		base := Explore(s, Options{}).Front[0].Allocation
+		for _, ex := range []struct {
+			name string
+			run  func() []*Implementation
+		}{
+			{"explore", func() []*Implementation { return Explore(s, Options{}).Front }},
+			{"parallel-2", func() []*Implementation { return ExploreParallel(s, Options{}, 2, 0).Front }},
+			{"parallel-2-unbounded", func() []*Implementation { return ExploreParallel(s, exhaustiveOpts, 2, 0).Front }},
+			{"exhaustive", func() []*Implementation { return Exhaustive(s, Options{}).Front }},
+			{"upgrade", func() []*Implementation { return Upgrade(s, base, Options{}).Front }},
+			{"multi", func() []*Implementation { return ExploreMulti(s, Options{}, nil).Front }},
+			{"random", func() []*Implementation { return RandomSearch(s, Options{}, 200, 1).Front }},
+			{"evolutionary", func() []*Implementation { return Evolutionary(s, Options{}, 1).Front }},
+		} {
+			front := ex.run()
+			if len(front) == 0 {
+				t.Errorf("%s/%s: empty front", sub.name, ex.name)
 			}
-			av, err := s.ArchViewFor(im.Allocation, b.ArchSelection)
-			if err != nil {
-				t.Fatalf("%v: arch view: %v", im, err)
-			}
-			if err := bind.Check(s, fp, av, b.Binding, bind.Options{Timing: bind.TimingPaper}); err != nil {
-				t.Errorf("%v: behaviour %v invalid: %v", im, b.ECS, err)
+			for _, im := range front {
+				if len(im.Behaviours) == 0 {
+					t.Errorf("%s/%s: %v has no behaviours", sub.name, ex.name, im)
+				}
+				for _, b := range im.Behaviours {
+					fp, err := s.Problem.Flatten(b.ECS.Selection)
+					if err != nil {
+						t.Fatalf("%s/%s: %v: flatten: %v", sub.name, ex.name, im, err)
+					}
+					av, err := s.ArchViewFor(im.Allocation, b.ArchSelection)
+					if err != nil {
+						t.Fatalf("%s/%s: %v: arch view: %v", sub.name, ex.name, im, err)
+					}
+					if err := bind.Check(s, fp, av, b.Binding, bind.Options{Timing: bind.TimingPaper}); err != nil {
+						t.Errorf("%s/%s: %v: behaviour %v invalid: %v", sub.name, ex.name, im, b.ECS, err)
+					}
+				}
 			}
 		}
 	}

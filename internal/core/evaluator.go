@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"hash/maphash"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -30,20 +31,21 @@ import (
 //     partial flattening's spec.ArchLinks, so a candidate's view of a
 //     configuration is one bitset (its present set, mask ∧ avail);
 //   - a binding memo keyed by the run-wide IDs of the (ECS,
-//     configuration) pair holding, per present-resource set, the
-//     solver outcome, with a monotone-dominance rule: a binding found
+//     configuration) pair holding the solver outcomes in one
+//     append-only list, each beside its present-resource set's
+//     fingerprint, with a monotone-dominance rule: a binding found
 //     feasible under a resource set stays feasible under any superset
 //     (extra resources only add present vertices and links, and the
 //     timing tests depend only on the binding itself), so it is
 //     replayed — and verified with Problem.Verify — instead of rerun; an
 //     ECS proven infeasible on a resource superset (by an untruncated
 //     search) is skipped on any subset. Only solver outcomes are
-//     stored under their present set's key; a replay stores nothing.
+//     stored, each present set once; a replay stores nothing.
 //
 // The feasible-superset replay is gated on Options.MaxBindNodes == 0:
 // a truncated search is not monotone (a larger search space can
 // truncate before finding the solution the smaller one found), so with
-// a node bound only exact-key hits — deterministic replays of the very
+// a node bound only exact hits — deterministic replays of the very
 // same inputs — are reused, and infeasible-by-truncation outcomes are
 // never used as dominance proofs.
 //
@@ -51,16 +53,18 @@ import (
 // resource sets are dense bitsets (internal/bitset) over the run's
 // cluster indexers and the spec's resource index, each interned
 // flattening is a prepared bind.Problem whose bindings are []int32
-// resource indices, and the attempt records only its cost, its
-// flexibility, its implemented cluster set and the (ECS, configuration,
-// memo outcome) picks behind it. Only a front admitting the attempt
-// builds the Implementation (materialise): the allocation map, the
-// cluster list and behaviours with private Binding and ArchSelection
-// maps. The many attempts no front keeps allocate nothing on a warm
-// memo: the implemented set and the picks are written into the
-// candidate record's buffers, which the record keeps across candidates
-// (candRec.reset), and admit tests the objective vector against the
-// front before it builds an entry.
+// resource indices, and the attempt records its cost and flexibility.
+// Only an attempt the front may keep — one whose flexibility exceeds
+// the fold's bounder.keepAbove — also records its implemented cluster
+// set and the (ECS, configuration, memo outcome) picks behind it, and
+// only a front admitting the attempt builds the Implementation
+// (materialise): the allocation map, the cluster list and behaviours
+// with private Binding and ArchSelection maps. The many attempts no
+// front keeps allocate nothing on a warm memo: the implemented set and
+// the picks are written, when at all, into the candidate record's
+// buffers, which the record keeps across candidates (candRec.reset),
+// and admit tests the objective vector against the front before it
+// builds an entry.
 //
 // All caches are sharded and mutex-striped, so one evaluator is shared
 // by the parallel explorer's workers; counters are atomics, folded into
@@ -237,9 +241,13 @@ func (ev *evaluator) flexOfBits(set bitset.Set) float64 {
 // attempt is an attempted candidate's implementation. On the cached
 // path it stays in index space: the fold compares cost and flexibility,
 // and only admission builds the Implementation from the candidate's
-// record, the implemented cluster set and the kept picks (materialise).
-// A ready Implementation (the legacy path, a Resume front) rides in im
-// instead.
+// record, the implemented cluster set and the picks (materialise). An
+// attempt at or below the threshold implement was given (the fold's
+// bounder.keepAbove) is one no front admits: it carries its cost and
+// flexibility but no implemented set and no picks — implemented and
+// picks then hold whatever the record's storage held, and must not be
+// read. A ready Implementation (the legacy path, a Resume front) rides
+// in im instead.
 type attempt struct {
 	// ok reports a positive flexibility: the candidate is feasible.
 	ok          bool
@@ -269,12 +277,13 @@ func readyAttempt(im *Implementation) attempt {
 
 // implement is Implement through the caches, for the candidate given
 // by its unit indices. sup is the supportable set of the candidate's
-// estimate or possibility test, computed in w; implement only reads it during the call, and reads the
-// candidate's resource closure from the same scratch. Search effort is
-// added to stats, which must not be nil. buf is the record's previous
-// attempt, whose implemented set and picks the new attempt overwrites
-// (see bindAll).
-func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *Stats, buf attempt) attempt {
+// estimate or possibility test, computed in w; implement only reads it
+// during the call, and reads the candidate's resource closure from the
+// same scratch. Search effort is added to stats, which must not be
+// nil. buf is the record's previous attempt, whose implemented set and
+// picks the new attempt overwrites — only when its flexibility exceeds
+// keep (see bindAll).
+func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *Stats, buf attempt, keep float64) attempt {
 	if ev.legacy {
 		return readyAttempt(Implement(ev.s, alloc.AllocationOf(ev.units, units), ev.opts, stats))
 	}
@@ -293,7 +302,7 @@ func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *S
 		})
 		return a
 	})
-	at := ev.bindAll(w.sup.Avail(), sup, cfgs, w, stats, buf)
+	at := ev.bindAll(w.sup.Avail(), sup, cfgs, w, stats, buf, keep)
 	if at.ok {
 		at.cost = ev.unitsCost(units, w)
 	}
@@ -302,23 +311,24 @@ func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *S
 
 // implementAllocation is implement for a candidate given as an
 // allocation map that need not consist of units (Upgrade's base). The
-// attempt is never admitted, so it carries no cost.
+// attempt is never admitted, so it carries no cost and keeps nothing.
 func (ev *evaluator) implementAllocation(a spec.Allocation, w *scratch, stats *Stats) attempt {
 	if ev.legacy {
 		return readyAttempt(Implement(ev.s, a, ev.opts, stats))
 	}
 	avail := ev.sup.AvailOf(a)
-	return ev.bindAll(avail, ev.sup.Supportable(avail), ev.configs(a), w, stats, attempt{})
+	return ev.bindAll(avail, ev.sup.Supportable(avail), ev.configs(a), w, stats, attempt{}, math.Inf(1))
 }
 
 // bindAll is the cached implementation construction: it tests the ECSs
 // of the supportable set sup on the configurations cfgs, viewed under
 // the resource closure avail, through the binding memo, and evaluates
-// the flexibility of the clusters feasible behaviours implement. The
-// attempt's implemented set and kept picks are written into buf's
-// storage, so a record reused across candidates allocates them once;
-// an infeasible attempt hands the storage back unused.
-func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scratch, stats *Stats, buf attempt) attempt {
+// the flexibility of the clusters feasible behaviours implement. Only
+// an attempt whose flexibility exceeds keep — one a front may admit —
+// writes its implemented set and kept picks, into buf's storage, so a
+// record reused across candidates allocates them once; any other
+// attempt hands the storage back unused.
+func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scratch, stats *Stats, buf attempt, keep float64) attempt {
 	feasible := w.feasible
 	feasible.Clear()
 	picks := w.picks[:0]
@@ -356,8 +366,7 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 		for j, c := range cfgs {
 			v := &views[j]
 			if !v.built {
-				c.links.ViewInto(&v.av, c.sel, avail)
-				v.built, v.keyed = true, false
+				v.build(c, avail)
 			}
 			if o, ok := ev.bindFor(en, c, v, w, stats); ok {
 				feasible.UnionWith(en.bits)
@@ -378,6 +387,10 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 	if f <= 0 {
 		return at
 	}
+	at.ok, at.flex = true, f
+	if f <= keep {
+		return at
+	}
 	// Keep only behaviours whose clusters survived normalization. A
 	// fresh record sizes its picks once, for every pick found.
 	at.picks = slices.Grow(at.picks, len(picks))
@@ -387,7 +400,6 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 		}
 	}
 	at.implemented.CopyFrom(implemented)
-	at.ok, at.flex = true, f
 	return at
 }
 
@@ -637,84 +649,131 @@ type bindOutcome struct {
 	proof bool
 }
 
-// bindMemo collects the outcomes of one (ECS, arch configuration) pair.
+// bindMemo collects the solver outcomes of one (ECS, arch
+// configuration) pair in one append-only list, in the order they were
+// solved, with each outcome's present-set fingerprint beside it in fps:
+// an exact lookup compares fingerprints, and only a match pays a set
+// comparison. A present set is stored at most once.
 type bindMemo struct {
-	mu         sync.Mutex
-	exact      map[string]*bindOutcome
-	feasible   []*bindOutcome
-	infeasible []*bindOutcome
+	mu   sync.Mutex
+	outs []*bindOutcome
+	fps  []uint64
+}
+
+// memoHit is what a memo lookup found.
+type memoHit int8
+
+const (
+	memoMiss memoHit = iota
+	// memoExact: an outcome solved under the very same present set.
+	memoExact
+	// memoInfeasible: an infeasibility proven under a present superset.
+	memoInfeasible
+	// memoReplay: a binding found feasible under a present subset.
+	memoReplay
+)
+
+// lookup finds what the memo knows of the present set (fingerprint fp),
+// in this order: an exact hit, else an infeasibility proven on a
+// superset, else — when replay is allowed — the first feasible outcome
+// in insertion order stored under a subset. The outcome is the memo's:
+// read-only.
+func (m *bindMemo) lookup(present bitset.Set, fp uint64, replay bool) (*bindOutcome, memoHit) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if o := m.exact(present, fp); o != nil {
+		return o, memoExact
+	}
+	var sub *bindOutcome
+	for _, o := range m.outs {
+		switch {
+		case !o.ok:
+			if o.proof && present.SubsetOf(o.present) {
+				return nil, memoInfeasible
+			}
+		case replay && sub == nil && o.present.SubsetOf(present):
+			sub = o
+		}
+	}
+	if sub != nil {
+		return sub, memoReplay
+	}
+	return nil, memoMiss
+}
+
+// exact returns the outcome stored under the present set, or nil. The
+// caller holds m.mu.
+func (m *bindMemo) exact(present bitset.Set, fp uint64) *bindOutcome {
+	for i, f := range m.fps {
+		if f == fp && m.outs[i].present.Equal(present) {
+			return m.outs[i]
+		}
+	}
+	return nil
+}
+
+// store appends a solver outcome under its present set's fingerprint
+// and returns it — or, when another worker stored the same present set
+// since this one's lookup, the stored outcome, appending nothing.
+func (m *bindMemo) store(out *bindOutcome, fp uint64) *bindOutcome {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if o := m.exact(out.present, fp); o != nil {
+		return o
+	}
+	m.outs = append(m.outs, out)
+	m.fps = append(m.fps, fp)
+	return out
 }
 
 // viewSlot is one configuration's view of the candidate being
 // implemented, in per-goroutine scratch: the view (its present set
-// reused across candidates) and, once the memo stores under it, its
-// present set's key.
+// reused across candidates) and its present set's fingerprint.
 type viewSlot struct {
 	av    spec.ArchView
+	fp    uint64
 	built bool
-	keyed bool
-	key   string
 }
 
-// presentKey returns the key of the view's present set, made once.
-func (v *viewSlot) presentKey() string {
-	if !v.keyed {
-		v.key, v.keyed = v.av.PresentSet().Key(), true
-	}
-	return v.key
+// build makes the slot the view of configuration c under the resource
+// closure avail.
+func (v *viewSlot) build(c *archConfig, avail bitset.Set) {
+	c.links.ViewInto(&v.av, c.sel, avail)
+	v.fp, v.built = v.av.PresentSet().Fingerprint(), true
 }
 
 // bindFor decides binding feasibility of the ECS en under configuration
-// c on the view v through the memo: exact present-set recurrence of a
-// solved set replays the stored verdict; a feasible binding under a
-// subset is replayed and verified under the present superset
-// (unbounded solver only), storing nothing; an infeasibility proven on
-// a superset dominates the present subset. Only on a miss does the
-// solver run, in w's scratch, and its outcome is stored under the
-// present set's key. The returned outcome is the memo's: read-only. It
-// is nil when infeasible.
+// c on the view v through the memo (bindMemo.lookup): an exact hit
+// replays the stored verdict; a feasible binding under a subset is
+// replayed and verified under the present superset (unbounded solver
+// only), storing nothing; an infeasibility proven on a superset
+// dominates the present subset. Only on a miss does the solver run, in
+// w's scratch, and its outcome is stored. The returned outcome is the
+// memo's: read-only. It is nil when infeasible.
 func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratch, stats *Stats) (*bindOutcome, bool) {
-	m, _ := ev.binds.getOrCreate(uint64(en.id)<<32|uint64(c.id), func() *bindMemo {
-		return &bindMemo{exact: map[string]*bindOutcome{}}
-	})
+	m, _ := ev.binds.getOrCreate(uint64(en.id)<<32|uint64(c.id), func() *bindMemo { return &bindMemo{} })
 	present := v.av.PresentSet()
-
-	m.mu.Lock()
-	if o, ok := m.exact[string(present.KeyBytes())]; ok {
-		m.mu.Unlock()
+	o, hit := m.lookup(present, v.fp, ev.opts.MaxBindNodes == 0)
+	switch hit {
+	case memoExact:
 		ev.bindExactHits.Add(1)
 		return o, o.ok
+	case memoInfeasible:
+		ev.bindInfeasHits.Add(1)
+		return nil, false
 	}
-	for _, o := range m.infeasible {
-		if o.proof && present.SubsetOf(o.present) {
-			m.mu.Unlock()
-			ev.bindInfeasHits.Add(1)
-			return nil, false
-		}
-	}
-	var replay *bindOutcome
-	if ev.opts.MaxBindNodes == 0 {
-		for _, o := range m.feasible {
-			if o.present.SubsetOf(present) {
-				replay = o
-				break
-			}
-		}
-	}
-	m.mu.Unlock()
 
 	bopts := bind.Options{Timing: ev.opts.Timing, MaxNodes: ev.opts.MaxBindNodes}
-	if replay != nil {
+	if hit == memoReplay {
 		// Monotone dominance: the binding stays feasible when resources
 		// are only added. Verify anyway — Verify is far cheaper than the
 		// solver — and fall back to a full solve if it ever disagrees.
-		// The replay is not stored under the present set's key: the
-		// feasible list is append-only and scanned in order, so the
-		// same present set finds the same witness again, and a store
-		// would cost a key string and map growth per replay.
-		if en.prob.Verify(&v.av, replay.binding, bopts, &w.bind) == nil {
+		// The replay is not stored: the list is append-only and scanned
+		// in order, so the same present set finds the same witness
+		// again, and a store would grow the list per replay.
+		if en.prob.Verify(&v.av, o.binding, bopts, &w.bind) == nil {
 			ev.bindReplayHits.Add(1)
-			return replay, true
+			return o, true
 		}
 	}
 
@@ -728,15 +787,7 @@ func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratc
 	} else {
 		out.proof = !res.Truncated
 	}
-	m.mu.Lock()
-	m.exact[v.presentKey()] = out
-	if ok {
-		m.feasible = append(m.feasible, out)
-	} else if out.proof {
-		m.infeasible = append(m.infeasible, out)
-	}
-	m.mu.Unlock()
-	if !ok {
+	if out = m.store(out, v.fp); !out.ok {
 		return nil, false
 	}
 	return out, true

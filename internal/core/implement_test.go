@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/bitset"
 	"repro/internal/hgraph"
 	"repro/internal/models"
 	"repro/internal/pareto"
@@ -14,8 +15,8 @@ import (
 
 // TestMemoReplayAllocatesNothing: replaying a memoized binding under a
 // present superset — the memo lookups and the index verifier —
-// allocates nothing, and stores nothing: the superset's exact key stays
-// unset, so every repeat is a replay again.
+// allocates nothing, and stores nothing: the memo's outcome list keeps
+// no entry for the superset, so every repeat is a replay again.
 func TestMemoReplayAllocatesNothing(t *testing.T) {
 	s := models.SetTopBox()
 	ev := newEvaluator(s, Options{})
@@ -46,11 +47,11 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 					continue
 				}
 				var v viewSlot
-				c.links.ViewInto(&v.av, c.sel, avail)
+				v.build(c, avail)
 				if _, ok := ev.bindFor(e, c, &v, &w, &st); !ok {
 					continue
 				}
-				c.links.ViewInto(&superset.av, c.sel, fullAvail)
+				superset.build(c, fullAvail)
 				if !superset.av.PresentSet().Equal(v.av.PresentSet()) {
 					en, cfg = e, c
 					return false
@@ -63,10 +64,10 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 		t.Fatal("no replayable binding found")
 	}
 	m, _ := ev.binds.getOrCreate(uint64(en.id)<<32|uint64(cfg.id), nil)
-	if _, ok := m.exact[string(superset.av.PresentSet().KeyBytes())]; ok {
+	if m.exact(superset.av.PresentSet(), superset.fp) != nil {
 		t.Fatal("the superset's present set was solved before its replay")
 	}
-	replays, exact := ev.bindReplayHits.Load(), len(m.exact)
+	replays, stored := ev.bindReplayHits.Load(), len(m.outs)
 	n := testing.AllocsPerRun(100, func() {
 		if _, ok := ev.bindFor(en, cfg, &superset, &w, &st); !ok {
 			t.Fatal("the superset replay failed")
@@ -75,11 +76,115 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 	if got := ev.bindReplayHits.Load() - replays; got != 101 {
 		t.Fatalf("%d replays, want 101 (every call a replay)", got)
 	}
-	if got := len(m.exact); got != exact {
-		t.Errorf("the replays stored %d exact keys, want none", got-exact)
+	if got := len(m.outs); got != stored || len(m.fps) != stored {
+		t.Errorf("the replays stored %d outcomes, want none", got-stored)
 	}
 	if n != 0 {
 		t.Errorf("a memo replay allocates %v times, want 0", n)
+	}
+}
+
+// TestMemoLookupOrder: a memo lookup prefers an exact hit to a proven
+// infeasible superset, and that to a feasible subset, whose first in
+// insertion order is replayed; a truncated infeasibility proves
+// nothing, a replay needs the caller's leave, and storing a present set
+// already stored keeps the first outcome.
+func TestMemoLookupOrder(t *testing.T) {
+	set := func(members ...int) bitset.Set {
+		s := bitset.New(8)
+		for _, i := range members {
+			s.Add(i)
+		}
+		return s
+	}
+	var m bindMemo
+	add := func(o *bindOutcome) *bindOutcome { return m.store(o, o.present.Fingerprint()) }
+	look := func(present bitset.Set, replay bool) (*bindOutcome, memoHit) {
+		return m.lookup(present, present.Fingerprint(), replay)
+	}
+	feasA := add(&bindOutcome{present: set(1), ok: true})
+	feasB := add(&bindOutcome{present: set(2), ok: true})
+	truncated := add(&bindOutcome{present: set(1, 2, 3, 4)})
+	proven := add(&bindOutcome{present: set(1, 2, 5), proof: true})
+
+	for _, tc := range []struct {
+		name    string
+		present bitset.Set
+		replay  bool
+		want    *bindOutcome
+		hit     memoHit
+	}{
+		{"exact feasible", set(2), true, feasB, memoExact},
+		{"exact truncated", set(1, 2, 3, 4), true, truncated, memoExact},
+		{"exact proven, though a subset replays", set(1, 2, 5), true, proven, memoExact},
+		{"proven superset before a subset replay", set(1, 2), true, nil, memoInfeasible},
+		{"proven superset without replay", set(1, 5), false, nil, memoInfeasible},
+		{"first subset in insertion order", set(1, 2, 3), true, feasA, memoReplay},
+		{"a later subset", set(2, 3), true, feasB, memoReplay},
+		{"no replay under a node bound", set(1, 2, 3), false, nil, memoMiss},
+		{"truncated superset proves nothing", set(3, 4), true, nil, memoMiss},
+	} {
+		o, hit := look(tc.present, tc.replay)
+		if o != tc.want || hit != tc.hit {
+			t.Errorf("%s: lookup %v = (%p, %d), want (%p, %d)", tc.name, tc.present, o, hit, tc.want, tc.hit)
+		}
+	}
+	if got := add(&bindOutcome{present: set(2), ok: true}); got != feasB || len(m.outs) != 4 || len(m.fps) != 4 {
+		t.Errorf("a second store of a stored set returned %p with %d outcomes, want the first (%p) and 4", got, len(m.outs), feasB)
+	}
+}
+
+// memoPin is one run's binding-memo outcomes and solver effort: exact,
+// replay and infeasible hits, misses, BindingRuns and BindingNodes.
+type memoPin struct{ exact, replay, infeasible, misses, runs, nodes int }
+
+// TestMemoCountersPinned pins the memo's outcome counts and the solver
+// effort of inline Explore and Exhaustive runs. Stats.Semantic zeroes
+// them, so no differential test sees a changed lookup order — an exact
+// hit taken for a replay, a replay for a solve; this test does. No
+// inline run here meets a proven infeasibility on a superset (a pooled
+// run, out of cost order, does, but its counts vary from run to run);
+// TestMemoLookupOrder covers that branch.
+func TestMemoCountersPinned(t *testing.T) {
+	exhaustive, _ := exhaustiveSpec()
+	subjects := []struct {
+		name string
+		s    *spec.Spec
+		opts Options
+	}{
+		{"settop", models.SetTopBox(), Options{}},
+		{"settop-nodes8", models.SetTopBox(), Options{MaxBindNodes: 8}},
+		{"sdr", models.SDR(), Options{}},
+		{"synthetic2", models.Synthetic(models.DefaultSynthetic(2)), Options{}},
+		{"synthetic3", models.Synthetic(models.DefaultSynthetic(3)), Options{}},
+		{"exhaustive", exhaustive, Options{}},
+	}
+	want := map[string]memoPin{
+		"settop/explore":           {45, 37, 0, 94, 94, 252},
+		"settop/exhaustive":        {40571, 60020, 0, 20487, 20487, 93898},
+		"settop-nodes8/explore":    {51, 0, 0, 125, 125, 374},
+		"settop-nodes8/exhaustive": {78908, 0, 0, 50148, 50148, 230040},
+		"sdr/explore":              {12, 35, 0, 63, 63, 123},
+		"sdr/exhaustive":           {677, 2464, 0, 1295, 1295, 2580},
+		"synthetic2/explore":       {0, 56, 0, 42, 42, 258},
+		"synthetic2/exhaustive":    {17388, 77696, 0, 9188, 9188, 41825},
+		"synthetic3/explore":       {23, 133, 0, 122, 122, 525},
+		"synthetic3/exhaustive":    {19071, 58564, 0, 8845, 8845, 43158},
+		"exhaustive/explore":       {118, 217, 0, 133, 133, 704},
+		"exhaustive/exhaustive":    {3516, 15240, 0, 1596, 1596, 9384},
+	}
+	for _, sub := range subjects {
+		for _, ex := range []struct {
+			name string
+			run  func(*spec.Spec, Options) *Result
+		}{{"explore", Explore}, {"exhaustive", Exhaustive}} {
+			r := ex.run(sub.s, sub.opts)
+			c := r.Stats.Cache
+			got := memoPin{c.BindExactHits, c.BindReplayHits, c.BindInfeasibleHits, c.BindMisses, r.Stats.BindingRuns, r.Stats.BindingNodes}
+			if key := sub.name + "/" + ex.name; got != want[key] {
+				t.Errorf("%s: memo %+v, want %+v", key, got, want[key])
+			}
+		}
 	}
 }
 
@@ -123,6 +228,55 @@ func TestUnadmittedAttemptBuildsNoMap(t *testing.T) {
 			}
 			if n > want {
 				t.Errorf("%s %v: a rejected attempt allocates %v times, want at most %d", sub.name, units, n, want)
+			}
+			return checked < 40
+		})
+		if checked == 0 {
+			t.Fatalf("%s: no attempt checked", sub.name)
+		}
+	}
+}
+
+// TestUnkeptAttemptAllocatesNothing: an attempt at or below the
+// threshold implement is given writes no implemented set and no picks,
+// so on a warm memo it allocates nothing even on a fresh record, whose
+// picks have no capacity to reuse; it still reports its cost and
+// flexibility. Above the threshold the same attempt writes both.
+func TestUnkeptAttemptAllocatesNothing(t *testing.T) {
+	for _, sub := range []struct {
+		name string
+		s    *spec.Spec
+	}{
+		{"settop", models.SetTopBox()},
+		{"synthetic7", models.Synthetic(models.DefaultSynthetic(7))},
+	} {
+		ev := newEvaluator(sub.s, Options{})
+		w := ev.evalScratch()
+		var st Stats
+		checked := 0
+		alloc.EnumerateSymbolicUnits(sub.s, nil, alloc.Options{}, 0, func(units []int, _ float64) bool {
+			kept := ev.implement(units, ev.sup.SupportableUnits(units, w.sup), &w, &st, attempt{}, math.Inf(-1))
+			if !kept.ok {
+				return true
+			}
+			checked++
+			if len(kept.picks) == 0 || kept.implemented.Empty() {
+				t.Fatalf("%s %v: a kept attempt wrote %d picks and clusters %v", sub.name, units, len(kept.picks), kept.implemented)
+			}
+			for _, keep := range []float64{kept.flex, math.Inf(1)} {
+				var at attempt
+				n := testing.AllocsPerRun(20, func() {
+					at = ev.implement(units, ev.sup.SupportableUnits(units, w.sup), &w, &st, attempt{}, keep)
+				})
+				if !at.ok || at.cost != kept.cost || at.flex != kept.flex {
+					t.Errorf("%s %v keep %v: attempt (%v, %v, %v), want (true, %v, %v)", sub.name, units, keep, at.ok, at.cost, at.flex, kept.cost, kept.flex)
+				}
+				if cap(at.picks) != 0 || !at.implemented.Empty() {
+					t.Errorf("%s %v keep %v: an unkept attempt wrote %d picks and clusters %v", sub.name, units, keep, cap(at.picks), at.implemented)
+				}
+				if n != 0 {
+					t.Errorf("%s %v keep %v: an unkept attempt allocates %v times, want 0", sub.name, units, keep, n)
+				}
 			}
 			return checked < 40
 		})

@@ -225,6 +225,9 @@ func (f *multiFold) take(r *candRec) (feasible bool) {
 	return true
 }
 
+// keepAbove is -Inf: take materialises every feasible attempt.
+func (f *multiFold) keepAbove() float64 { return math.Inf(-1) }
+
 // done is always false: a multi-objective front has no flexibility
 // ceiling that ends the scan.
 func (f *multiFold) done() bool { return false }

@@ -357,6 +357,11 @@ type worker struct {
 
 func (w *worker) prune(_ *candRec, est float64) bool { return est <= w.bound }
 
+// keepAbove is the local bound, which is never above the exact fold's
+// fcur at the candidate (see evaluate), so an attempt it drops the picks
+// of is one the exact fold rejects too.
+func (w *worker) keepAbove() float64 { return w.bound }
+
 // evaluate runs one range job on a worker goroutine. The published
 // bound is read once per batch into the worker-local bound, which the
 // worker's own implemented flexibilities then raise: for any candidate

@@ -257,8 +257,8 @@ func BenchmarkExploreParallel(b *testing.B) {
 // number: the benchmark's exhaustive workload (synthetic model 1 with
 // four buses, every possible allocation implemented, useless buses
 // included) through ExploreParallel with 2 workers. Besides B/op and
-// allocs/op it reports the solver runs, the binding-memo replays and
-// the memo's exact-key hits of one run.
+// allocs/op it reports the solver runs and the four binding-memo
+// outcomes of one run: exact hits, replays, infeasible hits and misses.
 func BenchmarkExploreExhaustiveSynthetic(b *testing.B) {
 	p := models.DefaultSynthetic(1)
 	p.Buses = 4
@@ -276,6 +276,8 @@ func BenchmarkExploreExhaustiveSynthetic(b *testing.B) {
 	b.ReportMetric(float64(r.Stats.BindingRuns), "bindruns/op")
 	b.ReportMetric(float64(r.Stats.Cache.BindReplayHits), "replays/op")
 	b.ReportMetric(float64(r.Stats.Cache.BindExactHits), "exacthits/op")
+	b.ReportMetric(float64(r.Stats.Cache.BindInfeasibleHits), "infeashits/op")
+	b.ReportMetric(float64(r.Stats.Cache.BindMisses), "misses/op")
 }
 
 // TestRecycledBatchesMatchInline: fully committed batches go on the

@@ -87,9 +87,13 @@ type fold interface {
 }
 
 // bounder decides whether candidate r, with flexibility estimate est,
-// cannot improve the front and is skipped unimplemented.
+// cannot improve the front and is skipped unimplemented, and names the
+// flexibility an attempt must exceed for the front to keep it: an
+// attempt at or below keepAbove is folded by its cost and flexibility
+// alone, so implement writes no picks for it.
 type bounder interface {
 	prune(r *candRec, est float64) bool
+	keepAbove() float64
 }
 
 // candRec is one candidate's evaluation: what evalOne found and commit
@@ -117,9 +121,10 @@ func (r *candRec) evaluated() bool { return r.estimated || r.diag != nil }
 
 // reset readies the record for the candidate with the given unit
 // indices: every field is zeroed except the storage of the attempt's
-// implemented set and picks, which the next attempt overwrites (see
-// evaluator.bindAll). An admitted attempt's Implementation copies what
-// it keeps, so nothing a front holds aliases that storage.
+// implemented set and picks, which the next attempt the front may keep
+// overwrites (see evaluator.bindAll). An admitted attempt's
+// Implementation copies what it keeps, so nothing a front holds aliases
+// that storage.
 func (r *candRec) reset(units []int) {
 	*r = candRec{units: units, att: attempt{implemented: r.att.implemented, picks: r.att.picks[:0]}}
 }
@@ -172,6 +177,13 @@ func (sc *scan) boundFold(floor float64) *boundFold {
 }
 
 func (f *boundFold) prune(_ *candRec, est float64) bool { return est <= f.fcur }
+
+// keepAbove is fcur. Unless fcur is the floor, which take rejects
+// outright, the front holds a point no costlier than the candidate
+// (costs arrive in nondecreasing order) with flexibility at least fcur,
+// so DominatesPoint rejects an attempt at or below fcur: that point
+// dominates or equals it.
+func (f *boundFold) keepAbove() float64 { return f.fcur }
 
 func (f *boundFold) take(r *candRec) (feasible bool) {
 	at := &r.att
@@ -335,7 +347,7 @@ func (sc *scan) evalOne(r *candRec, idx int, b bounder, w *scratch) {
 	}
 	r.attempted = true
 	w.st = Stats{}
-	r.att = sc.ev.implement(r.units, sup, w, &w.st, r.att)
+	r.att = sc.ev.implement(r.units, sup, w, &w.st, r.att, b.keepAbove())
 	r.ecsTested, r.bindingRuns, r.bindingNodes = w.st.ECSTested, w.st.BindingRuns, w.st.BindingNodes
 }
 

@@ -243,15 +243,17 @@ func run() int {
 	}
 
 	var writer *checkpoint.Writer
+	var stamp checkpoint.Stamp
 	if *ckPath != "" {
+		var err error
+		if stamp, err = checkpoint.NewStamp(s, opts); err != nil {
+			fmt.Fprintln(os.Stderr, "explore:", err)
+			return 1
+		}
 		writer = &checkpoint.Writer{Path: *ckPath}
 		opts.ProgressEvery = *ckEvery
 		opts.Progress = func(p core.Progress) {
-			snap, err := checkpoint.Capture(s, opts, p)
-			if err == nil {
-				err = writer.Save(snap)
-			}
-			if err != nil {
+			if err := writer.Save(stamp.Capture(p)); err != nil {
 				fmt.Fprintln(os.Stderr, "explore:", err)
 			}
 		}
@@ -290,11 +292,7 @@ func run() int {
 	if writer != nil {
 		// Final flush so the snapshot covers the whole explored prefix,
 		// interrupted or not.
-		snap, err := checkpoint.FromResult(s, opts, r)
-		if err == nil {
-			err = writer.Save(snap)
-		}
-		if err != nil {
+		if err := writer.Save(stamp.FromResult(r)); err != nil {
 			fmt.Fprintln(os.Stderr, "explore:", err)
 		}
 	}

@@ -108,17 +108,33 @@ func OptionsDigest(o core.Options) string {
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
-// Capture builds a snapshot from an exploration progress report.
-func Capture(s *spec.Spec, opts core.Options, p core.Progress) (*Snapshot, error) {
+// Stamp is a run's checkpoint identity: the specification name and the
+// two digests every snapshot of the run carries. A run's specification
+// and options never change, so the stamp is computed once, by NewStamp,
+// and each Capture copies it instead of re-encoding the specification.
+type Stamp struct {
+	SpecName   string
+	SpecDigest string
+	OptsDigest string
+}
+
+// NewStamp digests the specification and the exploration options.
+func NewStamp(s *spec.Spec, opts core.Options) (Stamp, error) {
 	sd, err := SpecDigest(s)
 	if err != nil {
-		return nil, err
+		return Stamp{}, err
 	}
+	return Stamp{SpecName: s.Name, SpecDigest: sd, OptsDigest: OptionsDigest(opts)}, nil
+}
+
+// Capture builds a snapshot of the stamped run from an exploration
+// progress report.
+func (st Stamp) Capture(p core.Progress) *Snapshot {
 	snap := &Snapshot{
 		Version:        Version,
-		SpecName:       s.Name,
-		SpecDigest:     sd,
-		OptsDigest:     OptionsDigest(opts),
+		SpecName:       st.SpecName,
+		SpecDigest:     st.SpecDigest,
+		OptsDigest:     st.OptsDigest,
 		Cursor:         p.Cursor,
 		BestFlex:       p.BestFlex,
 		MaxFlexibility: p.MaxFlexibility,
@@ -131,25 +147,36 @@ func Capture(s *spec.Spec, opts core.Options, p core.Progress) (*Snapshot, error
 		}
 		snap.Front = append(snap.Front, fe)
 	}
-	return snap, nil
+	return snap
 }
 
-// FromResult builds a snapshot from a finished (possibly interrupted)
-// exploration result — the final flush before printing a partial front.
-func FromResult(s *spec.Spec, opts core.Options, r *core.Result) (*Snapshot, error) {
+// FromResult builds a snapshot of the stamped run from a finished
+// (possibly interrupted) exploration result — the final flush before
+// printing a partial front.
+func (st Stamp) FromResult(r *core.Result) *Snapshot {
 	best := 0.0
 	for _, im := range r.Front {
 		if im.Flexibility > best {
 			best = im.Flexibility
 		}
 	}
-	return Capture(s, opts, core.Progress{
+	return st.Capture(core.Progress{
 		Cursor:         r.Cursor,
 		BestFlex:       best,
 		MaxFlexibility: r.MaxFlexibility,
 		Front:          r.Front,
 		Stats:          r.Stats,
 	})
+}
+
+// FromResult is Stamp.FromResult for a one-off snapshot: it digests
+// the specification and options for this call alone.
+func FromResult(s *spec.Spec, opts core.Options, r *core.Result) (*Snapshot, error) {
+	st, err := NewStamp(s, opts)
+	if err != nil {
+		return nil, err
+	}
+	return st.FromResult(r), nil
 }
 
 // Writer persists snapshots to Path with atomic write-rename. The zero
@@ -206,17 +233,17 @@ func Load(path string) (*Snapshot, error) {
 // refused because the scan cursor would index a different candidate
 // sequence.
 func (snap *Snapshot) Validate(s *spec.Spec, opts core.Options) error {
-	sd, err := SpecDigest(s)
+	st, err := NewStamp(s, opts)
 	if err != nil {
 		return err
 	}
-	if sd != snap.SpecDigest {
+	if st.SpecDigest != snap.SpecDigest {
 		return fmt.Errorf("checkpoint: spec digest mismatch (snapshot %s taken for %s, current spec %q is %s); refusing to resume",
-			snap.SpecDigest, snap.SpecName, s.Name, sd)
+			snap.SpecDigest, snap.SpecName, s.Name, st.SpecDigest)
 	}
-	if od := OptionsDigest(opts); od != snap.OptsDigest {
+	if st.OptsDigest != snap.OptsDigest {
 		return fmt.Errorf("checkpoint: exploration-options digest mismatch (snapshot %s, current %s); refusing to resume",
-			snap.OptsDigest, od)
+			snap.OptsDigest, st.OptsDigest)
 	}
 	return nil
 }

@@ -30,6 +30,15 @@ func frontsEqual(a, b []*core.Implementation) bool {
 	return true
 }
 
+func mustStamp(t testing.TB, s *spec.Spec, opts core.Options) Stamp {
+	t.Helper()
+	st, err := NewStamp(s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // settleCursor is the cursor at which a default Set-Top box run
 // settles, where a StopAtMaxFlex run stops: the bound prunes every
 // later candidate, so a cancellation or failpoint aimed at or past it
@@ -283,13 +292,9 @@ func TestCrashResumeMatchesUninterrupted(t *testing.T) {
 		ProgressEvery: 50,
 		Fault:         faultinject.New().PanicAt(core.SiteEstimate, crash, "simulated crash"),
 	}
+	st := mustStamp(t, s, opts)
 	opts.Progress = func(p core.Progress) {
-		snap, err := Capture(s, opts, p)
-		if err != nil {
-			t.Errorf("capture: %v", err)
-			return
-		}
-		if err := w.Save(snap); err != nil {
+		if err := w.Save(st.Capture(p)); err != nil {
 			t.Errorf("save: %v", err)
 		}
 	}
@@ -403,16 +408,12 @@ func TestPipelineCheckpointCrossModeResume(t *testing.T) {
 	w := &Writer{Path: path}
 	opts := core.Options{ProgressEvery: 16}
 	saved := false
+	st := mustStamp(t, s, opts)
 	opts.Progress = func(p core.Progress) {
 		if saved || p.Cursor >= full.Cursor {
 			return
 		}
-		snap, err := Capture(s, opts, p)
-		if err != nil {
-			t.Errorf("capture: %v", err)
-			return
-		}
-		if err := w.Save(snap); err != nil {
+		if err := w.Save(st.Capture(p)); err != nil {
 			t.Errorf("save: %v", err)
 			return
 		}
@@ -456,16 +457,12 @@ func TestResumeAcrossBatchSizes(t *testing.T) {
 	// one-candidate ranges and reports every committed candidate.
 	var snap *Snapshot
 	opts := core.Options{ProgressEvery: 1}
+	st := mustStamp(t, s, opts)
 	opts.Progress = func(p core.Progress) {
 		if snap != nil || p.Cursor < 100 || p.Cursor >= full.Cursor {
 			return
 		}
-		sn, err := Capture(s, opts, p)
-		if err != nil {
-			t.Errorf("capture: %v", err)
-			return
-		}
-		snap = sn
+		snap = st.Capture(p)
 	}
 	core.ExploreParallel(s, opts, 4, 8)
 	if snap == nil {

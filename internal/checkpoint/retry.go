@@ -82,7 +82,7 @@ func (p RetryPolicy) backoff(retry int, rng *rand.Rand) time.Duration {
 // matter which attempt succeeded. Exhausting the attempts returns the
 // last error, wrapped with the attempt count.
 func (w *Writer) SaveWithRetry(snap *Snapshot, pol RetryPolicy) error {
-	rng := rand.New(rand.NewSource(pol.Seed))
+	var rng *rand.Rand // seeded at the first retry: most saves never need it
 	sleep := pol.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
@@ -98,6 +98,9 @@ func (w *Writer) SaveWithRetry(snap *Snapshot, pol RetryPolicy) error {
 		}
 		if pol.OnRetry != nil {
 			pol.OnRetry(attempt, err)
+		}
+		if rng == nil {
+			rng = rand.New(rand.NewSource(pol.Seed))
 		}
 		sleep(pol.backoff(attempt, rng))
 	}

@@ -154,3 +154,27 @@ func TestSaveWithRetryFirstAttemptClean(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSaveWithRetryAllocatesLikeSave: a save that succeeds at the first
+// attempt costs no more allocations under SaveWithRetry than a plain
+// Save — the jitter generator is seeded only when a retry needs it.
+func TestSaveWithRetryAllocatesLikeSave(t *testing.T) {
+	if raceDetector {
+		t.Skip("a -race build's sync.Pool drops entries at random; the no-race CI step runs this pin")
+	}
+	snap := retrySnapshot(t)
+	w := &Writer{Path: filepath.Join(t.TempDir(), "ck.json")}
+	save := testing.AllocsPerRun(50, func() {
+		if err := w.Save(snap); err != nil {
+			t.Fatal(err)
+		}
+	})
+	retry := testing.AllocsPerRun(50, func() {
+		if err := w.SaveWithRetry(snap, RetryPolicy{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if retry > save {
+		t.Fatalf("SaveWithRetry allocates %v times per save, Save %v", retry, save)
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/spec"
 )
@@ -82,6 +83,12 @@ type job struct {
 	ckEvery  int
 	periodic bool
 	deadline time.Time // zero = no deadline; absolute, spans suspensions
+
+	// stamp returns the job's checkpoint identity. The spec and options
+	// never change, so it digests them at the job's first save and
+	// returns that stamp to every later save (sync.OnceValues); a job
+	// that never checkpoints never digests its spec.
+	stamp func() (checkpoint.Stamp, error)
 
 	// Guarded by Server.mu.
 	state       State

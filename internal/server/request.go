@@ -1,15 +1,16 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/bind"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/lint"
 	"repro/internal/models"
@@ -175,7 +176,7 @@ func (s *Server) loadSpec(req *Request) (*spec.Spec, *apiError) {
 	case len(req.Spec) == 0 && req.Model == "":
 		return nil, errMalformed(`one of "spec" or "model" is required`)
 	case len(req.Spec) > 0:
-		sp, err := spec.Read(bytes.NewReader(req.Spec))
+		sp, err := spec.Parse(req.Spec)
 		if err != nil {
 			return nil, &apiError{Status: http.StatusBadRequest, Code: CodeBadSpec,
 				Message: fmt.Sprintf("invalid specification: %v", err)}
@@ -252,6 +253,7 @@ func (s *Server) jobFromRequest(req *Request, sp *spec.Spec) (*job, *apiError) {
 			MaxBindNodes:       req.MaxBindNodes,
 		},
 	}
+	j.stamp = sync.OnceValues(func() (checkpoint.Stamp, error) { return checkpoint.NewStamp(j.spec, j.opts) })
 	if deadline > 0 {
 		j.deadline = time.Now().Add(deadline)
 	}

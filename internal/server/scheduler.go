@@ -208,9 +208,9 @@ func (s *Server) runSegment(ctx context.Context, j *job, resume *core.Resume) (r
 	opts.Progress = func(p core.Progress) {
 		s.publishProgress(j, p)
 		if j.periodic {
-			snap, err := checkpoint.Capture(j.spec, j.opts, p)
+			st, err := j.stamp()
 			if err == nil {
-				err = s.saveWithRetry(j, writer, snap)
+				err = s.saveWithRetry(j, writer, st.Capture(p))
 			}
 			if err != nil {
 				s.cfg.logf("%s: periodic checkpoint: %v", j.id, err)
@@ -275,9 +275,9 @@ func (s *Server) park(j *job, res *core.Result, kind suspendKind) {
 	if err := s.cfg.Fault.Fire(SiteSuspend, j.seq); err != nil {
 		s.cfg.logf("%s: suspend fault: %v; parking with in-memory state only", j.id, err)
 	} else {
-		snap, err := checkpoint.FromResult(j.spec, j.opts, res)
+		st, err := j.stamp()
 		if err == nil {
-			err = s.saveWithRetry(j, &checkpoint.Writer{Path: j.ckPath, Fault: s.cfg.Fault}, snap)
+			err = s.saveWithRetry(j, &checkpoint.Writer{Path: j.ckPath, Fault: s.cfg.Fault}, st.FromResult(res))
 		}
 		if err != nil {
 			s.cfg.logf("%s: suspend checkpoint: %v; parking with in-memory state only", j.id, err)
@@ -573,7 +573,11 @@ func (s *Server) drainSnapshot(j *job) (*checkpoint.Snapshot, error) {
 		p.Stats = r.Stats
 		p.BestFlex = bestFlexOf(r.Front)
 	}
-	return checkpoint.Capture(j.spec, j.opts, p)
+	st, err := j.stamp()
+	if err != nil {
+		return nil, err
+	}
+	return st.Capture(p), nil
 }
 
 // CheckpointPath returns the snapshot path of a job id, or "" when the

@@ -125,17 +125,11 @@ func encodeCluster(c *hgraph.Cluster) jsonCluster {
 }
 
 // UnmarshalJSON decodes and validates a specification from the wire
-// format.
+// format. New validates both graphs before the mappings.
 func (s *Spec) UnmarshalJSON(data []byte) error {
 	raw, err := decodeSpec(data)
 	if err != nil {
 		return err
-	}
-	if err := raw.Problem.Validate(); err != nil {
-		return fmt.Errorf("spec %q: problem graph: %w", raw.Name, err)
-	}
-	if err := raw.Arch.Validate(); err != nil {
-		return fmt.Errorf("spec %q: architecture graph: %w", raw.Name, err)
 	}
 	dec, err := New(raw.Name, raw.Problem, raw.Arch, raw.Mappings)
 	if err != nil {
@@ -238,6 +232,12 @@ func Read(r io.Reader) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Parse(data)
+}
+
+// Parse decodes and validates a specification from JSON bytes already
+// in memory.
+func Parse(data []byte) (*Spec, error) {
 	s := &Spec{}
 	if err := s.UnmarshalJSON(data); err != nil {
 		return nil, err

@@ -427,3 +427,36 @@ func TestSummary(t *testing.T) {
 		}
 	}
 }
+
+// TestUnmarshalJSONGraphErrors pins the exact message for a bad problem
+// graph, a bad architecture graph, and both at once (the problem graph
+// is reported first).
+func TestUnmarshalJSONGraphErrors(t *testing.T) {
+	cases := []struct{ name, in, want string }{
+		{
+			"problem",
+			`{"name":"x","problem":{"root":{"id":"p","vertices":[{"id":"a"},{"id":"a"}]}},"arch":{"root":{"id":"t","vertices":[{"id":"r"}]}}}`,
+			`spec "x": problem graph: hgraph "x.problem": 1 problem(s): duplicate ID "a" (vertex and vertex)`,
+		},
+		{
+			"architecture",
+			`{"name":"x","problem":{"root":{"id":"p","vertices":[{"id":"a"}]}},"arch":{"root":{"id":"t","vertices":[{"id":"r"}],"edges":[{"from":"r","to":"q"}]}}}`,
+			`spec "x": architecture graph: hgraph "x.arch": 1 problem(s): edge "t:e0:r->q": target "q" is not a node of cluster "t"`,
+		},
+		{
+			"both",
+			`{"name":"x","problem":{"root":{"id":"p","vertices":[{"id":"a"},{"id":"a"}]}},"arch":{"root":{"id":"t","vertices":[{"id":"r"}],"edges":[{"from":"r","to":"q"}]}}}`,
+			`spec "x": problem graph: hgraph "x.problem": 1 problem(s): duplicate ID "a" (vertex and vertex)`,
+		},
+	}
+	for _, c := range cases {
+		err := (&Spec{}).UnmarshalJSON([]byte(c.in))
+		if err == nil {
+			t.Errorf("%s: UnmarshalJSON accepted an invalid graph", c.name)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s: error\n  %s\nwant\n  %s", c.name, err, c.want)
+		}
+	}
+}

@@ -27,8 +27,20 @@ type Set struct {
 
 // New returns an empty set sized for indices [0, n).
 func New(n int) Set {
-	return Set{w: make([]uint64, (n+63)/64)}
+	return Set{w: make([]uint64, WordsFor(n))}
 }
+
+// WordsFor returns the number of words a set sized for indices [0, n)
+// holds.
+func WordsFor(n int) int { return (n + 63) / 64 }
+
+// Of returns the set whose words are w. The set aliases w: a change to
+// either shows in the other. Sets carved out of one shared word buffer
+// this way cost no allocation each.
+func Of(w []uint64) Set { return Set{w: w} }
+
+// Words returns the set's words, aliasing them (see Of).
+func (s Set) Words() []uint64 { return s.w }
 
 // Has reports whether index i is in the set. Out-of-range indices are
 // reported absent.
@@ -200,6 +212,18 @@ func (s Set) ForEach(fn func(i int) bool) {
 			w &= w - 1
 		}
 	}
+}
+
+// AppendTo appends the set's elements to dst in ascending index order
+// and returns the extended slice.
+func (s Set) AppendTo(dst []int) []int {
+	for wi, w := range s.w {
+		for w != 0 {
+			dst = append(dst, wi<<6|bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+	return dst
 }
 
 // Key returns the set's content as a compact string usable as a map

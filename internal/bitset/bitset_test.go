@@ -111,6 +111,33 @@ func TestUnionCloneForEachKey(t *testing.T) {
 	}
 }
 
+// TestOfAliasesWords: a set built by Of over a window of a shared word
+// buffer reads and writes that window only; Words hands the window
+// back, and AppendTo lists the members in ascending order.
+func TestOfAliasesWords(t *testing.T) {
+	if WordsFor(0) != 0 || WordsFor(1) != 1 || WordsFor(64) != 1 || WordsFor(65) != 2 {
+		t.Fatal("WordsFor")
+	}
+	buf := make([]uint64, 4)
+	a, b := Of(buf[0:2:2]), Of(buf[2:4:4])
+	a.Add(3)
+	a.Add(70)
+	b.Add(0)
+	if buf[0] != 1<<3 || buf[1] != 1<<6 || buf[2] != 1 || buf[3] != 0 {
+		t.Fatalf("words %v", buf)
+	}
+	if &a.Words()[0] != &buf[0] || len(b.Words()) != 2 {
+		t.Fatal("Words does not alias the window")
+	}
+	dst := []int{-1}
+	if got := a.AppendTo(dst); len(got) != 3 || got[0] != -1 || got[1] != 3 || got[2] != 70 {
+		t.Fatalf("AppendTo = %v", got)
+	}
+	if got := New(10).AppendTo(nil); len(got) != 0 {
+		t.Fatalf("AppendTo of the empty set = %v", got)
+	}
+}
+
 func TestSetAgainstMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 200

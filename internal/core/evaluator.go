@@ -30,10 +30,13 @@ import (
 //     EnumerateArchSelections yields, each with its selection and its
 //     partial flattening's spec.ArchLinks, so a candidate's view of a
 //     configuration is one bitset (its present set, mask ∧ avail);
-//   - a binding memo keyed by the run-wide IDs of the (ECS,
-//     configuration) pair holding the solver outcomes in one
-//     append-only list, each beside its present-resource set's
-//     fingerprint, with a monotone-dominance rule: a binding found
+//   - a binding memo per (ECS, configuration) pair, found in the
+//     configuration's table by the ECS's run-wide ID, holding the
+//     solver outcomes by value in one append-only list: each outcome's
+//     present-resource set fingerprint beside its verdict, its present
+//     set and binding in blocks that never move once allocated, so the
+//     dominance scans dereference nothing and a store copies nothing
+//     already stored. A monotone-dominance rule applies: a binding found
 //     feasible under a resource set stays feasible under any superset
 //     (extra resources only add present vertices and links, and the
 //     timing tests depend only on the binding itself), so it is
@@ -56,7 +59,7 @@ import (
 // resource indices, and the attempt records its cost and flexibility.
 // Only an attempt the front may keep — one whose flexibility exceeds
 // the fold's bounder.keepAbove — also records its implemented cluster
-// set and the (ECS, configuration, memo outcome) picks behind it, and
+// set and the (ECS, configuration, memo binding) picks behind it, and
 // only a front admitting the attempt builds the Implementation
 // (materialise): the allocation map, the cluster list and behaviours
 // with private Binding and ArchSelection maps. The many attempts no
@@ -66,9 +69,11 @@ import (
 // and admit tests the objective vector against the front before it
 // builds an entry.
 //
-// All caches are sharded and mutex-striped, so one evaluator is shared
-// by the parallel explorer's workers; counters are atomics, folded into
-// Stats.Cache at progress emissions and on completion.
+// The interning caches are sharded and mutex-striped, each memo has its
+// own mutex, and a configuration's memo table is read lock-free, so one
+// evaluator is shared by the parallel explorer's workers; counters are
+// atomics, folded into Stats.Cache at progress emissions and on
+// completion.
 //
 // With Options.DisableCache the evaluator degrades to the exported
 // Implement/Estimate functions — the uncached reference the
@@ -100,14 +105,12 @@ type evaluator struct {
 	unitTerms [][]float64
 	unitRank  []int
 
-	flats    *shardMap[string, *flatSlot]   // ECS selection string
-	archs    *shardMap[string, *archConfig] // arch selection string
-	cfgLists *shardMap[string, *configList] // allocated-cluster set key
-	binds    *shardMap[uint64, *bindMemo]   // ECS ID << 32 | configuration ID
-	ecss     *shardMap[string, *ecsSlot]    // supportable-set key
+	flats    *shardMap[*flatSlot]   // ECS selection string
+	archs    *shardMap[*archConfig] // arch selection string
+	cfgLists *shardMap[*configList] // allocated-cluster set key
+	ecss     *shardMap[*ecsSlot]    // supportable-set key
 
-	nextECS    atomic.Uint32
-	nextConfig atomic.Uint32
+	nextECS atomic.Uint32
 
 	base CacheStats // counters carried over from Options.Resume
 
@@ -154,11 +157,10 @@ func newEvaluator(s *spec.Spec, opts Options) *evaluator {
 			ev.unitCluster[k] = i
 		}
 	}
-	ev.flats = newStringMap[*flatSlot]()
-	ev.archs = newStringMap[*archConfig]()
-	ev.cfgLists = newStringMap[*configList]()
-	ev.binds = newPairMap[*bindMemo]()
-	ev.ecss = newStringMap[*ecsSlot]()
+	ev.flats = newShardMap[*flatSlot]()
+	ev.archs = newShardMap[*archConfig]()
+	ev.cfgLists = newShardMap[*configList]()
+	ev.ecss = newShardMap[*ecsSlot]()
 	if opts.Resume != nil {
 		ev.base = opts.Resume.Stats.Cache
 	}
@@ -259,11 +261,11 @@ type attempt struct {
 }
 
 // pick is one kept behaviour of an attempt: an ECS, the configuration
-// it was bound under, and the memo outcome holding the binding.
+// it was bound under, and the binding, read-only in the memo.
 type pick struct {
-	en  *ecsEntry
-	cfg *archConfig
-	out *bindOutcome
+	en      *ecsEntry
+	cfg     *archConfig
+	binding []int32
 }
 
 // readyAttempt wraps an implementation built elsewhere (nil when
@@ -368,9 +370,9 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 			if !v.built {
 				v.build(c, avail)
 			}
-			if o, ok := ev.bindFor(en, c, v, w, stats); ok {
+			if b, ok := ev.bindFor(en, c, v, w, stats); ok {
 				feasible.UnionWith(en.bits)
-				picks = append(picks, pick{en: en, cfg: c, out: o})
+				picks = append(picks, pick{en: en, cfg: c, binding: b})
 				break
 			}
 		}
@@ -463,7 +465,7 @@ func (ev *evaluator) materialise(r *candRec) *Implementation {
 		if sel == nil {
 			sel = p.cfg.sel.Clone()
 		}
-		im.Behaviours[i] = Behaviour{ECS: p.en.e, ArchSelection: sel, Binding: p.en.prob.Binding(p.out.binding)}
+		im.Behaviours[i] = Behaviour{ECS: p.en.e, ArchSelection: sel, Binding: p.en.prob.Binding(p.binding)}
 	}
 	return im
 }
@@ -505,7 +507,7 @@ type ecsSlot struct {
 // set instead of once per candidate. The entries are shared and must be
 // treated as read-only.
 func (ev *evaluator) ecsList(sup bitset.Set) []ecsEntry {
-	slot, _ := getOrCreateBytes(ev.ecss, sup.KeyBytes(), func() *ecsSlot { return &ecsSlot{} })
+	slot, _ := ev.ecss.getOrCreateBytes(sup.KeyBytes(), func() *ecsSlot { return &ecsSlot{} })
 	slot.once.Do(func() {
 		cix := ev.sup.Clusters
 		cover.EnumerateFunc(ev.s.Problem, func(id hgraph.ID) bool {
@@ -561,12 +563,18 @@ func (ev *evaluator) flatProblem(sel hgraph.Selection) *flatSlot {
 // selection, shared by every behaviour bound under it until a front
 // admits the behaviour, and its partial flattening's links, on which a
 // candidate's view costs one bitset. links is nil when the selection
-// does not flatten. id is run-wide and keys the binding memo.
+// does not flatten. It holds the binding memos of the ECSs bound under
+// it.
 type archConfig struct {
 	once  sync.Once
-	id    uint32
 	sel   hgraph.Selection
 	links *spec.ArchLinks
+	// memos holds the binding memo of each ECS bound under the
+	// configuration, indexed by the ECS's run-wide ID. A lookup loads
+	// the table and its entry; the table grows, and an entry is set,
+	// only under mu (memo).
+	mu    sync.Mutex
+	memos atomic.Pointer[[]atomic.Pointer[bindMemo]]
 }
 
 // configList interns the architecture configurations of one set of
@@ -596,7 +604,7 @@ func (ev *evaluator) configs(a spec.Allocation) []*archConfig {
 // allocation allocated returns (which must allocate exactly those
 // clusters).
 func (ev *evaluator) configList(set bitset.Set, allocated func() spec.Allocation) []*archConfig {
-	l, _ := getOrCreateBytes(ev.cfgLists, set.KeyBytes(), func() *configList { return &configList{} })
+	l, _ := ev.cfgLists.getOrCreateBytes(set.KeyBytes(), func() *configList { return &configList{} })
 	built := false
 	l.once.Do(func() {
 		built = true
@@ -620,7 +628,7 @@ func (ev *evaluator) configList(set bitset.Set, allocated func() spec.Allocation
 // selection (which the caller may reuse: it is cloned on first use).
 func (ev *evaluator) archConfig(sel hgraph.Selection) *archConfig {
 	c, created := ev.archs.getOrCreate(sel.String(), func() *archConfig {
-		return &archConfig{id: ev.nextConfig.Add(1)}
+		return &archConfig{}
 	})
 	if created {
 		ev.archMisses.Add(1)
@@ -637,27 +645,64 @@ func (ev *evaluator) archConfig(sel hgraph.Selection) *archConfig {
 }
 
 // bindOutcome is one memoized solver verdict for a present-resource
-// set under a fixed (ECS, arch configuration) pair.
+// set under a fixed (ECS, arch configuration) pair, as a memo lookup or
+// store hands it out: a value whose slices alias the memo's storage,
+// read-only.
 type bindOutcome struct {
 	present bitset.Set
 	ok      bool
-	// binding is the solver's, one resource index per leaf of the ECS's
-	// bind.Problem, shared read-only by every attempt that replays it.
-	binding []int32
 	// proof reports the infeasibility was established by an untruncated
 	// search and may therefore be used as a subset-dominance proof.
 	proof bool
+	// binding is the solver's, one resource index per leaf of the ECS's
+	// bind.Problem, shared read-only by every attempt that replays it.
+	binding []int32
 }
 
-// bindMemo collects the solver outcomes of one (ECS, arch
-// configuration) pair in one append-only list, in the order they were
-// solved, with each outcome's present-set fingerprint beside it in fps:
-// an exact lookup compares fingerprints, and only a match pays a set
-// comparison. A present set is stored at most once.
+// memoHead is one stored outcome's present-set fingerprint beside its
+// verdict, so the memo's scans read the heads alone until a set test
+// is due, and, for a feasible outcome, where its binding is: slot slot
+// of binding block block.
+type memoHead struct {
+	fp    uint64
+	block int32
+	slot  uint8
+	ok    bool
+	proof bool
+}
+
+// memoBlock is one block of stored outcomes: their heads and, nw words
+// each, their present sets, and the next block. Its capacity is fixed
+// when it is allocated, so nothing stored in it ever moves.
+type memoBlock struct {
+	heads []memoHead
+	words []uint64
+	next  *memoBlock
+}
+
+// blockCap is the capacity, in outcomes or bindings, of the block a
+// memo allocates after one of capacity prev (0: the first): 4, 8, 16,
+// 32, then 64 each. A pair that stores few outcomes reserves little,
+// and a long list grows without copying what it holds.
+func blockCap(prev int) int { return min(max(2*prev, 4), 64) }
+
+// bindMemo holds the solver outcomes of one (ECS, arch configuration)
+// pair by value, in the order they were solved: the heads and present
+// sets in the blocks from first to last, the feasible outcomes'
+// bindings in binds. Every present set of a pair is over the spec's
+// resources (nw words), and every binding has one index per leaf of the
+// pair's ECS (nl). An exact lookup compares fingerprints, and only a
+// match pays a set comparison. A present set is stored at most once.
 type bindMemo struct {
-	mu   sync.Mutex
-	outs []*bindOutcome
-	fps  []uint64
+	mu     sync.Mutex
+	nw, nl int
+	n      int // outcomes stored
+	first  *memoBlock
+	last   *memoBlock
+	binds  [][]int32
+	// lastFill and lastCap count the bindings in the last block and
+	// its capacity.
+	lastFill, lastCap int
 }
 
 // memoHit is what a memo lookup found.
@@ -673,57 +718,119 @@ const (
 	memoReplay
 )
 
+// present returns the present set of outcome j of block b.
+func (m *bindMemo) present(b *memoBlock, j int) bitset.Set {
+	return bitset.Of(b.words[j*m.nw : (j+1)*m.nw : (j+1)*m.nw])
+}
+
+// outcome returns outcome j of block b.
+func (m *bindMemo) outcome(b *memoBlock, j int) bindOutcome {
+	h := &b.heads[j]
+	o := bindOutcome{present: m.present(b, j), ok: h.ok, proof: h.proof}
+	if h.ok {
+		at := int(h.slot) * m.nl
+		o.binding = m.binds[h.block][at : at+m.nl : at+m.nl]
+	}
+	return o
+}
+
 // lookup finds what the memo knows of the present set (fingerprint fp),
 // in this order: an exact hit, else an infeasibility proven on a
 // superset, else — when replay is allowed — the first feasible outcome
-// in insertion order stored under a subset. The outcome is the memo's:
-// read-only.
-func (m *bindMemo) lookup(present bitset.Set, fp uint64, replay bool) (*bindOutcome, memoHit) {
+// in insertion order stored under a subset.
+func (m *bindMemo) lookup(present bitset.Set, fp uint64, replay bool) (bindOutcome, memoHit) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if o := m.exact(present, fp); o != nil {
+	if o, ok := m.exact(present, fp); ok {
 		return o, memoExact
 	}
-	var sub *bindOutcome
-	for _, o := range m.outs {
-		switch {
-		case !o.ok:
-			if o.proof && present.SubsetOf(o.present) {
-				return nil, memoInfeasible
+	var sub *memoBlock
+	at := 0
+	for b := m.first; b != nil; b = b.next {
+		for j := range b.heads {
+			switch h := &b.heads[j]; {
+			case !h.ok:
+				if h.proof && present.SubsetOf(m.present(b, j)) {
+					return bindOutcome{}, memoInfeasible
+				}
+			case replay && sub == nil && m.present(b, j).SubsetOf(present):
+				sub, at = b, j
 			}
-		case replay && sub == nil && o.present.SubsetOf(present):
-			sub = o
 		}
 	}
 	if sub != nil {
-		return sub, memoReplay
+		return m.outcome(sub, at), memoReplay
 	}
-	return nil, memoMiss
+	return bindOutcome{}, memoMiss
 }
 
-// exact returns the outcome stored under the present set, or nil. The
-// caller holds m.mu.
-func (m *bindMemo) exact(present bitset.Set, fp uint64) *bindOutcome {
-	for i, f := range m.fps {
-		if f == fp && m.outs[i].present.Equal(present) {
-			return m.outs[i]
+// exact returns the outcome stored under the present set. The caller
+// holds m.mu.
+func (m *bindMemo) exact(present bitset.Set, fp uint64) (bindOutcome, bool) {
+	for b := m.first; b != nil; b = b.next {
+		for j := range b.heads {
+			if b.heads[j].fp == fp && m.present(b, j).Equal(present) {
+				return m.outcome(b, j), true
+			}
 		}
 	}
-	return nil
+	return bindOutcome{}, false
 }
 
-// store appends a solver outcome under its present set's fingerprint
-// and returns it — or, when another worker stored the same present set
+// store appends a solver outcome under its present set's fingerprint,
+// copying the set and a feasible outcome's binding into the memo, and
+// returns it — or, when another worker stored the same present set
 // since this one's lookup, the stored outcome, appending nothing.
-func (m *bindMemo) store(out *bindOutcome, fp uint64) *bindOutcome {
+func (m *bindMemo) store(present bitset.Set, fp uint64, ok, proof bool, binding []int32) bindOutcome {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if o := m.exact(out.present, fp); o != nil {
+	if o, found := m.exact(present, fp); found {
 		return o
 	}
-	m.outs = append(m.outs, out)
-	m.fps = append(m.fps, fp)
-	return out
+	words := present.Words()
+	if m.n == 0 {
+		m.nw = len(words)
+	}
+	b := m.last
+	if b == nil || len(b.heads) == cap(b.heads) {
+		size := blockCap(0)
+		if b != nil {
+			size = blockCap(cap(b.heads))
+		}
+		nb := &memoBlock{heads: make([]memoHead, 0, size), words: make([]uint64, 0, size*m.nw)}
+		if b == nil {
+			m.first = nb
+		} else {
+			b.next = nb
+		}
+		b, m.last = nb, nb
+	}
+	h := memoHead{fp: fp, ok: ok, proof: proof}
+	if ok {
+		h.block, h.slot = m.putBinding(binding)
+	}
+	b.heads = append(b.heads, h)
+	b.words = append(b.words, words...)
+	m.n++
+	return m.outcome(b, len(b.heads)-1)
+}
+
+// putBinding copies a feasible outcome's binding into the memo's last
+// binding block, or a new one when it is full, and returns where it is.
+// The caller holds m.mu.
+func (m *bindMemo) putBinding(binding []int32) (block int32, slot uint8) {
+	k := len(m.binds) - 1
+	if k < 0 {
+		m.nl = len(binding)
+	}
+	if k < 0 || m.lastFill == m.lastCap {
+		m.lastCap = blockCap(m.lastCap)
+		m.binds = append(m.binds, make([]int32, m.lastCap*m.nl))
+		k, m.lastFill = k+1, 0
+	}
+	copy(m.binds[k][m.lastFill*m.nl:], binding)
+	m.lastFill++
+	return int32(k), uint8(m.lastFill - 1)
 }
 
 // viewSlot is one configuration's view of the candidate being
@@ -748,16 +855,16 @@ func (v *viewSlot) build(c *archConfig, avail bitset.Set) {
 // replayed and verified under the present superset (unbounded solver
 // only), storing nothing; an infeasibility proven on a superset
 // dominates the present subset. Only on a miss does the solver run, in
-// w's scratch, and its outcome is stored. The returned outcome is the
+// w's scratch, and its outcome is stored. The returned binding is the
 // memo's: read-only. It is nil when infeasible.
-func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratch, stats *Stats) (*bindOutcome, bool) {
-	m, _ := ev.binds.getOrCreate(uint64(en.id)<<32|uint64(c.id), func() *bindMemo { return &bindMemo{} })
+func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratch, stats *Stats) ([]int32, bool) {
+	m := c.memo(en.id)
 	present := v.av.PresentSet()
 	o, hit := m.lookup(present, v.fp, ev.opts.MaxBindNodes == 0)
 	switch hit {
 	case memoExact:
 		ev.bindExactHits.Add(1)
-		return o, o.ok
+		return o.binding, o.ok
 	case memoInfeasible:
 		ev.bindInfeasHits.Add(1)
 		return nil, false
@@ -773,7 +880,7 @@ func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratc
 		// again, and a store would grow the list per replay.
 		if en.prob.Verify(&v.av, o.binding, bopts, &w.bind) == nil {
 			ev.bindReplayHits.Add(1)
-			return o, true
+			return o.binding, true
 		}
 	}
 
@@ -781,60 +888,70 @@ func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratc
 	stats.BindingRuns++
 	res, ok := en.prob.Solve(&v.av, bopts, &w.bind)
 	stats.BindingNodes += res.Nodes
-	out := &bindOutcome{present: present.Clone(), ok: ok}
-	if ok {
-		out.binding = slices.Clone(res.Binding)
-	} else {
-		out.proof = !res.Truncated
-	}
-	if out = m.store(out, v.fp); !out.ok {
-		return nil, false
-	}
-	return out, true
+	o = m.store(present, v.fp, ok, !ok && !res.Truncated, res.Binding)
+	return o.binding, o.ok
 }
 
-// shardMap is a mutex-striped map shared by the parallel explorer's
-// workers; striping keeps contention off the hot path.
-type shardMap[K comparable, V any] struct {
-	hash func(K) uint64
-	// hashBytes hashes a string key given as bytes, like hash (string
-	// maps only; see getOrCreateBytes).
-	hashBytes func([]byte) uint64
-	shards    [32]shard[K, V]
+// memo returns the binding memo of the ECS with run-wide ID id under
+// the configuration, creating it on first use.
+func (c *archConfig) memo(id uint32) *bindMemo {
+	if t := c.memos.Load(); t != nil && int(id) < len(*t) {
+		if m := (*t)[id].Load(); m != nil {
+			return m
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var t []atomic.Pointer[bindMemo]
+	if p := c.memos.Load(); p != nil {
+		t = *p
+	}
+	if int(id) >= len(t) {
+		// Grow by doubling: a lookup still holding the old table finds
+		// every memo it had, and misses only the ones set from now on,
+		// which it then finds here.
+		grown := make([]atomic.Pointer[bindMemo], max(int(id)+1, 2*len(t)))
+		for i := range t {
+			grown[i].Store(t[i].Load())
+		}
+		t = grown
+		c.memos.Store(&t)
+	}
+	m := t[id].Load()
+	if m == nil {
+		m = &bindMemo{}
+		t[id].Store(m)
+	}
+	return m
 }
 
-type shard[K comparable, V any] struct {
+// shardMap is a mutex-striped map over string keys shared by the
+// parallel explorer's workers; striping keeps contention off the hot
+// path.
+type shardMap[V any] struct {
+	seed   maphash.Seed
+	shards [32]shard[V]
+}
+
+type shard[V any] struct {
 	mu sync.Mutex
-	m  map[K]V
+	m  map[string]V
 }
 
-func newShardMap[K comparable, V any](hash func(K) uint64) *shardMap[K, V] {
-	sm := &shardMap[K, V]{hash: hash}
+func newShardMap[V any]() *shardMap[V] {
+	sm := &shardMap[V]{seed: maphash.MakeSeed()}
 	for i := range sm.shards {
-		sm.shards[i].m = map[K]V{}
+		sm.shards[i].m = map[string]V{}
 	}
 	return sm
-}
-
-// newStringMap returns a shardMap over string keys.
-func newStringMap[V any]() *shardMap[string, V] {
-	seed := maphash.MakeSeed()
-	sm := newShardMap[string, V](func(k string) uint64 { return maphash.String(seed, k) })
-	sm.hashBytes = func(b []byte) uint64 { return maphash.Bytes(seed, b) }
-	return sm
-}
-
-// newPairMap returns a shardMap over packed pairs of run-wide IDs.
-func newPairMap[V any]() *shardMap[uint64, V] {
-	return newShardMap[uint64, V](func(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 >> 32 })
 }
 
 // getOrCreate returns the value under key, creating it with mk while
 // holding only the shard's lock. The boolean reports creation (a cache
 // miss). mk must be cheap; expensive construction belongs behind a
 // sync.Once in the stored value.
-func (sm *shardMap[K, V]) getOrCreate(key K, mk func() V) (V, bool) {
-	sh := &sm.shards[sm.hash(key)%uint64(len(sm.shards))]
+func (sm *shardMap[V]) getOrCreate(key string, mk func() V) (V, bool) {
+	sh := &sm.shards[maphash.String(sm.seed, key)%uint64(len(sm.shards))]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if v, ok := sh.m[key]; ok {
@@ -845,11 +962,11 @@ func (sm *shardMap[K, V]) getOrCreate(key K, mk func() V) (V, bool) {
 	return v, true
 }
 
-// getOrCreateBytes is getOrCreate on a string map with the key given as
-// bytes: a lookup that finds the key copies nothing, and only a created
-// entry copies the key into a string.
-func getOrCreateBytes[V any](sm *shardMap[string, V], key []byte, mk func() V) (V, bool) {
-	sh := &sm.shards[sm.hashBytes(key)%uint64(len(sm.shards))]
+// getOrCreateBytes is getOrCreate with the key given as bytes: a lookup
+// that finds the key copies nothing, and only a created entry copies
+// the key into a string.
+func (sm *shardMap[V]) getOrCreateBytes(key []byte, mk func() V) (V, bool) {
+	sh := &sm.shards[maphash.Bytes(sm.seed, key)%uint64(len(sm.shards))]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if v, ok := sh.m[string(key)]; ok {

@@ -63,11 +63,11 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 	if en == nil {
 		t.Fatal("no replayable binding found")
 	}
-	m, _ := ev.binds.getOrCreate(uint64(en.id)<<32|uint64(cfg.id), nil)
-	if m.exact(superset.av.PresentSet(), superset.fp) != nil {
+	m := cfg.memo(en.id)
+	if _, found := m.exact(superset.av.PresentSet(), superset.fp); found {
 		t.Fatal("the superset's present set was solved before its replay")
 	}
-	replays, stored := ev.bindReplayHits.Load(), len(m.outs)
+	replays, stored := ev.bindReplayHits.Load(), m.n
 	n := testing.AllocsPerRun(100, func() {
 		if _, ok := ev.bindFor(en, cfg, &superset, &w, &st); !ok {
 			t.Fatal("the superset replay failed")
@@ -76,7 +76,7 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 	if got := ev.bindReplayHits.Load() - replays; got != 101 {
 		t.Fatalf("%d replays, want 101 (every call a replay)", got)
 	}
-	if got := len(m.outs); got != stored || len(m.fps) != stored {
+	if got := m.n; got != stored {
 		t.Errorf("the replays stored %d outcomes, want none", got-stored)
 	}
 	if n != 0 {
@@ -98,40 +98,126 @@ func TestMemoLookupOrder(t *testing.T) {
 		return s
 	}
 	var m bindMemo
-	add := func(o *bindOutcome) *bindOutcome { return m.store(o, o.present.Fingerprint()) }
-	look := func(present bitset.Set, replay bool) (*bindOutcome, memoHit) {
+	add := func(o bindOutcome) bindOutcome {
+		return m.store(o.present, o.present.Fingerprint(), o.ok, o.proof, o.binding)
+	}
+	look := func(present bitset.Set, replay bool) (bindOutcome, memoHit) {
 		return m.lookup(present, present.Fingerprint(), replay)
 	}
-	feasA := add(&bindOutcome{present: set(1), ok: true})
-	feasB := add(&bindOutcome{present: set(2), ok: true})
-	truncated := add(&bindOutcome{present: set(1, 2, 3, 4)})
-	proven := add(&bindOutcome{present: set(1, 2, 5), proof: true})
+	feasA := add(bindOutcome{present: set(1), ok: true})
+	feasB := add(bindOutcome{present: set(2), ok: true})
+	truncated := add(bindOutcome{present: set(1, 2, 3, 4)})
+	proven := add(bindOutcome{present: set(1, 2, 5), proof: true})
 
 	for _, tc := range []struct {
 		name    string
 		present bitset.Set
 		replay  bool
-		want    *bindOutcome
+		want    bindOutcome
 		hit     memoHit
 	}{
 		{"exact feasible", set(2), true, feasB, memoExact},
 		{"exact truncated", set(1, 2, 3, 4), true, truncated, memoExact},
 		{"exact proven, though a subset replays", set(1, 2, 5), true, proven, memoExact},
-		{"proven superset before a subset replay", set(1, 2), true, nil, memoInfeasible},
-		{"proven superset without replay", set(1, 5), false, nil, memoInfeasible},
+		{"proven superset before a subset replay", set(1, 2), true, bindOutcome{}, memoInfeasible},
+		{"proven superset without replay", set(1, 5), false, bindOutcome{}, memoInfeasible},
 		{"first subset in insertion order", set(1, 2, 3), true, feasA, memoReplay},
 		{"a later subset", set(2, 3), true, feasB, memoReplay},
-		{"no replay under a node bound", set(1, 2, 3), false, nil, memoMiss},
-		{"truncated superset proves nothing", set(3, 4), true, nil, memoMiss},
+		{"no replay under a node bound", set(1, 2, 3), false, bindOutcome{}, memoMiss},
+		{"truncated superset proves nothing", set(3, 4), true, bindOutcome{}, memoMiss},
 	} {
 		o, hit := look(tc.present, tc.replay)
-		if o != tc.want || hit != tc.hit {
-			t.Errorf("%s: lookup %v = (%p, %d), want (%p, %d)", tc.name, tc.present, o, hit, tc.want, tc.hit)
+		if !sameOutcome(o, tc.want) || hit != tc.hit {
+			t.Errorf("%s: lookup %v = (%+v, %d), want (%+v, %d)", tc.name, tc.present, o, hit, tc.want, tc.hit)
 		}
 	}
-	if got := add(&bindOutcome{present: set(2), ok: true}); got != feasB || len(m.outs) != 4 || len(m.fps) != 4 {
-		t.Errorf("a second store of a stored set returned %p with %d outcomes, want the first (%p) and 4", got, len(m.outs), feasB)
+	if got := add(bindOutcome{present: set(2), ok: true}); !sameOutcome(got, feasB) || m.n != 4 {
+		t.Errorf("a second store of a stored set returned %+v with %d outcomes, want the first (%+v) and 4", got, m.n, feasB)
 	}
+}
+
+// TestMemoFingerprintCollision: distinct present sets stored under one
+// fingerprint stay distinct. An exact lookup or a store finds only the
+// very set asked for, a proven infeasibility on a superset stored after
+// a feasible subset still wins over the replay, and a truncated
+// infeasibility proves nothing.
+func TestMemoFingerprintCollision(t *testing.T) {
+	set := func(members ...int) bitset.Set {
+		s := bitset.New(8)
+		for _, i := range members {
+			s.Add(i)
+		}
+		return s
+	}
+	const fp = 42 // every set below is stored and looked up under it
+	var m bindMemo
+	feasible := m.store(set(1), fp, true, false, []int32{7})
+	proven := m.store(set(1, 2, 3), fp, false, true, nil)
+	truncated := m.store(set(1, 2, 3, 4, 5), fp, false, false, nil)
+	if m.n != 3 {
+		t.Fatalf("%d outcomes stored, want all 3", m.n)
+	}
+	if !proven.present.Equal(set(1, 2, 3)) || proven.ok || !proven.proof {
+		t.Fatalf("the second store returned %+v, want its own outcome", proven)
+	}
+	for _, want := range []bindOutcome{feasible, proven, truncated} {
+		got, hit := m.lookup(want.present, fp, true)
+		if hit != memoExact || !sameOutcome(got, want) || !got.present.Equal(want.present) {
+			t.Errorf("exact lookup %v = (%+v, %d), want its own outcome", want.present, got, hit)
+		}
+	}
+	if got := m.store(set(1, 2, 3), fp, true, false, []int32{8}); !sameOutcome(got, proven) || m.n != 3 {
+		t.Errorf("storing a stored set again returned %+v with %d outcomes, want the first and 3", got, m.n)
+	}
+	if got, hit := m.lookup(set(1, 2), fp, true); hit != memoInfeasible {
+		t.Errorf("a subset of the proven set and superset of the feasible one: (%+v, %d), want the infeasibility", got, hit)
+	}
+	if got, hit := m.lookup(set(4, 5), fp, true); hit != memoMiss {
+		t.Errorf("a subset of only the truncated set: (%+v, %d), want a miss", got, hit)
+	}
+	if got, hit := m.lookup(set(1, 4), fp, true); hit != memoReplay || !sameOutcome(got, feasible) || got.binding[0] != 7 {
+		t.Errorf("a superset of the feasible set under the truncated one: (%+v, %d), want the feasible replay", got, hit)
+	}
+	if got, hit := m.lookup(set(6), fp, true); hit != memoMiss {
+		t.Errorf("a set unrelated to every stored one: (%+v, %d), want a miss", got, hit)
+	}
+}
+
+// TestMemoStorageStaysPut: the memo's blocks never move what they hold.
+// An outcome a store handed out earlier — its present set and binding,
+// aliasing the memo — still reads the same, and is the one an exact
+// lookup finds, after hundreds of later stores.
+func TestMemoStorageStaysPut(t *testing.T) {
+	const n = 300
+	var m bindMemo
+	var outs []bindOutcome
+	for i := range n {
+		present := bitset.New(n)
+		present.Add(i)
+		outs = append(outs, m.store(present, present.Fingerprint(), i%3 != 0, i%3 == 0, []int32{int32(i), int32(-i)}))
+	}
+	for i, o := range outs {
+		if !o.present.Has(i) || o.present.Count() != 1 || o.ok && (o.binding[0] != int32(i) || o.binding[1] != int32(-i)) {
+			t.Fatalf("outcome %d reads %v %v", i, o.present, o.binding)
+		}
+		if got, hit := m.lookup(o.present, o.present.Fingerprint(), true); hit != memoExact || !sameOutcome(got, o) {
+			t.Fatalf("outcome %d: exact lookup (%+v, %d), want the stored one", i, got, hit)
+		}
+	}
+}
+
+// sameOutcome reports whether a and b are the same stored outcome: the
+// same verdict over the same memo storage (the zero outcome, none, is
+// only itself).
+func sameOutcome(a, b bindOutcome) bool {
+	aw, bw := a.present.Words(), b.present.Words()
+	if len(aw) == 0 || len(bw) == 0 {
+		return len(aw) == len(bw) && a.ok == b.ok && a.proof == b.proof
+	}
+	if len(a.binding) != len(b.binding) || len(a.binding) > 0 && &a.binding[0] != &b.binding[0] {
+		return false
+	}
+	return &aw[0] == &bw[0] && a.ok == b.ok && a.proof == b.proof
 }
 
 // memoPin is one run's binding-memo outcomes and solver effort: exact,

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/spec"
 )
 
@@ -79,15 +80,140 @@ func (o Options) batchSizeFor(k int) int {
 }
 
 // pipeBatch is one contiguous candidate range travelling through the
-// pipeline: one evaluation record per candidate (indices
-// start..start+len-1 of the cost-ordered enumeration), whose unit
-// indices are windows into units, the batch's one copy of them. A
-// fully committed batch goes back to its run's free list, and the
-// producer refills it, records and their attempt buffers included.
+// pipeline: candidates start..start+n-1 of the cost-ordered
+// enumeration, each given by its unit set (nw words in units), and,
+// once a worker has evaluated them, their results in res — what the
+// ordered commit folds. The rare result that carries more, an attempt
+// the front may keep or a Diag, has a payload in pays. A batch is
+// allocated once, for the largest range job over the spec's units, and
+// goes back to its run's free list once fully committed: the producer
+// refills units and res in place, which never grow, and the payloads
+// keep their storage.
 type pipeBatch struct {
 	start int
-	units []int
-	recs  []candRec
+	n     int
+	units []uint64
+	res   []candResult
+	pays  []payload
+}
+
+// candResult is one candidate's evaluation as its batch carries it: the
+// estimate, the attempt's cost and flexibility, the solver effort of
+// its implementation and what happened (flags). pay is one more than
+// the index of its payload in the batch, or 0 for none. ecsTested and
+// bindingRuns count one candidate's ECSs and solver runs, which stay far
+// below 2^31: the ECSs are listed in memory, and each solver run costs
+// at least a microsecond.
+type candResult struct {
+	est, cost, flex float64
+	bindingNodes    int
+	ecsTested       int32
+	bindingRuns     int32
+	pay             int32
+	flags           resultFlags
+}
+
+type resultFlags uint8
+
+const (
+	resEstimated resultFlags = 1 << iota
+	// resPassed: the candidate passed the worker's bound and reached
+	// the implement failpoint.
+	resPassed
+	resAttempted
+	resOK
+	// resKept: the payload holds the attempt's implemented set and
+	// picks (or, on the uncached path, its implementation).
+	resKept
+)
+
+func flagIf(on bool, f resultFlags) resultFlags {
+	if on {
+		return f
+	}
+	return 0
+}
+
+func (res *candResult) has(f resultFlags) bool { return res.flags&f != 0 }
+
+// payload is what a result carries besides its scalars: an attempt's
+// implemented set, picks and ready implementation, and a Diag.
+type payload struct {
+	implemented bitset.Set
+	picks       []pick
+	im          *Implementation
+	diag        *Diag
+}
+
+// unitSet returns candidate i's unit set, a window of b.units.
+func (b *pipeBatch) unitSet(i, nw int) bitset.Set {
+	return bitset.Of(b.units[i*nw : (i+1)*nw : (i+1)*nw])
+}
+
+// add appends a candidate, given by its unit indices, as its unit set.
+func (b *pipeBatch) add(units []int, nw int) {
+	set := b.unitSet(b.n, nw)
+	set.Clear()
+	for _, k := range units {
+		set.Add(k)
+	}
+	b.n++
+}
+
+// put writes the evaluation in the worker's record r as candidate i's
+// result. keep is the bound r's attempt was implemented under: an
+// attempt above it wrote its implemented set and picks, which the
+// payload copies, beside r's Diag.
+func (b *pipeBatch) put(i int, r *candRec, keep float64) {
+	res := candResult{
+		est: r.est, cost: r.att.cost, flex: r.att.flex,
+		bindingNodes: r.bindingNodes, ecsTested: int32(r.ecsTested), bindingRuns: int32(r.bindingRuns),
+		flags: flagIf(r.estimated, resEstimated) | flagIf(r.site == SiteImplement, resPassed) |
+			flagIf(r.attempted, resAttempted) | flagIf(r.att.ok, resOK),
+	}
+	kept := r.att.im != nil || r.attempted && r.att.ok && r.att.flex > keep
+	if kept || r.diag != nil {
+		if len(b.pays) == cap(b.pays) {
+			b.pays = append(b.pays, payload{})
+		} else {
+			b.pays = b.pays[:len(b.pays)+1]
+		}
+		pay := &b.pays[len(b.pays)-1]
+		pay.picks, pay.im, pay.diag = pay.picks[:0], r.att.im, r.diag
+		if kept {
+			res.flags |= resKept
+			pay.implemented.CopyFrom(r.att.implemented)
+			pay.picks = append(pay.picks, r.att.picks...)
+		}
+		res.pay = int32(len(b.pays))
+	}
+	b.res[i] = res
+}
+
+// record makes r candidate i's commit record: its unit indices, decoded
+// into r's previous buffer, and its result, whose attempt's implemented
+// set and picks alias the payload until the batch is recycled.
+func (b *pipeBatch) record(i, nw int, r *candRec) {
+	res := &b.res[i]
+	*r = candRec{
+		units:     b.unitSet(i, nw).AppendTo(r.units[:0]),
+		site:      SiteEstimate,
+		est:       res.est,
+		estimated: res.has(resEstimated),
+		attempted: res.has(resAttempted),
+		att:       attempt{ok: res.has(resOK), cost: res.cost, flex: res.flex},
+		ecsTested: int(res.ecsTested), bindingRuns: int(res.bindingRuns), bindingNodes: res.bindingNodes,
+	}
+	if res.has(resPassed) {
+		r.site = SiteImplement
+	}
+	if res.pay > 0 {
+		pay := &b.pays[res.pay-1]
+		r.diag = pay.diag
+		if res.has(resKept) {
+			r.att.implemented, r.att.picks, r.att.im = pay.implemented, pay.picks, pay.im
+		}
+	}
 }
 
 // pipeline is the worker pool of a parallel scan. The workers share
@@ -101,25 +227,25 @@ type pipeline struct {
 	// down; workers treat it as a fast-path skip.
 	done chan struct{}
 	wg   sync.WaitGroup
+	// nw is the number of words of a candidate's unit set.
+	nw int
 
-	// Producer state: the open range job's start and size, and its
-	// candidates' unit indices, staged in buffers reused across jobs
-	// (candidate i's indices end at offset ends[i] of stage); the jobs
-	// not yet taken back; and the committed batches for close to refill
-	// (per run: a record's picks point into this run's memo).
-	curStart  int
+	// Producer state: the open range job and its size; the jobs not yet
+	// taken back; and the committed batches to refill (per run: a
+	// payload's picks point into this run's memo).
+	open      *pipeBatch
 	curSize   int
-	stage     []int
-	ends      []int
 	emitted   int
 	cancelled bool
 	inflight  int
 	free      []*pipeBatch
 
-	// Reorder buffer: finished ranges wait in pending for next.
+	// Reorder buffer: finished ranges wait in pending for next. rec is
+	// the commit record every result is folded through.
 	next    int
 	pending map[int]*pipeBatch
 	stopped bool
+	rec     candRec
 
 	// Gauges (see PipelineStats).
 	stalls, batches, publishes, highWater, maxBatch int
@@ -143,6 +269,7 @@ func (sc *scan) startPool(workers, queue int) *pipeline {
 		jobs:    make(chan *pipeBatch, queue),
 		results: make(chan *pipeBatch, queue+workers),
 		done:    make(chan struct{}),
+		nw:      bitset.WordsFor(len(sc.ev.units)),
 		next:    sc.res.Cursor,
 		pending: map[int]*pipeBatch{},
 	}
@@ -164,51 +291,45 @@ func (sc *scan) startPool(workers, queue int) *pipeline {
 	return p
 }
 
-// push appends a candidate's unit indices, borrowed from the source, to
-// the open range job and dispatches the job when full. It reports
-// whether the scan goes on.
+// push writes a candidate's unit indices, borrowed from the source,
+// into the open range job as its unit set, and dispatches the job when
+// full. It reports whether the scan goes on.
 func (p *pipeline) push(units []int) bool {
 	if p.sc.ctx.Err() != nil {
 		p.cancelled = true
 		return false
 	}
-	if len(p.ends) == 0 {
+	b := p.open
+	if b == nil {
+		b = p.take()
 		// The source has counted this candidate, so its index is one
 		// less.
-		p.curStart = p.sc.possible - 1
+		b.start = p.sc.possible - 1
 		p.curSize = p.sc.opts.batchSizeFor(p.emitted)
+		p.open = b
 	}
-	p.stage = append(p.stage, units...)
-	p.ends = append(p.ends, len(p.stage))
-	if len(p.ends) < p.curSize {
+	b.add(units, p.nw)
+	if b.n < p.curSize {
 		return true
 	}
 	p.emitted++
-	return p.send(p.close())
+	p.open = nil
+	return p.send(b)
 }
 
-// close turns the open range job into a batch — a recycled one when
-// the free list has one: one copy of the staged unit indices, and a
-// reset record per candidate windowing it.
-func (p *pipeline) close() *pipeBatch {
-	var b *pipeBatch
+// take returns an empty batch for the next range job: a recycled one
+// when the free list has one, its last job's results zeroed, else a new
+// one sized for the largest range job.
+func (p *pipeline) take() *pipeBatch {
 	if n := len(p.free); n > 0 {
-		b, p.free = p.free[n-1], p.free[:n-1]
-	} else {
-		// Records for the largest range job, so a recycled batch never
-		// grows (and never drops the buffers of the records it has).
-		b = &pipeBatch{recs: make([]candRec, 0, p.sc.opts.batchSizeFor(math.MaxInt))}
+		b := p.free[n-1]
+		p.free = p.free[:n-1]
+		clear(b.res[:b.n])
+		b.n, b.pays = 0, b.pays[:0]
+		return b
 	}
-	b.start = p.curStart
-	b.units = append(b.units[:0], p.stage...)
-	b.recs = b.recs[:len(p.ends)]
-	lo := 0
-	for i, hi := range p.ends {
-		b.recs[i].reset(b.units[lo:hi:hi])
-		lo = hi
-	}
-	p.stage, p.ends = p.stage[:0], p.ends[:0]
-	return b
+	size := p.sc.opts.batchSizeFor(math.MaxInt)
+	return &pipeBatch{units: make([]uint64, size*p.nw), res: make([]candResult, size)}
 }
 
 // send hands b to the workers. While it waits for room it commits the
@@ -227,7 +348,7 @@ func (p *pipeline) send(b *pipeBatch) bool {
 		select {
 		case jobs <- b:
 			p.inflight++
-			p.maxBatch = max(p.maxBatch, len(b.recs))
+			p.maxBatch = max(p.maxBatch, b.n)
 			p.highWater = max(p.highWater, len(p.jobs))
 			// Yield once, after the first dispatch, so the first range
 			// job starts before the producer fills the queue: on a
@@ -275,8 +396,9 @@ func (p *pipeline) receive(b *pipeBatch) bool {
 // reports whether the scan goes on.
 func (p *pipeline) commitBatch(b *pipeBatch) bool {
 	entry := p.sc.f.best()
-	for i := range b.recs {
-		if !p.sc.commit(b.start+i, &b.recs[i]) {
+	for i := range b.n {
+		b.record(i, p.nw, &p.rec)
+		if !p.sc.commit(b.start+i, &p.rec) {
 			p.stopped = true
 			close(p.done)
 			return false
@@ -286,17 +408,18 @@ func (p *pipeline) commitBatch(b *pipeBatch) bool {
 		p.storeBound(f)
 	}
 	p.batches++
-	p.next = b.start + len(b.recs)
+	p.next = b.start + b.n
 	return true
 }
 
 // finish dispatches the scan tail and commits until no range job is in
 // flight, then settles a cancellation only the producer observed.
 func (p *pipeline) finish() {
-	if len(p.ends) > 0 && !p.cancelled {
+	if b := p.open; b != nil && !p.cancelled {
 		// A partial final range. If send fails the scan already stopped
 		// and the tail is irrelevant.
-		p.send(p.close())
+		p.open = nil
+		p.send(b)
 	}
 	for p.inflight > 0 {
 		p.receive(<-p.results)
@@ -349,9 +472,11 @@ func (p *pipeline) storeBound(f float64) {
 }
 
 // worker is a pool worker's private state: its scalar flexibility
-// bound and its evaluation scratch.
+// bound, the record it evaluates every candidate in, like the inline
+// scan's, and its evaluation scratch.
 type worker struct {
 	bound float64
+	rec   candRec
 	scratch
 }
 
@@ -376,7 +501,8 @@ func (p *pipeline) evaluate(b *pipeBatch, w *worker) {
 	start := time.Now() //flexvet:ignore FX006 busy gauge: elapsed time is telemetry, never part of results
 	defer func() { p.busy.Add(time.Since(start).Nanoseconds()) }()
 	w.bound = p.loadBound()
-	for i := range b.recs {
+	r := &w.rec
+	for i := range b.n {
 		select {
 		case <-p.done:
 			// The scan ended at an earlier candidate, or the pool is
@@ -385,11 +511,12 @@ func (p *pipeline) evaluate(b *pipeBatch, w *worker) {
 		default:
 		}
 		if p.sc.ctx.Err() != nil {
-			// The record stays unevaluated: the commit stops there.
+			// The result stays unevaluated: the commit stops there.
 			return
 		}
-		r := &b.recs[i]
+		r.reset(b.unitSet(i, p.nw).AppendTo(r.units[:0]))
 		p.evalIsolated(r, b.start+i, w)
+		b.put(i, r, w.bound)
 		if !r.evaluated() {
 			return
 		}

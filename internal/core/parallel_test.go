@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/alloc"
 	"repro/internal/bitset"
@@ -456,6 +457,166 @@ func TestRecycledRecordStartsClean(t *testing.T) {
 	rest.units, rest.att.implemented, rest.att.picks = nil, bitset.Set{}, nil
 	if !reflect.DeepEqual(rest, candRec{}) {
 		t.Errorf("reset left %+v", rest)
+	}
+}
+
+// batchPipeline is the producer side of a parallel scan of the
+// exhaustive workload's spec, without workers: enough to take, fill and
+// recycle batches.
+func batchPipeline() *pipeline {
+	s, opts := exhaustiveSpec()
+	sc := newScan(context.Background(), s, opts)
+	return &pipeline{sc: sc, nw: bitset.WordsFor(len(sc.ev.units))}
+}
+
+// keptRecord is a worker record holding an attempt a front may keep,
+// with n picks, for candidate units.
+func keptRecord(units []int, n int) candRec {
+	implemented := bitset.New(70)
+	implemented.Add(3)
+	implemented.Add(69)
+	return candRec{
+		units: units, site: SiteImplement, est: 3, estimated: true, attempted: true,
+		att: attempt{
+			ok: true, cost: 5, flex: 2, implemented: implemented,
+			picks: make([]pick, n),
+		},
+		ecsTested: 4, bindingRuns: 6, bindingNodes: 1 << 40,
+	}
+}
+
+// TestRecycledBatchAllocatesNothing: refilling a recycled batch — a
+// full range job of candidates at the spec's maximum unit count, each
+// with a kept attempt's payload — allocates nothing: the unit words and
+// results are sized once, and the payloads keep their storage.
+func TestRecycledBatchAllocatesNothing(t *testing.T) {
+	p := batchPipeline()
+	all := make([]int, len(p.sc.ev.units))
+	for k := range all {
+		all[k] = k
+	}
+	r := keptRecord(all, 3)
+	fill := func() {
+		b := p.take()
+		for i := range len(b.res) {
+			b.add(all, p.nw)
+			b.put(i, &r, 0)
+		}
+		p.free = append(p.free[:0], b)
+	}
+	fill()
+	if n := testing.AllocsPerRun(20, fill); n != 0 {
+		t.Errorf("refilling a recycled batch allocates %v times, want 0", n)
+	}
+	b := p.free[0]
+	if got := b.unitSet(len(b.res)-1, p.nw).AppendTo(nil); !slices.Equal(got, all) {
+		t.Errorf("the last candidate's units read %v, want %v", got, all)
+	}
+}
+
+// TestFreshBatchAllocBytes: a new batch for a full range job on the
+// exhaustive spec (64 candidates over 12 units) allocates at most 64
+// bytes per candidate, unit words included — against 176 bytes per
+// record plus the unit indices before results were compact.
+func TestFreshBatchAllocBytes(t *testing.T) {
+	const perCandidate = 64
+	p := batchPipeline()
+	if b := p.take(); len(b.res) != 64 {
+		t.Fatalf("a fresh batch holds %d candidates, want 64", len(b.res))
+	}
+	if size := int(unsafe.Sizeof(candResult{})) + 8*p.nw; size > perCandidate {
+		t.Errorf("a candidate takes %d bytes, want at most %d", size, perCandidate)
+	}
+	const n = 100
+	batches := make([]*pipeBatch, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range batches {
+		batches[i] = p.take()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 64*perCandidate {
+		t.Errorf("a fresh 64-candidate batch allocates %d bytes, want at most %d", per, 64*perCandidate)
+	}
+}
+
+// TestRecycledResultStartsClean: take hands out a recycled batch with
+// every result of its last job zeroed — each field of candResult is set
+// beforehand, so a field take forgets fails — and its payloads emptied
+// but kept for reuse.
+func TestRecycledResultStartsClean(t *testing.T) {
+	dirty := candResult{est: 1, cost: 2, flex: 3, bindingNodes: 4, ecsTested: 5, bindingRuns: 6, pay: 1, flags: resKept}
+	v := reflect.ValueOf(dirty)
+	for i := range v.NumField() {
+		if v.Field(i).IsZero() {
+			t.Fatalf("candResult.%s is unset in the dirty result", v.Type().Field(i).Name)
+		}
+	}
+	p := batchPipeline()
+	b := p.take()
+	for i := range b.res {
+		b.add([]int{i % len(p.sc.ev.units)}, p.nw)
+		b.res[i] = dirty
+	}
+	b.pays = append(b.pays, payload{picks: make([]pick, 2), diag: &Diag{}})
+	p.free = append(p.free, b)
+	got := p.take()
+	if got != b || got.n != 0 {
+		t.Fatalf("take returned a batch of %d candidates, want the recycled one, empty", got.n)
+	}
+	for i, res := range got.res {
+		if res != (candResult{}) {
+			t.Fatalf("result %d left %+v", i, res)
+		}
+	}
+	if len(got.pays) != 0 || cap(got.pays) != 1 || cap(got.pays[:1][0].picks) != 2 {
+		t.Errorf("payloads len %d cap %d: want the old storage, empty", len(got.pays), cap(got.pays))
+	}
+}
+
+// TestBatchResultCarriesRecord: what a worker's record puts into a batch
+// is what the commit's record reads back — every field of candRec but
+// the allocation map, which the commit builds on demand. An attempt at
+// or below the worker's bound carries no implemented set and no picks;
+// a Diag and an uncached path's ready implementation always ride along.
+func TestBatchResultCarriesRecord(t *testing.T) {
+	p := batchPipeline()
+	full := keptRecord([]int{1, 4, 7}, 2)
+	full.att.picks[1].binding = []int32{9}
+	full.att.im = &Implementation{Cost: 5}
+	full.diag = &Diag{Message: "boom"}
+	v := reflect.ValueOf(full)
+	for i := range v.NumField() {
+		if name := v.Type().Field(i).Name; v.Field(i).IsZero() && name != "a" {
+			t.Fatalf("candRec.%s is unset in the full record", name)
+		}
+	}
+	unkept := keptRecord([]int{0, 11}, 2)
+	estimated := candRec{units: []int{2}, site: SiteEstimate, est: 1, estimated: true}
+
+	for _, tc := range []struct {
+		name string
+		r    candRec
+		keep float64
+		want candRec
+	}{
+		{"full", full, 0, full},
+		{"unkept", unkept, 2, func() candRec {
+			w := unkept
+			w.att.implemented, w.att.picks = bitset.Set{}, nil
+			return w
+		}()},
+		{"estimated", estimated, 0, estimated},
+	} {
+		b := p.take()
+		b.add(tc.r.units, p.nw)
+		b.put(0, &tc.r, tc.keep)
+		var got candRec
+		b.record(0, p.nw, &got)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: the commit reads\n%+v\nwant\n%+v", tc.name, got, tc.want)
+		}
+		p.free = append(p.free, b)
 	}
 }
 

@@ -101,7 +101,8 @@ type bounder interface {
 // scan's cancellation reached first.
 type candRec struct {
 	// units are the candidate's ascending indices into alloc.Units(s),
-	// borrowed from the walk (inline) or the batch (pool). a is its
+	// borrowed from the walk (inline) or decoded from the batch's unit
+	// set (pool: pipeBatch.record and the worker's record). a is its
 	// allocation map, built only when a Diag, a fold's bound or
 	// admission asks for it (evaluator.allocation).
 	units        []int
@@ -122,9 +123,11 @@ func (r *candRec) evaluated() bool { return r.estimated || r.diag != nil }
 // reset readies the record for the candidate with the given unit
 // indices: every field is zeroed except the storage of the attempt's
 // implemented set and picks, which the next attempt the front may keep
-// overwrites (see evaluator.bindAll). An admitted attempt's
-// Implementation copies what it keeps, so nothing a front holds aliases
-// that storage.
+// overwrites (see evaluator.bindAll). The inline scan and each pool
+// worker evaluate every candidate in one such record; a worker copies a
+// kept attempt's set and picks into its batch's payloads
+// (pipeBatch.put). An admitted attempt's Implementation copies what it
+// keeps, so nothing a front holds aliases that storage.
 func (r *candRec) reset(units []int) {
 	*r = candRec{units: units, att: attempt{implemented: r.att.implemented, picks: r.att.picks[:0]}}
 }

@@ -79,36 +79,9 @@ func enumerateSymbolic(s *spec.Spec, base spec.Allocation, opts Options, start i
 // when that number does not fit in an int. It is the model count of
 // the function the walk held, computed only when length is called.
 func EnumerateSymbolicUnits(s *spec.Spec, base spec.Allocation, opts Options, start int, fn func(units []int, cost float64) bool) (stats Stats, length func() (int, bool)) {
-	m, f, units := Symbolic(s)
-	n := len(units)
-	if !opts.IncludeUselessComm {
-		f = m.Apply(boolfunc.And, f, commConstraint(s, m, units))
-	}
-	// SearchSpace counts the units outside base, so a base element that
-	// is not an allocatable unit empties the stream without changing
-	// the count.
-	free := n
-	if len(base) > 0 {
-		pos := make(map[hgraph.ID]int, n)
-		for k, u := range units {
-			pos[u.ID] = k
-		}
-		unknown := false
-		for id := range base {
-			k, ok := pos[id]
-			if !ok {
-				unknown = true
-				continue
-			}
-			f = m.Apply(boolfunc.And, f, m.Var(k))
-			free--
-		}
-		if unknown {
-			f = m.False()
-		}
-	}
+	m, f, units, free := possibleFunction(s, base, opts)
 	stats = Stats{SearchSpace: SearchSpace(free)}
-	costs := make([]float64, n)
+	costs := make([]float64, len(units))
 	for i, u := range units {
 		costs[i] = u.Cost
 	}
@@ -131,6 +104,40 @@ func EnumerateSymbolicUnits(s *spec.Spec, base spec.Allocation, opts Options, st
 	stats.Scanned = e.Visited()
 	stats.BudgetCut = e.BudgetCut()
 	return stats, func() (int, bool) { return modelCount(m, f) }
+}
+
+// possibleFunction builds the function EnumerateSymbolicUnits walks:
+// the possible allocations of s, without useless buses unless
+// opts.IncludeUselessComm, restricted to supersets of base. free counts
+// the units outside base; a base element that is not an allocatable
+// unit makes the function false without changing that count.
+func possibleFunction(s *spec.Spec, base spec.Allocation, opts Options) (m *boolfunc.Manager, f boolfunc.Node, units []Unit, free int) {
+	m, f, units = Symbolic(s)
+	n := len(units)
+	if !opts.IncludeUselessComm {
+		f = conjoinBusRules(s, m, f, units)
+	}
+	free = n
+	if len(base) > 0 {
+		pos := make(map[hgraph.ID]int, n)
+		for k, u := range units {
+			pos[u.ID] = k
+		}
+		unknown := false
+		for id := range base {
+			k, ok := pos[id]
+			if !ok {
+				unknown = true
+				continue
+			}
+			f = m.Apply(boolfunc.And, f, m.Var(k))
+			free--
+		}
+		if unknown {
+			f = m.False()
+		}
+	}
+	return m, f, units, free
 }
 
 // modelCount returns the number of satisfying assignments of f, and
@@ -161,19 +168,23 @@ func AllocationOf(units []Unit, idx []int) spec.Allocation {
 	return a
 }
 
-// commConstraint encodes the useless-bus rule as a BDD: every allocated
+// conjoinBusRules conjoins the useless-bus rule into f: every allocated
 // bus unit must connect at least two allocated functional units — the
 // same adjacency and threshold the bitset scan tests per subset with
-// scanEnv.uselessComm, here conjoined once into the characteristic
-// function.
-func commConstraint(s *spec.Spec, m *boolfunc.Manager, units []Unit) boolfunc.Node {
+// scanEnv.uselessComm. Each bus's rule is conjoined straight into f,
+// the bus with the highest variable first. The order changes only how
+// many intermediate nodes the manager creates: on the 22-unit `wide`
+// spec, whose function reaches 206, this order creates 267, ascending
+// order 652, and chaining the rules before conjoining the chain 659
+// (docs/symbolic.md).
+func conjoinBusRules(s *spec.Spec, m *boolfunc.Manager, f boolfunc.Node, units []Unit) boolfunc.Node {
 	pos := make(map[hgraph.ID]int, len(units))
 	for k, u := range units {
 		pos[u.ID] = k
 	}
 	adj := commAdjacency(s, units)
-	out := m.True()
-	for k, u := range units {
+	for k := len(units) - 1; k >= 0; k-- {
+		u := units[k]
 		if !u.Comm {
 			continue
 		}
@@ -182,9 +193,9 @@ func commConstraint(s *spec.Spec, m *boolfunc.Manager, units []Unit) boolfunc.No
 			vars = append(vars, pos[other])
 		}
 		sort.Ints(vars)
-		out = m.Apply(boolfunc.And, out, busRule(m, k, vars))
+		f = m.Apply(boolfunc.And, f, busRule(m, k, vars))
 	}
-	return out
+	return f
 }
 
 // busRule builds "¬x_k ∨ at least two neighbours" bottom-up over vars,

@@ -1,12 +1,14 @@
 package alloc
 
 import (
+	"fmt"
 	"math/big"
 	"math/bits"
 	"sort"
 	"testing"
 
 	"repro/internal/boolfunc"
+	"repro/internal/hgraph"
 	"repro/internal/models"
 	"repro/internal/spec"
 )
@@ -361,5 +363,152 @@ func TestModelCount(t *testing.T) {
 		if ok != c.ok || ok && uint64(n) != c.want {
 			t.Errorf("%s: count %d (%v), want %d (%v)", c.name, n, ok, c.want, c.ok)
 		}
+	}
+}
+
+// chainPossibleFunction is possibleFunction as it was built before the
+// bus rules were conjoined into the function one by one: the rules are
+// first conjoined into a chain of their own, lowest bus variable first,
+// and the chain into the function. It is the oracle of
+// TestPossibleFunctionBottomUp.
+func chainPossibleFunction(s *spec.Spec, base spec.Allocation) (*boolfunc.Manager, boolfunc.Node, []Unit) {
+	m, f, units := Symbolic(s)
+	pos := make(map[hgraph.ID]int, len(units))
+	for k, u := range units {
+		pos[u.ID] = k
+	}
+	adj := commAdjacency(s, units)
+	chain := m.True()
+	for k, u := range units {
+		if !u.Comm {
+			continue
+		}
+		vars := []int{k}
+		for other := range adj[u.ID] {
+			vars = append(vars, pos[other])
+		}
+		sort.Ints(vars)
+		chain = m.Apply(boolfunc.And, chain, busRule(m, k, vars))
+	}
+	f = m.Apply(boolfunc.And, f, chain)
+	for id := range base {
+		f = m.Apply(boolfunc.And, f, m.Var(pos[id]))
+	}
+	return m, f, units
+}
+
+// walkPrefix returns the first limit candidates of the cost-ordered
+// walk of f, one string of unit indices and cost each, and the nodes
+// the walk visited to reach them.
+func walkPrefix(m *boolfunc.Manager, f boolfunc.Node, units []Unit, limit int) ([]string, int) {
+	costs := make([]float64, len(units))
+	for i, u := range units {
+		costs[i] = u.Cost
+	}
+	e := m.NewCostEnum(f, costs)
+	var out []string
+	for len(out) < limit {
+		idx, cost, ok := e.Next()
+		if !ok {
+			break
+		}
+		out = append(out, fmt.Sprint(idx, cost))
+	}
+	return out, e.Visited()
+}
+
+// TestPossibleFunctionBottomUp: conjoining each bus rule straight into
+// the possible-set function, highest bus variable first, builds the
+// same function as the chain of rules conjoined at the end — the same
+// model count and the same walk, candidate for candidate and visit for
+// visit over the first 4,096 candidates — with and without a base. The
+// manager's node count after the build is pinned from above.
+func TestPossibleFunctionBottomUp(t *testing.T) {
+	cases := []struct {
+		name string
+		s    *spec.Spec
+		// Size() after the build, without and with the base.
+		nodes, baseNodes int
+	}{
+		{"settop", models.SetTopBox(), 213, 268},
+		{"sdr", models.SDR(), 75, 102},
+		{"synthetic2", models.Synthetic(models.DefaultSynthetic(2)), 211, 264},
+		{"synthetic3", models.Synthetic(models.DefaultSynthetic(3)), 179, 233},
+		{"wide", models.Synthetic(models.ScaledSynthetic(1, 22)), 267, 376},
+		{"scaled30", models.Synthetic(models.ScaledSynthetic(1, 30)), 1177, 1641},
+		{"scaled50", models.Synthetic(models.ScaledSynthetic(1, 50)), 21964, 30185},
+	}
+	for _, c := range cases {
+		units := Units(c.s)
+		// The base is the cheapest functional unit.
+		var base spec.Allocation
+		for _, u := range units {
+			if !u.Comm {
+				base = spec.Allocation{u.ID: true}
+				break
+			}
+		}
+		for _, b := range []spec.Allocation{nil, base} {
+			label, limit := c.name, c.nodes
+			if b != nil {
+				label, limit = c.name+"/base", c.baseNodes
+			}
+			m, f, _, _ := possibleFunction(c.s, b, Options{})
+			om, of, _ := chainPossibleFunction(c.s, b)
+			if got, want := m.SatCountBig(f), om.SatCountBig(of); got.Cmp(want) != 0 {
+				t.Fatalf("%s: bottom-up function has %v models, chain %v", label, got, want)
+			}
+			got, gotVisits := walkPrefix(m, f, units, 4096)
+			want, wantVisits := walkPrefix(om, of, units, 4096)
+			if len(got) != len(want) || gotVisits != wantVisits {
+				t.Fatalf("%s: bottom-up walk emitted %d in %d visits, chain %d in %d", label, len(got), gotVisits, len(want), wantVisits)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: candidate %d is %s, chain %s", label, i, got[i], want[i])
+				}
+			}
+			if m.Size() > limit {
+				t.Errorf("%s: the build created %d nodes, want at most %d", label, m.Size(), limit)
+			}
+		}
+	}
+}
+
+// BenchmarkSymbolicWalk is the producer layer on its own: the walk
+// EnumerateSymbolicUnits runs for the explorers, building no
+// allocation map. Set-Top runs its whole stream, wide (the 22-unit
+// benchmark workload) the 642 candidates it walks before its front
+// reaches full flexibility, and the 50-unit scaled synthetic a
+// 4,096-candidate prefix. nodes is the manager's node count after the
+// build.
+func BenchmarkSymbolicWalk(b *testing.B) {
+	cases := []struct {
+		name  string
+		s     *spec.Spec
+		limit int
+	}{
+		{"settop", models.SetTopBox(), 0},
+		{"wide", models.Synthetic(models.ScaledSynthetic(1, 22)), 642},
+		{"units=50", models.Synthetic(models.ScaledSynthetic(1, 50)), 4096},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			m, _, _, _ := possibleFunction(c.s, nil, Options{})
+			var st Stats
+			emitted := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				emitted = 0
+				st, _ = EnumerateSymbolicUnits(c.s, nil, Options{}, 0, func([]int, float64) bool {
+					emitted++
+					return c.limit == 0 || emitted < c.limit
+				})
+			}
+			b.ReportMetric(float64(st.Scanned), "visited")
+			b.ReportMetric(float64(emitted), "emitted")
+			b.ReportMetric(float64(m.Size()), "nodes")
+		})
 	}
 }

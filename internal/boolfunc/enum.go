@@ -86,52 +86,65 @@ type CostEnum struct {
 	minMemo  []float64
 	zeroMemo []int8
 
-	// The frontier is flat. h holds value entries; each entry's index
-	// set is a row of `words` words in arena, bit i standing for
-	// variable i. A popped node hands its row to one of its children
-	// and a childless node frees it; free rows form a list threaded
-	// through their first word, headed by free (-1 when empty), and
-	// rows counts the rows ever handed out. The heap and the arena
-	// grow by doubling, so a walk allocates O(log live nodes) times
-	// rather than per visited node. buf is the reused Next result.
-	h     enumHeap
-	arena []uint64
-	words int
-	rows  int32
-	free  int32
-	buf   []int
+	// The frontier is a heap of record ids over records that never
+	// move. Record r holds a live node's key, restriction, last index
+	// and its index set as a row of `words` words, bit i standing for
+	// variable i. Records sit in blocks of blockRecords, found by the
+	// id's high bits and, within the block, its low bits. A popped node
+	// hands its record to one of its children and a childless node
+	// frees it; free records form a list threaded through their row's
+	// first word, headed by free (-1 when empty), and rows counts the
+	// records ever handed out. When all are taken, grow adds as many
+	// blocks as exist, so a walk allocates O(log peak frontier) times
+	// rather than per visited node, and copies only the heap's ids and
+	// the block table, never a record. buf is the reused Next result.
+	h      []int32
+	blocks []*recBlock
+	words  int
+	rows   int32
+	free   int32
+	buf    []int
 }
 
-// enumEntry is one live subset-tree node: its key (see CostEnum), the
+// recBlock holds blockRecords frontier records. A one-word row sits in
+// its record, so the sifts' tie test reads nothing else; with the rows
+// beside the records the Set-Top walk ran about 10% slower. A row of
+// more than one word lives outside its record, slot i's in
+// rows[i·words : (i+1)·words]; rows is nil when rows are one word.
+type recBlock struct {
+	recs [blockRecords]record
+	rows []uint64
+}
+
+// record is a live subset-tree node: its key (see CostEnum), the
 // function restricted by the node's bits on every variable below its
 // last index (the last variable itself is resolved lazily, because the
-// replace child needs its false branch), the arena row holding its
-// index set, and that set's largest index, with atKey set when the
-// node's own cost equals its key. A node's cost is not stored: it is
-// the key under atKey, and key − minNE(pre, last) + costs[last]
-// otherwise, exact under the guard.
-type enumEntry struct {
+// replace child needs its false branch), the index set's largest
+// index, with atKey set when the node's own cost equals its key, and
+// the index set's row when it is one word. A node's cost is not
+// stored: it is the key under atKey, and key − minNE(pre, last) +
+// costs[last] otherwise, exact under the guard.
+type record struct {
 	key  float64
 	pre  Node
-	row  int32
 	last uint32
+	row  [1]uint64
 }
 
-// atKey is the enumEntry.last bit marking a node whose cost is its key.
+// atKey is the record.last bit marking a node whose cost is its key.
 const atKey = 1 << 31
 
-// index returns the entry's largest index.
-func (x *enumEntry) index() int { return int(x.last &^ atKey) }
+// Record r is slot r&blockMask of block r>>blockShift.
+const (
+	blockShift   = 6
+	blockRecords = 1 << blockShift
+	blockMask    = blockRecords - 1
+)
 
-// enumHeap is a binary min-heap of frontier entries under
-// CostEnum.less, sifted by hand (CostEnum.up and down) so entries stay
-// unboxed values. less is a strict total order on distinct subsets, so
-// the pop sequence is independent of push order and heap layout.
-type enumHeap []enumEntry
-
-// minFrontier is the initial capacity, in entries and in rows, of a
-// walk's heap and arena.
-const minFrontier = 64
+// minFrontier is the record capacity of a walk's first batch of
+// blocks; each later batch doubles the capacity. The heap's capacity
+// follows the records', so a push never grows it.
+const minFrontier = blockRecords
 
 // NewCostEnum prepares a cost-ordered enumeration of the satisfying
 // assignments of f. costs must have one non-negative entry per manager
@@ -198,7 +211,9 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 		e.visited++
 		if e.m.numVars > 0 {
 			if h := e.minNE(e.f, 0); !math.IsInf(h, 1) {
-				e.push(e.entry(0, h, e.f, e.singleton(0), 0))
+				r := e.singleton(0)
+				e.set(r, 0, h, e.f, 0)
+				e.push(r)
 			}
 		}
 		if e.zeroSat(e.f) {
@@ -213,19 +228,20 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 		}
 		// The top stays in place until a child overwrites it, which
 		// saves the sift of a separate pop; the children may take over
-		// its row, so read everything it still needs first.
+		// its record, so read everything it still needs first.
 		cur := e.h[0]
+		x := *e.rec(cur)
 		e.visited++
-		last := cur.index()
-		cost := cur.key
-		if cur.last&atKey == 0 {
-			cost = cur.key - e.minNE(cur.pre, last) + e.costs[last]
+		last := int(x.last &^ atKey)
+		cost := x.key
+		if x.last&atKey == 0 {
+			cost = x.key - e.minNE(x.pre, last) + e.costs[last]
 		}
-		n0, n1 := e.m.cofactors(cur.pre, int32(last))
+		n0, n1 := e.m.cofactors(x.pre, int32(last))
 		sat := e.zeroSat(n1)
 		if sat {
 			e.emitted++
-			e.buf = e.appendIndices(e.buf[:0], cur.row)
+			e.buf = e.appendIndices(e.buf[:0], cur)
 		}
 		// The children's subtrees share the child's bits below its last
 		// index and contain exactly the subsets whose first further
@@ -240,22 +256,24 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 		}
 		ext, rep := !math.IsInf(hExt, 1), !math.IsInf(hRep, 1)
 		if ext {
-			r := cur.row
+			r := cur
 			if rep {
 				r = e.newRow()
-				copy(e.row(r), e.row(cur.row))
+				copy(e.row(r), e.row(cur))
 			}
 			e.row(r)[next>>6] |= 1 << (next & 63)
-			e.place(e.entry(cost, hExt, n1, r, next), true)
+			e.set(r, cost, hExt, n1, next)
+			e.place(r, true)
 		}
 		if rep {
-			row := e.row(cur.row)
+			row := e.row(cur)
 			row[last>>6] &^= 1 << (last & 63)
 			row[next>>6] |= 1 << (next & 63)
-			e.place(e.entry(cost-e.costs[last], hRep, n0, cur.row, next), !ext)
+			e.set(cur, cost-e.costs[last], hRep, n0, next)
+			e.place(cur, !ext)
 		}
 		if !ext && !rep {
-			e.freeRow(cur.row)
+			e.freeRow(cur)
 			e.popTop()
 		}
 		if sat {
@@ -265,30 +283,49 @@ func (e *CostEnum) Next() (trueVars []int, cost float64, ok bool) {
 	return nil, 0, false
 }
 
-// entry builds the frontier entry of the subset-tree node with largest
-// index k, restriction p and index-set row r, from the cost pc of its
-// elements below k and h = minNE(p, k), which must be finite. Without
-// the guard h is 0, and the key is the node's cost, summed as the plain
-// scan sums it.
-func (e *CostEnum) entry(pc, h float64, p Node, r int32, k int) enumEntry {
-	if h != e.hcosts[k] {
-		return enumEntry{key: pc + h, pre: p, row: r, last: uint32(k)}
+// set writes record r as the subset-tree node with largest index k and
+// restriction p, from the cost pc of its elements below k and
+// h = minNE(p, k), which must be finite; the row must already hold the
+// node's index set. Without the guard h is 0, and the key is the node's
+// cost, summed as the plain scan sums it.
+func (e *CostEnum) set(r int32, pc, h float64, p Node, k int) {
+	x := e.rec(r)
+	x.key, x.pre, x.last = pc+h, p, uint32(k)
+	if h == e.hcosts[k] {
+		x.key, x.last = pc+e.costs[k], uint32(k)|atKey
 	}
-	return enumEntry{key: pc + e.costs[k], pre: p, row: r, last: uint32(k) | atKey}
 }
 
-// less orders frontier entries by key, then nodes below their key
+// rec returns record r.
+func (e *CostEnum) rec(r int32) *record {
+	return &e.blocks[r>>blockShift].recs[r&blockMask]
+}
+
+// less orders frontier records by key, then nodes below their key
 // before nodes at it, then by descending lexicographic index sequence —
 // the equal-cost tie-break of alloc.subsetHeap.Less, which the type
 // comment relies on for stream identity.
-func (e *CostEnum) less(a, b *enumEntry) bool {
-	if a.key != b.key {
-		return a.key < b.key
+func (e *CostEnum) less(a, b int32) bool {
+	return e.before(e.rec(a), e.rec(b), a, b)
+}
+
+// before is less for records x = rec(a) and y = rec(b) already found,
+// so a sift finds each record it compares once. It inlines, and only
+// equal keys reach the call to tied.
+func (e *CostEnum) before(x, y *record, a, b int32) bool {
+	return x.key < y.key || x.key == y.key && e.tied(x, y, a, b)
+}
+
+// tied is before for records of equal keys.
+func (e *CostEnum) tied(x, y *record, a, b int32) bool {
+	if kx, ky := x.last&atKey, y.last&atKey; kx != ky {
+		return ky != 0
 	}
-	if ka, kb := a.last&atKey, b.last&atKey; ka != kb {
-		return kb != 0
+	ra, rb := x.row[:], y.row[:]
+	if e.words > 1 {
+		ra, rb = e.row(a), e.row(b)
 	}
-	return tieBefore(e.row(a.row), e.row(b.row), int32(a.index()), int32(b.index()))
+	return tieBefore(ra, rb, int32(x.last&^atKey), int32(y.last&^atKey))
 }
 
 // tieBefore reports whether the index set a precedes b in descending
@@ -314,27 +351,25 @@ func tieBefore(a, b []uint64, lastA, lastB int32) bool {
 	return false
 }
 
-// push adds x to the frontier, doubling the heap when full.
-func (e *CostEnum) push(x enumEntry) {
-	if len(e.h) == cap(e.h) {
-		e.h = append(make(enumHeap, 0, max(2*cap(e.h), minFrontier)), e.h...)
-	}
-	e.h = append(e.h, x)
+// push adds record r to the frontier. The heap holds as many ids as
+// there are records, so it never grows here.
+func (e *CostEnum) push(r int32) {
+	e.h = append(e.h, r)
 	e.up(len(e.h) - 1)
 }
 
-// place adds x to the frontier, into the popped top's slot when
+// place adds record r to the frontier, into the popped top's slot when
 // intoTop is set.
-func (e *CostEnum) place(x enumEntry, intoTop bool) {
+func (e *CostEnum) place(r int32, intoTop bool) {
 	if !intoTop {
-		e.push(x)
+		e.push(r)
 		return
 	}
-	e.h[0] = x
+	e.h[0] = r
 	e.down(0)
 }
 
-// popTop removes the heap's top entry.
+// popTop removes the heap's top id.
 func (e *CostEnum) popTop() {
 	n := len(e.h) - 1
 	e.h[0] = e.h[n]
@@ -347,12 +382,14 @@ func (e *CostEnum) popTop() {
 func (e *CostEnum) up(j int) {
 	h := e.h
 	x := h[j]
+	xr := e.rec(x)
 	for j > 0 {
 		i := (j - 1) / 2
-		if !e.less(&x, &h[i]) {
+		p := h[i]
+		if !e.before(xr, e.rec(p), x, p) {
 			break
 		}
-		h[j] = h[i]
+		h[j] = p
 		j = i
 	}
 	h[j] = x
@@ -362,53 +399,83 @@ func (e *CostEnum) down(i int) {
 	h := e.h
 	n := len(h)
 	x := h[i]
+	xr := e.rec(x)
 	for {
 		j := 2*i + 1
 		if j >= n {
 			break
 		}
-		if r := j + 1; r < n && e.less(&h[r], &h[j]) {
-			j = r
+		c := h[j]
+		cr := e.rec(c)
+		if r := j + 1; r < n {
+			d := h[r]
+			dr := e.rec(d)
+			if e.before(dr, cr, d, c) {
+				j, c, cr = r, d, dr
+			}
 		}
-		if !e.less(&h[j], &x) {
+		if !e.before(cr, xr, c, x) {
 			break
 		}
-		h[i] = h[j]
+		h[i] = c
 		i = j
 	}
 	h[i] = x
 }
 
-// row returns arena row r.
+// row returns record r's index-set row.
 func (e *CostEnum) row(r int32) []uint64 {
-	off := int(r) * e.words
-	return e.arena[off : off+e.words]
+	b, i := e.blocks[r>>blockShift], int(r&blockMask)
+	if e.words == 1 {
+		return b.recs[i].row[:]
+	}
+	return b.rows[i*e.words : (i+1)*e.words]
 }
 
-// newRow takes a row off the free list, or hands out a fresh one,
-// doubling the arena when it is full. The row's contents are
+// newRow takes a record off the free list, or hands out a fresh one,
+// growing the blocks when all are taken. The record's contents are
 // unspecified.
 func (e *CostEnum) newRow() int32 {
 	if r := e.free; r >= 0 {
-		e.free = int32(uint32(e.arena[int(r)*e.words]))
+		e.free = int32(uint32(e.row(r)[0]))
 		return r
 	}
-	if need := int(e.rows+1) * e.words; need > len(e.arena) {
-		grown := make([]uint64, max(2*len(e.arena), minFrontier*e.words))
-		copy(grown, e.arena)
-		e.arena = grown
+	if int(e.rows) == len(e.blocks)<<blockShift {
+		e.grow()
 	}
 	e.rows++
 	return e.rows - 1
 }
 
-// freeRow puts row r on the free list.
+// grow doubles the record capacity (to minFrontier at first) with one
+// batch of blocks, and one of their rows when rows are longer than a
+// word, appended to the block table. Records already handed out stay
+// where they are; the heap's ids move to a slice of the new capacity.
+func (e *CostEnum) grow() {
+	n := max(len(e.blocks)<<blockShift, minFrontier)
+	batch := make([]recBlock, n>>blockShift)
+	var rows []uint64
+	if e.words > 1 {
+		rows = make([]uint64, n*e.words)
+	}
+	size := blockRecords * e.words
+	for i := range batch {
+		b := &batch[i]
+		if rows != nil {
+			b.rows = rows[i*size : (i+1)*size : (i+1)*size]
+		}
+		e.blocks = append(e.blocks, b)
+	}
+	e.h = append(make([]int32, 0, len(e.blocks)<<blockShift), e.h...)
+}
+
+// freeRow puts record r on the free list.
 func (e *CostEnum) freeRow(r int32) {
-	e.arena[int(r)*e.words] = uint64(uint32(e.free))
+	e.row(r)[0] = uint64(uint32(e.free))
 	e.free = r
 }
 
-// singleton returns a new row holding the index set {k}.
+// singleton returns a new record whose row holds the index set {k}.
 func (e *CostEnum) singleton(k int) int32 {
 	r := e.newRow()
 	row := e.row(r)
@@ -417,8 +484,8 @@ func (e *CostEnum) singleton(k int) int32 {
 	return r
 }
 
-// appendIndices appends the elements of row r to dst in ascending
-// order.
+// appendIndices appends the elements of record r's row to dst in
+// ascending order.
 func (e *CostEnum) appendIndices(dst []int, r int32) []int {
 	for w, word := range e.row(r) {
 		for word != 0 {

@@ -3,15 +3,17 @@ package boolfunc
 import (
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
-// entryOf stores the nonempty ascending index set idx in a fresh row
-// of e's arena and returns its frontier entry keyed by its own cost
-// under e's costs, as a node whose cost is its key.
-func entryOf(e *CostEnum, idx []int) enumEntry {
+// recordOf stores the nonempty ascending index set idx in a fresh
+// record of e, keyed by its own cost under e's costs as a node whose
+// cost is its key, and returns the record and that cost.
+func recordOf(e *CostEnum, idx []int) (int32, float64) {
 	r := e.newRow()
 	row := e.row(r)
 	clear(row)
@@ -20,7 +22,9 @@ func entryOf(e *CostEnum, idx []int) enumEntry {
 		row[k>>6] |= 1 << (k & 63)
 		cost += e.costs[k]
 	}
-	return enumEntry{key: cost, row: r, last: uint32(idx[len(idx)-1]) | atKey}
+	x := e.rec(r)
+	x.key, x.last = cost, uint32(idx[len(idx)-1])|atKey
+	return r, cost
 }
 
 // randomSet draws a nonempty ascending subset of [0, n) of a random
@@ -126,10 +130,11 @@ func TestPropFrontierLessMatchesReference(t *testing.T) {
 				if !ok {
 					continue
 				}
-				ea, eb := entryOf(e, a), entryOf(e, b)
-				want := ea.key < eb.key || ea.key == eb.key && refBefore(a, b)
-				if e.less(&ea, &eb) != want || e.less(&eb, &ea) == want {
-					t.Logf("n=%d kind=%d: less(%v, %v) = %v, want %v", n, kind, a, b, e.less(&ea, &eb), want)
+				ra, ca := recordOf(e, a)
+				rb, cb := recordOf(e, b)
+				want := ca < cb || ca == cb && refBefore(a, b)
+				if e.less(ra, rb) != want || e.less(rb, ra) == want {
+					t.Logf("n=%d kind=%d: less(%v, %v) = %v, want %v", n, kind, a, b, e.less(ra, rb), want)
 					return false
 				}
 			}
@@ -391,8 +396,9 @@ func atMost(m *Manager, k int) Node {
 
 // TestCostEnumAllocsConstant walks a 22-variable function to
 // exhaustion and requires the walk's allocations to stay a small
-// constant — the frontier grows by doubling — rather than grow with
-// the tens of thousands of nodes it visits.
+// constant — the frontier adds a batch of blocks only when its
+// capacity doubles — rather than grow with the tens of thousands of
+// nodes it visits.
 func TestCostEnumAllocsConstant(t *testing.T) {
 	const n = 22
 	m := NewManager(n)
@@ -417,5 +423,67 @@ func TestCostEnumAllocsConstant(t *testing.T) {
 	}
 	if allocs > 64 {
 		t.Errorf("walk of %d visits allocated %v times, want at most 64", visited, allocs)
+	}
+}
+
+// TestCostEnumRecordsStayPut walks until the frontier has grown by at
+// least three batches of blocks and requires record 0's row to sit
+// where it was first written: growth adds blocks and never moves a
+// record. It runs on one-word rows and on three-word rows.
+func TestCostEnumRecordsStayPut(t *testing.T) {
+	for _, c := range []struct{ n, k int }{{22, 5}, {130, 3}} {
+		m := NewManager(c.n)
+		f := atMost(m, c.k)
+		costs := make([]float64, c.n)
+		for i := range costs {
+			costs[i] = 1 + float64(i/4)
+		}
+		e := m.NewCostEnum(f, costs)
+		e.Next()
+		first := &e.row(0)[0]
+		// Four batches: minFrontier, then three doublings.
+		for len(e.blocks)*blockRecords < 8*minFrontier {
+			if _, _, ok := e.Next(); !ok {
+				t.Fatalf("n=%d: walk ended at %d records, before its fourth batch", c.n, len(e.blocks)*blockRecords)
+			}
+		}
+		if got := &e.row(0)[0]; got != first {
+			t.Errorf("n=%d: record 0's row moved when the frontier grew to %d records", c.n, len(e.blocks)*blockRecords)
+		}
+	}
+}
+
+// TestCostEnumAllocBytes walks a 22-variable function to exhaustion and
+// bounds the bytes the walk allocates: the memo tables plus at most
+// 2.5 times its peak live records, each counted with its heap id. A
+// frontier that copied its records as it grew would pay for them again
+// at every doubling.
+func TestCostEnumAllocBytes(t *testing.T) {
+	const n = 22
+	m := NewManager(n)
+	f := atMost(m, 5)
+	costs := make([]float64, n)
+	for i := range costs {
+		costs[i] = 1 + float64(i/4)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e := m.NewCostEnum(f, costs)
+	for {
+		if _, _, ok := e.Next(); !ok {
+			break
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if e.Emitted() != 35443 {
+		t.Fatalf("walk emitted %d models, want 35443", e.Emitted())
+	}
+	recordBytes := int(unsafe.Sizeof(record{})) + 4
+	memo := 8*len(e.minMemo) + len(e.zeroMemo)
+	got := int(after.TotalAlloc - before.TotalAlloc)
+	limit := memo + 5*int(e.rows)*recordBytes/2
+	t.Logf("allocated %d bytes: %d peak records of %d bytes, memo tables %d", got, e.rows, recordBytes, memo)
+	if got > limit {
+		t.Errorf("walk allocated %d bytes, want at most %d (%d peak records of %d bytes, memo tables %d)", got, limit, e.rows, recordBytes, memo)
 	}
 }

@@ -933,17 +933,16 @@ type shardMap[V any] struct {
 	shards [32]shard[V]
 }
 
+// shard is one stripe. Its map is made on the shard's first insert, so
+// a run that never touches a shard pays nothing for it; a lookup in the
+// nil map misses.
 type shard[V any] struct {
 	mu sync.Mutex
 	m  map[string]V
 }
 
 func newShardMap[V any]() *shardMap[V] {
-	sm := &shardMap[V]{seed: maphash.MakeSeed()}
-	for i := range sm.shards {
-		sm.shards[i].m = map[string]V{}
-	}
-	return sm
+	return &shardMap[V]{seed: maphash.MakeSeed()}
 }
 
 // getOrCreate returns the value under key, creating it with mk while
@@ -958,6 +957,9 @@ func (sm *shardMap[V]) getOrCreate(key string, mk func() V) (V, bool) {
 		return v, false
 	}
 	v := mk()
+	if sh.m == nil {
+		sh.m = map[string]V{}
+	}
 	sh.m[key] = v
 	return v, true
 }
@@ -973,6 +975,9 @@ func (sm *shardMap[V]) getOrCreateBytes(key []byte, mk func() V) (V, bool) {
 		return v, false
 	}
 	v := mk()
+	if sh.m == nil {
+		sh.m = map[string]V{}
+	}
 	sh.m[string(key)] = v
 	return v, true
 }

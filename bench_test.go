@@ -417,40 +417,30 @@ func BenchmarkE15_SymbolicCount(b *testing.B) {
 }
 
 // BenchmarkExploreSynthetic — the evaluation-cache benchmark: one
-// EXPLORE run over a mid-size synthetic spec with the cross-candidate
-// caches on (the default) and off (the -cache=off legacy path). The
-// flexibility bound is disabled so every possible allocation is
-// implemented — the candidate-evaluation hot path the caches target,
-// not the subset scan around it. The acceptance bar is ≥2× fewer
-// allocs/op cached; the custom metrics record the per-run cache hit
-// rates behind the saving.
+// EXPLORE run over a mid-size synthetic spec. The flexibility bound is
+// disabled so every possible allocation is implemented — the
+// candidate-evaluation hot path the caches target, not the subset scan
+// around it. The custom metrics record the per-run cache hit rates.
 func BenchmarkExploreSynthetic(b *testing.B) {
 	p := models.SyntheticParams{Seed: 11, Apps: 3, Depth: 1, Branch: 3,
 		Vertices: 2, Processors: 2, ASICs: 3, Designs: 3, Buses: 6,
 		TimedFraction: 0.4, AccelOnlyFraction: 0.3}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"cached", false}, {"uncached", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s := models.Synthetic(p)
-			var st core.Stats
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st = core.Explore(s, core.Options{
-					DisableCache: mode.disable, DisableFlexBound: true, MaxScan: 50000,
-				}).Stats
-			}
-			b.ReportMetric(float64(st.BindingRuns), "binding_runs")
-			if n := st.Cache.BindHits() + st.Cache.BindMisses; n > 0 {
-				b.ReportMetric(float64(st.Cache.BindHits())/float64(n), "bind_hit_rate")
-			}
-			if n := st.Cache.FlattenHits + st.Cache.FlattenMisses; n > 0 {
-				b.ReportMetric(float64(st.Cache.FlattenHits)/float64(n), "flatten_hit_rate")
-			}
-		})
-	}
+	b.Run("cached", func(b *testing.B) {
+		s := models.Synthetic(p)
+		var st core.Stats
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st = core.Explore(s, core.Options{DisableFlexBound: true, MaxScan: 50000}).Stats
+		}
+		b.ReportMetric(float64(st.BindingRuns), "binding_runs")
+		if n := st.Cache.BindHits() + st.Cache.BindMisses; n > 0 {
+			b.ReportMetric(float64(st.Cache.BindHits())/float64(n), "bind_hit_rate")
+		}
+		if n := st.Cache.FlattenHits + st.Cache.FlattenMisses; n > 0 {
+			b.ReportMetric(float64(st.Cache.FlattenHits)/float64(n), "flatten_hit_rate")
+		}
+	})
 	// Worker-count variants of the same run through the pipelined
 	// explorer (workers-1 routes to the sequential path). The front and
 	// the semantic stats are identical across all of them — the variants

@@ -153,17 +153,21 @@ func e7() {
 	fmt.Printf("symbolic BDD count                   : %.0f\n", alloc.CountPossible(s))
 	// The paper's ~1050 counts possible allocations whose estimated
 	// flexibility exceeds the implemented one, over the bus-pruned set.
-	over := 0
+	var possible []spec.Allocation
 	alloc.EnumerateSymbolicRange(s, alloc.Options{}, 0, func(c alloc.Candidate) bool {
-		implemented := 0.0
-		if im := core.Implement(s, c.Allocation, core.Options{}, nil); im != nil {
-			implemented = im.Flexibility
-		}
-		if core.Estimate(s, c.Allocation, core.Options{}) > implemented {
-			over++
-		}
+		possible = append(possible, c.Allocation)
 		return true
 	})
+	over := 0
+	for i, im := range core.ImplementAll(s, possible, core.Options{}) {
+		implemented := 0.0
+		if im != nil {
+			implemented = im.Flexibility
+		}
+		if core.Estimate(s, possible[i], core.Options{}) > implemented {
+			over++
+		}
+	}
 	fmt.Printf("estimate > implemented (paper ~1050) : %d of %d bus-pruned possible allocations\n",
 		over, r.Stats.PossibleAllocations)
 	fmt.Printf("EXPLORE implementation attempts      : %d unpruned / %d bus-pruned\n",

@@ -56,7 +56,6 @@ type cliFlags struct {
 	timeout         time.Duration
 	checkpoint      string
 	resume          bool
-	cache           string
 	timing          string
 	prof            profiling.Flags
 	explicit        map[string]bool
@@ -119,9 +118,6 @@ func (f *cliFlags) problems() []string {
 	if f.explicit["stop-at-max"] && (f.algo != "explore" || f.objectives != "") {
 		out = append(out, "-stop-at-max only applies to -algo explore without -objectives")
 	}
-	if f.cache != "on" && f.cache != "off" {
-		out = append(out, "-cache must be on or off")
-	}
 	if _, err := bind.ParseTiming(f.timing); err != nil {
 		out = append(out, "-timing: "+err.Error())
 	}
@@ -156,7 +152,6 @@ func run() int {
 	ckPath := flag.String("checkpoint", "", "periodically write an atomic resume snapshot to this file")
 	ckEvery := flag.Int("checkpoint-every", 64, "candidates between periodic checkpoints")
 	resume := flag.Bool("resume", false, "continue the scan from the -checkpoint snapshot")
-	cache := flag.String("cache", "on", "cross-candidate evaluation caches: on | off (off is the uncached differential/ablation baseline)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	tracePath := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -166,7 +161,7 @@ func run() int {
 		algo: *algo, model: *model, objectives: *objectives, upgradeFrom: *upgradeFrom,
 		asJSON: *asJSON, tsv: *tsv, stats: *stats,
 		workers: *workers, iters: *iters, checkpointEvery: *ckEvery,
-		timeout: *timeout, checkpoint: *ckPath, resume: *resume, cache: *cache, timing: *timing,
+		timeout: *timeout, checkpoint: *ckPath, resume: *resume, timing: *timing,
 		prof:     profiling.Flags{CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *tracePath},
 		explicit: map[string]bool{},
 	}
@@ -202,7 +197,7 @@ func run() int {
 	}
 
 	policy, _ := bind.ParseTiming(*timing) // validated by problems
-	opts := core.Options{Timing: policy, Weighted: *weighted, StopAtMaxFlex: *stopMax, DisableCache: *cache == "off"}
+	opts := core.Options{Timing: policy, Weighted: *weighted, StopAtMaxFlex: *stopMax}
 
 	// A SIGINT cancels the scan instead of killing the process: the
 	// explorers return their prefix-exact partial front, a final

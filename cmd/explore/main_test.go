@@ -12,7 +12,7 @@ import (
 func baseFlags() *cliFlags {
 	return &cliFlags{
 		algo: "explore", workers: 1, iters: 1000, checkpointEvery: 64,
-		cache: "on", timing: "paper", explicit: map[string]bool{},
+		timing: "paper", explicit: map[string]bool{},
 	}
 }
 
@@ -38,7 +38,6 @@ func TestFlagValidationAccepts(t *testing.T) {
 		},
 		func(f *cliFlags) { f.algo = "exhaustive"; f.checkpoint = "ck.json"; f.resume = true },
 		func(f *cliFlags) { f.timeout = 1 },
-		func(f *cliFlags) { f.cache = "off" },
 		func(f *cliFlags) { f.objectives = "latency,power" },
 		func(f *cliFlags) { f.upgradeFrom = "uP2" },
 		func(f *cliFlags) { f.upgradeFrom = "uP2"; f.explicit["stop-at-max"] = true },
@@ -95,7 +94,6 @@ func TestFlagValidationRejects(t *testing.T) {
 		{func(f *cliFlags) { f.algo = "random"; f.explicit["stop-at-max"] = true }, "-stop-at-max only applies"},
 		{func(f *cliFlags) { f.algo = "ea"; f.explicit["stop-at-max"] = true }, "-stop-at-max only applies"},
 		{func(f *cliFlags) { f.objectives = "power"; f.explicit["stop-at-max"] = true }, "-stop-at-max only applies"},
-		{func(f *cliFlags) { f.cache = "maybe" }, "-cache"},
 		{func(f *cliFlags) { f.timing = "bogus" }, "-timing"},
 		{func(f *cliFlags) { f.prof.CPUProfile = "p.out"; f.prof.Trace = "p.out" }, "same file"},
 	}

@@ -83,9 +83,6 @@ func SpecDigest(s *spec.Spec) (string, error) {
 // returns. Every Options field must either be formatted into the
 // digest or appear here — flexvet FX004 enforces the split.
 var digestExcluded = map[string]bool{
-	// DisableCache only trades CPU for memory; differential tests
-	// assert cache on/off runs are semantically identical.
-	"DisableCache": true,
 	// Fault is the fault-injection hook used by robustness tests.
 	"Fault": true,
 	// Progress and ProgressEvery only control reporting cadence.
@@ -249,21 +246,24 @@ func (snap *Snapshot) Validate(s *spec.Spec, opts core.Options) error {
 }
 
 // Resume validates the snapshot and turns it back into exploration
-// state: every front allocation is re-implemented deterministically,
-// and the snapshot is refused if a reconstruction disagrees with the
-// recorded cost or flexibility (corruption, or a drift the digests
-// could not see).
+// state: every front allocation is re-implemented deterministically
+// (core.ImplementAll), and the snapshot is refused if a reconstruction
+// disagrees with the recorded cost or flexibility (corruption, or a
+// drift the digests could not see).
 func (snap *Snapshot) Resume(s *spec.Spec, opts core.Options) (*core.Resume, error) {
 	if err := snap.Validate(s, opts); err != nil {
 		return nil, err
 	}
 	r := &core.Resume{Cursor: snap.Cursor, Stats: snap.Stats}
-	for _, fe := range snap.Front {
-		a := spec.Allocation{}
+	as := make([]spec.Allocation, len(snap.Front))
+	for i, fe := range snap.Front {
+		as[i] = spec.Allocation{}
 		for _, id := range fe.Allocation {
-			a[hgraph.ID(id)] = true
+			as[i][hgraph.ID(id)] = true
 		}
-		im := core.Implement(s, a, opts, nil)
+	}
+	for i, im := range core.ImplementAll(s, as, opts) {
+		a, fe := as[i], snap.Front[i]
 		if im == nil {
 			return nil, fmt.Errorf("checkpoint: front allocation %s no longer implements any behaviour; refusing to resume", a)
 		}

@@ -145,40 +145,6 @@ func TestOptionsDigestIgnoresRuntimeHooks(t *testing.T) {
 	}
 }
 
-// TestOptionsDigestIgnoresCacheSwitch: -cache is a runtime/ablation
-// switch with no semantic effect, so flipping it must not invalidate an
-// existing checkpoint.
-func TestOptionsDigestIgnoresCacheSwitch(t *testing.T) {
-	if OptionsDigest(core.Options{}) != OptionsDigest(core.Options{DisableCache: true}) {
-		t.Fatal("DisableCache leaked into the options digest")
-	}
-}
-
-// TestResumeAcrossCacheModes: a snapshot taken by a cached run resumes
-// under -cache=off (and vice versa) and still converges to the
-// uninterrupted front.
-func TestResumeAcrossCacheModes(t *testing.T) {
-	s := models.SetTopBox()
-	full := core.Explore(s, core.Options{})
-	part := interruptedResult(t, settleCursor(s)-1)
-	snap, err := FromResult(s, core.Options{}, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, disable := range []bool{false, true} {
-		opts := core.Options{DisableCache: disable}
-		res, err := snap.Resume(s, opts)
-		if err != nil {
-			t.Fatalf("DisableCache=%v broke resume: %v", disable, err)
-		}
-		opts.Resume = res
-		resumed := core.Explore(s, opts)
-		if !frontsEqual(resumed.Front, full.Front) {
-			t.Errorf("DisableCache=%v: resumed front differs from uninterrupted run", disable)
-		}
-	}
-}
-
 func TestLoadRefusesVersionMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
 	if err := os.WriteFile(path, []byte(`{"version": 99}`), 0o644); err != nil {

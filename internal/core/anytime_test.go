@@ -42,7 +42,7 @@ func prefixArchive(s *spec.Spec, opts Options, k int, stream func(func(alloc.Can
 			return false
 		}
 		idx++
-		if im := Implement(s, c.Allocation, opts, nil); im != nil {
+		if im := referenceImplement(s, c.Allocation, opts, nil); im != nil {
 			if v := vec(im); v != nil {
 				front.Add(&pareto.Entry{Objectives: v, Value: im})
 			}

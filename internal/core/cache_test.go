@@ -9,9 +9,9 @@ import (
 	"repro/internal/spec"
 )
 
-// cacheSpecs are the differential subjects: every spec must produce an
-// identical front and identical semantic counters with the evaluation
-// caches on (the default) and off (the legacy uncached path).
+// cacheSpecs are the differential subjects: every spec must produce,
+// through the evaluation caches, the front and the semantic counters of
+// the uncached reference (referenceExplore).
 func cacheSpecs() map[string]*spec.Spec {
 	return map[string]*spec.Spec{
 		"settop":    models.SetTopBox(),
@@ -20,87 +20,77 @@ func cacheSpecs() map[string]*spec.Spec {
 	}
 }
 
-func diffCachedUncached(t *testing.T, name string, cached, uncached *Result) {
+func diffAgainstReference(t *testing.T, name string, cached, ref *Result) {
 	t.Helper()
-	if !frontsEqual(cached.Front, uncached.Front) {
-		t.Errorf("%s: cached front differs from uncached front", name)
+	if !frontsEqual(cached.Front, ref.Front) {
+		t.Errorf("%s: cached front differs from the reference front", name)
 	}
-	if !reflect.DeepEqual(cached.Stats.Semantic(), uncached.Stats.Semantic()) {
-		t.Errorf("%s: semantic counters diverge:\ncached   %+v\nuncached %+v",
-			name, cached.Stats, uncached.Stats)
-	}
-	if uncached.Stats.Cache != (CacheStats{}) {
-		t.Errorf("%s: uncached run reported cache activity: %+v", name, uncached.Stats.Cache)
+	if !reflect.DeepEqual(cached.Stats.Semantic(), ref.Stats.Semantic()) {
+		t.Errorf("%s: semantic counters diverge:\ncached    %+v\nreference %+v",
+			name, cached.Stats, ref.Stats)
 	}
 }
 
 func TestCacheDifferentialExplore(t *testing.T) {
 	for name, s := range cacheSpecs() {
 		cached := Explore(s, Options{})
-		uncached := Explore(s, Options{DisableCache: true})
-		diffCachedUncached(t, name, cached, uncached)
+		ref := referenceExplore(s, Options{})
+		diffAgainstReference(t, name, cached, ref)
 		if c := cached.Stats.Cache; c.BindHits() == 0 || c.FlattenHits == 0 {
 			t.Errorf("%s: caches never engaged: %+v", name, c)
 		}
 		// The solver-effort reduction is the point of the cache layer:
-		// every reused binding is a solver run the uncached path pays for.
-		if cached.Stats.BindingRuns >= uncached.Stats.BindingRuns {
-			t.Errorf("%s: cached run solved %d bindings, uncached %d — memo saved nothing",
-				name, cached.Stats.BindingRuns, uncached.Stats.BindingRuns)
+		// every reused binding is a solver run the reference pays for on
+		// each attempted candidate.
+		if cached.Stats.BindingRuns >= ref.Stats.BindingRuns {
+			t.Errorf("%s: cached run solved %d bindings, the reference %d — memo saved nothing",
+				name, cached.Stats.BindingRuns, ref.Stats.BindingRuns)
 		}
 	}
 }
 
 func TestCacheDifferentialWeighted(t *testing.T) {
 	s := models.SetTopBox()
-	diffCachedUncached(t, "settop/weighted",
-		Explore(s, Options{Weighted: true}),
-		Explore(s, Options{Weighted: true, DisableCache: true}))
+	opts := Options{Weighted: true}
+	diffAgainstReference(t, "settop/weighted", Explore(s, opts), referenceExplore(s, opts))
 }
 
 func TestCacheDifferentialExhaustive(t *testing.T) {
 	s := models.SetTopBox()
 	opts := Options{DisableFlexBound: true, IncludeUselessComm: true}
-	off := opts
-	off.DisableCache = true
-	diffCachedUncached(t, "settop/exhaustive", Explore(s, opts), Explore(s, off))
+	diffAgainstReference(t, "settop/exhaustive", Explore(s, opts), referenceExplore(s, opts))
 }
 
 // TestCacheDifferentialBoundedSolver: with MaxBindNodes the solver is
 // truncation-bounded and feasibility is no longer monotone, so the memo
 // must fall back to exact hits only — and still agree with the
-// uncached run bit for bit.
+// reference bit for bit.
 func TestCacheDifferentialBoundedSolver(t *testing.T) {
 	s := models.SetTopBox()
 	opts := Options{MaxBindNodes: 8}
-	off := opts
-	off.DisableCache = true
-	cached, uncached := Explore(s, opts), Explore(s, off)
-	diffCachedUncached(t, "settop/bounded", cached, uncached)
+	cached := Explore(s, opts)
+	diffAgainstReference(t, "settop/bounded", cached, referenceExplore(s, opts))
 	if c := cached.Stats.Cache; c.BindReplayHits != 0 {
 		t.Errorf("replay dominance used under a bounded solver: %+v", c)
 	}
 }
 
 // TestCacheDifferentialUnderFaultInjection: an injected per-candidate
-// error skips the same candidate in both runs; the fronts and diagnostics
-// must continue to agree.
+// error skips the same candidate in the cached run and the reference;
+// the fronts and diagnostics must continue to agree.
 func TestCacheDifferentialUnderFaultInjection(t *testing.T) {
 	s := models.SetTopBox()
-	mk := func(disable bool) *Result {
-		return Explore(s, Options{
-			DisableCache: disable,
-			Fault:        faultinject.New().ErrorAt(SiteEstimate, 40, nil),
-		})
+	opts := func() Options {
+		return Options{Fault: faultinject.New().ErrorAt(SiteEstimate, 40, nil)}
 	}
-	cached, uncached := mk(false), mk(true)
-	diffCachedUncached(t, "settop/fault", cached, uncached)
-	if len(cached.Stats.Diags) != 1 || len(uncached.Stats.Diags) != 1 {
-		t.Fatalf("want one injected diag in each run, got %d cached / %d uncached",
-			len(cached.Stats.Diags), len(uncached.Stats.Diags))
+	cached, ref := Explore(s, opts()), referenceExplore(s, opts())
+	diffAgainstReference(t, "settop/fault", cached, ref)
+	if len(cached.Stats.Diags) != 1 || len(ref.Stats.Diags) != 1 {
+		t.Fatalf("want one injected diag in each run, got %d cached / %d reference",
+			len(cached.Stats.Diags), len(ref.Stats.Diags))
 	}
-	if !reflect.DeepEqual(cached.Stats.Diags, uncached.Stats.Diags) {
-		t.Errorf("diags diverge: %+v vs %+v", cached.Stats.Diags, uncached.Stats.Diags)
+	if !reflect.DeepEqual(cached.Stats.Diags, ref.Stats.Diags) {
+		t.Errorf("diags diverge: %+v vs %+v", cached.Stats.Diags, ref.Stats.Diags)
 	}
 }
 
@@ -110,9 +100,9 @@ func TestCacheDifferentialUnderFaultInjection(t *testing.T) {
 func TestCacheSharedAcrossWorkers(t *testing.T) {
 	for name, s := range cacheSpecs() {
 		par := ExploreParallel(s, Options{}, 8, 16)
-		ref := Explore(s, Options{DisableCache: true})
+		ref := referenceExplore(s, Options{})
 		if !frontsEqual(par.Front, ref.Front) {
-			t.Errorf("%s: parallel cached front differs from sequential uncached front", name)
+			t.Errorf("%s: parallel cached front differs from the sequential reference front", name)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
-	"sort"
+	"math"
 	"strings"
 
 	"repro/internal/alloc"
@@ -46,10 +46,10 @@ type Implementation struct {
 
 // owned returns a copy of im whose behaviours hold private Binding and
 // ArchSelection maps; behaviours with equal architecture selections
-// share one copy. A front admitting a ready implementation (the
-// uncached path, a Resume front) stores an owned copy, and Progress
-// reports hand out owned copies too, so nothing a caller is handed
-// aliases another implementation or the run's result.
+// share one copy. A front admitting a ready implementation (a Resume
+// front) stores an owned copy, and Progress reports hand out owned
+// copies too, so nothing a caller is handed aliases another
+// implementation or the run's result.
 func owned(im *Implementation) *Implementation {
 	c := *im
 	c.Behaviours = make([]Behaviour, len(im.Behaviours))
@@ -128,14 +128,6 @@ type Options struct {
 	MaxScan int
 	// MaxBindNodes bounds each binding search (0 = unbounded).
 	MaxBindNodes int
-	// DisableCache turns off the cross-candidate evaluation caches
-	// (interned flattenings, binding memoization, bitset sets): every
-	// candidate is then evaluated by the uncached Implement/Estimate
-	// functions. The front and the semantic counters (Stats.Semantic)
-	// are identical either way — caching only removes redundant solver
-	// work — so this is an ablation/verification switch, excluded from
-	// checkpoint option digests like the other runtime fields.
-	DisableCache bool
 
 	// The fields below configure the anytime runtime, not the
 	// exploration semantics: they never change which front a completed
@@ -312,8 +304,7 @@ type Stats struct {
 	// errors, panics recovered by the parallel workers). The failed
 	// candidates are skipped; everything else proceeds.
 	Diags []Diag `json:"diags,omitempty"`
-	// Cache reports the evaluation-cache effectiveness (zero when
-	// Options.DisableCache is set).
+	// Cache reports the evaluation-cache effectiveness.
 	Cache CacheStats `json:"cache,omitempty"`
 	// Pipeline instruments the parallel explorer's streaming pipeline
 	// (zero for sequential runs).
@@ -369,7 +360,7 @@ type PipelineStats struct {
 // skipped by subset dominance), and SupportableReused counts
 // implementations that reused the supportable-cluster set computed by
 // the candidate's estimate (or, in the sampling explorers, its
-// possibility test): every attempt on the cached path.
+// possibility test): every attempt.
 type CacheStats struct {
 	FlattenHits        int `json:"flattenHits,omitempty"`
 	FlattenMisses      int `json:"flattenMisses,omitempty"`
@@ -401,9 +392,10 @@ func (c CacheStats) BindHits() int {
 	return c.BindExactHits + c.BindReplayHits + c.BindInfeasibleHits
 }
 
-// Semantic returns the counters that are invariant across cache
-// configuration, worker count and resume splitting: what was found
-// possible, estimated, attempted and found feasible.
+// Semantic returns the counters that are invariant across worker count
+// and resume splitting, and that a run through the uncached reference
+// construction matches: what was found possible, estimated, attempted
+// and found feasible.
 // BindingRuns/BindingNodes measure actual solver effort — exactly what
 // caching removes and what a resumed run (cold cache) redoes — the
 // cache counters measure the caching itself, and Scanned counts
@@ -420,9 +412,9 @@ func (s Stats) Semantic() Stats {
 }
 
 // statsSemanticFields is the exhaustive list of Stats fields Semantic()
-// preserves: the counters that must match across cache modes, worker
-// counts and resume splits. Every Stats field must appear here or be
-// zeroed in Semantic() — flexvet FX003 enforces the split, and
+// preserves: the counters that must match across worker counts, resume
+// splits and the uncached reference. Every Stats field must appear here
+// or be zeroed in Semantic() — flexvet FX003 enforces the split, and
 // TestSemanticZeroesTelemetry exercises it at runtime.
 var statsSemanticFields = map[string]bool{
 	"DesignSpace":         true,
@@ -489,94 +481,42 @@ func (o Options) flexOf(g *hgraph.Graph, active map[hgraph.ID]bool) float64 {
 // configurations with the binding solver, and evaluates the flexibility
 // of the clusters that are part of at least one feasible behaviour.
 // It returns nil when no behaviour is feasible. Search effort is added
-// to stats (which may be nil).
+// to stats (which may be nil). It runs the explorers' evaluator afresh;
+// ImplementAll shares one across many allocations.
 func Implement(s *spec.Spec, a spec.Allocation, opts Options, stats *Stats) *Implementation {
 	if stats == nil {
 		stats = &Stats{}
 	}
-	supportable := alloc.SupportableClusters(s, a)
-	feasible := map[hgraph.ID]bool{}
-	var behaviours []Behaviour
+	return implementAll(s, []spec.Allocation{a}, opts, stats)[0]
+}
 
-	// Architecture configurations are enumerated once.
-	var views []*spec.ArchView
-	a.EnumerateArchSelections(s, func(sel hgraph.Selection) bool {
-		if av, err := s.ArchViewFor(a, sel); err == nil {
-			views = append(views, av)
-		}
-		return true
-	})
+// ImplementAll is Implement of each allocation of as, through one
+// evaluator: an ECS flattened, a configuration enumerated or a binding
+// solved for one allocation is reused for the next. The i-th result is
+// nil when as[i] implements no behaviour. Each result has Implement's
+// allocation, cost, flexibility, clusters and behaviour ECSs, but a
+// binding may be one found for an earlier allocation with fewer
+// resources, replayed and verified under this one's.
+func ImplementAll(s *spec.Spec, as []spec.Allocation, opts Options) []*Implementation {
+	return implementAll(s, as, opts, &Stats{})
+}
 
-	tested := 0
-	cover.Enumerate(s.Problem, supportable, func(e cover.ECS) bool {
-		tested++
-		// Skip behaviours that cannot extend the feasible cluster set
-		// (unless the caller wants the full behaviour inventory).
-		if !opts.AllBehaviours {
-			novel := false
-			for _, c := range e.Clusters {
-				if !feasible[c] {
-					novel = true
-					break
-				}
-			}
-			if !novel {
-				return tested < opts.maxECS()
-			}
-		}
-		stats.ECSTested++
-		fp, err := s.Problem.Flatten(e.Selection)
-		if err != nil {
-			return tested < opts.maxECS()
-		}
-		for _, av := range views {
-			stats.BindingRuns++
-			res, ok := bind.Find(s, fp, av, bind.Options{Timing: opts.Timing, MaxNodes: opts.MaxBindNodes})
-			stats.BindingNodes += res.Nodes
-			if ok {
-				for _, c := range e.Clusters {
-					feasible[c] = true
-				}
-				behaviours = append(behaviours, Behaviour{
-					ECS: e, ArchSelection: av.Selection, Binding: res.Binding,
-				})
-				break
-			}
-		}
-		return tested < opts.maxECS()
-	})
-
-	implemented := flex.ActivatableClusters(s.Problem, flex.FromSet(feasible))
-	f := opts.flexOf(s.Problem, implemented)
-	if f <= 0 {
-		return nil
-	}
-	clusters := make([]hgraph.ID, 0, len(implemented))
-	for c := range implemented {
-		clusters = append(clusters, c)
-	}
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i] < clusters[j] })
-	// Keep only behaviours whose clusters survived normalization.
-	kept := behaviours[:0]
-	for _, b := range behaviours {
-		all := true
-		for _, c := range b.ECS.Clusters {
-			if !implemented[c] {
-				all = false
-				break
-			}
-		}
-		if all {
-			kept = append(kept, b)
+// implementAll implements each allocation of as through one evaluator,
+// adding the search effort to stats. Each attempt keeps its implemented
+// set and picks in one record's storage, which materialise copies.
+func implementAll(s *spec.Spec, as []spec.Allocation, opts Options, stats *Stats) []*Implementation {
+	ev := newEvaluator(s, opts)
+	w := ev.evalScratch()
+	var r candRec
+	out := make([]*Implementation, len(as))
+	for i, a := range as {
+		r.att = ev.implementAllocation(a, &w, stats, r.att, math.Inf(-1))
+		if r.att.ok {
+			r.a, r.att.cost = a.Clone(), a.Cost(s)
+			out[i] = ev.materialise(&r)
 		}
 	}
-	return &Implementation{
-		Allocation:  a.Clone(),
-		Cost:        a.Cost(s),
-		Flexibility: f,
-		Clusters:    clusters,
-		Behaviours:  kept,
-	}
+	return out
 }
 
 // Estimate computes the paper's flexibility estimation for an

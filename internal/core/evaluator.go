@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"hash/maphash"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -75,14 +74,13 @@ import (
 // atomics, folded into Stats.Cache at progress emissions and on
 // completion.
 //
-// With Options.DisableCache the evaluator degrades to the exported
-// Implement/Estimate functions — the uncached reference the
-// differential tests compare against. Only the sampling explorers'
-// possibility test still queries the Supporter.
+// The exported Implement runs a fresh evaluator on one allocation, and
+// ImplementAll one evaluator over a list (implementAll). The tests'
+// reference is the uncached construction on allocation maps
+// (oracle_test.go).
 type evaluator struct {
-	s      *spec.Spec
-	opts   Options
-	legacy bool
+	s    *spec.Spec
+	opts Options
 
 	// units is the unit table the scan's candidate indices refer to.
 	units []alloc.Unit
@@ -100,8 +98,7 @@ type evaluator struct {
 	unitCluster  []int
 	// unitTerms holds per unit the cost terms spec.Allocation.Cost adds
 	// for its ID, and unitRank the unit's position in ID order, so a
-	// candidate's cost is the same sum in the same order (on the legacy
-	// path too).
+	// candidate's cost is the same sum in the same order.
 	unitTerms [][]float64
 	unitRank  []int
 
@@ -127,7 +124,7 @@ type evaluator struct {
 
 // newEvaluator builds the evaluation engine for one exploration run.
 func newEvaluator(s *spec.Spec, opts Options) *evaluator {
-	ev := &evaluator{s: s, opts: opts, legacy: opts.DisableCache, sup: alloc.NewSupporter(s)}
+	ev := &evaluator{s: s, opts: opts, sup: alloc.NewSupporter(s)}
 	ev.units = ev.sup.Units
 	ev.root, _ = ev.sup.Clusters.Index(s.Problem.Root.ID)
 	ev.unitTerms = make([][]float64, len(ev.units))
@@ -140,9 +137,6 @@ func newEvaluator(s *spec.Spec, opts Options) *evaluator {
 	slices.SortFunc(byID, func(a, b int) int { return cmp.Compare(ev.units[a].ID, ev.units[b].ID) })
 	for rank, k := range byID {
 		ev.unitRank[k] = rank
-	}
-	if ev.legacy {
-		return ev
 	}
 	ev.tree = flex.NewIndexed(s.Problem, ev.sup.Clusters)
 	var clusters []hgraph.ID
@@ -186,19 +180,12 @@ func (ev *evaluator) snapshot() CacheStats {
 // into the run's stats. Safe to call repeatedly; the counters are
 // cumulative.
 func (ev *evaluator) fold(st *Stats) {
-	if ev.legacy {
-		return
-	}
 	st.Cache = ev.base.plus(ev.snapshot())
 }
 
 // evalScratch returns the whole scratch of one evaluating goroutine:
-// the estimate's and the implementation's (only the supportable-set
-// query's on the legacy path, which implements allocation maps).
+// the estimate's and the implementation's.
 func (ev *evaluator) evalScratch() scratch {
-	if ev.legacy {
-		return scratch{sup: ev.sup.NewScratch()}
-	}
 	n := ev.sup.Clusters.Len()
 	return scratch{
 		sup:         ev.sup.NewScratch(),
@@ -220,15 +207,10 @@ func (ev *evaluator) allocation(r *candRec) spec.Allocation {
 
 // estimate computes the flexibility estimation of candidate r and
 // returns the supportable-cluster set alongside, so the caller can hand
-// it to implement and avoid the historical double computation. The
-// cached path works on r's unit indices in sc and allocates nothing:
-// the set is sc's own, valid until sc's next query. The legacy path
-// builds r's allocation map, runs the uncached Estimate and returns an
-// empty set, which its implement ignores.
+// it to implement and avoid the historical double computation. It
+// works on r's unit indices in sc and allocates nothing: the set is
+// sc's own, valid until sc's next query.
 func (ev *evaluator) estimate(r *candRec, sc *alloc.SupportScratch) (float64, bitset.Set) {
-	if ev.legacy {
-		return Estimate(ev.s, ev.allocation(r), ev.opts), bitset.Set{}
-	}
 	sup := ev.sup.SupportableUnits(r.units, sc)
 	return ev.flexOfBits(sup), sup
 }
@@ -240,16 +222,15 @@ func (ev *evaluator) flexOfBits(set bitset.Set) float64 {
 	return ev.tree.Flexibility(set)
 }
 
-// attempt is an attempted candidate's implementation. On the cached
-// path it stays in index space: the fold compares cost and flexibility,
-// and only admission builds the Implementation from the candidate's
-// record, the implemented cluster set and the picks (materialise). An
+// attempt is an attempted candidate's implementation. It stays in index
+// space: the fold compares cost and flexibility, and only admission
+// builds the Implementation from the candidate's record, the
+// implemented cluster set and the picks (materialise). An
 // attempt at or below the threshold implement was given (the fold's
 // bounder.keepAbove) is one no front admits: it carries its cost and
 // flexibility but no implemented set and no picks — implemented and
 // picks then hold whatever the record's storage held, and must not be
-// read. A ready Implementation (the legacy path, a Resume front) rides
-// in im instead.
+// read. A ready Implementation (a Resume front) rides in im instead.
 type attempt struct {
 	// ok reports a positive flexibility: the candidate is feasible.
 	ok          bool
@@ -277,18 +258,15 @@ func readyAttempt(im *Implementation) attempt {
 	return attempt{ok: true, cost: im.Cost, flex: im.Flexibility, im: im}
 }
 
-// implement is Implement through the caches, for the candidate given
-// by its unit indices. sup is the supportable set of the candidate's
-// estimate or possibility test, computed in w; implement only reads it
-// during the call, and reads the candidate's resource closure from the
-// same scratch. Search effort is added to stats, which must not be
-// nil. buf is the record's previous attempt, whose implemented set and
-// picks the new attempt overwrites — only when its flexibility exceeds
-// keep (see bindAll).
+// implement is the implementation construction through the caches, for
+// the candidate given by its unit indices. sup is the supportable set
+// of the candidate's estimate or possibility test, computed in w;
+// implement only reads it during the call, and reads the candidate's
+// resource closure from the same scratch. Search effort is added to
+// stats, which must not be nil. buf is the record's previous attempt,
+// whose implemented set and picks the new attempt overwrites — only
+// when its flexibility exceeds keep (see bindAll).
 func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *Stats, buf attempt, keep float64) attempt {
-	if ev.legacy {
-		return readyAttempt(Implement(ev.s, alloc.AllocationOf(ev.units, units), ev.opts, stats))
-	}
 	ev.supportReused.Add(1)
 	w.archSet.Clear()
 	for _, k := range units {
@@ -312,14 +290,13 @@ func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *S
 }
 
 // implementAllocation is implement for a candidate given as an
-// allocation map that need not consist of units (Upgrade's base). The
-// attempt is never admitted, so it carries no cost and keeps nothing.
-func (ev *evaluator) implementAllocation(a spec.Allocation, w *scratch, stats *Stats) attempt {
-	if ev.legacy {
-		return readyAttempt(Implement(ev.s, a, ev.opts, stats))
-	}
+// allocation map that need not consist of units (Upgrade's base, the
+// exported Implement's). The attempt carries no cost. It keeps its
+// implemented set and picks, in buf's storage, when its flexibility
+// exceeds keep.
+func (ev *evaluator) implementAllocation(a spec.Allocation, w *scratch, stats *Stats, buf attempt, keep float64) attempt {
 	avail := ev.sup.AvailOf(a)
-	return ev.bindAll(avail, ev.sup.Supportable(avail), ev.configs(a), w, stats, attempt{}, math.Inf(1))
+	return ev.bindAll(avail, ev.sup.Supportable(avail), ev.configs(a), w, stats, buf, keep)
 }
 
 // bindAll is the cached implementation construction: it tests the ECSs

@@ -123,7 +123,7 @@ const (
 	resAttempted
 	resOK
 	// resKept: the payload holds the attempt's implemented set and
-	// picks (or, on the uncached path, its implementation).
+	// picks.
 	resKept
 )
 
@@ -137,11 +137,10 @@ func flagIf(on bool, f resultFlags) resultFlags {
 func (res *candResult) has(f resultFlags) bool { return res.flags&f != 0 }
 
 // payload is what a result carries besides its scalars: an attempt's
-// implemented set, picks and ready implementation, and a Diag.
+// implemented set and picks, and a Diag.
 type payload struct {
 	implemented bitset.Set
 	picks       []pick
-	im          *Implementation
 	diag        *Diag
 }
 
@@ -171,7 +170,7 @@ func (b *pipeBatch) put(i int, r *candRec, keep float64) {
 		flags: flagIf(r.estimated, resEstimated) | flagIf(r.site == SiteImplement, resPassed) |
 			flagIf(r.attempted, resAttempted) | flagIf(r.att.ok, resOK),
 	}
-	kept := r.att.im != nil || r.attempted && r.att.ok && r.att.flex > keep
+	kept := r.attempted && r.att.ok && r.att.flex > keep
 	if kept || r.diag != nil {
 		if len(b.pays) == cap(b.pays) {
 			b.pays = append(b.pays, payload{})
@@ -179,7 +178,7 @@ func (b *pipeBatch) put(i int, r *candRec, keep float64) {
 			b.pays = b.pays[:len(b.pays)+1]
 		}
 		pay := &b.pays[len(b.pays)-1]
-		pay.picks, pay.im, pay.diag = pay.picks[:0], r.att.im, r.diag
+		pay.picks, pay.diag = pay.picks[:0], r.diag
 		if kept {
 			res.flags |= resKept
 			pay.implemented.CopyFrom(r.att.implemented)
@@ -211,7 +210,7 @@ func (b *pipeBatch) record(i, nw int, r *candRec) {
 		pay := &b.pays[res.pay-1]
 		r.diag = pay.diag
 		if res.has(resKept) {
-			r.att.implemented, r.att.picks, r.att.im = pay.implemented, pay.picks, pay.im
+			r.att.implemented, r.att.picks = pay.implemented, pay.picks
 		}
 	}
 }

@@ -194,8 +194,8 @@ func TestPipelineCounters(t *testing.T) {
 // single warm-up Estimate building every lazy index of the shared
 // specification before workers hit it concurrently. Exercise exactly
 // that pattern under the race detector: warm up once, then hammer
-// Implement from many goroutines and check the results against a
-// sequential run on a pristine spec instance.
+// Implement from many goroutines and check the results against the
+// uncached reference, run sequentially on a pristine spec instance.
 func TestImplementConcurrentAfterWarmup(t *testing.T) {
 	s := models.SetTopBox()
 	_ = Estimate(s, spec.Allocation{}, Options{})
@@ -210,7 +210,7 @@ func TestImplementConcurrentAfterWarmup(t *testing.T) {
 	fresh := models.SetTopBox()
 	for i, a := range cands {
 		want[i] = [2]float64{-1, -1}
-		if im := Implement(fresh, a, Options{}, nil); im != nil {
+		if im := referenceImplement(fresh, a, Options{}, nil); im != nil {
 			want[i] = [2]float64{im.Cost, im.Flexibility}
 		}
 	}
@@ -578,12 +578,11 @@ func TestRecycledResultStartsClean(t *testing.T) {
 // is what the commit's record reads back — every field of candRec but
 // the allocation map, which the commit builds on demand. An attempt at
 // or below the worker's bound carries no implemented set and no picks;
-// a Diag and an uncached path's ready implementation always ride along.
+// a Diag always rides along.
 func TestBatchResultCarriesRecord(t *testing.T) {
 	p := batchPipeline()
 	full := keptRecord([]int{1, 4, 7}, 2)
 	full.att.picks[1].binding = []int32{9}
-	full.att.im = &Implementation{Cost: 5}
 	full.diag = &Diag{Message: "boom"}
 	v := reflect.ValueOf(full)
 	for i := range v.NumField() {

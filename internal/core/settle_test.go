@@ -35,9 +35,9 @@ func requireSettled(t *testing.T, name string, r *Result, c, length int, want []
 // MaxFlexibility has an estimate of at most MaxFlexibility, so the
 // bound prunes the whole tail, and a run that stops walking there
 // reports exactly what the full scan reports. It covers Explore, a
-// two-worker ExploreParallel, the uncached path and Upgrade, weighted
-// and unweighted, and resumes from a snapshot taken past the settle
-// point.
+// two-worker ExploreParallel, the uncached reference and Upgrade,
+// weighted and unweighted, and resumes from a snapshot taken past the
+// settle point.
 func TestSettledTailIsPruned(t *testing.T) {
 	specs := []struct {
 		name string
@@ -85,7 +85,7 @@ func TestSettledTailIsPruned(t *testing.T) {
 			full := Explore(s, opts)
 			requireSettled(t, name+" explore", full, c, length, ref)
 			requireSettled(t, name+" parallel2", ExploreParallel(s, opts, 2, 0), c, length, ref)
-			requireSettled(t, name+" uncached", Explore(s, Options{Weighted: weighted, DisableCache: true}), c, length, ref)
+			requireSettled(t, name+" reference", referenceExplore(s, opts), c, length, ref)
 
 			// A snapshot taken past the settle point (as a scan that
 			// walked the whole stream took it) already holds the whole

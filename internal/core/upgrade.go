@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/alloc"
 	"repro/internal/spec"
@@ -32,7 +33,7 @@ func UpgradeContext(ctx context.Context, s *spec.Spec, base spec.Allocation, opt
 	// a resumed run replaces them with the snapshot's, which already
 	// hold it.
 	floor := 0.0
-	if at := sc.ev.implementAllocation(base, &sc.scratch, &sc.res.Stats); at.ok {
+	if at := sc.ev.implementAllocation(base, &sc.scratch, &sc.res.Stats, attempt{}, math.Inf(1)); at.ok {
 		floor = at.flex
 	}
 	extensions := func(start int, fn func(units []int, cost float64) bool) (alloc.Stats, func() (int, bool)) {

@@ -201,8 +201,8 @@ func e8() {
 
 func e9() {
 	s := models.SetTopBox()
-	im2 := core.Implement(s, spec.NewAllocation("uP2"), core.Options{}, nil)
-	im1 := core.Implement(s, spec.NewAllocation("uP1"), core.Options{}, nil)
+	ims := core.ImplementAll(s, []spec.Allocation{spec.NewAllocation("uP2"), spec.NewAllocation("uP1")}, core.Options{})
+	im2, im1 := ims[0], ims[1]
 	fmt.Printf("TV on uP2  : (95+45)/300 = %.3f <= 0.69 (accepted, as in paper)\n", 140.0/300)
 	fmt.Printf("game on uP2: (95+90)/240 = %.3f  > 0.69 (rejected, as in paper)\n", 185.0/240)
 	fmt.Printf("f({uP2}) = %g (paper: 2), f({uP1}) = %g (paper: 3)\n", im2.Flexibility, im1.Flexibility)
@@ -359,12 +359,14 @@ func e17() {
 		}
 		return false
 	}
-	for _, base := range []spec.Allocation{
+	bases := []spec.Allocation{
 		spec.NewAllocation("uP2"),
 		spec.NewAllocation("uP2", "dG1", "dU2", "C1"),
 		spec.NewAllocation("uP2", "A1", "C2"),
-	} {
-		if im := core.Implement(s, base, core.Options{}, nil); im != nil && implementsD4(im) {
+	}
+	ims := core.ImplementAll(s, bases, core.Options{})
+	for i, base := range bases {
+		if im := ims[i]; im != nil && implementsD4(im) {
 			fmt.Printf("  %v -> +$0 (A1 already hosts PD4)\n", base)
 			continue
 		}

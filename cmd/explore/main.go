@@ -20,7 +20,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -306,7 +308,13 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "explore:", err)
 			return 1
 		}
-		fmt.Println(string(data))
+		// The result encodes compact; -json prints it indented.
+		var out bytes.Buffer
+		if err := json.Indent(&out, data, "", "  "); err != nil {
+			fmt.Fprintln(os.Stderr, "explore:", err)
+			return 1
+		}
+		fmt.Println(out.String())
 		return 0
 	}
 	if *tsv {

@@ -21,7 +21,11 @@ import (
 func Symbolic(s *spec.Spec) (*boolfunc.Manager, boolfunc.Node, []Unit) {
 	units := Units(s)
 	m := boolfunc.NewManager(len(units))
+	return m, symbolic(s, units, m), units
+}
 
+// symbolic builds Symbolic's function over units in m.
+func symbolic(s *spec.Spec, units []Unit, m *boolfunc.Manager) boolfunc.Node {
 	// Map each reachable resource to the variable of its unit.
 	varOf := map[hgraph.ID]int{}
 	for i, u := range units {
@@ -56,7 +60,7 @@ func Symbolic(s *spec.Spec) (*boolfunc.Manager, boolfunc.Node, []Unit) {
 		memo[c.ID] = n
 		return n
 	}
-	return m, supportable(s.Problem.Root), units
+	return supportable(s.Problem.Root)
 }
 
 // CountPossible returns the number of possible resource allocations

@@ -112,10 +112,14 @@ func EnumerateSymbolicUnits(s *spec.Spec, base spec.Allocation, opts Options, st
 // the units outside base; a base element that is not an allocatable
 // unit makes the function false without changing that count.
 func possibleFunction(s *spec.Spec, base spec.Allocation, opts Options) (m *boolfunc.Manager, f boolfunc.Node, units []Unit, free int) {
-	m, f, units = Symbolic(s)
+	units = Units(s)
 	n := len(units)
-	if !opts.IncludeUselessComm {
-		f = conjoinBusRules(s, m, f, units)
+	if opts.IncludeUselessComm {
+		m = boolfunc.NewManager(n)
+		f = symbolic(s, units, m)
+	} else {
+		m = boolfunc.NewManagerSized(n, busRuleNodesPerUnit*n)
+		f = conjoinBusRules(s, m, symbolic(s, units, m), units)
 	}
 	free = n
 	if len(base) > 0 {
@@ -167,6 +171,16 @@ func AllocationOf(units []Unit, idx []int) spec.Allocation {
 	}
 	return a
 }
+
+// busRuleNodesPerUnit sizes the manager that conjoinBusRules builds
+// in: the bus rules make the possible-allocation function, and the
+// nodes created on the way to it, far larger than the supportability
+// function alone. Sixteen nodes per unit hold what the Set-Top box
+// (14 units, 213 nodes created), synthetic seeds 2 and 3 (14 units,
+// 211 and 179) and the 22-unit `wide` spec (267) build, where the
+// variable count alone starts the tables at 32 or 64 nodes and grows
+// them three times.
+const busRuleNodesPerUnit = 16
 
 // conjoinBusRules conjoins the useless-bus rule into f: every allocated
 // bus unit must connect at least two allocated functional units — the

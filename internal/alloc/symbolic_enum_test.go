@@ -512,3 +512,22 @@ func BenchmarkSymbolicWalk(b *testing.B) {
 		})
 	}
 }
+
+// TestPossibleFunctionFitsHint: the manager the possible-allocation
+// function is built in holds every node the build creates, bus rules
+// included, within its node-capacity hint, so its tables never grow.
+func TestPossibleFunctionFitsHint(t *testing.T) {
+	for name, s := range map[string]*spec.Spec{
+		"settop":     models.SetTopBox(),
+		"sdr":        models.SDR(),
+		"synthetic2": models.Synthetic(models.DefaultSynthetic(2)),
+		"synthetic3": models.Synthetic(models.DefaultSynthetic(3)),
+		"wide":       models.Synthetic(models.ScaledSynthetic(1, 22)),
+	} {
+		m, _, units, _ := possibleFunction(s, nil, Options{})
+		// Size counts the internal nodes; the two terminals take a slot each.
+		if used, hint := m.Size()+2, busRuleNodesPerUnit*len(units); used > hint {
+			t.Errorf("%s: %d nodes, above the hint of %d for %d units", name, used, hint, len(units))
+		}
+	}
+}

@@ -79,9 +79,15 @@ const restrictOp = 4
 // NewManager creates a manager for functions over numVars variables.
 // Its node capacity starts at the first power of two, at least 16,
 // that holds the terminals and both literals of every variable.
-func NewManager(numVars int) *Manager {
+func NewManager(numVars int) *Manager { return NewManagerSized(numVars, 0) }
+
+// NewManagerSized is NewManager with a node-capacity hint: the tables
+// start at the first power of two that also holds nodes nodes, so a
+// caller that knows roughly how large its functions get builds them
+// without growing the tables on the way.
+func NewManagerSized(numVars, nodes int) *Manager {
 	c := 16
-	for c < 2*numVars+2 {
+	for c < max(2*numVars+2, nodes) {
 		c *= 2
 	}
 	m := &Manager{

@@ -490,3 +490,27 @@ func shannon(m *Manager, tt *truthTable, v, prefix int) Node {
 	}
 	return m.mk(int32(v), shannon(m, tt, v+1, prefix), shannon(m, tt, v+1, prefix|1<<v))
 }
+
+// TestNewManagerSized: the node-capacity hint raises the starting
+// capacity to the next power of two and never lowers it below what the
+// variable count needs.
+func TestNewManagerSized(t *testing.T) {
+	for _, tc := range []struct{ vars, nodes, want int }{
+		{22, 0, 64},
+		{22, 10, 64},
+		{22, 352, 512},
+		{14, 224, 256},
+		{2, 0, 16},
+		{2, 16, 16},
+		{2, 17, 32},
+	} {
+		m := NewManagerSized(tc.vars, tc.nodes)
+		if c := cap(m.level); c != tc.want || cap(m.low) != c || cap(m.high) != c || len(m.unique) != 2*c || len(m.cache) != c/2 {
+			t.Errorf("NewManagerSized(%d, %d): capacity %d (unique %d, cache %d), want %d",
+				tc.vars, tc.nodes, c, len(m.unique), len(m.cache), tc.want)
+		}
+	}
+	if a, b := NewManager(22), NewManagerSized(22, 0); cap(a.level) != cap(b.level) {
+		t.Errorf("NewManager capacity %d, NewManagerSized(_, 0) %d", cap(a.level), cap(b.level))
+	}
+}

@@ -370,14 +370,10 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 	if f <= keep {
 		return at
 	}
-	// Keep only behaviours whose clusters survived normalization. A
-	// fresh record sizes its picks once, for every pick found.
-	at.picks = slices.Grow(at.picks, len(picks))
-	for _, p := range picks {
-		if p.en.bits.SubsetOf(implemented) {
-			at.picks = append(at.picks, p)
-		}
-	}
+	// Every pick is kept: a feasible ECS is a full activation from the
+	// root, so its clusters are activatable whenever it is feasible and
+	// all of them are implemented. A fresh record sizes its picks once.
+	at.picks = append(at.picks, picks...)
 	at.implemented.CopyFrom(implemented)
 	return at
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 
+	"repro/internal/bind"
 	"repro/internal/hgraph"
 )
 
@@ -18,18 +19,25 @@ type jsonResult struct {
 }
 
 type jsonImplementation struct {
-	Allocation  []string        `json:"allocation"`
+	Allocation  []hgraph.ID     `json:"allocation"`
 	Cost        float64         `json:"cost"`
 	Flexibility float64         `json:"flexibility"`
-	Clusters    []string        `json:"clusters"`
+	Clusters    []hgraph.ID     `json:"clusters"`
 	Behaviours  []jsonBehaviour `json:"behaviours,omitempty"`
 }
 
+// jsonBehaviour holds the behaviour's maps as they are: encoding/json
+// writes a map with string-kind keys as an object sorted by key, so
+// the selections and the binding need no string-keyed copy.
 type jsonBehaviour struct {
-	Selection     map[string]string `json:"selection"`
-	ArchSelection map[string]string `json:"archSelection,omitempty"`
-	Binding       map[string]string `json:"binding"`
+	Selection     hgraph.Selection `json:"selection"`
+	ArchSelection hgraph.Selection `json:"archSelection,omitempty"`
+	Binding       bind.Binding     `json:"binding"`
 }
+
+// noBinding is the encoding of a nil binding: an empty object, never
+// null. Encoding only reads it.
+var noBinding = bind.Binding{}
 
 type jsonStats struct {
 	DesignSpace         float64    `json:"designSpace"`
@@ -50,7 +58,8 @@ type jsonStats struct {
 }
 
 // MarshalJSON encodes the result — front, per-implementation behaviours
-// and effort counters — deterministically.
+// and effort counters — deterministically, as compact JSON. Empty
+// lists and an empty selection encode as null and a nil binding as {}.
 func (r *Result) MarshalJSON() ([]byte, error) {
 	out := jsonResult{
 		MaxFlexibility: r.MaxFlexibility,
@@ -75,44 +84,31 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 	if p := r.Stats.Pipeline; p != (PipelineStats{}) {
 		out.Stats.Pipeline = &p
 	}
-	for _, im := range r.Front {
-		ji := jsonImplementation{
-			Cost:        im.Cost,
-			Flexibility: im.Flexibility,
-		}
-		for _, id := range im.Allocation.IDs() {
-			ji.Allocation = append(ji.Allocation, string(id))
-		}
-		for _, c := range im.Clusters {
-			ji.Clusters = append(ji.Clusters, string(c))
-		}
-		for _, b := range im.Behaviours {
-			ji.Behaviours = append(ji.Behaviours, jsonBehaviour{
-				Selection:     selToMap(b.ECS.Selection),
-				ArchSelection: selToMap(b.ArchSelection),
-				Binding:       bindToMap(b.Binding),
-			})
-		}
-		out.Front = append(out.Front, ji)
+	if len(r.Front) > 0 {
+		out.Front = make([]jsonImplementation, len(r.Front))
 	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-func selToMap(s hgraph.Selection) map[string]string {
-	if len(s) == 0 {
-		return nil
+	for i, im := range r.Front {
+		ji := &out.Front[i]
+		ji.Cost, ji.Flexibility = im.Cost, im.Flexibility
+		if len(im.Allocation) > 0 {
+			ji.Allocation = im.Allocation.IDs()
+		}
+		if len(im.Clusters) > 0 {
+			ji.Clusters = im.Clusters
+		}
+		if len(im.Behaviours) > 0 {
+			ji.Behaviours = make([]jsonBehaviour, len(im.Behaviours))
+		}
+		for k, b := range im.Behaviours {
+			jb := &ji.Behaviours[k]
+			jb.Selection, jb.ArchSelection, jb.Binding = b.ECS.Selection, b.ArchSelection, b.Binding
+			if len(jb.Selection) == 0 {
+				jb.Selection = nil
+			}
+			if jb.Binding == nil {
+				jb.Binding = noBinding
+			}
+		}
 	}
-	m := map[string]string{}
-	for k, v := range s {
-		m[string(k)] = string(v)
-	}
-	return m
-}
-
-func bindToMap(b map[hgraph.ID]hgraph.ID) map[string]string {
-	m := map[string]string{}
-	for k, v := range b {
-		m[string(k)] = string(v)
-	}
-	return m
+	return json.Marshal(out)
 }

@@ -96,26 +96,12 @@ func referenceImplement(s *spec.Spec, a spec.Allocation, opts Options, stats *St
 		clusters = append(clusters, c)
 	}
 	sort.Slice(clusters, func(i, j int) bool { return clusters[i] < clusters[j] })
-	// Keep only behaviours whose clusters survived normalization.
-	kept := behaviours[:0]
-	for _, b := range behaviours {
-		all := true
-		for _, c := range b.ECS.Clusters {
-			if !implemented[c] {
-				all = false
-				break
-			}
-		}
-		if all {
-			kept = append(kept, b)
-		}
-	}
 	return &Implementation{
 		Allocation:  a.Clone(),
 		Cost:        a.Cost(s),
 		Flexibility: f,
 		Clusters:    clusters,
-		Behaviours:  kept,
+		Behaviours:  behaviours,
 	}
 }
 
@@ -219,6 +205,51 @@ func sameImplementation(got, want *Implementation, bindings bool) string {
 	return ""
 }
 
+// oracleSpecs are the specifications the evaluator is checked on over
+// every possible allocation.
+var oracleSpecs = []struct {
+	name string
+	mk   func() *spec.Spec
+}{
+	{"settop", models.SetTopBox},
+	{"sdr", models.SDR},
+	{"synthetic2", func() *spec.Spec { return models.Synthetic(models.DefaultSynthetic(2)) }},
+	{"synthetic3", func() *spec.Spec { return models.Synthetic(models.DefaultSynthetic(3)) }},
+	{"synthetic7", func() *spec.Spec { return models.Synthetic(models.DefaultSynthetic(7)) }},
+}
+
+// TestKeptPicksAreImplemented: every pick an attempt keeps has all its
+// clusters implemented, over every possible allocation of the oracle
+// specifications, with and without the novelty skip. bindAll keeps
+// every pick unfiltered on that ground: a feasible ECS is a full
+// activation from the root, so its clusters are activatable.
+func TestKeptPicksAreImplemented(t *testing.T) {
+	for _, sp := range oracleSpecs {
+		for _, all := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/all-behaviours=%v", sp.name, all), func(t *testing.T) {
+				t.Parallel()
+				s := sp.mk()
+				ev := newEvaluator(s, Options{AllBehaviours: all})
+				w := ev.evalScratch()
+				var at attempt
+				kept := 0
+				for _, a := range possibleAllocations(s) {
+					at = ev.implementAllocation(a, &w, &Stats{}, at, math.Inf(-1))
+					for _, p := range at.picks {
+						if !p.en.bits.SubsetOf(at.implemented) {
+							t.Fatalf("%s: kept pick %v has a cluster outside the implemented set", a, p.en.e.Clusters)
+						}
+					}
+					kept += len(at.picks)
+				}
+				if kept == 0 {
+					t.Error("no attempt kept a pick")
+				}
+			})
+		}
+	}
+}
+
 // TestImplementMatchesOracle: over every possible allocation, Implement
 // builds what the map-based reference builds — allocation, cost and
 // flexibility to the bit, clusters, and behaviours down to their
@@ -234,16 +265,7 @@ func TestImplementMatchesOracle(t *testing.T) {
 		opts Options
 	}
 	var subjects []subject
-	for _, sp := range []struct {
-		name string
-		mk   func() *spec.Spec
-	}{
-		{"settop", models.SetTopBox},
-		{"sdr", models.SDR},
-		{"synthetic2", func() *spec.Spec { return models.Synthetic(models.DefaultSynthetic(2)) }},
-		{"synthetic3", func() *spec.Spec { return models.Synthetic(models.DefaultSynthetic(3)) }},
-		{"synthetic7", func() *spec.Spec { return models.Synthetic(models.DefaultSynthetic(7)) }},
-	} {
+	for _, sp := range oracleSpecs {
 		for _, weighted := range []bool{false, true} {
 			for _, nodes := range []int{0, 8} {
 				subjects = append(subjects, subject{

@@ -345,7 +345,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	_, j, aerr := s.parseRequest(http.MaxBytesReader(w, r.Body, 8<<20))
+	body, aerr := readRequestBody(w, r)
+	var j *job
+	if aerr == nil {
+		_, j, aerr = s.parseRequest(body)
+	}
 	if aerr != nil {
 		s.mu.Lock()
 		if aerr.Code == CodeLint {

@@ -345,31 +345,35 @@ func TestLintAdmission(t *testing.T) {
 	}
 }
 
+// admissionCases is the 4xx admission table: a body, the status and
+// the error code it is refused with.
+var admissionCases = []struct {
+	name   string
+	body   string
+	status int
+	code   string
+}{
+	{"not json", `{"model": `, http.StatusBadRequest, CodeMalformed},
+	{"unknown field", `{"model": "settop", "maxScans": 5}`, http.StatusBadRequest, CodeMalformed},
+	{"trailing data", `{"model": "settop"} {"model": "settop"}`, http.StatusBadRequest, CodeMalformed},
+	{"trailing bracket", `{"model": "settop"}}`, http.StatusBadRequest, CodeMalformed},
+	{"spec and model", `{"model": "settop", "spec": {"name": "x"}}`, http.StatusBadRequest, CodeMalformed},
+	{"neither spec nor model", `{"workers": 2}`, http.StatusBadRequest, CodeMalformed},
+	{"unknown model", `{"model": "warehouse"}`, http.StatusBadRequest, CodeMalformed},
+	{"invalid spec", `{"spec": {"name": "broken"}}`, http.StatusBadRequest, CodeBadSpec},
+	{"negative workers", `{"model": "settop", "workers": -1}`, http.StatusBadRequest, CodeBadBudget},
+	{"negative scan budget", `{"model": "settop", "maxScan": -5}`, http.StatusBadRequest, CodeBadBudget},
+	{"negative deadline", `{"model": "settop", "deadlineMs": -1}`, http.StatusBadRequest, CodeBadBudget},
+	{"deadline above cap", `{"model": "settop", "deadlineMs": 6000000}`, http.StatusBadRequest, CodeBadBudget},
+	{"negative cadence", `{"model": "settop", "checkpointEvery": -2}`, http.StatusBadRequest, CodeBadBudget},
+	{"unknown timing", `{"model": "settop", "timing": "bogus"}`, http.StatusBadRequest, CodeBadBudget},
+	{"exhaustive stopping at max flexibility", `{"model": "settop", "exhaustive": true, "stopAtMaxFlex": true}`, http.StatusBadRequest, CodeBadBudget},
+}
+
 // TestAdmissionRejections walks the 4xx admission table.
 func TestAdmissionRejections(t *testing.T) {
 	s, ts := newTestServer(t, Config{Lint: true, MaxDeadline: time.Minute})
-	cases := []struct {
-		name   string
-		body   string
-		status int
-		code   string
-	}{
-		{"not json", `{"model": `, http.StatusBadRequest, CodeMalformed},
-		{"unknown field", `{"model": "settop", "maxScans": 5}`, http.StatusBadRequest, CodeMalformed},
-		{"trailing data", `{"model": "settop"} {"model": "settop"}`, http.StatusBadRequest, CodeMalformed},
-		{"spec and model", `{"model": "settop", "spec": {"name": "x"}}`, http.StatusBadRequest, CodeMalformed},
-		{"neither spec nor model", `{"workers": 2}`, http.StatusBadRequest, CodeMalformed},
-		{"unknown model", `{"model": "warehouse"}`, http.StatusBadRequest, CodeMalformed},
-		{"invalid spec", `{"spec": {"name": "broken"}}`, http.StatusBadRequest, CodeBadSpec},
-		{"negative workers", `{"model": "settop", "workers": -1}`, http.StatusBadRequest, CodeBadBudget},
-		{"negative scan budget", `{"model": "settop", "maxScan": -5}`, http.StatusBadRequest, CodeBadBudget},
-		{"negative deadline", `{"model": "settop", "deadlineMs": -1}`, http.StatusBadRequest, CodeBadBudget},
-		{"deadline above cap", `{"model": "settop", "deadlineMs": 6000000}`, http.StatusBadRequest, CodeBadBudget},
-		{"negative cadence", `{"model": "settop", "checkpointEvery": -2}`, http.StatusBadRequest, CodeBadBudget},
-		{"unknown timing", `{"model": "settop", "timing": "bogus"}`, http.StatusBadRequest, CodeBadBudget},
-		{"exhaustive stopping at max flexibility", `{"model": "settop", "exhaustive": true, "stopAtMaxFlex": true}`, http.StatusBadRequest, CodeBadBudget},
-	}
-	for _, tc := range cases {
+	for _, tc := range admissionCases {
 		t.Run(tc.name, func(t *testing.T) {
 			status, m := post(t, ts, "/jobs", tc.body)
 			if status != tc.status {
@@ -381,8 +385,8 @@ func TestAdmissionRejections(t *testing.T) {
 		})
 	}
 	st := s.Snapshot()
-	if st.Counters.RejectedInvalid != len(cases) {
-		t.Errorf("rejectedInvalid = %d, want %d", st.Counters.RejectedInvalid, len(cases))
+	if st.Counters.RejectedInvalid != len(admissionCases) {
+		t.Errorf("rejectedInvalid = %d, want %d", st.Counters.RejectedInvalid, len(admissionCases))
 	}
 	if st.Counters.Admitted != 0 {
 		t.Errorf("admitted = %d, want 0", st.Counters.Admitted)
@@ -399,7 +403,7 @@ func TestWorkersCappedAtAdmission(t *testing.T) {
 		`{"model": "settop", "workers": 1000000000}`,
 		`{"model": "settop"}`,
 	} {
-		_, j, aerr := s.parseRequest(strings.NewReader(body))
+		_, j, aerr := s.parseRequest([]byte(body))
 		if aerr != nil {
 			t.Fatalf("%s: refused: %+v", body, aerr)
 		}
@@ -407,7 +411,7 @@ func TestWorkersCappedAtAdmission(t *testing.T) {
 			t.Errorf("%s: job.workers = %d, want GOMAXPROCS = %d", body, j.workers, procs)
 		}
 	}
-	if _, j, aerr := s.parseRequest(strings.NewReader(`{"model": "settop", "workers": 1}`)); aerr != nil || j.workers != 1 {
+	if _, j, aerr := s.parseRequest([]byte(`{"model": "settop", "workers": 1}`)); aerr != nil || j.workers != 1 {
 		t.Errorf("workers 1: job = %+v, err %+v; want 1 worker", j, aerr)
 	}
 }
@@ -424,7 +428,7 @@ func TestRequestTiming(t *testing.T) {
 		`{"model": "settop", "timing": "edf"}`:        bind.TimingEDF,
 		`{"model": "settop", "timing": "hyperbolic"}`: bind.TimingHyperbolic,
 	} {
-		if _, j, aerr := s.parseRequest(strings.NewReader(body)); aerr != nil || j.opts.Timing != want {
+		if _, j, aerr := s.parseRequest([]byte(body)); aerr != nil || j.opts.Timing != want {
 			t.Errorf("%s: job %+v, err %+v; want timing %v", body, j, aerr, want)
 		}
 	}

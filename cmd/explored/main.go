@@ -89,6 +89,18 @@ func (f *cliFlags) problems() []string {
 	return out
 }
 
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's headers, so a client that opens connections and sends
+// partial requests cannot hold their goroutines and read buffers
+// indefinitely. It does not bound a request body's read or a
+// response, so the SSE progress streams run as long as the job.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer returns the daemon's HTTP server over h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func main() {
 	os.Exit(run())
 }
@@ -149,7 +161,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "explored:", err)
 		return 1
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	logger.Printf("listening on http://%s (checkpoints in %s)", ln.Addr(), *ckDir)
 
 	// SIGTERM/SIGINT starts the graceful drain: stop admitting, suspend

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"net"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -84,5 +87,42 @@ func TestFlagValidationReportsAll(t *testing.T) {
 	f.workers = -1
 	if probs := f.problems(); len(probs) < 3 {
 		t.Errorf("want >= 3 problems, got %v", probs)
+	}
+}
+
+// TestHTTPServerTimesOutSlowHeaders: the daemon's server carries the
+// fixed header timeout, and under it a connection that never finishes
+// its request headers is closed. The behavioural half runs with the
+// timeout shortened to keep the test fast.
+func TestHTTPServerTimesOutSlowHeaders(t *testing.T) {
+	h := http.NotFoundHandler()
+	hs := newHTTPServer(h)
+	if hs.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.Handler == nil {
+		t.Fatal("server has no handler")
+	}
+
+	hs.ReadHeaderTimeout = 50 * time.Millisecond
+	ln, err := net.Listen("tcp", "localhost:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /jobs HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	// Closed by the server, the read ends at EOF; left open, it hits
+	// the deadline.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("the server kept the partial request open: %v", err)
 	}
 }

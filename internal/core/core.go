@@ -360,7 +360,10 @@ type PipelineStats struct {
 // skipped by subset dominance), and SupportableReused counts
 // implementations that reused the supportable-cluster set computed by
 // the candidate's estimate (or, in the sampling explorers, its
-// possibility test): every attempt.
+// possibility test): every attempt. BindReplayRejected counts replayed
+// bindings that Problem.Verify rejected under the present superset,
+// each followed by a solver run (a bind miss); monotone dominance says
+// it stays 0.
 type CacheStats struct {
 	FlattenHits        int `json:"flattenHits,omitempty"`
 	FlattenMisses      int `json:"flattenMisses,omitempty"`
@@ -371,6 +374,7 @@ type CacheStats struct {
 	BindInfeasibleHits int `json:"bindInfeasibleHits,omitempty"`
 	BindMisses         int `json:"bindMisses,omitempty"`
 	SupportableReused  int `json:"supportableReused,omitempty"`
+	BindReplayRejected int `json:"bindReplayRejected,omitempty"`
 }
 
 // plus returns the counter-wise sum.
@@ -384,6 +388,7 @@ func (c CacheStats) plus(d CacheStats) CacheStats {
 	c.BindInfeasibleHits += d.BindInfeasibleHits
 	c.BindMisses += d.BindMisses
 	c.SupportableReused += d.SupportableReused
+	c.BindReplayRejected += d.BindReplayRejected
 	return c
 }
 

@@ -21,9 +21,13 @@ import (
 // explorers. It carries the caches the cost-ordered scan can exploit
 // across candidates:
 //
-//   - interned problem flattenings keyed by the canonical ECS
-//     selection, so each elementary cluster activation is flattened
-//     once per run instead of once per (candidate × ECS);
+//   - one table of the problem's elementary cluster activations,
+//     enumerated once per run over every indexed cluster: per ECS its
+//     cluster bitset, its run-wide ID (its table index) and its
+//     prepared flattening, built when a list first holds it. A
+//     supportable set's ECS list is the entries whose clusters the set
+//     holds, in table order, interned by the set, so an ECS is
+//     enumerated and flattened once per run, not once per set;
 //   - interned architecture configurations: per set of allocated
 //     architecture clusters (a bitset key) the list of configurations
 //     EnumerateArchSelections yields, each with its selection and its
@@ -39,7 +43,8 @@ import (
 //     feasible under a resource set stays feasible under any superset
 //     (extra resources only add present vertices and links, and the
 //     timing tests depend only on the binding itself), so it is
-//     replayed — and verified with Problem.Verify — instead of rerun; an
+//     replayed — and verified with Problem.Verify, a rejection counted
+//     in BindReplayRejected and solved — instead of rerun; an
 //     ECS proven infeasible on a resource superset (by an untruncated
 //     search) is skipped on any subset. Only solver outcomes are
 //     stored, each present set once; a replay stores nothing.
@@ -68,7 +73,8 @@ import (
 // and admit tests the objective vector against the front before it
 // builds an entry.
 //
-// The interning caches are sharded and mutex-striped, each memo has its
+// The interning caches are sharded and mutex-striped, the ECS table and
+// each entry's flattening are built behind a sync.Once, each memo has its
 // own mutex, and a configuration's memo table is read lock-free, so one
 // evaluator is shared by the parallel explorer's workers; counters are
 // atomics, folded into Stats.Cache at progress emissions and on
@@ -102,12 +108,14 @@ type evaluator struct {
 	unitTerms [][]float64
 	unitRank  []int
 
-	flats    *shardMap[*flatSlot]   // ECS selection string
 	archs    *shardMap[*archConfig] // arch selection string
 	cfgLists *shardMap[*configList] // allocated-cluster set key
 	ecss     *shardMap[*ecsSlot]    // supportable-set key
 
-	nextECS atomic.Uint32
+	// table holds the problem's elementary cluster activations,
+	// enumerated once (ecsTable).
+	tableOnce sync.Once
+	table     []ecsEntry
 
 	base CacheStats // counters carried over from Options.Resume
 
@@ -120,6 +128,7 @@ type evaluator struct {
 	bindInfeasHits atomic.Int64
 	bindMisses     atomic.Int64
 	supportReused  atomic.Int64
+	replayRejected atomic.Int64
 }
 
 // newEvaluator builds the evaluation engine for one exploration run.
@@ -151,7 +160,6 @@ func newEvaluator(s *spec.Spec, opts Options) *evaluator {
 			ev.unitCluster[k] = i
 		}
 	}
-	ev.flats = newShardMap[*flatSlot]()
 	ev.archs = newShardMap[*archConfig]()
 	ev.cfgLists = newShardMap[*configList]()
 	ev.ecss = newShardMap[*ecsSlot]()
@@ -173,6 +181,7 @@ func (ev *evaluator) snapshot() CacheStats {
 		BindInfeasibleHits: int(ev.bindInfeasHits.Load()),
 		BindMisses:         int(ev.bindMisses.Load()),
 		SupportableReused:  int(ev.supportReused.Load()),
+		BindReplayRejected: int(ev.replayRejected.Load()),
 	}
 }
 
@@ -323,9 +332,7 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 
 	tested := 0
 	maxECS := ev.opts.maxECS()
-	list := ev.ecsList(sup)
-	for i := range list {
-		en := &list[i]
+	for _, en := range ev.ecsList(sup) {
 		tested++
 		// Novelty: skip an ECS whose clusters are all covered already
 		// (unless every behaviour is wanted).
@@ -455,81 +462,94 @@ func (ev *evaluator) admit(front *pareto.Front, cost, flex float64, r *candRec) 
 	return front.Add(&pareto.Entry{Objectives: []float64{p[0], p[1]}, Value: ev.materialise(r)})
 }
 
-// ecsEntry is one elementary cluster activation of a supportable set,
-// with everything the per-candidate loop needs precomputed: the
-// activated-cluster bitset, the interned problem flattening's prepared
-// binding problem (nil when the selection does not flatten) and its
-// run-wide ID, which keys the binding memo.
+// ecsEntry is one elementary cluster activation of the problem, with
+// everything the per-candidate loop needs precomputed: the
+// activated-cluster bitset, the run-wide ID — the entry's index in the
+// run's table, which keys the binding memo — and the prepared binding
+// problem of its flattening (nil when the selection does not flatten),
+// built once when a supportable set's list first holds the entry.
 type ecsEntry struct {
 	e    cover.ECS
 	id   uint32
 	bits bitset.Set
+	once sync.Once
 	prob *bind.Problem
 }
 
-// ecsSlot interns the ECS enumeration of one supportable-cluster set.
+// ecsSlot interns the ECS list of one supportable-cluster set.
 type ecsSlot struct {
 	once sync.Once
-	list []ecsEntry
+	list []*ecsEntry
 }
 
-// ecsList returns the interned ECS enumeration for a supportable set.
-// The enumeration order is deterministic in the set, so candidates with
-// equal supportable sets iterate byte-identical lists — the cover walk,
-// the selection keys and the cluster bitsets are paid once per distinct
-// set instead of once per candidate. The entries are shared and must be
-// treated as read-only.
-func (ev *evaluator) ecsList(sup bitset.Set) []ecsEntry {
-	slot, _ := ev.ecss.getOrCreateBytes(sup.KeyBytes(), func() *ecsSlot { return &ecsSlot{} })
-	slot.once.Do(func() {
+// ecsTable returns the run's table of the problem's elementary cluster
+// activations over every indexed cluster, enumerating it on first use.
+// The ECSs belong to the problem; a candidate only restricts which of
+// them are available.
+func (ev *evaluator) ecsTable() []ecsEntry {
+	ev.tableOnce.Do(func() {
 		cix := ev.sup.Clusters
 		cover.EnumerateFunc(ev.s.Problem, func(id hgraph.ID) bool {
-			i, ok := cix.Index(id)
-			return ok && sup.Has(i)
+			_, ok := cix.Index(id)
+			return ok
 		}, func(e cover.ECS) bool {
-			en := ecsEntry{e: e, bits: bitset.New(cix.Len())}
+			bits := bitset.New(cix.Len())
 			for _, c := range e.Clusters {
 				if i, ok := cix.Index(c); ok {
-					en.bits.Add(i)
+					bits.Add(i)
 				}
 			}
-			fs := ev.flatProblem(e.Selection)
-			en.id, en.prob = fs.id, fs.prob
-			slot.list = append(slot.list, en)
+			ev.table = append(ev.table, ecsEntry{e: e, id: uint32(len(ev.table)), bits: bits})
 			return true
 		})
+	})
+	return ev.table
+}
+
+// ecsList returns the ECS enumeration of a supportable set: the table
+// entries whose clusters the set holds, in table order. The enumeration
+// restricted to the set visits interfaces and clusters in the table's
+// order and only skips subtrees, so this is its order too. Candidates
+// with equal supportable sets share one interned list. The first list
+// to hold an entry flattens and prepares its selection (a flatten
+// miss); every later list holding it counts a hit. The entries are
+// shared and must be treated as read-only.
+func (ev *evaluator) ecsList(sup bitset.Set) []*ecsEntry {
+	slot, _ := ev.ecss.getOrCreateBytes(sup.KeyBytes(), func() *ecsSlot { return &ecsSlot{} })
+	slot.once.Do(func() {
+		table := ev.ecsTable()
+		n := 0
+		for i := range table {
+			if table[i].bits.SubsetOf(sup) {
+				n++
+			}
+		}
+		slot.list = make([]*ecsEntry, 0, n)
+		for i := range table {
+			if en := &table[i]; en.bits.SubsetOf(sup) {
+				ev.prepare(en)
+				slot.list = append(slot.list, en)
+			}
+		}
 	})
 	return slot.list
 }
 
-// flatSlot interns one problem flattening under a run-wide ID as its
-// prepared binding problem; the Once gives single-flight construction
-// under concurrent lookups. prob is nil when the selection does not
-// flatten. The slot lives on the evaluator, so a finished run retains
-// nothing on the spec.
-type flatSlot struct {
-	once sync.Once
-	id   uint32
-	prob *bind.Problem
-}
-
-// flatProblem returns the interned problem flattening for an ECS
-// selection, flattening and preparing it on first use.
-func (ev *evaluator) flatProblem(sel hgraph.Selection) *flatSlot {
-	slot, created := ev.flats.getOrCreate(sel.String(), func() *flatSlot {
-		return &flatSlot{id: ev.nextECS.Add(1)}
+// prepare flattens and prepares en's selection on its first call and
+// counts a flatten miss, or a hit on every later call.
+func (ev *evaluator) prepare(en *ecsEntry) {
+	built := false
+	en.once.Do(func() {
+		built = true
+		if fg, err := ev.s.Problem.Flatten(en.e.Selection); err == nil {
+			en.prob = bind.Prepare(ev.s, fg)
+		}
 	})
-	if created {
+	if built {
 		ev.flattenMisses.Add(1)
 	} else {
 		ev.flattenHits.Add(1)
 	}
-	slot.once.Do(func() {
-		if fg, err := ev.s.Problem.Flatten(sel); err == nil {
-			slot.prob = bind.Prepare(ev.s, fg)
-		}
-	})
-	return slot
 }
 
 // archConfig is one interned architecture configuration: its cluster
@@ -855,6 +875,7 @@ func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratc
 			ev.bindReplayHits.Add(1)
 			return o.binding, true
 		}
+		ev.replayRejected.Add(1)
 	}
 
 	ev.bindMisses.Add(1)

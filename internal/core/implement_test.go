@@ -41,8 +41,7 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 		avail := w.sup.Avail()
 		list := ev.ecsList(sup)
 		for _, c := range ev.configs(alloc.AllocationOf(ev.units, units)) {
-			for i := range list {
-				e := &list[i]
+			for _, e := range list {
 				if e.prob == nil {
 					continue
 				}

@@ -257,7 +257,8 @@ func TestKeptPicksAreImplemented(t *testing.T) {
 // BindingRuns and BindingNodes. ImplementAll over the same list, which
 // may replay a binding found for an earlier allocation, builds the same
 // implementations up to their bindings, and each binding passes
-// bind.Check under its behaviour's configuration.
+// bind.Check under its behaviour's configuration; Problem.Verify
+// rejects none of the replays behind them.
 func TestImplementMatchesOracle(t *testing.T) {
 	type subject struct {
 		name string
@@ -324,6 +325,17 @@ func TestImplementMatchesOracle(t *testing.T) {
 			}
 			if feasible == 0 {
 				t.Errorf("none of %d allocations is feasible", len(as))
+			}
+			// ImplementAll's replays, counted: monotone dominance says
+			// Verify rejects none of them.
+			ev := newEvaluator(s, opts)
+			w := ev.evalScratch()
+			var at attempt
+			for _, a := range as {
+				at = ev.implementAllocation(a, &w, &Stats{}, at, math.Inf(-1))
+			}
+			if c := ev.snapshot(); c.BindReplayRejected != 0 {
+				t.Errorf("Verify rejected %d of %d replayed bindings", c.BindReplayRejected, c.BindReplayHits+c.BindReplayRejected)
 			}
 		})
 	}

@@ -118,16 +118,14 @@ func errBudget(msg string) *apiError {
 	return &apiError{Status: http.StatusBadRequest, Code: CodeBadBudget, Message: msg}
 }
 
-// writeTo renders the error.
+// writeTo renders the error as compact JSON followed by a newline.
 func (e *apiError) writeTo(w http.ResponseWriter) {
 	if e.RetryAfter > 0 {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", e.RetryAfter))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(e.Status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(map[string]*apiError{"error": e})
+	_ = json.NewEncoder(w).Encode(map[string]*apiError{"error": e})
 }
 
 // maxRequestBytes caps a POST /jobs body.

@@ -515,10 +515,9 @@ func (s *Server) Snapshot() Stats {
 	return st
 }
 
+// writeJSON answers v as compact JSON followed by a newline.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

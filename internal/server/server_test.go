@@ -453,6 +453,30 @@ func TestLookupErrors(t *testing.T) {
 	}
 }
 
+// TestBodiesAreCompact: job views, lists, the stats document and error
+// bodies are compact JSON, each one line ending in a newline.
+func TestBodiesAreCompact(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := submit(t, ts, `{"model": "decoder", "workers": 1}`)
+	waitState(t, ts, id, StateCompleted)
+	for _, path := range []string{"/jobs/" + id, "/jobs", "/stats", "/jobs/j-99"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, body); err != nil {
+			t.Fatalf("%s: body not JSON: %v\n%s", path, err, body)
+		}
+		compact.WriteByte('\n')
+		if !bytes.Equal(body, compact.Bytes()) {
+			t.Errorf("%s: body is not compact JSON and a newline:\n%s", path, body)
+		}
+	}
+}
+
 // TestHealthEndpoints: /healthz is unconditional, /readyz tracks
 // drain state.
 func TestHealthEndpoints(t *testing.T) {

@@ -161,7 +161,7 @@ func BenchmarkE7_PruningStats(b *testing.B) {
 	b.Run("exhaustive", func(b *testing.B) {
 		var st core.Stats
 		for i := 0; i < b.N; i++ {
-			st = core.Exhaustive(s, core.Options{}).Stats
+			st = core.Explore(s, core.Options{}.Exhaustive()).Stats
 		}
 		b.ReportMetric(float64(st.Attempted), "attempted")
 		b.ReportMetric(float64(st.BindingRuns), "binding_runs")
@@ -265,7 +265,7 @@ func BenchmarkE11_ExplorerComparison(b *testing.B) {
 	b.Run("exhaustive", func(b *testing.B) {
 		var r *core.Result
 		for i := 0; i < b.N; i++ {
-			r = core.Exhaustive(s, core.Options{})
+			r = core.Explore(s, core.Options{}.Exhaustive())
 		}
 		b.ReportMetric(coverage(r), "hv_ratio")
 		b.ReportMetric(float64(r.Stats.BindingRuns), "binding_runs")
@@ -273,7 +273,7 @@ func BenchmarkE11_ExplorerComparison(b *testing.B) {
 	b.Run("random1000", func(b *testing.B) {
 		var r *core.Result
 		for i := 0; i < b.N; i++ {
-			r = core.RandomSearch(s, core.Options{}, 1000, 1)
+			r = core.Run(context.Background(), s, core.Options{}, core.Request{Kind: core.KindRandom, Iterations: 1000, Seed: 1})
 		}
 		b.ReportMetric(coverage(r), "hv_ratio")
 		b.ReportMetric(float64(r.Stats.BindingRuns), "binding_runs")
@@ -281,7 +281,7 @@ func BenchmarkE11_ExplorerComparison(b *testing.B) {
 	b.Run("evolutionary", func(b *testing.B) {
 		var r *core.Result
 		for i := 0; i < b.N; i++ {
-			r = core.Evolutionary(s, core.Options{}, 1)
+			r = core.Run(context.Background(), s, core.Options{}, core.Request{Kind: core.KindEvolutionary, Seed: 1})
 		}
 		b.ReportMetric(coverage(r), "hv_ratio")
 		b.ReportMetric(float64(r.Stats.BindingRuns), "binding_runs")
@@ -379,7 +379,7 @@ func BenchmarkE13_Upgrade(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := core.Upgrade(s, base, core.Options{})
+		r := core.Run(context.Background(), s, core.Options{}, core.Request{Kind: core.KindUpgrade, Base: base})
 		front = len(r.Front)
 	}
 	b.ReportMetric(float64(front), "upgrade_points")
@@ -555,7 +555,7 @@ func BenchmarkE16_TriObjective(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := core.ExploreMulti(s, core.Options{AllBehaviours: true}, objs)
+		r := core.Run(context.Background(), s, core.Options{AllBehaviours: true}, core.Request{Kind: core.KindMulti, Objectives: objs})
 		front = len(r.Front)
 	}
 	b.ReportMetric(float64(front), "front")

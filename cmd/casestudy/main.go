@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -200,18 +201,20 @@ func printTable1() {
 func compareExplorers(s *spec.Spec, opts core.Options) {
 	runs := []struct {
 		name string
-		res  *core.Result
+		opts core.Options
+		req  core.Request
 	}{
-		{"EXPLORE (paper)", core.Explore(s, opts)},
-		{"exhaustive", core.Exhaustive(s, opts)},
-		{"random (1000)", core.RandomSearch(s, opts, 1000, 1)},
-		{"evolutionary", core.Evolutionary(s, opts, 1)},
+		{"EXPLORE (paper)", opts, core.Request{}},
+		{"exhaustive", opts.Exhaustive(), core.Request{}},
+		{"random (1000)", opts, core.Request{Kind: core.KindRandom, Iterations: 1000, Seed: 1}},
+		{"evolutionary", opts, core.Request{Kind: core.KindEvolutionary, Seed: 1}},
 	}
 	fmt.Printf("%-16s | %6s | %9s | %8s | %9s\n", "explorer", "front", "attempted", "bindings", "nodes")
 	fmt.Println(strings.Repeat("-", 62))
-	for _, r := range runs {
-		fmt.Printf("%-16s | %6d | %9d | %8d | %9d\n", r.name, len(r.res.Front),
-			r.res.Stats.Attempted, r.res.Stats.BindingRuns, r.res.Stats.BindingNodes)
+	for _, run := range runs {
+		r := core.Run(context.Background(), s, run.opts, run.req)
+		fmt.Printf("%-16s | %6d | %9d | %8d | %9d\n", run.name, len(r.Front),
+			r.Stats.Attempted, r.Stats.BindingRuns, r.Stats.BindingNodes)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"time"
 
@@ -212,31 +213,32 @@ func run() int {
 		defer cancel()
 	}
 
-	if *objectives != "" {
-		runMulti(ctx, s, opts, *objectives)
-		return 0
+	// The request and the exhaustive overrides are settled before the
+	// checkpoint wiring, so the options digest describes the scan run.
+	req := core.Request{Workers: *workers, Iterations: *iters, Seed: *seed}
+	if req.Workers == 0 {
+		req.Workers = runtime.GOMAXPROCS(0)
 	}
-	if *upgradeFrom != "" {
-		base := spec.Allocation{}
+	switch {
+	case *objectives != "":
+		req.Kind, req.Objectives = core.KindMulti, parseObjectives(*objectives, &opts)
+	case *upgradeFrom != "":
+		req.Kind, req.Base = core.KindUpgrade, spec.Allocation{}
 		for _, id := range strings.Split(*upgradeFrom, ",") {
-			id = strings.TrimSpace(id)
-			if id != "" {
-				base[hgraph.ID(id)] = true
+			if id = strings.TrimSpace(id); id != "" {
+				req.Base[hgraph.ID(id)] = true
 			}
 		}
-		r := core.UpgradeContext(ctx, s, base, opts)
-		fmt.Printf("upgrades of %v: %d Pareto-optimal extensions\n\n", base, len(r.Front))
-		fmt.Print(r.FrontTable(s.Problem.Root.ID))
-		return 0
-	}
-
-	// The exhaustive overrides must be in opts before the checkpoint
-	// wiring so the options digest describes the scan actually run and
-	// a snapshot taken under -algo exhaustive resumes consistently.
-	if *algo == "exhaustive" {
-		opts.DisableFlexBound = true
-		opts.IncludeUselessComm = true
-		opts.StopAtMaxFlex = false
+	case *algo == "explore":
+	case *algo == "exhaustive":
+		opts = opts.Exhaustive()
+	case *algo == "random":
+		req.Kind = core.KindRandom
+	case *algo == "ea":
+		req.Kind = core.KindEvolutionary
+	default:
+		fmt.Fprintf(os.Stderr, "explore: unknown algorithm %q\n", *algo)
+		return 2
 	}
 
 	var writer *checkpoint.Writer
@@ -271,19 +273,15 @@ func run() int {
 			snap.SpecName, snap.Cursor, len(snap.Front))
 	}
 
-	var r *core.Result
-	switch *algo {
-	case "explore":
-		r = core.ExploreParallelContext(ctx, s, opts, *workers, 0)
-	case "exhaustive":
-		r = core.ExhaustiveContext(ctx, s, opts)
-	case "random":
-		r = core.RandomSearchContext(ctx, s, opts, *iters, *seed)
-	case "ea":
-		r = core.EvolutionaryContext(ctx, s, opts, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "explore: unknown algorithm %q\n", *algo)
-		return 2
+	r := core.Run(ctx, s, opts, req)
+	switch req.Kind {
+	case core.KindMulti:
+		printMulti(r)
+		return 0
+	case core.KindUpgrade:
+		fmt.Printf("upgrades of %v: %d Pareto-optimal extensions\n\n", req.Base, len(r.Front))
+		fmt.Print(r.FrontTable(s.Problem.Root.ID))
+		return 0
 	}
 
 	if writer != nil {
@@ -393,8 +391,10 @@ func loadSpec(path, model string, seed int64) (*spec.Spec, error) {
 	return models.ByName(model, seed)
 }
 
-// runMulti runs the generalized multi-objective exploration.
-func runMulti(ctx context.Context, s *spec.Spec, opts core.Options, names string) {
+// parseObjectives returns cost, 1/flexibility and the comma-separated
+// extra objectives in names. The latency objective reads every
+// behaviour of an implementation, so it sets opts.AllBehaviours.
+func parseObjectives(names string, opts *core.Options) []core.Objective {
 	objs := []core.Objective{core.CostObjective(), core.InvFlexibilityObjective()}
 	for _, n := range strings.Split(names, ",") {
 		n = strings.TrimSpace(n)
@@ -407,11 +407,16 @@ func runMulti(ctx context.Context, s *spec.Spec, opts core.Options, names string
 			objs = append(objs, core.ResourceSumObjective(n))
 		}
 	}
-	r := core.ExploreMultiContext(ctx, s, opts, objs)
+	return objs
+}
+
+// printMulti prints a multi-objective front: one row of objective
+// values per implementation.
+func printMulti(r *core.Result) {
 	if r.Interrupted {
 		fmt.Fprintf(os.Stderr, "explore: interrupted (%s) at candidate %d; partial front follows\n", r.Reason, r.Cursor)
 	}
-	for _, name := range r.Names {
+	for _, name := range r.ObjectiveNames {
 		fmt.Printf("%-14s ", name)
 	}
 	fmt.Println("allocation")

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 	// --- Incremental upgrade of the deployed entry radio. ---
 	fmt.Println("== Upgrading the deployed {DSP1} radio ==")
 	base := r.Front[0]
-	up := core.Upgrade(s, base.Allocation, core.Options{AllBehaviours: true})
+	up := core.Run(context.Background(), s, core.Options{AllBehaviours: true}, core.Request{Kind: core.KindUpgrade, Base: base.Allocation})
 	fmt.Printf("deployed: %v (f=%g). Upgrade path (never discards hardware):\n",
 		base.Allocation, base.Flexibility)
 	for _, im := range up.Front {

@@ -55,7 +55,7 @@ func interruptedResult(t *testing.T, k int) *core.Result {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opts := core.Options{Fault: faultinject.New().CancelAt(core.SiteEstimate, k).Bind(cancel)}
-	r := core.ExploreContext(ctx, s, opts)
+	r := core.Run(ctx, s, opts, core.Request{})
 	if !r.Interrupted || r.Cursor != k {
 		t.Fatalf("interrupt failed: interrupted=%v cursor=%d", r.Interrupted, r.Cursor)
 	}
@@ -301,11 +301,11 @@ func TestCrashResumeMatchesUninterrupted(t *testing.T) {
 func TestDeadlineResumeMatchesUninterrupted(t *testing.T) {
 	s := models.SetTopBox()
 	opts := core.Options{DisableFlexBound: true, IncludeUselessComm: true}
-	full := core.ExploreContext(context.Background(), s, opts)
+	full := core.Run(context.Background(), s, opts, core.Request{})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	part := core.ExploreContext(ctx, s, opts)
+	part := core.Run(ctx, s, opts, core.Request{})
 	if !part.Interrupted {
 		t.Skip("scan completed before the deadline on this machine")
 	}
@@ -330,7 +330,7 @@ func TestDeadlineResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Resume = res
-	resumed := core.ExploreContext(context.Background(), s, opts)
+	resumed := core.Run(context.Background(), s, opts, core.Request{})
 	if !frontsEqual(resumed.Front, full.Front) {
 		t.Errorf("deadline+resume front differs from uninterrupted run")
 	}

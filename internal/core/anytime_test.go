@@ -78,19 +78,19 @@ func settleCursor(s *spec.Spec, opts Options) int {
 	return Explore(s, opts).Cursor
 }
 
-// cancelAt runs ExploreContext with a fault-injected cancellation at
+// cancelAt runs EXPLORE through Run with a fault-injected cancellation at
 // candidate index k — the deterministic stand-in for SIGINT/deadline.
 func cancelAt(s *spec.Spec, opts Options, k int) *Result {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opts.Fault = faultinject.New().CancelAt(SiteEstimate, k).Bind(cancel)
-	return ExploreContext(ctx, s, opts)
+	return Run(ctx, s, opts, Request{})
 }
 
 func TestExploreCancelledImmediately(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := ExploreContext(ctx, models.Decoder(), Options{})
+	r := Run(ctx, models.Decoder(), Options{}, Request{})
 	if !r.Interrupted || r.Reason != ReasonCancelled {
 		t.Fatalf("interrupted=%v reason=%q, want cancelled", r.Interrupted, r.Reason)
 	}
@@ -102,7 +102,7 @@ func TestExploreCancelledImmediately(t *testing.T) {
 func TestExploreDeadlineReason(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	r := ExploreContext(ctx, models.Decoder(), Options{})
+	r := Run(ctx, models.Decoder(), Options{}, Request{})
 	if !r.Interrupted || r.Reason != ReasonDeadline {
 		t.Fatalf("interrupted=%v reason=%q, want deadline", r.Interrupted, r.Reason)
 	}
@@ -295,7 +295,7 @@ func TestParallelCancelPrefixExact(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opts := Options{Fault: faultinject.New().CancelAt(SiteEstimate, k).Bind(cancel)}
-	r := ExploreParallelContext(ctx, s, opts, 4, 16)
+	r := explore(ctx, s, opts, 4, 16)
 	if !r.Interrupted || r.Reason != ReasonCancelled {
 		t.Fatalf("interrupted=%v reason=%q", r.Interrupted, r.Reason)
 	}
@@ -429,7 +429,7 @@ func TestStopAtMaxFlexFinalFlush(t *testing.T) {
 func TestRandomSearchCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := RandomSearchContext(ctx, models.Decoder(), Options{}, 100, 1)
+	r := Run(ctx, models.Decoder(), Options{}, Request{Kind: KindRandom, Iterations: 100, Seed: 1})
 	if !r.Interrupted || r.Reason != ReasonCancelled || r.Cursor != 0 {
 		t.Fatalf("interrupted=%v reason=%q cursor=%d", r.Interrupted, r.Reason, r.Cursor)
 	}
@@ -438,7 +438,7 @@ func TestRandomSearchCancel(t *testing.T) {
 func TestEvolutionaryCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := EvolutionaryContext(ctx, models.Decoder(), Options{}, 1)
+	r := Run(ctx, models.Decoder(), Options{}, Request{Kind: KindEvolutionary, Seed: 1})
 	if !r.Interrupted || r.Reason != ReasonCancelled {
 		t.Fatalf("interrupted=%v reason=%q", r.Interrupted, r.Reason)
 	}
@@ -447,7 +447,7 @@ func TestEvolutionaryCancel(t *testing.T) {
 func TestExploreMultiCancel(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	r := ExploreMultiContext(ctx, models.Decoder(), Options{}, nil)
+	r := Run(ctx, models.Decoder(), Options{}, Request{Kind: KindMulti})
 	if !r.Interrupted || r.Reason != ReasonDeadline || len(r.Front) != 0 {
 		t.Fatalf("interrupted=%v reason=%q front=%d", r.Interrupted, r.Reason, len(r.Front))
 	}
@@ -461,7 +461,7 @@ func TestUpgradeCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := UpgradeContext(ctx, s, full.Front[0].Allocation, Options{})
+	r := Run(ctx, s, Options{}, Request{Kind: KindUpgrade, Base: full.Front[0].Allocation})
 	if !r.Interrupted || r.Reason != ReasonCancelled {
 		t.Fatalf("interrupted=%v reason=%q", r.Interrupted, r.Reason)
 	}
@@ -476,7 +476,7 @@ func TestExhaustiveDeadlineAnytime(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opts := Options{Fault: faultinject.New().CancelAt(SiteEstimate, k).Bind(cancel)}
-	r := ExhaustiveContext(ctx, s, opts)
+	r := Run(ctx, s, opts.Exhaustive(), Request{})
 	if !r.Interrupted || r.Cursor != k {
 		t.Fatalf("interrupted=%v cursor=%d", r.Interrupted, r.Cursor)
 	}
@@ -507,11 +507,11 @@ func TestScanBoundOnlyWhenCut(t *testing.T) {
 			return r.Reason, r.Cursor, r.Stats
 		},
 		"multi": func(o Options) (Reason, int, Stats) {
-			r := ExploreMulti(s, o, nil)
+			r := Run(context.Background(), s, o, Request{Kind: KindMulti})
 			return r.Reason, r.Cursor, r.Stats
 		},
 		"upgrade": func(o Options) (Reason, int, Stats) {
-			r := Upgrade(s, base, o)
+			r := Run(context.Background(), s, o, Request{Kind: KindUpgrade, Base: base})
 			return r.Reason, r.Cursor, r.Stats
 		},
 	}
@@ -561,10 +561,6 @@ type anytimeRun struct {
 }
 
 func anytimeOf(r *Result) anytimeRun {
-	return anytimeRun{front: r.Front, interrupted: r.Interrupted, reason: r.Reason, cursor: r.Cursor, stats: r.Stats}
-}
-
-func anytimeOfMulti(r *MultiResult) anytimeRun {
 	return anytimeRun{front: r.Front, objectives: r.Objectives, interrupted: r.Interrupted, reason: r.Reason, cursor: r.Cursor, stats: r.Stats}
 }
 
@@ -608,32 +604,32 @@ func TestAnytimeContractEveryExplorer(t *testing.T) {
 		pool bool
 	}{
 		{"explore", func(ctx context.Context, o Options) anytimeRun {
-			return anytimeOf(ExploreContext(ctx, s, o))
+			return anytimeOf(Run(ctx, s, o, Request{}))
 		}, func(k int) []*Implementation { return prefixFront(s, Options{}, k) }, false},
 		{"parallel2", func(ctx context.Context, o Options) anytimeRun {
-			return anytimeOf(ExploreParallelContext(ctx, s, o, 2, 0))
+			return anytimeOf(explore(ctx, s, o, 2, 0))
 		}, func(k int) []*Implementation { return prefixFront(s, Options{}, k) }, true},
 		{"parallel4", func(ctx context.Context, o Options) anytimeRun {
-			return anytimeOf(ExploreParallelContext(ctx, s, o, 4, 0))
+			return anytimeOf(explore(ctx, s, o, 4, 0))
 		}, func(k int) []*Implementation { return prefixFront(s, Options{}, k) }, true},
 		{"exhaustive", func(ctx context.Context, o Options) anytimeRun {
-			return anytimeOf(ExhaustiveContext(ctx, s, o))
+			return anytimeOf(Run(ctx, s, o.Exhaustive(), Request{}))
 		}, func(k int) []*Implementation {
 			return prefixFront(s, Options{DisableFlexBound: true, IncludeUselessComm: true}, k)
 		}, false},
 		{"multi", func(ctx context.Context, o Options) anytimeRun {
-			return anytimeOfMulti(ExploreMultiContext(ctx, s, o, nil))
+			return anytimeOf(Run(ctx, s, o, Request{Kind: KindMulti}))
 		}, func(k int) []*Implementation {
 			return prefixArchive(s, Options{}, k, symbolic, costFlex)
 		}, false},
 		{"multi-tri", func(ctx context.Context, o Options) anytimeRun {
 			o.AllBehaviours = true
-			return anytimeOfMulti(ExploreMultiContext(ctx, s, o, tri))
+			return anytimeOf(Run(ctx, s, o, Request{Kind: KindMulti, Objectives: tri}))
 		}, func(k int) []*Implementation {
 			return prefixArchive(s, allBehaviours, k, symbolic, vectorOf(tri))
 		}, false},
 		{"upgrade", func(ctx context.Context, o Options) anytimeRun {
-			return anytimeOf(UpgradeContext(ctx, s, base, o))
+			return anytimeOf(Run(ctx, s, o, Request{Kind: KindUpgrade, Base: base}))
 		}, func(k int) []*Implementation {
 			return prefixArchive(s, Options{}, k, extensions, func(im *Implementation) []float64 {
 				if im.Flexibility <= baseFlex {

@@ -11,24 +11,6 @@ import (
 	"repro/internal/spec"
 )
 
-// Exhaustive explores every possible resource allocation (no
-// flexibility bound, no useless-bus pruning) and implements each one.
-// It is the reference the paper's pruning claims are measured against:
-// EXPLORE must return the same front with far fewer solver invocations.
-func Exhaustive(s *spec.Spec, opts Options) *Result {
-	return ExhaustiveContext(context.Background(), s, opts)
-}
-
-// ExhaustiveContext is Exhaustive under a context; the anytime
-// semantics (clean interruption, prefix-exact partial front, resume)
-// are inherited from ExploreContext.
-func ExhaustiveContext(ctx context.Context, s *spec.Spec, opts Options) *Result {
-	opts.DisableFlexBound = true
-	opts.IncludeUselessComm = true
-	opts.StopAtMaxFlex = false
-	return ExploreContext(ctx, s, opts)
-}
-
 // sampled is a sample's memoised outcome: its cost, and its
 // flexibility (-1 when impossible or infeasible).
 type sampled struct{ cost, flex float64 }
@@ -85,18 +67,8 @@ func (sc *scan) stopped() bool {
 	return true
 }
 
-// RandomSearch samples iters random allocations (uniform over unit
-// subsets) and implements each, keeping the Pareto archive. It is the
-// naive baseline for explorer comparisons.
-func RandomSearch(s *spec.Spec, opts Options, iters int, seed int64) *Result {
-	return RandomSearchContext(context.Background(), s, opts, iters, seed)
-}
-
-// RandomSearchContext is RandomSearch under a context: cancellation or
-// deadline expiry stops the sampling loop cleanly and returns the
-// best-so-far archive with Interrupted set; Cursor counts the
-// iterations performed. Scanned counts every draw, repeats included.
-func RandomSearchContext(ctx context.Context, s *spec.Spec, opts Options, iters int, seed int64) *Result {
+// randomSearch runs KindRandom: iters seeded draws through sample.
+func randomSearch(ctx context.Context, s *spec.Spec, opts Options, iters int, seed int64) *Result {
 	rng := rand.New(rand.NewSource(seed))
 	sc := newSampling(ctx, s, opts)
 	var idx []int
@@ -124,24 +96,9 @@ const (
 	eaCrossoverP  = 0.9
 )
 
-// Evolutionary runs a multi-objective evolutionary exploration in the
-// spirit of the paper's reference [2] (Blickle, Teich, Thiele:
-// system-level synthesis using evolutionary algorithms): individuals
-// are allocation bit-vectors, fitness is the (cost, 1/flexibility)
-// pair, selection is binary tournament on Pareto dominance with the
-// archive kept externally. It trades the exactness of EXPLORE for
-// metaheuristic scalability; the comparison benchmark (experiment E11)
-// measures what that trade costs on the case study.
-func Evolutionary(s *spec.Spec, opts Options, seed int64) *Result {
-	return EvolutionaryContext(context.Background(), s, opts, seed)
-}
-
-// EvolutionaryContext is Evolutionary under a context: cancellation or
-// deadline expiry stops the evolution at a generation boundary and
-// returns the archive accumulated so far with Interrupted set; Cursor
-// counts the generations completed. Scanned counts the distinct
-// allocations evaluated.
-func EvolutionaryContext(ctx context.Context, s *spec.Spec, opts Options, seed int64) *Result {
+// evolutionary runs KindEvolutionary: eaGenerations generations of
+// eaPopulation genomes, each evaluated through sample.
+func evolutionary(ctx context.Context, s *spec.Spec, opts Options, seed int64) *Result {
 	rng := rand.New(rand.NewSource(seed))
 	sc := newSampling(ctx, s, opts)
 	n := len(sc.ev.units)

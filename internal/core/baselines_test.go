@@ -39,7 +39,7 @@ func oracleImplement(s *spec.Spec, a spec.Allocation, opts Options, res *Result,
 	return im.Flexibility
 }
 
-// oracleRandomSearch is RandomSearch on allocation maps: each draw
+// oracleRandomSearch is a KindRandom run on allocation maps: each draw
 // builds a spec.Allocation, dedupes by its String and tests it with
 // alloc.Possible.
 func oracleRandomSearch(s *spec.Spec, opts Options, iters int, seed int64) *Result {
@@ -69,7 +69,7 @@ func oracleRandomSearch(s *spec.Spec, opts Options, iters int, seed int64) *Resu
 	return res
 }
 
-// oracleEvolutionary is Evolutionary on allocation maps, with the
+// oracleEvolutionary is a KindEvolutionary run on allocation maps, with the
 // genome cache keyed by the allocation's String and the cost taken from
 // Allocation.Cost.
 func oracleEvolutionary(s *spec.Spec, opts Options, seed int64) *Result {
@@ -169,7 +169,7 @@ func frontSummary(front []*Implementation) string {
 	return b.String()
 }
 
-// TestSamplingBaselinesMatchOracle pins RandomSearch and Evolutionary to
+// TestSamplingBaselinesMatchOracle pins KindRandom and KindEvolutionary runs to
 // the map-based loops they replaced: the fronts, cursor, reason, Scanned
 // and the semantic counters equal the oracle's, the binding memo never
 // runs the solver more often than the oracle does, and every attempt
@@ -192,12 +192,20 @@ func TestSamplingBaselinesMatchOracle(t *testing.T) {
 		do, oracle explorer
 	}{
 		{"random200",
-			func(s *spec.Spec, opts Options, seed int64) *Result { return RandomSearch(s, opts, 200, seed) },
+			func(s *spec.Spec, opts Options, seed int64) *Result {
+				return Run(context.Background(), s, opts, Request{Kind: KindRandom, Iterations: 200, Seed: seed})
+			},
 			func(s *spec.Spec, opts Options, seed int64) *Result { return oracleRandomSearch(s, opts, 200, seed) }},
 		{"random1000",
-			func(s *spec.Spec, opts Options, seed int64) *Result { return RandomSearch(s, opts, 1000, seed) },
+			func(s *spec.Spec, opts Options, seed int64) *Result {
+				return Run(context.Background(), s, opts, Request{Kind: KindRandom, Iterations: 1000, Seed: seed})
+			},
 			func(s *spec.Spec, opts Options, seed int64) *Result { return oracleRandomSearch(s, opts, 1000, seed) }},
-		{"ea", Evolutionary, oracleEvolutionary},
+		{"ea",
+			func(s *spec.Spec, opts Options, seed int64) *Result {
+				return Run(context.Background(), s, opts, Request{Kind: KindEvolutionary, Seed: seed})
+			},
+			oracleEvolutionary},
 	}
 	for _, sub := range subjects {
 		t.Run(sub.name, func(t *testing.T) {

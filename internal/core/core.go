@@ -275,8 +275,8 @@ type Stats struct {
 	// AllocSpace is 2^(allocatable units).
 	AllocSpace float64 `json:"allocSpace"`
 	// Scanned counts enumeration effort: BDD search nodes visited by the
-	// cost-ordered explorers (draws by RandomSearch, distinct
-	// allocations evaluated by Evolutionary). Telemetry, zeroed by
+	// cost-ordered explorers (draws by KindRandom, distinct
+	// allocations evaluated by KindEvolutionary). Telemetry, zeroed by
 	// Semantic().
 	Scanned int `json:"scanned"`
 	// PossibleAllocations counts subsets passing the possibility test
@@ -452,10 +452,15 @@ type Result struct {
 	// candidate the scan would have evaluated (== the number of
 	// candidates whose evaluation is reflected in Front; a settled run
 	// reflects the pruned tail, see ReasonCompleted). For the
-	// sampling baselines it counts iterations (RandomSearch) or
-	// generations (Evolutionary) instead.
+	// sampling baselines it counts iterations (KindRandom) or
+	// generations (KindEvolutionary) instead.
 	Cursor int
 	Stats  Stats
+	// Objectives and ObjectiveNames are a KindMulti run's: each front
+	// entry's objective vector (Front is then sorted by vector) and the
+	// objectives' names. MarshalJSON does not encode them.
+	Objectives     [][]float64
+	ObjectiveNames []string
 }
 
 // FrontTable renders the Pareto set in the layout of the paper's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 	"testing/quick"
@@ -152,11 +153,19 @@ func TestImplementBehavioursValid(t *testing.T) {
 			{"explore", func() []*Implementation { return Explore(s, Options{}).Front }},
 			{"parallel-2", func() []*Implementation { return ExploreParallel(s, Options{}, 2, 0).Front }},
 			{"parallel-2-unbounded", func() []*Implementation { return ExploreParallel(s, exhaustiveOpts, 2, 0).Front }},
-			{"exhaustive", func() []*Implementation { return Exhaustive(s, Options{}).Front }},
-			{"upgrade", func() []*Implementation { return Upgrade(s, base, Options{}).Front }},
-			{"multi", func() []*Implementation { return ExploreMulti(s, Options{}, nil).Front }},
-			{"random", func() []*Implementation { return RandomSearch(s, Options{}, 200, 1).Front }},
-			{"evolutionary", func() []*Implementation { return Evolutionary(s, Options{}, 1).Front }},
+			{"exhaustive", func() []*Implementation { return Explore(s, Options{}.Exhaustive()).Front }},
+			{"upgrade", func() []*Implementation {
+				return Run(context.Background(), s, Options{}, Request{Kind: KindUpgrade, Base: base}).Front
+			}},
+			{"multi", func() []*Implementation {
+				return Run(context.Background(), s, Options{}, Request{Kind: KindMulti}).Front
+			}},
+			{"random", func() []*Implementation {
+				return Run(context.Background(), s, Options{}, Request{Kind: KindRandom, Iterations: 200, Seed: 1}).Front
+			}},
+			{"evolutionary", func() []*Implementation {
+				return Run(context.Background(), s, Options{}, Request{Kind: KindEvolutionary, Seed: 1}).Front
+			}},
 		} {
 			front := ex.run()
 			if len(front) == 0 {
@@ -261,7 +270,7 @@ func TestCaseStudyEstimateGap(t *testing.T) {
 // baseline: identical fronts, far less effort.
 func TestExhaustiveAgrees(t *testing.T) {
 	s := models.SetTopBox()
-	ex := Exhaustive(s, Options{})
+	ex := Explore(s, Options{}.Exhaustive())
 	fast := Explore(s, Options{})
 	if len(ex.Front) != len(fast.Front) {
 		t.Fatalf("front sizes differ: %d vs %d", len(ex.Front), len(fast.Front))
@@ -334,7 +343,7 @@ func TestFlexBoundAblation(t *testing.T) {
 func TestRandomSearchBaseline(t *testing.T) {
 	s := models.SetTopBox()
 	exact := Explore(s, Options{})
-	rs := RandomSearch(s, Options{}, 300, 42)
+	rs := Run(context.Background(), s, Options{}, Request{Kind: KindRandom, Iterations: 300, Seed: 42})
 	exactFront := &pareto.Front{}
 	for _, im := range exact.Front {
 		exactFront.Add(&pareto.Entry{Objectives: pareto.CostFlexObjectives(im.Cost, im.Flexibility)})
@@ -353,7 +362,7 @@ func TestRandomSearchBaseline(t *testing.T) {
 func TestEvolutionaryBaseline(t *testing.T) {
 	s := models.SetTopBox()
 	exact := Explore(s, Options{})
-	ea := Evolutionary(s, Options{}, 1)
+	ea := Run(context.Background(), s, Options{}, Request{Kind: KindEvolutionary, Seed: 1})
 	exactFront := &pareto.Front{}
 	for _, im := range exact.Front {
 		exactFront.Add(&pareto.Entry{Objectives: pareto.CostFlexObjectives(im.Cost, im.Flexibility)})
@@ -462,7 +471,7 @@ func TestPropExploreMatchesExhaustive(t *testing.T) {
 		}
 		s := models.Synthetic(p)
 		fast := Explore(s, Options{})
-		ex := Exhaustive(s, Options{})
+		ex := Explore(s, Options{}.Exhaustive())
 		if len(fast.Front) != len(ex.Front) {
 			return false
 		}
@@ -526,7 +535,7 @@ func BenchmarkExhaustiveCaseStudy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := Exhaustive(s, Options{})
+		r := Explore(s, Options{}.Exhaustive())
 		if len(r.Front) != 6 {
 			b.Fatal("wrong front")
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/hgraph"
@@ -53,7 +54,7 @@ func TestIncrementalNewStandard(t *testing.T) {
 
 	// Upgrading the deployed $100 box to cover D4: cheapest extension
 	// adds the D4 design and the FPGA bus.
-	up := Upgrade(s, spec.NewAllocation("uP2"), Options{})
+	up := Run(context.Background(), s, Options{}, Request{Kind: KindUpgrade, Base: spec.NewAllocation("uP2")})
 	if len(up.Front) == 0 {
 		t.Fatal("upgrades must exist")
 	}

@@ -261,9 +261,9 @@ func TestMemoCountersPinned(t *testing.T) {
 	for _, sub := range subjects {
 		for _, ex := range []struct {
 			name string
-			run  func(*spec.Spec, Options) *Result
-		}{{"explore", Explore}, {"exhaustive", Exhaustive}} {
-			r := ex.run(sub.s, sub.opts)
+			opts Options
+		}{{"explore", sub.opts}, {"exhaustive", sub.opts.Exhaustive()}} {
+			r := Explore(sub.s, ex.opts)
 			c := r.Stats.Cache
 			got := memoPin{c.BindExactHits, c.BindReplayHits, c.BindInfeasibleHits, c.BindMisses, r.Stats.BindingRuns, r.Stats.BindingNodes}
 			if key := sub.name + "/" + ex.name; got != want[key] {

@@ -12,8 +12,9 @@ import (
 
 // Objective is one minimized criterion evaluated on an implementation.
 // The paper's Section 4 motivates more than two objectives ("execution
-// time, cost, area, power consumption, weight, etc."); ExploreMulti
-// generalizes the flexibility/cost exploration to any objective vector.
+// time, cost, area, power consumption, weight, etc."); a KindMulti
+// run generalizes the flexibility/cost exploration to any
+// objective vector.
 type Objective struct {
 	Name string
 	// Eval extracts the minimized value.
@@ -25,7 +26,7 @@ type Objective struct {
 	// nil LowerBound contributes 0 (no pruning power).
 	LowerBound func(s *spec.Spec, a spec.Allocation, est float64) float64
 	// timed, if non-nil, returns the objective under a run's timing
-	// policy; ExploreMulti applies it to Options.Timing.
+	// policy; a KindMulti run applies it to Options.Timing.
 	timed func(bind.TimingPolicy) Objective
 }
 
@@ -63,8 +64,8 @@ func InvFlexibilityObjective() Objective {
 // MeanLatencyObjective minimizes the mean, over implemented behaviours,
 // of the latency-optimal total execution time — the refinement
 // criterion: a platform that is flexible *and* fast. The latency-optimal
-// bindings obey the exploring run's timing policy (ExploreMulti applies
-// Options.Timing); a direct Eval call uses bind.TimingPaper.
+// bindings obey the exploring run's timing policy (a KindMulti run
+// applies Options.Timing); a direct Eval call uses bind.TimingPaper.
 func MeanLatencyObjective() Objective {
 	return meanLatencyObjective(bind.TimingPaper)
 }
@@ -119,54 +120,21 @@ func ResourceSumObjective(attr string) Objective {
 	}
 }
 
-// MultiResult is the outcome of a multi-objective exploration.
-type MultiResult struct {
-	// Front holds the non-dominated implementations with their
-	// objective vectors (parallel slices, sorted lexicographically by
-	// vector).
-	Front      []*Implementation
-	Objectives [][]float64
-	Names      []string
-	// Interrupted/Reason/Cursor carry the anytime-termination state,
-	// with the same semantics as Result: an interrupted front is the
-	// exact non-dominated set of the explored cost-ordered prefix.
-	Interrupted bool
-	Reason      Reason
-	Cursor      int
-	Stats       Stats
-}
-
-// ExploreMulti explores the possible resource allocations under an
-// arbitrary objective vector. Candidates still arrive in nondecreasing
-// cost; a candidate is pruned when its best-case vector (per-objective
-// lower bounds) is already dominated or matched by an archived point.
-// With exactly {CostObjective, InvFlexibilityObjective} the result
-// coincides with Explore (property-tested), but the pruning is weaker
-// than EXPLORE's scalar bound, which exploits the cost ordering.
-func ExploreMulti(s *spec.Spec, opts Options, objectives []Objective) *MultiResult {
-	return ExploreMultiContext(context.Background(), s, opts, objectives)
-}
-
-// ExploreMultiContext is ExploreMulti under a context, with the same
-// anytime semantics as ExploreContext: cancellation or deadline expiry
-// stops the cost-ordered scan cleanly and returns the best-so-far front
-// with Interrupted set and Cursor at the first unevaluated candidate,
-// and Options.Resume continues it (the resumed front's objective
-// vectors are re-evaluated from its implementations).
-func ExploreMultiContext(ctx context.Context, s *spec.Spec, opts Options, objectives []Objective) *MultiResult {
+// exploreMulti runs KindMulti and records the front's objective
+// vectors and names in the result.
+func exploreMulti(ctx context.Context, s *spec.Spec, opts Options, objectives []Objective) *Result {
 	sc, f := newMultiScan(ctx, s, opts, objectives)
 	r := sc.run(f, sc.candidates, 1, 0)
-	res := &MultiResult{Front: r.Front, Interrupted: r.Interrupted, Reason: r.Reason, Cursor: r.Cursor, Stats: r.Stats}
 	for _, o := range f.objectives {
-		res.Names = append(res.Names, o.Name)
+		r.ObjectiveNames = append(r.ObjectiveNames, o.Name)
 	}
 	for _, e := range sc.front.Entries() {
-		res.Objectives = append(res.Objectives, e.Objectives)
+		r.Objectives = append(r.Objectives, e.Objectives)
 	}
-	return res
+	return r
 }
 
-// newMultiScan prepares an ExploreMulti run: the scan and its fold
+// newMultiScan prepares a KindMulti run: the scan and its fold
 // over the objectives (the default pair when there are none), each
 // under the run's timing policy.
 func newMultiScan(ctx context.Context, s *spec.Spec, opts Options, objectives []Objective) (*scan, *multiFold) {

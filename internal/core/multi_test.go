@@ -19,7 +19,7 @@ import (
 func TestExploreMultiDefaultMatchesExplore(t *testing.T) {
 	s := models.SetTopBox()
 	bi := Explore(s, Options{})
-	multi := ExploreMulti(s, Options{}, nil)
+	multi := Run(context.Background(), s, Options{}, Request{Kind: KindMulti})
 	if len(multi.Front) != len(bi.Front) {
 		t.Fatalf("front sizes differ: %d vs %d", len(multi.Front), len(bi.Front))
 	}
@@ -31,8 +31,8 @@ func TestExploreMultiDefaultMatchesExplore(t *testing.T) {
 				bi.Front[i].Cost, bi.Front[i].Flexibility)
 		}
 	}
-	if multi.Names[0] != "cost" || multi.Names[1] != "1/flexibility" {
-		t.Errorf("objective names = %v", multi.Names)
+	if multi.ObjectiveNames[0] != "cost" || multi.ObjectiveNames[1] != "1/flexibility" {
+		t.Errorf("objective names = %v", multi.ObjectiveNames)
 	}
 }
 
@@ -43,7 +43,7 @@ func TestExploreMultiDefaultMatchesExplore(t *testing.T) {
 func TestExploreMultiTriObjective(t *testing.T) {
 	s := models.SetTopBox()
 	objs := []Objective{CostObjective(), InvFlexibilityObjective(), MeanLatencyObjective()}
-	multi := ExploreMulti(s, Options{AllBehaviours: true}, objs)
+	multi := Run(context.Background(), s, Options{AllBehaviours: true}, Request{Kind: KindMulti, Objectives: objs})
 	bi := Explore(s, Options{AllBehaviours: true})
 
 	if len(multi.Front) <= len(bi.Front) {
@@ -108,7 +108,7 @@ func TestResourceSumObjective(t *testing.T) {
 		v.Attrs["power"] = w
 	}
 	objs := []Objective{ResourceSumObjective("power"), InvFlexibilityObjective()}
-	multi := ExploreMulti(s, Options{}, objs)
+	multi := Run(context.Background(), s, Options{}, Request{Kind: KindMulti, Objectives: objs})
 	if len(multi.Front) == 0 {
 		t.Fatal("empty power/flexibility front")
 	}
@@ -129,8 +129,8 @@ func TestResourceSumObjective(t *testing.T) {
 func TestExploreMultiPruningSound(t *testing.T) {
 	s := models.Decoder()
 	objs := []Objective{CostObjective(), InvFlexibilityObjective()}
-	with := ExploreMulti(s, Options{}, objs)
-	without := ExploreMulti(s, Options{DisableFlexBound: true}, objs)
+	with := Run(context.Background(), s, Options{}, Request{Kind: KindMulti, Objectives: objs})
+	without := Run(context.Background(), s, Options{DisableFlexBound: true}, Request{Kind: KindMulti, Objectives: objs})
 	if len(with.Front) != len(without.Front) {
 		t.Fatalf("front sizes differ: %d vs %d", len(with.Front), len(without.Front))
 	}
@@ -154,10 +154,10 @@ func TestExploreMultiWeightedPruningSound(t *testing.T) {
 	s := models.SetTopBox()
 	s.Problem.ClusterByID("gI").Attrs = hgraph.Attrs{spec.AttrWeight: 2}
 	opts := Options{Weighted: true}
-	with := ExploreMulti(s, opts, nil)
+	with := Run(context.Background(), s, opts, Request{Kind: KindMulti})
 	unpruned := opts
 	unpruned.DisableFlexBound = true
-	without := ExploreMulti(s, unpruned, nil)
+	without := Run(context.Background(), s, unpruned, Request{Kind: KindMulti})
 	if !reflect.DeepEqual(with.Objectives, without.Objectives) {
 		t.Errorf("pruned front %v differs from the unpruned %v", with.Objectives, without.Objectives)
 	}
@@ -187,7 +187,7 @@ func TestMeanLatencyFollowsRunTiming(t *testing.T) {
 		{"synthetic7", models.Synthetic(models.DefaultSynthetic(7))},
 	} {
 		for _, timing := range []bind.TimingPolicy{bind.TimingNone, bind.TimingEDF, bind.TimingPaper} {
-			r := ExploreMulti(sub.s, Options{Timing: timing}, tri)
+			r := Run(context.Background(), sub.s, Options{Timing: timing}, Request{Kind: KindMulti, Objectives: tri})
 			if len(r.Front) == 0 {
 				t.Fatalf("%s/%v: empty front", sub.name, timing)
 			}
@@ -236,7 +236,7 @@ func BenchmarkExploreMultiTri(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := ExploreMulti(s, Options{AllBehaviours: true}, objs)
+		r := Run(context.Background(), s, Options{AllBehaviours: true}, Request{Kind: KindMulti, Objectives: objs})
 		if len(r.Front) == 0 {
 			b.Fatal("empty front")
 		}
@@ -251,7 +251,7 @@ func BenchmarkExploreMultiTri(b *testing.B) {
 func TestProgressDropsEvictedSnapshots(t *testing.T) {
 	s := models.SetTopBox()
 	objs := []Objective{CostObjective(), InvFlexibilityObjective(), MeanLatencyObjective()}
-	want := ExploreMulti(s, Options{AllBehaviours: true}, objs)
+	want := Run(context.Background(), s, Options{AllBehaviours: true}, Request{Kind: KindMulti, Objectives: objs})
 
 	var sc *scan
 	reported := map[*Implementation]bool{}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -81,7 +82,7 @@ func TestFrontOwnsItsMaps(t *testing.T) {
 			return ExploreParallel(s, opts, 2, 0).Front
 		}},
 		{"ExploreMulti", func(s *spec.Spec, opts Options) []*Implementation {
-			return ExploreMulti(s, opts, []Objective{CostObjective(), InvFlexibilityObjective(), MeanLatencyObjective()}).Front
+			return Run(context.Background(), s, opts, Request{Kind: KindMulti, Objectives: []Objective{CostObjective(), InvFlexibilityObjective(), MeanLatencyObjective()}}).Front
 		}},
 	}
 	for _, sub := range []struct {
@@ -101,7 +102,7 @@ func TestFrontOwnsItsMaps(t *testing.T) {
 				t.Errorf("%s: a Progress consumer changed the front:\n%s\nwant\n%s", name, g, w)
 			}
 		}
-		assertNoSharedMaps(t, sub.name+"/RandomSearch", RandomSearch(sub.s, Options{}, 400, 1).Front)
-		assertNoSharedMaps(t, sub.name+"/Evolutionary", Evolutionary(sub.s, Options{}, 1).Front)
+		assertNoSharedMaps(t, sub.name+"/RandomSearch", Run(context.Background(), sub.s, Options{}, Request{Kind: KindRandom, Iterations: 400, Seed: 1}).Front)
+		assertNoSharedMaps(t, sub.name+"/Evolutionary", Run(context.Background(), sub.s, Options{}, Request{Kind: KindEvolutionary, Seed: 1}).Front)
 	}
 }

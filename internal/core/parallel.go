@@ -34,29 +34,22 @@ import (
 // extra implementation attempts: the commit re-checks each attempt
 // against the exact bound, so fronts, cursors, termination reasons and
 // all semantic counters equal the sequential run's (see
-// pipeline.evaluate for the argument).
+// pipeline.evaluate for the argument). A panicking evaluation is
+// recovered in its worker and recorded as a Diag in Stats, and the
+// candidate is skipped; a panic on the caller's goroutine (in
+// Options.Progress, say) stops the workers and propagates.
 //
 // workers <= 0 selects GOMAXPROCS; queue <= 0 selects 2 x workers
 // range jobs of look-ahead. The run starts its workers and no other
-// goroutine, and every worker has exited when it returns.
+// goroutine, and every worker has exited when it returns. With one
+// worker the scan runs inline. Run with Request.Workers is the same
+// under a context.
 func ExploreParallel(s *spec.Spec, opts Options, workers, queue int) *Result {
-	return ExploreParallelContext(context.Background(), s, opts, workers, queue)
+	return explore(context.Background(), s, opts, workers, queue)
 }
 
-// ExploreParallelContext is ExploreParallel under a context, with the
-// same anytime semantics as ExploreContext: on cancellation the commit
-// stops at the first unevaluated candidate (in candidate order), so the
-// partial front is exactly the Pareto set of the explored prefix and
-// Cursor marks where a resumed run continues.
-//
-// Candidate evaluations are additionally isolated against panics: a
-// panicking estimation or implementation construction is recovered in
-// its worker, recorded as a structured Diag in Stats, and the candidate
-// is skipped — one poisoned design point cannot take down a long scan.
-// A panic on the caller's goroutine (in Options.Progress, say) stops
-// the workers and propagates to the caller, as in an inline run.
-// With one worker it is ExploreContext: the scan runs inline.
-func ExploreParallelContext(ctx context.Context, s *spec.Spec, opts Options, workers, queue int) *Result {
+// explore is ExploreParallel under ctx, the pooled or inline EXPLORE.
+func explore(ctx context.Context, s *spec.Spec, opts Options, workers, queue int) *Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -347,7 +347,7 @@ func TestRecycledBatchesMatchInline(t *testing.T) {
 				if pool {
 					return ExploreParallel(tc.s, opts, 2, 0), reports
 				}
-				return ExploreContext(context.Background(), tc.s, opts), reports
+				return Run(context.Background(), tc.s, opts, Request{}), reports
 			}
 			// semantic is Stats.Semantic with every recovered panic
 			// turned into the error the inline run records instead.
@@ -710,7 +710,7 @@ func TestPoolSpawnsOnlyWorkers(t *testing.T) {
 				t.Errorf("%s: %d goroutines in Progress, want the baseline %d + 2 workers", tc.name, n, base)
 			}
 		}
-		r := ExploreParallelContext(ctx, tc.s, opts, 2, 0)
+		r := explore(ctx, tc.s, opts, 2, 0)
 		requireGoroutines(t, tc.name, base)
 		cancel()
 		if r.Reason != tc.reason || reports == 0 {

@@ -37,7 +37,7 @@ func TestSDRExploration(t *testing.T) {
 		}
 	}
 
-	ex := Exhaustive(s, Options{})
+	ex := Explore(s, Options{}.Exhaustive())
 	if len(ex.Front) != len(r.Front) {
 		t.Fatalf("exhaustive disagrees: %d rows", len(ex.Front))
 	}

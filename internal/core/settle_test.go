@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestSettledTailIsPruned(t *testing.T) {
 			length := tail("explore", c, func(start int, fn func(alloc.Candidate) bool) {
 				alloc.EnumerateSymbolicRange(s, alloc.Options{}, start, fn)
 			})
-			ref := Exhaustive(s, opts).Front
+			ref := Explore(s, opts.Exhaustive()).Front
 			full := Explore(s, opts)
 			requireSettled(t, name+" explore", full, c, length, ref)
 			requireSettled(t, name+" parallel2", ExploreParallel(s, opts, 2, 0), c, length, ref)
@@ -99,7 +100,7 @@ func TestSettledTailIsPruned(t *testing.T) {
 				continue
 			}
 			base := spec.NewAllocation("uP2")
-			up := Upgrade(s, base, Options{Weighted: weighted, StopAtMaxFlex: true})
+			up := Run(context.Background(), s, Options{Weighted: weighted, StopAtMaxFlex: true}, Request{Kind: KindUpgrade, Base: base})
 			if up.Reason != ReasonMaxFlex {
 				t.Fatalf("%s upgrade: the front never reaches MaxFlexibility (%s)", name, up.Reason)
 			}
@@ -109,14 +110,14 @@ func TestSettledTailIsPruned(t *testing.T) {
 				}
 			}
 			upLength := tail("upgrade", up.Cursor, extensions(base))
-			upRef := Upgrade(s, base, Options{Weighted: weighted, DisableFlexBound: true}).Front
-			requireSettled(t, name+" upgrade", Upgrade(s, base, opts), up.Cursor, upLength, upRef)
+			upRef := Run(context.Background(), s, Options{Weighted: weighted, DisableFlexBound: true}, Request{Kind: KindUpgrade, Base: base}).Front
+			requireSettled(t, name+" upgrade", Run(context.Background(), s, opts, Request{Kind: KindUpgrade, Base: base}), up.Cursor, upLength, upRef)
 
 			// A base that already reaches the maximum settles the same
 			// way, before any extension is estimated.
 			top := ref[len(ref)-1].Allocation
 			topLength := tail("upgrade from the top", 0, extensions(top))
-			requireSettled(t, name+" upgrade from the top", Upgrade(s, top, opts), 0, topLength, nil)
+			requireSettled(t, name+" upgrade from the top", Run(context.Background(), s, opts, Request{Kind: KindUpgrade, Base: top}), 0, topLength, nil)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -18,7 +19,7 @@ import (
 // three equal-cost options.
 func TestUpgradeFromCheapestBox(t *testing.T) {
 	s := models.SetTopBox()
-	r := Upgrade(s, spec.NewAllocation("uP2"), Options{})
+	r := Run(context.Background(), s, Options{}, Request{Kind: KindUpgrade, Base: spec.NewAllocation("uP2")})
 	want := [][2]float64{{170, 3}, {230, 4}, {290, 5}, {360, 7}, {430, 8}}
 	if len(r.Front) != len(want) {
 		t.Fatalf("upgrade front size = %d, want %d: %v", len(r.Front), len(want), r.Front)
@@ -48,7 +49,7 @@ func TestUpgradePreservesBaseBehaviours(t *testing.T) {
 	if baseImpl == nil {
 		t.Fatal("base should implement")
 	}
-	r := Upgrade(s, base, Options{})
+	r := Run(context.Background(), s, Options{}, Request{Kind: KindUpgrade, Base: base})
 	baseClusters := map[hgraph.ID]bool{}
 	for _, c := range baseImpl.Clusters {
 		baseClusters[c] = true
@@ -73,7 +74,7 @@ func TestUpgradePreservesBaseBehaviours(t *testing.T) {
 // front (nothing to gain).
 func TestUpgradeFromMaxedOut(t *testing.T) {
 	s := models.SetTopBox()
-	r := Upgrade(s, spec.NewAllocation("uP2", "A1", "dD3", "C1", "C2"), Options{})
+	r := Run(context.Background(), s, Options{}, Request{Kind: KindUpgrade, Base: spec.NewAllocation("uP2", "A1", "dD3", "C1", "C2")})
 	if len(r.Front) != 0 {
 		t.Errorf("no upgrade should exist beyond f=8, got %v", r.Front)
 	}
@@ -88,7 +89,7 @@ func TestUpgradeSearchSpaceWithUnknownBaseElement(t *testing.T) {
 	base := spec.NewAllocation("uP2", "C1", "dU2", "A1", "no-such-unit")
 	want := alloc.SearchSpace(len(alloc.Units(s)) - 4)
 	for i := 0; i < 50; i++ {
-		if got := Upgrade(s, base, Options{}).Stats.AllocSpace; got != want {
+		if got := Run(context.Background(), s, Options{}, Request{Kind: KindUpgrade, Base: base}).Stats.AllocSpace; got != want {
 			t.Fatalf("call %d: Upgrade AllocSpace = %v, want %v", i, got, want)
 		}
 		n := 0
@@ -108,7 +109,7 @@ func TestUpgradeSearchSpaceWithUnknownBaseElement(t *testing.T) {
 // allocation.
 func TestUpgradeFromEmptyEqualsExplore(t *testing.T) {
 	s := models.SetTopBox()
-	up := Upgrade(s, spec.Allocation{}, Options{})
+	up := Run(context.Background(), s, Options{}, Request{Kind: KindUpgrade, Base: spec.Allocation{}})
 	ex := Explore(s, Options{})
 	if len(up.Front) != len(ex.Front) {
 		t.Fatalf("front sizes differ: %d vs %d", len(up.Front), len(ex.Front))
@@ -137,7 +138,7 @@ func TestPropUpgradeConsistent(t *testing.T) {
 		if baseImpl == nil {
 			return true
 		}
-		up := Upgrade(s, base, Options{})
+		up := Run(context.Background(), s, Options{}, Request{Kind: KindUpgrade, Base: base})
 		fresh := Explore(s, Options{})
 		freshCost := map[float64]float64{} // flexibility -> cheapest cost
 		for _, im := range fresh.Front {
@@ -167,7 +168,7 @@ func BenchmarkUpgrade(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := Upgrade(s, base, Options{})
+		r := Run(context.Background(), s, Options{}, Request{Kind: KindUpgrade, Base: base})
 		if len(r.Front) != 5 {
 			b.Fatal("wrong upgrade front")
 		}

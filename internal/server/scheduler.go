@@ -222,7 +222,7 @@ func (s *Server) runSegment(ctx context.Context, j *job, resume *core.Resume) (r
 		}
 	}
 
-	return core.ExploreParallelContext(ctx, j.spec, opts, j.workers, 0), nil, false
+	return core.Run(ctx, j.spec, opts, core.Request{Workers: j.workers}), nil, false
 }
 
 // publishProgress converts a core progress snapshot into the job's

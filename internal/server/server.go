@@ -1,7 +1,6 @@
 // Package server turns the anytime exploration runtime into a
-// fault-tolerant service: an HTTP/JSON job API over
-// core.ExploreContext / core.ExploreParallelContext with robustness as
-// the headline.
+// fault-tolerant service: an HTTP/JSON job API over core.Run (EXPLORE,
+// inline or on a worker pool) with robustness as the headline.
 //
 //   - Admission control: the lint preflight (internal/lint) rejects
 //     defective specifications at the door with a structured 422 and
@@ -348,7 +347,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, aerr := readRequestBody(w, r)
 	var j *job
 	if aerr == nil {
-		_, j, aerr = s.parseRequest(body)
+		j, aerr = s.parseRequest(body)
 	}
 	if aerr != nil {
 		s.mu.Lock()

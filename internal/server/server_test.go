@@ -403,7 +403,7 @@ func TestWorkersCappedAtAdmission(t *testing.T) {
 		`{"model": "settop", "workers": 1000000000}`,
 		`{"model": "settop"}`,
 	} {
-		_, j, aerr := s.parseRequest([]byte(body))
+		j, aerr := s.parseRequest([]byte(body))
 		if aerr != nil {
 			t.Fatalf("%s: refused: %+v", body, aerr)
 		}
@@ -411,7 +411,7 @@ func TestWorkersCappedAtAdmission(t *testing.T) {
 			t.Errorf("%s: job.workers = %d, want GOMAXPROCS = %d", body, j.workers, procs)
 		}
 	}
-	if _, j, aerr := s.parseRequest([]byte(`{"model": "settop", "workers": 1}`)); aerr != nil || j.workers != 1 {
+	if j, aerr := s.parseRequest([]byte(`{"model": "settop", "workers": 1}`)); aerr != nil || j.workers != 1 {
 		t.Errorf("workers 1: job = %+v, err %+v; want 1 worker", j, aerr)
 	}
 }
@@ -428,7 +428,7 @@ func TestRequestTiming(t *testing.T) {
 		`{"model": "settop", "timing": "edf"}`:        bind.TimingEDF,
 		`{"model": "settop", "timing": "hyperbolic"}`: bind.TimingHyperbolic,
 	} {
-		if _, j, aerr := s.parseRequest([]byte(body)); aerr != nil || j.opts.Timing != want {
+		if j, aerr := s.parseRequest([]byte(body)); aerr != nil || j.opts.Timing != want {
 			t.Errorf("%s: job %+v, err %+v; want timing %v", body, j, aerr, want)
 		}
 	}
@@ -526,10 +526,10 @@ func TestDeadlineCompletesWithPartialFront(t *testing.T) {
 	// cursor.)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	base := core.ExploreContext(ctx, models.SetTopBox(), core.Options{
+	base := core.Run(ctx, models.SetTopBox(), core.Options{
 		DisableFlexBound: true, IncludeUselessComm: true,
 		Fault: faultinject.New().CancelAt(core.SiteEstimate, cursor).Bind(cancel),
-	})
+	}, core.Request{})
 	if base.Cursor != cursor {
 		t.Fatalf("baseline interrupt missed: cursor %d, want %d", base.Cursor, cursor)
 	}

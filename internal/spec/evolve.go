@@ -10,8 +10,8 @@ import (
 // a cluster is attached to a problem-graph interface and its processes
 // gain mapping edges. This is the paper's incremental-design scenario
 // (new functionality arriving after the platform is dimensioned, §1's
-// discussion of [10]); pair it with core.Upgrade to find the cheapest
-// platform extension implementing the newcomer. On error the
+// discussion of [10]); pair it with an upgrade run (core.KindUpgrade)
+// to find the cheapest platform extension implementing the newcomer. On error the
 // specification is unchanged.
 func (s *Spec) AddBehaviour(interfaceID hgraph.ID, c *hgraph.Cluster, mappings []*Mapping) error {
 	if err := s.Problem.AddCluster(interfaceID, c); err != nil {

@@ -31,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/alloc"
 	"repro/internal/bind"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -223,12 +224,12 @@ func run() int {
 	case *objectives != "":
 		req.Kind, req.Objectives = core.KindMulti, parseObjectives(*objectives, &opts)
 	case *upgradeFrom != "":
-		req.Kind, req.Base = core.KindUpgrade, spec.Allocation{}
-		for _, id := range strings.Split(*upgradeFrom, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				req.Base[hgraph.ID(id)] = true
-			}
+		base, err := upgradeBase(s, *upgradeFrom)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "explore:", err)
+			return 2
 		}
+		req.Kind, req.Base = core.KindUpgrade, base
 	case *algo == "explore":
 	case *algo == "exhaustive":
 		opts = opts.Exhaustive()
@@ -389,6 +390,28 @@ func loadSpec(path, model string, seed int64) (*spec.Spec, error) {
 		return spec.Read(f)
 	}
 	return models.ByName(model, seed)
+}
+
+// upgradeBase parses -upgrade-from's comma-separated unit IDs and
+// refuses one that is not an allocatable unit of s: it would leave no
+// upgrade to explore.
+func upgradeBase(s *spec.Spec, ids string) (spec.Allocation, error) {
+	units := map[hgraph.ID]bool{}
+	for _, u := range alloc.Units(s) {
+		units[u.ID] = true
+	}
+	base := spec.Allocation{}
+	for _, id := range strings.Split(ids, ",") {
+		id = strings.TrimSpace(id)
+		if id == "" {
+			continue
+		}
+		if !units[hgraph.ID(id)] {
+			return nil, fmt.Errorf("-upgrade-from: %q is not an allocatable unit of the specification", id)
+		}
+		base[hgraph.ID(id)] = true
+	}
+	return base, nil
 }
 
 // parseObjectives returns cost, 1/flexibility and the comma-separated

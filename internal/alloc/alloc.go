@@ -21,8 +21,9 @@
 package alloc
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/bitset"
@@ -49,7 +50,11 @@ type Unit struct {
 // and the paper's models (and ours) keep reconfigurable interfaces at
 // the top level.
 func Units(s *spec.Spec) []Unit {
-	var out []Unit
+	n := len(s.Arch.Root.Vertices)
+	for _, i := range s.Arch.Root.Interfaces {
+		n += len(i.Clusters)
+	}
+	out := make([]Unit, 0, n)
 	for _, v := range s.Arch.Root.Vertices {
 		out = append(out, Unit{
 			ID:        v.ID,
@@ -60,19 +65,24 @@ func Units(s *spec.Spec) []Unit {
 	}
 	for _, i := range s.Arch.Root.Interfaces {
 		for _, c := range i.Clusters {
-			u := Unit{ID: c.ID, Cost: c.Attrs.GetDefault(spec.AttrCost, 0)}
-			for _, lv := range s.Arch.LeavesOf(c) {
+			leaves := s.Arch.LeavesOf(c)
+			u := Unit{
+				ID:        c.ID,
+				Cost:      c.Attrs.GetDefault(spec.AttrCost, 0),
+				Resources: make([]hgraph.ID, 0, len(leaves)),
+			}
+			for _, lv := range leaves {
 				u.Cost += lv.Attrs.GetDefault(spec.AttrCost, 0)
 				u.Resources = append(u.Resources, lv.ID)
 			}
 			out = append(out, u)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Cost != out[b].Cost {
-			return out[a].Cost < out[b].Cost
+	slices.SortFunc(out, func(a, b Unit) int {
+		if c := cmp.Compare(a.Cost, b.Cost); c != 0 {
+			return c
 		}
-		return out[a].ID < out[b].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/hgraph"
+	"repro/internal/models"
 	"repro/internal/spec"
 )
 
@@ -74,6 +75,28 @@ func TestUnits(t *testing.T) {
 	}
 	if len(us[2].Resources) != 1 || us[2].Resources[0] != "D3" {
 		t.Errorf("dD3 resources = %v, want [D3]", us[2].Resources)
+	}
+}
+
+// TestUnitsAllocs pins what Units allocates: the unit slice, each
+// unit's Resources, and the leaves LeavesOf collects per cluster. A
+// slice grown by append, or a sort through a reflected swapper,
+// allocates more.
+func TestUnitsAllocs(t *testing.T) {
+	for name, s := range map[string]*spec.Spec{
+		"fig2":   buildFig2(t),
+		"settop": models.SetTopBox(),
+		"wide":   models.Synthetic(models.ScaledSynthetic(1, 22)),
+	} {
+		want := 1 + float64(len(s.Arch.Root.Vertices))
+		for _, i := range s.Arch.Root.Interfaces {
+			for _, c := range i.Clusters {
+				want += 1 + testing.AllocsPerRun(10, func() { s.Arch.LeavesOf(c) })
+			}
+		}
+		if got := testing.AllocsPerRun(10, func() { Units(s) }); got != want {
+			t.Errorf("%s: Units allocated %v times, want %v", name, got, want)
+		}
 	}
 }
 

@@ -28,7 +28,10 @@ import (
 // Node is a BDD node of one Manager: 0 is the constant false, 1 the
 // constant true, and internal nodes are numbered from 2 in creation
 // order. A node tests variable Level(n) and branches to Low(n) (the
-// variable false) and High(n) (the variable true).
+// variable false) and High(n) (the variable true). A Node is never
+// negative: a manager holds fewer than 2^31 nodes (grow panics past
+// that), so a Node's top bit is free for a flag, as CostEnum's records
+// use it.
 type Node int32
 
 // The terminal nodes.

@@ -23,7 +23,7 @@ func recordOf(e *CostEnum, idx []int) (int32, float64) {
 		cost += e.costs[k]
 	}
 	x := e.rec(r)
-	x.key, x.last = cost, uint32(idx[len(idx)-1])|atKey
+	x.key, x.pre = cost, atKey
 	return r, cost
 }
 
@@ -396,9 +396,9 @@ func atMost(m *Manager, k int) Node {
 
 // TestCostEnumAllocsConstant walks a 22-variable function to
 // exhaustion and requires the walk's allocations to stay a small
-// constant — the frontier adds a batch of blocks only when its
-// capacity doubles — rather than grow with the tens of thousands of
-// nodes it visits.
+// constant — the frontier adds a batch of blocks only when all its
+// records are taken, a quarter of its capacity at a time — rather than
+// grow with the tens of thousands of nodes it visits.
 func TestCostEnumAllocsConstant(t *testing.T) {
 	const n = 22
 	m := NewManager(n)
@@ -426,8 +426,8 @@ func TestCostEnumAllocsConstant(t *testing.T) {
 	}
 }
 
-// TestCostEnumRecordsStayPut walks until the frontier has grown by at
-// least three batches of blocks and requires record 0's row to sit
+// TestCostEnumRecordsStayPut walks until the frontier has grown to
+// eight blocks, in eight batches, and requires record 0's row to sit
 // where it was first written: growth adds blocks and never moves a
 // record. It runs on one-word rows and on three-word rows.
 func TestCostEnumRecordsStayPut(t *testing.T) {
@@ -441,10 +441,11 @@ func TestCostEnumRecordsStayPut(t *testing.T) {
 		e := m.NewCostEnum(f, costs)
 		e.Next()
 		first := &e.row(0)[0]
-		// Four batches: minFrontier, then three doublings.
+		// Eight batches: minFrontier, then one block each, because a
+		// quarter of fewer than eight blocks rounds down to none.
 		for len(e.blocks)*blockRecords < 8*minFrontier {
 			if _, _, ok := e.Next(); !ok {
-				t.Fatalf("n=%d: walk ended at %d records, before its fourth batch", c.n, len(e.blocks)*blockRecords)
+				t.Fatalf("n=%d: walk ended at %d records, before its eighth block", c.n, len(e.blocks)*blockRecords)
 			}
 		}
 		if got := &e.row(0)[0]; got != first {
@@ -454,10 +455,12 @@ func TestCostEnumRecordsStayPut(t *testing.T) {
 }
 
 // TestCostEnumAllocBytes walks a 22-variable function to exhaustion and
-// bounds the bytes the walk allocates: the memo tables plus at most
-// 2.5 times its peak live records, each counted with its heap id. A
-// frontier that copied its records as it grew would pay for them again
-// at every doubling.
+// bounds the bytes the walk allocates: the memo tables, plus at most
+// 1.4 times its peak live records of 24 bytes, each holding a heap slot
+// too, plus 4 KB for the block table. Growth by a quarter leaves at
+// most a quarter of the records unused, and the size classes a little
+// more. A frontier that copied its records or its heap as it grew, or
+// doubled its capacity, would pay well above that.
 func TestCostEnumAllocBytes(t *testing.T) {
 	const n = 22
 	m := NewManager(n)
@@ -478,10 +481,13 @@ func TestCostEnumAllocBytes(t *testing.T) {
 	if e.Emitted() != 35443 {
 		t.Fatalf("walk emitted %d models, want 35443", e.Emitted())
 	}
-	recordBytes := int(unsafe.Sizeof(record{})) + 4
+	const recordBytes = 24
+	if size := unsafe.Sizeof(record{}); size != recordBytes {
+		t.Fatalf("a record takes %d bytes, want %d", size, recordBytes)
+	}
 	memo := 8*len(e.minMemo) + len(e.zeroMemo)
 	got := int(after.TotalAlloc - before.TotalAlloc)
-	limit := memo + 5*int(e.rows)*recordBytes/2
+	limit := memo + 7*int(e.rows)*recordBytes/5 + 4096
 	t.Logf("allocated %d bytes: %d peak records of %d bytes, memo tables %d", got, e.rows, recordBytes, memo)
 	if got > limit {
 		t.Errorf("walk allocated %d bytes, want at most %d (%d peak records of %d bytes, memo tables %d)", got, limit, e.rows, recordBytes, memo)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/models"
 )
 
 // baseFlags returns a valid default flag set; tests mutate one aspect
@@ -149,6 +150,22 @@ func TestLoadSpecErrors(t *testing.T) {
 	}
 	if _, err := loadSpec("/nonexistent.json", "", 0); err == nil {
 		t.Error("missing file should error")
+	}
+}
+
+// TestUpgradeFromRefusesUnknownUnit: an -upgrade-from ID that is not an
+// allocatable unit of the spec is refused, naming the ID, instead of
+// giving an empty upgrade space; run prints the error and exits 2.
+func TestUpgradeFromRefusesUnknownUnit(t *testing.T) {
+	s := models.SetTopBox()
+	base, err := upgradeBase(s, "uP2, dU2")
+	if err != nil || len(base) != 2 || !base["uP2"] || !base["dU2"] {
+		t.Fatalf("upgradeBase(uP2, dU2) = %v, %v", base, err)
+	}
+	for _, ids := range []string{"uPX", "uP2,uPX"} {
+		if _, err := upgradeBase(s, ids); err == nil || !strings.Contains(err.Error(), `"uPX"`) {
+			t.Errorf("upgradeBase(%s) = %v, want an error naming uPX", ids, err)
+		}
 	}
 }
 

@@ -241,24 +241,6 @@ func (s Set) KeyBytes() []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s.w[0])), len(s.w)*8)
 }
 
-// Fingerprint returns a 64-bit hash of the set's content: sets that
-// Equal share it, over any sized ranges (zero words are skipped), so a
-// list of sets can be searched by fingerprint and only a match
-// confirmed with Equal.
-func (s Set) Fingerprint() uint64 {
-	var h uint64
-	for i, w := range s.w {
-		if w != 0 {
-			// The splitmix64 finalizer of the word and its position.
-			z := w + uint64(i)*0x9E3779B97F4A7C15
-			z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-			z = (z ^ z>>27) * 0x94D049BB133111EB
-			h ^= z ^ z>>31
-		}
-	}
-	return h
-}
-
 // String renders the member indices, e.g. "{1 5 9}".
 func (s Set) String() string {
 	var parts []string

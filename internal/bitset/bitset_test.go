@@ -244,34 +244,3 @@ func TestIntersectWith(t *testing.T) {
 		t.Fatal("a ∩ b ∩ c is empty")
 	}
 }
-
-// TestFingerprint: sets that Equal share a fingerprint, over different
-// sized ranges too, and the fingerprint tells apart the sets that differ
-// in one element or in the position of a word.
-func TestFingerprint(t *testing.T) {
-	a, b := New(100), New(500)
-	for _, i := range []int{3, 64, 99} {
-		a.Add(i)
-		b.Add(i)
-	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("equal sets over different ranges have different fingerprints")
-	}
-	if New(64).Fingerprint() != New(640).Fingerprint() {
-		t.Fatal("empty sets have different fingerprints")
-	}
-	// Every singleton and every one-element extension of b.
-	seen := map[uint64]string{}
-	for i := range 300 {
-		one, ext := New(300), b.Clone()
-		one.Add(i)
-		ext.Add(i)
-		for _, s := range []Set{one, ext} {
-			fp := s.Fingerprint()
-			if prev, ok := seen[fp]; ok && prev != s.String() {
-				t.Fatalf("%s and %s share fingerprint %#x", prev, s, fp)
-			}
-			seen[fp] = s.String()
-		}
-	}
-}

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"hash/maphash"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -35,19 +36,21 @@ import (
 //     configuration is one bitset (its present set, mask ∧ avail);
 //   - a binding memo per (ECS, configuration) pair, found in the
 //     configuration's table by the ECS's run-wide ID, holding the
-//     solver outcomes by value in one append-only list: each outcome's
-//     present-resource set fingerprint beside its verdict, its present
-//     set and binding in blocks that never move once allocated, so the
-//     dominance scans dereference nothing and a store copies nothing
-//     already stored. A monotone-dominance rule applies: a binding found
-//     feasible under a resource set stays feasible under any superset
-//     (extra resources only add present vertices and links, and the
-//     timing tests depend only on the binding itself), so it is
-//     replayed — and verified with Problem.Verify, a rejection counted
-//     in BindReplayRejected and solved — instead of rerun; an
-//     ECS proven infeasible on a resource superset (by an untruncated
-//     search) is skipped on any subset. Only solver outcomes are
-//     stored, each present set once; a replay stores nothing.
+//     solver outcomes transposed: per resource of the configuration's
+//     mask a bitmap over the outcomes, 64 to a chunk that never moves,
+//     beside a feasible and a proven-infeasible bitmap, and the
+//     feasible outcomes' bindings in blocks that never move either, so
+//     a lookup is a few word operations per resource and a store
+//     copies nothing already stored. A monotone-dominance rule applies:
+//     a binding found feasible under a resource set stays feasible
+//     under any superset (extra resources only add present vertices
+//     and links, and the timing tests depend only on the binding
+//     itself), so it is replayed — and verified with Problem.Verify, a
+//     rejection counted in BindReplayRejected and solved — instead of
+//     rerun; an ECS proven infeasible on a resource superset (by an
+//     untruncated search) is skipped on any subset. Only solver
+//     outcomes are stored, each present set once; a replay stores
+//     nothing.
 //
 // The feasible-superset replay is gated on Options.MaxBindNodes == 0:
 // a truncated search is not monotone (a larger search space can
@@ -639,11 +642,10 @@ func (ev *evaluator) archConfig(sel hgraph.Selection) *archConfig {
 
 // bindOutcome is one memoized solver verdict for a present-resource
 // set under a fixed (ECS, arch configuration) pair, as a memo lookup or
-// store hands it out: a value whose slices alias the memo's storage,
+// store hands it out: a value whose binding aliases the memo's storage,
 // read-only.
 type bindOutcome struct {
-	present bitset.Set
-	ok      bool
+	ok bool
 	// proof reports the infeasibility was established by an untruncated
 	// search and may therefore be used as a subset-dominance proof.
 	proof bool
@@ -652,46 +654,32 @@ type bindOutcome struct {
 	binding []int32
 }
 
-// memoHead is one stored outcome's present-set fingerprint beside its
-// verdict, so the memo's scans read the heads alone until a set test
-// is due, and, for a feasible outcome, where its binding is: slot slot
-// of binding block block.
-type memoHead struct {
-	fp    uint64
-	block int32
-	slot  uint8
-	ok    bool
-	proof bool
-}
-
-// memoBlock is one block of stored outcomes: their heads and, nw words
-// each, their present sets, and the next block. Its capacity is fixed
-// when it is allocated, so nothing stored in it ever moves.
-type memoBlock struct {
-	heads []memoHead
-	words []uint64
-	next  *memoBlock
-}
-
-// blockCap is the capacity, in outcomes or bindings, of the block a
-// memo allocates after one of capacity prev (0: the first): 4, 8, 16,
-// 32, then 64 each. A pair that stores few outcomes reserves little,
-// and a long list grows without copying what it holds.
+// blockCap is the capacity, in bindings, of the block a memo allocates
+// after one of capacity prev (0: the first): 4, 8, 16, 32, then 64
+// each. A pair that stores few bindings reserves little, and a long
+// list grows without copying what it holds.
 func blockCap(prev int) int { return min(max(2*prev, 4), 64) }
 
 // bindMemo holds the solver outcomes of one (ECS, arch configuration)
-// pair by value, in the order they were solved: the heads and present
-// sets in the blocks from first to last, the feasible outcomes'
-// bindings in binds. Every present set of a pair is over the spec's
-// resources (nw words), and every binding has one index per leaf of the
-// pair's ECS (nl). An exact lookup compares fingerprints, and only a
-// match pays a set comparison. A present set is stored at most once.
+// pair, in the order they were solved, transposed into bitmaps over
+// outcome ids. Every present set of the pair is a subset of the
+// configuration's mask (spec.ArchLinks.Mask), so an outcome is its
+// membership bit per mask resource plus its verdict. The outcomes are
+// kept 64 to a chunk of nr+2 words, nr the mask's size: word j (j < nr)
+// has bit i set when outcome i's present set holds the mask's j-th
+// resource, word nr marks the feasible outcomes and word nr+1 the
+// infeasibilities proven by an untruncated search. A chunk is allocated
+// once and never moves, and a store sets bits in the last one. The
+// feasible outcomes' bindings, nl indices each (one per leaf of the
+// pair's ECS), are in binds in the same order, so the k-th feasible
+// outcome's binding is found by rank. A present set is stored at most
+// once.
 type bindMemo struct {
 	mu     sync.Mutex
-	nw, nl int
+	mask   bitset.Set // the configuration's, read-only
+	nl     int
 	n      int // outcomes stored
-	first  *memoBlock
-	last   *memoBlock
+	chunks [][]uint64
 	binds  [][]int32
 	// lastFill and lastCap count the bindings in the last block and
 	// its capacity.
@@ -711,107 +699,130 @@ const (
 	memoReplay
 )
 
-// present returns the present set of outcome j of block b.
-func (m *bindMemo) present(b *memoBlock, j int) bitset.Set {
-	return bitset.Of(b.words[j*m.nw : (j+1)*m.nw : (j+1)*m.nw])
-}
-
-// outcome returns outcome j of block b.
-func (m *bindMemo) outcome(b *memoBlock, j int) bindOutcome {
-	h := &b.heads[j]
-	o := bindOutcome{present: m.present(b, j), ok: h.ok, proof: h.proof}
-	if h.ok {
-		at := int(h.slot) * m.nl
-		o.binding = m.binds[h.block][at : at+m.nl : at+m.nl]
-	}
-	return o
-}
-
-// lookup finds what the memo knows of the present set (fingerprint fp),
-// in this order: an exact hit, else an infeasibility proven on a
-// superset, else — when replay is allowed — the first feasible outcome
-// in insertion order stored under a subset.
-func (m *bindMemo) lookup(present bitset.Set, fp uint64, replay bool) (bindOutcome, memoHit) {
+// lookup finds what the memo knows of the present set, in this order:
+// an exact hit, else an infeasibility proven on a superset, else — when
+// replay is allowed — the first feasible outcome in insertion order
+// stored under a subset.
+func (m *bindMemo) lookup(present bitset.Set, replay bool) (bindOutcome, memoHit) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if o, ok := m.exact(present, fp); ok {
-		return o, memoExact
-	}
-	var sub *memoBlock
-	at := 0
-	for b := m.first; b != nil; b = b.next {
-		for j := range b.heads {
-			switch h := &b.heads[j]; {
-			case !h.ok:
-				if h.proof && present.SubsetOf(m.present(b, j)) {
-					return bindOutcome{}, memoInfeasible
+	return m.find(present, replay)
+}
+
+// find is lookup for a caller holding m.mu. It reads each chunk once:
+// starting from the chunk's filled outcomes, sub keeps those holding no
+// mask resource outside the present set (the stored subsets) and super
+// those holding every one inside it (the stored supersets). Their
+// intersection is the exact hit, super's proven outcomes the dominating
+// infeasibilities, and the lowest feasible bit of sub in the earliest
+// chunk the replayed witness.
+func (m *bindMemo) find(present bitset.Set, replay bool) (bindOutcome, memoHit) {
+	pw := present.Words()
+	infeasible := false
+	var wit bindOutcome
+	found := false
+	rank := 0 // feasible outcomes in the chunks before c
+	for k, c := range m.chunks {
+		filled := ^uint64(0)
+		if left := m.n - 64*k; left < 64 {
+			filled = 1<<left - 1
+		}
+		sub, super := filled, filled
+		j := 0
+		for i, mw := range m.mask.Words() {
+			for ; mw != 0; mw &= mw - 1 {
+				if pw[i]&(mw&-mw) != 0 {
+					super &= c[j]
+				} else {
+					sub &^= c[j]
 				}
-			case replay && sub == nil && m.present(b, j).SubsetOf(present):
-				sub, at = b, j
+				j++
 			}
 		}
+		if e := sub & super; e != 0 {
+			return m.outcome(c, e, rank), memoExact
+		}
+		if super&c[j+1] != 0 {
+			infeasible = true
+		}
+		if f := sub & c[j]; replay && !infeasible && !found && f != 0 {
+			wit, found = m.outcome(c, f&-f, rank), true
+		}
+		rank += bits.OnesCount64(c[j])
 	}
-	if sub != nil {
-		return m.outcome(sub, at), memoReplay
+	switch {
+	case infeasible:
+		return bindOutcome{}, memoInfeasible
+	case found:
+		return wit, memoReplay
 	}
 	return bindOutcome{}, memoMiss
 }
 
-// exact returns the outcome stored under the present set. The caller
-// holds m.mu.
-func (m *bindMemo) exact(present bitset.Set, fp uint64) (bindOutcome, bool) {
-	for b := m.first; b != nil; b = b.next {
-		for j := range b.heads {
-			if b.heads[j].fp == fp && m.present(b, j).Equal(present) {
-				return m.outcome(b, j), true
-			}
-		}
+// outcome returns the outcome at bit of chunk c, after rank feasible
+// outcomes in the earlier chunks.
+func (m *bindMemo) outcome(c []uint64, bit uint64, rank int) bindOutcome {
+	feasible := c[len(c)-2]
+	o := bindOutcome{ok: feasible&bit != 0, proof: c[len(c)-1]&bit != 0}
+	if o.ok {
+		o.binding = m.binding(rank + bits.OnesCount64(feasible&(bit-1)))
 	}
-	return bindOutcome{}, false
+	return o
 }
 
-// store appends a solver outcome under its present set's fingerprint,
-// copying the set and a feasible outcome's binding into the memo, and
-// returns it — or, when another worker stored the same present set
-// since this one's lookup, the stored outcome, appending nothing.
-func (m *bindMemo) store(present bitset.Set, fp uint64, ok, proof bool, binding []int32) bindOutcome {
+// binding returns the binding of the feasible outcome of the given
+// rank: its slot in the binding blocks, whose capacities follow
+// blockCap.
+func (m *bindMemo) binding(rank int) []int32 {
+	k, size := 0, blockCap(0)
+	for rank >= size {
+		rank -= size
+		k, size = k+1, blockCap(size)
+	}
+	at := rank * m.nl
+	return m.binds[k][at : at+m.nl : at+m.nl]
+}
+
+// store appends a solver outcome under its present set, which must be a
+// subset of the memo's mask, copying a feasible outcome's binding into
+// the memo, and returns it — or, when another worker stored the same
+// present set since this one's lookup, the stored outcome, appending
+// nothing.
+func (m *bindMemo) store(present bitset.Set, ok, proof bool, binding []int32) bindOutcome {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if o, found := m.exact(present, fp); found {
+	if o, hit := m.find(present, false); hit == memoExact {
 		return o
 	}
-	words := present.Words()
-	if m.n == 0 {
-		m.nw = len(words)
+	if m.n%64 == 0 {
+		m.chunks = append(m.chunks, make([]uint64, m.mask.Count()+2))
 	}
-	b := m.last
-	if b == nil || len(b.heads) == cap(b.heads) {
-		size := blockCap(0)
-		if b != nil {
-			size = blockCap(cap(b.heads))
+	c, bit := m.chunks[len(m.chunks)-1], uint64(1)<<(m.n%64)
+	pw, j := present.Words(), 0
+	for i, mw := range m.mask.Words() {
+		for ; mw != 0; mw &= mw - 1 {
+			if pw[i]&(mw&-mw) != 0 {
+				c[j] |= bit
+			}
+			j++
 		}
-		nb := &memoBlock{heads: make([]memoHead, 0, size), words: make([]uint64, 0, size*m.nw)}
-		if b == nil {
-			m.first = nb
-		} else {
-			b.next = nb
-		}
-		b, m.last = nb, nb
 	}
-	h := memoHead{fp: fp, ok: ok, proof: proof}
+	o := bindOutcome{ok: ok, proof: proof}
 	if ok {
-		h.block, h.slot = m.putBinding(binding)
+		c[j] |= bit
+		o.binding = m.putBinding(binding)
 	}
-	b.heads = append(b.heads, h)
-	b.words = append(b.words, words...)
+	if proof {
+		c[j+1] |= bit
+	}
 	m.n++
-	return m.outcome(b, len(b.heads)-1)
+	return o
 }
 
 // putBinding copies a feasible outcome's binding into the memo's last
-// binding block, or a new one when it is full, and returns where it is.
+// binding block, or a new one when it is full, and returns the copy.
 // The caller holds m.mu.
-func (m *bindMemo) putBinding(binding []int32) (block int32, slot uint8) {
+func (m *bindMemo) putBinding(binding []int32) []int32 {
 	k := len(m.binds) - 1
 	if k < 0 {
 		m.nl = len(binding)
@@ -821,17 +832,17 @@ func (m *bindMemo) putBinding(binding []int32) (block int32, slot uint8) {
 		m.binds = append(m.binds, make([]int32, m.lastCap*m.nl))
 		k, m.lastFill = k+1, 0
 	}
-	copy(m.binds[k][m.lastFill*m.nl:], binding)
+	at := m.lastFill * m.nl
+	copy(m.binds[k][at:], binding)
 	m.lastFill++
-	return int32(k), uint8(m.lastFill - 1)
+	return m.binds[k][at : at+m.nl : at+m.nl]
 }
 
 // viewSlot is one configuration's view of the candidate being
-// implemented, in per-goroutine scratch: the view (its present set
-// reused across candidates) and its present set's fingerprint.
+// implemented, in per-goroutine scratch: the view, its present set
+// reused across candidates.
 type viewSlot struct {
 	av    spec.ArchView
-	fp    uint64
 	built bool
 }
 
@@ -839,7 +850,7 @@ type viewSlot struct {
 // closure avail.
 func (v *viewSlot) build(c *archConfig, avail bitset.Set) {
 	c.links.ViewInto(&v.av, c.sel, avail)
-	v.fp, v.built = v.av.PresentSet().Fingerprint(), true
+	v.built = true
 }
 
 // bindFor decides binding feasibility of the ECS en under configuration
@@ -853,7 +864,7 @@ func (v *viewSlot) build(c *archConfig, avail bitset.Set) {
 func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratch, stats *Stats) ([]int32, bool) {
 	m := c.memo(en.id)
 	present := v.av.PresentSet()
-	o, hit := m.lookup(present, v.fp, ev.opts.MaxBindNodes == 0)
+	o, hit := m.lookup(present, ev.opts.MaxBindNodes == 0)
 	switch hit {
 	case memoExact:
 		ev.bindExactHits.Add(1)
@@ -868,9 +879,10 @@ func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratc
 		// Monotone dominance: the binding stays feasible when resources
 		// are only added. Verify anyway — Verify is far cheaper than the
 		// solver — and fall back to a full solve if it ever disagrees.
-		// The replay is not stored: the list is append-only and scanned
-		// in order, so the same present set finds the same witness
-		// again, and a store would grow the list per replay.
+		// The replay is not stored: the memo is append-only and its
+		// witness the first in insertion order, so the same present set
+		// finds the same witness again, and a store would grow the memo
+		// per replay.
 		if en.prob.Verify(&v.av, o.binding, bopts, &w.bind) == nil {
 			ev.bindReplayHits.Add(1)
 			return o.binding, true
@@ -882,7 +894,7 @@ func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratc
 	stats.BindingRuns++
 	res, ok := en.prob.Solve(&v.av, bopts, &w.bind)
 	stats.BindingNodes += res.Nodes
-	o = m.store(present, v.fp, ok, !ok && !res.Truncated, res.Binding)
+	o = m.store(present, ok, !ok && !res.Truncated, res.Binding)
 	return o.binding, o.ok
 }
 
@@ -913,7 +925,7 @@ func (c *archConfig) memo(id uint32) *bindMemo {
 	}
 	m := t[id].Load()
 	if m == nil {
-		m = &bindMemo{}
+		m = &bindMemo{mask: c.links.Mask()}
 		t[id].Store(m)
 	}
 	return m

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/alloc"
@@ -63,7 +64,7 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 		t.Fatal("no replayable binding found")
 	}
 	m := cfg.memo(en.id)
-	if _, found := m.exact(superset.av.PresentSet(), superset.fp); found {
+	if _, hit := m.lookup(superset.av.PresentSet(), false); hit == memoExact {
 		t.Fatal("the superset's present set was solved before its replay")
 	}
 	replays, stored := ev.bindReplayHits.Load(), m.n
@@ -83,6 +84,15 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 	}
 }
 
+// memoOver returns an empty memo whose mask is the resources 0..n-1.
+func memoOver(n int) *bindMemo {
+	mask := bitset.New(n)
+	for i := range n {
+		mask.Add(i)
+	}
+	return &bindMemo{mask: mask}
+}
+
 // TestMemoLookupOrder: a memo lookup prefers an exact hit to a proven
 // infeasible superset, and that to a feasible subset, whose first in
 // insertion order is replayed; a truncated infeasibility proves
@@ -96,17 +106,11 @@ func TestMemoLookupOrder(t *testing.T) {
 		}
 		return s
 	}
-	var m bindMemo
-	add := func(o bindOutcome) bindOutcome {
-		return m.store(o.present, o.present.Fingerprint(), o.ok, o.proof, o.binding)
-	}
-	look := func(present bitset.Set, replay bool) (bindOutcome, memoHit) {
-		return m.lookup(present, present.Fingerprint(), replay)
-	}
-	feasA := add(bindOutcome{present: set(1), ok: true})
-	feasB := add(bindOutcome{present: set(2), ok: true})
-	truncated := add(bindOutcome{present: set(1, 2, 3, 4)})
-	proven := add(bindOutcome{present: set(1, 2, 5), proof: true})
+	m := memoOver(8)
+	feasA := m.store(set(1), true, false, []int32{1})
+	feasB := m.store(set(2), true, false, []int32{2})
+	truncated := m.store(set(1, 2, 3, 4), false, false, nil)
+	proven := m.store(set(1, 2, 5), false, true, nil)
 
 	for _, tc := range []struct {
 		name    string
@@ -125,22 +129,21 @@ func TestMemoLookupOrder(t *testing.T) {
 		{"no replay under a node bound", set(1, 2, 3), false, bindOutcome{}, memoMiss},
 		{"truncated superset proves nothing", set(3, 4), true, bindOutcome{}, memoMiss},
 	} {
-		o, hit := look(tc.present, tc.replay)
+		o, hit := m.lookup(tc.present, tc.replay)
 		if !sameOutcome(o, tc.want) || hit != tc.hit {
 			t.Errorf("%s: lookup %v = (%+v, %d), want (%+v, %d)", tc.name, tc.present, o, hit, tc.want, tc.hit)
 		}
 	}
-	if got := add(bindOutcome{present: set(2), ok: true}); !sameOutcome(got, feasB) || m.n != 4 {
+	if got := m.store(set(2), true, false, []int32{9}); !sameOutcome(got, feasB) || m.n != 4 {
 		t.Errorf("a second store of a stored set returned %+v with %d outcomes, want the first (%+v) and 4", got, m.n, feasB)
 	}
 }
 
-// TestMemoFingerprintCollision: distinct present sets stored under one
-// fingerprint stay distinct. An exact lookup or a store finds only the
-// very set asked for, a proven infeasibility on a superset stored after
-// a feasible subset still wins over the replay, and a truncated
-// infeasibility proves nothing.
-func TestMemoFingerprintCollision(t *testing.T) {
+// TestMemoDistinctSets: distinct present sets stay distinct. An exact
+// lookup or a store finds only the very set asked for, a proven
+// infeasibility on a superset stored after a feasible subset still wins
+// over the replay, and a truncated infeasibility proves nothing.
+func TestMemoDistinctSets(t *testing.T) {
 	set := func(members ...int) bitset.Set {
 		s := bitset.New(8)
 		for _, i := range members {
@@ -148,75 +151,112 @@ func TestMemoFingerprintCollision(t *testing.T) {
 		}
 		return s
 	}
-	const fp = 42 // every set below is stored and looked up under it
-	var m bindMemo
-	feasible := m.store(set(1), fp, true, false, []int32{7})
-	proven := m.store(set(1, 2, 3), fp, false, true, nil)
-	truncated := m.store(set(1, 2, 3, 4, 5), fp, false, false, nil)
+	m := memoOver(8)
+	feasible := m.store(set(1), true, false, []int32{7})
+	proven := m.store(set(1, 2, 3), false, true, nil)
+	truncated := m.store(set(1, 2, 3, 4, 5), false, false, nil)
 	if m.n != 3 {
 		t.Fatalf("%d outcomes stored, want all 3", m.n)
 	}
-	if !proven.present.Equal(set(1, 2, 3)) || proven.ok || !proven.proof {
+	if proven.ok || !proven.proof {
 		t.Fatalf("the second store returned %+v, want its own outcome", proven)
 	}
-	for _, want := range []bindOutcome{feasible, proven, truncated} {
-		got, hit := m.lookup(want.present, fp, true)
-		if hit != memoExact || !sameOutcome(got, want) || !got.present.Equal(want.present) {
-			t.Errorf("exact lookup %v = (%+v, %d), want its own outcome", want.present, got, hit)
+	for _, tc := range []struct {
+		present bitset.Set
+		want    bindOutcome
+	}{{set(1), feasible}, {set(1, 2, 3), proven}, {set(1, 2, 3, 4, 5), truncated}} {
+		got, hit := m.lookup(tc.present, true)
+		if hit != memoExact || !sameOutcome(got, tc.want) {
+			t.Errorf("exact lookup %v = (%+v, %d), want its own outcome", tc.present, got, hit)
 		}
 	}
-	if got := m.store(set(1, 2, 3), fp, true, false, []int32{8}); !sameOutcome(got, proven) || m.n != 3 {
+	if got := m.store(set(1, 2, 3), true, false, []int32{8}); !sameOutcome(got, proven) || m.n != 3 {
 		t.Errorf("storing a stored set again returned %+v with %d outcomes, want the first and 3", got, m.n)
 	}
-	if got, hit := m.lookup(set(1, 2), fp, true); hit != memoInfeasible {
+	if got, hit := m.lookup(set(1, 2), true); hit != memoInfeasible {
 		t.Errorf("a subset of the proven set and superset of the feasible one: (%+v, %d), want the infeasibility", got, hit)
 	}
-	if got, hit := m.lookup(set(4, 5), fp, true); hit != memoMiss {
+	if got, hit := m.lookup(set(4, 5), true); hit != memoMiss {
 		t.Errorf("a subset of only the truncated set: (%+v, %d), want a miss", got, hit)
 	}
-	if got, hit := m.lookup(set(1, 4), fp, true); hit != memoReplay || !sameOutcome(got, feasible) || got.binding[0] != 7 {
+	if got, hit := m.lookup(set(1, 4), true); hit != memoReplay || !sameOutcome(got, feasible) || got.binding[0] != 7 {
 		t.Errorf("a superset of the feasible set under the truncated one: (%+v, %d), want the feasible replay", got, hit)
 	}
-	if got, hit := m.lookup(set(6), fp, true); hit != memoMiss {
+	if got, hit := m.lookup(set(6), true); hit != memoMiss {
 		t.Errorf("a set unrelated to every stored one: (%+v, %d), want a miss", got, hit)
 	}
 }
 
-// TestMemoStorageStaysPut: the memo's blocks never move what they hold.
-// An outcome a store handed out earlier — its present set and binding,
-// aliasing the memo — still reads the same, and is the one an exact
-// lookup finds, after hundreds of later stores.
+// TestMemoStorageStaysPut: the memo's storage never moves what it
+// holds. An outcome a store handed out earlier — its binding, aliasing
+// the memo — still reads the same, and is the one an exact lookup
+// finds, after hundreds of later stores over five chunks.
 func TestMemoStorageStaysPut(t *testing.T) {
 	const n = 300
-	var m bindMemo
+	m := memoOver(n)
 	var outs []bindOutcome
 	for i := range n {
 		present := bitset.New(n)
 		present.Add(i)
-		outs = append(outs, m.store(present, present.Fingerprint(), i%3 != 0, i%3 == 0, []int32{int32(i), int32(-i)}))
+		outs = append(outs, m.store(present, i%3 != 0, i%3 == 0, []int32{int32(i), int32(-i)}))
 	}
 	for i, o := range outs {
-		if !o.present.Has(i) || o.present.Count() != 1 || o.ok && (o.binding[0] != int32(i) || o.binding[1] != int32(-i)) {
-			t.Fatalf("outcome %d reads %v %v", i, o.present, o.binding)
+		if o.ok != (i%3 != 0) || o.proof != (i%3 == 0) || o.ok && (o.binding[0] != int32(i) || o.binding[1] != int32(-i)) {
+			t.Fatalf("outcome %d reads %+v", i, o)
 		}
-		if got, hit := m.lookup(o.present, o.present.Fingerprint(), true); hit != memoExact || !sameOutcome(got, o) {
+		present := bitset.New(n)
+		present.Add(i)
+		if got, hit := m.lookup(present, true); hit != memoExact || !sameOutcome(got, o) {
 			t.Fatalf("outcome %d: exact lookup (%+v, %d), want the stored one", i, got, hit)
 		}
 	}
 }
 
-// sameOutcome reports whether a and b are the same stored outcome: the
-// same verdict over the same memo storage (the zero outcome, none, is
-// only itself).
-func sameOutcome(a, b bindOutcome) bool {
-	aw, bw := a.present.Words(), b.present.Words()
-	if len(aw) == 0 || len(bw) == 0 {
-		return len(aw) == len(bw) && a.ok == b.ok && a.proof == b.proof
+// TestMemoAllocBytes: a memo's outcomes take one chunk of len(mask)+2
+// words per 64 outcomes. Storing 120 outcomes over a 10-resource mask
+// allocates two chunks of 12 words, the binding blocks and a few slice
+// headers, and nothing per outcome.
+func TestMemoAllocBytes(t *testing.T) {
+	const n, leaves = 120, 2
+	presents := make([]bitset.Set, n)
+	for i := range presents {
+		// Distinct sets over all ten resources.
+		presents[i] = bitset.Of([]uint64{uint64(i)<<3 | uint64(i)&7})
 	}
-	if len(a.binding) != len(b.binding) || len(a.binding) > 0 && &a.binding[0] != &b.binding[0] {
+	binding := make([]int32, leaves)
+	got := uint64(math.MaxUint64)
+	var m *bindMemo
+	for range 3 {
+		m = memoOver(10)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, p := range presents {
+			m.store(p, i%3 == 0, i%3 == 1, binding)
+		}
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	if m.n != n || len(m.chunks) != 2 {
+		t.Fatalf("%d outcomes in %d chunks, want %d in 2", m.n, len(m.chunks), n)
+	}
+	binds := 0
+	for _, b := range m.binds {
+		binds += 4 * cap(b)
+	}
+	const chunks, headers = 2 * 12 * 8, 256
+	t.Logf("storing %d outcomes allocated %d bytes, %d of them binding blocks", n, got, binds)
+	if limit := uint64(chunks + binds + headers); got > limit {
+		t.Errorf("storing %d outcomes allocated %d bytes, want at most %d (chunks %d, bindings %d, headers %d)", n, got, limit, chunks, binds, headers)
+	}
+}
+
+// sameOutcome reports whether a and b are the same stored outcome: the
+// same verdict over the same stored binding, if any.
+func sameOutcome(a, b bindOutcome) bool {
+	if a.ok != b.ok || a.proof != b.proof || len(a.binding) != len(b.binding) {
 		return false
 	}
-	return &aw[0] == &bw[0] && a.ok == b.ok && a.proof == b.proof
+	return len(a.binding) == 0 || &a.binding[0] == &b.binding[0]
 }
 
 // memoPin is one run's binding-memo outcomes and solver effort: exact,

@@ -1,6 +1,6 @@
 package hgraph
 
-import "sort"
+import "slices"
 
 // EndpointLeaves returns every leaf vertex an edge endpoint can resolve
 // to across all cluster selections: a vertex endpoint resolves to
@@ -45,6 +45,6 @@ func (g *Graph) EndpointLeaves(id ID, port string) []ID {
 	for v := range set {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -1,8 +1,9 @@
 package hgraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Selection assigns to interfaces the cluster chosen to refine them
@@ -28,7 +29,7 @@ func (s Selection) String() string {
 	for k := range s {
 		keys = append(keys, string(k))
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	out := "{"
 	for i, k := range keys {
 		if i > 0 {
@@ -59,7 +60,7 @@ func (g *Graph) ActiveClusters(sel Selection) []ID {
 		}
 	}
 	walk(g.Root)
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
@@ -184,12 +185,9 @@ func (g *Graph) Flatten(sel Selection) (*FlatGraph, error) {
 		}
 		fg.Edges = append(fg.Edges, FlatEdge{From: from, To: to, Orig: e})
 	}
-	sort.Slice(fg.Vertices, func(a, b int) bool { return fg.Vertices[a].ID < fg.Vertices[b].ID })
-	sort.Slice(fg.Edges, func(a, b int) bool {
-		if fg.Edges[a].From != fg.Edges[b].From {
-			return fg.Edges[a].From < fg.Edges[b].From
-		}
-		return fg.Edges[a].To < fg.Edges[b].To
+	slices.SortFunc(fg.Vertices, func(a, b *Vertex) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(fg.Edges, func(a, b FlatEdge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
 	return fg, nil
 }
@@ -276,21 +274,21 @@ func (fg *FlatGraph) TopoSort() ([]*Vertex, error) {
 			ready = append(ready, v.ID)
 		}
 	}
-	sort.Slice(ready, func(a, b int) bool { return ready[a] < ready[b] })
+	slices.Sort(ready)
 	var order []*Vertex
 	for len(ready) > 0 {
 		id := ready[0]
 		ready = ready[1:]
 		order = append(order, fg.VertexByID(id))
 		next := append([]ID(nil), fg.succ[id]...)
-		sort.Slice(next, func(a, b int) bool { return next[a] < next[b] })
+		slices.Sort(next)
 		for _, s := range next {
 			indeg[s]--
 			if indeg[s] == 0 {
 				ready = append(ready, s)
 			}
 		}
-		sort.Slice(ready, func(a, b int) bool { return ready[a] < ready[b] })
+		slices.Sort(ready)
 	}
 	if len(order) != len(fg.Vertices) {
 		return nil, fmt.Errorf("flat graph %q contains a dependence cycle", fg.Name)

@@ -17,8 +17,9 @@
 package hgraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/bitset"
@@ -356,7 +357,7 @@ func (g *Graph) Leaves() []*Vertex {
 		}
 	}
 	walk(g.Root)
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	slices.SortFunc(out, func(a, b *Vertex) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -374,7 +375,7 @@ func (g *Graph) Clusters() []*Cluster {
 	for _, c := range ix.clusters {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	slices.SortFunc(out, func(a, b *Cluster) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -386,7 +387,7 @@ func (g *Graph) Interfaces() []*Interface {
 	for _, i := range ix.interfaces {
 		out = append(out, i)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	slices.SortFunc(out, func(a, b *Interface) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -397,7 +398,7 @@ func (g *Graph) Edges() []*Edge {
 	for _, e := range ix.edges {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	slices.SortFunc(out, func(a, b *Edge) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

@@ -1,8 +1,9 @@
 package hgraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // FlattenPartial flattens the graph under a possibly partial selection:
@@ -56,12 +57,9 @@ func (g *Graph) FlattenPartial(sel Selection) (*FlatGraph, error) {
 		}
 		fg.Edges = append(fg.Edges, FlatEdge{From: from, To: to, Orig: e})
 	}
-	sort.Slice(fg.Vertices, func(a, b int) bool { return fg.Vertices[a].ID < fg.Vertices[b].ID })
-	sort.Slice(fg.Edges, func(a, b int) bool {
-		if fg.Edges[a].From != fg.Edges[b].From {
-			return fg.Edges[a].From < fg.Edges[b].From
-		}
-		return fg.Edges[a].To < fg.Edges[b].To
+	slices.SortFunc(fg.Vertices, func(a, b *Vertex) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(fg.Edges, func(a, b FlatEdge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
 	return fg, nil
 }

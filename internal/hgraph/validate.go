@@ -1,8 +1,9 @@
 package hgraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ProblemKind classifies a structural problem found by Problems. The
@@ -139,7 +140,7 @@ func (g *Graph) Problems() []Problem {
 	}
 	walk(g.Root, nil)
 
-	sort.SliceStable(probs, func(i, j int) bool { return probs[i].Message < probs[j].Message })
+	slices.SortStableFunc(probs, func(a, b Problem) int { return cmp.Compare(a.Message, b.Message) })
 	return probs
 }
 

@@ -510,7 +510,7 @@ func TestHealthEndpoints(t *testing.T) {
 // of the prefix it covered.
 func TestDeadlineCompletesWithPartialFront(t *testing.T) {
 	_, ts := newTestServer(t, Config{Lint: true})
-	id := submit(t, ts, `{"model": "settop", "workers": 1, "exhaustive": true, "deadlineMs": 120, "checkpointEvery": 8}`)
+	id := submit(t, ts, `{"model": "settop", "workers": 1, "exhaustive": true, "deadlineMs": 30, "checkpointEvery": 8}`)
 	got := fetchResult(t, ts, id)
 	if got["interrupted"] != true || got["reason"] != "deadline" {
 		t.Skipf("scan finished inside the deadline on this machine (reason=%v)", got["reason"])

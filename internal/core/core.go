@@ -328,7 +328,7 @@ type PipelineStats struct {
 	QueueDepth     int `json:"queueDepth,omitempty"`
 	QueueHighWater int `json:"queueHighWater,omitempty"`
 	// CommitStalls counts range jobs that came back before an earlier
-	// range had finished and waited in the reorder buffer.
+	// range had finished and waited in their ring slot for its commit.
 	CommitStalls int `json:"commitStalls,omitempty"`
 	// BatchSize is the largest candidate-range size the run used (an
 	// adaptive run ramps up to it); BatchesCommitted counts the range

@@ -40,10 +40,10 @@ import (
 // Options.Progress, say) stops the workers and propagates.
 //
 // workers <= 0 selects GOMAXPROCS; queue <= 0 selects 2 x workers
-// range jobs of look-ahead. The run starts its workers and no other
-// goroutine, and every worker has exited when it returns. With one
-// worker the scan runs inline. Run with Request.Workers is the same
-// under a context.
+// range jobs of queue, and at most queue+workers range jobs are out at
+// once. The run starts its workers and no other goroutine, and every
+// worker has exited when it returns. With one worker the scan runs
+// inline. Run with Request.Workers is the same under a context.
 func ExploreParallel(s *spec.Spec, opts Options, workers, queue int) *Result {
 	return explore(context.Background(), s, opts, workers, queue)
 }
@@ -58,18 +58,19 @@ func explore(ctx context.Context, s *spec.Spec, opts Options, workers, queue int
 }
 
 // batchSizeFor returns the size of the k-th range job of a run. The
-// ramp 4, 8, 16, ... lands the first commits quickly (low latency for
-// Progress consumers and the settle stop), then levels off at 64
-// candidates per job — large enough to amortize the channel handoff, small enough
-// to keep the reorder buffer and the cancellation overshoot bounded.
+// ramp 4, 8, 16 lands the first commits quickly (low latency for
+// Progress consumers and the settle stop), then levels off at 32
+// candidates per job: at a few microseconds per candidate still about
+// a tenth of a millisecond of work per channel handoff, and small
+// enough to keep the ring's slots and the cancellation overshoot small.
 // When progress reporting is on, the ramp is additionally capped at the
 // progress interval.
 func (o Options) batchSizeFor(k int) int {
-	limit := 64
+	limit := 32
 	if o.Progress != nil {
 		limit = min(limit, o.progressEvery())
 	}
-	return min(4<<min(k, 4), limit)
+	return min(4<<min(k, 3), limit)
 }
 
 // pipeBatch is one contiguous candidate range travelling through the
@@ -77,17 +78,20 @@ func (o Options) batchSizeFor(k int) int {
 // enumeration, each given by its unit set (nw words in units), and,
 // once a worker has evaluated them, their results in res — what the
 // ordered commit folds. The rare result that carries more, an attempt
-// the front may keep or a Diag, has a payload in pays. A batch is
-// allocated once, for the largest range job over the spec's units, and
-// goes back to its run's free list once fully committed: the producer
-// refills units and res in place, which never grow, and the payloads
-// keep their storage.
+// the front may keep or a Diag, has a payload in pays. A batch is one
+// slot of its run's ring, allocated the first time the run reaches the
+// slot, for the largest range job over the spec's units. Once its job
+// has committed, the producer refills units and res in place for the
+// slot's next job; they never grow, and the payloads keep their
+// storage. done marks a job a worker has handed back and the commit
+// has not yet folded.
 type pipeBatch struct {
 	start int
 	n     int
 	units []uint64
 	res   []candResult
 	pays  []payload
+	done  bool
 }
 
 // candResult is one candidate's evaluation as its batch carries it: the
@@ -222,20 +226,21 @@ type pipeline struct {
 	// nw is the number of words of a candidate's unit set.
 	nw int
 
-	// Producer state: the open range job and its size; the jobs not yet
-	// taken back; and the committed batches to refill (per run: a
-	// payload's picks point into this run's memo).
-	open      *pipeBatch
-	curSize   int
-	emitted   int
-	cancelled bool
-	inflight  int
-	free      []*pipeBatch
+	// Producer state: the open range job and its size, and the jobs
+	// opened so far.
+	open    *pipeBatch
+	curSize int
+	emitted int
 
-	// Reorder buffer: finished ranges wait in pending for next. rec is
-	// the commit record every result is folded through.
-	next    int
-	pending map[int]*pipeBatch
+	// ring holds range job k in slot k mod len(ring), which is
+	// cap(results): job k opens only once job k-len(ring) has committed
+	// (batches counts the committed jobs), so at most len(ring) jobs are
+	// out at once, the open one included, and no worker blocks handing
+	// one back. A returned job waits in its slot, marked done, until
+	// every earlier job has committed. The ring is per run: a payload's
+	// picks point into this run's memo. rec is the commit record every
+	// result is folded through.
+	ring    []*pipeBatch
 	stopped bool
 	rec     candRec
 
@@ -262,8 +267,7 @@ func (sc *scan) startPool(workers, queue int) *pipeline {
 		results: make(chan *pipeBatch, queue+workers),
 		done:    make(chan struct{}),
 		nw:      bitset.WordsFor(len(sc.ev.units)),
-		next:    sc.res.Cursor,
-		pending: map[int]*pipeBatch{},
+		ring:    make([]*pipeBatch, queue+workers),
 	}
 	sc.pool = p
 	sc.res.Stats.Pipeline = PipelineStats{Workers: workers, QueueDepth: queue}
@@ -285,63 +289,64 @@ func (sc *scan) startPool(workers, queue int) *pipeline {
 
 // push writes a candidate's unit indices, borrowed from the source,
 // into the open range job as its unit set, and dispatches the job when
-// full. It reports whether the scan goes on.
+// full. It reports whether the scan goes on. Once the run is cancelled
+// it dispatches the open job as it is and stops: a worker leaves the
+// job unevaluated, so the commit ends the scan at its first candidate
+// at the latest.
 func (p *pipeline) push(units []int) bool {
-	if p.sc.ctx.Err() != nil {
-		p.cancelled = true
-		return false
-	}
 	b := p.open
 	if b == nil {
-		b = p.take()
+		b = p.slot(p.emitted)
 		// The source has counted this candidate, so its index is one
 		// less.
 		b.start = p.sc.possible - 1
 		p.curSize = p.sc.opts.batchSizeFor(p.emitted)
+		p.emitted++
 		p.open = b
 	}
 	b.add(units, p.nw)
-	if b.n < p.curSize {
+	cancelled := p.sc.ctx.Err() != nil
+	if b.n < p.curSize && !cancelled {
 		return true
 	}
-	p.emitted++
 	p.open = nil
-	return p.send(b)
+	return p.send(b) && !cancelled
 }
 
-// take returns an empty batch for the next range job: a recycled one
-// when the free list has one, its last job's results zeroed, else a new
-// one sized for the largest range job.
-func (p *pipeline) take() *pipeBatch {
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free = p.free[:n-1]
-		clear(b.res[:b.n])
-		b.n, b.pays = 0, b.pays[:0]
+// slot returns the ring's batch for range job k, empty: the slot's
+// batch with its last job's results zeroed and payloads emptied, or, the
+// first time the run reaches the slot, a new one sized for the largest
+// range job. Job k-len(ring) must have committed.
+func (p *pipeline) slot(k int) *pipeBatch {
+	i := k % len(p.ring)
+	b := p.ring[i]
+	if b == nil {
+		size := p.sc.opts.batchSizeFor(math.MaxInt)
+		b = &pipeBatch{units: make([]uint64, size*p.nw), res: make([]candResult, size)}
+		p.ring[i] = b
 		return b
 	}
-	size := p.sc.opts.batchSizeFor(math.MaxInt)
-	return &pipeBatch{units: make([]uint64, size*p.nw), res: make([]candResult, size)}
+	clear(b.res[:b.n])
+	b.n, b.pays = 0, b.pays[:0]
+	return b
 }
 
-// send hands b to the workers. While it waits for room it commits the
-// ranges the workers hand back, so the scan's goroutine is the only
-// one that folds. It reports whether the scan goes on; when a commit
-// ends the scan, b is dropped.
+// send hands b to the workers, then keeps going until the ring has a
+// slot for the next job. Meanwhile it commits the ranges the workers
+// hand back, so the scan's goroutine is the only one that folds. It
+// reports whether the scan goes on; when a commit ends the scan, b is
+// dropped.
 func (p *pipeline) send(b *pipeBatch) bool {
-	for {
+	for b != nil || p.emitted-p.batches == len(p.ring) {
 		jobs := p.jobs
-		if p.inflight == cap(p.results) {
-			// Take a range back first: with results holding every job
-			// in flight, no worker blocks on it, even once the scan
-			// has stopped taking results.
+		if b == nil {
 			jobs = nil
 		}
 		select {
 		case jobs <- b:
-			p.inflight++
 			p.maxBatch = max(p.maxBatch, b.n)
 			p.highWater = max(p.highWater, len(p.jobs))
+			b = nil
 			// Yield once, after the first dispatch, so the first range
 			// job starts before the producer fills the queue: on a
 			// single-P runtime the scheduler's LIFO wakeup would run the
@@ -351,34 +356,29 @@ func (p *pipeline) send(b *pipeBatch) bool {
 			if p.emitted == 1 {
 				runtime.Gosched()
 			}
-			return true
 		case r := <-p.results:
 			if !p.receive(r) {
 				return false
 			}
 		}
 	}
+	return true
 }
 
-// receive takes back a range job a worker finished and commits, in
-// candidate order through the reorder buffer, every range that is now
-// next. It reports whether the scan goes on.
+// receive takes back a range job a worker finished, marks it done and
+// commits, in candidate order, every done job from the ring's next
+// slot on. It reports whether the scan goes on.
 func (p *pipeline) receive(b *pipeBatch) bool {
-	p.inflight--
-	if p.stopped {
-		// The scan already ended at an earlier candidate.
-		return false
-	}
-	if b.start != p.next {
+	b.done = true
+	next := p.ring[p.batches%len(p.ring)]
+	if b != next {
 		p.stalls++
 	}
-	p.pending[b.start] = b
-	for nb, ok := p.pending[p.next]; ok; nb, ok = p.pending[p.next] {
-		delete(p.pending, p.next)
-		if !p.commitBatch(nb) {
+	for ; next != nil && next.done; next = p.ring[p.batches%len(p.ring)] {
+		next.done = false
+		if !p.commitBatch(next) {
 			return false
 		}
-		p.free = append(p.free, nb)
 	}
 	return true
 }
@@ -400,26 +400,19 @@ func (p *pipeline) commitBatch(b *pipeBatch) bool {
 		p.storeBound(f)
 	}
 	p.batches++
-	p.next = b.start + b.n
 	return true
 }
 
-// finish dispatches the scan tail and commits until no range job is in
-// flight, then settles a cancellation only the producer observed.
+// finish dispatches the scan tail and commits until every range job
+// has committed or the scan has stopped. The jobs still out then come
+// back on results, which has room for all of them.
 func (p *pipeline) finish() {
-	if b := p.open; b != nil && !p.cancelled {
-		// A partial final range. If send fails the scan already stopped
-		// and the tail is irrelevant.
+	if b := p.open; b != nil {
 		p.open = nil
 		p.send(b)
 	}
-	for p.inflight > 0 {
+	for !p.stopped && p.batches < p.emitted {
 		p.receive(<-p.results)
-	}
-	if p.cancelled && !p.stopped {
-		// Every in-flight range had completed: the scan still ends
-		// interrupted, prefix-exact at the last committed candidate.
-		p.sc.res.Interrupted, p.sc.res.Reason = true, reasonFor(p.sc.ctx)
 	}
 }
 

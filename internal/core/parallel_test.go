@@ -117,10 +117,10 @@ func TestPipelineDifferentialGrid(t *testing.T) {
 		// stopEarly marks runs that end before the scan is exhausted.
 		// There the producer legitimately enumerates ahead of the stop
 		// decision still in flight (bounded by the pipeline capacity),
-		// so the scan-effort counters Scanned/PossibleAllocations may
-		// overshoot the sequential run's; everything the commit
-		// folded — fronts, cursor, reason, evaluation counters — must
-		// still be identical.
+		// so the scan-effort gauge Scanned may overshoot the
+		// sequential run's; everything the commit folded — fronts,
+		// cursor, reason, every semantic counter — must still be
+		// identical.
 		stopEarly bool
 	}{
 		{"settop", models.SetTopBox(), Options{}, false},
@@ -143,15 +143,12 @@ func TestPipelineDifferentialGrid(t *testing.T) {
 					t.Errorf("%s w=%d q=%d: reason %q != sequential %q",
 						tc.name, w, q, par.Reason, seq.Reason)
 				}
-				ps, ss := par.Stats.Semantic(), seq.Stats.Semantic()
-				if tc.stopEarly {
-					// Scanned is telemetry (zeroed by Semantic), so the
-					// overshoot bound is checked on the raw counters.
-					if par.Stats.Scanned < seq.Stats.Scanned || ps.PossibleAllocations < ss.PossibleAllocations {
-						t.Errorf("%s w=%d q=%d: pipeline scanned less than sequential", tc.name, w, q)
-					}
-					ps.PossibleAllocations, ss.PossibleAllocations = 0, 0
+				// Scanned is telemetry (zeroed by Semantic), so the
+				// overshoot bound is checked on the raw counters.
+				if tc.stopEarly && par.Stats.Scanned < seq.Stats.Scanned {
+					t.Errorf("%s w=%d q=%d: pipeline scanned less than sequential", tc.name, w, q)
 				}
+				ps, ss := par.Stats.Semantic(), seq.Stats.Semantic()
 				if !reflect.DeepEqual(ps, ss) {
 					t.Errorf("%s w=%d q=%d: semantic stats diverge:\npar: %+v\nseq: %+v",
 						tc.name, w, q, ps, ss)
@@ -281,19 +278,18 @@ func BenchmarkExploreExhaustiveSynthetic(b *testing.B) {
 	b.ReportMetric(float64(r.Stats.Cache.BindMisses), "misses/op")
 }
 
-// TestRecycledBatchesMatchInline: fully committed batches go on the
-// run's free list and are refilled, records and attempt buffers
-// included, so a record left dirty by its last candidate would show in
-// the next. Two-worker runs of the exhaustive workload's spec and of
-// synthetic 7 — with errors and panics injected at both sites over far
-// more batches than a run has out at once, and a Progress report every
-// 16 candidates — must
-// report what the inline scan reports: front, cursor, reason,
-// diagnostics and semantic counters, at every report and at the end.
-// A panic is recovered only in a pool worker, so the inline run gets
-// an error with the panic's message where the pool run panics. With a
-// node bound every witness comes from a deterministic solve, so the
-// fronts' JSON, bindings included, must match too.
+// TestRecycledBatchesMatchInline: a fully committed batch's ring slot
+// is refilled for a later job, records and attempt buffers included, so
+// a record left dirty by its last candidate would show in the next.
+// Two-worker runs of the exhaustive workload's spec and of synthetic 7
+// — with errors and panics injected at both sites over far more
+// batches than a run has out at once, and a Progress report every 16
+// candidates — must report what the inline scan reports: front,
+// cursor, reason, diagnostics and semantic counters, at every report
+// and at the end. A panic is recovered only in a pool worker, so the
+// inline run gets an error with the panic's message where the pool run
+// panics. With a node bound every witness comes from a deterministic
+// solve, so the fronts' JSON, bindings included, must match too.
 func TestRecycledBatchesMatchInline(t *testing.T) {
 	p := models.DefaultSynthetic(1)
 	p.Buses = 4
@@ -404,15 +400,138 @@ func TestRecycledBatchesMatchInline(t *testing.T) {
 				if got.cursor != want.cursor {
 					t.Fatalf("%s nodes=%d: report %d at cursor %d, inline %d", tc.name, maxNodes, i, got.cursor, want.cursor)
 				}
-				// The producer enumerates ahead of the commit, so
-				// a pool report counts more possible candidates; the
-				// final counts agree.
-				got.stats.PossibleAllocations = want.stats.PossibleAllocations
 				same(fmt.Sprintf("report at %d", want.cursor), got.front, want.front, got.stats, want.stats)
 			}
 			if pool.Stats.Pipeline.BatchesCommitted <= 2*14 {
 				t.Errorf("%s nodes=%d: %d batches committed, want more than 2×14", tc.name, maxNodes, pool.Stats.Pipeline.BatchesCommitted)
 			}
+		}
+	}
+}
+
+// takeOrder is EXPLORE's fold, recording the unit indices of every
+// attempt the commit hands it, in the order it hands them over.
+type takeOrder struct {
+	*boundFold
+	units [][]int
+}
+
+func (f *takeOrder) take(r *candRec) bool {
+	f.units = append(f.units, slices.Clone(r.units))
+	return f.boundFold.take(r)
+}
+
+// TestRingCommitsReversedJobsInOrder drives a pipeline whose only
+// worker is a test goroutine that holds each ring's worth of range jobs,
+// then evaluates and hands them back last first. The commit must still
+// fold every attempt in candidate order; the worker must see no more
+// batches than the ring has slots; and the run must report the inline
+// run's front, cursor, reason and semantic counters. On synthetic 7,
+// with the bound on, the worker evaluates later jobs on a bound the
+// earlier ones have not raised yet, and the run settles long before
+// its stream ends.
+func TestRingCommitsReversedJobsInOrder(t *testing.T) {
+	exhaustive, exOpts := exhaustiveSpec()
+	for _, tc := range []struct {
+		name string
+		s    *spec.Spec
+		opts Options
+	}{
+		{"exhaustive", exhaustive, exOpts},
+		{"synthetic7", models.Synthetic(models.DefaultSynthetic(7)), Options{}},
+	} {
+		ctx := context.Background()
+		inline := newScan(ctx, tc.s, tc.opts)
+		want := &takeOrder{boundFold: inline.boundFold(0)}
+		wantRes := inline.run(want, inline.candidates, 1, 0)
+		// Both runs end at the stream's length, so the job ending there
+		// is the last.
+		length := wantRes.Cursor
+
+		const ring = 4
+		sc := newScan(ctx, tc.s, tc.opts)
+		got := &takeOrder{boundFold: sc.boundFold(0)}
+		sc.f = got
+		// A pool of no workers, so the goroutine below is the only one,
+		// over a ring of queue+workers = ring slots.
+		p := sc.startPool(0, ring)
+		seen := map[*pipeBatch]bool{}
+		exited := make(chan struct{})
+		go func() {
+			defer close(exited)
+			w := worker{scratch: sc.ev.evalScratch()}
+			var held []*pipeBatch
+			hand := func(b *pipeBatch) {
+				seen[b] = true
+				p.evaluate(b, &w)
+				p.results <- b
+			}
+			handBack := func() {
+				for len(held) > 0 {
+					hand(held[len(held)-1])
+					held = held[:len(held)-1]
+				}
+			}
+			for {
+				select {
+				case b, ok := <-p.jobs:
+					if !ok {
+						return
+					}
+					if held = append(held, b); len(held) == ring || b.start+b.n == length {
+						handBack()
+					}
+				case <-p.done:
+					// The scan stopped: hand back what is held, then
+					// each job as it comes.
+					handBack()
+					for b := range p.jobs {
+						hand(b)
+					}
+					return
+				}
+			}
+		}()
+		res := sc.run(got, sc.candidates, 1, 0)
+		p.stop()
+		<-exited
+
+		if !slices.EqualFunc(got.units, want.units, slices.Equal) {
+			t.Errorf("%s: the commit folded %d attempts out of the inline order (%d attempts)", tc.name, len(got.units), len(want.units))
+		}
+		if len(seen) > ring {
+			t.Errorf("%s: the worker saw %d batches, want at most %d", tc.name, len(seen), ring)
+		}
+		if res.Stats.Pipeline.CommitStalls == 0 {
+			t.Errorf("%s: no job waited in its slot; the reversal did not happen", tc.name)
+		}
+		if res.Cursor != wantRes.Cursor || res.Reason != wantRes.Reason || !frontsEqual(res.Front, wantRes.Front) {
+			t.Errorf("%s: cursor %d reason %q front %v, inline %d %q %v", tc.name, res.Cursor, res.Reason, res.Front, wantRes.Cursor, wantRes.Reason, wantRes.Front)
+		}
+		if g, w := res.Stats.Semantic(), wantRes.Stats.Semantic(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: semantic stats\npool:   %+v\ninline: %+v", tc.name, g, w)
+		}
+	}
+}
+
+// TestPooledStopAtMaxFlexCountsCommitted: a pooled StopAtMaxFlex run
+// reports the candidates the inline scan counts, whatever the producer
+// ran ahead of the stop. On the wide workload's spec the inline run
+// stops at 642; two-worker runs had reported 1,020 to 3,196.
+func TestPooledStopAtMaxFlexCountsCommitted(t *testing.T) {
+	s := models.Synthetic(models.ScaledSynthetic(1, 22))
+	opts := Options{StopAtMaxFlex: true}
+	inline := Explore(s, opts)
+	if inline.Reason != ReasonMaxFlex || inline.Stats.PossibleAllocations != 642 {
+		t.Fatalf("inline: reason %q, %d possible allocations, want %q at 642", inline.Reason, inline.Stats.PossibleAllocations, ReasonMaxFlex)
+	}
+	for i := range 8 {
+		r := ExploreParallel(s, opts, 2, 0)
+		if r.Cursor != inline.Cursor || r.Stats.PossibleAllocations != 642 {
+			t.Errorf("run %d: cursor %d, %d possible allocations, want %d and 642", i, r.Cursor, r.Stats.PossibleAllocations, inline.Cursor)
+		}
+		if g, w := r.Stats.Semantic(), inline.Stats.Semantic(); !reflect.DeepEqual(g, w) {
+			t.Errorf("run %d: semantic stats\npool:   %+v\ninline: %+v", i, g, w)
 		}
 	}
 }
@@ -461,12 +580,12 @@ func TestRecycledRecordStartsClean(t *testing.T) {
 }
 
 // batchPipeline is the producer side of a parallel scan of the
-// exhaustive workload's spec, without workers: enough to take, fill and
-// recycle batches.
-func batchPipeline() *pipeline {
+// exhaustive workload's spec, without workers, over a ring of the given
+// number of slots: enough to open, fill and refill batches.
+func batchPipeline(slots int) *pipeline {
 	s, opts := exhaustiveSpec()
 	sc := newScan(context.Background(), s, opts)
-	return &pipeline{sc: sc, nw: bitset.WordsFor(len(sc.ev.units))}
+	return &pipeline{sc: sc, nw: bitset.WordsFor(len(sc.ev.units)), ring: make([]*pipeBatch, slots)}
 }
 
 // keptRecord is a worker record holding an attempt a front may keep,
@@ -485,65 +604,66 @@ func keptRecord(units []int, n int) candRec {
 	}
 }
 
-// TestRecycledBatchAllocatesNothing: refilling a recycled batch — a
-// full range job of candidates at the spec's maximum unit count, each
-// with a kept attempt's payload — allocates nothing: the unit words and
+// TestRecycledBatchAllocatesNothing: refilling a ring slot — a full
+// range job of candidates at the spec's maximum unit count, each with a
+// kept attempt's payload — allocates nothing: the unit words and
 // results are sized once, and the payloads keep their storage.
 func TestRecycledBatchAllocatesNothing(t *testing.T) {
-	p := batchPipeline()
+	p := batchPipeline(1)
 	all := make([]int, len(p.sc.ev.units))
 	for k := range all {
 		all[k] = k
 	}
 	r := keptRecord(all, 3)
+	job := 0
 	fill := func() {
-		b := p.take()
+		b := p.slot(job)
+		job++
 		for i := range len(b.res) {
 			b.add(all, p.nw)
 			b.put(i, &r, 0)
 		}
-		p.free = append(p.free[:0], b)
 	}
 	fill()
 	if n := testing.AllocsPerRun(20, fill); n != 0 {
-		t.Errorf("refilling a recycled batch allocates %v times, want 0", n)
+		t.Errorf("refilling a ring slot allocates %v times, want 0", n)
 	}
-	b := p.free[0]
+	b := p.ring[0]
 	if got := b.unitSet(len(b.res)-1, p.nw).AppendTo(nil); !slices.Equal(got, all) {
 		t.Errorf("the last candidate's units read %v, want %v", got, all)
 	}
 }
 
-// TestFreshBatchAllocBytes: a new batch for a full range job on the
-// exhaustive spec (64 candidates over 12 units) allocates at most 64
-// bytes per candidate, unit words included — against 176 bytes per
-// record plus the unit indices before results were compact.
+// TestFreshBatchAllocBytes: the first job in a ring slot on the
+// exhaustive spec (32 candidates over 12 units) allocates the slot's
+// batch in at most 64 bytes per candidate, unit words included —
+// against 176 bytes per record plus the unit indices before results
+// were compact.
 func TestFreshBatchAllocBytes(t *testing.T) {
-	const perCandidate = 64
-	p := batchPipeline()
-	if b := p.take(); len(b.res) != 64 {
-		t.Fatalf("a fresh batch holds %d candidates, want 64", len(b.res))
+	const perCandidate, candidates = 64, 32
+	const n = 100
+	p := batchPipeline(n + 1)
+	if b := p.slot(n); len(b.res) != candidates {
+		t.Fatalf("a fresh slot holds %d candidates, want %d", len(b.res), candidates)
 	}
 	if size := int(unsafe.Sizeof(candResult{})) + 8*p.nw; size > perCandidate {
 		t.Errorf("a candidate takes %d bytes, want at most %d", size, perCandidate)
 	}
-	const n = 100
-	batches := make([]*pipeBatch, n)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := range batches {
-		batches[i] = p.take()
+	for k := range n {
+		p.slot(k)
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 64*perCandidate {
-		t.Errorf("a fresh 64-candidate batch allocates %d bytes, want at most %d", per, 64*perCandidate)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > candidates*perCandidate {
+		t.Errorf("a fresh %d-candidate slot allocates %d bytes, want at most %d", candidates, per, candidates*perCandidate)
 	}
 }
 
-// TestRecycledResultStartsClean: take hands out a recycled batch with
-// every result of its last job zeroed — each field of candResult is set
-// beforehand, so a field take forgets fails — and its payloads emptied
-// but kept for reuse.
+// TestRecycledResultStartsClean: slot hands a later job the ring slot's
+// batch with every result of its last job zeroed — each field of
+// candResult is set beforehand, so a field slot forgets fails — and its
+// payloads emptied but kept for reuse.
 func TestRecycledResultStartsClean(t *testing.T) {
 	dirty := candResult{est: 1, cost: 2, flex: 3, bindingNodes: 4, ecsTested: 5, bindingRuns: 6, pay: 1, flags: resKept}
 	v := reflect.ValueOf(dirty)
@@ -552,17 +672,17 @@ func TestRecycledResultStartsClean(t *testing.T) {
 			t.Fatalf("candResult.%s is unset in the dirty result", v.Type().Field(i).Name)
 		}
 	}
-	p := batchPipeline()
-	b := p.take()
+	const slots = 3
+	p := batchPipeline(slots)
+	b := p.slot(1)
 	for i := range b.res {
 		b.add([]int{i % len(p.sc.ev.units)}, p.nw)
 		b.res[i] = dirty
 	}
 	b.pays = append(b.pays, payload{picks: make([]pick, 2), diag: &Diag{}})
-	p.free = append(p.free, b)
-	got := p.take()
+	got := p.slot(1 + slots)
 	if got != b || got.n != 0 {
-		t.Fatalf("take returned a batch of %d candidates, want the recycled one, empty", got.n)
+		t.Fatalf("slot returned a batch of %d candidates, want the slot's own, empty", got.n)
 	}
 	for i, res := range got.res {
 		if res != (candResult{}) {
@@ -580,7 +700,7 @@ func TestRecycledResultStartsClean(t *testing.T) {
 // or below the worker's bound carries no implemented set and no picks;
 // a Diag always rides along.
 func TestBatchResultCarriesRecord(t *testing.T) {
-	p := batchPipeline()
+	p := batchPipeline(1)
 	full := keptRecord([]int{1, 4, 7}, 2)
 	full.att.picks[1].binding = []int32{9}
 	full.diag = &Diag{Message: "boom"}
@@ -607,7 +727,7 @@ func TestBatchResultCarriesRecord(t *testing.T) {
 		}()},
 		{"estimated", estimated, 0, estimated},
 	} {
-		b := p.take()
+		b := p.slot(0)
 		b.add(tc.r.units, p.nw)
 		b.put(0, &tc.r, tc.keep)
 		var got candRec
@@ -615,7 +735,6 @@ func TestBatchResultCarriesRecord(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: the commit reads\n%+v\nwant\n%+v", tc.name, got, tc.want)
 		}
-		p.free = append(p.free, b)
 	}
 }
 

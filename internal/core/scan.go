@@ -369,7 +369,7 @@ func (sc *scan) pruned(b bounder, r *candRec) bool {
 // candidate order, and reports whether the scan goes on. It is the one
 // ordered fold of every explorer, always on the caller's goroutine:
 // called inline right after evalOne, or, in a pooled run, as the
-// producer takes finished ranges back through the reorder buffer.
+// producer takes finished ranges back through the ring, in order.
 func (sc *scan) commit(idx int, r *candRec) bool {
 	res := sc.res
 	if !r.evaluated() {
@@ -416,6 +416,13 @@ func (sc *scan) sync() {
 	sc.ev.fold(&sc.res.Stats)
 	sc.res.Stats.PossibleAllocations = sc.possible
 	if sc.pool != nil {
+		// The producer runs ahead of the commit. Count what the inline
+		// scan counts: the committed candidates, and the one an
+		// interruption stopped at.
+		sc.res.Stats.PossibleAllocations = sc.res.Cursor
+		if sc.res.Interrupted {
+			sc.res.Stats.PossibleAllocations++
+		}
 		sc.pool.gauges(&sc.res.Stats.Pipeline)
 	}
 }

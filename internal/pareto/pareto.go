@@ -9,8 +9,9 @@
 package pareto
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Dominates reports whether objective vector a dominates b (both
@@ -104,17 +105,17 @@ func (f *Front) Size() int { return len(f.entries) }
 // objective vector.
 func (f *Front) Entries() []*Entry {
 	out := append([]*Entry(nil), f.entries...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Objectives, out[j].Objectives
+	slices.SortFunc(out, func(x, y *Entry) int {
+		a, b := x.Objectives, y.Objectives
 		for k := range a {
 			if k >= len(b) {
-				return false
+				return 1
 			}
 			if a[k] != b[k] {
-				return a[k] < b[k]
+				return cmp.Compare(a[k], b[k])
 			}
 		}
-		return len(a) < len(b)
+		return cmp.Compare(len(a), len(b))
 	})
 	return out
 }
@@ -148,11 +149,11 @@ func Hypervolume2D(f *Front, ref [2]float64) float64 {
 		}
 		pts = append(pts, [2]float64{x, y})
 	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i][0] != pts[j][0] {
-			return pts[i][0] < pts[j][0]
+	slices.SortFunc(pts, func(p, q [2]float64) int {
+		if p[0] != q[0] {
+			return cmp.Compare(p[0], q[0])
 		}
-		return pts[i][1] < pts[j][1]
+		return cmp.Compare(p[1], q[1])
 	})
 	hv := 0.0
 	prevY := ref[1]

@@ -2,7 +2,6 @@ package spec
 
 import (
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/hgraph"
@@ -45,7 +44,7 @@ func (a Allocation) IDs() []hgraph.ID {
 	for id := range a {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -130,7 +129,7 @@ func (a Allocation) Resources(s *Spec) []hgraph.ID {
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -162,7 +161,7 @@ func (a Allocation) AllocatedClusters(s *Spec) map[hgraph.ID][]hgraph.ID {
 	}
 	walk(s.Arch.Root)
 	for _, cs := range out {
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
+		slices.Sort(cs)
 	}
 	return out
 }

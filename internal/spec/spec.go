@@ -13,8 +13,9 @@
 package spec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/hgraph"
 )
@@ -126,10 +127,10 @@ func (s *Spec) buildIndex() {
 		s.byResource[m.Resource] = append(s.byResource[m.Resource], m)
 	}
 	for _, ms := range s.byProcess {
-		sort.Slice(ms, func(a, b int) bool { return ms[a].Resource < ms[b].Resource })
+		slices.SortFunc(ms, func(a, b *Mapping) int { return cmp.Compare(a.Resource, b.Resource) })
 	}
 	for _, ms := range s.byResource {
-		sort.Slice(ms, func(a, b int) bool { return ms[a].Process < ms[b].Process })
+		slices.SortFunc(ms, func(a, b *Mapping) int { return cmp.Compare(a.Process, b.Process) })
 	}
 }
 

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -17,17 +18,12 @@ import (
 	"repro/internal/spec"
 )
 
+// frontsEqual reports whether two fronts encode alike: allocations,
+// costs, flexibilities, clusters and behaviours, bindings included.
 func frontsEqual(a, b []*core.Implementation) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Cost != b[i].Cost || a[i].Flexibility != b[i].Flexibility ||
-			!a[i].Allocation.Equal(b[i].Allocation) {
-			return false
-		}
-	}
-	return true
+	ja, errA := (&core.Result{Front: a}).MarshalJSON()
+	jb, errB := (&core.Result{Front: b}).MarshalJSON()
+	return errA == nil && errB == nil && bytes.Equal(ja, jb)
 }
 
 func mustStamp(t testing.TB, s *spec.Spec, opts core.Options) Stamp {

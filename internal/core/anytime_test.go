@@ -52,13 +52,18 @@ func prefixArchive(s *spec.Spec, opts Options, k int, stream func(func(alloc.Can
 	return frontToImplementations(front)
 }
 
+// frontsEqual reports whether two fronts hold the same implementations,
+// entry by entry: allocation, cost and flexibility, clusters, and each
+// behaviour's ECS, architecture selection and binding. A binding is a
+// function of the allocation and the binding options (timing,
+// MaxBindNodes), so runs under the same options must agree on it
+// whatever their worker count, batch sizes or resume point.
 func frontsEqual(a, b []*Implementation) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].Cost != b[i].Cost || a[i].Flexibility != b[i].Flexibility ||
-			!a[i].Allocation.Equal(b[i].Allocation) {
+		if sameImplementation(a[i], b[i], true) != "" {
 			return false
 		}
 	}

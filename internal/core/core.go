@@ -360,10 +360,9 @@ type PipelineStats struct {
 // skipped by subset dominance), and SupportableReused counts
 // implementations that reused the supportable-cluster set computed by
 // the candidate's estimate (or, in the sampling explorers, its
-// possibility test): every attempt. BindReplayRejected counts replayed
-// bindings that Problem.Verify rejected under the present superset,
-// each followed by a solver run (a bind miss); monotone dominance says
-// it stays 0.
+// possibility test): every attempt. The solves that find a kept
+// behaviour's binding are not memo traffic and count in no field here,
+// nor in Stats.BindingRuns or BindingNodes.
 type CacheStats struct {
 	FlattenHits        int `json:"flattenHits,omitempty"`
 	FlattenMisses      int `json:"flattenMisses,omitempty"`
@@ -374,7 +373,6 @@ type CacheStats struct {
 	BindInfeasibleHits int `json:"bindInfeasibleHits,omitempty"`
 	BindMisses         int `json:"bindMisses,omitempty"`
 	SupportableReused  int `json:"supportableReused,omitempty"`
-	BindReplayRejected int `json:"bindReplayRejected,omitempty"`
 }
 
 // plus returns the counter-wise sum.
@@ -388,7 +386,6 @@ func (c CacheStats) plus(d CacheStats) CacheStats {
 	c.BindInfeasibleHits += d.BindInfeasibleHits
 	c.BindMisses += d.BindMisses
 	c.SupportableReused += d.SupportableReused
-	c.BindReplayRejected += d.BindReplayRejected
 	return c
 }
 
@@ -502,18 +499,18 @@ func Implement(s *spec.Spec, a spec.Allocation, opts Options, stats *Stats) *Imp
 
 // ImplementAll is Implement of each allocation of as, through one
 // evaluator: an ECS flattened, a configuration enumerated or a binding
-// solved for one allocation is reused for the next. The i-th result is
-// nil when as[i] implements no behaviour. Each result has Implement's
-// allocation, cost, flexibility, clusters and behaviour ECSs, but a
-// binding may be one found for an earlier allocation with fewer
-// resources, replayed and verified under this one's.
+// verdict solved for one allocation is reused for the next. The i-th
+// result is nil when as[i] implements no behaviour, and otherwise is
+// Implement's result, bindings included: each binding is solved on its
+// own allocation's view.
 func ImplementAll(s *spec.Spec, as []spec.Allocation, opts Options) []*Implementation {
 	return implementAll(s, as, opts, &Stats{})
 }
 
 // implementAll implements each allocation of as through one evaluator,
 // adding the search effort to stats. Each attempt keeps its implemented
-// set and picks in one record's storage, which materialise copies.
+// set, picks and bindings in one record's storage, which materialise
+// copies.
 func implementAll(s *spec.Spec, as []spec.Allocation, opts Options, stats *Stats) []*Implementation {
 	ev := newEvaluator(s, opts)
 	w := ev.evalScratch()

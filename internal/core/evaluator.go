@@ -2,8 +2,8 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"hash/maphash"
-	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -36,28 +36,31 @@ import (
 //     configuration is one bitset (its present set, mask ∧ avail);
 //   - a binding memo per (ECS, configuration) pair, found in the
 //     configuration's table by the ECS's run-wide ID, holding the
-//     solver outcomes transposed: per resource of the configuration's
-//     mask a bitmap over the outcomes, 64 to a chunk that never moves,
-//     beside a feasible and a proven-infeasible bitmap, and the
-//     feasible outcomes' bindings in blocks that never move either, so
-//     a lookup is a few word operations per resource and a store
-//     copies nothing already stored. A monotone-dominance rule applies:
-//     a binding found feasible under a resource set stays feasible
+//     solver verdicts transposed: per resource of the configuration's
+//     mask a bitmap over the verdicts, 64 to a chunk that never moves,
+//     beside a feasible and a proven-infeasible bitmap, so a lookup is
+//     a few word operations per resource. A monotone-dominance rule
+//     applies: a binding feasible under a resource set stays feasible
 //     under any superset (extra resources only add present vertices
 //     and links, and the timing tests depend only on the binding
-//     itself), so it is replayed — and verified with Problem.Verify, a
-//     rejection counted in BindReplayRejected and solved — instead of
-//     rerun; an ECS proven infeasible on a resource superset (by an
-//     untruncated search) is skipped on any subset. Only solver
-//     outcomes are stored, each present set once; a replay stores
-//     nothing.
+//     itself), so a feasible verdict is replayed to a superset instead
+//     of rerun; an ECS proven infeasible on a resource superset (by an
+//     untruncated search) is skipped on any subset. TestReplayPremise
+//     holds the rule to the solver. Only solver verdicts are stored,
+//     each present set once; a replay stores nothing.
 //
 // The feasible-superset replay is gated on Options.MaxBindNodes == 0:
 // a truncated search is not monotone (a larger search space can
 // truncate before finding the solution the smaller one found), so with
-// a node bound only exact hits — deterministic replays of the very
-// same inputs — are reused, and infeasible-by-truncation outcomes are
-// never used as dominance proofs.
+// a node bound only exact hits — the verdicts of the very same inputs —
+// are reused, and infeasible-by-truncation outcomes are never used as
+// dominance proofs.
+//
+// The memo holds no bindings. An attempt the front may keep solves
+// each kept pick's witness afresh on the pick's view (bindAll), so a
+// behaviour's binding is the solver's first binding on the present set
+// it is bound under — a function of the allocation and the options, not
+// of which candidates, workers or earlier runs filled the memo.
 //
 // An attempted candidate stays in index space: cluster, activation and
 // resource sets are dense bitsets (internal/bitset) over the run's
@@ -66,15 +69,15 @@ import (
 // resource indices, and the attempt records its cost and flexibility.
 // Only an attempt the front may keep — one whose flexibility exceeds
 // the fold's bounder.keepAbove — also records its implemented cluster
-// set and the (ECS, configuration, memo binding) picks behind it, and
+// set and the (ECS, configuration, binding) picks behind it, and
 // only a front admitting the attempt builds the Implementation
 // (materialise): the allocation map, the cluster list and behaviours
 // with private Binding and ArchSelection maps. The many attempts no
-// front keeps allocate nothing on a warm memo: the implemented set and
-// the picks are written, when at all, into the candidate record's
-// buffers, which the record keeps across candidates (candRec.reset),
-// and admit tests the objective vector against the front before it
-// builds an entry.
+// front keeps allocate nothing on a warm memo: the implemented set,
+// the picks and their bindings are written, when at all, into the
+// candidate record's buffers, which the record keeps across candidates
+// (candRec.reset), and admit tests the objective vector against the
+// front before it builds an entry.
 //
 // The interning caches are sharded and mutex-striped, the ECS table and
 // each entry's flattening are built behind a sync.Once, each memo has its
@@ -131,7 +134,6 @@ type evaluator struct {
 	bindInfeasHits atomic.Int64
 	bindMisses     atomic.Int64
 	supportReused  atomic.Int64
-	replayRejected atomic.Int64
 }
 
 // newEvaluator builds the evaluation engine for one exploration run.
@@ -184,7 +186,6 @@ func (ev *evaluator) snapshot() CacheStats {
 		BindInfeasibleHits: int(ev.bindInfeasHits.Load()),
 		BindMisses:         int(ev.bindMisses.Load()),
 		SupportableReused:  int(ev.supportReused.Load()),
-		BindReplayRejected: int(ev.replayRejected.Load()),
 	}
 }
 
@@ -240,9 +241,10 @@ func (ev *evaluator) flexOfBits(set bitset.Set) float64 {
 // implemented cluster set and the picks (materialise). An
 // attempt at or below the threshold implement was given (the fold's
 // bounder.keepAbove) is one no front admits: it carries its cost and
-// flexibility but no implemented set and no picks — implemented and
-// picks then hold whatever the record's storage held, and must not be
-// read. A ready Implementation (a Resume front) rides in im instead.
+// flexibility but no implemented set, no picks and no bindings —
+// implemented, picks and binds then hold whatever the record's storage
+// held, and must not be read. A ready Implementation (a Resume front)
+// rides in im instead.
 type attempt struct {
 	// ok reports a positive flexibility: the candidate is feasible.
 	ok          bool
@@ -250,15 +252,31 @@ type attempt struct {
 	flex        float64
 	implemented bitset.Set
 	picks       []pick
-	im          *Implementation
+	// binds holds the kept picks' bindings back to back, pick i's from
+	// picks[i].at to the next pick's offset (binding).
+	binds []int32
+	im    *Implementation
 }
 
-// pick is one kept behaviour of an attempt: an ECS, the configuration
-// it was bound under, and the binding, read-only in the memo.
+// pick is one behaviour of an attempt: an ECS, the configuration it was
+// bound under, the index of that configuration's view in bindAll's
+// scratch, and — once the attempt is kept — the offset of its binding
+// in the attempt's binds.
 type pick struct {
-	en      *ecsEntry
-	cfg     *archConfig
-	binding []int32
+	en   *ecsEntry
+	cfg  *archConfig
+	view int32
+	at   int32
+}
+
+// binding returns kept pick i's binding, one resource index per leaf of
+// its ECS's bind.Problem; it aliases a.binds.
+func (a *attempt) binding(i int) []int32 {
+	end := len(a.binds)
+	if i+1 < len(a.picks) {
+		end = int(a.picks[i+1].at)
+	}
+	return a.binds[a.picks[i].at:end:end]
 }
 
 // readyAttempt wraps an implementation built elsewhere (nil when
@@ -276,8 +294,8 @@ func readyAttempt(im *Implementation) attempt {
 // implement only reads it during the call, and reads the candidate's
 // resource closure from the same scratch. Search effort is added to
 // stats, which must not be nil. buf is the record's previous attempt,
-// whose implemented set and picks the new attempt overwrites — only
-// when its flexibility exceeds keep (see bindAll).
+// whose implemented set, picks and bindings the new attempt overwrites
+// — only when its flexibility exceeds keep (see bindAll).
 func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *Stats, buf attempt, keep float64) attempt {
 	ev.supportReused.Add(1)
 	w.archSet.Clear()
@@ -304,8 +322,8 @@ func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *S
 // implementAllocation is implement for a candidate given as an
 // allocation map that need not consist of units (Upgrade's base, the
 // exported Implement's). The attempt carries no cost. It keeps its
-// implemented set and picks, in buf's storage, when its flexibility
-// exceeds keep.
+// implemented set, picks and bindings, in buf's storage, when its
+// flexibility exceeds keep.
 func (ev *evaluator) implementAllocation(a spec.Allocation, w *scratch, stats *Stats, buf attempt, keep float64) attempt {
 	avail := ev.sup.AvailOf(a)
 	return ev.bindAll(avail, ev.sup.Supportable(avail), ev.configs(a), w, stats, buf, keep)
@@ -316,9 +334,12 @@ func (ev *evaluator) implementAllocation(a spec.Allocation, w *scratch, stats *S
 // the resource closure avail, through the binding memo, and evaluates
 // the flexibility of the clusters feasible behaviours implement. Only
 // an attempt whose flexibility exceeds keep — one a front may admit —
-// writes its implemented set and kept picks, into buf's storage, so a
-// record reused across candidates allocates them once; any other
-// attempt hands the storage back unused.
+// writes its implemented set and kept picks, and solves each pick's
+// binding on the pick's view into the attempt's binds. They go into
+// buf's storage, so a record reused across candidates allocates them
+// once; any other attempt hands the storage back unused. The witness
+// solves are not memo traffic: they count in no Stats or CacheStats
+// field.
 func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scratch, stats *Stats, buf attempt, keep float64) attempt {
 	feasible := w.feasible
 	feasible.Clear()
@@ -357,9 +378,9 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 			if !v.built {
 				v.build(c, avail)
 			}
-			if b, ok := ev.bindFor(en, c, v, w, stats); ok {
+			if ev.bindFor(en, c, v, w, stats) {
 				feasible.UnionWith(en.bits)
-				picks = append(picks, pick{en: en, cfg: c, binding: b})
+				picks = append(picks, pick{en: en, cfg: c, view: int32(j)})
 				break
 			}
 		}
@@ -372,7 +393,7 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 	implemented := w.implemented
 	ev.tree.Activatable(feasible, implemented, w.memo)
 	f := ev.flexOfBits(implemented)
-	at := attempt{implemented: buf.implemented, picks: buf.picks[:0]}
+	at := attempt{implemented: buf.implemented, picks: buf.picks[:0], binds: buf.binds[:0]}
 	if f <= 0 {
 		return at
 	}
@@ -382,10 +403,29 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 	}
 	// Every pick is kept: a feasible ECS is a full activation from the
 	// root, so its clusters are activatable whenever it is feasible and
-	// all of them are implemented. A fresh record sizes its picks once.
+	// all of them are implemented. A fresh record sizes its picks and
+	// binds once.
 	at.picks = append(at.picks, picks...)
 	at.implemented.CopyFrom(implemented)
+	bopts := ev.bindOptions()
+	for i := range at.picks {
+		p := &at.picks[i]
+		res, ok := p.en.prob.Solve(&views[p.view].av, bopts, &w.bind)
+		if !ok {
+			// The memo's verdict was feasible: an exact hit is this
+			// present set's own solve, and a replay holds by monotone
+			// dominance (TestReplayPremise).
+			panic(fmt.Sprintf("core: ECS %v is feasible under configuration %s, but its witness solve found no binding", p.en.e, p.cfg.sel))
+		}
+		p.at = int32(len(at.binds))
+		at.binds = append(at.binds, res.Binding...)
+	}
 	return at
+}
+
+// bindOptions are the solver options of the run's binding searches.
+func (ev *evaluator) bindOptions() bind.Options {
+	return bind.Options{Timing: ev.opts.Timing, MaxNodes: ev.opts.MaxBindNodes}
 }
 
 // unitsCost is spec.Allocation.Cost of the candidate's allocation: the
@@ -448,7 +488,7 @@ func (ev *evaluator) materialise(r *candRec) *Implementation {
 		if sel == nil {
 			sel = p.cfg.sel.Clone()
 		}
-		im.Behaviours[i] = Behaviour{ECS: p.en.e, ArchSelection: sel, Binding: p.en.prob.Binding(p.binding)}
+		im.Behaviours[i] = Behaviour{ECS: p.en.e, ArchSelection: sel, Binding: p.en.prob.Binding(at.binding(i))}
 	}
 	return im
 }
@@ -641,49 +681,31 @@ func (ev *evaluator) archConfig(sel hgraph.Selection) *archConfig {
 }
 
 // bindOutcome is one memoized solver verdict for a present-resource
-// set under a fixed (ECS, arch configuration) pair, as a memo lookup or
-// store hands it out: a value whose binding aliases the memo's storage,
-// read-only.
+// set under a fixed (ECS, arch configuration) pair, as a memo lookup
+// hands it out.
 type bindOutcome struct {
 	ok bool
 	// proof reports the infeasibility was established by an untruncated
 	// search and may therefore be used as a subset-dominance proof.
 	proof bool
-	// binding is the solver's, one resource index per leaf of the ECS's
-	// bind.Problem, shared read-only by every attempt that replays it.
-	binding []int32
 }
 
-// blockCap is the capacity, in bindings, of the block a memo allocates
-// after one of capacity prev (0: the first): 4, 8, 16, 32, then 64
-// each. A pair that stores few bindings reserves little, and a long
-// list grows without copying what it holds.
-func blockCap(prev int) int { return min(max(2*prev, 4), 64) }
-
-// bindMemo holds the solver outcomes of one (ECS, arch configuration)
+// bindMemo holds the solver verdicts of one (ECS, arch configuration)
 // pair, in the order they were solved, transposed into bitmaps over
-// outcome ids. Every present set of the pair is a subset of the
-// configuration's mask (spec.ArchLinks.Mask), so an outcome is its
-// membership bit per mask resource plus its verdict. The outcomes are
+// verdict ids. Every present set of the pair is a subset of the
+// configuration's mask (spec.ArchLinks.Mask), so a verdict is its
+// membership bit per mask resource plus its outcome. The verdicts are
 // kept 64 to a chunk of nr+2 words, nr the mask's size: word j (j < nr)
-// has bit i set when outcome i's present set holds the mask's j-th
-// resource, word nr marks the feasible outcomes and word nr+1 the
+// has bit i set when verdict i's present set holds the mask's j-th
+// resource, word nr marks the feasible verdicts and word nr+1 the
 // infeasibilities proven by an untruncated search. A chunk is allocated
-// once and never moves, and a store sets bits in the last one. The
-// feasible outcomes' bindings, nl indices each (one per leaf of the
-// pair's ECS), are in binds in the same order, so the k-th feasible
-// outcome's binding is found by rank. A present set is stored at most
-// once.
+// once and never moves, and a store sets bits in the last one. A
+// present set is stored at most once.
 type bindMemo struct {
 	mu     sync.Mutex
 	mask   bitset.Set // the configuration's, read-only
-	nl     int
-	n      int // outcomes stored
+	n      int        // verdicts stored
 	chunks [][]uint64
-	binds  [][]int32
-	// lastFill and lastCap count the bindings in the last block and
-	// its capacity.
-	lastFill, lastCap int
 }
 
 // memoHit is what a memo lookup found.
@@ -691,18 +713,17 @@ type memoHit int8
 
 const (
 	memoMiss memoHit = iota
-	// memoExact: an outcome solved under the very same present set.
+	// memoExact: a verdict solved under the very same present set.
 	memoExact
 	// memoInfeasible: an infeasibility proven under a present superset.
 	memoInfeasible
-	// memoReplay: a binding found feasible under a present subset.
+	// memoReplay: a feasible verdict under a present subset.
 	memoReplay
 )
 
 // lookup finds what the memo knows of the present set, in this order:
 // an exact hit, else an infeasibility proven on a superset, else — when
-// replay is allowed — the first feasible outcome in insertion order
-// stored under a subset.
+// replay is allowed — a feasible verdict stored under a subset.
 func (m *bindMemo) lookup(present bitset.Set, replay bool) (bindOutcome, memoHit) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -710,18 +731,14 @@ func (m *bindMemo) lookup(present bitset.Set, replay bool) (bindOutcome, memoHit
 }
 
 // find is lookup for a caller holding m.mu. It reads each chunk once:
-// starting from the chunk's filled outcomes, sub keeps those holding no
+// starting from the chunk's filled verdicts, sub keeps those holding no
 // mask resource outside the present set (the stored subsets) and super
 // those holding every one inside it (the stored supersets). Their
-// intersection is the exact hit, super's proven outcomes the dominating
-// infeasibilities, and the lowest feasible bit of sub in the earliest
-// chunk the replayed witness.
+// intersection is the exact hit, super's proven verdicts the dominating
+// infeasibilities, and sub's feasible verdicts the replayable ones.
 func (m *bindMemo) find(present bitset.Set, replay bool) (bindOutcome, memoHit) {
 	pw := present.Words()
-	infeasible := false
-	var wit bindOutcome
-	found := false
-	rank := 0 // feasible outcomes in the chunks before c
+	infeasible, feasible := false, false
 	for k, c := range m.chunks {
 		filled := ^uint64(0)
 		if left := m.n - 64*k; left < 64 {
@@ -740,59 +757,29 @@ func (m *bindMemo) find(present bitset.Set, replay bool) (bindOutcome, memoHit) 
 			}
 		}
 		if e := sub & super; e != 0 {
-			return m.outcome(c, e, rank), memoExact
+			return bindOutcome{ok: c[j]&e != 0, proof: c[j+1]&e != 0}, memoExact
 		}
-		if super&c[j+1] != 0 {
-			infeasible = true
-		}
-		if f := sub & c[j]; replay && !infeasible && !found && f != 0 {
-			wit, found = m.outcome(c, f&-f, rank), true
-		}
-		rank += bits.OnesCount64(c[j])
+		infeasible = infeasible || super&c[j+1] != 0
+		feasible = feasible || sub&c[j] != 0
 	}
 	switch {
 	case infeasible:
 		return bindOutcome{}, memoInfeasible
-	case found:
-		return wit, memoReplay
+	case replay && feasible:
+		return bindOutcome{ok: true}, memoReplay
 	}
 	return bindOutcome{}, memoMiss
 }
 
-// outcome returns the outcome at bit of chunk c, after rank feasible
-// outcomes in the earlier chunks.
-func (m *bindMemo) outcome(c []uint64, bit uint64, rank int) bindOutcome {
-	feasible := c[len(c)-2]
-	o := bindOutcome{ok: feasible&bit != 0, proof: c[len(c)-1]&bit != 0}
-	if o.ok {
-		o.binding = m.binding(rank + bits.OnesCount64(feasible&(bit-1)))
-	}
-	return o
-}
-
-// binding returns the binding of the feasible outcome of the given
-// rank: its slot in the binding blocks, whose capacities follow
-// blockCap.
-func (m *bindMemo) binding(rank int) []int32 {
-	k, size := 0, blockCap(0)
-	for rank >= size {
-		rank -= size
-		k, size = k+1, blockCap(size)
-	}
-	at := rank * m.nl
-	return m.binds[k][at : at+m.nl : at+m.nl]
-}
-
-// store appends a solver outcome under its present set, which must be a
-// subset of the memo's mask, copying a feasible outcome's binding into
-// the memo, and returns it — or, when another worker stored the same
-// present set since this one's lookup, the stored outcome, appending
-// nothing.
-func (m *bindMemo) store(present bitset.Set, ok, proof bool, binding []int32) bindOutcome {
+// store appends a solver verdict under its present set, which must be a
+// subset of the memo's mask — unless another worker stored the same
+// present set since this one's lookup, whose verdict, of the same
+// deterministic solve, it keeps.
+func (m *bindMemo) store(present bitset.Set, ok, proof bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if o, hit := m.find(present, false); hit == memoExact {
-		return o
+	if _, hit := m.find(present, false); hit == memoExact {
+		return
 	}
 	if m.n%64 == 0 {
 		m.chunks = append(m.chunks, make([]uint64, m.mask.Count()+2))
@@ -807,35 +794,13 @@ func (m *bindMemo) store(present bitset.Set, ok, proof bool, binding []int32) bi
 			j++
 		}
 	}
-	o := bindOutcome{ok: ok, proof: proof}
 	if ok {
 		c[j] |= bit
-		o.binding = m.putBinding(binding)
 	}
 	if proof {
 		c[j+1] |= bit
 	}
 	m.n++
-	return o
-}
-
-// putBinding copies a feasible outcome's binding into the memo's last
-// binding block, or a new one when it is full, and returns the copy.
-// The caller holds m.mu.
-func (m *bindMemo) putBinding(binding []int32) []int32 {
-	k := len(m.binds) - 1
-	if k < 0 {
-		m.nl = len(binding)
-	}
-	if k < 0 || m.lastFill == m.lastCap {
-		m.lastCap = blockCap(m.lastCap)
-		m.binds = append(m.binds, make([]int32, m.lastCap*m.nl))
-		k, m.lastFill = k+1, 0
-	}
-	at := m.lastFill * m.nl
-	copy(m.binds[k][at:], binding)
-	m.lastFill++
-	return m.binds[k][at : at+m.nl : at+m.nl]
 }
 
 // viewSlot is one configuration's view of the candidate being
@@ -855,47 +820,32 @@ func (v *viewSlot) build(c *archConfig, avail bitset.Set) {
 
 // bindFor decides binding feasibility of the ECS en under configuration
 // c on the view v through the memo (bindMemo.lookup): an exact hit
-// replays the stored verdict; a feasible binding under a subset is
-// replayed and verified under the present superset (unbounded solver
-// only), storing nothing; an infeasibility proven on a superset
-// dominates the present subset. Only on a miss does the solver run, in
-// w's scratch, and its outcome is stored. The returned binding is the
-// memo's: read-only. It is nil when infeasible.
-func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratch, stats *Stats) ([]int32, bool) {
+// replays the stored verdict; a feasible verdict under a subset is
+// replayed to the present superset (unbounded solver only), storing
+// nothing, since the same present set finds it again; an infeasibility
+// proven on a superset dominates the present subset. Only on a miss
+// does the solver run, in w's scratch, and its verdict is stored.
+func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratch, stats *Stats) bool {
 	m := c.memo(en.id)
 	present := v.av.PresentSet()
 	o, hit := m.lookup(present, ev.opts.MaxBindNodes == 0)
 	switch hit {
 	case memoExact:
 		ev.bindExactHits.Add(1)
-		return o.binding, o.ok
+		return o.ok
 	case memoInfeasible:
 		ev.bindInfeasHits.Add(1)
-		return nil, false
+		return false
+	case memoReplay:
+		ev.bindReplayHits.Add(1)
+		return true
 	}
-
-	bopts := bind.Options{Timing: ev.opts.Timing, MaxNodes: ev.opts.MaxBindNodes}
-	if hit == memoReplay {
-		// Monotone dominance: the binding stays feasible when resources
-		// are only added. Verify anyway — Verify is far cheaper than the
-		// solver — and fall back to a full solve if it ever disagrees.
-		// The replay is not stored: the memo is append-only and its
-		// witness the first in insertion order, so the same present set
-		// finds the same witness again, and a store would grow the memo
-		// per replay.
-		if en.prob.Verify(&v.av, o.binding, bopts, &w.bind) == nil {
-			ev.bindReplayHits.Add(1)
-			return o.binding, true
-		}
-		ev.replayRejected.Add(1)
-	}
-
 	ev.bindMisses.Add(1)
 	stats.BindingRuns++
-	res, ok := en.prob.Solve(&v.av, bopts, &w.bind)
+	res, ok := en.prob.Solve(&v.av, ev.bindOptions(), &w.bind)
 	stats.BindingNodes += res.Nodes
-	o = m.store(present, ok, !ok && !res.Truncated, res.Binding)
-	return o.binding, o.ok
+	m.store(present, ok, !ok && !res.Truncated)
+	return ok
 }
 
 // memo returns the binding memo of the ECS with run-wide ID id under

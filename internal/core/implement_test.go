@@ -14,10 +14,10 @@ import (
 	"repro/internal/spec"
 )
 
-// TestMemoReplayAllocatesNothing: replaying a memoized binding under a
-// present superset — the memo lookups and the index verifier —
-// allocates nothing, and stores nothing: the memo's outcome list keeps
-// no entry for the superset, so every repeat is a replay again.
+// TestMemoReplayAllocatesNothing: replaying a memoized feasible
+// verdict under a present superset — the memo lookups alone — allocates
+// nothing, and stores nothing: the memo keeps no verdict for the
+// superset, so every repeat is a replay again.
 func TestMemoReplayAllocatesNothing(t *testing.T) {
 	s := models.SetTopBox()
 	ev := newEvaluator(s, Options{})
@@ -30,7 +30,7 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 	ev.sup.SupportableUnits(full, w.sup)
 	fullAvail := w.sup.Avail().Clone()
 
-	// The first binding found feasible under a present set the full
+	// The first verdict found feasible under a present set the full
 	// allocation's view strictly extends.
 	var (
 		en       *ecsEntry
@@ -48,7 +48,7 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 				}
 				var v viewSlot
 				v.build(c, avail)
-				if _, ok := ev.bindFor(e, c, &v, &w, &st); !ok {
+				if !ev.bindFor(e, c, &v, &w, &st) {
 					continue
 				}
 				superset.build(c, fullAvail)
@@ -61,7 +61,7 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 		return true
 	})
 	if en == nil {
-		t.Fatal("no replayable binding found")
+		t.Fatal("no replayable verdict found")
 	}
 	m := cfg.memo(en.id)
 	if _, hit := m.lookup(superset.av.PresentSet(), false); hit == memoExact {
@@ -69,7 +69,7 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 	}
 	replays, stored := ev.bindReplayHits.Load(), m.n
 	n := testing.AllocsPerRun(100, func() {
-		if _, ok := ev.bindFor(en, cfg, &superset, &w, &st); !ok {
+		if !ev.bindFor(en, cfg, &superset, &w, &st) {
 			t.Fatal("the superset replay failed")
 		}
 	})
@@ -77,7 +77,7 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 		t.Fatalf("%d replays, want 101 (every call a replay)", got)
 	}
 	if got := m.n; got != stored {
-		t.Errorf("the replays stored %d outcomes, want none", got-stored)
+		t.Errorf("the replays stored %d verdicts, want none", got-stored)
 	}
 	if n != 0 {
 		t.Errorf("a memo replay allocates %v times, want 0", n)
@@ -93,24 +93,27 @@ func memoOver(n int) *bindMemo {
 	return &bindMemo{mask: mask}
 }
 
-// TestMemoLookupOrder: a memo lookup prefers an exact hit to a proven
-// infeasible superset, and that to a feasible subset, whose first in
-// insertion order is replayed; a truncated infeasibility proves
-// nothing, a replay needs the caller's leave, and storing a present set
-// already stored keeps the first outcome.
-func TestMemoLookupOrder(t *testing.T) {
-	set := func(members ...int) bitset.Set {
-		s := bitset.New(8)
-		for _, i := range members {
-			s.Add(i)
-		}
-		return s
+// memoSet returns the present set of the given resources among 8.
+func memoSet(members ...int) bitset.Set {
+	s := bitset.New(8)
+	for _, i := range members {
+		s.Add(i)
 	}
+	return s
+}
+
+// TestMemoLookupOrder: a memo lookup prefers an exact hit to a proven
+// infeasible superset, and that to a feasible subset, which is
+// replayed; a truncated infeasibility proves nothing, a replay needs
+// the caller's leave, and storing a present set already stored keeps
+// the first verdict.
+func TestMemoLookupOrder(t *testing.T) {
+	set := memoSet
 	m := memoOver(8)
-	feasA := m.store(set(1), true, false, []int32{1})
-	feasB := m.store(set(2), true, false, []int32{2})
-	truncated := m.store(set(1, 2, 3, 4), false, false, nil)
-	proven := m.store(set(1, 2, 5), false, true, nil)
+	m.store(set(1), true, false)
+	m.store(set(2), true, false)
+	m.store(set(1, 2, 3, 4), false, false)
+	m.store(set(1, 2, 5), false, true)
 
 	for _, tc := range []struct {
 		name    string
@@ -119,23 +122,24 @@ func TestMemoLookupOrder(t *testing.T) {
 		want    bindOutcome
 		hit     memoHit
 	}{
-		{"exact feasible", set(2), true, feasB, memoExact},
-		{"exact truncated", set(1, 2, 3, 4), true, truncated, memoExact},
-		{"exact proven, though a subset replays", set(1, 2, 5), true, proven, memoExact},
+		{"exact feasible", set(2), true, bindOutcome{ok: true}, memoExact},
+		{"exact truncated", set(1, 2, 3, 4), true, bindOutcome{}, memoExact},
+		{"exact proven, though a subset replays", set(1, 2, 5), true, bindOutcome{proof: true}, memoExact},
 		{"proven superset before a subset replay", set(1, 2), true, bindOutcome{}, memoInfeasible},
 		{"proven superset without replay", set(1, 5), false, bindOutcome{}, memoInfeasible},
-		{"first subset in insertion order", set(1, 2, 3), true, feasA, memoReplay},
-		{"a later subset", set(2, 3), true, feasB, memoReplay},
+		{"a feasible subset", set(1, 2, 3), true, bindOutcome{ok: true}, memoReplay},
+		{"a later subset", set(2, 3), true, bindOutcome{ok: true}, memoReplay},
 		{"no replay under a node bound", set(1, 2, 3), false, bindOutcome{}, memoMiss},
 		{"truncated superset proves nothing", set(3, 4), true, bindOutcome{}, memoMiss},
 	} {
 		o, hit := m.lookup(tc.present, tc.replay)
-		if !sameOutcome(o, tc.want) || hit != tc.hit {
+		if o != tc.want || hit != tc.hit {
 			t.Errorf("%s: lookup %v = (%+v, %d), want (%+v, %d)", tc.name, tc.present, o, hit, tc.want, tc.hit)
 		}
 	}
-	if got := m.store(set(2), true, false, []int32{9}); !sameOutcome(got, feasB) || m.n != 4 {
-		t.Errorf("a second store of a stored set returned %+v with %d outcomes, want the first (%+v) and 4", got, m.n, feasB)
+	m.store(set(1, 2, 5), true, false)
+	if got, hit := m.lookup(set(1, 2, 5), true); got != (bindOutcome{proof: true}) || hit != memoExact || m.n != 4 {
+		t.Errorf("a second store of a stored set left (%+v, %d) with %d verdicts, want the first (%+v) and 4", got, hit, m.n, bindOutcome{proof: true})
 	}
 }
 
@@ -144,42 +148,34 @@ func TestMemoLookupOrder(t *testing.T) {
 // infeasibility on a superset stored after a feasible subset still wins
 // over the replay, and a truncated infeasibility proves nothing.
 func TestMemoDistinctSets(t *testing.T) {
-	set := func(members ...int) bitset.Set {
-		s := bitset.New(8)
-		for _, i := range members {
-			s.Add(i)
-		}
-		return s
-	}
+	set := memoSet
 	m := memoOver(8)
-	feasible := m.store(set(1), true, false, []int32{7})
-	proven := m.store(set(1, 2, 3), false, true, nil)
-	truncated := m.store(set(1, 2, 3, 4, 5), false, false, nil)
+	m.store(set(1), true, false)
+	m.store(set(1, 2, 3), false, true)
+	m.store(set(1, 2, 3, 4, 5), false, false)
 	if m.n != 3 {
-		t.Fatalf("%d outcomes stored, want all 3", m.n)
-	}
-	if proven.ok || !proven.proof {
-		t.Fatalf("the second store returned %+v, want its own outcome", proven)
+		t.Fatalf("%d verdicts stored, want all 3", m.n)
 	}
 	for _, tc := range []struct {
 		present bitset.Set
 		want    bindOutcome
-	}{{set(1), feasible}, {set(1, 2, 3), proven}, {set(1, 2, 3, 4, 5), truncated}} {
+	}{{set(1), bindOutcome{ok: true}}, {set(1, 2, 3), bindOutcome{proof: true}}, {set(1, 2, 3, 4, 5), bindOutcome{}}} {
 		got, hit := m.lookup(tc.present, true)
-		if hit != memoExact || !sameOutcome(got, tc.want) {
-			t.Errorf("exact lookup %v = (%+v, %d), want its own outcome", tc.present, got, hit)
+		if hit != memoExact || got != tc.want {
+			t.Errorf("exact lookup %v = (%+v, %d), want its own verdict %+v", tc.present, got, hit, tc.want)
 		}
 	}
-	if got := m.store(set(1, 2, 3), true, false, []int32{8}); !sameOutcome(got, proven) || m.n != 3 {
-		t.Errorf("storing a stored set again returned %+v with %d outcomes, want the first and 3", got, m.n)
+	m.store(set(1, 2, 3), true, false)
+	if got, hit := m.lookup(set(1, 2, 3), true); got != (bindOutcome{proof: true}) || hit != memoExact || m.n != 3 {
+		t.Errorf("storing a stored set again left (%+v, %d) with %d verdicts, want the first and 3", got, hit, m.n)
 	}
-	if got, hit := m.lookup(set(1, 2), true); hit != memoInfeasible {
+	if got, hit := m.lookup(set(1, 2), true); hit != memoInfeasible || got != (bindOutcome{}) {
 		t.Errorf("a subset of the proven set and superset of the feasible one: (%+v, %d), want the infeasibility", got, hit)
 	}
 	if got, hit := m.lookup(set(4, 5), true); hit != memoMiss {
 		t.Errorf("a subset of only the truncated set: (%+v, %d), want a miss", got, hit)
 	}
-	if got, hit := m.lookup(set(1, 4), true); hit != memoReplay || !sameOutcome(got, feasible) || got.binding[0] != 7 {
+	if got, hit := m.lookup(set(1, 4), true); hit != memoReplay || got != (bindOutcome{ok: true}) {
 		t.Errorf("a superset of the feasible set under the truncated one: (%+v, %d), want the feasible replay", got, hit)
 	}
 	if got, hit := m.lookup(set(6), true); hit != memoMiss {
@@ -188,42 +184,43 @@ func TestMemoDistinctSets(t *testing.T) {
 }
 
 // TestMemoStorageStaysPut: the memo's storage never moves what it
-// holds. An outcome a store handed out earlier — its binding, aliasing
-// the memo — still reads the same, and is the one an exact lookup
-// finds, after hundreds of later stores over five chunks.
+// holds. A verdict stored early still reads the same, and is the one
+// an exact lookup finds, after hundreds of later stores over five
+// chunks, whose first chunk is the very one the first store filled.
 func TestMemoStorageStaysPut(t *testing.T) {
 	const n = 300
 	m := memoOver(n)
-	var outs []bindOutcome
+	m.store(bitset.New(n), true, false)
+	first := &m.chunks[0][0]
 	for i := range n {
 		present := bitset.New(n)
 		present.Add(i)
-		outs = append(outs, m.store(present, i%3 != 0, i%3 == 0, []int32{int32(i), int32(-i)}))
+		m.store(present, i%3 != 0, i%3 == 0)
 	}
-	for i, o := range outs {
-		if o.ok != (i%3 != 0) || o.proof != (i%3 == 0) || o.ok && (o.binding[0] != int32(i) || o.binding[1] != int32(-i)) {
-			t.Fatalf("outcome %d reads %+v", i, o)
-		}
+	if len(m.chunks) != 5 || &m.chunks[0][0] != first {
+		t.Fatalf("%d chunks, the first moved %v: want 5, unmoved", len(m.chunks), &m.chunks[0][0] != first)
+	}
+	for i := range n {
 		present := bitset.New(n)
 		present.Add(i)
-		if got, hit := m.lookup(present, true); hit != memoExact || !sameOutcome(got, o) {
-			t.Fatalf("outcome %d: exact lookup (%+v, %d), want the stored one", i, got, hit)
+		want := bindOutcome{ok: i%3 != 0, proof: i%3 == 0}
+		if got, hit := m.lookup(present, true); hit != memoExact || got != want {
+			t.Fatalf("verdict %d: exact lookup (%+v, %d), want %+v", i, got, hit, want)
 		}
 	}
 }
 
-// TestMemoAllocBytes: a memo's outcomes take one chunk of len(mask)+2
-// words per 64 outcomes. Storing 120 outcomes over a 10-resource mask
-// allocates two chunks of 12 words, the binding blocks and a few slice
-// headers, and nothing per outcome.
+// TestMemoAllocBytes: a memo's verdicts take one chunk of len(mask)+2
+// words per 64 verdicts. Storing 120 verdicts over a 10-resource mask
+// allocates two chunks of 12 words and a few slice headers, and nothing
+// per verdict.
 func TestMemoAllocBytes(t *testing.T) {
-	const n, leaves = 120, 2
+	const n = 120
 	presents := make([]bitset.Set, n)
 	for i := range presents {
 		// Distinct sets over all ten resources.
 		presents[i] = bitset.Of([]uint64{uint64(i)<<3 | uint64(i)&7})
 	}
-	binding := make([]int32, leaves)
 	got := uint64(math.MaxUint64)
 	var m *bindMemo
 	for range 3 {
@@ -231,32 +228,19 @@ func TestMemoAllocBytes(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i, p := range presents {
-			m.store(p, i%3 == 0, i%3 == 1, binding)
+			m.store(p, i%3 == 0, i%3 == 1)
 		}
 		runtime.ReadMemStats(&after)
 		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
 	if m.n != n || len(m.chunks) != 2 {
-		t.Fatalf("%d outcomes in %d chunks, want %d in 2", m.n, len(m.chunks), n)
-	}
-	binds := 0
-	for _, b := range m.binds {
-		binds += 4 * cap(b)
+		t.Fatalf("%d verdicts in %d chunks, want %d in 2", m.n, len(m.chunks), n)
 	}
 	const chunks, headers = 2 * 12 * 8, 256
-	t.Logf("storing %d outcomes allocated %d bytes, %d of them binding blocks", n, got, binds)
-	if limit := uint64(chunks + binds + headers); got > limit {
-		t.Errorf("storing %d outcomes allocated %d bytes, want at most %d (chunks %d, bindings %d, headers %d)", n, got, limit, chunks, binds, headers)
+	t.Logf("storing %d verdicts allocated %d bytes", n, got)
+	if limit := uint64(chunks + headers); got > limit {
+		t.Errorf("storing %d verdicts allocated %d bytes, want at most %d (chunks %d, headers %d)", n, got, limit, chunks, headers)
 	}
-}
-
-// sameOutcome reports whether a and b are the same stored outcome: the
-// same verdict over the same stored binding, if any.
-func sameOutcome(a, b bindOutcome) bool {
-	if a.ok != b.ok || a.proof != b.proof || len(a.binding) != len(b.binding) {
-		return false
-	}
-	return len(a.binding) == 0 || &a.binding[0] == &b.binding[0]
 }
 
 // memoPin is one run's binding-memo outcomes and solver effort: exact,

@@ -2,63 +2,54 @@ package core
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/bitset"
 )
 
-// scanOutcome is one outcome of the list-scan memo: its present set
-// beside its verdict and a copy of its binding.
+// scanOutcome is one verdict of the list-scan memo beside its present
+// set.
 type scanOutcome struct {
-	present   bitset.Set
-	ok, proof bool
-	binding   []int32
+	present bitset.Set
+	verdict bindOutcome
 }
 
-// scanMemo is the binding memo as one list of outcomes in insertion
+// scanMemo is the binding memo as one list of verdicts in insertion
 // order, answered by scanning it: the reference the bitmap memo is held
 // to (FuzzMemoMatchesScan).
 type scanMemo struct{ outs []scanOutcome }
 
 // lookup answers like bindMemo.lookup: an exact hit, else a proven
-// infeasibility on a superset, else — when replay is allowed — the
-// first feasible outcome in insertion order stored under a subset.
-func (l *scanMemo) lookup(present bitset.Set, replay bool) (scanOutcome, memoHit) {
+// infeasibility on a superset, else — when replay is allowed — a
+// feasible verdict stored under a subset.
+func (l *scanMemo) lookup(present bitset.Set, replay bool) (bindOutcome, memoHit) {
 	for _, o := range l.outs {
 		if o.present.Equal(present) {
-			return o, memoExact
+			return o.verdict, memoExact
 		}
 	}
-	sub := -1
-	for i, o := range l.outs {
+	feasible := false
+	for _, o := range l.outs {
 		switch {
-		case !o.ok:
-			if o.proof && present.SubsetOf(o.present) {
-				return scanOutcome{}, memoInfeasible
+		case !o.verdict.ok:
+			if o.verdict.proof && present.SubsetOf(o.present) {
+				return bindOutcome{}, memoInfeasible
 			}
-		case replay && sub < 0 && o.present.SubsetOf(present):
-			sub = i
+		case o.present.SubsetOf(present):
+			feasible = true
 		}
 	}
-	if sub >= 0 {
-		return l.outs[sub], memoReplay
+	if replay && feasible {
+		return bindOutcome{ok: true}, memoReplay
 	}
-	return scanOutcome{}, memoMiss
+	return bindOutcome{}, memoMiss
 }
 
-// store appends an outcome unless its present set is stored, and
-// returns the stored one.
-func (l *scanMemo) store(present bitset.Set, ok, proof bool, binding []int32) scanOutcome {
-	if o, hit := l.lookup(present, false); hit == memoExact {
-		return o
+// store appends a verdict unless its present set is stored.
+func (l *scanMemo) store(present bitset.Set, ok, proof bool) {
+	if _, hit := l.lookup(present, false); hit != memoExact {
+		l.outs = append(l.outs, scanOutcome{present.Clone(), bindOutcome{ok: ok, proof: proof}})
 	}
-	o := scanOutcome{present: present.Clone(), ok: ok, proof: proof}
-	if ok {
-		o.binding = slices.Clone(binding)
-	}
-	l.outs = append(l.outs, o)
-	return o
 }
 
 // memoScript decodes a fuzz input into a memo and its operations. The
@@ -112,9 +103,9 @@ func memoScript(data []byte, op func(m *bindMemo, kind int, present bitset.Set))
 
 // FuzzMemoMatchesScan: over a mask of up to 64 resources, a sequence
 // of stores (feasible, proven infeasible, truncated) and lookups (with
-// replay on and off) gets from the bitmap memo the hit kind, verdict
-// and binding the list scan gets, and every store returns the outcome
-// the scan stores or finds.
+// replay on and off) gets from the bitmap memo the hit kind and verdict
+// the list scan gets, and after every store an exact lookup of its
+// present set finds the verdict the scan keeps for it.
 func FuzzMemoMatchesScan(f *testing.F) {
 	f.Add([]byte{7, 0, 0, 3, 3, 1, 5, 6, 8, 0xff, 9, 0x0f, 13, 2})
 	f.Add([]byte{63, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 3, 1, 2, 3, 4, 5, 6, 7, 8, 5, 9, 11, 9})
@@ -136,29 +127,17 @@ func FuzzMemoMatchesScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ref scanMemo
 		step := 0
-		buf := make([]int32, 2)
 		memoScript(data, func(m *bindMemo, kind int, present bitset.Set) {
 			step++
-			var (
-				got     bindOutcome
-				want    scanOutcome
-				gotHit  = memoExact
-				wantHit = memoExact
-			)
-			switch kind {
-			case 0, 1, 2:
+			replay := kind == 3
+			if kind < 3 {
 				ok, proof := kind == 0, kind == 1
-				buf[0], buf[1] = int32(step), int32(-step)
-				got = m.store(present, ok, proof, buf)
-				want = ref.store(present, ok, proof, buf)
-				// The memo keeps a copy: the caller's buffer is reused.
-				buf[0], buf[1] = 0, 0
-			default:
-				replay := kind == 3
-				got, gotHit = m.lookup(present, replay)
-				want, wantHit = ref.lookup(present, replay)
+				m.store(present, ok, proof)
+				ref.store(present, ok, proof)
 			}
-			if gotHit != wantHit || got.ok != want.ok || got.proof != want.proof || !slices.Equal(got.binding, want.binding) {
+			got, gotHit := m.lookup(present, replay)
+			want, wantHit := ref.lookup(present, replay)
+			if gotHit != wantHit || got != want {
 				t.Fatalf("step %d, kind %d, present %v: memo (%+v, %d), list scan (%+v, %d)", step, kind, present, got, gotHit, want, wantHit)
 			}
 			if m.n != len(ref.outs) {

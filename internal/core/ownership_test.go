@@ -74,11 +74,6 @@ func TestFrontOwnsItsMaps(t *testing.T) {
 	}{
 		{"Explore", func(s *spec.Spec, opts Options) []*Implementation { return Explore(s, opts).Front }},
 		{"ExploreParallel", func(s *spec.Spec, opts Options) []*Implementation {
-			// Racing workers may replay different (equally valid)
-			// binding witnesses from run to run. A node bound, far above
-			// what these searches need, limits the memo to exact hits,
-			// whose witnesses are the deterministic solver's.
-			opts.MaxBindNodes = 1 << 30
 			return ExploreParallel(s, opts, 2, 0).Front
 		}},
 		{"ExploreMulti", func(s *spec.Spec, opts Options) []*Implementation {

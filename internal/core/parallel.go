@@ -119,8 +119,8 @@ const (
 	resPassed
 	resAttempted
 	resOK
-	// resKept: the payload holds the attempt's implemented set and
-	// picks.
+	// resKept: the payload holds the attempt's implemented set, picks
+	// and bindings.
 	resKept
 )
 
@@ -134,10 +134,11 @@ func flagIf(on bool, f resultFlags) resultFlags {
 func (res *candResult) has(f resultFlags) bool { return res.flags&f != 0 }
 
 // payload is what a result carries besides its scalars: an attempt's
-// implemented set and picks, and a Diag.
+// implemented set, picks and bindings, and a Diag.
 type payload struct {
 	implemented bitset.Set
 	picks       []pick
+	binds       []int32
 	diag        *Diag
 }
 
@@ -158,8 +159,8 @@ func (b *pipeBatch) add(units []int, nw int) {
 
 // put writes the evaluation in the worker's record r as candidate i's
 // result. keep is the bound r's attempt was implemented under: an
-// attempt above it wrote its implemented set and picks, which the
-// payload copies, beside r's Diag.
+// attempt above it wrote its implemented set, picks and bindings, which
+// the payload copies, beside r's Diag.
 func (b *pipeBatch) put(i int, r *candRec, keep float64) {
 	res := candResult{
 		est: r.est, cost: r.att.cost, flex: r.att.flex,
@@ -175,11 +176,12 @@ func (b *pipeBatch) put(i int, r *candRec, keep float64) {
 			b.pays = b.pays[:len(b.pays)+1]
 		}
 		pay := &b.pays[len(b.pays)-1]
-		pay.picks, pay.diag = pay.picks[:0], r.diag
+		pay.picks, pay.binds, pay.diag = pay.picks[:0], pay.binds[:0], r.diag
 		if kept {
 			res.flags |= resKept
 			pay.implemented.CopyFrom(r.att.implemented)
 			pay.picks = append(pay.picks, r.att.picks...)
+			pay.binds = append(pay.binds, r.att.binds...)
 		}
 		res.pay = int32(len(b.pays))
 	}
@@ -188,7 +190,8 @@ func (b *pipeBatch) put(i int, r *candRec, keep float64) {
 
 // record makes r candidate i's commit record: its unit indices, decoded
 // into r's previous buffer, and its result, whose attempt's implemented
-// set and picks alias the payload until the batch is recycled.
+// set, picks and bindings alias the payload until the batch is
+// recycled.
 func (b *pipeBatch) record(i, nw int, r *candRec) {
 	res := &b.res[i]
 	*r = candRec{
@@ -207,7 +210,7 @@ func (b *pipeBatch) record(i, nw int, r *candRec) {
 		pay := &b.pays[res.pay-1]
 		r.diag = pay.diag
 		if res.has(resKept) {
-			r.att.implemented, r.att.picks = pay.implemented, pay.picks
+			r.att.implemented, r.att.picks, r.att.binds = pay.implemented, pay.picks, pay.binds
 		}
 	}
 }

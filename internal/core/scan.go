@@ -122,14 +122,14 @@ func (r *candRec) evaluated() bool { return r.estimated || r.diag != nil }
 
 // reset readies the record for the candidate with the given unit
 // indices: every field is zeroed except the storage of the attempt's
-// implemented set and picks, which the next attempt the front may keep
-// overwrites (see evaluator.bindAll). The inline scan and each pool
-// worker evaluate every candidate in one such record; a worker copies a
-// kept attempt's set and picks into its batch's payloads
-// (pipeBatch.put). An admitted attempt's Implementation copies what it
-// keeps, so nothing a front holds aliases that storage.
+// implemented set, picks and bindings, which the next attempt the front
+// may keep overwrites (see evaluator.bindAll). The inline scan and each
+// pool worker evaluate every candidate in one such record; a worker
+// copies a kept attempt's set, picks and bindings into its batch's
+// payloads (pipeBatch.put). An admitted attempt's Implementation copies
+// what it keeps, so nothing a front holds aliases that storage.
 func (r *candRec) reset(units []int) {
-	*r = candRec{units: units, att: attempt{implemented: r.att.implemented, picks: r.att.picks[:0]}}
+	*r = candRec{units: units, att: attempt{implemented: r.att.implemented, picks: r.att.picks[:0], binds: r.att.binds[:0]}}
 }
 
 // newScan prepares a run; the caller builds its fold over sc.front and

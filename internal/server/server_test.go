@@ -135,28 +135,13 @@ func fetchResult(t *testing.T, ts *httptest.Server, id string) map[string]any {
 	}
 }
 
-// frontJSON extracts the canonical front encoding from a result
-// document (HTTP) or a *core.Result (baseline) for byte comparison.
-// The per-behaviour binding witnesses are dropped first: the front
-// contract (allocation, cost, flexibility, clusters — the repo-wide
-// frontsEqual notion) is exact across resume splits, but a binding
-// search restarted on a cold cache may pick a different, equally valid
-// witness for the same behaviour.
+// frontJSON extracts the front encoding from a result document (HTTP)
+// or a *core.Result (baseline) for byte comparison, behaviours and
+// their bindings included: a binding is its allocation's own solve, so
+// it does not depend on where a run was split or resumed.
 func frontJSON(t *testing.T, doc map[string]any) string {
 	t.Helper()
-	entries, _ := doc["front"].([]any)
-	canon := make([]map[string]any, 0, len(entries))
-	for _, e := range entries {
-		em, _ := e.(map[string]any)
-		ce := map[string]any{}
-		for k, v := range em {
-			if k != "behaviours" {
-				ce[k] = v
-			}
-		}
-		canon = append(canon, ce)
-	}
-	b, err := json.Marshal(canon)
+	b, err := json.Marshal(doc["front"])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -291,9 +291,11 @@ func TestCrashResumeMatchesUninterrupted(t *testing.T) {
 }
 
 // TestDeadlineResumeMatchesUninterrupted covers the deadline
-// interruption mode: an exhaustive-options scan (about a second on this
-// model) is cut off by a short context deadline, snapshotted, and
-// resumed to the uninterrupted front.
+// interruption mode: an exhaustive-options scan is cut off by a short
+// context deadline, snapshotted, and resumed to the uninterrupted
+// front. The scan can finish in less time than the deadline, so its
+// first Progress report holds it until the deadline has passed: the
+// deadline then always cuts the scan at the next candidate.
 func TestDeadlineResumeMatchesUninterrupted(t *testing.T) {
 	s := models.SetTopBox()
 	opts := core.Options{DisableFlexBound: true, IncludeUselessComm: true}
@@ -301,12 +303,11 @@ func TestDeadlineResumeMatchesUninterrupted(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	part := core.Run(ctx, s, opts, core.Request{})
-	if !part.Interrupted {
-		t.Skip("scan completed before the deadline on this machine")
-	}
-	if part.Reason != core.ReasonDeadline {
-		t.Fatalf("reason=%q, want deadline", part.Reason)
+	held := opts
+	held.Progress = func(core.Progress) { <-ctx.Done() }
+	part := core.Run(ctx, s, held, core.Request{})
+	if !part.Interrupted || part.Reason != core.ReasonDeadline || part.Cursor >= full.Cursor {
+		t.Fatalf("interrupted=%v reason=%q cursor %d: want a deadline cut before %d", part.Interrupted, part.Reason, part.Cursor, full.Cursor)
 	}
 
 	snap, err := FromResult(s, opts, part)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"math/rand"
 
 	"repro/internal/alloc"
@@ -41,16 +40,14 @@ func (sc *scan) sample(units []int) (sampled, bool) {
 	w, st := &sc.scratch, &sc.res.Stats
 	v := sampled{cost: sc.ev.unitsCost(units, w), flex: -1}
 	r := &sc.rec
-	r.reset(units)
+	*r = candRec{units: units}
 	if sup := sc.ev.sup.SupportableUnits(units, w.sup); sup.Has(sc.ev.root) {
 		sc.possible++
 		st.Attempted++
-		// Samples arrive in no cost order, so every feasible attempt
-		// keeps its picks for admit.
-		if r.att = sc.ev.implement(units, sup, w, st, r.att, math.Inf(-1)); r.att.ok {
+		if r.att = sc.ev.implement(units, sup, w, st); r.att.ok {
 			st.Feasible++
 			v.flex = r.att.flex
-			sc.ev.admit(sc.front, r.att.cost, r.att.flex, r)
+			sc.ev.admit(sc.front, r.att.cost, r.att.flex, r, w)
 		}
 	}
 	sc.samples[string(sc.key.KeyBytes())] = v

@@ -170,8 +170,9 @@ func frontSummary(front []*Implementation) string {
 }
 
 // TestSamplingBaselinesMatchOracle pins KindRandom and KindEvolutionary runs to
-// the map-based loops they replaced: the fronts, cursor, reason, Scanned
-// and the semantic counters equal the oracle's, the binding memo never
+// the map-based loops they replaced: the fronts (bindings included, see
+// frontsEqual), cursor, reason, Scanned and the semantic counters equal
+// the oracle's, the binding memo never
 // runs the solver more often than the oracle does, and every attempt
 // reuses the supportable set of its possibility test.
 func TestSamplingBaselinesMatchOracle(t *testing.T) {
@@ -213,8 +214,13 @@ func TestSamplingBaselinesMatchOracle(t *testing.T) {
 				for _, rn := range runs {
 					want := rn.oracle(sub.s, Options{}, seed)
 					got := rn.do(sub.s, Options{}, seed)
-					if g, w := frontSummary(got.Front), frontSummary(want.Front); g != w {
-						t.Errorf("%s seed %d: front\n%s\nwant\n%s", rn.name, seed, g, w)
+					if !frontsEqual(got.Front, want.Front) {
+						t.Errorf("%s seed %d: front\n%s\nwant\n%s", rn.name, seed, frontSummary(got.Front), frontSummary(want.Front))
+						for i := range min(len(got.Front), len(want.Front)) {
+							if d := sameImplementation(got.Front[i], want.Front[i], true); d != "" {
+								t.Errorf("%s seed %d: entry %d: %s", rn.name, seed, i, d)
+							}
+						}
 					}
 					if got.Cursor != want.Cursor || got.Reason != want.Reason || got.Stats.Scanned != want.Stats.Scanned {
 						t.Errorf("%s seed %d: cursor %d reason %s scanned %d, want %d %s %d", rn.name, seed,

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"maps"
-	"math"
 	"strings"
 
 	"repro/internal/alloc"
@@ -507,20 +506,18 @@ func ImplementAll(s *spec.Spec, as []spec.Allocation, opts Options) []*Implement
 	return implementAll(s, as, opts, &Stats{})
 }
 
-// implementAll implements each allocation of as through one evaluator,
-// adding the search effort to stats. Each attempt keeps its implemented
-// set, picks and bindings in one record's storage, which materialise
-// copies.
+// implementAll implements each allocation of as through one evaluator
+// and one scratch, adding the search effort to stats, and materialises
+// each feasible attempt, witness bindings included.
 func implementAll(s *spec.Spec, as []spec.Allocation, opts Options, stats *Stats) []*Implementation {
 	ev := newEvaluator(s, opts)
 	w := ev.evalScratch()
 	var r candRec
 	out := make([]*Implementation, len(as))
 	for i, a := range as {
-		r.att = ev.implementAllocation(a, &w, stats, r.att, math.Inf(-1))
-		if r.att.ok {
+		if r.att = ev.implementAllocation(a, &w, stats); r.att.ok {
 			r.a, r.att.cost = a.Clone(), a.Cost(s)
-			out[i] = ev.materialise(&r)
+			out[i] = ev.materialise(&r, &w)
 		}
 	}
 	return out

@@ -56,28 +56,25 @@ import (
 // are reused, and infeasible-by-truncation outcomes are never used as
 // dominance proofs.
 //
-// The memo holds no bindings. An attempt the front may keep solves
-// each kept pick's witness afresh on the pick's view (bindAll), so a
-// behaviour's binding is the solver's first binding on the present set
-// it is bound under — a function of the allocation and the options, not
-// of which candidates, workers or earlier runs filled the memo.
+// The memo holds no bindings. When a front admits an attempt,
+// materialise solves each behaviour's witness afresh on the
+// allocation's view, so a behaviour's binding is the solver's first
+// binding on the present set it is bound under — a function of the
+// allocation and the options, not of which candidates, workers or
+// earlier runs filled the memo.
 //
 // An attempted candidate stays in index space: cluster, activation and
 // resource sets are dense bitsets (internal/bitset) over the run's
 // cluster indexers and the spec's resource index, each interned
 // flattening is a prepared bind.Problem whose bindings are []int32
-// resource indices, and the attempt records its cost and flexibility.
-// Only an attempt the front may keep — one whose flexibility exceeds
-// the fold's bounder.keepAbove — also records its implemented cluster
-// set and the (ECS, configuration, binding) picks behind it, and
-// only a front admitting the attempt builds the Implementation
-// (materialise): the allocation map, the cluster list and behaviours
-// with private Binding and ArchSelection maps. The many attempts no
-// front keeps allocate nothing on a warm memo: the implemented set,
-// the picks and their bindings are written, when at all, into the
-// candidate record's buffers, which the record keeps across candidates
-// (candRec.reset), and admit tests the objective vector against the
-// front before it builds an entry.
+// resource indices, and the attempt records its cost, its flexibility
+// and the (ECS, configuration) picks behind it, in the implementing
+// goroutine's scratch. Only a front admitting the attempt builds the
+// Implementation (materialise): the implemented clusters, the
+// allocation map, and behaviours with private Binding and ArchSelection
+// maps and their witness bindings. The many attempts no front admits
+// allocate nothing on a warm memo, since admit tests the objective
+// vector against the front before it builds an entry.
 //
 // The interning caches are sharded and mutex-striped, the ECS table and
 // each entry's flattening are built behind a sync.Once, each memo has its
@@ -237,46 +234,25 @@ func (ev *evaluator) flexOfBits(set bitset.Set) float64 {
 
 // attempt is an attempted candidate's implementation. It stays in index
 // space: the fold compares cost and flexibility, and only admission
-// builds the Implementation from the candidate's record, the
-// implemented cluster set and the picks (materialise). An
-// attempt at or below the threshold implement was given (the fold's
-// bounder.keepAbove) is one no front admits: it carries its cost and
-// flexibility but no implemented set, no picks and no bindings —
-// implemented, picks and binds then hold whatever the record's storage
-// held, and must not be read. A ready Implementation (a Resume front)
-// rides in im instead.
+// builds the Implementation from the candidate's record and the picks
+// (materialise). The picks alias the scratch of the goroutine that
+// implemented the candidate, valid until its next attempt, or a pooled
+// run's batch payload (pipeBatch.put). A ready Implementation (a Resume
+// front) rides in im instead.
 type attempt struct {
 	// ok reports a positive flexibility: the candidate is feasible.
-	ok          bool
-	cost        float64
-	flex        float64
-	implemented bitset.Set
-	picks       []pick
-	// binds holds the kept picks' bindings back to back, pick i's from
-	// picks[i].at to the next pick's offset (binding).
-	binds []int32
+	ok    bool
+	cost  float64
+	flex  float64
+	picks []pick
 	im    *Implementation
 }
 
-// pick is one behaviour of an attempt: an ECS, the configuration it was
-// bound under, the index of that configuration's view in bindAll's
-// scratch, and — once the attempt is kept — the offset of its binding
-// in the attempt's binds.
+// pick is one behaviour of an attempt: an ECS and the configuration it
+// was found feasible under.
 type pick struct {
-	en   *ecsEntry
-	cfg  *archConfig
-	view int32
-	at   int32
-}
-
-// binding returns kept pick i's binding, one resource index per leaf of
-// its ECS's bind.Problem; it aliases a.binds.
-func (a *attempt) binding(i int) []int32 {
-	end := len(a.binds)
-	if i+1 < len(a.picks) {
-		end = int(a.picks[i+1].at)
-	}
-	return a.binds[a.picks[i].at:end:end]
+	en  *ecsEntry
+	cfg *archConfig
 }
 
 // readyAttempt wraps an implementation built elsewhere (nil when
@@ -293,10 +269,8 @@ func readyAttempt(im *Implementation) attempt {
 // of the candidate's estimate or possibility test, computed in w;
 // implement only reads it during the call, and reads the candidate's
 // resource closure from the same scratch. Search effort is added to
-// stats, which must not be nil. buf is the record's previous attempt,
-// whose implemented set, picks and bindings the new attempt overwrites
-// — only when its flexibility exceeds keep (see bindAll).
-func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *Stats, buf attempt, keep float64) attempt {
+// stats, which must not be nil.
+func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *Stats) attempt {
 	ev.supportReused.Add(1)
 	w.archSet.Clear()
 	for _, k := range units {
@@ -312,7 +286,7 @@ func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *S
 		})
 		return a
 	})
-	at := ev.bindAll(w.sup.Avail(), sup, cfgs, w, stats, buf, keep)
+	at := ev.bindAll(w.sup.Avail(), sup, cfgs, w, stats)
 	if at.ok {
 		at.cost = ev.unitsCost(units, w)
 	}
@@ -321,26 +295,19 @@ func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *S
 
 // implementAllocation is implement for a candidate given as an
 // allocation map that need not consist of units (Upgrade's base, the
-// exported Implement's). The attempt carries no cost. It keeps its
-// implemented set, picks and bindings, in buf's storage, when its
-// flexibility exceeds keep.
-func (ev *evaluator) implementAllocation(a spec.Allocation, w *scratch, stats *Stats, buf attempt, keep float64) attempt {
+// exported Implement's). The attempt carries no cost.
+func (ev *evaluator) implementAllocation(a spec.Allocation, w *scratch, stats *Stats) attempt {
 	avail := ev.sup.AvailOf(a)
-	return ev.bindAll(avail, ev.sup.Supportable(avail), ev.configs(a), w, stats, buf, keep)
+	return ev.bindAll(avail, ev.sup.Supportable(avail), ev.configs(a), w, stats)
 }
 
 // bindAll is the cached implementation construction: it tests the ECSs
 // of the supportable set sup on the configurations cfgs, viewed under
 // the resource closure avail, through the binding memo, and evaluates
-// the flexibility of the clusters feasible behaviours implement. Only
-// an attempt whose flexibility exceeds keep — one a front may admit —
-// writes its implemented set and kept picks, and solves each pick's
-// binding on the pick's view into the attempt's binds. They go into
-// buf's storage, so a record reused across candidates allocates them
-// once; any other attempt hands the storage back unused. The witness
-// solves are not memo traffic: they count in no Stats or CacheStats
-// field.
-func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scratch, stats *Stats, buf attempt, keep float64) attempt {
+// the flexibility of the clusters feasible behaviours implement. A
+// feasible attempt's picks are w's, one per feasible ECS in list order,
+// each with the first configuration it binds under.
+func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scratch, stats *Stats) attempt {
 	feasible := w.feasible
 	feasible.Clear()
 	picks := w.picks[:0]
@@ -380,7 +347,7 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 			}
 			if ev.bindFor(en, c, v, w, stats) {
 				feasible.UnionWith(en.bits)
-				picks = append(picks, pick{en: en, cfg: c, view: int32(j)})
+				picks = append(picks, pick{en: en, cfg: c})
 				break
 			}
 		}
@@ -390,37 +357,12 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 	}
 	w.picks = picks
 
-	implemented := w.implemented
-	ev.tree.Activatable(feasible, implemented, w.memo)
-	f := ev.flexOfBits(implemented)
-	at := attempt{implemented: buf.implemented, picks: buf.picks[:0], binds: buf.binds[:0]}
+	ev.tree.Activatable(feasible, w.implemented, w.memo)
+	f := ev.flexOfBits(w.implemented)
 	if f <= 0 {
-		return at
+		return attempt{}
 	}
-	at.ok, at.flex = true, f
-	if f <= keep {
-		return at
-	}
-	// Every pick is kept: a feasible ECS is a full activation from the
-	// root, so its clusters are activatable whenever it is feasible and
-	// all of them are implemented. A fresh record sizes its picks and
-	// binds once.
-	at.picks = append(at.picks, picks...)
-	at.implemented.CopyFrom(implemented)
-	bopts := ev.bindOptions()
-	for i := range at.picks {
-		p := &at.picks[i]
-		res, ok := p.en.prob.Solve(&views[p.view].av, bopts, &w.bind)
-		if !ok {
-			// The memo's verdict was feasible: an exact hit is this
-			// present set's own solve, and a replay holds by monotone
-			// dominance (TestReplayPremise).
-			panic(fmt.Sprintf("core: ECS %v is feasible under configuration %s, but its witness solve found no binding", p.en.e, p.cfg.sel))
-		}
-		p.at = int32(len(at.binds))
-		at.binds = append(at.binds, res.Binding...)
-	}
-	return at
+	return attempt{ok: true, flex: f, picks: picks}
 }
 
 // bindOptions are the solver options of the run's binding searches.
@@ -460,23 +402,34 @@ func costTerms(s *spec.Spec, id hgraph.ID) []float64 {
 	return terms
 }
 
-// materialise builds the Implementation of candidate r's attempt: the
-// allocation map (r's, when it has one), the cluster list, and
-// behaviours with fresh Binding maps and each configuration's
-// ArchSelection cloned once. A ready implementation is handed out as an
-// owned copy.
-func (ev *evaluator) materialise(r *candRec) *Implementation {
+// materialise builds the Implementation of candidate r's attempt in w,
+// the committing goroutine's scratch: the allocation map (r's, when it
+// has one); the implemented clusters, the activatable closure of the
+// picks' clusters, which is the set bindAll evaluated; and behaviours
+// with each configuration's ArchSelection cloned once and a fresh
+// Binding map. Each binding is the witness the solver finds first on
+// the pick's view of the allocation, under the run's timing and node
+// bound. A witness solve reads no memo and counts in no Stats or
+// CacheStats field. A ready implementation is handed out as an owned
+// copy.
+func (ev *evaluator) materialise(r *candRec, w *scratch) *Implementation {
 	at := &r.att
 	if at.im != nil {
 		return owned(at.im)
 	}
+	w.feasible.Clear()
+	for _, p := range at.picks {
+		w.feasible.UnionWith(p.en.bits)
+	}
+	ev.tree.Activatable(w.feasible, w.implemented, w.memo)
 	im := &Implementation{
 		Allocation:  ev.allocation(r),
 		Cost:        at.cost,
 		Flexibility: at.flex,
-		Clusters:    ev.sup.Clusters.IDs(at.implemented),
+		Clusters:    ev.sup.Clusters.IDs(w.implemented),
 		Behaviours:  make([]Behaviour, len(at.picks)),
 	}
+	avail, bopts := ev.sup.AvailOf(im.Allocation), ev.bindOptions()
 	for i, p := range at.picks {
 		sel := hgraph.Selection(nil)
 		for j, prev := range at.picks[:i] {
@@ -488,7 +441,15 @@ func (ev *evaluator) materialise(r *candRec) *Implementation {
 		if sel == nil {
 			sel = p.cfg.sel.Clone()
 		}
-		im.Behaviours[i] = Behaviour{ECS: p.en.e, ArchSelection: sel, Binding: p.en.prob.Binding(at.binding(i))}
+		p.cfg.links.ViewInto(&w.witness, p.cfg.sel, avail)
+		res, ok := p.en.prob.Solve(&w.witness, bopts, &w.bind)
+		if !ok {
+			// The memo's verdict was feasible: an exact hit is this
+			// present set's own solve, and a replay holds by monotone
+			// dominance (TestReplayPremise).
+			panic(fmt.Sprintf("core: ECS %v is feasible under configuration %s, but its witness solve found no binding", p.en.e, p.cfg.sel))
+		}
+		im.Behaviours[i] = Behaviour{ECS: p.en.e, ArchSelection: sel, Binding: p.en.prob.Binding(res.Binding)}
 	}
 	return im
 }
@@ -496,13 +457,13 @@ func (ev *evaluator) materialise(r *candRec) *Implementation {
 // admit adds candidate r's attempt to front under the objective vector
 // (cost, 1/flex) and reports whether the front kept it. The vector is
 // tested on the stack first, so a dominated attempt allocates nothing;
-// only a kept attempt gets its entry and is materialised.
-func (ev *evaluator) admit(front *pareto.Front, cost, flex float64, r *candRec) bool {
+// only a kept attempt gets its entry and is materialised in w.
+func (ev *evaluator) admit(front *pareto.Front, cost, flex float64, r *candRec, w *scratch) bool {
 	p := pareto.CostFlexPoint(cost, flex)
 	if front.DominatesPoint(p[:]) {
 		return false
 	}
-	return front.Add(&pareto.Entry{Objectives: []float64{p[0], p[1]}, Value: ev.materialise(r)})
+	return front.Add(&pareto.Entry{Objectives: []float64{p[0], p[1]}, Value: ev.materialise(r, w)})
 }
 
 // ecsEntry is one elementary cluster activation of the problem, with

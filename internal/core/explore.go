@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/alloc"
 	"repro/internal/spec"
@@ -113,7 +112,7 @@ func upgrade(ctx context.Context, s *spec.Spec, opts Options, base spec.Allocati
 	// a resumed run replaces them with the snapshot's, which already
 	// hold it.
 	floor := 0.0
-	if at := sc.ev.implementAllocation(base, &sc.scratch, &sc.res.Stats, attempt{}, math.Inf(1)); at.ok {
+	if at := sc.ev.implementAllocation(base, &sc.scratch, &sc.res.Stats); at.ok {
 		floor = at.flex
 	}
 	extensions := func(start int, fn func(units []int, cost float64) bool) (alloc.Stats, func() (int, bool)) {

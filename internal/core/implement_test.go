@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/alloc"
@@ -299,9 +300,9 @@ func TestMemoCountersPinned(t *testing.T) {
 
 // TestUnadmittedAttemptBuildsNoMap: an attempted candidate the front
 // does not admit builds no map — no spec.Allocation, no Binding, no
-// Clusters — and on a warm memo allocates nothing at all: its
-// implemented set and picks reuse the record's buffers, and the front
-// rejects its objective vector before any entry is built.
+// Clusters — and on a warm memo allocates nothing at all: its picks
+// reuse the scratch's buffer, and the front rejects its objective
+// vector before any entry is built or any witness solved.
 func TestUnadmittedAttemptBuildsNoMap(t *testing.T) {
 	const want = 0
 	for _, sub := range []struct {
@@ -321,7 +322,7 @@ func TestUnadmittedAttemptBuildsNoMap(t *testing.T) {
 			r := &sc.rec
 			var feasible bool
 			n := testing.AllocsPerRun(20, func() {
-				r.reset(units)
+				*r = candRec{units: units}
 				sc.evalOne(r, 0, f, &sc.scratch)
 				feasible = f.take(r)
 			})
@@ -346,12 +347,11 @@ func TestUnadmittedAttemptBuildsNoMap(t *testing.T) {
 	}
 }
 
-// TestUnkeptAttemptAllocatesNothing: an attempt at or below the
-// threshold implement is given writes no implemented set and no picks,
-// so on a warm memo it allocates nothing even on a fresh record, whose
-// picks have no capacity to reuse; it still reports its cost and
-// flexibility. Above the threshold the same attempt writes both.
-func TestUnkeptAttemptAllocatesNothing(t *testing.T) {
+// TestAttemptAllocatesNothing: on a warm memo every attempt allocates
+// nothing — its picks reuse the scratch's buffer, and its witnesses wait
+// for admission (materialise) — and reports the cost, flexibility and
+// picks of its first, cold run.
+func TestAttemptAllocatesNothing(t *testing.T) {
 	for _, sub := range []struct {
 		name string
 		s    *spec.Spec
@@ -364,28 +364,24 @@ func TestUnkeptAttemptAllocatesNothing(t *testing.T) {
 		var st Stats
 		checked := 0
 		alloc.EnumerateSymbolicUnits(sub.s, nil, alloc.Options{}, 0, func(units []int, _ float64) bool {
-			kept := ev.implement(units, ev.sup.SupportableUnits(units, w.sup), &w, &st, attempt{}, math.Inf(-1))
-			if !kept.ok {
-				return true
+			cold := ev.implement(units, ev.sup.SupportableUnits(units, w.sup), &w, &st)
+			picks := slices.Clone(cold.picks)
+			if cold.ok {
+				checked++
+				if len(picks) == 0 {
+					t.Fatalf("%s %v: a feasible attempt made no pick", sub.name, units)
+				}
 			}
-			checked++
-			if len(kept.picks) == 0 || kept.implemented.Empty() {
-				t.Fatalf("%s %v: a kept attempt wrote %d picks and clusters %v", sub.name, units, len(kept.picks), kept.implemented)
+			var at attempt
+			n := testing.AllocsPerRun(20, func() {
+				at = ev.implement(units, ev.sup.SupportableUnits(units, w.sup), &w, &st)
+			})
+			if at.ok != cold.ok || at.cost != cold.cost || at.flex != cold.flex || !slices.Equal(at.picks, picks) {
+				t.Errorf("%s %v: warm attempt (%v, %v, %v, %d picks), want (%v, %v, %v, %d picks)", sub.name, units,
+					at.ok, at.cost, at.flex, len(at.picks), cold.ok, cold.cost, cold.flex, len(picks))
 			}
-			for _, keep := range []float64{kept.flex, math.Inf(1)} {
-				var at attempt
-				n := testing.AllocsPerRun(20, func() {
-					at = ev.implement(units, ev.sup.SupportableUnits(units, w.sup), &w, &st, attempt{}, keep)
-				})
-				if !at.ok || at.cost != kept.cost || at.flex != kept.flex {
-					t.Errorf("%s %v keep %v: attempt (%v, %v, %v), want (true, %v, %v)", sub.name, units, keep, at.ok, at.cost, at.flex, kept.cost, kept.flex)
-				}
-				if cap(at.picks) != 0 || !at.implemented.Empty() {
-					t.Errorf("%s %v keep %v: an unkept attempt wrote %d picks and clusters %v", sub.name, units, keep, cap(at.picks), at.implemented)
-				}
-				if n != 0 {
-					t.Errorf("%s %v keep %v: an unkept attempt allocates %v times, want 0", sub.name, units, keep, n)
-				}
+			if n != 0 {
+				t.Errorf("%s %v: a warm attempt allocates %v times, want 0", sub.name, units, n)
 			}
 			return checked < 40
 		})

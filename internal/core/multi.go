@@ -148,7 +148,7 @@ func newMultiScan(ctx context.Context, s *spec.Spec, opts Options, objectives []
 		}
 	}
 	sc := newScan(ctx, s, opts)
-	return sc, &multiFold{s: s, ev: sc.ev, objectives: objectives, front: sc.front, lb: make([]float64, len(objectives))}
+	return sc, &multiFold{s: s, ev: sc.ev, w: &sc.scratch, objectives: objectives, front: sc.front, lb: make([]float64, len(objectives))}
 }
 
 // multiFold is the multi-objective fold: a candidate is pruned when the
@@ -159,6 +159,7 @@ func newMultiScan(ctx context.Context, s *spec.Spec, opts Options, objectives []
 type multiFold struct {
 	s          *spec.Spec
 	ev         *evaluator
+	w          *scratch
 	objectives []Objective
 	front      *pareto.Front
 	lb         []float64 // prune's scratch vector
@@ -181,7 +182,7 @@ func (f *multiFold) take(r *candRec) (feasible bool) {
 	}
 	// The objectives read the implementation, behaviours included, so
 	// every feasible attempt is materialised before the front sees it.
-	im := f.ev.materialise(r)
+	im := f.ev.materialise(r, f.w)
 	vec := make([]float64, len(f.objectives))
 	for i, o := range f.objectives {
 		vec[i] = o.Eval(f.s, im)
@@ -192,9 +193,6 @@ func (f *multiFold) take(r *candRec) (feasible bool) {
 	}
 	return true
 }
-
-// keepAbove is -Inf: take materialises every feasible attempt.
-func (f *multiFold) keepAbove() float64 { return math.Inf(-1) }
 
 // done is always false: a multi-objective front has no flexibility
 // ceiling that ends the scan.

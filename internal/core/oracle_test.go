@@ -293,11 +293,12 @@ func TestReplayPremise(t *testing.T) {
 	}
 }
 
-// TestKeptPicksAreImplemented: every pick an attempt keeps has all its
+// TestKeptPicksAreImplemented: every pick of an attempt has all its
 // clusters implemented, over every possible allocation of the oracle
-// specifications, with and without the novelty skip. bindAll keeps
-// every pick unfiltered on that ground: a feasible ECS is a full
-// activation from the root, so its clusters are activatable.
+// specifications, with and without the novelty skip, so every behaviour
+// materialise builds lies within the implementation's clusters. It
+// holds because a feasible ECS is a full activation from the root, so
+// its clusters are activatable.
 func TestKeptPicksAreImplemented(t *testing.T) {
 	for _, sp := range oracleSpecs {
 		for _, all := range []bool{false, true} {
@@ -306,12 +307,11 @@ func TestKeptPicksAreImplemented(t *testing.T) {
 				s := sp.mk()
 				ev := newEvaluator(s, Options{AllBehaviours: all})
 				w := ev.evalScratch()
-				var at attempt
 				kept := 0
 				for _, a := range possibleAllocations(s) {
-					at = ev.implementAllocation(a, &w, &Stats{}, at, math.Inf(-1))
+					at := ev.implementAllocation(a, &w, &Stats{})
 					for _, p := range at.picks {
-						if !p.en.bits.SubsetOf(at.implemented) {
+						if !p.en.bits.SubsetOf(w.implemented) {
 							t.Fatalf("%s: kept pick %v has a cluster outside the implemented set", a, p.en.e.Clusters)
 						}
 					}

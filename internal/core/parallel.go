@@ -37,7 +37,8 @@ import (
 // pipeline.evaluate for the argument). A panicking evaluation is
 // recovered in its worker and recorded as a Diag in Stats, and the
 // candidate is skipped; a panic on the caller's goroutine (in
-// Options.Progress, say) stops the workers and propagates.
+// Options.Progress, say, or in a witness solve for an entry the front
+// admits) stops the workers and propagates.
 //
 // workers <= 0 selects GOMAXPROCS; queue <= 0 selects 2 x workers
 // range jobs of queue, and at most queue+workers range jobs are out at
@@ -77,14 +78,14 @@ func (o Options) batchSizeFor(k int) int {
 // pipeline: candidates start..start+n-1 of the cost-ordered
 // enumeration, each given by its unit set (nw words in units), and,
 // once a worker has evaluated them, their results in res — what the
-// ordered commit folds. The rare result that carries more, an attempt
-// the front may keep or a Diag, has a payload in pays. A batch is one
-// slot of its run's ring, allocated the first time the run reaches the
-// slot, for the largest range job over the spec's units. Once its job
-// has committed, the producer refills units and res in place for the
-// slot's next job; they never grow, and the payloads keep their
-// storage. done marks a job a worker has handed back and the commit
-// has not yet folded.
+// ordered commit folds. The rare result that carries more, the picks
+// of an attempt the front may keep or a Diag, has a payload in pays. A
+// batch is one slot of its run's ring, allocated the first time the run
+// reaches the slot, for the largest range job over the spec's units.
+// Once its job has committed, the producer refills units and res in
+// place for the slot's next job; they never grow, and the payloads keep
+// their storage. done marks a job a worker has handed back and the
+// commit has not yet folded.
 type pipeBatch struct {
 	start int
 	n     int
@@ -119,8 +120,7 @@ const (
 	resPassed
 	resAttempted
 	resOK
-	// resKept: the payload holds the attempt's implemented set, picks
-	// and bindings.
+	// resKept: the payload holds the attempt's picks.
 	resKept
 )
 
@@ -134,12 +134,10 @@ func flagIf(on bool, f resultFlags) resultFlags {
 func (res *candResult) has(f resultFlags) bool { return res.flags&f != 0 }
 
 // payload is what a result carries besides its scalars: an attempt's
-// implemented set, picks and bindings, and a Diag.
+// picks and a Diag.
 type payload struct {
-	implemented bitset.Set
-	picks       []pick
-	binds       []int32
-	diag        *Diag
+	picks []pick
+	diag  *Diag
 }
 
 // unitSet returns candidate i's unit set, a window of b.units.
@@ -157,18 +155,21 @@ func (b *pipeBatch) add(units []int, nw int) {
 	b.n++
 }
 
-// put writes the evaluation in the worker's record r as candidate i's
-// result. keep is the bound r's attempt was implemented under: an
-// attempt above it wrote its implemented set, picks and bindings, which
-// the payload copies, beside r's Diag.
-func (b *pipeBatch) put(i int, r *candRec, keep float64) {
+// put writes the evaluation in worker w's record as candidate i's
+// result. An attempt above w's bound, the one it was implemented under,
+// is one the front may keep: the payload copies its picks out of w's
+// scratch, beside the record's Diag. An attempt at or below the bound
+// is one the exact fold rejects too (see evaluate), and its picks stay
+// behind.
+func (b *pipeBatch) put(i int, w *worker) {
+	r := &w.rec
 	res := candResult{
 		est: r.est, cost: r.att.cost, flex: r.att.flex,
 		bindingNodes: r.bindingNodes, ecsTested: int32(r.ecsTested), bindingRuns: int32(r.bindingRuns),
 		flags: flagIf(r.estimated, resEstimated) | flagIf(r.site == SiteImplement, resPassed) |
 			flagIf(r.attempted, resAttempted) | flagIf(r.att.ok, resOK),
 	}
-	kept := r.attempted && r.att.ok && r.att.flex > keep
+	kept := r.attempted && r.att.ok && r.att.flex > w.bound
 	if kept || r.diag != nil {
 		if len(b.pays) == cap(b.pays) {
 			b.pays = append(b.pays, payload{})
@@ -176,12 +177,10 @@ func (b *pipeBatch) put(i int, r *candRec, keep float64) {
 			b.pays = b.pays[:len(b.pays)+1]
 		}
 		pay := &b.pays[len(b.pays)-1]
-		pay.picks, pay.binds, pay.diag = pay.picks[:0], pay.binds[:0], r.diag
+		pay.picks, pay.diag = pay.picks[:0], r.diag
 		if kept {
 			res.flags |= resKept
-			pay.implemented.CopyFrom(r.att.implemented)
 			pay.picks = append(pay.picks, r.att.picks...)
-			pay.binds = append(pay.binds, r.att.binds...)
 		}
 		res.pay = int32(len(b.pays))
 	}
@@ -189,9 +188,8 @@ func (b *pipeBatch) put(i int, r *candRec, keep float64) {
 }
 
 // record makes r candidate i's commit record: its unit indices, decoded
-// into r's previous buffer, and its result, whose attempt's implemented
-// set, picks and bindings alias the payload until the batch is
-// recycled.
+// into r's previous buffer, and its result, whose attempt's picks alias
+// the payload until the batch is recycled.
 func (b *pipeBatch) record(i, nw int, r *candRec) {
 	res := &b.res[i]
 	*r = candRec{
@@ -210,7 +208,7 @@ func (b *pipeBatch) record(i, nw int, r *candRec) {
 		pay := &b.pays[res.pay-1]
 		r.diag = pay.diag
 		if res.has(resKept) {
-			r.att.implemented, r.att.picks, r.att.binds = pay.implemented, pay.picks, pay.binds
+			r.att.picks = pay.picks
 		}
 	}
 }
@@ -470,11 +468,6 @@ type worker struct {
 
 func (w *worker) prune(_ *candRec, est float64) bool { return est <= w.bound }
 
-// keepAbove is the local bound, which is never above the exact fold's
-// fcur at the candidate (see evaluate), so an attempt it drops the picks
-// of is one the exact fold rejects too.
-func (w *worker) keepAbove() float64 { return w.bound }
-
 // evaluate runs one range job on a worker goroutine. The published
 // bound is read once per batch into the worker-local bound, which the
 // worker's own implemented flexibilities then raise: for any candidate
@@ -485,6 +478,11 @@ func (w *worker) keepAbove() float64 { return w.bound }
 // the sequential run skipped it) — so the worker attempts a superset
 // of the sequential run's attempts and skips none of them, which is
 // what makes the commit's re-check against the exact bound sufficient.
+// It is also why put may drop the picks of an attempt at or below the
+// local bound: the exact fold's fcur is then at least the attempt's
+// flexibility, so take rejects the attempt at its floor, or the front
+// holds a point no costlier (costs arrive in nondecreasing order) with
+// flexibility at least fcur, and admit's DominatesPoint rejects it.
 func (p *pipeline) evaluate(b *pipeBatch, w *worker) {
 	start := time.Now() //flexvet:ignore FX006 busy gauge: elapsed time is telemetry, never part of results
 	defer func() { p.busy.Add(time.Since(start).Nanoseconds()) }()
@@ -502,9 +500,9 @@ func (p *pipeline) evaluate(b *pipeBatch, w *worker) {
 			// The result stays unevaluated: the commit stops there.
 			return
 		}
-		r.reset(b.unitSet(i, p.nw).AppendTo(r.units[:0]))
+		*r = candRec{units: b.unitSet(i, p.nw).AppendTo(r.units[:0])}
 		p.evalIsolated(r, b.start+i, w)
-		b.put(i, r, w.bound)
+		b.put(i, w)
 		if !r.evaluated() {
 			return
 		}

@@ -526,25 +526,19 @@ func TestPooledStopAtMaxFlexCountsCommitted(t *testing.T) {
 	}
 }
 
-// TestRecycledRecordStartsClean: reset zeroes every field of a record
-// except the storage of its attempt's implemented set, picks and
-// bindings, which it keeps (empty picks and bindings, same backing
-// arrays) for the next attempt.
+// TestRecycledRecordStartsClean: record makes the commit's recycled
+// record the candidate's own: it decodes the unit indices into the
+// record's old buffer and overwrites every other field, so an
+// unevaluated candidate's record keeps nothing of the last one.
 func TestRecycledRecordStartsClean(t *testing.T) {
-	words := bitset.New(130)
-	words.Add(3)
-	picks := make([]pick, 2, 5)
-	binds := make([]int32, 3, 7)
+	buf := make([]int, 1, 4)
 	r := candRec{
-		units: []int{1}, a: spec.Allocation{"x": true}, site: SiteImplement,
+		units: buf, a: spec.Allocation{"x": true}, site: SiteImplement,
 		est: 2, estimated: true, attempted: true,
-		att: attempt{
-			ok: true, cost: 1, flex: 2, implemented: words, picks: picks,
-			binds: binds, im: &Implementation{},
-		},
+		att:       attempt{ok: true, cost: 1, flex: 2, picks: make([]pick, 2), im: &Implementation{}},
 		ecsTested: 1, bindingRuns: 2, bindingNodes: 3, diag: &Diag{},
 	}
-	// Every field is set, so a field reset forgets fails below.
+	// Every field is set, so a field record forgets fails below.
 	for _, v := range []reflect.Value{reflect.ValueOf(r), reflect.ValueOf(r.att)} {
 		for i := range v.NumField() {
 			if v.Field(i).IsZero() {
@@ -552,25 +546,17 @@ func TestRecycledRecordStartsClean(t *testing.T) {
 			}
 		}
 	}
-	units := []int{4, 7}
-	r.reset(units)
-	if len(r.units) != 2 || &r.units[0] != &units[0] {
-		t.Errorf("units %v, want the given slice", r.units)
-	}
-	if len(r.att.picks) != 0 || cap(r.att.picks) != 5 || &r.att.picks[:1][0] != &picks[0] {
-		t.Errorf("picks len %d cap %d: want the old storage, empty", len(r.att.picks), cap(r.att.picks))
-	}
-	if len(r.att.binds) != 0 || cap(r.att.binds) != 7 || &r.att.binds[:1][0] != &binds[0] {
-		t.Errorf("binds len %d cap %d: want the old storage, empty", len(r.att.binds), cap(r.att.binds))
-	}
-	r.att.implemented.Add(5)
-	if !words.Has(5) {
-		t.Error("the implemented set no longer shares the old words")
+	p := batchPipeline(1)
+	b := p.slot(0)
+	b.add([]int{4, 7}, p.nw)
+	b.record(0, p.nw, &r)
+	if !slices.Equal(r.units, []int{4, 7}) || &r.units[0] != &buf[0] {
+		t.Errorf("units %v, want [4 7] in the old buffer", r.units)
 	}
 	rest := r
-	rest.units, rest.att.implemented, rest.att.picks, rest.att.binds = nil, bitset.Set{}, nil, nil
-	if !reflect.DeepEqual(rest, candRec{}) {
-		t.Errorf("reset left %+v", rest)
+	rest.units = nil
+	if !reflect.DeepEqual(rest, candRec{site: SiteEstimate}) {
+		t.Errorf("record left %+v", rest)
 	}
 }
 
@@ -583,18 +569,12 @@ func batchPipeline(slots int) *pipeline {
 	return &pipeline{sc: sc, nw: bitset.WordsFor(len(sc.ev.units)), ring: make([]*pipeBatch, slots)}
 }
 
-// keptRecord is a worker record holding an attempt a front may keep,
-// with n picks of one-leaf bindings, for candidate units.
+// keptRecord is a worker record holding an attempt of flexibility 2,
+// which a front may keep, with n picks, for candidate units.
 func keptRecord(units []int, n int) candRec {
-	implemented := bitset.New(70)
-	implemented.Add(3)
-	implemented.Add(69)
 	return candRec{
 		units: units, site: SiteImplement, est: 3, estimated: true, attempted: true,
-		att: attempt{
-			ok: true, cost: 5, flex: 2, implemented: implemented,
-			picks: make([]pick, n), binds: make([]int32, n),
-		},
+		att:       attempt{ok: true, cost: 5, flex: 2, picks: make([]pick, n)},
 		ecsTested: 4, bindingRuns: 6, bindingNodes: 1 << 40,
 	}
 }
@@ -609,14 +589,14 @@ func TestRecycledBatchAllocatesNothing(t *testing.T) {
 	for k := range all {
 		all[k] = k
 	}
-	r := keptRecord(all, 3)
+	w := &worker{rec: keptRecord(all, 3)}
 	job := 0
 	fill := func() {
 		b := p.slot(job)
 		job++
 		for i := range len(b.res) {
 			b.add(all, p.nw)
-			b.put(i, &r, 0)
+			b.put(i, w)
 		}
 	}
 	fill()
@@ -674,7 +654,7 @@ func TestRecycledResultStartsClean(t *testing.T) {
 		b.add([]int{i % len(p.sc.ev.units)}, p.nw)
 		b.res[i] = dirty
 	}
-	b.pays = append(b.pays, payload{picks: make([]pick, 2), binds: make([]int32, 3), diag: &Diag{}})
+	b.pays = append(b.pays, payload{picks: make([]pick, 2), diag: &Diag{}})
 	got := p.slot(1 + slots)
 	if got != b || got.n != 0 {
 		t.Fatalf("slot returned a batch of %d candidates, want the slot's own, empty", got.n)
@@ -684,7 +664,7 @@ func TestRecycledResultStartsClean(t *testing.T) {
 			t.Fatalf("result %d left %+v", i, res)
 		}
 	}
-	if len(got.pays) != 0 || cap(got.pays) != 1 || cap(got.pays[:1][0].picks) != 2 || cap(got.pays[:1][0].binds) != 3 {
+	if len(got.pays) != 0 || cap(got.pays) != 1 || cap(got.pays[:1][0].picks) != 2 {
 		t.Errorf("payloads len %d cap %d: want the old storage, empty", len(got.pays), cap(got.pays))
 	}
 }
@@ -692,12 +672,12 @@ func TestRecycledResultStartsClean(t *testing.T) {
 // TestBatchResultCarriesRecord: what a worker's record puts into a batch
 // is what the commit's record reads back — every field of candRec but
 // the allocation map, which the commit builds on demand. An attempt at
-// or below the worker's bound carries no implemented set, no picks and
-// no bindings; a Diag always rides along.
+// or below the worker's bound carries no picks; a Diag always rides
+// along.
 func TestBatchResultCarriesRecord(t *testing.T) {
 	p := batchPipeline(1)
 	full := keptRecord([]int{1, 4, 7}, 2)
-	full.att.picks[1].at, full.att.binds[1] = 1, 9
+	full.att.picks[1].en = &ecsEntry{id: 9}
 	full.diag = &Diag{Message: "boom"}
 	v := reflect.ValueOf(full)
 	for i := range v.NumField() {
@@ -709,22 +689,22 @@ func TestBatchResultCarriesRecord(t *testing.T) {
 	estimated := candRec{units: []int{2}, site: SiteEstimate, est: 1, estimated: true}
 
 	for _, tc := range []struct {
-		name string
-		r    candRec
-		keep float64
-		want candRec
+		name  string
+		r     candRec
+		bound float64
+		want  candRec
 	}{
 		{"full", full, 0, full},
 		{"unkept", unkept, 2, func() candRec {
 			w := unkept
-			w.att.implemented, w.att.picks, w.att.binds = bitset.Set{}, nil, nil
+			w.att.picks = nil
 			return w
 		}()},
 		{"estimated", estimated, 0, estimated},
 	} {
 		b := p.slot(0)
 		b.add(tc.r.units, p.nw)
-		b.put(0, &tc.r, tc.keep)
+		b.put(0, &worker{bound: tc.bound, rec: tc.r})
 		var got candRec
 		b.record(0, p.nw, &got)
 		if !reflect.DeepEqual(got, tc.want) {

@@ -56,8 +56,8 @@ type scan struct {
 // the solver effort of its last implementation, the estimate's
 // supportable-set scratch, and the implementation's feasible and
 // implemented cluster sets (with the activation memo), allocated
-// architecture-cluster set, configuration views, picks, cost order and
-// binding-solver scratch (evaluator.evalScratch).
+// architecture-cluster set, configuration views, picks, cost order,
+// witness view and binding-solver scratch (evaluator.evalScratch).
 type scratch struct {
 	st          Stats
 	sup         *alloc.SupportScratch
@@ -68,12 +68,14 @@ type scratch struct {
 	views       []viewSlot
 	picks       []pick
 	ids         []int
+	witness     spec.ArchView
 	bind        bind.Scratch
 }
 
 // fold is what differs between the cost-ordered explorers: the bound
 // that prunes a candidate before its implementation, and how an
-// implemented candidate enters the front.
+// implemented candidate enters the front. A fold materialises what its
+// front admits in the scan's own scratch.
 type fold interface {
 	bounder
 	// take folds an attempted candidate (its record's att) into the
@@ -87,18 +89,17 @@ type fold interface {
 }
 
 // bounder decides whether candidate r, with flexibility estimate est,
-// cannot improve the front and is skipped unimplemented, and names the
-// flexibility an attempt must exceed for the front to keep it: an
-// attempt at or below keepAbove is folded by its cost and flexibility
-// alone, so implement writes no picks for it.
+// cannot improve the front and is skipped unimplemented.
 type bounder interface {
 	prune(r *candRec, est float64) bool
-	keepAbove() float64
 }
 
 // candRec is one candidate's evaluation: what evalOne found and commit
 // folds. A record neither estimated nor diagnosed is a candidate the
-// scan's cancellation reached first.
+// scan's cancellation reached first. The inline scan and each pool
+// worker evaluate every candidate in one record, zeroed but for its
+// unit indices before each; an admitted attempt's Implementation copies
+// what it keeps, so nothing a front holds aliases the record.
 type candRec struct {
 	// units are the candidate's ascending indices into alloc.Units(s),
 	// borrowed from the walk (inline) or decoded from the batch's unit
@@ -119,18 +120,6 @@ type candRec struct {
 }
 
 func (r *candRec) evaluated() bool { return r.estimated || r.diag != nil }
-
-// reset readies the record for the candidate with the given unit
-// indices: every field is zeroed except the storage of the attempt's
-// implemented set, picks and bindings, which the next attempt the front
-// may keep overwrites (see evaluator.bindAll). The inline scan and each
-// pool worker evaluate every candidate in one such record; a worker
-// copies a kept attempt's set, picks and bindings into its batch's
-// payloads (pipeBatch.put). An admitted attempt's Implementation copies
-// what it keeps, so nothing a front holds aliases that storage.
-func (r *candRec) reset(units []int) {
-	*r = candRec{units: units, att: attempt{implemented: r.att.implemented, picks: r.att.picks[:0], binds: r.att.binds[:0]}}
-}
 
 // newScan prepares a run; the caller builds its fold over sc.front and
 // starts it with run. Computing MaxFlexibility also builds the
@@ -164,6 +153,7 @@ func newScan(ctx context.Context, s *spec.Spec, opts Options) *scan {
 // StopAtMaxFlex.
 type boundFold struct {
 	ev      *evaluator
+	w       *scratch
 	front   *pareto.Front
 	fcur    float64
 	floor   float64
@@ -173,7 +163,7 @@ type boundFold struct {
 
 func (sc *scan) boundFold(floor float64) *boundFold {
 	return &boundFold{
-		ev: sc.ev, front: sc.front, fcur: floor, floor: floor,
+		ev: sc.ev, w: &sc.scratch, front: sc.front, fcur: floor, floor: floor,
 		maxFlex: sc.res.MaxFlexibility,
 		settles: !sc.opts.DisableFlexBound || sc.opts.StopAtMaxFlex,
 	}
@@ -181,19 +171,12 @@ func (sc *scan) boundFold(floor float64) *boundFold {
 
 func (f *boundFold) prune(_ *candRec, est float64) bool { return est <= f.fcur }
 
-// keepAbove is fcur. Unless fcur is the floor, which take rejects
-// outright, the front holds a point no costlier than the candidate
-// (costs arrive in nondecreasing order) with flexibility at least fcur,
-// so DominatesPoint rejects an attempt at or below fcur: that point
-// dominates or equals it.
-func (f *boundFold) keepAbove() float64 { return f.fcur }
-
 func (f *boundFold) take(r *candRec) (feasible bool) {
 	at := &r.att
 	if !at.ok || at.flex <= f.floor {
 		return false
 	}
-	if f.ev.admit(f.front, at.cost, at.flex, r) && at.flex > f.fcur {
+	if f.ev.admit(f.front, at.cost, at.flex, r, f.w) && at.flex > f.fcur {
 		f.fcur = at.flex
 	}
 	return true
@@ -261,7 +244,7 @@ func (sc *scan) run(f fold, src source, workers, queue int) *Result {
 		// this candidate's index.
 		idx := res.Cursor
 		r := &sc.rec
-		r.reset(units)
+		*r = candRec{units: units}
 		if sc.ctx.Err() == nil {
 			sc.evalOne(r, idx, f, &sc.scratch)
 		}
@@ -350,7 +333,7 @@ func (sc *scan) evalOne(r *candRec, idx int, b bounder, w *scratch) {
 	}
 	r.attempted = true
 	w.st = Stats{}
-	r.att = sc.ev.implement(r.units, sup, w, &w.st, r.att, b.keepAbove())
+	r.att = sc.ev.implement(r.units, sup, w, &w.st)
 	r.ecsTested, r.bindingRuns, r.bindingNodes = w.st.ECSTested, w.st.BindingRuns, w.st.BindingNodes
 }
 

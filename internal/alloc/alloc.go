@@ -55,12 +55,15 @@ func Units(s *spec.Spec) []Unit {
 		n += len(i.Clusters)
 	}
 	out := make([]Unit, 0, n)
-	for _, v := range s.Arch.Root.Vertices {
+	// A leaf unit provides itself: one backing array holds them all.
+	self := make([]hgraph.ID, len(s.Arch.Root.Vertices))
+	for i, v := range s.Arch.Root.Vertices {
+		self[i] = v.ID
 		out = append(out, Unit{
 			ID:        v.ID,
 			Cost:      v.Attrs.GetDefault(spec.AttrCost, 0),
 			Comm:      s.IsComm(v.ID),
-			Resources: []hgraph.ID{v.ID},
+			Resources: self[i : i+1 : i+1],
 		})
 	}
 	for _, i := range s.Arch.Root.Interfaces {
@@ -319,16 +322,11 @@ func newScanEnv(s *spec.Spec) *scanEnv {
 	n := len(units)
 	env := &scanEnv{units: units, n: n, sup: sup}
 	env.commAdjBits = make([]bitset.Set, n)
-	pos := make(map[hgraph.ID]int, n)
-	for k, u := range units {
-		pos[u.ID] = k
-	}
-	adj := commAdjacency(s, units)
 	for k, u := range units {
 		if u.Comm {
 			bs := bitset.New(n)
-			for other := range adj[u.ID] {
-				bs.Add(pos[other])
+			for _, other := range sup.busAdj[k] {
+				bs.Add(other)
 			}
 			env.commAdjBits[k] = bs
 		}
@@ -430,49 +428,4 @@ func (h *subsetHeap) Pop() any {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return x
-}
-
-// commAdjacency maps each top-level communication vertex to the set of
-// unit IDs it touches in the architecture graph (interface endpoints
-// count as all clusters of the interface).
-func commAdjacency(s *spec.Spec, units []Unit) map[hgraph.ID]map[hgraph.ID]bool {
-	unitByID := map[hgraph.ID]bool{}
-	for _, u := range units {
-		unitByID[u.ID] = true
-	}
-	adj := map[hgraph.ID]map[hgraph.ID]bool{}
-	touch := func(comm hgraph.ID, other hgraph.ID) {
-		if adj[comm] == nil {
-			adj[comm] = map[hgraph.ID]bool{}
-		}
-		adj[comm][other] = true
-	}
-	endpoints := func(id hgraph.ID) []hgraph.ID {
-		if unitByID[id] {
-			return []hgraph.ID{id}
-		}
-		if i := s.Arch.InterfaceByID(id); i != nil {
-			var out []hgraph.ID
-			for _, c := range i.Clusters {
-				if unitByID[c.ID] {
-					out = append(out, c.ID)
-				}
-			}
-			return out
-		}
-		return nil
-	}
-	for _, e := range s.Arch.Root.Edges {
-		for _, x := range endpoints(e.From) {
-			for _, y := range endpoints(e.To) {
-				if s.IsComm(x) && !s.IsComm(y) {
-					touch(x, y)
-				}
-				if s.IsComm(y) && !s.IsComm(x) {
-					touch(y, x)
-				}
-			}
-		}
-	}
-	return adj
 }

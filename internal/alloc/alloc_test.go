@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -78,17 +80,17 @@ func TestUnits(t *testing.T) {
 	}
 }
 
-// TestUnitsAllocs pins what Units allocates: the unit slice, each
-// unit's Resources, and the leaves LeavesOf collects per cluster. A
-// slice grown by append, or a sort through a reflected swapper,
-// allocates more.
+// TestUnitsAllocs pins what Units allocates: the unit slice, one array
+// holding every leaf unit's Resources, and per cluster unit its
+// Resources and the leaves LeavesOf collects. A slice grown by append,
+// or a sort through a reflected swapper, allocates more.
 func TestUnitsAllocs(t *testing.T) {
 	for name, s := range map[string]*spec.Spec{
 		"fig2":   buildFig2(t),
 		"settop": models.SetTopBox(),
 		"wide":   models.Synthetic(models.ScaledSynthetic(1, 22)),
 	} {
-		want := 1 + float64(len(s.Arch.Root.Vertices))
+		want := 2.0
 		for _, i := range s.Arch.Root.Interfaces {
 			for _, c := range i.Clusters {
 				want += 1 + testing.AllocsPerRun(10, func() { s.Arch.LeavesOf(c) })
@@ -441,4 +443,91 @@ func hasUselessComm(units []Unit, idx []int, a spec.Allocation, adj map[hgraph.I
 		}
 	}
 	return false
+}
+
+// TestBusAdjacencyMatchesMaps: the Supporter's unit-index bus
+// adjacency, which the bitset scan and the symbolic walk's bus rules
+// read, names per bus unit exactly the units the map-based
+// commAdjacency gives it, and no unit for any other unit.
+func TestBusAdjacencyMatchesMaps(t *testing.T) {
+	specs := map[string]*spec.Spec{
+		"settop":  models.SetTopBox(),
+		"sdr":     models.SDR(),
+		"decoder": models.Decoder(),
+		"wide":    models.Synthetic(models.ScaledSynthetic(1, 22)),
+	}
+	for seed := int64(1); seed <= 7; seed++ {
+		specs[fmt.Sprint("synthetic", seed)] = models.Synthetic(models.DefaultSynthetic(seed))
+	}
+	for name, s := range specs {
+		sp := NewSupporter(s)
+		adj := commAdjacency(s, sp.Units)
+		pos := map[hgraph.ID]int{}
+		for k, u := range sp.Units {
+			pos[u.ID] = k
+		}
+		buses := 0
+		for k, u := range sp.Units {
+			var want []int
+			for other := range adj[u.ID] {
+				want = append(want, pos[other])
+			}
+			slices.Sort(want)
+			if got := sp.busAdj[k]; !slices.Equal(got, want) {
+				t.Errorf("%s: unit %s touches %v, commAdjacency %v", name, u.ID, got, want)
+			}
+			if u.Comm {
+				buses++
+			}
+		}
+		if buses == 0 {
+			t.Errorf("%s: no bus unit", name)
+		}
+	}
+}
+
+// commAdjacency maps each top-level communication vertex to the set of
+// unit IDs it touches in the architecture graph (interface endpoints
+// count as all clusters of the interface). It is the map-based oracle
+// of the Supporter's bus adjacency (TestBusAdjacencyMatchesMaps).
+func commAdjacency(s *spec.Spec, units []Unit) map[hgraph.ID]map[hgraph.ID]bool {
+	unitByID := map[hgraph.ID]bool{}
+	for _, u := range units {
+		unitByID[u.ID] = true
+	}
+	adj := map[hgraph.ID]map[hgraph.ID]bool{}
+	touch := func(comm hgraph.ID, other hgraph.ID) {
+		if adj[comm] == nil {
+			adj[comm] = map[hgraph.ID]bool{}
+		}
+		adj[comm][other] = true
+	}
+	endpoints := func(id hgraph.ID) []hgraph.ID {
+		if unitByID[id] {
+			return []hgraph.ID{id}
+		}
+		if i := s.Arch.InterfaceByID(id); i != nil {
+			var out []hgraph.ID
+			for _, c := range i.Clusters {
+				if unitByID[c.ID] {
+					out = append(out, c.ID)
+				}
+			}
+			return out
+		}
+		return nil
+	}
+	for _, e := range s.Arch.Root.Edges {
+		for _, x := range endpoints(e.From) {
+			for _, y := range endpoints(e.To) {
+				if s.IsComm(x) && !s.IsComm(y) {
+					touch(x, y)
+				}
+				if s.IsComm(y) && !s.IsComm(x) {
+					touch(y, x)
+				}
+			}
+		}
+	}
+	return adj
 }

@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"slices"
+
 	"repro/internal/bitset"
 	"repro/internal/hgraph"
 	"repro/internal/spec"
@@ -30,12 +32,16 @@ type Supporter struct {
 	// Units are the allocatable units in Units(s) order: the space the
 	// unit indices of SupportableUnits and the enumerations refer to.
 	Units []Unit
+	// busAdj holds per bus unit the ascending indices of the functional
+	// units it touches (busAdjacency); nil for other units. The
+	// useless-bus rule reads it.
+	busAdj [][]int
 
-	// provides maps every architecture leaf and cluster ID to the leaf
-	// resources it contributes when allocated; unitRes is the same per
-	// unit index.
-	provides map[hgraph.ID]bitset.Set
-	unitRes  []bitset.Set
+	// clusterRes maps every architecture cluster ID to the leaf
+	// resources it contributes when allocated (a leaf contributes its
+	// own index); unitRes holds the resources of each unit by index.
+	clusterRes map[hgraph.ID]bitset.Set
+	unitRes    []bitset.Set
 	// nodes holds per problem cluster (by index) the vertex needs and
 	// child clusters.
 	nodes []supportNode
@@ -54,46 +60,59 @@ type supportNode struct {
 }
 
 // NewSupporter builds the reachability structure for a specification.
+// Every resource set it keeps is carved out of one slab.
 func NewSupporter(s *spec.Spec) *Supporter {
-	var clusterIDs []hgraph.ID
-	for _, c := range s.Problem.Clusters() {
-		clusterIDs = append(clusterIDs, c.ID)
+	clusters, archClusters := s.Problem.Clusters(), s.Arch.Clusters()
+	clusterIDs := make([]hgraph.ID, len(clusters))
+	vertices := 0
+	for i, c := range clusters {
+		clusterIDs[i] = c.ID
+		vertices += len(c.Vertices)
 	}
 	sp := &Supporter{
-		s:         s,
-		Clusters:  bitset.NewIndexer(clusterIDs),
-		Resources: s.Resources(),
-		Units:     Units(s),
-		provides:  map[hgraph.ID]bitset.Set{},
-		nodes:     make([]supportNode, len(clusterIDs)),
+		s:          s,
+		Clusters:   bitset.NewIndexer(clusterIDs),
+		Resources:  s.Resources(),
+		Units:      Units(s),
+		clusterRes: make(map[hgraph.ID]bitset.Set, len(archClusters)),
+		nodes:      make([]supportNode, len(clusterIDs)),
 	}
-	for _, v := range s.Arch.Leaves() {
-		sp.provides[v.ID] = sp.Resources.SetOf(v.ID)
+	w := bitset.WordsFor(sp.Resources.Len())
+	slab := make([]uint64, (len(archClusters)+len(sp.Units)+vertices)*w)
+	next := func() bitset.Set {
+		set := bitset.Of(slab[:w:w])
+		slab = slab[w:]
+		return set
 	}
-	for _, c := range s.Arch.Clusters() {
-		set := bitset.New(sp.Resources.Len())
+	for _, c := range archClusters {
+		set := next()
 		for _, lv := range s.Arch.LeavesOf(c) {
-			if i, ok := sp.Resources.Index(lv.ID); ok {
-				set.Add(i)
-			}
+			i, _ := sp.Resources.Index(lv.ID)
+			set.Add(i)
 		}
-		sp.provides[c.ID] = set
+		sp.clusterRes[c.ID] = set
 	}
 	sp.unitRes = make([]bitset.Set, len(sp.Units))
 	for k, u := range sp.Units {
-		sp.unitRes[k] = sp.provides[u.ID]
+		if set, ok := sp.clusterRes[u.ID]; ok {
+			sp.unitRes[k] = set
+			continue
+		}
+		sp.unitRes[k] = next()
+		i, _ := sp.Resources.Index(u.ID)
+		sp.unitRes[k].Add(i)
 	}
-	for _, c := range s.Problem.Clusters() {
-		i, _ := sp.Clusters.Index(c.ID)
-		n := supportNode{cluster: c}
-		for _, v := range c.Vertices {
-			need := bitset.New(sp.Resources.Len())
+	sp.busAdj = busAdjacency(s, sp.Units)
+	for i, c := range clusters {
+		n := supportNode{cluster: c, vertexNeeds: make([]bitset.Set, len(c.Vertices))}
+		for k, v := range c.Vertices {
+			need := next()
 			for _, m := range s.MappingsFor(v.ID) {
 				if ri, ok := sp.Resources.Index(m.Resource); ok {
 					need.Add(ri)
 				}
 			}
-			n.vertexNeeds = append(n.vertexNeeds, need)
+			n.vertexNeeds[k] = need
 		}
 		for _, iface := range c.Interfaces {
 			var subs []int
@@ -165,7 +184,9 @@ func (sp *Supporter) possibleUnits(units []int, sc *SupportScratch) bool {
 func (sp *Supporter) AvailOf(a spec.Allocation) bitset.Set {
 	avail := bitset.New(sp.Resources.Len())
 	for id := range a {
-		if set, ok := sp.provides[id]; ok {
+		if i, ok := sp.Resources.Index(id); ok {
+			avail.Add(i)
+		} else if set, ok := sp.clusterRes[id]; ok {
 			avail.UnionWith(set)
 		}
 	}
@@ -234,4 +255,63 @@ func (sp *Supporter) supportableFrom(i int, avail bitset.Set, memo []int8) bool 
 		memo[i] = 2
 	}
 	return res
+}
+
+// busAdjacency returns per bus unit the ascending indices of the
+// functional units the top-level architecture edges connect it to, an
+// interface endpoint standing for every cluster of the interface; nil
+// for the other units.
+func busAdjacency(s *spec.Spec, units []Unit) [][]int {
+	pos := make(map[hgraph.ID]int, len(units))
+	for k, u := range units {
+		pos[u.ID] = k
+	}
+	endpoints := func(id hgraph.ID, out []int) []int {
+		if k, ok := pos[id]; ok {
+			return append(out, k)
+		}
+		if i := s.Arch.InterfaceByID(id); i != nil {
+			for _, c := range i.Clusters {
+				if k, ok := pos[c.ID]; ok {
+					out = append(out, k)
+				}
+			}
+		}
+		return out
+	}
+	// Two passes over the edges: the first sizes each bus's list, the
+	// second fills the lists, carved out of one backing array.
+	adj := make([][]int, len(units))
+	var from, to []int
+	edges := func(link func(bus, other int)) {
+		for _, e := range s.Arch.Root.Edges {
+			from, to = endpoints(e.From, from[:0]), endpoints(e.To, to[:0])
+			for _, x := range from {
+				for _, y := range to {
+					if units[x].Comm && !units[y].Comm {
+						link(x, y)
+					}
+					if units[y].Comm && !units[x].Comm {
+						link(y, x)
+					}
+				}
+			}
+		}
+	}
+	size := make([]int, len(units))
+	total := 0
+	edges(func(bus, _ int) { size[bus]++; total++ })
+	backing := make([]int, 0, total)
+	for k, n := range size {
+		if n > 0 {
+			adj[k] = backing[:0:n]
+			backing = backing[n:n]
+		}
+	}
+	edges(func(bus, other int) { adj[bus] = append(adj[bus], other) })
+	for k := range adj {
+		slices.Sort(adj[k])
+		adj[k] = slices.Clip(slices.Compact(adj[k]))
+	}
+	return adj
 }

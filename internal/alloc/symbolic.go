@@ -3,8 +3,8 @@ package alloc
 import (
 	"math/big"
 
+	"repro/internal/bitset"
 	"repro/internal/boolfunc"
-	"repro/internal/hgraph"
 	"repro/internal/spec"
 )
 
@@ -19,48 +19,55 @@ import (
 // without enumerating the 2^n subsets; combine with SatCount for its
 // exact size and with MinCostSat for the cheapest possible allocation.
 func Symbolic(s *spec.Spec) (*boolfunc.Manager, boolfunc.Node, []Unit) {
-	units := Units(s)
-	m := boolfunc.NewManager(len(units))
-	return m, symbolic(s, units, m), units
+	sp := NewSupporter(s)
+	m := boolfunc.NewManager(len(sp.Units))
+	return m, sp.symbolic(m), sp.Units
 }
 
-// symbolic builds Symbolic's function over units in m.
-func symbolic(s *spec.Spec, units []Unit, m *boolfunc.Manager) boolfunc.Node {
-	// Map each reachable resource to the variable of its unit.
-	varOf := map[hgraph.ID]int{}
-	for i, u := range units {
-		for _, r := range u.Resources {
-			varOf[r] = i
-		}
+// symbolic builds Symbolic's function over sp.Units in m.
+func (sp *Supporter) symbolic(m *boolfunc.Manager) boolfunc.Node {
+	// The variable of each resource's unit, -1 for a resource no unit
+	// provides.
+	varOf := make([]int, sp.Resources.Len())
+	for i := range varOf {
+		varOf[i] = -1
 	}
-
-	memo := map[hgraph.ID]boolfunc.Node{}
-	var supportable func(c *hgraph.Cluster) boolfunc.Node
-	supportable = func(c *hgraph.Cluster) boolfunc.Node {
-		if n, ok := memo[c.ID]; ok {
-			return n
+	for k, res := range sp.unitRes {
+		res.ForEach(func(r int) bool {
+			varOf[r] = k
+			return true
+		})
+	}
+	memo := make([]boolfunc.Node, len(sp.nodes))
+	built := bitset.New(len(sp.nodes))
+	var supportable func(i int) boolfunc.Node
+	supportable = func(i int) boolfunc.Node {
+		if built.Has(i) {
+			return memo[i]
 		}
+		nd := &sp.nodes[i]
 		n := m.True()
-		for _, v := range c.Vertices {
+		for _, v := range nd.cluster.Vertices {
 			reach := m.False()
-			for _, mp := range s.MappingsFor(v.ID) {
-				if idx, ok := varOf[mp.Resource]; ok {
-					reach = m.Apply(boolfunc.Or, reach, m.Var(idx))
+			for _, mp := range sp.s.MappingsFor(v.ID) {
+				if r, ok := sp.Resources.Index(mp.Resource); ok && varOf[r] >= 0 {
+					reach = m.Apply(boolfunc.Or, reach, m.Var(varOf[r]))
 				}
 			}
 			n = m.Apply(boolfunc.And, n, reach)
 		}
-		for _, i := range c.Interfaces {
+		for _, subs := range nd.ifaces {
 			any := m.False()
-			for _, sub := range i.Clusters {
-				any = m.Apply(boolfunc.Or, any, supportable(sub))
+			for _, si := range subs {
+				any = m.Apply(boolfunc.Or, any, supportable(si))
 			}
 			n = m.Apply(boolfunc.And, n, any)
 		}
-		memo[c.ID] = n
+		memo[i] = n
+		built.Add(i)
 		return n
 	}
-	return supportable(s.Problem.Root)
+	return supportable(sp.root)
 }
 
 // CountPossible returns the number of possible resource allocations

@@ -3,7 +3,7 @@ package alloc
 import (
 	"math"
 	"math/big"
-	"sort"
+	"slices"
 
 	"repro/internal/boolfunc"
 	"repro/internal/hgraph"
@@ -26,7 +26,7 @@ func EnumerateSymbolic(s *spec.Spec, opts Options, fn func(Candidate) bool) Stat
 // possible-candidate stream and range addressing (the first start
 // possible candidates are skipped without materializing their
 // allocation maps), produced by pruned search instead of a 2^n scan.
-// It is EnumerateSymbolicUnits with every emitted candidate
+// It is Supporter.EnumerateSymbolicUnits with every emitted candidate
 // materialized as an allocation map the callback owns.
 //
 // Statistics differ from the bitset scan where they measure effort
@@ -53,12 +53,12 @@ func EnumerateExtensions(s *spec.Spec, base spec.Allocation, opts Options, start
 	return enumerateSymbolic(s, base, opts, start, fn)
 }
 
-// enumerateSymbolic is EnumerateSymbolicUnits with each emitted
-// candidate built into an allocation map.
+// enumerateSymbolic is Supporter.EnumerateSymbolicUnits with each
+// emitted candidate built into an allocation map.
 func enumerateSymbolic(s *spec.Spec, base spec.Allocation, opts Options, start int, fn func(Candidate) bool) Stats {
-	units := Units(s)
-	stats, _ := EnumerateSymbolicUnits(s, base, opts, start, func(idx []int, cost float64) bool {
-		return fn(Candidate{Allocation: AllocationOf(units, idx), Cost: cost})
+	sp := NewSupporter(s)
+	stats, _ := sp.EnumerateSymbolicUnits(base, opts, start, func(idx []int, cost float64) bool {
+		return fn(Candidate{Allocation: AllocationOf(sp.Units, idx), Cost: cost})
 	})
 	return stats
 }
@@ -69,7 +69,7 @@ func enumerateSymbolic(s *spec.Spec, base spec.Allocation, opts Options, start i
 // conjoining each base unit's variable, walked in cost order. A base element that is not an
 // allocatable unit admits no candidate at all. fn receives each
 // candidate past the first start as its ascending indices into
-// Units(s) and its cost; the slice is borrowed until fn returns, so a
+// sp.Units and its cost; the slice is borrowed until fn returns, so a
 // caller that keeps it must copy it. Building no map per candidate is
 // what lets the explorers bound a candidate without allocating.
 //
@@ -78,8 +78,9 @@ func enumerateSymbolic(s *spec.Spec, base spec.Allocation, opts Options, start i
 // stream, emitted or not, whatever fn or MaxScan cut off, and false
 // when that number does not fit in an int. It is the model count of
 // the function the walk held, computed only when length is called.
-func EnumerateSymbolicUnits(s *spec.Spec, base spec.Allocation, opts Options, start int, fn func(units []int, cost float64) bool) (stats Stats, length func() (int, bool)) {
-	m, f, units, free := possibleFunction(s, base, opts)
+func (sp *Supporter) EnumerateSymbolicUnits(base spec.Allocation, opts Options, start int, fn func(units []int, cost float64) bool) (stats Stats, length func() (int, bool)) {
+	m, f, free := sp.possibleFunction(base, opts)
+	units := sp.Units
 	stats = Stats{SearchSpace: SearchSpace(free)}
 	costs := make([]float64, len(units))
 	for i, u := range units {
@@ -107,24 +108,23 @@ func EnumerateSymbolicUnits(s *spec.Spec, base spec.Allocation, opts Options, st
 }
 
 // possibleFunction builds the function EnumerateSymbolicUnits walks:
-// the possible allocations of s, without useless buses unless
+// the possible allocations over sp.Units, without useless buses unless
 // opts.IncludeUselessComm, restricted to supersets of base. free counts
 // the units outside base; a base element that is not an allocatable
 // unit makes the function false without changing that count.
-func possibleFunction(s *spec.Spec, base spec.Allocation, opts Options) (m *boolfunc.Manager, f boolfunc.Node, units []Unit, free int) {
-	units = Units(s)
-	n := len(units)
+func (sp *Supporter) possibleFunction(base spec.Allocation, opts Options) (m *boolfunc.Manager, f boolfunc.Node, free int) {
+	n := len(sp.Units)
 	if opts.IncludeUselessComm {
 		m = boolfunc.NewManager(n)
-		f = symbolic(s, units, m)
+		f = sp.symbolic(m)
 	} else {
 		m = boolfunc.NewManagerSized(n, busRuleNodesPerUnit*n)
-		f = conjoinBusRules(s, m, symbolic(s, units, m), units)
+		f = sp.conjoinBusRules(m, sp.symbolic(m))
 	}
 	free = n
 	if len(base) > 0 {
 		pos := make(map[hgraph.ID]int, n)
-		for k, u := range units {
+		for k, u := range sp.Units {
 			pos[u.ID] = k
 		}
 		unknown := false
@@ -141,7 +141,7 @@ func possibleFunction(s *spec.Spec, base spec.Allocation, opts Options) (m *bool
 			f = m.False()
 		}
 	}
-	return m, f, units, free
+	return m, f, free
 }
 
 // modelCount returns the number of satisfying assignments of f, and
@@ -184,29 +184,22 @@ const busRuleNodesPerUnit = 16
 
 // conjoinBusRules conjoins the useless-bus rule into f: every allocated
 // bus unit must connect at least two allocated functional units — the
-// same adjacency and threshold the bitset scan tests per subset with
-// scanEnv.uselessComm. Each bus's rule is conjoined straight into f,
+// same adjacency (busAdj) and threshold the bitset scan tests per subset
+// with scanEnv.uselessComm. Each bus's rule is conjoined straight into f,
 // the bus with the highest variable first. The order changes only how
 // many intermediate nodes the manager creates: on the 22-unit `wide`
 // spec, whose function reaches 206, this order creates 267, ascending
 // order 652, and chaining the rules before conjoining the chain 659
 // (docs/symbolic.md).
-func conjoinBusRules(s *spec.Spec, m *boolfunc.Manager, f boolfunc.Node, units []Unit) boolfunc.Node {
-	pos := make(map[hgraph.ID]int, len(units))
-	for k, u := range units {
-		pos[u.ID] = k
-	}
-	adj := commAdjacency(s, units)
-	for k := len(units) - 1; k >= 0; k-- {
-		u := units[k]
-		if !u.Comm {
+func (sp *Supporter) conjoinBusRules(m *boolfunc.Manager, f boolfunc.Node) boolfunc.Node {
+	var vars []int
+	for k := len(sp.Units) - 1; k >= 0; k-- {
+		if !sp.Units[k].Comm {
 			continue
 		}
-		vars := []int{k}
-		for other := range adj[u.ID] {
-			vars = append(vars, pos[other])
-		}
-		sort.Ints(vars)
+		adj := sp.busAdj[k]
+		at, _ := slices.BinarySearch(adj, k)
+		vars = append(append(append(vars[:0], adj[:at]...), k), adj[at:]...)
 		f = m.Apply(boolfunc.And, f, busRule(m, k, vars))
 	}
 	return f

@@ -238,7 +238,7 @@ func TestEnumerateSymbolicUnitsMatchesMaps(t *testing.T) {
 	units := Units(s)
 	viaUnits := func(base spec.Allocation, opts Options, start int) ([]Candidate, Stats) {
 		var out []Candidate
-		stats, _ := EnumerateSymbolicUnits(s, base, opts, start, func(idx []int, cost float64) bool {
+		stats, _ := NewSupporter(s).EnumerateSymbolicUnits(base, opts, start, func(idx []int, cost float64) bool {
 			out = append(out, Candidate{Allocation: AllocationOf(units, idx), Cost: cost})
 			return true
 		})
@@ -309,16 +309,18 @@ func TestWalkLengthCountsWholeStream(t *testing.T) {
 	s := models.SetTopBox()
 	for _, base := range []spec.Allocation{nil, spec.NewAllocation("uP2")} {
 		for _, opts := range []Options{{}, {IncludeUselessComm: true}} {
-			all, _ := EnumerateSymbolicUnits(s, base, opts, 0, func([]int, float64) bool { return true })
+			all, _ := NewSupporter(s).EnumerateSymbolicUnits(base, opts, 0, func([]int, float64) bool { return true })
 			want := all.Possible
 			emitted := 0
 			stopped := func([]int, float64) bool { emitted++; return emitted < 5 }
 			cut := opts
 			cut.MaxScan = 10
 			for name, walk := range map[string]func() (Stats, func() (int, bool)){
-				"stopped": func() (Stats, func() (int, bool)) { return EnumerateSymbolicUnits(s, base, opts, 3, stopped) },
+				"stopped": func() (Stats, func() (int, bool)) {
+					return NewSupporter(s).EnumerateSymbolicUnits(base, opts, 3, stopped)
+				},
 				"cut": func() (Stats, func() (int, bool)) {
-					return EnumerateSymbolicUnits(s, base, cut, 0, func([]int, float64) bool { return true })
+					return NewSupporter(s).EnumerateSymbolicUnits(base, cut, 0, func([]int, float64) bool { return true })
 				},
 			} {
 				st, length := walk()
@@ -453,7 +455,7 @@ func TestPossibleFunctionBottomUp(t *testing.T) {
 			if b != nil {
 				label, limit = c.name+"/base", c.baseNodes
 			}
-			m, f, _, _ := possibleFunction(c.s, b, Options{})
+			m, f, _ := NewSupporter(c.s).possibleFunction(b, Options{})
 			om, of, _ := chainPossibleFunction(c.s, b)
 			if got, want := m.SatCountBig(f), om.SatCountBig(of); got.Cmp(want) != 0 {
 				t.Fatalf("%s: bottom-up function has %v models, chain %v", label, got, want)
@@ -494,14 +496,14 @@ func BenchmarkSymbolicWalk(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			m, _, _, _ := possibleFunction(c.s, nil, Options{})
+			m, _, _ := NewSupporter(c.s).possibleFunction(nil, Options{})
 			var st Stats
 			emitted := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				emitted = 0
-				st, _ = EnumerateSymbolicUnits(c.s, nil, Options{}, 0, func([]int, float64) bool {
+				st, _ = NewSupporter(c.s).EnumerateSymbolicUnits(nil, Options{}, 0, func([]int, float64) bool {
 					emitted++
 					return c.limit == 0 || emitted < c.limit
 				})
@@ -524,7 +526,9 @@ func TestPossibleFunctionFitsHint(t *testing.T) {
 		"synthetic3": models.Synthetic(models.DefaultSynthetic(3)),
 		"wide":       models.Synthetic(models.ScaledSynthetic(1, 22)),
 	} {
-		m, _, units, _ := possibleFunction(s, nil, Options{})
+		sp := NewSupporter(s)
+		m, _, _ := sp.possibleFunction(nil, Options{})
+		units := sp.Units
 		// Size counts the internal nodes; the two terminals take a slot each.
 		if used, hint := m.Size()+2, busRuleNodesPerUnit*len(units); used > hint {
 			t.Errorf("%s: %d nodes, above the hint of %d for %d units", name, used, hint, len(units))

@@ -251,7 +251,7 @@ func TestSampleAllocations(t *testing.T) {
 	s := models.SetTopBox()
 	sc := newSampling(context.Background(), s, Options{})
 	var cands [][]int
-	alloc.EnumerateSymbolicUnits(s, nil, alloc.Options{IncludeUselessComm: true}, 0, func(units []int, _ float64) bool {
+	alloc.NewSupporter(s).EnumerateSymbolicUnits(nil, alloc.Options{IncludeUselessComm: true}, 0, func(units []int, _ float64) bool {
 		cands = append(cands, append([]int(nil), units...))
 		return true
 	})

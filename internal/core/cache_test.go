@@ -95,7 +95,8 @@ func TestCacheDifferentialUnderFaultInjection(t *testing.T) {
 }
 
 // TestCacheSharedAcrossWorkers: many workers hammer one shared evaluator
-// (run under -race to check the striped maps and single-flight interning)
+// (run under -race to check the interning caches and their single-flight
+// construction)
 // and the front must still match the uncached sequential reference.
 func TestCacheSharedAcrossWorkers(t *testing.T) {
 	for name, s := range cacheSpecs() {

@@ -36,7 +36,7 @@ func TestEstimateUnitsMatchesEstimate(t *testing.T) {
 			ev := newEvaluator(tc.s, opts)
 			sc := ev.sup.NewScratch()
 			n := 0
-			alloc.EnumerateSymbolicUnits(tc.s, nil, alloc.Options{IncludeUselessComm: true}, 0, func(units []int, _ float64) bool {
+			alloc.NewSupporter(tc.s).EnumerateSymbolicUnits(nil, alloc.Options{IncludeUselessComm: true}, 0, func(units []int, _ float64) bool {
 				n++
 				r := candRec{units: units}
 				est, sup := ev.estimate(&r, sc)
@@ -71,7 +71,7 @@ func TestCandidateEstimateAllocatesNothing(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		sc := newScan(context.Background(), s, Options{Weighted: weighted})
 		var units []int
-		alloc.EnumerateSymbolicUnits(s, nil, alloc.Options{}, 40, func(u []int, _ float64) bool {
+		alloc.NewSupporter(s).EnumerateSymbolicUnits(nil, alloc.Options{}, 40, func(u []int, _ float64) bool {
 			units = append(units, u...)
 			return false
 		})

@@ -535,12 +535,7 @@ func Estimate(s *spec.Spec, a spec.Allocation, opts Options) float64 {
 // MaxFlexibility returns the flexibility upper bound of the whole
 // specification: the estimate under the full allocation (every unit).
 func MaxFlexibility(s *spec.Spec, opts Options) float64 {
-	return maxFlexibility(s, alloc.Units(s), opts)
-}
-
-// maxFlexibility is MaxFlexibility over the specification's units,
-// which a run already holds.
-func maxFlexibility(s *spec.Spec, units []alloc.Unit, opts Options) float64 {
+	units := alloc.Units(s)
 	full := make(spec.Allocation, len(units))
 	for _, u := range units {
 		full[u.ID] = true

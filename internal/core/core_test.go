@@ -530,6 +530,22 @@ func BenchmarkExploreCaseStudy(b *testing.B) {
 	}
 }
 
+// BenchmarkExploreWide is the benchmark's `wide` task: the 22-unit
+// synthetic spec under StopAtMaxFlex, where the symbolic producer runs
+// and a run's set-up from the spec is most of its bytes.
+func BenchmarkExploreWide(b *testing.B) {
+	s := models.Synthetic(models.ScaledSynthetic(1, 22))
+	opts := Options{StopAtMaxFlex: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := Explore(s, opts)
+		if r.Reason != ReasonMaxFlex || len(r.Front) == 0 {
+			b.Fatalf("run ended %s with %d front rows, want a front at maximum flexibility", r.Reason, len(r.Front))
+		}
+	}
+}
+
 func BenchmarkExhaustiveCaseStudy(b *testing.B) {
 	s := models.SetTopBox()
 	b.ReportAllocs()

@@ -37,10 +37,8 @@ func attemptedSets(s *spec.Spec) []bitset.Set {
 	sc := newScan(context.Background(), s, Options{})
 	sc.run(sc.boundFold(0), sc.candidates, 1, 0)
 	listed := map[string]bool{}
-	for i := range sc.ev.ecss.shards {
-		for k := range sc.ev.ecss.shards[i].m {
-			listed[k] = true
-		}
+	for k := range sc.ev.ecss.m {
+		listed[k] = true
 	}
 	return slices.DeleteFunc(supportableSets(sc.ev), func(sup bitset.Set) bool {
 		return !listed[string(sup.KeyBytes())]
@@ -165,9 +163,10 @@ func TestECSTableSharedAcrossWorkers(t *testing.T) {
 // TestECSListAllocs: once an evaluator's table is built and its ECSs
 // prepared, the list of a supportable set not listed before builds no
 // ECS, selection or bitset and flattens nothing. It allocates the
-// interned slot, its key and the list, plus the shard's map on the
-// shard's first insert: at most 5 allocations whatever the list's
-// length, where enumerating a set's ECSs allocates several per ECS.
+// list and its key, plus the cache map's growth (three allocations when
+// the map outgrows its first group, two on a later growth): at most 5
+// allocations whatever the list's length, where enumerating a set's
+// ECSs allocates several per ECS.
 func TestECSListAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, sp := range oracleSpecs {

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -31,9 +30,11 @@ import (
 //     enumerated and flattened once per run, not once per set;
 //   - interned architecture configurations: per set of allocated
 //     architecture clusters (a bitset key) the list of configurations
-//     EnumerateArchSelections yields, each with its selection and its
-//     partial flattening's spec.ArchLinks, so a candidate's view of a
-//     configuration is one bitset (its present set, mask ∧ avail);
+//     the run's spec.ArchSpace enumerates in EnumerateArchSelections
+//     order, each interned by its selected-cluster bitset with its
+//     selection map and its spec.ArchLinks, both built once, in index
+//     space, so a candidate's view of a configuration is one bitset (its
+//     present set, mask ∧ avail);
 //   - a binding memo per (ECS, configuration) pair, found in the
 //     configuration's table by the ECS's run-wide ID, holding the
 //     solver verdicts transposed: per resource of the configuration's
@@ -76,7 +77,7 @@ import (
 // allocate nothing on a warm memo, since admit tests the objective
 // vector against the front before it builds an entry.
 //
-// The interning caches are sharded and mutex-striped, the ECS table and
+// Each interning cache is one map behind one mutex, the ECS table and
 // each entry's flattening are built behind a sync.Once, each memo has its
 // own mutex, and a configuration's memo table is read lock-free, so one
 // evaluator is shared by the parallel explorer's workers; counters are
@@ -100,20 +101,20 @@ type evaluator struct {
 	// tree is the problem's cluster hierarchy over sup.Clusters, on
 	// which the estimate evaluates Definition 4.
 	tree *flex.Indexed
-	// archClusters indexes the architecture clusters; configs keys its
-	// lists by bitsets over it. unitCluster holds per unit its index in
-	// archClusters (-1 for a leaf unit).
-	archClusters *bitset.Indexer[hgraph.ID]
-	unitCluster  []int
+	// arch is the architecture graph in index space; configs keys its
+	// lists by bitsets over arch.Clusters. unitCluster holds per unit its
+	// index in arch.Clusters (-1 for a leaf unit).
+	arch        *spec.ArchSpace
+	unitCluster []int
 	// unitTerms holds per unit the cost terms spec.Allocation.Cost adds
 	// for its ID, and unitRank the unit's position in ID order, so a
 	// candidate's cost is the same sum in the same order.
 	unitTerms [][]float64
 	unitRank  []int
 
-	archs    *shardMap[*archConfig] // arch selection string
-	cfgLists *shardMap[*configList] // allocated-cluster set key
-	ecss     *shardMap[*ecsSlot]    // supportable-set key
+	archs    cache[*archConfig] // selected-cluster set key
+	cfgLists cache[*configList] // allocated-cluster set key
+	ecss     cache[[]*ecsEntry] // supportable-set key
 
 	// table holds the problem's elementary cluster activations,
 	// enumerated once (ecsTable).
@@ -141,8 +142,17 @@ func newEvaluator(s *spec.Spec, opts Options) *evaluator {
 	ev.unitTerms = make([][]float64, len(ev.units))
 	ev.unitRank = make([]int, len(ev.units))
 	byID := make([]int, len(ev.units))
+	n := len(ev.units)
+	for _, u := range ev.units {
+		if s.Arch.VertexByID(u.ID) == nil {
+			n += len(u.Resources)
+		}
+	}
+	terms := make([]float64, 0, n)
 	for k, u := range ev.units {
-		ev.unitTerms[k] = costTerms(s, u.ID)
+		lo := len(terms)
+		terms = appendCostTerms(terms, s, u)
+		ev.unitTerms[k] = terms[lo:len(terms):len(terms)]
 		byID[k] = k
 	}
 	slices.SortFunc(byID, func(a, b int) int { return cmp.Compare(ev.units[a].ID, ev.units[b].ID) })
@@ -150,21 +160,14 @@ func newEvaluator(s *spec.Spec, opts Options) *evaluator {
 		ev.unitRank[k] = rank
 	}
 	ev.tree = flex.NewIndexed(s.Problem, ev.sup.Clusters)
-	var clusters []hgraph.ID
-	for _, c := range s.Arch.Clusters() {
-		clusters = append(clusters, c.ID)
-	}
-	ev.archClusters = bitset.NewIndexer(clusters)
+	ev.arch = spec.NewArchSpace(s)
 	ev.unitCluster = make([]int, len(ev.units))
 	for k, u := range ev.units {
 		ev.unitCluster[k] = -1
-		if i, ok := ev.archClusters.Index(u.ID); ok {
+		if i, ok := ev.arch.Clusters.Index(u.ID); ok {
 			ev.unitCluster[k] = i
 		}
 	}
-	ev.archs = newShardMap[*archConfig]()
-	ev.cfgLists = newShardMap[*configList]()
-	ev.ecss = newShardMap[*ecsSlot]()
 	if opts.Resume != nil {
 		ev.base = opts.Resume.Stats.Cache
 	}
@@ -202,7 +205,7 @@ func (ev *evaluator) evalScratch() scratch {
 		feasible:    bitset.New(n),
 		implemented: bitset.New(n),
 		memo:        make([]int8, n),
-		archSet:     bitset.New(ev.archClusters.Len()),
+		archSet:     bitset.New(ev.arch.Clusters.Len()),
 	}
 }
 
@@ -223,6 +226,17 @@ func (ev *evaluator) allocation(r *candRec) spec.Allocation {
 func (ev *evaluator) estimate(r *candRec, sc *alloc.SupportScratch) (float64, bitset.Set) {
 	sup := ev.sup.SupportableUnits(r.units, sc)
 	return ev.flexOfBits(sup), sup
+}
+
+// maxFlexibility is MaxFlexibility in the run's index space: the
+// flexibility of the clusters supportable when every unit is allocated,
+// computed in sc.
+func (ev *evaluator) maxFlexibility(sc *alloc.SupportScratch) float64 {
+	all := make([]int, len(ev.units))
+	for k := range all {
+		all[k] = k
+	}
+	return ev.flexOfBits(ev.sup.SupportableUnits(all, sc))
 }
 
 func (ev *evaluator) flexOfBits(set bitset.Set) float64 {
@@ -278,15 +292,7 @@ func (ev *evaluator) implement(units []int, sup bitset.Set, w *scratch, stats *S
 			w.archSet.Add(i)
 		}
 	}
-	cfgs := ev.configList(w.archSet, func() spec.Allocation {
-		a := spec.Allocation{}
-		w.archSet.ForEach(func(i int) bool {
-			a[ev.archClusters.At(i)] = true
-			return true
-		})
-		return a
-	})
-	at := ev.bindAll(w.sup.Avail(), sup, cfgs, w, stats)
+	at := ev.bindAll(w.sup.Avail(), sup, ev.configList(w.archSet), w, stats)
 	if at.ok {
 		at.cost = ev.unitsCost(units, w)
 	}
@@ -334,7 +340,7 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 			continue
 		}
 		stats.ECSTested++
-		if en.prob == nil {
+		if ev.problem(en) == nil {
 			if tested >= maxECS {
 				break
 			}
@@ -386,17 +392,17 @@ func (ev *evaluator) unitsCost(units []int, w *scratch) float64 {
 	return total
 }
 
-// costTerms lists the terms spec.Allocation.Cost adds for element id:
-// a vertex's cost, or a cluster's own cost followed by its leaves'.
-func costTerms(s *spec.Spec, id hgraph.ID) []float64 {
-	if v := s.Arch.VertexByID(id); v != nil {
-		return []float64{v.Attrs.GetDefault(spec.AttrCost, 0)}
+// appendCostTerms appends the terms spec.Allocation.Cost adds for unit
+// u: a vertex's cost, or a cluster's own cost followed by its leaves',
+// which are u's resources.
+func appendCostTerms(terms []float64, s *spec.Spec, u alloc.Unit) []float64 {
+	if v := s.Arch.VertexByID(u.ID); v != nil {
+		return append(terms, v.Attrs.GetDefault(spec.AttrCost, 0))
 	}
-	var terms []float64
-	if c := s.Arch.ClusterByID(id); c != nil {
+	if c := s.Arch.ClusterByID(u.ID); c != nil {
 		terms = append(terms, c.Attrs.GetDefault(spec.AttrCost, 0))
-		for _, lv := range s.Arch.LeavesOf(c) {
-			terms = append(terms, lv.Attrs.GetDefault(spec.AttrCost, 0))
+		for _, r := range u.Resources {
+			terms = append(terms, s.Arch.VertexByID(r).Attrs.GetDefault(spec.AttrCost, 0))
 		}
 	}
 	return terms
@@ -471,19 +477,16 @@ func (ev *evaluator) admit(front *pareto.Front, cost, flex float64, r *candRec, 
 // activated-cluster bitset, the run-wide ID — the entry's index in the
 // run's table, which keys the binding memo — and the prepared binding
 // problem of its flattening (nil when the selection does not flatten),
-// built once when a supportable set's list first holds the entry.
+// built once, when a supportable set's list first holds the entry.
 type ecsEntry struct {
 	e    cover.ECS
 	id   uint32
 	bits bitset.Set
-	once sync.Once
-	prob *bind.Problem
-}
-
-// ecsSlot interns the ECS list of one supportable-cluster set.
-type ecsSlot struct {
-	once sync.Once
-	list []*ecsEntry
+	// listed marks an entry an interned list holds. It is set, and read,
+	// only under the lock of the evaluator's ECS-list cache.
+	listed bool
+	once   sync.Once
+	prob   *bind.Problem
 }
 
 // ecsTable returns the run's table of the problem's elementary cluster
@@ -514,54 +517,61 @@ func (ev *evaluator) ecsTable() []ecsEntry {
 // entries whose clusters the set holds, in table order. The enumeration
 // restricted to the set visits interfaces and clusters in the table's
 // order and only skips subtrees, so this is its order too. Candidates
-// with equal supportable sets share one interned list. The first list
-// to hold an entry flattens and prepares its selection (a flatten
-// miss); every later list holding it counts a hit. The entries are
-// shared and must be treated as read-only.
+// with equal supportable sets share one interned list, filtered from
+// the table under the cache's lock. The first list to hold an entry
+// counts a flatten miss, and every later list holding it a hit; the
+// caller that interns a list then prepares its entries. The entries are
+// shared and must be treated as read-only; read an entry's problem
+// through problem.
 func (ev *evaluator) ecsList(sup bitset.Set) []*ecsEntry {
-	slot, _ := ev.ecss.getOrCreateBytes(sup.KeyBytes(), func() *ecsSlot { return &ecsSlot{} })
-	slot.once.Do(func() {
-		table := ev.ecsTable()
+	table := ev.ecsTable()
+	list, created := ev.ecss.getOrCreate(sup.KeyBytes(), func() []*ecsEntry {
 		n := 0
 		for i := range table {
 			if table[i].bits.SubsetOf(sup) {
 				n++
 			}
 		}
-		slot.list = make([]*ecsEntry, 0, n)
+		list := make([]*ecsEntry, 0, n)
 		for i := range table {
 			if en := &table[i]; en.bits.SubsetOf(sup) {
-				ev.prepare(en)
-				slot.list = append(slot.list, en)
+				list = append(list, en)
+				if en.listed {
+					ev.flattenHits.Add(1)
+				} else {
+					en.listed = true
+					ev.flattenMisses.Add(1)
+				}
 			}
 		}
+		return list
 	})
-	return slot.list
+	if created {
+		for _, en := range list {
+			ev.problem(en)
+		}
+	}
+	return list
 }
 
-// prepare flattens and prepares en's selection on its first call and
-// counts a flatten miss, or a hit on every later call.
-func (ev *evaluator) prepare(en *ecsEntry) {
-	built := false
+// problem returns en's prepared binding problem, flattening and
+// preparing its selection on the first call (nil when it does not
+// flatten). bindAll reads each entry's problem through it, so a worker
+// holding a list another worker interned waits for the entry it needs;
+// bindFor and materialise read only entries bindAll has passed.
+func (ev *evaluator) problem(en *ecsEntry) *bind.Problem {
 	en.once.Do(func() {
-		built = true
 		if fg, err := ev.s.Problem.Flatten(en.e.Selection); err == nil {
 			en.prob = bind.Prepare(ev.s, fg)
 		}
 	})
-	if built {
-		ev.flattenMisses.Add(1)
-	} else {
-		ev.flattenHits.Add(1)
-	}
+	return en.prob
 }
 
 // archConfig is one interned architecture configuration: its cluster
 // selection, shared by every behaviour bound under it until a front
-// admits the behaviour, and its partial flattening's links, on which a
-// candidate's view costs one bitset. links is nil when the selection
-// does not flatten. It holds the binding memos of the ECSs bound under
-// it.
+// admits the behaviour, and its links, on which a candidate's view costs
+// one bitset. It holds the binding memos of the ECSs bound under it.
 type archConfig struct {
 	once  sync.Once
 	sel   hgraph.Selection
@@ -576,55 +586,48 @@ type archConfig struct {
 
 // configList interns the architecture configurations of one set of
 // allocated architecture clusters, in EnumerateArchSelections order.
-// n counts the selections enumerated, flattenable or not.
 type configList struct {
 	once sync.Once
 	list []*archConfig
-	n    int
 }
 
 // configs returns the interned architecture configurations of a. They
 // depend only on a's allocated clusters, so they are looked up by that
 // set as a bitset key and enumerated once per distinct set.
 func (ev *evaluator) configs(a spec.Allocation) []*archConfig {
-	set := bitset.New(ev.archClusters.Len())
+	set := bitset.New(ev.arch.Clusters.Len())
 	for id := range a {
-		if i, ok := ev.archClusters.Index(id); ok {
+		if i, ok := ev.arch.Clusters.Index(id); ok {
 			set.Add(i)
 		}
 	}
-	return ev.configList(set, func() spec.Allocation { return a })
+	return ev.configList(set)
 }
 
 // configList returns the interned configurations of the allocated
-// architecture-cluster set, enumerating them on first use over the
-// allocation allocated returns (which must allocate exactly those
-// clusters).
-func (ev *evaluator) configList(set bitset.Set, allocated func() spec.Allocation) []*archConfig {
-	l, _ := ev.cfgLists.getOrCreateBytes(set.KeyBytes(), func() *configList { return &configList{} })
+// architecture-cluster set, enumerating them on first use.
+func (ev *evaluator) configList(set bitset.Set) []*archConfig {
+	l, _ := ev.cfgLists.getOrCreate(set.KeyBytes(), func() *configList { return &configList{} })
 	built := false
 	l.once.Do(func() {
 		built = true
-		allocated().EnumerateArchSelections(ev.s, func(sel hgraph.Selection) bool {
-			l.n++
-			if c := ev.archConfig(sel); c.links != nil {
-				l.list = append(l.list, c)
-			}
+		ev.arch.Enumerate(set, func(cfg bitset.Set) bool {
+			l.list = append(l.list, ev.archConfig(cfg))
 			return true
 		})
 	})
 	if !built {
-		// Every configuration of the list is an architecture
-		// flattening not recomputed.
-		ev.archHits.Add(int64(l.n))
+		// Every configuration of the list is one not rebuilt.
+		ev.archHits.Add(int64(len(l.list)))
 	}
 	return l.list
 }
 
-// archConfig returns the interned configuration of an architecture
-// selection (which the caller may reuse: it is cloned on first use).
-func (ev *evaluator) archConfig(sel hgraph.Selection) *archConfig {
-	c, created := ev.archs.getOrCreate(sel.String(), func() *archConfig {
+// archConfig returns the interned configuration of the selected-cluster
+// set cfg (which the caller may reuse), building its selection and links
+// on first use.
+func (ev *evaluator) archConfig(cfg bitset.Set) *archConfig {
+	c, created := ev.archs.getOrCreate(cfg.KeyBytes(), func() *archConfig {
 		return &archConfig{}
 	})
 	if created {
@@ -633,10 +636,8 @@ func (ev *evaluator) archConfig(sel hgraph.Selection) *archConfig {
 		ev.archHits.Add(1)
 	}
 	c.once.Do(func() {
-		c.sel = sel.Clone()
-		if fg, err := ev.s.Arch.FlattenPartial(c.sel); err == nil {
-			c.links = ev.s.LinksOf(fg)
-		}
+		c.sel = ev.arch.Selection(cfg)
+		c.links = ev.arch.Links(cfg)
 	})
 	return c
 }
@@ -842,59 +843,29 @@ func (c *archConfig) memo(id uint32) *bindMemo {
 	return m
 }
 
-// shardMap is a mutex-striped map over string keys shared by the
-// parallel explorer's workers; striping keeps contention off the hot
-// path.
-type shardMap[V any] struct {
-	seed   maphash.Seed
-	shards [32]shard[V]
-}
-
-// shard is one stripe. Its map is made on the shard's first insert, so
-// a run that never touches a shard pays nothing for it; a lookup in the
-// nil map misses.
-type shard[V any] struct {
+// cache is an interning map over byte-string keys behind one mutex,
+// shared by the parallel explorer's workers. Its map is made on the
+// first insert.
+type cache[V any] struct {
 	mu sync.Mutex
 	m  map[string]V
 }
 
-func newShardMap[V any]() *shardMap[V] {
-	return &shardMap[V]{seed: maphash.MakeSeed()}
-}
-
 // getOrCreate returns the value under key, creating it with mk while
-// holding only the shard's lock. The boolean reports creation (a cache
-// miss). mk must be cheap; expensive construction belongs behind a
-// sync.Once in the stored value.
-func (sm *shardMap[V]) getOrCreate(key string, mk func() V) (V, bool) {
-	sh := &sm.shards[maphash.String(sm.seed, key)%uint64(len(sm.shards))]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if v, ok := sh.m[key]; ok {
+// holding the lock. The boolean reports creation (a cache miss). A
+// lookup that finds the key copies nothing, and only a created entry
+// copies the key into a string. mk must be cheap; expensive
+// construction belongs behind a sync.Once in the stored value.
+func (c *cache[V]) getOrCreate(key []byte, mk func() V) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.m[string(key)]; ok {
 		return v, false
 	}
 	v := mk()
-	if sh.m == nil {
-		sh.m = map[string]V{}
+	if c.m == nil {
+		c.m = map[string]V{}
 	}
-	sh.m[key] = v
-	return v, true
-}
-
-// getOrCreateBytes is getOrCreate with the key given as bytes: a lookup
-// that finds the key copies nothing, and only a created entry copies
-// the key into a string.
-func (sm *shardMap[V]) getOrCreateBytes(key []byte, mk func() V) (V, bool) {
-	sh := &sm.shards[maphash.Bytes(sm.seed, key)%uint64(len(sm.shards))]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if v, ok := sh.m[string(key)]; ok {
-		return v, false
-	}
-	v := mk()
-	if sh.m == nil {
-		sh.m = map[string]V{}
-	}
-	sh.m[string(key)] = v
+	c.m[string(key)] = v
 	return v, true
 }

@@ -116,7 +116,7 @@ func upgrade(ctx context.Context, s *spec.Spec, opts Options, base spec.Allocati
 		floor = at.flex
 	}
 	extensions := func(start int, fn func(units []int, cost float64) bool) (alloc.Stats, func() (int, bool)) {
-		return alloc.EnumerateSymbolicUnits(s, base, sc.allocOptions(), start, fn)
+		return sc.ev.sup.EnumerateSymbolicUnits(base, sc.allocOptions(), start, fn)
 	}
 	return sc.run(sc.boundFold(floor), extensions, 1, 0)
 }

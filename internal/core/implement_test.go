@@ -38,7 +38,7 @@ func TestMemoReplayAllocatesNothing(t *testing.T) {
 		cfg      *archConfig
 		superset viewSlot
 	)
-	alloc.EnumerateSymbolicUnits(s, nil, alloc.Options{}, 0, func(units []int, _ float64) bool {
+	alloc.NewSupporter(s).EnumerateSymbolicUnits(nil, alloc.Options{}, 0, func(units []int, _ float64) bool {
 		sup := ev.sup.SupportableUnits(units, w.sup)
 		avail := w.sup.Avail()
 		list := ev.ecsList(sup)
@@ -318,7 +318,7 @@ func TestUnadmittedAttemptBuildsNoMap(t *testing.T) {
 		// A point dominating every implementation: nothing is admitted.
 		sc.front.Add(&pareto.Entry{Objectives: pareto.CostFlexObjectives(0, math.MaxFloat64)})
 		checked := 0
-		alloc.EnumerateSymbolicUnits(sub.s, nil, alloc.Options{}, 0, func(units []int, _ float64) bool {
+		alloc.NewSupporter(sub.s).EnumerateSymbolicUnits(nil, alloc.Options{}, 0, func(units []int, _ float64) bool {
 			r := &sc.rec
 			var feasible bool
 			n := testing.AllocsPerRun(20, func() {
@@ -363,7 +363,7 @@ func TestAttemptAllocatesNothing(t *testing.T) {
 		w := ev.evalScratch()
 		var st Stats
 		checked := 0
-		alloc.EnumerateSymbolicUnits(sub.s, nil, alloc.Options{}, 0, func(units []int, _ float64) bool {
+		alloc.NewSupporter(sub.s).EnumerateSymbolicUnits(nil, alloc.Options{}, 0, func(units []int, _ float64) bool {
 			cold := ev.implement(units, ev.sup.SupportableUnits(units, w.sup), &w, &st)
 			picks := slices.Clone(cold.picks)
 			if cold.ok {
@@ -452,7 +452,7 @@ func TestUnitsCostMatchesAllocationCost(t *testing.T) {
 				n++
 			}
 		} else {
-			alloc.EnumerateSymbolicUnits(s, nil, alloc.Options{IncludeUselessComm: true}, 0, func(units []int, _ float64) bool {
+			alloc.NewSupporter(s).EnumerateSymbolicUnits(nil, alloc.Options{IncludeUselessComm: true}, 0, func(units []int, _ float64) bool {
 				check(units)
 				n++
 				return true

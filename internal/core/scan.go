@@ -122,20 +122,13 @@ type candRec struct {
 func (r *candRec) evaluated() bool { return r.estimated || r.diag != nil }
 
 // newScan prepares a run; the caller builds its fold over sc.front and
-// starts it with run. Computing MaxFlexibility also builds the
+// starts it with run. Building the evaluator also builds the
 // specification's lazy indexes before a worker pool reads them
 // concurrently.
 func newScan(ctx context.Context, s *spec.Spec, opts Options) *scan {
 	ev := newEvaluator(s, opts)
-	sc := &scan{
-		ctx:   ctx,
-		s:     s,
-		opts:  opts,
-		ev:    ev,
-		res:   &Result{MaxFlexibility: maxFlexibility(s, ev.sup.Units, opts), Reason: ReasonCompleted},
-		front: &pareto.Front{},
-	}
-	sc.scratch = sc.ev.evalScratch()
+	sc := &scan{ctx: ctx, s: s, opts: opts, ev: ev, front: &pareto.Front{}, scratch: ev.evalScratch()}
+	sc.res = &Result{MaxFlexibility: ev.maxFlexibility(sc.scratch.sup), Reason: ReasonCompleted}
 	return sc
 }
 
@@ -188,14 +181,14 @@ func (f *boundFold) best() float64 { return f.fcur }
 
 // source streams the cost-ordered possible allocations from the
 // candidate index start on, each as its unit indices into
-// alloc.Units(s), borrowed until fn returns, and its cost. length
-// counts the whole stream on request (alloc.EnumerateSymbolicUnits).
+// the evaluator's units, borrowed until fn returns, and its cost. length
+// counts the whole stream on request (Supporter.EnumerateSymbolicUnits).
 type source func(start int, fn func(units []int, cost float64) bool) (st alloc.Stats, length func() (int, bool))
 
 // candidates is the explorers' source: the symbolic walk over the
-// possible-allocation BDD.
+// possible-allocation BDD, built over the evaluator's Supporter.
 func (sc *scan) candidates(start int, fn func(units []int, cost float64) bool) (alloc.Stats, func() (int, bool)) {
-	return alloc.EnumerateSymbolicUnits(sc.s, nil, sc.allocOptions(), start, fn)
+	return sc.ev.sup.EnumerateSymbolicUnits(nil, sc.allocOptions(), start, fn)
 }
 
 func (sc *scan) allocOptions() alloc.Options {

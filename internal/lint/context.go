@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"sync"
+
 	"repro/internal/alloc"
 	"repro/internal/hgraph"
 	"repro/internal/spec"
@@ -33,9 +35,12 @@ type Context struct {
 	// for error-severity findings.
 	ArchAdj map[hgraph.ID]map[hgraph.ID]bool
 
-	archLeafSet  map[hgraph.ID]bool
-	problemPaths map[hgraph.ID]string
-	archPaths    map[hgraph.ID]string
+	archLeafSet map[hgraph.ID]bool
+	// problemPaths and archPaths map element IDs to their paths. Each is
+	// built on the first path asked of its graph: a clean specification
+	// asks none.
+	problemOnce, archOnce   sync.Once
+	problemPaths, archPaths map[hgraph.ID]string
 }
 
 func newContext(s *spec.Spec) *Context {
@@ -48,8 +53,6 @@ func newContext(s *spec.Spec) *Context {
 		Units:         alloc.Units(s),
 		ArchAdj:       map[hgraph.ID]map[hgraph.ID]bool{},
 		archLeafSet:   map[hgraph.ID]bool{},
-		problemPaths:  elementPaths("problem", s.Problem),
-		archPaths:     elementPaths("arch", s.Arch),
 	}
 	for _, v := range ctx.ArchLeaves {
 		ctx.archLeafSet[v.ID] = true
@@ -119,6 +122,7 @@ func (ctx *Context) CanEverCommunicate(r1, r2 hgraph.ID) bool {
 
 // ProblemPath returns the hierarchical path of a problem-graph element.
 func (ctx *Context) ProblemPath(id hgraph.ID) string {
+	ctx.problemOnce.Do(func() { ctx.problemPaths = elementPaths("problem", ctx.Spec.Problem) })
 	if p, ok := ctx.problemPaths[id]; ok {
 		return p
 	}
@@ -127,6 +131,7 @@ func (ctx *Context) ProblemPath(id hgraph.ID) string {
 
 // ArchPath returns the hierarchical path of an architecture element.
 func (ctx *Context) ArchPath(id hgraph.ID) string {
+	ctx.archOnce.Do(func() { ctx.archPaths = elementPaths("arch", ctx.Spec.Arch) })
 	if p, ok := ctx.archPaths[id]; ok {
 		return p
 	}

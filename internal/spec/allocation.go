@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/bitset"
 	"repro/internal/hgraph"
 )
 
@@ -171,37 +172,20 @@ func (a Allocation) AllocatedClusters(s *Spec) map[hgraph.ID][]hgraph.ID {
 // architecture interface that has at least one allocated cluster,
 // exactly one allocated cluster is selected; interfaces without an
 // allocated cluster stay inactive. Enumeration stops when fn returns
-// false. The selection passed to fn is reused; clone to retain.
+// false. The selection passed to fn is reused; clone to retain. It is
+// ArchSpace.Enumerate with each configuration written into the map.
 func (a Allocation) EnumerateArchSelections(s *Spec, fn func(hgraph.Selection) bool) {
+	x := NewArchSpace(s)
+	allocated := bitset.New(x.Clusters.Len())
+	for id, on := range a {
+		if i, ok := x.Clusters.Index(id); ok && on {
+			allocated.Add(i)
+		}
+	}
 	sel := hgraph.Selection{}
-	var enumIfs func(ifs []*hgraph.Interface, k int, done func() bool) bool
-	var enumCluster func(c *hgraph.Cluster, done func() bool) bool
-	enumCluster = func(c *hgraph.Cluster, done func() bool) bool {
-		return enumIfs(c.Interfaces, 0, done)
-	}
-	enumIfs = func(ifs []*hgraph.Interface, k int, done func() bool) bool {
-		if k == len(ifs) {
-			return done()
-		}
-		i := ifs[k]
-		var opts []*hgraph.Cluster
-		for _, sub := range i.Clusters {
-			if a[sub.ID] {
-				opts = append(opts, sub)
-			}
-		}
-		if len(opts) == 0 {
-			return enumIfs(ifs, k+1, done) // interface inactive
-		}
-		for _, sub := range opts {
-			sel[i.ID] = sub.ID
-			cont := enumCluster(sub, func() bool { return enumIfs(ifs, k+1, done) })
-			delete(sel, i.ID)
-			if !cont {
-				return false
-			}
-		}
-		return true
-	}
-	enumCluster(s.Arch.Root, func() bool { return fn(sel) })
+	x.Enumerate(allocated, func(cfg bitset.Set) bool {
+		clear(sel)
+		x.fill(sel, cfg)
+		return fn(sel)
+	})
 }

@@ -305,6 +305,27 @@ func TestArchViewCommunication(t *testing.T) {
 	}
 }
 
+// TestArchViewForSelections: a selection naming a cluster its interface
+// does not have is refused, as FlattenPartial refuses it, and entries
+// for interfaces no flattening reaches are ignored.
+func TestArchViewForSelections(t *testing.T) {
+	s := buildMini(t)
+	a := NewAllocation("uP", "C1", "dD3")
+	if _, err := s.ArchViewFor(a, hgraph.Selection{"FPGA": "nope"}); err == nil {
+		t.Error("an unknown selected cluster must fail")
+	}
+	if _, err := s.ArchViewFor(a, hgraph.Selection{"FPGA": "gD1"}); err == nil {
+		t.Error("a cluster of another graph's interface must fail")
+	}
+	av, err := s.ArchViewFor(a, hgraph.Selection{"FPGA": "dD3", "NOSUCH": "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !av.CanCommunicate("uP", "D3") {
+		t.Error("uP<->D3 via C1 should communicate")
+	}
+}
+
 func TestArchViewAdjacencyAndResources(t *testing.T) {
 	s := buildMini(t)
 	a := NewAllocation("uP", "A", "C2")

@@ -7,7 +7,7 @@
 //
 // The library lives under internal/ (see README.md for the package
 // map); cmd/ holds the command-line tools and examples/ runnable
-// walkthroughs. The root-level bench_test.go regenerates every table
-// and figure of the paper's evaluation (experiments E1–E12, indexed in
-// DESIGN.md and recorded in EXPERIMENTS.md).
+// walkthroughs. cmd/experiments regenerates every table and figure of
+// the paper's evaluation (experiments E1–E18, indexed in DESIGN.md and
+// recorded in EXPERIMENTS.md).
 package repro

@@ -366,17 +366,6 @@ func (e *scanEnv) child(pool *sync.Pool, cur *subset, replace bool) *subset {
 	return c
 }
 
-// All materializes every possible resource allocation (cost-ordered).
-// Prefer Enumerate for large unit sets.
-func All(s *spec.Spec, opts Options) ([]Candidate, Stats) {
-	var out []Candidate
-	stats := Enumerate(s, opts, func(c Candidate) bool {
-		out = append(out, Candidate{Allocation: c.Allocation.Clone(), Cost: c.Cost})
-		return true
-	})
-	return out, stats
-}
-
 // SearchSpace returns 2^n as a float64: the size of an n-element subset
 // space. It is the one search-space helper shared by the allocation
 // enumerators and the exploration statistics (which multiply further

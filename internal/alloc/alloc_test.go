@@ -230,19 +230,6 @@ func TestEnumerateEarlyStopAndMaxScan(t *testing.T) {
 	}
 }
 
-func TestAll(t *testing.T) {
-	s := buildFig2(t)
-	cands, stats := All(s, Options{IncludeUselessComm: true})
-	if len(cands) != 32 || stats.Possible != 32 {
-		t.Errorf("All = %d candidates (stats %d), want 32", len(cands), stats.Possible)
-	}
-	// Materialized allocations are independent copies.
-	cands[0].Allocation["X"] = true
-	if cands[1].Allocation["X"] {
-		t.Error("allocations share storage")
-	}
-}
-
 // Property: the heap-based subset enumeration generates every subset of
 // the unit set exactly once and in nondecreasing cost order.
 func TestPropSubsetEnumeration(t *testing.T) {
@@ -311,6 +298,30 @@ func BenchmarkEnumerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Enumerate(s, Options{}, func(Candidate) bool { return true })
 	}
+}
+
+// BenchmarkEnumerateSynthetic — the bitset subset scan over a mid-size
+// synthetic spec. An Allocation map is built only for an emitted
+// candidate, so allocs/op scales with the possible candidates, not
+// with the scanned subsets.
+func BenchmarkEnumerateSynthetic(b *testing.B) {
+	p := models.SyntheticParams{Seed: 11, Apps: 3, Depth: 1, Branch: 3,
+		Vertices: 2, Processors: 2, ASICs: 3, Designs: 3, Buses: 6,
+		TimedFraction: 0.4, AccelOnlyFraction: 0.3}
+	s := models.Synthetic(p)
+	var scanned, possible int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		possible = 0
+		st := Enumerate(s, Options{MaxScan: 50000}, func(Candidate) bool {
+			possible++
+			return true
+		})
+		scanned = st.Scanned
+	}
+	b.ReportMetric(float64(scanned), "scanned")
+	b.ReportMetric(float64(possible), "possible_allocs")
 }
 
 func BenchmarkPossible(b *testing.B) {

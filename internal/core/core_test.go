@@ -315,6 +315,10 @@ func TestStopAtMaxFlex(t *testing.T) {
 	if early.Reason != ReasonMaxFlex || early.Cursor != early.Stats.Estimated || early.Cursor >= full.Cursor {
 		t.Errorf("StopAtMaxFlex run: reason %q cursor %d, want max-flex at the stop cursor %d", early.Reason, early.Cursor, early.Stats.Estimated)
 	}
+	if early.Stats.Scanned != 279 || early.Stats.BindingRuns != 94 || full.Stats.BindingRuns != 94 {
+		t.Errorf("StopAtMaxFlex run scanned %d with %d binding runs (default %d), want 279 with 94",
+			early.Stats.Scanned, early.Stats.BindingRuns, full.Stats.BindingRuns)
+	}
 }
 
 // TestFlexBoundAblation: disabling the flexibility-estimation bound
@@ -332,8 +336,9 @@ func TestFlexBoundAblation(t *testing.T) {
 			t.Errorf("row %d differs", i)
 		}
 	}
-	if without.Stats.Attempted <= with.Stats.Attempted {
-		t.Error("ablation should attempt strictly more candidates")
+	if with.Stats.Attempted != 25 || without.Stats.Attempted != 2371 {
+		t.Errorf("attempted %d with the bound and %d without, want 25 and all 2371 possible allocations",
+			with.Stats.Attempted, without.Stats.Attempted)
 	}
 }
 
@@ -421,17 +426,27 @@ func TestDecoderExploration(t *testing.T) {
 	}
 }
 
-// TestTimingPolicyAblation: with exact RTA instead of the paper's 69 %
-// estimate, the game console fits on μP2 (utilization 0.77 but worst
-// response 185 ≤ 240), so the cheapest implementation gains γG1.
+// TestTimingPolicyAblation: with an exact test instead of the paper's
+// 69 % estimate, the game console fits on μP2 (utilization 0.77 but
+// worst response 185 ≤ 240), so the $100 μP2 box gains γG1 (f=3) and
+// the $120 μP1 row drops out of the paper's six-row front.
 func TestTimingPolicyAblation(t *testing.T) {
 	s := models.SetTopBox()
-	im := Implement(s, spec.NewAllocation("uP2"), Options{Timing: bind.TimingRTA}, nil)
-	if im == nil {
-		t.Fatal("uP2 should be implementable")
-	}
-	if im.Flexibility != 3 {
-		t.Errorf("f(uP2) under RTA = %v, want 3 (game console accepted)", im.Flexibility)
+	for _, c := range []struct {
+		policy      bind.TimingPolicy
+		front       int
+		fAtCheapest float64
+	}{
+		{bind.TimingPaper, 6, 2},
+		{bind.TimingLiuLayland, 5, 3},
+		{bind.TimingRTA, 5, 3},
+		{bind.TimingNone, 5, 3},
+	} {
+		r := Explore(s, Options{Timing: c.policy})
+		if len(r.Front) != c.front || !r.Front[0].Allocation.Equal(spec.NewAllocation("uP2")) || r.Front[0].Flexibility != c.fAtCheapest {
+			t.Errorf("%s: %d front rows, cheapest %v at f=%v; want %d rows, {uP2} at f=%v",
+				c.policy, len(r.Front), r.Front[0].Allocation, r.Front[0].Flexibility, c.front, c.fAtCheapest)
+		}
 	}
 }
 

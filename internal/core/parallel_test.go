@@ -278,6 +278,56 @@ func BenchmarkExploreExhaustiveSynthetic(b *testing.B) {
 	b.ReportMetric(float64(r.Stats.Cache.BindMisses), "misses/op")
 }
 
+// BenchmarkExploreSynthetic — the evaluation-cache benchmark: one
+// EXPLORE run over a mid-size synthetic spec. The flexibility bound is
+// disabled so every possible allocation is implemented — the
+// candidate-evaluation hot path the caches target, not the subset scan
+// around it. The custom metrics record the per-run cache hit rates.
+func BenchmarkExploreSynthetic(b *testing.B) {
+	p := models.SyntheticParams{Seed: 11, Apps: 3, Depth: 1, Branch: 3,
+		Vertices: 2, Processors: 2, ASICs: 3, Designs: 3, Buses: 6,
+		TimedFraction: 0.4, AccelOnlyFraction: 0.3}
+	b.Run("cached", func(b *testing.B) {
+		s := models.Synthetic(p)
+		var st Stats
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st = Explore(s, Options{DisableFlexBound: true, MaxScan: 50000}).Stats
+		}
+		b.ReportMetric(float64(st.BindingRuns), "binding_runs")
+		if n := st.Cache.BindHits() + st.Cache.BindMisses; n > 0 {
+			b.ReportMetric(float64(st.Cache.BindHits())/float64(n), "bind_hit_rate")
+		}
+		if n := st.Cache.FlattenHits + st.Cache.FlattenMisses; n > 0 {
+			b.ReportMetric(float64(st.Cache.FlattenHits)/float64(n), "flatten_hit_rate")
+		}
+	})
+	// The same run through ExploreParallel, whose fronts and semantic
+	// stats match at every worker count. "workers=N", not "workers-N":
+	// go test appends the GOMAXPROCS value as a trailing -N.
+	for _, w := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			s := models.Synthetic(p)
+			var st Stats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st = ExploreParallel(s, Options{
+					DisableFlexBound: true, MaxScan: 50000,
+				}, w, 0).Stats
+			}
+			b.ReportMetric(float64(st.BindingRuns), "binding_runs")
+			if w > 1 {
+				b.ReportMetric(float64(st.Pipeline.CommitStalls), "commit_stalls")
+				b.ReportMetric(float64(st.Pipeline.QueueHighWater), "queue_high_water")
+				b.ReportMetric(float64(st.Pipeline.BatchesCommitted), "batches_committed")
+				b.ReportMetric(float64(st.Pipeline.BoundPublishes), "bound_publishes")
+			}
+		})
+	}
+}
+
 // TestRecycledBatchesMatchInline: a fully committed batch's ring slot
 // is refilled for a later job, records and attempt buffers included, so
 // a record left dirty by its last candidate would show in the next.

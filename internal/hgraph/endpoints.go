@@ -7,7 +7,7 @@ import "slices"
 // itself; an interface endpoint resolves, for each refining cluster,
 // through that cluster's binding of the named port (recursively, when
 // the binding targets a nested interface, with the same port name —
-// mirroring Flatten's resolveEndpoint, but without fixing a selection).
+// mirroring Flatten's resolution, but without fixing a selection).
 //
 // Unknown IDs, missing bindings and binding cycles contribute nothing;
 // the function is therefore safe on graphs that fail Validate and is

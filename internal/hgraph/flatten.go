@@ -122,17 +122,6 @@ func (g *Graph) enumInterfaces(ifs []*Interface, k int, sel Selection, done func
 	return true
 }
 
-// Selections returns all elementary cluster selections materialized as
-// independent maps. Prefer EnumerateSelections for large graphs.
-func (g *Graph) Selections() []Selection {
-	var out []Selection
-	g.EnumerateSelections(func(s Selection) bool {
-		out = append(out, s.Clone())
-		return true
-	})
-	return out
-}
-
 // FlatEdge is a dependence edge of a flattened graph; interface
 // endpoints of the original edge have been resolved through port
 // bindings to leaf vertices.
@@ -161,27 +150,46 @@ func (g *Graph) Flatten(sel Selection) (*FlatGraph, error) {
 	if !g.Complete(sel) {
 		return nil, fmt.Errorf("hgraph %q: selection %v is not complete", g.Name, sel)
 	}
+	return g.flatten(sel, false)
+}
+
+// FlattenPartial flattens the graph under a possibly partial selection:
+// interfaces without a selection entry are considered inactive and are
+// dropped together with every edge attached to them. This models the
+// architecture side of a specification, where a reconfigurable
+// component (an interface) that is not part of the allocation simply
+// does not exist in the implementation, whereas on the problem side
+// rule 4 of hierarchical activation demands a complete selection (use
+// Flatten there).
+func (g *Graph) FlattenPartial(sel Selection) (*FlatGraph, error) {
+	return g.flatten(sel, true)
+}
+
+// flatten collects the content of the root and of every selected
+// cluster, then resolves each edge's endpoints to vertices. An edge
+// whose endpoint reaches an interface without a selection entry, or a
+// cluster without a binding for its port, is dropped when partial is
+// set and an error otherwise.
+func (g *Graph) flatten(sel Selection, partial bool) (*FlatGraph, error) {
 	fg := &FlatGraph{Name: g.Name}
 	var rawEdges []*Edge
-	var walk func(c *Cluster)
-	walk = func(c *Cluster) {
-		fg.Vertices = append(fg.Vertices, c.Vertices...)
-		rawEdges = append(rawEdges, c.Edges...)
-		for _, i := range c.Interfaces {
-			sub := i.Cluster(sel[i.ID])
-			walk(sub)
-		}
+	if err := g.collect(g.Root, sel, fg, &rawEdges); err != nil {
+		return nil, err
 	}
-	walk(g.Root)
-
 	for _, e := range rawEdges {
-		from, err := g.resolveEndpoint(e.From, e.FromPort, sel)
+		from, ok, err := g.resolve(e.From, e.FromPort, sel, partial)
 		if err != nil {
 			return nil, fmt.Errorf("edge %q: %w", e.ID, err)
 		}
-		to, err := g.resolveEndpoint(e.To, e.ToPort, sel)
+		if !ok {
+			continue
+		}
+		to, ok, err := g.resolve(e.To, e.ToPort, sel, partial)
 		if err != nil {
 			return nil, fmt.Errorf("edge %q: %w", e.ID, err)
+		}
+		if !ok {
+			continue
 		}
 		fg.Edges = append(fg.Edges, FlatEdge{From: from, To: to, Orig: e})
 	}
@@ -192,31 +200,62 @@ func (g *Graph) Flatten(sel Selection) (*FlatGraph, error) {
 	return fg, nil
 }
 
-// resolveEndpoint maps an edge endpoint to a leaf vertex: vertex
-// endpoints map to themselves, interface endpoints resolve through the
-// selected cluster's port binding; when a binding targets a nested
-// interface, resolution continues with the same port name on the nested
-// interface.
-func (g *Graph) resolveEndpoint(id ID, port string, sel Selection) (ID, error) {
+// collect appends c's vertices to fg and its edges to edges, then does
+// the same for the cluster selected at each of c's interfaces; an
+// interface without a selection entry is inactive and contributes
+// nothing.
+func (g *Graph) collect(c *Cluster, sel Selection, fg *FlatGraph, edges *[]*Edge) error {
+	fg.Vertices = append(fg.Vertices, c.Vertices...)
+	*edges = append(*edges, c.Edges...)
+	for _, i := range c.Interfaces {
+		cid, ok := sel[i.ID]
+		if !ok {
+			continue
+		}
+		sub := i.Cluster(cid)
+		if sub == nil {
+			return fmt.Errorf("interface %q: selected cluster %q unknown", i.ID, cid)
+		}
+		if err := g.collect(sub, sel, fg, edges); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// resolve maps an edge endpoint to a leaf vertex: vertex endpoints map
+// to themselves, interface endpoints resolve through the selected
+// cluster's port binding; when a binding targets a nested interface,
+// resolution continues with the same port name on the nested
+// interface. Reaching an interface without a selection entry, or a
+// cluster without a binding for the port, reports ok=false (drop the
+// edge) when partial is set and an error otherwise.
+func (g *Graph) resolve(id ID, port string, sel Selection, partial bool) (ID, bool, error) {
 	for {
 		if g.VertexByID(id) != nil {
-			return id, nil
+			return id, true, nil
 		}
 		iface := g.InterfaceByID(id)
 		if iface == nil {
-			return "", fmt.Errorf("endpoint %q is neither vertex nor interface", id)
+			return "", false, fmt.Errorf("endpoint %q is neither vertex nor interface", id)
 		}
 		cid, ok := sel[iface.ID]
 		if !ok {
-			return "", fmt.Errorf("interface %q unresolved in selection", id)
+			if partial {
+				return "", false, nil
+			}
+			return "", false, fmt.Errorf("interface %q unresolved in selection", id)
 		}
 		sub := iface.Cluster(cid)
 		if sub == nil {
-			return "", fmt.Errorf("interface %q: selected cluster %q unknown", id, cid)
+			return "", false, fmt.Errorf("interface %q: selected cluster %q unknown", id, cid)
 		}
 		target, ok := sub.PortBinding[port]
 		if !ok {
-			return "", fmt.Errorf("cluster %q: no binding for port %q", cid, port)
+			if partial {
+				return "", false, nil
+			}
+			return "", false, fmt.Errorf("cluster %q: no binding for port %q", cid, port)
 		}
 		id = target
 	}

@@ -79,7 +79,11 @@ func TestCountVariants(t *testing.T) {
 
 func TestSelectionsEnumeration(t *testing.T) {
 	g := buildDecoder(t)
-	sels := g.Selections()
+	var sels []Selection
+	g.EnumerateSelections(func(s Selection) bool {
+		sels = append(sels, s.Clone())
+		return true
+	})
 	if len(sels) != 6 {
 		t.Fatalf("got %d selections, want 6", len(sels))
 	}

@@ -765,3 +765,70 @@ func TestJobTTLEviction(t *testing.T) {
 		t.Errorf("zero-TTL sweep evicted %d jobs, want 0", n)
 	}
 }
+
+// BenchmarkServerOverhead — the service path's tax over the bare
+// runtime: the same synthetic exploration measured as a direct
+// core.Explore call and as a full loopback HTTP job lifecycle
+// (submit → poll → result fetch) against the server. The delta
+// between the two variants is the admission + scheduling + JSON +
+// polling overhead per job.
+func BenchmarkServerOverhead(b *testing.B) {
+	body := `{"model": "synthetic", "seed": 1, "workers": 1}`
+	b.Run("direct", func(b *testing.B) {
+		s := models.Synthetic(models.DefaultSynthetic(1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if r := core.Explore(s, core.Options{}); len(r.Front) == 0 {
+				b.Fatal("empty front")
+			}
+		}
+	})
+	b.Run("http", func(b *testing.B) {
+		srv, err := New(Config{CheckpointDir: b.TempDir(), MaxRunning: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var view struct {
+				ID string `json:"id"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+				b.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				b.Fatalf("submit: status %d", resp.StatusCode)
+			}
+			for {
+				rr, err := http.Get(ts.URL + "/jobs/" + view.ID + "/result")
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, _ = io.Copy(io.Discard, rr.Body)
+				rr.Body.Close()
+				if rr.StatusCode == http.StatusOK {
+					break
+				}
+				if rr.StatusCode != http.StatusAccepted {
+					b.Fatalf("result: status %d", rr.StatusCode)
+				}
+				time.Sleep(500 * time.Microsecond)
+			}
+		}
+		b.StopTimer()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			b.Fatal(err)
+		}
+	})
+}

@@ -150,6 +150,10 @@ func TestServiceLevelGrowsWithFlexibility(t *testing.T) {
 	if last := ExpectedServiceLevel(s, r.Front[5]); last != 0.9 {
 		t.Errorf("service level of $430 point = %v, want 9/10", last)
 	}
+	// The same payoff observed on a 200-request random trace.
+	if levels := ServiceLevel(s, r.Front, 7, 200); levels[0] != 0.185 || levels[5] != 0.895 {
+		t.Errorf("observed service levels = %v, want 0.185 at $100 and 0.895 at $430", levels)
+	}
 }
 
 func TestRandomTraceAndServiceLevel(t *testing.T) {

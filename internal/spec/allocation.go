@@ -143,30 +143,6 @@ func (a Allocation) ResourceSet(s *Spec) map[hgraph.ID]bool {
 	return set
 }
 
-// AllocatedClusters returns the allocated architecture clusters grouped
-// by their owning interface, considering only clusters whose owning
-// interface is reachable (nested clusters under unallocated parents are
-// ignored). Interfaces with no allocated cluster are absent.
-func (a Allocation) AllocatedClusters(s *Spec) map[hgraph.ID][]hgraph.ID {
-	out := map[hgraph.ID][]hgraph.ID{}
-	var walk func(c *hgraph.Cluster)
-	walk = func(c *hgraph.Cluster) {
-		for _, i := range c.Interfaces {
-			for _, sub := range i.Clusters {
-				if a[sub.ID] {
-					out[i.ID] = append(out[i.ID], sub.ID)
-					walk(sub)
-				}
-			}
-		}
-	}
-	walk(s.Arch.Root)
-	for _, cs := range out {
-		slices.Sort(cs)
-	}
-	return out
-}
-
 // EnumerateArchSelections calls fn for every instantaneous architecture
 // configuration consistent with the allocation: for each reachable
 // architecture interface that has at least one allocated cluster,

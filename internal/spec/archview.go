@@ -166,8 +166,8 @@ func (x *ArchSpace) ref(g *hgraph.Graph, id hgraph.ID, port string) archRef {
 }
 
 // resolutions appends to out every way the endpoint (id, port) resolves
-// once the clusters in via are selected: what resolvePartial finds for
-// each selection.
+// once the clusters in via are selected: what FlattenPartial resolves
+// it to under each selection.
 func (x *ArchSpace) resolutions(g *hgraph.Graph, id hgraph.ID, port string, via []int, out []archEnd) []archEnd {
 	if g.VertexByID(id) != nil {
 		i, _ := x.res.Index(id)

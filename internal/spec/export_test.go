@@ -5,6 +5,10 @@ import (
 	"repro/internal/hgraph"
 )
 
+// BuildMini is the reduced Fig. 2-style specification of the package's
+// own tests.
+var BuildMini = buildMini
+
 // LinkSets returns the links' mask and, per resource of Resources, its
 // adjacency row and its buses.
 func (l *ArchLinks) LinkSets() (mask bitset.Set, rows, buses []bitset.Set) {

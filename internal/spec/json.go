@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -205,24 +206,19 @@ func decodeCluster(jc jsonCluster) *hgraph.Cluster {
 	return c
 }
 
-// Write encodes the specification as indented JSON to w.
+// Write encodes the specification as indented JSON to w, keys in the
+// order of the wire structs above.
 func (s *Spec) Write(w io.Writer) error {
 	data, err := s.MarshalJSON()
 	if err != nil {
 		return err
 	}
-	var buf []byte
-	{
-		var tmp interface{}
-		if err := json.Unmarshal(data, &tmp); err != nil {
-			return err
-		}
-		buf, err = json.MarshalIndent(tmp, "", "  ")
-		if err != nil {
-			return err
-		}
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, data, "", "  "); err != nil {
+		return err
 	}
-	_, err = w.Write(append(buf, '\n'))
+	buf.WriteByte('\n')
+	_, err = w.Write(buf.Bytes())
 	return err
 }
 

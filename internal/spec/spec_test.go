@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -206,19 +205,6 @@ func TestAllocationCostDeterministic(t *testing.T) {
 	}
 }
 
-func TestAllocatedClusters(t *testing.T) {
-	s := buildMini(t)
-	a := NewAllocation("uP", "dD3", "dU2")
-	byIf := a.AllocatedClusters(s)
-	cs, ok := byIf["FPGA"]
-	if !ok || len(cs) != 2 || cs[0] != "dD3" || cs[1] != "dU2" {
-		t.Errorf("AllocatedClusters[FPGA] = %v, want [dD3 dU2]", cs)
-	}
-	if len(byIf) != 1 {
-		t.Errorf("AllocatedClusters has %d interfaces, want 1", len(byIf))
-	}
-}
-
 func TestEnumerateArchSelections(t *testing.T) {
 	s := buildMini(t)
 	count := func(a Allocation) int {
@@ -342,47 +328,6 @@ func TestArchViewAdjacencyAndResources(t *testing.T) {
 	rs := av.PresentResources()
 	if len(rs) != 3 {
 		t.Errorf("PresentResources = %v, want 3 entries", rs)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	s := buildMini(t)
-	var buf bytes.Buffer
-	if err := s.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if got.Name != s.Name {
-		t.Errorf("Name = %q, want %q", got.Name, s.Name)
-	}
-	if got.VertexCount() != s.VertexCount() {
-		t.Errorf("VertexCount = %d, want %d", got.VertexCount(), s.VertexCount())
-	}
-	if len(got.Mappings) != len(s.Mappings) {
-		t.Fatalf("mappings = %d, want %d", len(got.Mappings), len(s.Mappings))
-	}
-	if m := got.Mapping("PU1", "A"); m == nil || m.Latency != 15 {
-		t.Errorf("round-tripped Mapping(PU1,A) = %v", m)
-	}
-	if got.Period("PD1") != 300 {
-		t.Errorf("round-tripped Period(PD1) = %v", got.Period("PD1"))
-	}
-	if !got.IsComm("C1") {
-		t.Error("round-tripped IsComm(C1) = false")
-	}
-	if got.ResourceCost("A") != 100 {
-		t.Errorf("round-tripped ResourceCost(A) = %v", got.ResourceCost("A"))
-	}
-	// Flattening behaviour preserved (port bindings survive).
-	av, err := got.ArchViewFor(NewAllocation("uP", "C1", "dD3"), hgraph.Selection{"FPGA": "dD3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !av.CanCommunicate("uP", "D3") {
-		t.Error("round-tripped arch lost port binding connectivity")
 	}
 }
 

@@ -171,8 +171,8 @@ func printParetoTable(w io.Writer, s *spec.Spec, opts core.Options) {
 	fmt.Fprintf(w, "binding solver      : %d runs over %d behaviours (%d search nodes)\n",
 		st.BindingRuns, st.ECSTested, st.BindingNodes)
 	if c := st.Cache; c != (core.CacheStats{}) {
-		fmt.Fprintf(w, "evaluation caches   : %d bindings reused / %d solved, flatten %d/%d hits (problem/arch)\n",
-			c.BindHits(), c.BindMisses, c.FlattenHits, c.ArchFlattenHits)
+		fmt.Fprintf(w, "evaluation caches   : flatten %d/%d hits (problem/arch)\n",
+			c.FlattenHits, c.ArchFlattenHits)
 	}
 	fmt.Fprintf(w, "maximum flexibility : %g\n", r.MaxFlexibility)
 }

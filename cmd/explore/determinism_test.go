@@ -55,10 +55,10 @@ func frontOf(t *testing.T, out []byte) []byte {
 
 // TestFrontIndependentOfSchedule: a behaviour's binding is its
 // allocation's own solve, so the printed front, bindings included, does
-// not depend on how the scan was scheduled. On a synthetic model whose
-// memo replays many verdicts, twenty -workers 2 runs print the
-// -workers 1 front byte for byte, and resuming a completed checkpoint —
-// which re-implements its front on a fresh evaluator — prints it again.
+// not depend on how the scan was scheduled. On a synthetic model, twenty
+// -workers 2 runs print the -workers 1 front byte for byte, and resuming
+// a completed checkpoint — which re-implements its front on a fresh
+// evaluator — prints it again.
 func TestFrontIndependentOfSchedule(t *testing.T) {
 	args := []string{"-model", "synthetic", "-seed", "3", "-json"}
 	want := frontOf(t, runInProcess(t, append(args, "-workers", "1")...))

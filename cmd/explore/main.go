@@ -342,8 +342,7 @@ func run() int {
 		if c := st.Cache; c != (core.CacheStats{}) {
 			fmt.Printf("flatten cache        : problem %d hits / %d misses, arch %d hits / %d misses\n",
 				c.FlattenHits, c.FlattenMisses, c.ArchFlattenHits, c.ArchFlattenMisses)
-			fmt.Printf("binding memo         : %d reused (%d exact, %d replayed, %d dominated), %d solved, %d supportable-sets reused\n",
-				c.BindHits(), c.BindExactHits, c.BindReplayHits, c.BindInfeasibleHits, c.BindMisses, c.SupportableReused)
+			fmt.Printf("supportable sets     : %d reused\n", c.SupportableReused)
 		}
 		if p := st.Pipeline; p.Workers > 0 {
 			fmt.Printf("parallel pipeline    : %d workers, queue %d (high water %d), %d commit stalls, %s busy\n",

@@ -356,8 +356,7 @@ func (q *search) minimize(k int, acc float64) {
 // Verify checks a complete index binding b of p against the paper's
 // feasibility rules and the timing policy on the view av, reporting the
 // first violation found (nil when b is feasible). It is the one rule
-// check behind Check, and the binding memo's replay verifier. A
-// resource index of -1 marks an unbound leaf.
+// check behind Check. A resource index of -1 marks an unbound leaf.
 func (p *Problem) Verify(av *spec.ArchView, b []int32, opts Options, sc *Scratch) error {
 	for i := range p.leaves {
 		if err := p.leafErr(av, i, b[i]); err != nil {

@@ -2,8 +2,8 @@
 // exploration hot path. A Set over n indexed elements is a handful of
 // machine words instead of a map[ID]bool, so the per-candidate
 // cluster/activation/resource sets of the EXPLORE engine cost one
-// allocation instead of dozens, and the subset/superset tests that
-// drive the binding-memo dominance rule are word-parallel.
+// allocation instead of dozens, and the subset tests behind the ECS
+// lists and the novelty skip are word-parallel.
 //
 // Sets carry no element names; an Indexer translates between domain
 // identifiers (problem clusters, architecture resources) and the dense
@@ -38,9 +38,6 @@ func WordsFor(n int) int { return (n + 63) / 64 }
 // either shows in the other. Sets carved out of one shared word buffer
 // this way cost no allocation each.
 func Of(w []uint64) Set { return Set{w: w} }
-
-// Words returns the set's words, aliasing them (see Of).
-func (s Set) Words() []uint64 { return s.w }
 
 // Has reports whether index i is in the set. Out-of-range indices are
 // reported absent.

@@ -112,8 +112,8 @@ func TestUnionCloneForEachKey(t *testing.T) {
 }
 
 // TestOfAliasesWords: a set built by Of over a window of a shared word
-// buffer reads and writes that window only; Words hands the window
-// back, and AppendTo lists the members in ascending order.
+// buffer reads and writes that window only, and AppendTo lists the
+// members in ascending order.
 func TestOfAliasesWords(t *testing.T) {
 	if WordsFor(0) != 0 || WordsFor(1) != 1 || WordsFor(64) != 1 || WordsFor(65) != 2 {
 		t.Fatal("WordsFor")
@@ -125,9 +125,6 @@ func TestOfAliasesWords(t *testing.T) {
 	b.Add(0)
 	if buf[0] != 1<<3 || buf[1] != 1<<6 || buf[2] != 1 || buf[3] != 0 {
 		t.Fatalf("words %v", buf)
-	}
-	if &a.Words()[0] != &buf[0] || len(b.Words()) != 2 {
-		t.Fatal("Words does not alias the window")
 	}
 	dst := []int{-1}
 	if got := a.AppendTo(dst); len(got) != 3 || got[0] != -1 || got[1] != 3 || got[2] != 70 {

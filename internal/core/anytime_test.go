@@ -193,11 +193,11 @@ func TestResumeEquivalence(t *testing.T) {
 				t.Errorf("resumed run: interrupted=%v reason=%q", resumed.Interrupted, resumed.Reason)
 			}
 			// Semantic counters (scanned, estimated, attempted,
-			// feasible, ...) continue exactly across the resume; solver
-			// effort and cache counters do not — the resumed run restarts
-			// with a cold evaluation cache, so it redoes binding work the
-			// warm uninterrupted run avoided.
-			if !reflect.DeepEqual(resumed.Stats.Semantic(), full.Stats.Semantic()) {
+			// feasible, ...) and the solver effort, one solve per binding
+			// decision, continue exactly across the resume; the cache
+			// counters do not — the resumed run restarts with cold caches.
+			if !reflect.DeepEqual(resumed.Stats.Semantic(), full.Stats.Semantic()) ||
+				resumed.Stats.BindingRuns != full.Stats.BindingRuns || resumed.Stats.BindingNodes != full.Stats.BindingNodes {
 				t.Errorf("resumed stats %+v\n  differ from uninterrupted %+v", resumed.Stats, full.Stats)
 			}
 

@@ -36,15 +36,14 @@ func TestCacheDifferentialExplore(t *testing.T) {
 		cached := Explore(s, Options{})
 		ref := referenceExplore(s, Options{})
 		diffAgainstReference(t, name, cached, ref)
-		if c := cached.Stats.Cache; c.BindHits() == 0 || c.FlattenHits == 0 {
+		if c := cached.Stats.Cache; c.FlattenHits == 0 || c.ArchFlattenHits == 0 {
 			t.Errorf("%s: caches never engaged: %+v", name, c)
 		}
-		// The solver-effort reduction is the point of the cache layer:
-		// every reused binding is a solver run the reference pays for on
-		// each attempted candidate.
-		if cached.Stats.BindingRuns >= ref.Stats.BindingRuns {
-			t.Errorf("%s: cached run solved %d bindings, the reference %d — memo saved nothing",
-				name, cached.Stats.BindingRuns, ref.Stats.BindingRuns)
+		// The caches reuse flattenings and configurations, not verdicts:
+		// every binding decision is one solve, as in the reference.
+		if cached.Stats.BindingRuns != ref.Stats.BindingRuns || cached.Stats.BindingNodes != ref.Stats.BindingNodes {
+			t.Errorf("%s: cached run solved %d bindings (%d nodes), the reference %d (%d)", name,
+				cached.Stats.BindingRuns, cached.Stats.BindingNodes, ref.Stats.BindingRuns, ref.Stats.BindingNodes)
 		}
 	}
 }
@@ -62,17 +61,13 @@ func TestCacheDifferentialExhaustive(t *testing.T) {
 }
 
 // TestCacheDifferentialBoundedSolver: with MaxBindNodes the solver is
-// truncation-bounded and feasibility is no longer monotone, so the memo
-// must fall back to exact hits only — and still agree with the
-// reference bit for bit.
+// truncation-bounded and feasibility is no longer monotone in the
+// present resources; the cached run still agrees with the reference bit
+// for bit.
 func TestCacheDifferentialBoundedSolver(t *testing.T) {
 	s := models.SetTopBox()
 	opts := Options{MaxBindNodes: 8}
-	cached := Explore(s, opts)
-	diffAgainstReference(t, "settop/bounded", cached, referenceExplore(s, opts))
-	if c := cached.Stats.Cache; c.BindReplayHits != 0 {
-		t.Errorf("replay dominance used under a bounded solver: %+v", c)
-	}
+	diffAgainstReference(t, "settop/bounded", Explore(s, opts), referenceExplore(s, opts))
 }
 
 // TestCacheDifferentialUnderFaultInjection: an injected per-candidate
@@ -109,21 +104,12 @@ func TestCacheSharedAcrossWorkers(t *testing.T) {
 }
 
 // TestCacheCountersAccounting: the counters surfaced in Stats must add
-// up — every binding decision is either a hit or a miss, and the
-// Estimate→Implement handoff reuses one supportable set per attempt.
+// up — the Estimate→Implement handoff reuses one supportable set per
+// attempt, and the interners report their constructions.
 func TestCacheCountersAccounting(t *testing.T) {
 	s := models.SetTopBox()
 	r := Explore(s, Options{})
 	c := r.Stats.Cache
-	// Every behaviour test makes at least one binding decision (an ECS may
-	// try several arch views), and each decision is either a hit or a miss.
-	if got := c.BindHits() + c.BindMisses; got < r.Stats.ECSTested {
-		t.Errorf("binding decisions %d (hits %d + misses %d) < behaviours tested %d",
-			got, c.BindHits(), c.BindMisses, r.Stats.ECSTested)
-	}
-	if c.BindMisses != r.Stats.BindingRuns {
-		t.Errorf("misses %d != solver runs %d: a miss is exactly one solve", c.BindMisses, r.Stats.BindingRuns)
-	}
 	if c.SupportableReused != r.Stats.Attempted {
 		t.Errorf("supportable sets reused %d != attempted implementations %d",
 			c.SupportableReused, r.Stats.Attempted)

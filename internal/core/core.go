@@ -353,25 +353,24 @@ type PipelineStats struct {
 
 // CacheStats counts hits and misses of the candidate-evaluation caches
 // (see internal/core/evaluator.go). Hits measure avoided work: a
-// flatten hit is a graph flattening not recomputed, a bind hit is a
-// solver invocation not run (exact = same inputs seen before, replay =
-// feasible binding replayed under a resource superset, infeasible =
-// skipped by subset dominance), and SupportableReused counts
-// implementations that reused the supportable-cluster set computed by
-// the candidate's estimate (or, in the sampling explorers, its
-// possibility test): every attempt. The solves that find a kept
-// behaviour's binding are not memo traffic and count in no field here,
-// nor in Stats.BindingRuns or BindingNodes.
+// flatten hit is an ECS flattening, and an arch hit an architecture
+// configuration, not rebuilt; SupportableReused counts implementations
+// that reused the supportable-cluster set computed by the candidate's
+// estimate (or, in the sampling explorers, its possibility test): every
+// attempt. Binding decisions are not cached: each is one solve, counted
+// in Stats.BindingRuns and BindingNodes. The solves that find a kept
+// behaviour's binding count in no field here, nor there.
 type CacheStats struct {
-	FlattenHits        int `json:"flattenHits,omitempty"`
-	FlattenMisses      int `json:"flattenMisses,omitempty"`
-	ArchFlattenHits    int `json:"archFlattenHits,omitempty"`
-	ArchFlattenMisses  int `json:"archFlattenMisses,omitempty"`
-	BindExactHits      int `json:"bindExactHits,omitempty"`
-	BindReplayHits     int `json:"bindReplayHits,omitempty"`
-	BindInfeasibleHits int `json:"bindInfeasibleHits,omitempty"`
-	BindMisses         int `json:"bindMisses,omitempty"`
-	SupportableReused  int `json:"supportableReused,omitempty"`
+	FlattenHits       int `json:"flattenHits,omitempty"`
+	FlattenMisses     int `json:"flattenMisses,omitempty"`
+	ArchFlattenHits   int `json:"archFlattenHits,omitempty"`
+	ArchFlattenMisses int `json:"archFlattenMisses,omitempty"`
+	// Deprecated: BindMisses counted the solves of a binding memo the
+	// engine no longer keeps. It is always 0, on a run resumed from a
+	// snapshot that recorded it too, and remains only until the benchmark
+	// harness stops reading it; ROADMAP item 1 step 2 deletes it.
+	BindMisses        int `json:"-"`
+	SupportableReused int `json:"supportableReused,omitempty"`
 }
 
 // plus returns the counter-wise sum.
@@ -380,28 +379,25 @@ func (c CacheStats) plus(d CacheStats) CacheStats {
 	c.FlattenMisses += d.FlattenMisses
 	c.ArchFlattenHits += d.ArchFlattenHits
 	c.ArchFlattenMisses += d.ArchFlattenMisses
-	c.BindExactHits += d.BindExactHits
-	c.BindReplayHits += d.BindReplayHits
-	c.BindInfeasibleHits += d.BindInfeasibleHits
-	c.BindMisses += d.BindMisses
 	c.SupportableReused += d.SupportableReused
 	return c
 }
 
-// BindHits returns the solver invocations avoided by the binding memo.
-func (c CacheStats) BindHits() int {
-	return c.BindExactHits + c.BindReplayHits + c.BindInfeasibleHits
-}
+// BindHits returned the solver invocations a binding memo avoided.
+//
+// Deprecated: the engine keeps no binding memo, so BindHits is always
+// 0. It remains only until the benchmark harness stops calling it;
+// ROADMAP item 1 step 2 deletes it.
+func (c CacheStats) BindHits() int { return 0 }
 
 // Semantic returns the counters that are invariant across worker count
 // and resume splitting, and that a run through the uncached reference
 // construction matches: what was found possible, estimated, attempted
 // and found feasible.
-// BindingRuns/BindingNodes measure actual solver effort — exactly what
-// caching removes and what a resumed run (cold cache) redoes — the
-// cache counters measure the caching itself, and Scanned counts
-// producer effort, which a resumed run partly replays, so all are
-// zeroed. Differential tests compare runs through this
+// BindingRuns/BindingNodes measure solver effort, to which a pooled
+// run's stale bound adds the attempts its commit drops; the cache
+// counters measure the caching itself, and Scanned counts producer
+// effort, which a resumed run partly replays, so all are zeroed. Differential tests compare runs through this
 // view.
 func (s Stats) Semantic() Stats {
 	s.Scanned = 0

@@ -315,8 +315,8 @@ func TestStopAtMaxFlex(t *testing.T) {
 	if early.Reason != ReasonMaxFlex || early.Cursor != early.Stats.Estimated || early.Cursor >= full.Cursor {
 		t.Errorf("StopAtMaxFlex run: reason %q cursor %d, want max-flex at the stop cursor %d", early.Reason, early.Cursor, early.Stats.Estimated)
 	}
-	if early.Stats.Scanned != 279 || early.Stats.BindingRuns != 94 || full.Stats.BindingRuns != 94 {
-		t.Errorf("StopAtMaxFlex run scanned %d with %d binding runs (default %d), want 279 with 94",
+	if early.Stats.Scanned != 279 || early.Stats.BindingRuns != 176 || full.Stats.BindingRuns != 176 {
+		t.Errorf("StopAtMaxFlex run scanned %d with %d binding runs (default %d), want 279 with 176",
 			early.Stats.Scanned, early.Stats.BindingRuns, full.Stats.BindingRuns)
 	}
 }

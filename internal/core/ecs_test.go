@@ -15,6 +15,16 @@ import (
 	"repro/internal/spec"
 )
 
+// inTable reports whether en is an entry of table, not a copy of one.
+func inTable(table []ecsEntry, en *ecsEntry) bool {
+	for i := range table {
+		if en == &table[i] {
+			return true
+		}
+	}
+	return false
+}
+
 // supportableSets returns the distinct supportable-cluster sets of the
 // specification's possible allocations, in stream order.
 func supportableSets(ev *evaluator) []bitset.Set {
@@ -80,8 +90,8 @@ func TestECSListMatchesCover(t *testing.T) {
 					if ids := cix.IDs(en.bits); !slices.Equal(ids, w.Clusters) {
 						t.Fatalf("%v: ECS %v has bits %v", cix.IDs(sup), w, ids)
 					}
-					if en != &ev.table[en.id] {
-						t.Fatalf("%v: ECS %v is not table entry %d", cix.IDs(sup), w, en.id)
+					if !inTable(ev.table, en) {
+						t.Fatalf("%v: ECS %v is not a table entry", cix.IDs(sup), w)
 					}
 					key := w.Selection.String()
 					ok, seen := flattens[key]
@@ -145,7 +155,7 @@ func TestECSTableSharedAcrossWorkers(t *testing.T) {
 				t.Fatalf("%s: set %d: the workers got different lists", sp.name, i)
 			}
 			for _, en := range lists[0][i] {
-				if en != &tables[0][en.id] {
+				if !inTable(tables[0], en) {
 					t.Fatalf("%s: set %d lists an entry outside the table", sp.name, i)
 				}
 				used[en] = true

@@ -23,46 +23,26 @@ import (
 //
 //   - one table of the problem's elementary cluster activations,
 //     enumerated once per run over every indexed cluster: per ECS its
-//     cluster bitset, its run-wide ID (its table index) and its
-//     prepared flattening, built when a list first holds it. A
-//     supportable set's ECS list is the entries whose clusters the set
-//     holds, in table order, interned by the set, so an ECS is
-//     enumerated and flattened once per run, not once per set;
+//     cluster bitset and its prepared flattening, built when a list
+//     first holds it. A supportable set's ECS list is the entries whose
+//     clusters the set holds, in table order, interned by the set, so
+//     an ECS is enumerated and flattened once per run, not once per set;
 //   - interned architecture configurations: per set of allocated
 //     architecture clusters (a bitset key) the list of configurations
 //     the run's spec.ArchSpace enumerates in EnumerateArchSelections
 //     order, each interned by its selected-cluster bitset with its
 //     selection map and its spec.ArchLinks, both built once, in index
 //     space, so a candidate's view of a configuration is one bitset (its
-//     present set, mask ∧ avail);
-//   - a binding memo per (ECS, configuration) pair, found in the
-//     configuration's table by the ECS's run-wide ID, holding the
-//     solver verdicts transposed: per resource of the configuration's
-//     mask a bitmap over the verdicts, 64 to a chunk that never moves,
-//     beside a feasible and a proven-infeasible bitmap, so a lookup is
-//     a few word operations per resource. A monotone-dominance rule
-//     applies: a binding feasible under a resource set stays feasible
-//     under any superset (extra resources only add present vertices
-//     and links, and the timing tests depend only on the binding
-//     itself), so a feasible verdict is replayed to a superset instead
-//     of rerun; an ECS proven infeasible on a resource superset (by an
-//     untruncated search) is skipped on any subset. TestReplayPremise
-//     holds the rule to the solver. Only solver verdicts are stored,
-//     each present set once; a replay stores nothing.
+//     present set, mask ∧ avail).
 //
-// The feasible-superset replay is gated on Options.MaxBindNodes == 0:
-// a truncated search is not monotone (a larger search space can
-// truncate before finding the solution the smaller one found), so with
-// a node bound only exact hits — the verdicts of the very same inputs —
-// are reused, and infeasible-by-truncation outcomes are never used as
-// dominance proofs.
-//
-// The memo holds no bindings. When a front admits an attempt,
-// materialise solves each behaviour's witness afresh on the
+// A binding decision, one (ECS, configuration) pair under a candidate's
+// view, is one solve: bindAll runs the solver on the view and keeps
+// nothing of the verdict past the candidate. When a front admits an
+// attempt, materialise solves each behaviour's witness afresh on the
 // allocation's view, so a behaviour's binding is the solver's first
 // binding on the present set it is bound under — a function of the
-// allocation and the options, not of which candidates, workers or
-// earlier runs filled the memo.
+// allocation and the options, not of which candidates or workers came
+// before.
 //
 // An attempted candidate stays in index space: cluster, activation and
 // resource sets are dense bitsets (internal/bitset) over the run's
@@ -74,15 +54,14 @@ import (
 // Implementation (materialise): the implemented clusters, the
 // allocation map, and behaviours with private Binding and ArchSelection
 // maps and their witness bindings. The many attempts no front admits
-// allocate nothing on a warm memo, since admit tests the objective
-// vector against the front before it builds an entry.
+// allocate nothing once the caches hold their lists, since admit tests
+// the objective vector against the front before it builds an entry.
 //
-// Each interning cache is one map behind one mutex, the ECS table and
-// each entry's flattening are built behind a sync.Once, each memo has its
-// own mutex, and a configuration's memo table is read lock-free, so one
-// evaluator is shared by the parallel explorer's workers; counters are
-// atomics, folded into Stats.Cache at progress emissions and on
-// completion.
+// Each interning cache is one map behind one mutex, and the ECS table,
+// each entry's flattening and each configuration are built behind a
+// sync.Once, so one evaluator is shared by the parallel explorer's
+// workers; counters are atomics, folded into Stats.Cache at progress
+// emissions and on completion.
 //
 // The exported Implement runs a fresh evaluator on one allocation, and
 // ImplementAll one evaluator over a list (implementAll). The tests'
@@ -123,15 +102,11 @@ type evaluator struct {
 
 	base CacheStats // counters carried over from Options.Resume
 
-	flattenHits    atomic.Int64
-	flattenMisses  atomic.Int64
-	archHits       atomic.Int64
-	archMisses     atomic.Int64
-	bindExactHits  atomic.Int64
-	bindReplayHits atomic.Int64
-	bindInfeasHits atomic.Int64
-	bindMisses     atomic.Int64
-	supportReused  atomic.Int64
+	flattenHits   atomic.Int64
+	flattenMisses atomic.Int64
+	archHits      atomic.Int64
+	archMisses    atomic.Int64
+	supportReused atomic.Int64
 }
 
 // newEvaluator builds the evaluation engine for one exploration run.
@@ -177,15 +152,11 @@ func newEvaluator(s *spec.Spec, opts Options) *evaluator {
 // snapshot reads the atomic counters into a CacheStats.
 func (ev *evaluator) snapshot() CacheStats {
 	return CacheStats{
-		FlattenHits:        int(ev.flattenHits.Load()),
-		FlattenMisses:      int(ev.flattenMisses.Load()),
-		ArchFlattenHits:    int(ev.archHits.Load()),
-		ArchFlattenMisses:  int(ev.archMisses.Load()),
-		BindExactHits:      int(ev.bindExactHits.Load()),
-		BindReplayHits:     int(ev.bindReplayHits.Load()),
-		BindInfeasibleHits: int(ev.bindInfeasHits.Load()),
-		BindMisses:         int(ev.bindMisses.Load()),
-		SupportableReused:  int(ev.supportReused.Load()),
+		FlattenHits:       int(ev.flattenHits.Load()),
+		FlattenMisses:     int(ev.flattenMisses.Load()),
+		ArchFlattenHits:   int(ev.archHits.Load()),
+		ArchFlattenMisses: int(ev.archMisses.Load()),
+		SupportableReused: int(ev.supportReused.Load()),
 	}
 }
 
@@ -309,10 +280,11 @@ func (ev *evaluator) implementAllocation(a spec.Allocation, w *scratch, stats *S
 
 // bindAll is the cached implementation construction: it tests the ECSs
 // of the supportable set sup on the configurations cfgs, viewed under
-// the resource closure avail, through the binding memo, and evaluates
-// the flexibility of the clusters feasible behaviours implement. A
-// feasible attempt's picks are w's, one per feasible ECS in list order,
-// each with the first configuration it binds under.
+// the resource closure avail, one solve per (ECS, configuration) pair
+// in w's scratch, and evaluates the flexibility of the clusters feasible
+// behaviours implement. A feasible attempt's picks are w's, one per
+// feasible ECS in list order, each with the first configuration it binds
+// under.
 func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scratch, stats *Stats) attempt {
 	feasible := w.feasible
 	feasible.Clear()
@@ -328,7 +300,7 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 	}
 
 	tested := 0
-	maxECS := ev.opts.maxECS()
+	maxECS, bopts := ev.opts.maxECS(), ev.bindOptions()
 	for _, en := range ev.ecsList(sup) {
 		tested++
 		// Novelty: skip an ECS whose clusters are all covered already
@@ -351,7 +323,10 @@ func (ev *evaluator) bindAll(avail, sup bitset.Set, cfgs []*archConfig, w *scrat
 			if !v.built {
 				v.build(c, avail)
 			}
-			if ev.bindFor(en, c, v, w, stats) {
+			stats.BindingRuns++
+			res, ok := en.prob.Solve(&v.av, bopts, &w.bind)
+			stats.BindingNodes += res.Nodes
+			if ok {
 				feasible.UnionWith(en.bits)
 				picks = append(picks, pick{en: en, cfg: c})
 				break
@@ -415,9 +390,8 @@ func appendCostTerms(terms []float64, s *spec.Spec, u alloc.Unit) []float64 {
 // with each configuration's ArchSelection cloned once and a fresh
 // Binding map. Each binding is the witness the solver finds first on
 // the pick's view of the allocation, under the run's timing and node
-// bound. A witness solve reads no memo and counts in no Stats or
-// CacheStats field. A ready implementation is handed out as an owned
-// copy.
+// bound. A witness solve counts in no Stats or CacheStats field. A
+// ready implementation is handed out as an owned copy.
 func (ev *evaluator) materialise(r *candRec, w *scratch) *Implementation {
 	at := &r.att
 	if at.im != nil {
@@ -450,9 +424,8 @@ func (ev *evaluator) materialise(r *candRec, w *scratch) *Implementation {
 		p.cfg.links.ViewInto(&w.witness, p.cfg.sel, avail)
 		res, ok := p.en.prob.Solve(&w.witness, bopts, &w.bind)
 		if !ok {
-			// The memo's verdict was feasible: an exact hit is this
-			// present set's own solve, and a replay holds by monotone
-			// dominance (TestReplayPremise).
+			// bindAll's solve on the same present set found a binding,
+			// and the solver is deterministic.
 			panic(fmt.Sprintf("core: ECS %v is feasible under configuration %s, but its witness solve found no binding", p.en.e, p.cfg.sel))
 		}
 		im.Behaviours[i] = Behaviour{ECS: p.en.e, ArchSelection: sel, Binding: p.en.prob.Binding(res.Binding)}
@@ -474,13 +447,11 @@ func (ev *evaluator) admit(front *pareto.Front, cost, flex float64, r *candRec, 
 
 // ecsEntry is one elementary cluster activation of the problem, with
 // everything the per-candidate loop needs precomputed: the
-// activated-cluster bitset, the run-wide ID — the entry's index in the
-// run's table, which keys the binding memo — and the prepared binding
-// problem of its flattening (nil when the selection does not flatten),
-// built once, when a supportable set's list first holds the entry.
+// activated-cluster bitset and the prepared binding problem of its
+// flattening (nil when the selection does not flatten), built once,
+// when a supportable set's list first holds the entry.
 type ecsEntry struct {
 	e    cover.ECS
-	id   uint32
 	bits bitset.Set
 	// listed marks an entry an interned list holds. It is set, and read,
 	// only under the lock of the evaluator's ECS-list cache.
@@ -506,7 +477,7 @@ func (ev *evaluator) ecsTable() []ecsEntry {
 					bits.Add(i)
 				}
 			}
-			ev.table = append(ev.table, ecsEntry{e: e, id: uint32(len(ev.table)), bits: bits})
+			ev.table = append(ev.table, ecsEntry{e: e, bits: bits})
 			return true
 		})
 	})
@@ -558,7 +529,7 @@ func (ev *evaluator) ecsList(sup bitset.Set) []*ecsEntry {
 // preparing its selection on the first call (nil when it does not
 // flatten). bindAll reads each entry's problem through it, so a worker
 // holding a list another worker interned waits for the entry it needs;
-// bindFor and materialise read only entries bindAll has passed.
+// its solves and materialise read only entries it has passed.
 func (ev *evaluator) problem(en *ecsEntry) *bind.Problem {
 	en.once.Do(func() {
 		if fg, err := ev.s.Problem.Flatten(en.e.Selection); err == nil {
@@ -571,17 +542,11 @@ func (ev *evaluator) problem(en *ecsEntry) *bind.Problem {
 // archConfig is one interned architecture configuration: its cluster
 // selection, shared by every behaviour bound under it until a front
 // admits the behaviour, and its links, on which a candidate's view costs
-// one bitset. It holds the binding memos of the ECSs bound under it.
+// one bitset.
 type archConfig struct {
 	once  sync.Once
 	sel   hgraph.Selection
 	links *spec.ArchLinks
-	// memos holds the binding memo of each ECS bound under the
-	// configuration, indexed by the ECS's run-wide ID. A lookup loads
-	// the table and its entry; the table grows, and an entry is set,
-	// only under mu (memo).
-	mu    sync.Mutex
-	memos atomic.Pointer[[]atomic.Pointer[bindMemo]]
 }
 
 // configList interns the architecture configurations of one set of
@@ -642,129 +607,6 @@ func (ev *evaluator) archConfig(cfg bitset.Set) *archConfig {
 	return c
 }
 
-// bindOutcome is one memoized solver verdict for a present-resource
-// set under a fixed (ECS, arch configuration) pair, as a memo lookup
-// hands it out.
-type bindOutcome struct {
-	ok bool
-	// proof reports the infeasibility was established by an untruncated
-	// search and may therefore be used as a subset-dominance proof.
-	proof bool
-}
-
-// bindMemo holds the solver verdicts of one (ECS, arch configuration)
-// pair, in the order they were solved, transposed into bitmaps over
-// verdict ids. Every present set of the pair is a subset of the
-// configuration's mask (spec.ArchLinks.Mask), so a verdict is its
-// membership bit per mask resource plus its outcome. The verdicts are
-// kept 64 to a chunk of nr+2 words, nr the mask's size: word j (j < nr)
-// has bit i set when verdict i's present set holds the mask's j-th
-// resource, word nr marks the feasible verdicts and word nr+1 the
-// infeasibilities proven by an untruncated search. A chunk is allocated
-// once and never moves, and a store sets bits in the last one. A
-// present set is stored at most once.
-type bindMemo struct {
-	mu     sync.Mutex
-	mask   bitset.Set // the configuration's, read-only
-	n      int        // verdicts stored
-	chunks [][]uint64
-}
-
-// memoHit is what a memo lookup found.
-type memoHit int8
-
-const (
-	memoMiss memoHit = iota
-	// memoExact: a verdict solved under the very same present set.
-	memoExact
-	// memoInfeasible: an infeasibility proven under a present superset.
-	memoInfeasible
-	// memoReplay: a feasible verdict under a present subset.
-	memoReplay
-)
-
-// lookup finds what the memo knows of the present set, in this order:
-// an exact hit, else an infeasibility proven on a superset, else — when
-// replay is allowed — a feasible verdict stored under a subset.
-func (m *bindMemo) lookup(present bitset.Set, replay bool) (bindOutcome, memoHit) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.find(present, replay)
-}
-
-// find is lookup for a caller holding m.mu. It reads each chunk once:
-// starting from the chunk's filled verdicts, sub keeps those holding no
-// mask resource outside the present set (the stored subsets) and super
-// those holding every one inside it (the stored supersets). Their
-// intersection is the exact hit, super's proven verdicts the dominating
-// infeasibilities, and sub's feasible verdicts the replayable ones.
-func (m *bindMemo) find(present bitset.Set, replay bool) (bindOutcome, memoHit) {
-	pw := present.Words()
-	infeasible, feasible := false, false
-	for k, c := range m.chunks {
-		filled := ^uint64(0)
-		if left := m.n - 64*k; left < 64 {
-			filled = 1<<left - 1
-		}
-		sub, super := filled, filled
-		j := 0
-		for i, mw := range m.mask.Words() {
-			for ; mw != 0; mw &= mw - 1 {
-				if pw[i]&(mw&-mw) != 0 {
-					super &= c[j]
-				} else {
-					sub &^= c[j]
-				}
-				j++
-			}
-		}
-		if e := sub & super; e != 0 {
-			return bindOutcome{ok: c[j]&e != 0, proof: c[j+1]&e != 0}, memoExact
-		}
-		infeasible = infeasible || super&c[j+1] != 0
-		feasible = feasible || sub&c[j] != 0
-	}
-	switch {
-	case infeasible:
-		return bindOutcome{}, memoInfeasible
-	case replay && feasible:
-		return bindOutcome{ok: true}, memoReplay
-	}
-	return bindOutcome{}, memoMiss
-}
-
-// store appends a solver verdict under its present set, which must be a
-// subset of the memo's mask — unless another worker stored the same
-// present set since this one's lookup, whose verdict, of the same
-// deterministic solve, it keeps.
-func (m *bindMemo) store(present bitset.Set, ok, proof bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, hit := m.find(present, false); hit == memoExact {
-		return
-	}
-	if m.n%64 == 0 {
-		m.chunks = append(m.chunks, make([]uint64, m.mask.Count()+2))
-	}
-	c, bit := m.chunks[len(m.chunks)-1], uint64(1)<<(m.n%64)
-	pw, j := present.Words(), 0
-	for i, mw := range m.mask.Words() {
-		for ; mw != 0; mw &= mw - 1 {
-			if pw[i]&(mw&-mw) != 0 {
-				c[j] |= bit
-			}
-			j++
-		}
-	}
-	if ok {
-		c[j] |= bit
-	}
-	if proof {
-		c[j+1] |= bit
-	}
-	m.n++
-}
-
 // viewSlot is one configuration's view of the candidate being
 // implemented, in per-goroutine scratch: the view, its present set
 // reused across candidates.
@@ -778,69 +620,6 @@ type viewSlot struct {
 func (v *viewSlot) build(c *archConfig, avail bitset.Set) {
 	c.links.ViewInto(&v.av, c.sel, avail)
 	v.built = true
-}
-
-// bindFor decides binding feasibility of the ECS en under configuration
-// c on the view v through the memo (bindMemo.lookup): an exact hit
-// replays the stored verdict; a feasible verdict under a subset is
-// replayed to the present superset (unbounded solver only), storing
-// nothing, since the same present set finds it again; an infeasibility
-// proven on a superset dominates the present subset. Only on a miss
-// does the solver run, in w's scratch, and its verdict is stored.
-func (ev *evaluator) bindFor(en *ecsEntry, c *archConfig, v *viewSlot, w *scratch, stats *Stats) bool {
-	m := c.memo(en.id)
-	present := v.av.PresentSet()
-	o, hit := m.lookup(present, ev.opts.MaxBindNodes == 0)
-	switch hit {
-	case memoExact:
-		ev.bindExactHits.Add(1)
-		return o.ok
-	case memoInfeasible:
-		ev.bindInfeasHits.Add(1)
-		return false
-	case memoReplay:
-		ev.bindReplayHits.Add(1)
-		return true
-	}
-	ev.bindMisses.Add(1)
-	stats.BindingRuns++
-	res, ok := en.prob.Solve(&v.av, ev.bindOptions(), &w.bind)
-	stats.BindingNodes += res.Nodes
-	m.store(present, ok, !ok && !res.Truncated)
-	return ok
-}
-
-// memo returns the binding memo of the ECS with run-wide ID id under
-// the configuration, creating it on first use.
-func (c *archConfig) memo(id uint32) *bindMemo {
-	if t := c.memos.Load(); t != nil && int(id) < len(*t) {
-		if m := (*t)[id].Load(); m != nil {
-			return m
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t []atomic.Pointer[bindMemo]
-	if p := c.memos.Load(); p != nil {
-		t = *p
-	}
-	if int(id) >= len(t) {
-		// Grow by doubling: a lookup still holding the old table finds
-		// every memo it had, and misses only the ones set from now on,
-		// which it then finds here.
-		grown := make([]atomic.Pointer[bindMemo], max(int(id)+1, 2*len(t)))
-		for i := range t {
-			grown[i].Store(t[i].Load())
-		}
-		t = grown
-		c.memos.Store(&t)
-	}
-	m := t[id].Load()
-	if m == nil {
-		m = &bindMemo{mask: c.links.Mask()}
-		t[id].Store(m)
-	}
-	return m
 }
 
 // cache is an interning map over byte-string keys behind one mutex,

@@ -3,259 +3,23 @@ package core
 import (
 	"context"
 	"math"
-	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/alloc"
-	"repro/internal/bitset"
 	"repro/internal/hgraph"
 	"repro/internal/models"
 	"repro/internal/pareto"
 	"repro/internal/spec"
 )
 
-// TestMemoReplayAllocatesNothing: replaying a memoized feasible
-// verdict under a present superset — the memo lookups alone — allocates
-// nothing, and stores nothing: the memo keeps no verdict for the
-// superset, so every repeat is a replay again.
-func TestMemoReplayAllocatesNothing(t *testing.T) {
-	s := models.SetTopBox()
-	ev := newEvaluator(s, Options{})
-	w := ev.evalScratch()
-	var st Stats
-	var full []int
-	for k := range ev.units {
-		full = append(full, k)
-	}
-	ev.sup.SupportableUnits(full, w.sup)
-	fullAvail := w.sup.Avail().Clone()
+// effortPin is one run's solver effort: BindingRuns and BindingNodes.
+type effortPin struct{ runs, nodes int }
 
-	// The first verdict found feasible under a present set the full
-	// allocation's view strictly extends.
-	var (
-		en       *ecsEntry
-		cfg      *archConfig
-		superset viewSlot
-	)
-	alloc.NewSupporter(s).EnumerateSymbolicUnits(nil, alloc.Options{}, 0, func(units []int, _ float64) bool {
-		sup := ev.sup.SupportableUnits(units, w.sup)
-		avail := w.sup.Avail()
-		list := ev.ecsList(sup)
-		for _, c := range ev.configs(alloc.AllocationOf(ev.units, units)) {
-			for _, e := range list {
-				if e.prob == nil {
-					continue
-				}
-				var v viewSlot
-				v.build(c, avail)
-				if !ev.bindFor(e, c, &v, &w, &st) {
-					continue
-				}
-				superset.build(c, fullAvail)
-				if !superset.av.PresentSet().Equal(v.av.PresentSet()) {
-					en, cfg = e, c
-					return false
-				}
-			}
-		}
-		return true
-	})
-	if en == nil {
-		t.Fatal("no replayable verdict found")
-	}
-	m := cfg.memo(en.id)
-	if _, hit := m.lookup(superset.av.PresentSet(), false); hit == memoExact {
-		t.Fatal("the superset's present set was solved before its replay")
-	}
-	replays, stored := ev.bindReplayHits.Load(), m.n
-	n := testing.AllocsPerRun(100, func() {
-		if !ev.bindFor(en, cfg, &superset, &w, &st) {
-			t.Fatal("the superset replay failed")
-		}
-	})
-	if got := ev.bindReplayHits.Load() - replays; got != 101 {
-		t.Fatalf("%d replays, want 101 (every call a replay)", got)
-	}
-	if got := m.n; got != stored {
-		t.Errorf("the replays stored %d verdicts, want none", got-stored)
-	}
-	if n != 0 {
-		t.Errorf("a memo replay allocates %v times, want 0", n)
-	}
-}
-
-// memoOver returns an empty memo whose mask is the resources 0..n-1.
-func memoOver(n int) *bindMemo {
-	mask := bitset.New(n)
-	for i := range n {
-		mask.Add(i)
-	}
-	return &bindMemo{mask: mask}
-}
-
-// memoSet returns the present set of the given resources among 8.
-func memoSet(members ...int) bitset.Set {
-	s := bitset.New(8)
-	for _, i := range members {
-		s.Add(i)
-	}
-	return s
-}
-
-// TestMemoLookupOrder: a memo lookup prefers an exact hit to a proven
-// infeasible superset, and that to a feasible subset, which is
-// replayed; a truncated infeasibility proves nothing, a replay needs
-// the caller's leave, and storing a present set already stored keeps
-// the first verdict.
-func TestMemoLookupOrder(t *testing.T) {
-	set := memoSet
-	m := memoOver(8)
-	m.store(set(1), true, false)
-	m.store(set(2), true, false)
-	m.store(set(1, 2, 3, 4), false, false)
-	m.store(set(1, 2, 5), false, true)
-
-	for _, tc := range []struct {
-		name    string
-		present bitset.Set
-		replay  bool
-		want    bindOutcome
-		hit     memoHit
-	}{
-		{"exact feasible", set(2), true, bindOutcome{ok: true}, memoExact},
-		{"exact truncated", set(1, 2, 3, 4), true, bindOutcome{}, memoExact},
-		{"exact proven, though a subset replays", set(1, 2, 5), true, bindOutcome{proof: true}, memoExact},
-		{"proven superset before a subset replay", set(1, 2), true, bindOutcome{}, memoInfeasible},
-		{"proven superset without replay", set(1, 5), false, bindOutcome{}, memoInfeasible},
-		{"a feasible subset", set(1, 2, 3), true, bindOutcome{ok: true}, memoReplay},
-		{"a later subset", set(2, 3), true, bindOutcome{ok: true}, memoReplay},
-		{"no replay under a node bound", set(1, 2, 3), false, bindOutcome{}, memoMiss},
-		{"truncated superset proves nothing", set(3, 4), true, bindOutcome{}, memoMiss},
-	} {
-		o, hit := m.lookup(tc.present, tc.replay)
-		if o != tc.want || hit != tc.hit {
-			t.Errorf("%s: lookup %v = (%+v, %d), want (%+v, %d)", tc.name, tc.present, o, hit, tc.want, tc.hit)
-		}
-	}
-	m.store(set(1, 2, 5), true, false)
-	if got, hit := m.lookup(set(1, 2, 5), true); got != (bindOutcome{proof: true}) || hit != memoExact || m.n != 4 {
-		t.Errorf("a second store of a stored set left (%+v, %d) with %d verdicts, want the first (%+v) and 4", got, hit, m.n, bindOutcome{proof: true})
-	}
-}
-
-// TestMemoDistinctSets: distinct present sets stay distinct. An exact
-// lookup or a store finds only the very set asked for, a proven
-// infeasibility on a superset stored after a feasible subset still wins
-// over the replay, and a truncated infeasibility proves nothing.
-func TestMemoDistinctSets(t *testing.T) {
-	set := memoSet
-	m := memoOver(8)
-	m.store(set(1), true, false)
-	m.store(set(1, 2, 3), false, true)
-	m.store(set(1, 2, 3, 4, 5), false, false)
-	if m.n != 3 {
-		t.Fatalf("%d verdicts stored, want all 3", m.n)
-	}
-	for _, tc := range []struct {
-		present bitset.Set
-		want    bindOutcome
-	}{{set(1), bindOutcome{ok: true}}, {set(1, 2, 3), bindOutcome{proof: true}}, {set(1, 2, 3, 4, 5), bindOutcome{}}} {
-		got, hit := m.lookup(tc.present, true)
-		if hit != memoExact || got != tc.want {
-			t.Errorf("exact lookup %v = (%+v, %d), want its own verdict %+v", tc.present, got, hit, tc.want)
-		}
-	}
-	m.store(set(1, 2, 3), true, false)
-	if got, hit := m.lookup(set(1, 2, 3), true); got != (bindOutcome{proof: true}) || hit != memoExact || m.n != 3 {
-		t.Errorf("storing a stored set again left (%+v, %d) with %d verdicts, want the first and 3", got, hit, m.n)
-	}
-	if got, hit := m.lookup(set(1, 2), true); hit != memoInfeasible || got != (bindOutcome{}) {
-		t.Errorf("a subset of the proven set and superset of the feasible one: (%+v, %d), want the infeasibility", got, hit)
-	}
-	if got, hit := m.lookup(set(4, 5), true); hit != memoMiss {
-		t.Errorf("a subset of only the truncated set: (%+v, %d), want a miss", got, hit)
-	}
-	if got, hit := m.lookup(set(1, 4), true); hit != memoReplay || got != (bindOutcome{ok: true}) {
-		t.Errorf("a superset of the feasible set under the truncated one: (%+v, %d), want the feasible replay", got, hit)
-	}
-	if got, hit := m.lookup(set(6), true); hit != memoMiss {
-		t.Errorf("a set unrelated to every stored one: (%+v, %d), want a miss", got, hit)
-	}
-}
-
-// TestMemoStorageStaysPut: the memo's storage never moves what it
-// holds. A verdict stored early still reads the same, and is the one
-// an exact lookup finds, after hundreds of later stores over five
-// chunks, whose first chunk is the very one the first store filled.
-func TestMemoStorageStaysPut(t *testing.T) {
-	const n = 300
-	m := memoOver(n)
-	m.store(bitset.New(n), true, false)
-	first := &m.chunks[0][0]
-	for i := range n {
-		present := bitset.New(n)
-		present.Add(i)
-		m.store(present, i%3 != 0, i%3 == 0)
-	}
-	if len(m.chunks) != 5 || &m.chunks[0][0] != first {
-		t.Fatalf("%d chunks, the first moved %v: want 5, unmoved", len(m.chunks), &m.chunks[0][0] != first)
-	}
-	for i := range n {
-		present := bitset.New(n)
-		present.Add(i)
-		want := bindOutcome{ok: i%3 != 0, proof: i%3 == 0}
-		if got, hit := m.lookup(present, true); hit != memoExact || got != want {
-			t.Fatalf("verdict %d: exact lookup (%+v, %d), want %+v", i, got, hit, want)
-		}
-	}
-}
-
-// TestMemoAllocBytes: a memo's verdicts take one chunk of len(mask)+2
-// words per 64 verdicts. Storing 120 verdicts over a 10-resource mask
-// allocates two chunks of 12 words and a few slice headers, and nothing
-// per verdict.
-func TestMemoAllocBytes(t *testing.T) {
-	const n = 120
-	presents := make([]bitset.Set, n)
-	for i := range presents {
-		// Distinct sets over all ten resources.
-		presents[i] = bitset.Of([]uint64{uint64(i)<<3 | uint64(i)&7})
-	}
-	got := uint64(math.MaxUint64)
-	var m *bindMemo
-	for range 3 {
-		m = memoOver(10)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i, p := range presents {
-			m.store(p, i%3 == 0, i%3 == 1)
-		}
-		runtime.ReadMemStats(&after)
-		got = min(got, after.TotalAlloc-before.TotalAlloc)
-	}
-	if m.n != n || len(m.chunks) != 2 {
-		t.Fatalf("%d verdicts in %d chunks, want %d in 2", m.n, len(m.chunks), n)
-	}
-	const chunks, headers = 2 * 12 * 8, 256
-	t.Logf("storing %d verdicts allocated %d bytes", n, got)
-	if limit := uint64(chunks + headers); got > limit {
-		t.Errorf("storing %d verdicts allocated %d bytes, want at most %d (chunks %d, headers %d)", n, got, limit, chunks, headers)
-	}
-}
-
-// memoPin is one run's binding-memo outcomes and solver effort: exact,
-// replay and infeasible hits, misses, BindingRuns and BindingNodes.
-type memoPin struct{ exact, replay, infeasible, misses, runs, nodes int }
-
-// TestMemoCountersPinned pins the memo's outcome counts and the solver
-// effort of inline Explore and Exhaustive runs. Stats.Semantic zeroes
-// them, so no differential test sees a changed lookup order — an exact
-// hit taken for a replay, a replay for a solve; this test does. No
-// inline run here meets a proven infeasibility on a superset (a pooled
-// run, out of cost order, does, but its counts vary from run to run);
-// TestMemoLookupOrder covers that branch.
-func TestMemoCountersPinned(t *testing.T) {
+// TestSolverEffortPinned pins the solver effort of inline Explore and
+// Exhaustive runs. Stats.Semantic zeroes it, so no differential test
+// sees a binding decision solved twice, or one skipped; this test does.
+func TestSolverEffortPinned(t *testing.T) {
 	exhaustive, _ := exhaustiveSpec()
 	subjects := []struct {
 		name string
@@ -269,19 +33,19 @@ func TestMemoCountersPinned(t *testing.T) {
 		{"synthetic3", models.Synthetic(models.DefaultSynthetic(3)), Options{}},
 		{"exhaustive", exhaustive, Options{}},
 	}
-	want := map[string]memoPin{
-		"settop/explore":           {45, 37, 0, 94, 94, 252},
-		"settop/exhaustive":        {40571, 60020, 0, 20487, 20487, 93898},
-		"settop-nodes8/explore":    {51, 0, 0, 125, 125, 374},
-		"settop-nodes8/exhaustive": {78908, 0, 0, 50148, 50148, 230040},
-		"sdr/explore":              {12, 35, 0, 63, 63, 123},
-		"sdr/exhaustive":           {677, 2464, 0, 1295, 1295, 2580},
-		"synthetic2/explore":       {0, 56, 0, 42, 42, 258},
-		"synthetic2/exhaustive":    {17388, 77696, 0, 9188, 9188, 41825},
-		"synthetic3/explore":       {23, 133, 0, 122, 122, 525},
-		"synthetic3/exhaustive":    {19071, 58564, 0, 8845, 8845, 43158},
-		"exhaustive/explore":       {118, 217, 0, 133, 133, 704},
-		"exhaustive/exhaustive":    {3516, 15240, 0, 1596, 1596, 9384},
+	want := map[string]effortPin{
+		"settop/explore":           {176, 525},
+		"settop/exhaustive":        {121078, 656702},
+		"settop-nodes8/explore":    {176, 525},
+		"settop-nodes8/exhaustive": {129056, 606336},
+		"sdr/explore":              {110, 237},
+		"sdr/exhaustive":           {4436, 10904},
+		"synthetic2/explore":       {98, 632},
+		"synthetic2/exhaustive":    {104272, 659312},
+		"synthetic3/explore":       {278, 1351},
+		"synthetic3/exhaustive":    {86480, 478304},
+		"exhaustive/explore":       {468, 2447},
+		"exhaustive/exhaustive":    {20352, 121168},
 	}
 	for _, sub := range subjects {
 		for _, ex := range []struct {
@@ -289,10 +53,9 @@ func TestMemoCountersPinned(t *testing.T) {
 			opts Options
 		}{{"explore", sub.opts}, {"exhaustive", sub.opts.Exhaustive()}} {
 			r := Explore(sub.s, ex.opts)
-			c := r.Stats.Cache
-			got := memoPin{c.BindExactHits, c.BindReplayHits, c.BindInfeasibleHits, c.BindMisses, r.Stats.BindingRuns, r.Stats.BindingNodes}
+			got := effortPin{r.Stats.BindingRuns, r.Stats.BindingNodes}
 			if key := sub.name + "/" + ex.name; got != want[key] {
-				t.Errorf("%s: memo %+v, want %+v", key, got, want[key])
+				t.Errorf("%s: solver effort %+v, want %+v", key, got, want[key])
 			}
 		}
 	}
@@ -300,9 +63,10 @@ func TestMemoCountersPinned(t *testing.T) {
 
 // TestUnadmittedAttemptBuildsNoMap: an attempted candidate the front
 // does not admit builds no map — no spec.Allocation, no Binding, no
-// Clusters — and on a warm memo allocates nothing at all: its picks
-// reuse the scratch's buffer, and the front rejects its objective
-// vector before any entry is built or any witness solved.
+// Clusters — and once the caches hold its lists allocates nothing at
+// all: its picks and solves reuse the scratch's buffers, and the front
+// rejects its objective vector before any entry is built or any witness
+// solved.
 func TestUnadmittedAttemptBuildsNoMap(t *testing.T) {
 	const want = 0
 	for _, sub := range []struct {
@@ -347,10 +111,10 @@ func TestUnadmittedAttemptBuildsNoMap(t *testing.T) {
 	}
 }
 
-// TestAttemptAllocatesNothing: on a warm memo every attempt allocates
-// nothing — its picks reuse the scratch's buffer, and its witnesses wait
-// for admission (materialise) — and reports the cost, flexibility and
-// picks of its first, cold run.
+// TestAttemptAllocatesNothing: once the caches hold its lists every
+// attempt allocates nothing — its picks and solves reuse the scratch's
+// buffers, and its witnesses wait for admission (materialise) — and
+// reports the cost, flexibility and picks of its first, cold run.
 func TestAttemptAllocatesNothing(t *testing.T) {
 	for _, sub := range []struct {
 		name string

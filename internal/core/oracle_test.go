@@ -219,15 +219,15 @@ var oracleSpecs = []struct {
 	{"synthetic7", func() *spec.Spec { return models.Synthetic(models.DefaultSynthetic(7)) }},
 }
 
-// TestReplayPremise: the binding memo replays a feasible verdict to a
-// present superset, with no binding and no check, because Def. 3's
-// rules are monotone in the present resources — a leaf keeps its
-// mapping edge, communication only gains links, and the timing test
-// reads only the binding. Over every possible allocation of the oracle
-// specifications, under every timing policy, each (ECS, configuration)
-// pair the allocations meet is solved on each present set P it is met
-// under, and the binding found must pass Problem.Verify under every
-// present set Q ⊇ P the pair is met under.
+// TestReplayPremise: Def. 3's rules are monotone in the present
+// resources — a leaf keeps its mapping edge, communication only gains
+// links, and the timing test reads only the binding — so a binding
+// found on a present set holds on every superset. The fuzzing and the
+// sharper estimate the roadmap plans rely on it. Over every possible
+// allocation of the oracle specifications, under every timing policy,
+// each (ECS, configuration) pair the allocations meet is solved on each
+// present set P it is met under, and the binding found must pass
+// Problem.Verify under every present set Q ⊇ P the pair is met under.
 func TestReplayPremise(t *testing.T) {
 	type pair struct {
 		en  *ecsEntry
@@ -330,8 +330,9 @@ func TestKeptPicksAreImplemented(t *testing.T) {
 // flexibility to the bit, clusters, and behaviours down to their
 // architecture selections and bindings — with the same ECSTested,
 // BindingRuns and BindingNodes. ImplementAll over the same list, whose
-// memo replays verdicts found for earlier allocations, builds the same
-// implementations, bindings included.
+// one evaluator has cached the flattenings and configurations of
+// earlier allocations, builds the same implementations, bindings
+// included.
 func TestImplementMatchesOracle(t *testing.T) {
 	type subject struct {
 		name string

@@ -239,8 +239,8 @@ type pipeline struct {
 	// out at once, the open one included, and no worker blocks handing
 	// one back. A returned job waits in its slot, marked done, until
 	// every earlier job has committed. The ring is per run: a payload's
-	// picks point into this run's memo. rec is the commit record every
-	// result is folded through.
+	// picks point into this run's ECS table and configurations. rec is
+	// the commit record every result is folded through.
 	ring    []*pipeBatch
 	stopped bool
 	rec     candRec

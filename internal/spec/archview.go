@@ -375,11 +375,6 @@ func (l *ArchLinks) ViewInto(av *ArchView, sel hgraph.Selection, avail bitset.Se
 	av.present.IntersectWith(avail)
 }
 
-// Mask returns the resources the flattening contains, a set over
-// Resources: every view's present set is a subset of it. The set is the
-// links' own; treat it as read-only.
-func (l *ArchLinks) Mask() bitset.Set { return l.mask }
-
 // ArchView is the instantaneous architecture implied by an allocation
 // and one architecture configuration (cluster selection): the set of
 // present resources and their interconnection, used to decide

@@ -180,13 +180,13 @@ func Check(s *spec.Spec, fp *hgraph.FlatGraph, av *spec.ArchView, b Binding, opt
 	bi := make([]int32, len(p.leaves))
 	// Rule 2: each activated leaf has exactly one activated mapping edge.
 	for i, l := range p.leaves {
-		r, ok := b[l.id]
+		r, ok := b[l.ID]
 		if !ok {
 			bi[i] = -1
 		} else if ri, ok := p.res.Index(r); ok {
 			bi[i] = int32(ri)
 		} else {
-			return fmt.Errorf("bind: no mapping edge %q=>%q", l.id, r)
+			return fmt.Errorf("bind: no mapping edge %q=>%q", l.ID, r)
 		}
 		if err := p.leafErr(av, i, bi[i]); err != nil {
 			return err
@@ -197,7 +197,7 @@ func Check(s *spec.Spec, fp *hgraph.FlatGraph, av *spec.ArchView, b Binding, opt
 		// so the message does not depend on map order.
 		var extra []hgraph.ID
 		for id := range b {
-			if _, ok := p.pos[id]; !ok {
+			if !slices.ContainsFunc(p.leaves, func(l *spec.ProblemLeaf) bool { return l.ID == id }) {
 				extra = append(extra, id)
 			}
 		}

@@ -1,9 +1,7 @@
 package bind
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/hgraph"
@@ -12,114 +10,98 @@ import (
 )
 
 // Problem is a flattened problem graph prepared for binding in index
-// space: per leaf (in the flattening's vertex order) its period and its
-// mapping candidates as indices into the spec's Resources, plus the
-// dependence adjacency over leaf indices. Solve, MinLatency and Verify
-// run on it without touching a string-keyed map; a binding is a []int32
-// holding one resource index per leaf.
+// space: its leaves (in the flattening's vertex order), each with its
+// period and its mapping candidates as indices into the spec's
+// Resources, plus the dependence adjacency over leaf indices. Solve,
+// MinLatency and Verify run on it without touching a string-keyed map;
+// a binding is a []int32 holding one resource index per leaf.
 //
-// A Problem is immutable after Prepare and safe for concurrent use;
+// A Problem is immutable after NewProblem and safe for concurrent use;
 // the mutable side of a call lives in a Scratch each goroutine owns.
+// Its leaves are shared: the problems of one spec.ProblemSpace all read
+// the space's entries.
 type Problem struct {
 	res    *bitset.Indexer[hgraph.ID]
-	leaves []leaf
-	// adj lists, per leaf, the leaves it shares a dependence with (in
-	// edge order, both directions).
-	adj [][]int32
+	leaves []*spec.ProblemLeaf
+	// nbrs lists, per leaf, the leaves it shares a dependence with (in
+	// edge order, both directions): leaf i's are nbrs[off[i]:off[i+1]].
+	nbrs, off []int32
 	// edges are the dependences as leaf-index pairs, in the
 	// flattening's edge order.
 	edges [][2]int32
-	// pos maps a leaf ID to its index, for the map-based adapters.
-	pos map[hgraph.ID]int32
 }
 
-type leaf struct {
-	id hgraph.ID
-	// rank orders the leaves by ID: the MRV tie-break.
-	rank   int32
-	period float64
-	// cands are the leaf's mapping edges in MappingsFor (resource ID)
-	// order.
-	cands []cand
-}
-
-type cand struct {
-	r   int32
-	lat float64
+// NewProblem builds the binding problem of a flattening given in index
+// space: its leaves, over the resource index res, and its dependences
+// as pairs of indices into leaves (spec.ProblemSpace.Flatten's result).
+// The problem keeps both slices.
+func NewProblem(res *bitset.Indexer[hgraph.ID], leaves []*spec.ProblemLeaf, edges [][2]int32) *Problem {
+	n, m := len(leaves), len(edges)
+	// One slab holds the neighbour lists, then the offsets.
+	slab := make([]int32, 2*m+n+1)
+	p := &Problem{res: res, leaves: leaves, nbrs: slab[:2*m], off: slab[2*m:], edges: edges}
+	for _, e := range edges {
+		p.off[e[0]+1]++
+		p.off[e[1]+1]++
+	}
+	for i := range n {
+		p.off[i+1] += p.off[i]
+	}
+	// Fill each leaf's list in edge order, counting its entries in
+	// off[i] (the list's start, for now), then restore the starts.
+	for _, e := range edges {
+		p.nbrs[p.off[e[0]]] = e[1]
+		p.off[e[0]]++
+		p.nbrs[p.off[e[1]]] = e[0]
+		p.off[e[1]]++
+	}
+	for i := n; i > 0; i-- {
+		p.off[i] = p.off[i-1]
+	}
+	p.off[0] = 0
+	return p
 }
 
 // Prepare builds the index-space form of the flattened problem graph fp
-// of s. Mapping edges onto resources outside s.Resources() are dropped,
-// as they can never be present in a view.
+// of s: NewProblem over a binding table of fp's vertices. Mapping edges
+// onto resources outside s.Resources() are dropped, as they can never
+// be present in a view.
 func Prepare(s *spec.Spec, fp *hgraph.FlatGraph) *Problem {
-	n := len(fp.Vertices)
-	p := &Problem{
-		res:    s.Resources(),
-		leaves: make([]leaf, n),
-		adj:    make([][]int32, n),
-		edges:  make([][2]int32, len(fp.Edges)),
-		pos:    make(map[hgraph.ID]int32, n),
-	}
-	total := 0
-	for _, v := range fp.Vertices {
-		total += len(s.MappingsFor(v.ID))
-	}
-	cands := make([]cand, 0, total)
-	byID := make([]int32, n)
+	ids := make([]hgraph.ID, len(fp.Vertices))
+	pos := make(map[hgraph.ID]int32, len(ids))
 	for i, v := range fp.Vertices {
-		p.pos[v.ID] = int32(i)
-		byID[i] = int32(i)
-		l := &p.leaves[i]
-		l.id, l.period = v.ID, s.Period(v.ID)
-		lo := len(cands)
-		for _, m := range s.MappingsFor(v.ID) {
-			if r, ok := p.res.Index(m.Resource); ok {
-				cands = append(cands, cand{r: int32(r), lat: m.Latency})
-			}
-		}
-		l.cands = cands[lo:len(cands):len(cands)]
+		ids[i] = v.ID
+		pos[v.ID] = int32(i)
 	}
-	slices.SortFunc(byID, func(a, b int32) int {
-		return cmp.Compare(fp.Vertices[a].ID, fp.Vertices[b].ID)
-	})
-	for rank, i := range byID {
-		p.leaves[i].rank = int32(rank)
+	tab := s.ProblemLeaves(ids)
+	leaves := make([]*spec.ProblemLeaf, len(tab))
+	for i := range tab {
+		leaves[i] = &tab[i]
 	}
 	// An edge endpoint outside the flattening cannot occur; like the
 	// historical solver, it would read as leaf 0.
-	deg := make([]int, n)
+	edges := make([][2]int32, len(fp.Edges))
 	for k, e := range fp.Edges {
-		i, j := p.pos[e.From], p.pos[e.To]
-		p.edges[k] = [2]int32{i, j}
-		deg[i]++
-		deg[j]++
+		edges[k] = [2]int32{pos[e.From], pos[e.To]}
 	}
-	nbrs := make([]int32, 2*len(fp.Edges))
-	for i, d := range deg {
-		p.adj[i] = nbrs[:0:d]
-		nbrs = nbrs[d:]
-	}
-	for _, e := range p.edges {
-		p.adj[e[0]] = append(p.adj[e[0]], e[1])
-		p.adj[e[1]] = append(p.adj[e[1]], e[0])
-	}
-	return p
+	return NewProblem(s.Resources(), leaves, edges)
 }
 
 // Binding returns the map form of an index binding b of p.
 func (p *Problem) Binding(b []int32) Binding {
 	m := make(Binding, len(b))
 	for i, r := range b {
-		m[p.leaves[i].id] = p.res.At(int(r))
+		m[p.leaves[i].ID] = p.res.At(int(r))
 	}
 	return m
 }
 
-// Scratch is the reusable state of Solve, MinLatency and Verify:
-// per-leaf search arrays and per-resource task lists, sized on demand.
-// A call overwrites it, so each goroutine owns its own; the zero value
-// is ready to use.
+// Scratch is the reusable state of Solve, MinLatency and Verify: the
+// call's search state, per-leaf search arrays and per-resource task
+// lists, sized on demand. A call overwrites it, so each goroutine owns
+// its own; the zero value is ready to use.
 type Scratch struct {
+	q        search
 	cnt      []int32
 	order    []int32
 	assigned []int32
@@ -159,7 +141,7 @@ type Search struct {
 	Truncated bool
 }
 
-// search is one Solve or MinLatency call.
+// search is one Solve or MinLatency call, kept in its Scratch.
 type search struct {
 	p    *Problem
 	av   *spec.ArchView
@@ -170,19 +152,24 @@ type search struct {
 	bestCost float64
 }
 
-// start sizes the scratch, counts each leaf's present candidates and
-// fixes the search order. It reports false, before any node, when some
-// leaf has no present candidate.
+// begin resets sc's search state for a call of p on av.
+func (sc *Scratch) begin(p *Problem, av *spec.ArchView, opts Options, bestCost float64) *search {
+	q := &sc.q
+	q.p, q.av, q.opts, q.sc = p, av, opts, sc
+	q.res, q.bestCost = Search{}, bestCost
+	return q
+}
+
+// start sizes the scratch, counts each leaf's present candidates (its
+// candidate set's intersection with the present set) and fixes the
+// search order. It reports false, before any node, when some leaf has
+// no present candidate.
 func (q *search) start() bool {
 	p, sc := q.p, q.sc
 	sc.grow(len(p.leaves), p.res.Len())
-	for i := range p.leaves {
-		n := int32(0)
-		for _, c := range p.leaves[i].cands {
-			if q.av.PresentIndex(int(c.r)) {
-				n++
-			}
-		}
+	present := q.av.PresentSet()
+	for i, l := range p.leaves {
+		n := int32(l.Res.IntersectionCount(present))
 		if n == 0 {
 			return false
 		}
@@ -202,7 +189,7 @@ func (p *Problem) mrvOrder(cnt, order []int32) {
 	for i := 1; i < len(order); i++ {
 		for j := i; j > 0; j-- {
 			a, b := order[j-1], order[j]
-			if cnt[a] < cnt[b] || (cnt[a] == cnt[b] && p.leaves[a].rank < p.leaves[b].rank) {
+			if cnt[a] < cnt[b] || (cnt[a] == cnt[b] && p.leaves[a].Rank < p.leaves[b].Rank) {
 				break
 			}
 			order[j-1], order[j] = b, a
@@ -215,7 +202,7 @@ func (p *Problem) mrvOrder(cnt, order []int32) {
 // the timing policy; a consistent timed assignment has pushed its task
 // onto the resource's list (undo pops it). It returns stop when the
 // node bound is exhausted.
-func (q *search) try(i int32, c cand) (ok, stop bool) {
+func (q *search) try(i int32, c spec.Candidate) (ok, stop bool) {
 	if q.opts.MaxNodes > 0 && q.res.Nodes >= q.opts.MaxNodes {
 		q.res.Truncated = true
 		return false, true
@@ -223,32 +210,32 @@ func (q *search) try(i int32, c cand) (ok, stop bool) {
 	q.res.Nodes++
 	sc := q.sc
 	// Communication feasibility against already-bound neighbours.
-	for _, nb := range q.p.adj[i] {
-		if r := sc.assigned[nb]; r >= 0 && !q.av.CanCommunicateIndex(int(c.r), int(r)) {
+	for _, nb := range q.p.nbrs[q.p.off[i]:q.p.off[i+1]] {
+		if r := sc.assigned[nb]; r >= 0 && !q.av.CanCommunicateIndex(int(c.Res), int(r)) {
 			return false, false
 		}
 	}
 	// Timing feasibility of the partial load on the resource. All
 	// policies are monotone in the task set, so pruning is sound.
-	if l := &q.p.leaves[i]; l.period > 0 {
-		ts := append(sc.tasks[c.r], sched.Task{ID: string(l.id), WCET: c.lat, Period: l.period})
-		sc.tasks[c.r] = ts
+	if l := q.p.leaves[i]; l.Period > 0 {
+		ts := append(sc.tasks[c.Res], sched.Task{ID: string(l.ID), WCET: c.Lat, Period: l.Period})
+		sc.tasks[c.Res] = ts
 		if !q.opts.Timing.test(ts) {
-			sc.tasks[c.r] = ts[:len(ts)-1]
+			sc.tasks[c.Res] = ts[:len(ts)-1]
 			return false, false
 		}
 	}
-	sc.assigned[i] = c.r
+	sc.assigned[i] = c.Res
 	return true, false
 }
 
 // undo reverts a consistent assignment of leaf i to c.
-func (q *search) undo(i int32, c cand) {
+func (q *search) undo(i int32, c spec.Candidate) {
 	sc := q.sc
 	sc.assigned[i] = -1
-	if q.p.leaves[i].period > 0 {
-		ts := sc.tasks[c.r]
-		sc.tasks[c.r] = ts[:len(ts)-1]
+	if q.p.leaves[i].Period > 0 {
+		ts := sc.tasks[c.Res]
+		sc.tasks[c.Res] = ts[:len(ts)-1]
 	}
 }
 
@@ -257,7 +244,7 @@ func (q *search) undo(i int32, c cand) {
 // candidates in resource-ID order, so the first binding found is
 // deterministic. sc must not be shared with a concurrent call.
 func (p *Problem) Solve(av *spec.ArchView, opts Options, sc *Scratch) (Search, bool) {
-	q := search{p: p, av: av, opts: opts, sc: sc}
+	q := sc.begin(p, av, opts, 0)
 	if !q.start() {
 		return q.res, false
 	}
@@ -276,8 +263,8 @@ func (q *search) solve(k int) bool {
 		return true
 	}
 	i := q.sc.order[k]
-	for _, c := range q.p.leaves[i].cands {
-		if !q.av.PresentIndex(int(c.r)) {
+	for _, c := range q.p.leaves[i].Cands {
+		if !q.av.PresentIndex(int(c.Res)) {
 			continue
 		}
 		ok, stop := q.try(i, c)
@@ -300,15 +287,15 @@ func (q *search) solve(k int) bool {
 // Solve's constraint model and search order, bounded below by each
 // unbound leaf's cheapest present candidate.
 func (p *Problem) MinLatency(av *spec.ArchView, opts Options, sc *Scratch) (Search, bool) {
-	q := search{p: p, av: av, opts: opts, sc: sc, bestCost: -1}
+	q := sc.begin(p, av, opts, -1)
 	if !q.start() {
 		return q.res, false
 	}
 	for i := range p.leaves {
 		first := true
-		for _, c := range p.leaves[i].cands {
-			if av.PresentIndex(int(c.r)) && (first || c.lat < sc.minLat[i]) {
-				sc.minLat[i], first = c.lat, false
+		for _, c := range p.leaves[i].Cands {
+			if av.PresentIndex(int(c.Res)) && (first || c.Lat < sc.minLat[i]) {
+				sc.minLat[i], first = c.Lat, false
 			}
 		}
 	}
@@ -337,8 +324,8 @@ func (q *search) minimize(k int, acc float64) {
 		return
 	}
 	i := sc.order[k]
-	for _, c := range q.p.leaves[i].cands {
-		if !q.av.PresentIndex(int(c.r)) {
+	for _, c := range q.p.leaves[i].Cands {
+		if !q.av.PresentIndex(int(c.Res)) {
 			continue
 		}
 		ok, stop := q.try(i, c)
@@ -348,7 +335,7 @@ func (q *search) minimize(k int, acc float64) {
 		if !ok {
 			continue
 		}
-		q.minimize(k+1, acc+c.lat)
+		q.minimize(k+1, acc+c.Lat)
 		q.undo(i, c)
 	}
 }
@@ -367,19 +354,19 @@ func (p *Problem) Verify(av *spec.ArchView, b []int32, opts Options, sc *Scratch
 }
 
 // lookup returns leaf i's candidate on resource r.
-func (p *Problem) lookup(i int, r int32) (cand, bool) {
-	for _, c := range p.leaves[i].cands {
-		if c.r == r {
+func (p *Problem) lookup(i int, r int32) (spec.Candidate, bool) {
+	for _, c := range p.leaves[i].Cands {
+		if c.Res == r {
 			return c, true
 		}
 	}
-	return cand{}, false
+	return spec.Candidate{}, false
 }
 
 // leafErr applies rule 2 to leaf i bound to resource r: the leaf is
 // bound, through a mapping edge, to a present resource.
 func (p *Problem) leafErr(av *spec.ArchView, i int, r int32) error {
-	id := p.leaves[i].id
+	id := p.leaves[i].ID
 	if r < 0 {
 		return fmt.Errorf("bind: process %q unbound", id)
 	}
@@ -398,17 +385,16 @@ func (p *Problem) verifyLinks(av *spec.ArchView, b []int32, opts Options, sc *Sc
 	for _, e := range p.edges {
 		if !av.CanCommunicateIndex(int(b[e[0]]), int(b[e[1]])) {
 			return fmt.Errorf("bind: dependence %s->%s unroutable between %q and %q",
-				p.leaves[e[0]].id, p.leaves[e[1]].id, p.res.At(int(b[e[0]])), p.res.At(int(b[e[1]])))
+				p.leaves[e[0]].ID, p.leaves[e[1]].ID, p.res.At(int(b[e[0]])), p.res.At(int(b[e[1]])))
 		}
 	}
 	sc.grow(len(p.leaves), p.res.Len())
-	for i := range p.leaves {
-		l := &p.leaves[i]
-		if l.period <= 0 {
+	for i, l := range p.leaves {
+		if l.Period <= 0 {
 			continue
 		}
 		c, _ := p.lookup(i, b[i])
-		sc.tasks[c.r] = append(sc.tasks[c.r], sched.Task{ID: string(l.id), WCET: c.lat, Period: l.period})
+		sc.tasks[c.Res] = append(sc.tasks[c.Res], sched.Task{ID: string(l.ID), WCET: c.Lat, Period: l.Period})
 	}
 	// Test the resources in first-bound order, following the leaves, so
 	// the violation reported is deterministic.

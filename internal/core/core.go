@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/alloc"
@@ -43,16 +44,20 @@ type Implementation struct {
 	Behaviours  []Behaviour
 }
 
-// owned returns a copy of im whose behaviours hold private Binding and
-// ArchSelection maps; behaviours with equal architecture selections
-// share one copy. A front admitting a ready implementation (a Resume
-// front) stores an owned copy, and Progress reports hand out owned
-// copies too, so nothing a caller is handed aliases another
-// implementation or the run's result.
+// owned returns a copy of im that shares no map or slice with it: the
+// allocation, the implemented clusters and each behaviour's ECS,
+// Binding and ArchSelection are copied; behaviours with equal
+// architecture selections share one copy. A front admitting a ready
+// implementation (a Resume front) stores an owned copy, and Progress
+// reports hand out owned copies too, so nothing a caller is handed
+// aliases another implementation or the run's result.
 func owned(im *Implementation) *Implementation {
 	c := *im
+	c.Allocation = maps.Clone(im.Allocation)
+	c.Clusters = slices.Clone(im.Clusters)
 	c.Behaviours = make([]Behaviour, len(im.Behaviours))
 	for i, b := range im.Behaviours {
+		b.ECS = cover.ECS{Selection: maps.Clone(b.ECS.Selection), Clusters: slices.Clone(b.ECS.Clusters)}
 		b.Binding = b.Binding.Clone()
 		shared := false
 		for _, prev := range c.Behaviours[:i] {
@@ -353,8 +358,9 @@ type PipelineStats struct {
 
 // CacheStats counts hits and misses of the candidate-evaluation caches
 // (see internal/core/evaluator.go). Hits measure avoided work: a
-// flatten hit is an ECS flattening, and an arch hit an architecture
-// configuration, not rebuilt; SupportableReused counts implementations
+// flatten hit is an ECS's binding problem, and an arch hit an
+// architecture configuration, not rebuilt (the names are kept for the
+// JSON form; no ECS is flattened into a graph); SupportableReused counts implementations
 // that reused the supportable-cluster set computed by the candidate's
 // estimate (or, in the sampling explorers, its possibility test): every
 // attempt. Binding decisions are not cached: each is one solve, counted
@@ -493,8 +499,8 @@ func Implement(s *spec.Spec, a spec.Allocation, opts Options, stats *Stats) *Imp
 }
 
 // ImplementAll is Implement of each allocation of as, through one
-// evaluator: an ECS flattened, a configuration enumerated or a binding
-// verdict solved for one allocation is reused for the next. The i-th
+// evaluator: an ECS's binding problem or a configuration built for one
+// allocation is reused for the next. The i-th
 // result is nil when as[i] implements no behaviour, and otherwise is
 // Implement's result, bindings included: each binding is solved on its
 // own allocation's view.

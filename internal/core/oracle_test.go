@@ -312,7 +312,7 @@ func TestKeptPicksAreImplemented(t *testing.T) {
 					at := ev.implementAllocation(a, &w, &Stats{})
 					for _, p := range at.picks {
 						if !p.en.bits.SubsetOf(w.implemented) {
-							t.Fatalf("%s: kept pick %v has a cluster outside the implemented set", a, p.en.e.Clusters)
+							t.Fatalf("%s: kept pick %v has a cluster outside the implemented set", a, ev.ecs(p.en).Clusters)
 						}
 					}
 					kept += len(at.picks)

@@ -101,3 +101,54 @@ func TestFrontOwnsItsMaps(t *testing.T) {
 		assertNoSharedMaps(t, sub.name+"/Evolutionary", Run(context.Background(), sub.s, Options{}, Request{Kind: KindEvolutionary, Seed: 1}).Front)
 	}
 }
+
+// TestProgressReportsShareNothing: a Progress consumer that overwrites
+// every map and slice of every report it is handed — allocations,
+// implemented clusters, each behaviour's ECS, binding and architecture
+// selection, and the behaviour lists — leaves the run's front equal to
+// the front of a run no consumer observed, inline and pooled.
+func TestProgressReportsShareNothing(t *testing.T) {
+	vandal := func(p Progress) {
+		for _, im := range p.Front {
+			clear(im.Allocation)
+			for i := range im.Clusters {
+				im.Clusters[i] = "X"
+			}
+			for j := range im.Behaviours {
+				b := &im.Behaviours[j]
+				for k := range b.ECS.Selection {
+					b.ECS.Selection[k] = "Y"
+				}
+				for i := range b.ECS.Clusters {
+					b.ECS.Clusters[i] = "Z"
+				}
+				clear(b.Binding)
+				clear(b.ArchSelection)
+				*b = Behaviour{}
+			}
+		}
+	}
+	for _, sub := range []struct {
+		name string
+		s    *spec.Spec
+	}{
+		{"settop", models.SetTopBox()},
+		{"synthetic2", models.Synthetic(models.DefaultSynthetic(2))},
+	} {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("%s/workers=%d", sub.name, workers)
+			want := ExploreParallel(sub.s, Options{}, workers, 0).Front
+			reports := 0
+			got := ExploreParallel(sub.s, Options{ProgressEvery: 1, Progress: func(p Progress) {
+				reports++
+				vandal(p)
+			}}, workers, 0).Front
+			if reports == 0 {
+				t.Fatalf("%s: no Progress report", name)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: a Progress consumer changed the front:\n%s\nwant\n%s", name, frontJSON(t, got), frontJSON(t, want))
+			}
+		}
+	}
+}

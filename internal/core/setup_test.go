@@ -50,15 +50,17 @@ func TestMaxFlexibilityIndexed(t *testing.T) {
 // allocates: newScan builds the unit table, the Supporter with its bus
 // adjacency, the cluster tree, the architecture space, the evaluator's
 // unit tables and the scan's scratch, and computes MaxFlexibility, with
-// every resource set of the Supporter carved out of one slab.
+// every resource set of the Supporter carved out of one slab and every
+// list of the architecture space out of one slab per kind. (Before the
+// architecture space's lists shared slabs: 118 and 106.)
 func TestNewScanAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		s    *spec.Spec
 		max  float64
 	}{
-		{"settop", models.SetTopBox(), 118},
-		{"wide", models.Synthetic(models.ScaledSynthetic(1, 22)), 106},
+		{"settop", models.SetTopBox(), 109},
+		{"wide", models.Synthetic(models.ScaledSynthetic(1, 22)), 100},
 	} {
 		opts := Options{StopAtMaxFlex: true}
 		if got := testing.AllocsPerRun(20, func() { newScan(context.Background(), c.s, opts) }); got > c.max {

@@ -30,7 +30,11 @@ func archSubjects(t *testing.T) map[string]*spec.Spec {
 // bus reaches the FPGA through a port that one design binds to a vertex
 // and the other to a nested interface, whose own designs bind it on,
 // and a second top-level interface follows the nested one in the
-// enumeration order.
+// enumeration order. A third FPGA design nests three deep, each level
+// holding only the next interface (rack ⊃ BAY ⊃ bay ⊃ CARD, two
+// cards), and the second top-level interface's last design nests one
+// more, so every card is enumerated after a configuration that decided
+// an interface nested in the sibling.
 func nestedArch(t *testing.T) *spec.Spec {
 	t.Helper()
 	pb := hgraph.NewBuilder("problem", "ptop")
@@ -48,9 +52,15 @@ func nestedArch(t *testing.T) *spec.Spec {
 	slot.Cluster("s1").Vertex("S1").Bind("bus", "S1")
 	slot.Cluster("s2").Vertex("S2").Vertex("S3").Edge("S2", "S3").Bind("bus", "S2")
 	deep.Bind("bus", "SLOT").PortEdge("E", "", "SLOT", "bus")
+	rack := fpga.Cluster("rack").Vertex("RK").Bind("bus", "BAY")
+	bay := rack.Interface("BAY", hgraph.Port{Name: "bus"}).Cluster("bay").Vertex("BY").Bind("bus", "CARD")
+	card := bay.Interface("CARD", hgraph.Port{Name: "bus"})
+	card.Cluster("card1").Vertex("K1").Bind("bus", "K1")
+	card.Cluster("card2").Vertex("K2").Bind("bus", "K2")
 	io := r.Interface("IO", hgraph.Port{Name: "bus"})
 	io.Cluster("io1").Vertex("I1").Bind("bus", "I1")
-	io.Cluster("io2").Vertex("I2").Bind("bus", "I2")
+	io2 := io.Cluster("io2").Vertex("I2").Bind("bus", "I2")
+	io2.Interface("EXT").Cluster("ext").Vertex("X1")
 	r.Edge("uP", "C").PortEdge("C", "", "FPGA", "bus").PortEdge("C", "", "IO", "bus")
 	arch := ab.MustBuild()
 	s, err := spec.New("nested", problem, arch, []*spec.Mapping{{Process: "P", Resource: "uP", Latency: 1}})
